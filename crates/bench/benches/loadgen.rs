@@ -54,6 +54,8 @@ fn bench_closed_loop(c: &mut Criterion) {
         mix: EndpointMix::metadata(),
         max_inflight: None,
         resilience: false,
+        hold_connections: 0,
+        open_loop: false,
         sample_every: Duration::from_millis(25),
     };
     let mut g = c.benchmark_group("loadgen");

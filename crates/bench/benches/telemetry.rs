@@ -10,7 +10,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use marketscope::net::http::{Request, Response};
 use marketscope::net::router::Params;
-use marketscope::net::{ClientMetrics, HttpClient, HttpServer, Router, ServerMetrics};
+use marketscope::net::{
+    ClientMetrics, HttpClient, HttpServer, ReactorConfig, Router, ServerMetrics,
+};
 use marketscope::telemetry::{Counter, Histogram, Registry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,8 +71,14 @@ fn bench_round_trip(c: &mut Criterion) {
     // latency/retry/error instruments.
     let registry = Arc::new(Registry::new());
     let server_metrics = ServerMetrics::register(&registry, &[("market", "bench")]);
-    let server =
-        HttpServer::spawn_instrumented("127.0.0.1:0", ping_router(), server_metrics).unwrap();
+    let server = HttpServer::spawn_configured(
+        "127.0.0.1:0",
+        ping_router(),
+        server_metrics,
+        None,
+        ReactorConfig::default(),
+    )
+    .unwrap();
     let client = HttpClient::builder()
         .metrics(ClientMetrics::register(&registry, &[]))
         .build();
@@ -99,10 +107,12 @@ fn bench_traced_round_trip(c: &mut Criterion) {
     // Tracer attached on both sides, sampling off: every request walks
     // the no-op span paths (the production default).
     let cold = Arc::new(Tracer::new(TracerConfig::propagate_only(4096)));
-    let cold_server = HttpServer::spawn_instrumented(
+    let cold_server = HttpServer::spawn_configured(
         "127.0.0.1:0",
         ping_router(),
         ServerMetrics::standalone().traced(Arc::clone(&cold)),
+        None,
+        ReactorConfig::default(),
     )
     .unwrap();
     let cold_client = HttpClient::builder().tracer(Arc::clone(&cold)).build();
@@ -113,10 +123,12 @@ fn bench_traced_round_trip(c: &mut Criterion) {
     // Every request sampled: span allocation, header injection, remote
     // child spans and journal writes all on the hot path.
     let hot = Arc::new(Tracer::new(TracerConfig::always(4096)));
-    let hot_server = HttpServer::spawn_instrumented(
+    let hot_server = HttpServer::spawn_configured(
         "127.0.0.1:0",
         ping_router(),
         ServerMetrics::standalone().traced(Arc::clone(&hot)),
+        None,
+        ReactorConfig::default(),
     )
     .unwrap();
     let hot_client = HttpClient::builder().tracer(Arc::clone(&hot)).build();

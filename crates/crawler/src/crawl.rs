@@ -135,18 +135,6 @@ struct MarketMetrics {
     recovered: Arc<Counter>,
 }
 
-/// Error kinds the per-market fetch-error counters are pre-registered
-/// under (mirrors [`NetError::kind`]); pre-registering keeps snapshots
-/// shaped identically whether or not a kind ever fires.
-const FETCH_ERROR_KINDS: [&str; 6] = [
-    "io",
-    "protocol",
-    "too_large",
-    "status",
-    "eof",
-    "circuit_open",
-];
-
 impl MarketMetrics {
     fn register(registry: &Registry, market: MarketId) -> MarketMetrics {
         let labels = [("market", market.slug())];
@@ -160,7 +148,9 @@ impl MarketMetrics {
             reach_edges: registry
                 .counter("marketscope_crawler_reach_edges_traversed_total", &labels),
             reach_latency: registry.histogram("marketscope_crawler_reach_latency_nanos", &labels),
-            fetch_errors: FETCH_ERROR_KINDS
+            // Pre-registered for every kind so snapshots are shaped
+            // identically whether or not a kind ever fires.
+            fetch_errors: NetError::KINDS
                 .iter()
                 .map(|kind| {
                     let labels = [("market", market.slug()), ("kind", *kind)];
@@ -177,6 +167,7 @@ impl MarketMetrics {
     }
 
     fn note_fetch_error(&self, kind: &str) {
+        // Never misses: the counters come from `NetError::KINDS`.
         if let Some((_, c)) = self.fetch_errors.iter().find(|(k, _)| *k == kind) {
             c.inc();
         }
@@ -184,24 +175,13 @@ impl MarketMetrics {
 }
 
 /// Account one terminal fetch failure: per-kind market counter, the
-/// campaign-wide stat, and a `fetch_error:<kind>` event on the current
-/// trace span. Definitive 404s are answers, not degradation — they are
-/// deliberately *not* counted (BFS probes and parallel search live on
-/// expected misses).
-fn note_fetch_failure(metrics: &MarketMetrics, stats: &Mutex<CrawlStats>, err: &NetError) {
-    if matches!(err, NetError::Status { code: 404, .. }) {
-        return;
-    }
-    metrics.note_fetch_error(err.kind());
-    stats.lock().fetch_errors += 1;
-    marketscope_telemetry::trace::current_event(&format!("fetch_error:{}", err.kind()));
-}
-
-/// [`note_fetch_failure`] for the batched fetch path: identical
-/// accounting, but the `fetch_error:<kind>` event lands on the probe's
-/// own span handle — by drain time the thread's *current* span is
-/// whichever probe was submitted last, not this one.
-fn note_fetch_failure_on(
+/// campaign-wide stat, and a `fetch_error:<kind>` event on `span` — the
+/// fetch's own span handle, because by the time a batched probe drains
+/// the thread's *current* span is whichever probe was submitted last.
+/// Definitive 404s are answers, not degradation — they are deliberately
+/// *not* counted (BFS probes and parallel search live on expected
+/// misses).
+fn note_fetch_failure(
     span: &TraceSpan,
     metrics: &MarketMetrics,
     stats: &Mutex<CrawlStats>,
@@ -236,35 +216,21 @@ impl Crawler {
     /// A crawler with the given configuration and a private telemetry
     /// registry (see [`Crawler::registry`]).
     pub fn new(config: CrawlConfig) -> Crawler {
-        Crawler::with_registry(config, Arc::new(Registry::new()))
-    }
-
-    /// A crawler whose instruments are registered in `registry` — pass a
-    /// shared registry to scrape crawler progress alongside other
-    /// components.
-    pub fn with_registry(config: CrawlConfig, registry: Arc<Registry>) -> Crawler {
         let tracer = Arc::new(Tracer::new(TracerConfig {
             sample_rate: config.trace_sample,
             capacity: 16_384,
         }));
-        Crawler::with_telemetry(config, registry, tracer)
+        Crawler::with_ops(config, Arc::new(Registry::new()), tracer, None)
     }
 
-    /// A crawler recording trace spans into an explicit (usually shared)
-    /// tracer. Sampling still follows `config.trace_sample`; pass the
-    /// same tracer to other components to merge their spans into one
-    /// journal up front instead of merging snapshots later.
-    pub fn with_telemetry(
-        config: CrawlConfig,
-        registry: Arc<Registry>,
-        tracer: Arc<Tracer>,
-    ) -> Crawler {
-        Crawler::with_ops(config, registry, tracer, None)
-    }
-
-    /// A crawler wired into a shared structured [`EventLog`]: circuit
-    /// breaker transitions and quarantine lifecycle emit events (with
-    /// the active trace context attached) alongside their counters.
+    /// The general constructor. Instruments are registered in `registry`
+    /// — pass a shared one to scrape crawler progress alongside other
+    /// components. Trace spans record into `tracer`; pass the same
+    /// tracer to other components to merge their spans into one journal
+    /// up front instead of merging snapshots later. With a shared
+    /// structured [`EventLog`], circuit breaker transitions and
+    /// quarantine lifecycle emit events (with the active trace context
+    /// attached) alongside their counters.
     pub fn with_ops(
         config: CrawlConfig,
         registry: Arc<Registry>,
@@ -291,7 +257,10 @@ impl Crawler {
             .map(|m| MarketMetrics::register(&registry, *m))
             .collect();
         let mut builder = HttpClient::builder()
-            .config(ClientConfig::builder().pool_per_host(4).build())
+            .config(ClientConfig {
+                pool_per_host: 4,
+                ..ClientConfig::default()
+            })
             .metrics(ClientMetrics::register(&registry, &[]))
             .tracer(Arc::clone(&tracer));
         if config.retry.is_some() || config.breaker.is_some() {
@@ -354,10 +323,9 @@ impl Crawler {
 
     /// Open one (sampled) root span for a metadata probe and enqueue
     /// the fetch on the market's ordering lane. The span's context
-    /// flows through the driver into the market server exactly as it
-    /// does on the blocking path; the lane serializes this market's
-    /// probes so its server sees the same request sequence a blocking
-    /// loop would produce (seeded fault windows stay bit-identical).
+    /// flows through the driver into the market server; the lane
+    /// serializes this market's probes so its server sees them in
+    /// submission order (seeded fault windows stay bit-identical).
     fn submit_metadata_probe(
         &self,
         market: MarketId,
@@ -376,9 +344,8 @@ impl Crawler {
 
     /// The batched metadata fan-out: submit one `/app/{pkg}` probe per
     /// package through the mux driver — all in flight at once, the
-    /// whole batch riding the one driver thread — then drain in
-    /// submission order, settling each outcome exactly as the blocking
-    /// [`fetch_metadata`] would.
+    /// whole batch riding the one driver thread — then drain and settle
+    /// in submission order.
     fn fetch_many(
         &self,
         market: MarketId,
@@ -442,10 +409,10 @@ impl Crawler {
         global.sort_unstable();
         // The batched fetch path: every market's probes are submitted
         // up front and ride the mux driver's one readiness loop — no
-        // per-market thread pile. Each market's ordering lane keeps its
-        // server's request sequence identical to the old blocking loop,
-        // so seeded fault windows (and with them campaign datasets)
-        // stay bit-identical; across markets the probes overlap freely.
+        // per-market thread pile. Each market's ordering lane delivers
+        // its probes in submission order, so seeded fault windows (and
+        // with them campaign datasets) stay bit-identical; across
+        // markets the probes overlap freely.
         let search_batches: Vec<Vec<(TraceSpan, Ticket)>> = markets
             .iter()
             .map(|snapshot| {
@@ -514,7 +481,7 @@ impl Crawler {
         // the mux driver. Politeness needs per-request pacing, and a
         // cap counts *successful* listings (a failed fetch means one
         // more package gets tried) — both are inherently sequential, so
-        // those configurations keep the blocking loop.
+        // those configurations fetch one listing at a time.
         if self.buckets.is_none() && self.config.per_market_cap == 0 {
             let listings = self
                 .fetch_many(market, addr, "listing", &packages, stats)
@@ -535,7 +502,8 @@ impl Crawler {
                 .root_span("crawler", &format!("listing {}/{pkg}", market.slug()));
             self.polite(market);
             let metrics = &self.metrics[market.index()];
-            if let Some(listing) = fetch_metadata(client, addr, &pkg, stats, metrics) {
+            let fetched = client.get_json(addr, &format!("/app/{pkg}"));
+            if let Some(listing) = settle_metadata(fetched, &span, stats, metrics) {
                 listings.push(listing);
             }
             span.finish();
@@ -558,8 +526,10 @@ impl Crawler {
                 Ok(doc) => doc,
                 Err(e) => {
                     // An index walk that dies mid-pagination is a real
-                    // coverage loss — account it, don't swallow it.
-                    note_fetch_failure(&self.metrics[market.index()], stats, &e);
+                    // coverage loss — account it, don't swallow it. (No
+                    // span is open around enumeration requests.)
+                    let metrics = &self.metrics[market.index()];
+                    note_fetch_failure(&TraceSpan::noop(), metrics, stats, &e);
                     break;
                 }
             };
@@ -603,7 +573,7 @@ impl Crawler {
             match client.get_json(addr, &format!("/app/{pkg}")) {
                 Ok(_) => found.push(pkg.clone()),
                 Err(e) => {
-                    note_fetch_failure(metrics, stats, &e);
+                    note_fetch_failure(&TraceSpan::noop(), metrics, stats, &e);
                     continue;
                 }
             }
@@ -748,7 +718,7 @@ impl Crawler {
                 // Degraded fetch: account the kind and still try the
                 // repository — it mirrors the catalogs, so a flaky
                 // market need not cost us the APK.
-                note_fetch_failure(metrics, stats, &e);
+                note_fetch_failure(&trace_span, metrics, stats, &e);
                 healthy = false;
                 self.backfill(targets, listing, client, stats, metrics, &trace_span)
             }
@@ -804,35 +774,16 @@ impl Crawler {
                 Some(resp.body)
             }
             Err(e) => {
-                note_fetch_failure(metrics, stats, &e);
+                note_fetch_failure(trace_span, metrics, stats, &e);
                 None
             }
         }
     }
 }
 
-fn fetch_metadata(
-    client: &HttpClient,
-    addr: SocketAddr,
-    package: &str,
-    stats: &Mutex<CrawlStats>,
-    metrics: &MarketMetrics,
-) -> Option<CrawledListing> {
-    let doc = match client.get_json(addr, &format!("/app/{package}")) {
-        Ok(doc) => doc,
-        Err(e) => {
-            note_fetch_failure(metrics, stats, &e);
-            return None;
-        }
-    };
-    stats.lock().metadata_fetched += 1;
-    metrics.listings.inc();
-    CrawledListing::from_metadata(&doc)
-}
-
-/// Settle one batched metadata probe with [`fetch_metadata`]'s exact
-/// bookkeeping: failures accounted per kind (on the probe's own span),
-/// successes counted and decoded into a listing.
+/// Settle one `/app/{pkg}` metadata fetch: failures accounted per kind
+/// (on the fetch's own span), successes counted and decoded into a
+/// listing.
 fn settle_metadata(
     result: Result<Json, NetError>,
     span: &TraceSpan,
@@ -842,7 +793,7 @@ fn settle_metadata(
     let doc = match result {
         Ok(doc) => doc,
         Err(e) => {
-            note_fetch_failure_on(span, metrics, stats, &e);
+            note_fetch_failure(span, metrics, stats, &e);
             return None;
         }
     };

@@ -27,7 +27,7 @@
 //! listing/APK/dedup counters, BFS queue depth, politeness-bucket waits,
 //! and HTTP client latency all land in the crawler's
 //! [`Registry`](marketscope_telemetry::Registry) (shareable via
-//! [`Crawler::with_registry`]), and [`CrawlProgress`] turns that registry
+//! [`Crawler::with_ops`]), and [`CrawlProgress`] turns that registry
 //! into structured per-market progress lines while a crawl runs.
 
 #![forbid(unsafe_code)]

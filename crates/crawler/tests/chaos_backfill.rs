@@ -8,6 +8,7 @@ use marketscope_core::MarketId;
 use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler};
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response, Status};
+use marketscope_net::reactor::ReactorConfig;
 use marketscope_net::resilience::BreakerConfig;
 use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
@@ -121,7 +122,7 @@ fn flaky_repository_is_absorbed_by_retries() {
     let store = throttled_store(10);
     // The repository resets every third request; connection-level and
     // policy retries must absorb every hit.
-    let repo = HttpServer::spawn_with_faults(
+    let repo = HttpServer::spawn_configured(
         "127.0.0.1:0",
         Router::new().get(
             "/apk/{pkg}/{version}",
@@ -130,14 +131,15 @@ fn flaky_repository_is_absorbed_by_retries() {
             },
         ),
         ServerMetrics::standalone(),
-        FaultInjector::new(
+        Some(Arc::new(FaultInjector::new(
             11,
             FaultPlan {
                 downtime_every: 3,
                 downtime_len: 1,
                 ..FaultPlan::none()
             },
-        ),
+        ))),
+        ReactorConfig::default(),
     )
     .unwrap();
 
@@ -156,7 +158,7 @@ fn dead_repository_yields_missing_apks_with_honest_kind_labels() {
     let store = throttled_store(10);
     let registry = Arc::new(Registry::new());
     let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(64)));
-    let crawler = Crawler::with_telemetry(
+    let crawler = Crawler::with_ops(
         CrawlConfig {
             breaker: Some(BreakerConfig {
                 failure_threshold: 5,
@@ -167,6 +169,7 @@ fn dead_repository_yields_missing_apks_with_honest_kind_labels() {
         },
         Arc::clone(&registry),
         tracer,
+        None,
     );
     let snap = crawler.crawl(&targets_with(store.addr(), Some(dead_addr())));
 
@@ -196,7 +199,7 @@ fn persistent_apk_failures_quarantine_the_market() {
     let store = mock_store(10, |_| Response::status(Status::InternalError));
     let registry = Arc::new(Registry::new());
     let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(64)));
-    let crawler = Crawler::with_telemetry(
+    let crawler = Crawler::with_ops(
         CrawlConfig {
             retry: None,
             breaker: None,
@@ -205,6 +208,7 @@ fn persistent_apk_failures_quarantine_the_market() {
         },
         Arc::clone(&registry),
         tracer,
+        None,
     );
     let snap = crawler.crawl(&targets_with(store.addr(), None));
 

@@ -363,12 +363,11 @@ pub fn run_against(fleet: &MarketFleet, config: &LoadConfig) -> LoadReport {
     let clients: Vec<Arc<HttpClient>> = ENDPOINTS
         .iter()
         .map(|&e| {
-            let cc = match config.max_inflight {
-                Some(n) => ClientConfig::builder().max_inflight(n),
-                None => ClientConfig::builder(),
-            };
             let mut b = HttpClient::builder()
-                .config(cc.build())
+                .config(ClientConfig {
+                    max_inflight: config.max_inflight,
+                    ..ClientConfig::default()
+                })
                 .metrics(ClientMetrics::register(
                     &registry,
                     &[("endpoint", e.name())],

@@ -158,7 +158,7 @@ impl MarketFleet {
                 Arc::clone(&registry),
                 Arc::clone(&tracer),
                 faults,
-                ops.clone(),
+                Some(ops.clone()),
             )?;
             event_log.record(
                 LogLevel::Info,
@@ -172,7 +172,7 @@ impl MarketFleet {
             );
             servers.push(server);
         }
-        let repository = AndroZooServer::spawn_with_telemetry(
+        let repository = AndroZooServer::spawn_shared(
             Arc::clone(&world),
             Arc::clone(&registry),
             Arc::clone(&tracer),

@@ -30,25 +30,19 @@ pub struct AndroZooServer {
 }
 
 impl AndroZooServer {
-    /// Spawn the repository over `world`'s Google Play catalog.
+    /// Spawn the repository over `world`'s Google Play catalog with
+    /// private telemetry.
     pub fn spawn(world: Arc<World>) -> Result<AndroZooServer, marketscope_net::NetError> {
-        AndroZooServer::spawn_with_registry(world, Arc::new(Registry::new()))
+        let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(1024)));
+        AndroZooServer::spawn_shared(world, Arc::new(Registry::new()), tracer)
     }
 
     /// Spawn the repository with its request instruments registered in
-    /// `registry` under `market="androzoo"`.
-    pub fn spawn_with_registry(
-        world: Arc<World>,
-        registry: Arc<Registry>,
-    ) -> Result<AndroZooServer, marketscope_net::NetError> {
-        let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(1024)));
-        AndroZooServer::spawn_with_telemetry(world, registry, tracer)
-    }
-
-    /// Spawn the repository with a shared tracer too, so backfill
-    /// downloads show up in the same cross-process span trees as the
-    /// market fetches they compensate for.
-    pub fn spawn_with_telemetry(
+    /// `registry` under `market="androzoo"` and its request spans
+    /// recorded by `tracer`, so backfill downloads show up in the same
+    /// cross-process span trees as the market fetches they compensate
+    /// for.
+    pub fn spawn_shared(
         world: Arc<World>,
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
@@ -83,7 +77,13 @@ impl AndroZooServer {
             })
         };
         let metrics = ServerMetrics::register(&registry, &[("market", "androzoo")]).traced(tracer);
-        let handle = HttpServer::spawn_instrumented("127.0.0.1:0", router, metrics)?;
+        let handle = HttpServer::spawn_configured(
+            "127.0.0.1:0",
+            router,
+            metrics,
+            None,
+            marketscope_net::ReactorConfig::default(),
+        )?;
         Ok(AndroZooServer { handle, holdings })
     }
 

@@ -78,75 +78,37 @@ pub struct MarketServer {
 pub const PAGE_SIZE: usize = 50;
 
 impl MarketServer {
-    /// Spawn a server for `market` over `world` with a private telemetry
-    /// registry.
+    /// Spawn a server for `market` over `world` with private telemetry:
+    /// its own registry, and a tracer whose local sampling is off but
+    /// whose journal is live — requests arriving with a propagated trace
+    /// context still record.
     pub fn spawn(
         world: Arc<World>,
         market: MarketId,
     ) -> Result<MarketServer, marketscope_net::NetError> {
-        MarketServer::spawn_with_registry(world, market, Arc::new(Registry::new()))
-    }
-
-    /// Spawn a server whose instruments live in `registry` (shared across
-    /// the fleet by [`MarketFleet`](crate::MarketFleet)). Every server
-    /// instrument carries a `market="<slug>"` label, and the server
-    /// exposes the whole registry at `GET /__metrics` in Prometheus text
-    /// format.
-    pub fn spawn_with_registry(
-        world: Arc<World>,
-        market: MarketId,
-        registry: Arc<Registry>,
-    ) -> Result<MarketServer, marketscope_net::NetError> {
-        // Local sampling stays off, but the journal is live: requests
-        // arriving with a propagated trace context still record here.
         let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(4096)));
-        MarketServer::spawn_with_telemetry(world, market, registry, tracer)
+        MarketServer::spawn_with_ops(world, market, Arc::new(Registry::new()), tracer, None, None)
     }
 
-    /// Spawn a server with a shared registry *and* a shared tracer. The
-    /// server opens spans for requests that arrive with a propagated
-    /// `x-marketscope-trace` header, and exposes the tracer's journal as
-    /// Chrome trace-event JSON at `GET /__trace`.
-    pub fn spawn_with_telemetry(
-        world: Arc<World>,
-        market: MarketId,
-        registry: Arc<Registry>,
-        tracer: Arc<Tracer>,
-    ) -> Result<MarketServer, marketscope_net::NetError> {
-        MarketServer::spawn_inner(world, market, registry, tracer, None, None)
-    }
-
-    /// Spawn a server behind a seeded [`FaultInjector`]: requests may be
-    /// reset, stalled, truncated or answered 5xx before the market logic
-    /// runs (ops paths under `/__` are exempt). Pair with a
-    /// [`ChaosProfile`](crate::chaos::ChaosProfile) for paper-flavoured
-    /// per-market weather.
-    pub fn spawn_with_chaos(
-        world: Arc<World>,
-        market: MarketId,
-        registry: Arc<Registry>,
-        tracer: Arc<Tracer>,
-        faults: FaultInjector,
-    ) -> Result<MarketServer, marketscope_net::NetError> {
-        MarketServer::spawn_inner(world, market, registry, tracer, Some(faults), None)
-    }
-
-    /// Spawn a server wired into a fleet ops plane: `/__slo` serves the
-    /// evaluator's latest verdicts, `/__log` serves the shared event
-    /// log, `/__health` gains an `slo` summary, and the server's own
-    /// incident seams (fault injections, connection shed) record events.
+    /// The general constructor. The server's instruments live in
+    /// `registry` (shared across the fleet by
+    /// [`MarketFleet`](crate::MarketFleet)), each carrying a
+    /// `market="<slug>"` label, and the whole registry is exposed at
+    /// `GET /__metrics` in Prometheus text format. Requests that arrive
+    /// with a propagated `x-marketscope-trace` header open spans in
+    /// `tracer`, whose journal is exposed as Chrome trace-event JSON at
+    /// `GET /__trace`.
+    ///
+    /// With `faults`, the server runs behind a seeded [`FaultInjector`]:
+    /// requests may be reset, stalled, truncated or answered 5xx before
+    /// the market logic runs (ops paths under `/__` are exempt); pair
+    /// with a [`ChaosProfile`](crate::chaos::ChaosProfile) for
+    /// paper-flavoured per-market weather. With `ops`, the server is
+    /// wired into a fleet ops plane: `/__slo` serves the evaluator's
+    /// latest verdicts, `/__log` serves the shared event log,
+    /// `/__health` gains an `slo` summary, and the server's own incident
+    /// seams (fault injections, connection shed) record events.
     pub fn spawn_with_ops(
-        world: Arc<World>,
-        market: MarketId,
-        registry: Arc<Registry>,
-        tracer: Arc<Tracer>,
-        faults: Option<FaultInjector>,
-        ops: OpsHandles,
-    ) -> Result<MarketServer, marketscope_net::NetError> {
-        MarketServer::spawn_inner(world, market, registry, tracer, faults, Some(ops))
-    }
-
-    fn spawn_inner(
         world: Arc<World>,
         market: MarketId,
         registry: Arc<Registry>,
@@ -627,11 +589,13 @@ mod tests {
     fn trace_endpoint_serves_propagated_spans_as_chrome_json() {
         let w = world();
         let tracer = Arc::new(Tracer::new(TracerConfig::always(256)));
-        let server = MarketServer::spawn_with_telemetry(
+        let server = MarketServer::spawn_with_ops(
             Arc::clone(&w),
             MarketId::HuaweiMarket,
             Arc::new(Registry::new()),
             Arc::clone(&tracer),
+            None,
+            None,
         )
         .unwrap();
         let client = marketscope_net::client::HttpClient::builder()
@@ -728,10 +692,10 @@ mod tests {
             Arc::new(Registry::new()),
             Arc::new(Tracer::new(TracerConfig::propagate_only(64))),
             None,
-            OpsHandles {
+            Some(OpsHandles {
                 slo: Arc::clone(&slo),
                 log: Arc::clone(&log),
-            },
+            }),
         )
         .unwrap();
         let client = HttpClient::new();
@@ -773,12 +737,13 @@ mod tests {
             error_5xx: 1.0,
             ..FaultPlan::none()
         };
-        let server = MarketServer::spawn_with_chaos(
+        let server = MarketServer::spawn_with_ops(
             Arc::clone(&w),
             MarketId::BaiduMarket,
             Arc::new(Registry::new()),
             Arc::new(Tracer::new(TracerConfig::propagate_only(256))),
-            FaultInjector::new(7, plan),
+            Some(FaultInjector::new(7, plan)),
+            None,
         )
         .unwrap();
         let client = HttpClient::new();

@@ -1,28 +1,26 @@
 //! The HTTP client: keep-alive connection pooling, timeouts, classified
-//! retries, and optional circuit breaking — all served by the
-//! multiplexed [`mux`](crate::mux) engine.
+//! retries, and optional circuit breaking — all executed by the
+//! multiplexed [`mux`](crate::mux) driver.
 //!
-//! [`HttpClient`] keeps its original blocking surface
-//! (`request`/`get`/`get_json`), but each call is now a thin
-//! submit-then-wait wrapper over one shared [`MuxClient`] driver
-//! thread, so a caller thread blocked in `get` costs a parked ticket,
-//! not a socket-bound thread. Batch callers use [`HttpClient::get_many`]
-//! / [`HttpClient::get_json_many`] (or the ticket-level
-//! [`HttpClient::submit_get`]) to put hundreds of requests in flight
-//! from a single thread.
+//! Every [`HttpClient`] call is a submission to one shared
+//! [`MuxClient`] driver thread: `request`/`get`/`get_json` submit and
+//! then park on the ticket, so a caller blocked in `get` costs a parked
+//! ticket, not a socket-bound thread. Batch callers keep the tickets
+//! ([`HttpClient::submit_get`] / [`HttpClient::submit_get_json`], redeemed
+//! with [`HttpClient::wait`] / [`HttpClient::wait_json`]) to put
+//! hundreds of requests in flight from a single thread.
 
 use crate::error::NetError;
-use crate::http::{Request, Response, Status};
-use crate::mux::{decode_response, DecodeMode, MuxClient, Payload, Ticket};
+use crate::http::{Request, Response};
+use crate::mux::{DecodeMode, MuxClient, Payload, Ticket};
 use crate::resilience::{BreakerConfig, BreakerSet, ResilienceMetrics, RetryPolicy};
-use marketscope_core::hash::fnv1a64;
 use marketscope_telemetry::{trace, Counter, Histogram, Registry, SpanContext, Tracer};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Client configuration. Prefer [`ClientConfig::builder`]; the fields
-/// stay public for `..Default::default()`-style construction.
+/// Client configuration; override individual knobs with
+/// `ClientConfig { retries: 0, ..ClientConfig::default() }`.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Per-socket read/write timeout.
@@ -57,97 +55,8 @@ impl Default for ClientConfig {
     }
 }
 
-impl ClientConfig {
-    /// Start from defaults and override individual knobs:
-    ///
-    /// ```
-    /// # use marketscope_net::client::ClientConfig;
-    /// let cfg = ClientConfig::builder().retries(0).pool_per_host(4).build();
-    /// assert_eq!(cfg.retries, 0);
-    /// ```
-    pub fn builder() -> ClientConfigBuilder {
-        ClientConfigBuilder {
-            inner: ClientConfig::default(),
-        }
-    }
-
-    /// Positional construction shim for pre-builder call sites.
-    #[deprecated(note = "use ClientConfig::builder()")]
-    pub fn legacy(
-        io_timeout: Duration,
-        connect_timeout: Duration,
-        pool_per_host: usize,
-        retries: u32,
-        max_inflight: Option<usize>,
-    ) -> ClientConfig {
-        ClientConfig {
-            io_timeout,
-            connect_timeout,
-            pool_per_host,
-            retries,
-            max_inflight,
-        }
-    }
-}
-
-/// Builds a [`ClientConfig`] knob by knob. Obtained from
-/// [`ClientConfig::builder`]; every setter defaults to the
-/// [`ClientConfig::default`] value when not called.
-#[derive(Debug, Clone)]
-pub struct ClientConfigBuilder {
-    inner: ClientConfig,
-}
-
-impl ClientConfigBuilder {
-    /// Per-socket read/write timeout.
-    pub fn io_timeout(mut self, t: Duration) -> Self {
-        self.inner.io_timeout = t;
-        self
-    }
-
-    /// Connect timeout.
-    pub fn connect_timeout(mut self, t: Duration) -> Self {
-        self.inner.connect_timeout = t;
-        self
-    }
-
-    /// Idle connections kept per remote address.
-    pub fn pool_per_host(mut self, n: usize) -> Self {
-        self.inner.pool_per_host = n;
-        self
-    }
-
-    /// Transparent transient-failure retries per request.
-    pub fn retries(mut self, n: u32) -> Self {
-        self.inner.retries = n;
-        self
-    }
-
-    /// Mux driver cap on wire-active requests.
-    pub fn max_inflight(mut self, n: usize) -> Self {
-        self.inner.max_inflight = Some(n);
-        self
-    }
-
-    /// Finish the configuration.
-    pub fn build(self) -> ClientConfig {
-        self.inner
-    }
-}
-
-/// Error kinds the client counts separately (see [`NetError::kind`]).
-const ERROR_KINDS: [&str; 6] = [
-    "io",
-    "protocol",
-    "too_large",
-    "status",
-    "eof",
-    "circuit_open",
-];
-
 /// Client-side instruments: request latency, transparent retries, and
-/// errors broken down by kind. Cloneable so the blocking wrapper and
-/// the mux driver share one set of counters.
+/// errors broken down by [`NetError::kind`].
 #[derive(Debug, Clone)]
 pub struct ClientMetrics {
     request_nanos: Arc<Histogram>,
@@ -163,7 +72,7 @@ impl ClientMetrics {
     /// * `marketscope_net_client_retries_total`
     /// * `marketscope_net_client_errors_total{kind="..."}`
     pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> ClientMetrics {
-        let errors = ERROR_KINDS
+        let errors = NetError::KINDS
             .iter()
             .map(|&kind| {
                 let mut with_kind = labels.to_vec();
@@ -182,6 +91,8 @@ impl ClientMetrics {
     }
 
     pub(crate) fn note_error(&self, e: &NetError) {
+        // Never misses: the counters come from `NetError::KINDS`, which a
+        // unit test holds to every variant's `kind()`.
         let kind = e.kind();
         if let Some((_, c)) = self.errors.iter().find(|(k, _)| *k == kind) {
             c.inc();
@@ -206,7 +117,7 @@ impl ClientMetrics {
 /// # use marketscope_net::client::{ClientConfig, HttpClient};
 /// # use marketscope_net::resilience::{BreakerConfig, RetryPolicy};
 /// let client = HttpClient::builder()
-///     .config(ClientConfig::builder().pool_per_host(4).build())
+///     .config(ClientConfig { pool_per_host: 4, ..ClientConfig::default() })
 ///     .retry(RetryPolicy::default())
 ///     .breaker(BreakerConfig::default())
 ///     .build();
@@ -281,15 +192,12 @@ impl HttpClientBuilder {
             mux: MuxClient::new(
                 config,
                 self.tracer,
-                self.metrics.clone(),
+                self.metrics,
                 self.retry,
                 breakers.clone(),
-                self.resilience_metrics.clone(),
+                self.resilience_metrics,
             ),
-            metrics: self.metrics,
-            retry: self.retry,
             breakers,
-            resilience_metrics: self.resilience_metrics,
         }
     }
 }
@@ -346,10 +254,8 @@ impl FetchSpec {
 /// one breaker set, and one driver thread).
 pub struct HttpClient {
     mux: MuxClient,
-    metrics: Option<ClientMetrics>,
-    retry: Option<RetryPolicy>,
+    /// Shared with the driver; kept here only for `open_circuits`.
     breakers: Option<Arc<BreakerSet>>,
-    resilience_metrics: Option<ResilienceMetrics>,
 }
 
 impl HttpClient {
@@ -429,7 +335,7 @@ impl HttpClient {
     /// Convenience: GET a path and require a 200. Non-200 statuses
     /// surface as [`NetError::Status`] carrying any `retry-after` hint.
     ///
-    /// This is where the resilience policy lives: with a
+    /// This runs the resilience policy (inside the driver): with a
     /// [`RetryPolicy`] attached, retryable failures (connection faults,
     /// 429/500/503) are retried with deterministic backoff until the
     /// policy's budget runs out; with a [`BreakerConfig`] attached, a
@@ -437,163 +343,29 @@ impl HttpClient {
     /// opened and subsequent calls fast-fail with
     /// [`NetError::CircuitOpen`] until a probe succeeds.
     pub fn get(&self, addr: SocketAddr, path_and_query: &str) -> Result<Response, NetError> {
-        match self.get_with(addr, path_and_query, DecodeMode::Response)? {
-            Payload::Resp(resp) => Ok(resp),
-            Payload::Doc(_) => Err(NetError::Protocol("unexpected decoded payload")),
-        }
+        let (mode, parent) = (DecodeMode::Response, trace::current());
+        let ticket = self
+            .mux
+            .submit_managed(addr, path_and_query, mode, parent, None);
+        self.wait(ticket)
     }
 
     /// Convenience: GET a path, parse the body as JSON, require a 200.
     ///
-    /// Runs the same retry/breaker/trace loop as [`HttpClient::get`]:
-    /// the body decode happens inside the resilience cycle (through the
-    /// shared decode seam the mux driver also uses), so a malformed body
-    /// is classified, counted, and settled with the breaker exactly like
-    /// any other terminal failure instead of bypassing the policy.
+    /// Runs the same retry/breaker/trace policy as [`HttpClient::get`]:
+    /// the body decode happens inside the resilience cycle, so a
+    /// malformed body is classified, counted, and settled with the
+    /// breaker exactly like any other terminal failure.
     pub fn get_json(
         &self,
         addr: SocketAddr,
         path_and_query: &str,
     ) -> Result<marketscope_core::json::Json, NetError> {
-        match self.get_with(addr, path_and_query, DecodeMode::Json)? {
-            Payload::Doc(doc) => Ok(doc),
-            Payload::Resp(_) => Err(NetError::Protocol("unexpected undecoded payload")),
-        }
-    }
-
-    /// Batched [`HttpClient::get`]: submit every spec to the driver at
-    /// once, then collect outcomes in spec order. All requests are in
-    /// flight concurrently (subject to `max_inflight` and each spec's
-    /// lane), from one caller thread.
-    pub fn get_many(&self, specs: &[FetchSpec]) -> Vec<Result<Response, NetError>> {
-        let tickets: Vec<Ticket> = specs.iter().map(|s| self.submit_get(s)).collect();
-        tickets.into_iter().map(|t| self.mux.wait(t)).collect()
-    }
-
-    /// Batched [`HttpClient::get_json`]: like [`HttpClient::get_many`]
-    /// with each body decoded as JSON inside the driver.
-    pub fn get_json_many(
-        &self,
-        specs: &[FetchSpec],
-    ) -> Vec<Result<marketscope_core::json::Json, NetError>> {
-        let tickets: Vec<Ticket> = specs
-            .iter()
-            .map(|s| {
-                self.mux
-                    .submit_managed(s.addr, &s.path, DecodeMode::Json, s.parent, s.lane)
-            })
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| match self.mux.wait_payload(t) {
-                Ok(Payload::Doc(doc)) => Ok(doc),
-                Ok(Payload::Resp(_)) => Err(NetError::Protocol("unexpected undecoded payload")),
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
-
-    /// The shared `get` loop: breaker admission, one wire request via
-    /// the mux driver, the status/decode seam, and the retry policy —
-    /// all on the calling thread, exactly as the blocking client always
-    /// ran it. `get` and `get_json` differ only in `mode`.
-    fn get_with(
-        &self,
-        addr: SocketAddr,
-        path_and_query: &str,
-        mode: DecodeMode,
-    ) -> Result<Payload, NetError> {
-        let req = Request::get(path_and_query);
-        let breaker = self.breakers.as_ref().map(|b| b.for_host(addr));
-        let key = fnv1a64(path_and_query.as_bytes());
-        let mut slept = Duration::ZERO;
-        let mut attempt = 0u32;
-        loop {
-            if let Some(b) = &breaker {
-                if !b.admit() {
-                    let err = NetError::CircuitOpen;
-                    trace::current_event("circuit_open");
-                    if let Some(m) = &self.metrics {
-                        m.note_error(&err);
-                    }
-                    return Err(err);
-                }
-            }
-            // Wire errors were already counted inside the driver; errors
-            // *minted here* — a non-200 status, a body that fails the
-            // decode seam — get their own count.
-            let result = self
-                .request(addr, &req)
-                .map_err(|e| (e, false))
-                .and_then(|resp| {
-                    if resp.status == Status::Ok {
-                        Ok(resp)
-                    } else {
-                        Err((
-                            NetError::Status {
-                                code: resp.status.code(),
-                                retry_after: resp.retry_after(),
-                            },
-                            true,
-                        ))
-                    }
-                })
-                .and_then(|resp| decode_response(resp, mode).map_err(|e| (e, true)));
-            let (err, minted) = match result {
-                Ok(payload) => {
-                    if let Some(b) = &breaker {
-                        b.on_success();
-                    }
-                    return Ok(payload);
-                }
-                Err(pair) => pair,
-            };
-            if minted {
-                if let Some(m) = &self.metrics {
-                    m.note_error(&err);
-                }
-            }
-            let delay = self
-                .retry
-                .as_ref()
-                .and_then(|p| p.delay_for(&err, attempt, key, slept));
-            match delay {
-                Some(wait) => {
-                    // Still trying: the breaker only hears about
-                    // *terminal* outcomes.
-                    trace::current_event(&format!("resilient-retry:{}", err.kind()));
-                    if let Some(rm) = &self.resilience_metrics {
-                        rm.note_retry(wait);
-                    }
-                    std::thread::sleep(wait);
-                    slept += wait;
-                    attempt += 1;
-                }
-                None => {
-                    if let Some(b) = &breaker {
-                        // Only signs of host distress — dead connections
-                        // and 5xx answers — push the circuit toward open.
-                        // A 404 is a definitive answer and a 429 means
-                        // the host is alive enough to throttle us; both
-                        // leave the breaker closed.
-                        let host_fault = err.is_transient()
-                            || matches!(
-                                err,
-                                NetError::Status {
-                                    code: 500..=599,
-                                    ..
-                                }
-                            );
-                        if host_fault {
-                            b.on_failure();
-                        } else {
-                            b.on_success();
-                        }
-                    }
-                    return Err(err);
-                }
-            }
-        }
+        let (mode, parent) = (DecodeMode::Json, trace::current());
+        let ticket = self
+            .mux
+            .submit_managed(addr, path_and_query, mode, parent, None);
+        self.wait_json(ticket)
     }
 
     /// Number of idle pooled connections (for tests/metrics).
@@ -617,6 +389,7 @@ impl Default for HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Status;
     use crate::server::HttpServer;
     use marketscope_core::json::Json;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -693,12 +466,11 @@ mod tests {
             l.local_addr().unwrap()
         };
         let client = HttpClient::builder()
-            .config(
-                ClientConfig::builder()
-                    .retries(0)
-                    .connect_timeout(Duration::from_millis(300))
-                    .build(),
-            )
+            .config(ClientConfig {
+                retries: 0,
+                connect_timeout: Duration::from_millis(300),
+                ..ClientConfig::default()
+            })
             .build();
         assert!(client.get(addr, "/x").is_err());
     }
@@ -806,7 +578,10 @@ mod tests {
         let server =
             HttpServer::spawn(|_req: &Request| Response::ok("text/plain", b"ok".to_vec())).unwrap();
         let client = HttpClient::builder()
-            .config(ClientConfig::builder().pool_per_host(1).build())
+            .config(ClientConfig {
+                pool_per_host: 1,
+                ..ClientConfig::default()
+            })
             .build();
         let addr = server.addr();
         // Two concurrent requests force two connections; only one returns
@@ -836,7 +611,10 @@ mod tests {
         .unwrap();
         let client = Arc::new(
             HttpClient::builder()
-                .config(ClientConfig::builder().max_inflight(2).build())
+                .config(ClientConfig {
+                    max_inflight: Some(2),
+                    ..ClientConfig::default()
+                })
                 .build(),
         );
         let addr = server.addr();
@@ -985,10 +763,11 @@ mod tests {
         let specs: Vec<FetchSpec> = (0..32)
             .map(|i| FetchSpec::new(server.addr(), format!("/item/{i}")))
             .collect();
-        let results = client.get_many(&specs);
-        assert_eq!(results.len(), 32);
-        for (i, r) in results.into_iter().enumerate() {
-            assert_eq!(r.unwrap().body, format!("/item/{i}").into_bytes());
+        let tickets: Vec<Ticket> = specs.iter().map(|s| client.submit_get(s)).collect();
+        assert_eq!(tickets.len(), 32);
+        for (i, t) in tickets.into_iter().enumerate() {
+            let resp = client.wait(t).unwrap();
+            assert_eq!(resp.body, format!("/item/{i}").into_bytes());
         }
     }
 
@@ -1007,8 +786,8 @@ mod tests {
         let specs: Vec<FetchSpec> = (0..20)
             .map(|i| FetchSpec::new(server.addr(), format!("/lane{}/{}", i % 2, i / 2)).lane(i % 2))
             .collect();
-        let results = client.get_many(&specs);
-        assert!(results.into_iter().all(|r| r.is_ok()));
+        let tickets: Vec<Ticket> = specs.iter().map(|s| client.submit_get(s)).collect();
+        assert!(tickets.into_iter().all(|t| client.wait(t).is_ok()));
         let order = seen.lock().clone();
         for lane in 0..2u64 {
             let got: Vec<&String> = order
@@ -1027,7 +806,7 @@ mod tests {
     fn get_json_decode_failures_are_classified_and_counted() {
         // A 200 whose body is not JSON must surface as a protocol error
         // AND hit the error counters / breaker seam like any terminal
-        // failure (the old client's parse path bypassed both).
+        // failure.
         let registry = Registry::new();
         let server = HttpServer::spawn(|_req: &Request| {
             Response::ok("application/json", b"not json at all".to_vec())

@@ -46,9 +46,19 @@ impl NetError {
         }
     }
 
+    /// Every label [`NetError::kind`] can return — the one list per-kind
+    /// counter sets are pre-registered from.
+    pub const KINDS: [&'static str; 6] = [
+        "io",
+        "protocol",
+        "too_large",
+        "status",
+        "eof",
+        "circuit_open",
+    ];
+
     /// Short stable label for the error's kind, used as the `kind` label
-    /// on telemetry counters (`io`, `protocol`, `too_large`, `status`,
-    /// `eof`, `circuit_open`).
+    /// on telemetry counters; always one of [`NetError::KINDS`].
     pub fn kind(&self) -> &'static str {
         match self {
             NetError::Io(_) => "io",
@@ -150,20 +160,36 @@ mod tests {
     }
 
     #[test]
-    fn kinds_are_stable_labels() {
-        assert_eq!(NetError::status(404).kind(), "status");
-        assert_eq!(NetError::UnexpectedEof.kind(), "eof");
-        assert_eq!(NetError::Protocol("x").kind(), "protocol");
-        assert_eq!(NetError::from(io::Error::other("boom")).kind(), "io");
-        assert_eq!(NetError::CircuitOpen.kind(), "circuit_open");
-        assert_eq!(
-            NetError::TooLarge {
-                what: "body",
-                limit: 1
+    fn kinds_are_stable_labels_and_all_listed() {
+        let variants = [
+            (NetError::from(io::Error::other("boom")), "io"),
+            (NetError::Protocol("x"), "protocol"),
+            (
+                NetError::TooLarge {
+                    what: "body",
+                    limit: 1,
+                },
+                "too_large",
+            ),
+            (NetError::status(404), "status"),
+            (NetError::UnexpectedEof, "eof"),
+            (NetError::CircuitOpen, "circuit_open"),
+        ];
+        for (err, want) in &variants {
+            // Exhaustive on purpose: a new variant fails to compile here
+            // until it is added to `variants` (and so checked below).
+            match err {
+                NetError::Io(_)
+                | NetError::Protocol(_)
+                | NetError::TooLarge { .. }
+                | NetError::Status { .. }
+                | NetError::UnexpectedEof
+                | NetError::CircuitOpen => {}
             }
-            .kind(),
-            "too_large"
-        );
+            assert_eq!(err.kind(), *want);
+            assert!(NetError::KINDS.contains(&err.kind()), "{want} not in KINDS");
+        }
+        assert_eq!(variants.len(), NetError::KINDS.len());
     }
 
     #[test]

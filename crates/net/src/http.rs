@@ -2,7 +2,7 @@
 
 use crate::error::NetError;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::time::Duration;
 
 /// Maximum accepted size of the request/status line plus headers.
@@ -175,66 +175,35 @@ impl Request {
         Ok(())
     }
 
-    /// Parse one request from a buffered reader. Returns `Ok(None)` on a
-    /// clean EOF before any byte (keep-alive peer going away).
-    pub fn read_from(r: &mut impl BufRead) -> Result<Option<Request>, NetError> {
-        let Some(head) = read_head(r)? else {
-            return Ok(None);
-        };
-        let (method, target, mut headers) = parse_request_head(&head)?;
-        let target = target.to_owned();
-        let body = read_body(r, &headers)?;
-        // content-length is transport framing, not message metadata.
-        headers.remove("content-length");
-        Ok(Some(assemble_request(method, &target, headers, body)?))
-    }
-
     /// Incrementally parse one request out of an in-memory byte buffer —
-    /// the nonblocking transport's entry point (see [`crate::reactor`]),
-    /// where bytes arrive in readiness-sized chunks instead of through a
-    /// blocking reader.
+    /// how the server shards (see [`crate::reactor`]) cut requests out of
+    /// bytes that arrive in readiness-sized chunks.
     ///
     /// Returns `Ok(None)` while the buffer holds only a prefix of a
     /// request (read more and call again), or `Ok(Some((request, n)))`
     /// once a full message is present, where `n` is the number of bytes
     /// consumed — the caller drains them and may call again on the
     /// residue (pipelined keep-alive requests). Errors mean the
-    /// connection is unrecoverable: protocol violations and size-cap
-    /// breaches, with the same limits as [`Request::read_from`].
+    /// connection is unrecoverable: protocol violations and breaches of
+    /// [`MAX_HEAD`], [`MAX_HEADERS`] or [`MAX_BODY`].
     pub fn parse_partial(buf: &[u8]) -> Result<Option<(Request, usize)>, NetError> {
-        let window = &buf[..buf.len().min(MAX_HEAD + 4)];
-        let Some(pos) = find_terminator(window) else {
-            if buf.len() >= MAX_HEAD {
-                return Err(NetError::TooLarge {
-                    what: "header",
-                    limit: MAX_HEAD,
-                });
-            }
+        let Some((((method, target), headers), body, used)) =
+            parse_framed(buf, parse_request_head)?
+        else {
             return Ok(None);
         };
-        let head =
-            std::str::from_utf8(&buf[..pos]).map_err(|_| NetError::Protocol("head not utf-8"))?;
-        let (method, target, mut headers) = parse_request_head(head)?;
-        let body_len: usize = match headers.get("content-length") {
-            None => 0,
-            Some(v) => v
-                .parse()
-                .map_err(|_| NetError::Protocol("bad content-length"))?,
-        };
-        if body_len > MAX_BODY {
-            return Err(NetError::TooLarge {
-                what: "body",
-                limit: MAX_BODY,
-            });
+        let (path, query) = split_query(target);
+        if !path.starts_with('/') {
+            return Err(NetError::Protocol("target must be absolute path"));
         }
-        let body_start = pos + 4;
-        let Some(body_end) = body_start.checked_add(body_len).filter(|&e| e <= buf.len()) else {
-            return Ok(None); // head complete, body still in flight
+        let req = Request {
+            method,
+            path,
+            query,
+            headers,
+            body,
         };
-        let body = buf[body_start..body_end].to_vec();
-        headers.remove("content-length");
-        let req = assemble_request(method, target, headers, body)?;
-        Ok(Some((req, body_end)))
+        Ok(Some((req, used)))
     }
 
     /// Whether the peer asked to close the connection after this message.
@@ -306,26 +275,14 @@ impl Response {
 
     /// Serialize onto a writer (adds `Content-Length`).
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), NetError> {
-        write!(
-            w,
-            "HTTP/1.1 {} {}\r\n",
-            self.status.code(),
-            self.status.reason()
-        )?;
-        for (k, v) in &self.headers {
-            write!(w, "{k}: {v}\r\n")?;
-        }
-        write!(w, "content-length: {}\r\n\r\n", self.body.len())?;
-        w.write_all(&self.body)?;
-        w.flush()?;
-        Ok(())
+        self.write_truncated_to(w, self.body.len())
     }
 
-    /// Serialize a deliberately broken copy of this response: the head
-    /// declares the full `Content-Length` but only the first `keep` body
-    /// bytes follow. A reader sees a mid-body EOF once the connection
-    /// closes — the fault-injection layer's "truncated body" failure mode
-    /// (see [`crate::fault`]).
+    /// Serialize with only the first `keep` body bytes following a head
+    /// that declares the full `Content-Length`. With `keep` short of the
+    /// body this is a deliberately broken copy: a reader sees a mid-body
+    /// EOF once the connection closes — the fault-injection layer's
+    /// "truncated body" failure mode (see [`crate::fault`]).
     pub fn write_truncated_to(&self, w: &mut impl Write, keep: usize) -> Result<(), NetError> {
         write!(
             w,
@@ -342,78 +299,78 @@ impl Response {
         Ok(())
     }
 
-    /// Parse one response from a buffered reader.
-    pub fn read_from(r: &mut impl BufRead) -> Result<Response, NetError> {
-        let head = read_head(r)?.ok_or(NetError::UnexpectedEof)?;
-        let (status, mut headers) = parse_status_head(&head)?;
-        let body = read_body(r, &headers)?;
-        headers.remove("content-length");
-        Ok(Response {
-            status,
-            headers,
-            body,
-        })
-    }
-
     /// Incrementally parse one response out of an in-memory byte buffer —
-    /// the mux client's entry point (see [`crate::mux`]), where bytes
-    /// arrive in readiness-sized chunks instead of through a blocking
-    /// reader.
-    ///
-    /// Returns `Ok(None)` while the buffer holds only a prefix of a
-    /// response (read more and call again), or `Ok(Some((response, n)))`
-    /// once a full message is present, where `n` is the number of bytes
-    /// consumed — the caller drains them and keeps any residue for the
-    /// next keep-alive exchange. Errors mean the connection is
-    /// unrecoverable: protocol violations and size-cap breaches, with the
-    /// same limits as [`Response::read_from`].
+    /// how the mux client (see [`crate::mux`]) cuts responses out of
+    /// bytes that arrive in readiness-sized chunks. Same contract and
+    /// limits as [`Request::parse_partial`]; the caller keeps any residue
+    /// past the consumed bytes for the next keep-alive exchange.
     pub fn parse_partial(buf: &[u8]) -> Result<Option<(Response, usize)>, NetError> {
-        let window = &buf[..buf.len().min(MAX_HEAD + 4)];
-        let Some(pos) = find_terminator(window) else {
-            if buf.len() >= MAX_HEAD {
-                return Err(NetError::TooLarge {
-                    what: "header",
-                    limit: MAX_HEAD,
-                });
-            }
-            return Ok(None);
-        };
-        let head =
-            std::str::from_utf8(&buf[..pos]).map_err(|_| NetError::Protocol("head not utf-8"))?;
-        let (status, mut headers) = parse_status_head(head)?;
-        let body_len: usize = match headers.get("content-length") {
-            None => 0,
-            Some(v) => v
-                .parse()
-                .map_err(|_| NetError::Protocol("bad content-length"))?,
-        };
-        if body_len > MAX_BODY {
-            return Err(NetError::TooLarge {
-                what: "body",
-                limit: MAX_BODY,
-            });
-        }
-        let body_start = pos + 4;
-        let Some(body_end) = body_start.checked_add(body_len).filter(|&e| e <= buf.len()) else {
-            return Ok(None); // head complete, body still in flight
-        };
-        let body = buf[body_start..body_end].to_vec();
-        headers.remove("content-length");
-        Ok(Some((
-            Response {
+        let framed = parse_framed(buf, parse_status_head)?;
+        Ok(framed.map(|((status, headers), body, used)| {
+            let resp = Response {
                 status,
                 headers,
                 body,
-            },
-            body_end,
-        )))
+            };
+            (resp, used)
+        }))
     }
 }
 
+/// A parsed head: the start line's value plus lower-cased headers.
+type Head<T> = (T, BTreeMap<String, String>);
+/// A framed message: its head, its body, and the bytes it occupied.
+type Framed<T> = (Head<T>, Vec<u8>, usize);
+
+/// The framing both incremental parsers share: find the head terminator
+/// (within [`MAX_HEAD`]), parse the head with `parse_head`, size the body
+/// from `content-length` (within [`MAX_BODY`]) and slice it out. Returns
+/// `Ok(None)` while `buf` holds only a prefix of a message, else the head
+/// (minus `content-length`, which is transport framing, not message
+/// metadata), the body and the bytes consumed.
+fn parse_framed<'a, T>(
+    buf: &'a [u8],
+    parse_head: impl FnOnce(&'a str) -> Result<Head<T>, NetError>,
+) -> Result<Option<Framed<T>>, NetError> {
+    let window = &buf[..buf.len().min(MAX_HEAD + 4)];
+    let Some(pos) = window.windows(4).position(|w| w == b"\r\n\r\n") else {
+        // Only a *full* window rules a terminator out: judging a shorter
+        // buffer would make the verdict depend on how the bytes were
+        // chunked.
+        if window.len() == MAX_HEAD + 4 {
+            return Err(NetError::TooLarge {
+                what: "header",
+                limit: MAX_HEAD,
+            });
+        }
+        return Ok(None);
+    };
+    let head =
+        std::str::from_utf8(&buf[..pos]).map_err(|_| NetError::Protocol("head not utf-8"))?;
+    let (start, mut headers) = parse_head(head)?;
+    let body_len: usize = match headers.remove("content-length") {
+        None => 0,
+        Some(v) => v
+            .parse()
+            .map_err(|_| NetError::Protocol("bad content-length"))?,
+    };
+    if body_len > MAX_BODY {
+        return Err(NetError::TooLarge {
+            what: "body",
+            limit: MAX_BODY,
+        });
+    }
+    let body_start = pos + 4;
+    let Some(body_end) = body_start.checked_add(body_len).filter(|&e| e <= buf.len()) else {
+        return Ok(None); // head complete, body still in flight
+    };
+    let body = buf[body_start..body_end].to_vec();
+    Ok(Some(((start, headers), body, body_end)))
+}
+
 /// Parse the status line plus header block (everything before the blank
-/// line) into status and lower-cased headers. Shared by the blocking and
-/// incremental response parsers.
-fn parse_status_head(head: &str) -> Result<(Status, BTreeMap<String, String>), NetError> {
+/// line) into status and lower-cased headers.
+fn parse_status_head(head: &str) -> Result<Head<Status>, NetError> {
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or(NetError::Protocol("empty head"))?;
     let mut parts = status_line.splitn(3, ' ');
@@ -430,47 +387,9 @@ fn parse_status_head(head: &str) -> Result<(Status, BTreeMap<String, String>), N
     Ok((status, headers))
 }
 
-/// Read the head (request/status line + headers) up to the blank line.
-/// Returns `Ok(None)` on immediate EOF.
-fn read_head(r: &mut impl BufRead) -> Result<Option<String>, NetError> {
-    let mut head = Vec::new();
-    loop {
-        let available = r.fill_buf()?;
-        if available.is_empty() {
-            if head.is_empty() {
-                return Ok(None);
-            }
-            return Err(NetError::UnexpectedEof);
-        }
-        // Look for the terminator across the boundary by appending first.
-        let take = available.len().min(MAX_HEAD + 4 - head.len());
-        head.extend_from_slice(&available[..take]);
-        if let Some(pos) = find_terminator(&head) {
-            let consumed = take - (head.len() - pos - 4);
-            r.consume(consumed);
-            head.truncate(pos);
-            let s = String::from_utf8(head).map_err(|_| NetError::Protocol("head not utf-8"))?;
-            return Ok(Some(s));
-        }
-        r.consume(take);
-        if head.len() >= MAX_HEAD {
-            return Err(NetError::TooLarge {
-                what: "header",
-                limit: MAX_HEAD,
-            });
-        }
-    }
-}
-
-/// Position of the `\r\n\r\n` terminator, if present.
-fn find_terminator(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
 /// Parse the request line plus header block (everything before the blank
-/// line) into method, raw target, and lower-cased headers. Shared by the
-/// blocking and incremental request parsers.
-fn parse_request_head(head: &str) -> Result<(Method, &str, BTreeMap<String, String>), NetError> {
+/// line) into method, raw target, and lower-cased headers.
+fn parse_request_head(head: &str) -> Result<Head<(Method, &str)>, NetError> {
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or(NetError::Protocol("empty head"))?;
     let mut parts = request_line.split(' ');
@@ -484,28 +403,7 @@ fn parse_request_head(head: &str) -> Result<(Method, &str, BTreeMap<String, Stri
         return Err(NetError::Protocol("malformed request line"));
     }
     let headers = parse_headers(lines)?;
-    Ok((method, target, headers))
-}
-
-/// Final request assembly shared by both parsers: split the target into
-/// path and query, validate the path shape.
-fn assemble_request(
-    method: Method,
-    target: &str,
-    headers: BTreeMap<String, String>,
-    body: Vec<u8>,
-) -> Result<Request, NetError> {
-    let (path, query) = split_query(target);
-    if !path.starts_with('/') {
-        return Err(NetError::Protocol("target must be absolute path"));
-    }
-    Ok(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-    })
+    Ok(((method, target), headers))
 }
 
 fn parse_headers<'a>(
@@ -531,37 +429,6 @@ fn parse_headers<'a>(
         headers.insert(k.to_ascii_lowercase(), v.trim().to_owned());
     }
     Ok(headers)
-}
-
-fn read_body(
-    r: &mut impl BufRead,
-    headers: &BTreeMap<String, String>,
-) -> Result<Vec<u8>, NetError> {
-    let len: usize = match headers.get("content-length") {
-        None => return Ok(Vec::new()),
-        Some(v) => v
-            .parse()
-            .map_err(|_| NetError::Protocol("bad content-length"))?,
-    };
-    if len > MAX_BODY {
-        return Err(NetError::TooLarge {
-            what: "body",
-            limit: MAX_BODY,
-        });
-    }
-    let mut body = vec![0u8; len];
-    let mut read = 0;
-    while read < len {
-        let available = r.fill_buf()?;
-        if available.is_empty() {
-            return Err(NetError::UnexpectedEof);
-        }
-        let take = available.len().min(len - read);
-        body[read..read + take].copy_from_slice(&available[..take]);
-        r.consume(take);
-        read += take;
-    }
-    Ok(body)
 }
 
 /// Split a request target into path and decoded query pairs.
@@ -634,13 +501,21 @@ pub fn url_decode(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn round_trip_request(req: &Request) -> Request {
         let mut wire = Vec::new();
         req.write_to(&mut wire).unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        Request::read_from(&mut reader).unwrap().unwrap()
+        let (back, used) = Request::parse_partial(&wire).unwrap().unwrap();
+        assert_eq!(used, wire.len());
+        back
+    }
+
+    fn round_trip_response(resp: &Response) -> Response {
+        let mut wire = Vec::new();
+        resp.write_to(&mut wire).unwrap();
+        let (back, used) = Response::parse_partial(&wire).unwrap().unwrap();
+        assert_eq!(used, wire.len());
+        back
     }
 
     #[test]
@@ -675,11 +550,7 @@ mod tests {
     #[test]
     fn response_round_trip() {
         let resp = Response::ok("application/octet-stream", vec![9u8; 1000]);
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire).unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        let back = Response::read_from(&mut reader).unwrap();
-        assert_eq!(back, resp);
+        assert_eq!(round_trip_response(&resp), resp);
     }
 
     #[test]
@@ -688,9 +559,7 @@ mod tests {
             Status::ServiceUnavailable,
             Duration::from_millis(250),
         );
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire).unwrap();
-        let back = Response::read_from(&mut BufReader::new(wire.as_slice())).unwrap();
+        let back = round_trip_response(&resp);
         assert_eq!(back.status, Status::ServiceUnavailable);
         assert_eq!(back.retry_after(), Some(Duration::from_millis(250)));
         // Absent and malformed headers parse to None.
@@ -703,15 +572,15 @@ mod tests {
     }
 
     #[test]
-    fn truncated_write_produces_mid_body_eof() {
+    fn truncated_messages_stay_incomplete() {
+        // A reader holding these bytes at connection close reports a
+        // mid-message EOF; the parser itself just asks for more.
         let resp = Response::ok("text/plain", vec![7u8; 100]);
         let mut wire = Vec::new();
         resp.write_truncated_to(&mut wire, 40).unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        assert!(matches!(
-            Response::read_from(&mut reader),
-            Err(NetError::UnexpectedEof)
-        ));
+        assert!(matches!(Response::parse_partial(&wire), Ok(None)));
+        let wire = b"GET /x HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc";
+        assert!(matches!(Request::parse_partial(wire), Ok(None)));
     }
 
     #[test]
@@ -722,82 +591,10 @@ mod tests {
             Status::InternalError,
             Status::ServiceUnavailable,
         ] {
-            let resp = Response::status(s);
-            let mut wire = Vec::new();
-            resp.write_to(&mut wire).unwrap();
-            let back = Response::read_from(&mut BufReader::new(wire.as_slice())).unwrap();
+            let back = round_trip_response(&Response::status(s));
             assert_eq!(back.status, s);
             assert!(back.body.is_empty());
         }
-    }
-
-    #[test]
-    fn keep_alive_two_requests_one_stream() {
-        let mut wire = Vec::new();
-        Request::get("/a").write_to(&mut wire).unwrap();
-        Request::get("/b").write_to(&mut wire).unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        assert_eq!(Request::read_from(&mut reader).unwrap().unwrap().path, "/a");
-        assert_eq!(Request::read_from(&mut reader).unwrap().unwrap().path, "/b");
-        assert!(Request::read_from(&mut reader).unwrap().is_none());
-    }
-
-    #[test]
-    fn clean_eof_yields_none() {
-        let mut reader = BufReader::new(&[][..]);
-        assert!(Request::read_from(&mut reader).unwrap().is_none());
-    }
-
-    #[test]
-    fn truncated_body_is_unexpected_eof() {
-        let wire = b"GET /x HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc";
-        let mut reader = BufReader::new(&wire[..]);
-        assert!(matches!(
-            Request::read_from(&mut reader),
-            Err(NetError::UnexpectedEof)
-        ));
-    }
-
-    #[test]
-    fn rejects_protocol_violations() {
-        for bad in [
-            "BREW /x HTTP/1.1\r\n\r\n",
-            "GET /x HTTP/2\r\n\r\n",
-            "GET x HTTP/1.1\r\n\r\n",
-            "GET /x HTTP/1.1 extra\r\n\r\n",
-            "GET /x HTTP/1.1\r\nbad header line\r\n\r\n",
-            "GET /x HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
-        ] {
-            let mut reader = BufReader::new(bad.as_bytes());
-            assert!(Request::read_from(&mut reader).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn oversized_head_is_rejected() {
-        let mut wire = String::from("GET /x HTTP/1.1\r\n");
-        for i in 0..2000 {
-            wire.push_str(&format!("x-h{i}: {}\r\n", "v".repeat(20)));
-        }
-        wire.push_str("\r\n");
-        let mut reader = BufReader::new(wire.as_bytes());
-        assert!(matches!(
-            Request::read_from(&mut reader),
-            Err(NetError::TooLarge { what: "header", .. })
-        ));
-    }
-
-    #[test]
-    fn oversized_declared_body_is_rejected() {
-        let wire = format!(
-            "GET /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            MAX_BODY + 1
-        );
-        let mut reader = BufReader::new(wire.as_bytes());
-        assert!(matches!(
-            Request::read_from(&mut reader),
-            Err(NetError::TooLarge { what: "body", .. })
-        ));
     }
 
     #[test]
@@ -847,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_partial_matches_read_from_on_violations() {
+    fn request_parse_rejects_protocol_violations() {
         for bad in [
             "BREW /x HTTP/1.1\r\n\r\n",
             "GET /x HTTP/2\r\n\r\n",
@@ -869,6 +666,29 @@ mod tests {
             Request::parse_partial(&endless),
             Err(NetError::TooLarge { what: "header", .. })
         ));
+        // So is a well-formed head whose terminator lies past the cap.
+        let mut long_head = String::from("GET /x HTTP/1.1\r\n");
+        for i in 0..2000 {
+            long_head.push_str(&format!("x-h{i}: {}\r\n", "v".repeat(20)));
+        }
+        long_head.push_str("\r\n");
+        assert!(matches!(
+            Request::parse_partial(long_head.as_bytes()),
+            Err(NetError::TooLarge { what: "header", .. })
+        ));
+        // A head within the byte cap but over the field-count cap.
+        let mut many = String::from("GET /x HTTP/1.1\r\n");
+        for i in 0..=MAX_HEADERS {
+            many.push_str(&format!("h{i}: v\r\n"));
+        }
+        many.push_str("\r\n");
+        assert!(matches!(
+            Request::parse_partial(many.as_bytes()),
+            Err(NetError::TooLarge {
+                what: "header count",
+                ..
+            })
+        ));
         let huge_body = format!(
             "GET /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
             MAX_BODY + 1
@@ -880,11 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn response_parse_partial_needs_more_then_matches_read_from() {
+    fn response_parse_partial_needs_more_then_parses() {
+        let sent = Response::ok("text/plain", b"hello".to_vec());
         let mut wire = Vec::new();
-        Response::ok("text/plain", b"hello".to_vec())
-            .write_to(&mut wire)
-            .unwrap();
+        sent.write_to(&mut wire).unwrap();
         // Every strict prefix is "need more bytes", never an error.
         for cut in 0..wire.len() {
             assert!(
@@ -894,9 +713,7 @@ mod tests {
         }
         let (resp, used) = Response::parse_partial(&wire).unwrap().unwrap();
         assert_eq!(used, wire.len());
-        let blocking = Response::read_from(&mut std::io::BufReader::new(&wire[..])).unwrap();
-        assert_eq!(resp, blocking, "incremental parse must match read_from");
-        assert_eq!(resp.body, b"hello");
+        assert_eq!(resp, sent);
         assert!(!resp.headers.contains_key("content-length"));
     }
 
@@ -919,17 +736,14 @@ mod tests {
     }
 
     #[test]
-    fn response_parse_partial_matches_read_from_on_violations() {
+    fn response_parse_rejects_protocol_violations() {
         for bad in [
             "HTTP/2 200 OK\r\n\r\n",
             "HTTP/1.1 banana OK\r\n\r\n",
             "HTTP/1.1 200 OK\r\nbad header line\r\n\r\n",
             "HTTP/1.1 200 OK\r\ncontent-length: banana\r\n\r\n",
         ] {
-            let partial = Response::parse_partial(bad.as_bytes());
-            let blocking = Response::read_from(&mut std::io::BufReader::new(bad.as_bytes()));
-            assert!(partial.is_err(), "{bad:?}");
-            assert!(blocking.is_err(), "{bad:?}");
+            assert!(Response::parse_partial(bad.as_bytes()).is_err(), "{bad:?}");
         }
     }
 

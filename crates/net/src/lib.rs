@@ -1,8 +1,8 @@
 //! # marketscope-net
 //!
-//! The networking substrate: a deliberately small, blocking HTTP/1.1
-//! subset over `std::net::TcpStream`, plus a path router and a token-bucket
-//! rate limiter.
+//! The networking substrate: a deliberately small HTTP/1.1 subset over
+//! nonblocking `std::net::TcpStream`s, plus a path router and a
+//! token-bucket rate limiter.
 //!
 //! The paper's crawl is loopback-scale for us (simulated market servers on
 //! `127.0.0.1`), but fleet monitoring at market scale is bounded by how
@@ -14,9 +14,10 @@
 //! runtime (per the networking guides' advice, a readiness loop over
 //! `std::net` is all a loopback fleet needs). The client side mirrors
 //! it: a multiplexed submit/complete engine ([`mux`]) where one driver
-//! thread owns every connection as a nonblocking state machine and the
-//! blocking [`HttpClient`] surface is a thin submit-then-wait wrapper,
-//! so crawl fan-out is bounded by sockets, not threads.
+//! thread owns every connection as a nonblocking state machine and
+//! every [`HttpClient`] call is a submission to it (the blocking forms
+//! just wait on their ticket), so crawl fan-out is bounded by sockets,
+//! not threads.
 //!
 //! Protocol subset: `GET`/`POST`, `Content-Length` bodies (no chunked
 //! encoding), `Connection: keep-alive`/`close`, status codes the market
@@ -54,9 +55,7 @@ pub mod resilience;
 pub mod router;
 pub mod server;
 
-pub use client::{
-    ClientConfig, ClientConfigBuilder, ClientMetrics, FetchSpec, HttpClient, HttpClientBuilder,
-};
+pub use client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient, HttpClientBuilder};
 pub use error::NetError;
 pub use fault::{FaultAction, FaultInjector, FaultMetrics, FaultPlan};
 pub use http::{Method, Request, Response, Status};

@@ -1,43 +1,40 @@
 //! The multiplexed nonblocking client engine: one driver thread, one
 //! `poll(2)` readiness loop, hundreds of outstanding requests.
 //!
-//! The blocking [`HttpClient`](crate::client::HttpClient) spends one OS
-//! thread per in-flight request, so crawl fan-out is capped by the
-//! thread budget rather than the hardware — the client-side mirror of
-//! the problem the server-side [`reactor`](crate::reactor) solved. This
-//! module is the client-side answer: a submit/complete surface where
-//! callers enqueue requests ([`MuxClient::submit`]) and later block on
+//! Callers enqueue requests ([`MuxClient::submit`]) and later block on
 //! the outcome ([`MuxClient::wait`]), while a single driver thread owns
 //! every connection as a nonblocking state machine (`Connecting →
-//! Sending → Receiving`, keep-alive reuse via the same per-host pool
-//! semantics the blocking client had) and multiplexes them over the
-//! [`reactor::sys`](crate::reactor::sys) poll shim.
+//! Sending → Receiving`, keep-alive reuse through a per-host pool) and
+//! multiplexes them over the [`reactor::sys`](crate::reactor::sys) poll
+//! shim and the I/O primitives it shares with the server shards. A
+//! caller blocked in `wait` costs a parked ticket, not a socket-bound
+//! thread. Every [`HttpClient`](crate::client::HttpClient) call is a
+//! submission here; there is no other request path.
 //!
 //! Two submission flavors exist:
 //!
-//! * **Raw** — one wire request with the blocking client's transparent
-//!   connect-level retry semantics. `HttpClient::request` is a thin
-//!   submit-then-wait wrapper over this, byte-for-byte equivalent to
-//!   the old thread-per-request implementation (same attempt spans,
-//!   same metrics, same error classification).
+//! * **Raw** — one wire request, with transparent retries on transient
+//!   connection-level failures only. `HttpClient::request`/`submit`
+//!   (POST submission, the open-loop load generator) ride this.
 //! * **Managed** — the full `HttpClient::get` policy executed inside
-//!   the driver: circuit-breaker admission at (re)activation, status
-//!   decoding through the shared [`decode_response`] seam, retry
-//!   backoff as *timed resubmission* (the submission parks on a timer
-//!   instead of a thread sleeping), and terminal breaker accounting.
-//!   Batch surfaces (`HttpClient::get_many`/`get_json_many`, the
-//!   crawler's `fetch_many`, the loadgen `fanout` profile) ride this.
+//!   the driver: circuit-breaker admission at (re)activation, the
+//!   status/decode seam, retry backoff as *timed resubmission* (the
+//!   submission parks on a timer instead of a thread sleeping), and
+//!   terminal breaker accounting. `get`/`get_json`, the ticket-level
+//!   `submit_get`/`submit_get_json`, the crawler's `fetch_many` and the
+//!   loadgen `fanout` profile ride this.
 //!
 //! Ordering: a submission may carry a *lane* key. The driver runs at
 //! most one submission per lane at a time, FIFO — so a per-market batch
-//! reaches that market's server in exactly the order a sequential
-//! blocking loop would have produced, which keeps seeded fault windows
-//! (driven by per-server request indices) bit-identical while
-//! concurrency comes from *across* lanes.
+//! reaches that market's server in exactly the order a sequential loop
+//! would have produced, which keeps seeded fault windows (driven by
+//! per-server request indices) bit-identical while concurrency comes
+//! from *across* lanes.
 
 use crate::client::{ClientConfig, ClientMetrics};
 use crate::error::NetError;
 use crate::http::{Request, Response, Status};
+use crate::reactor::io::{read_available, write_pending, WakePipe};
 use crate::reactor::sys;
 use crate::resilience::{BreakerSet, ResilienceMetrics, RetryPolicy};
 use marketscope_core::hash::fnv1a64;
@@ -45,16 +42,12 @@ use marketscope_core::json::Json;
 use marketscope_telemetry::{trace, SpanContext, TraceSpan, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Read chunk size while draining a readable socket.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// How a managed submission's 200 body is decoded before completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,10 +67,8 @@ pub enum Payload {
     Doc(Json),
 }
 
-/// Decode a 200 response per `mode` — the one response-decode seam both
-/// the blocking `get`/`get_json` wrappers and the driver's managed path
-/// share, so breaker accounting cannot diverge between them.
-pub(crate) fn decode_response(resp: Response, mode: DecodeMode) -> Result<Payload, NetError> {
+/// Decode a 200 response per `mode`.
+fn decode_response(resp: Response, mode: DecodeMode) -> Result<Payload, NetError> {
     match mode {
         DecodeMode::Response => Ok(Payload::Resp(resp)),
         DecodeMode::Json => {
@@ -164,8 +155,7 @@ struct PendingItem {
 }
 
 /// An idle pooled connection. `residue` holds bytes read past the last
-/// response; a nonempty residue poisons the connection exactly like a
-/// nonempty `BufReader` buffer did in the blocking client.
+/// response; a nonempty residue poisons the connection.
 struct IdleConn {
     stream: TcpStream,
     residue: Vec<u8>,
@@ -192,10 +182,10 @@ struct Conn {
 /// A submission actively on the wire.
 struct Active {
     sub: Submission,
-    /// Transparent connect-level attempt counter (the blocking client's
-    /// `ClientConfig::retries` loop).
+    /// Transparent connect-level attempt counter, bounded by
+    /// `ClientConfig::retries`.
     attempt: u32,
-    /// Managed resilient-retry cycle counter (the blocking `get` loop).
+    /// Managed resilient-retry cycle counter.
     cycles: u32,
     /// Managed cumulative backoff already paid.
     slept: Duration,
@@ -231,16 +221,15 @@ struct Shared {
     queue: Mutex<Vec<Submission>>,
     pool: Mutex<HashMap<SocketAddr, Vec<IdleConn>>>,
     shutdown: AtomicBool,
-    /// Write end of the driver's wake pipe, present once the driver has
-    /// been (lazily) spawned.
-    wake: Mutex<Option<UnixStream>>,
+    /// The driver's wake pipe, set once the driver has been (lazily)
+    /// spawned.
+    wake: OnceLock<WakePipe>,
 }
 
 impl Shared {
     fn wake_driver(&self) {
-        if let Some(tx) = &*self.wake.lock() {
-            // A full pipe means the driver is already due to wake.
-            let _ = (&*tx).write(&[1]);
+        if let Some(pipe) = self.wake.get() {
+            pipe.wake();
         }
     }
 }
@@ -260,8 +249,8 @@ pub struct MuxClient {
 impl MuxClient {
     /// A mux engine with the given socket configuration and (optional)
     /// telemetry and resilience stack. The resilience pieces are only
-    /// consulted by *managed* submissions; raw submissions carry the
-    /// blocking `request` semantics (transparent connect retries only).
+    /// consulted by *managed* submissions; raw submissions get
+    /// transparent connect retries only.
     pub fn new(
         config: ClientConfig,
         tracer: Option<Arc<Tracer>>,
@@ -281,15 +270,14 @@ impl MuxClient {
                 queue: Mutex::new(Vec::new()),
                 pool: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
-                wake: Mutex::new(None),
+                wake: OnceLock::new(),
             }),
             driver: Mutex::new(None),
         }
     }
 
     /// Enqueue one raw request and return its ticket. The request is
-    /// parented under whatever sampled span is active on *this* thread,
-    /// exactly as a blocking `HttpClient::request` call would be.
+    /// parented under whatever sampled span is active on *this* thread.
     pub fn submit(&self, addr: SocketAddr, req: Request) -> Ticket {
         self.submit_spec(Submission {
             addr,
@@ -299,17 +287,6 @@ impl MuxClient {
             policy: Policy::Raw,
             cell: TicketCell::new(),
         })
-    }
-
-    /// Enqueue a batch of raw requests, returning one ticket per entry.
-    pub fn submit_all(
-        &self,
-        batch: impl IntoIterator<Item = (SocketAddr, Request)>,
-    ) -> Vec<Ticket> {
-        batch
-            .into_iter()
-            .map(|(addr, req)| self.submit(addr, req))
-            .collect()
     }
 
     /// Enqueue one managed GET: full retry/breaker/trace policy executed
@@ -347,11 +324,6 @@ impl MuxClient {
         }
     }
 
-    /// Block on every ticket in order and collect the outcomes.
-    pub fn drain(&self, tickets: Vec<Ticket>) -> Vec<Result<Response, NetError>> {
-        tickets.into_iter().map(|t| self.wait(t)).collect()
-    }
-
     /// Block until the submission completes and return its raw payload
     /// (managed tickets may carry decoded JSON).
     pub(crate) fn wait_payload(&self, ticket: Ticket) -> Result<Payload, NetError> {
@@ -384,14 +356,13 @@ impl MuxClient {
         if driver.is_some() {
             return Ok(());
         }
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        *self.shared.wake.lock() = Some(tx);
+        if self.shared.wake.get().is_none() {
+            let _ = self.shared.wake.set(WakePipe::new()?);
+        }
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name("mux-driver".to_owned())
-            .spawn(move || Driver::new(shared, rx).run())?;
+            .spawn(move || Driver::new(shared).run())?;
         *driver = Some(handle);
         Ok(())
     }
@@ -410,7 +381,6 @@ impl Drop for MuxClient {
 /// The driver: owns every connection and runs the readiness loop.
 struct Driver {
     shared: Arc<Shared>,
-    wake: UnixStream,
     pending: VecDeque<PendingItem>,
     lanes: HashMap<u64, Lane>,
     active: Vec<Active>,
@@ -418,10 +388,9 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(shared: Arc<Shared>, wake: UnixStream) -> Driver {
+    fn new(shared: Arc<Shared>) -> Driver {
         Driver {
             shared,
-            wake,
             pending: VecDeque::new(),
             lanes: HashMap::new(),
             active: Vec::new(),
@@ -430,6 +399,10 @@ impl Driver {
     }
 
     fn run(mut self) {
+        let shared = Arc::clone(&self.shared);
+        let Some(wake) = shared.wake.get() else {
+            return; // unreachable: the pipe is set before the driver spawns
+        };
         loop {
             self.drain_queue();
             self.unpark_expired();
@@ -442,7 +415,7 @@ impl Driver {
 
             // Rebuild the poll set each round: entry 0 is the wake pipe,
             // the rest map 1:1 onto active connections.
-            let mut fds = vec![sys::PollFd::new(self.wake.as_raw_fd(), sys::POLLIN)];
+            let mut fds = vec![wake.pollfd()];
             for act in &self.active {
                 if let Some(conn) = &act.conn {
                     let events = match conn.state {
@@ -460,8 +433,7 @@ impl Driver {
                 continue;
             }
             if fds[0].readable() {
-                let mut sink = [0u8; 64];
-                while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
+                wake.drain();
             }
 
             let now = Instant::now();
@@ -523,7 +495,7 @@ impl Driver {
     }
 
     /// Expired backoffs re-enter admission (where the breaker gets its
-    /// per-cycle say, exactly like the blocking `get` loop's top).
+    /// per-cycle say).
     fn unpark_expired(&mut self) {
         let now = Instant::now();
         let parked = std::mem::take(&mut self.parked);
@@ -543,8 +515,7 @@ impl Driver {
 
     /// Start pending submissions while the in-flight cap allows. The cap
     /// bounds *wire-active* submissions only — parked backoffs hold no
-    /// slot, matching the blocking client where the inflight permit is
-    /// released during a backoff sleep.
+    /// slot.
     fn admit(&mut self) {
         let cap = self.shared.config.max_inflight.unwrap_or(usize::MAX).max(1);
         while self.active.len() < cap {
@@ -595,8 +566,7 @@ impl Driver {
     /// Open the attempt span, serialize the request with this attempt's
     /// trace context, and acquire a connection (pooled first, else a
     /// nonblocking connect). An `Err` is a connect-phase failure: the
-    /// cycle is over (the blocking client propagates connect errors
-    /// without burning transparent retries).
+    /// cycle is over (connect errors burn no transparent retries).
     fn start_attempt(&mut self, act: &mut Active) -> Result<(), NetError> {
         let attempt_span = match &self.shared.tracer {
             Some(t) => t.child_of(
@@ -646,8 +616,7 @@ impl Driver {
     /// Take a live idle connection for `addr`, discarding stale ones:
     /// leftover unparsed bytes poison a connection, and an idle pooled
     /// socket must be silent (a zero-timeout readable poll means the
-    /// server closed or corrupted it while pooled) — the blocking
-    /// client's freshness probe, verbatim.
+    /// server closed or corrupted it while pooled).
     fn take_pooled(&mut self, addr: SocketAddr) -> Option<IdleConn> {
         let mut pool = self.shared.pool.lock();
         let conns = pool.get_mut(&addr)?;
@@ -688,64 +657,41 @@ impl Driver {
                 }
                 Err(e) => self.fail_attempt(act, NetError::Io(e), true),
             },
-            CState::Sending { buf, off } => loop {
-                if *off >= buf.len() {
-                    conn.state = CState::Receiving { buf: Vec::new() };
-                    conn.deadline = Instant::now() + self.shared.config.io_timeout;
-                    self.active.push(act);
-                    return;
-                }
-                match (&conn.stream).write(&buf[*off..]) {
-                    Ok(0) => {
-                        let e =
-                            io::Error::new(io::ErrorKind::WriteZero, "socket accepted zero bytes");
-                        self.fail_attempt(act, NetError::Io(e), false);
-                        return;
-                    }
-                    Ok(n) => {
-                        *off += n;
-                        conn.deadline = Instant::now() + self.shared.config.io_timeout;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            CState::Sending { buf, off } => {
+                let before = *off;
+                match write_pending(&conn.stream, buf, off) {
+                    Ok(flushed) => {
+                        if flushed || *off > before {
+                            conn.deadline = Instant::now() + self.shared.config.io_timeout;
+                        }
+                        if flushed {
+                            conn.state = CState::Receiving { buf: Vec::new() };
+                        }
                         self.active.push(act);
-                        return;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => self.fail_attempt(act, NetError::Io(e), false),
+                }
+            }
+            CState::Receiving { buf } => {
+                let eof = match read_available(&conn.stream, buf) {
+                    Ok((n, eof)) => {
+                        if n > 0 {
+                            conn.deadline = Instant::now() + self.shared.config.io_timeout;
+                        }
+                        eof
+                    }
                     Err(e) => {
                         self.fail_attempt(act, NetError::Io(e), false);
                         return;
                     }
-                }
-            },
-            CState::Receiving { buf } => {
-                let mut eof = false;
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    match (&conn.stream).read(&mut chunk) {
-                        Ok(0) => {
-                            eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            buf.extend_from_slice(&chunk[..n]);
-                            conn.deadline = Instant::now() + self.shared.config.io_timeout;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            self.fail_attempt(act, NetError::Io(e), false);
-                            return;
-                        }
-                    }
-                }
+                };
                 match Response::parse_partial(buf) {
                     Ok(Some((resp, used))) => {
                         let residue = buf.split_off(used);
                         let Some(conn) = act.conn.take() else { return };
                         // Pool *before* completing the ticket so a caller
                         // observing `idle_connections` right after `wait`
-                        // returns sees the connection back, exactly like
-                        // the blocking client's return-then-return order.
+                        // returns sees the connection back.
                         self.return_pooled(
                             act.sub.addr,
                             IdleConn {
@@ -764,8 +710,7 @@ impl Driver {
     }
 
     /// A connection deadline passed: connect-phase timeouts are terminal
-    /// for the cycle (the blocking connect propagates its timeout), I/O
-    /// timeouts are transient like a blocking socket timeout.
+    /// for the cycle, I/O timeouts are transient.
     fn expire(&mut self, mut act: Active) {
         let connect_phase = matches!(
             act.conn.as_ref().map(|c| &c.state),
@@ -820,7 +765,7 @@ impl Driver {
             }
             Policy::Managed { key, decode } => (key, decode),
         };
-        // The status/decode seam, identical to the blocking `get` path.
+        // The status/decode seam.
         let result = wire
             .and_then(|resp| {
                 if resp.status == Status::Ok {
@@ -849,8 +794,8 @@ impl Driver {
             }
             Err(e) => e,
         };
-        // Wire errors mirror request()'s error accounting, minted status
-        // and decode errors mirror get()'s — all land here exactly once.
+        // Wire errors and the status/decode errors minted above all land
+        // here exactly once.
         if let Some(m) = &self.shared.metrics {
             m.note_error(&err);
         }
@@ -862,9 +807,7 @@ impl Driver {
         match delay {
             Some(wait) => {
                 // Still trying: the breaker only hears about *terminal*
-                // outcomes. The blocking path pins this event on the
-                // caller's enclosing span; driver-side it rides the
-                // finishing request span (journal-placement drift only).
+                // outcomes.
                 act.request_span
                     .event(&format!("resilient-retry:{}", err.kind()));
                 std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
@@ -882,8 +825,9 @@ impl Driver {
                 std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
                 if let Some(b) = &breaker {
                     // Only signs of host distress — dead connections and
-                    // 5xx answers — push the circuit toward open; 404s
-                    // and 429s leave it closed (same rule as `get`).
+                    // 5xx answers — push the circuit toward open. A 404 is
+                    // a definitive answer and a 429 means the host is alive
+                    // enough to throttle us; both leave it closed.
                     let host_fault = err.is_transient()
                         || matches!(
                             err,

@@ -49,6 +49,7 @@
 //! thread, the tracer's thread-local implicit parenting links the spans
 //! exactly as before.
 
+pub(crate) mod io;
 pub(crate) mod sys;
 
 use crate::fault::{FaultAction, FaultInjector};
@@ -57,10 +58,9 @@ use crate::server::{Handler, ServerMetrics};
 use marketscope_telemetry::LogLevel;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -107,9 +107,6 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 /// drop the peer would misread as a network fault.
 const SHED_RESPONSE: &[u8] =
     b"HTTP/1.1 503 Service Unavailable\r\nconnection: close\r\ncontent-length: 0\r\n\r\n";
-
-/// Read chunk size for the nonblocking read loop.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// What a finished handler tells the owning shard to do with the
 /// connection.
@@ -187,15 +184,7 @@ impl JobQueue {
 struct ShardMailbox {
     inject: Mutex<Vec<TcpStream>>,
     done: Mutex<Vec<(u64, Directive)>>,
-    wake_tx: UnixStream,
-}
-
-impl ShardMailbox {
-    fn wake(&self) {
-        // WouldBlock (pipe full) already guarantees a pending wake;
-        // a write error means the shard exited — both safe to ignore.
-        let _ = (&self.wake_tx).write(&[1]);
-    }
+    pipe: io::WakePipe,
 }
 
 /// State shared by the acceptor, every shard, and every pool worker.
@@ -276,7 +265,8 @@ impl ShardState {
         }
     }
 
-    fn run(mut self, wake_rx: UnixStream) {
+    fn run(mut self) {
+        let mailbox = Arc::clone(&self.shared.shards[self.id]);
         let mut pollfds: Vec<sys::PollFd> = Vec::new();
         // `owners[i]` maps `pollfds[i]` back to (slab index, generation);
         // entry 0 is the wake pipe.
@@ -284,7 +274,7 @@ impl ShardState {
         loop {
             pollfds.clear();
             owners.clear();
-            pollfds.push(sys::PollFd::new(wake_rx.as_raw_fd(), sys::POLLIN));
+            pollfds.push(mailbox.pipe.pollfd());
             owners.push((usize::MAX, 0));
             for (idx, slot) in self.conns.iter().enumerate() {
                 let Some(conn) = slot else { continue };
@@ -299,24 +289,18 @@ impl ShardState {
             let _ = sys::poll_fds(&mut pollfds, self.poll_timeout());
             self.shared.metrics.wakeups.inc();
             if pollfds[0].readable() {
-                drain_wake(&wake_rx);
+                mailbox.pipe.drain();
             }
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             // Completions before injections: finished responses free
             // slots that new connections can then reuse.
-            let done = {
-                let mut mb = self.shared.shards[self.id].done.lock();
-                std::mem::take(&mut *mb)
-            };
+            let done = std::mem::take(&mut *mailbox.done.lock());
             for (tok, directive) in done {
                 self.apply(tok, directive);
             }
-            let injected = {
-                let mut mb = self.shared.shards[self.id].inject.lock();
-                std::mem::take(&mut *mb)
-            };
+            let injected = std::mem::take(&mut *mailbox.inject.lock());
             for stream in injected {
                 self.adopt(stream);
             }
@@ -409,45 +393,23 @@ impl ShardState {
         }
     }
 
-    /// Nonblocking read until the socket drains, then try to cut a
-    /// request out of the buffer.
+    /// Read what the socket has, then try to cut a request out of the
+    /// buffer.
     fn drive_read(&mut self, idx: usize) {
-        let mut dead = false;
-        {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    // EOF is *deferred*: the buffer may still hold a full
-                    // request the peer half-closed behind (shutdown-write
-                    // clients); serve it before closing.
-                    Ok(0) => {
-                        conn.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.buf.extend_from_slice(&chunk[..n]);
-                        if n < chunk.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            conn.last_activity = Instant::now();
-        }
-        if dead {
-            self.close(idx);
+        let Some(conn) = self.conns[idx].as_mut() else {
             return;
+        };
+        match io::read_available(&conn.stream, &mut conn.buf) {
+            // EOF is *deferred*: the buffer may still hold a full request
+            // the peer half-closed behind (shutdown-write clients); serve
+            // it before closing.
+            Ok((_, eof)) => {
+                conn.eof |= eof;
+                conn.last_activity = Instant::now();
+                self.advance_parse(idx);
+            }
+            Err(_) => self.close(idx),
         }
-        self.advance_parse(idx);
     }
 
     /// Try to cut one request from the connection's buffer and dispatch
@@ -511,44 +473,22 @@ impl ShardState {
 
     /// Nonblocking write until flushed or the socket pushes back.
     fn drive_write(&mut self, idx: usize) {
-        enum Outcome {
-            Pending,
-            Dead,
-            Done { close_after: bool },
-        }
-        let outcome = {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            let ConnState::Writing { close_after } = conn.state else {
-                return;
-            };
-            loop {
-                if conn.out_pos >= conn.out.len() {
-                    break Outcome::Done { close_after };
-                }
-                match conn.stream.write(&conn.out[conn.out_pos..]) {
-                    Ok(0) => break Outcome::Dead,
-                    Ok(n) => conn.out_pos += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Outcome::Pending,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break Outcome::Dead,
-                }
-            }
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
         };
-        match outcome {
-            Outcome::Pending => {}
-            Outcome::Dead => self.close(idx),
-            Outcome::Done { close_after: true } => self.close(idx),
-            Outcome::Done { close_after: false } => {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.state = ConnState::Reading;
-                    conn.out = Vec::new();
-                    conn.out_pos = 0;
-                    conn.last_activity = Instant::now();
-                }
+        let ConnState::Writing { close_after } = conn.state else {
+            return;
+        };
+        match io::write_pending(&conn.stream, &conn.out, &mut conn.out_pos) {
+            Ok(false) => {}
+            Ok(true) if !close_after => {
+                conn.state = ConnState::Reading;
+                conn.out = Vec::new();
+                conn.out_pos = 0;
+                conn.last_activity = Instant::now();
                 self.advance_parse(idx);
             }
+            Ok(true) | Err(_) => self.close(idx),
         }
     }
 
@@ -571,18 +511,6 @@ impl ShardState {
     }
 }
 
-fn drain_wake(wake_rx: &UnixStream) {
-    let mut buf = [0u8; 64];
-    loop {
-        match (&*wake_rx).read(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break, // WouldBlock: drained
-        }
-    }
-}
-
 /// The handler-pool worker loop: runs the request seam sequence the
 /// per-connection thread used to run, then mails the directive back.
 fn worker_loop(shared: Arc<Shared>) {
@@ -590,7 +518,7 @@ fn worker_loop(shared: Arc<Shared>) {
         let directive = process_request(&shared, &job.req);
         let mb = &shared.shards[job.shard];
         mb.done.lock().push((job.token, directive));
-        mb.wake();
+        mb.pipe.wake();
     }
 }
 
@@ -752,7 +680,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let mb = &shared.shards[next_shard % shared.shards.len()];
         next_shard = next_shard.wrapping_add(1);
         mb.inject.lock().push(stream);
-        mb.wake();
+        mb.pipe.wake();
     }
 }
 
@@ -783,17 +711,12 @@ impl Transport {
             keep_alive: cfg.keep_alive,
         };
         let mut mailboxes = Vec::with_capacity(cfg.shards);
-        let mut wake_rxs = Vec::with_capacity(cfg.shards);
         for _ in 0..cfg.shards {
-            let (rx, tx) = UnixStream::pair()?;
-            rx.set_nonblocking(true)?;
-            tx.set_nonblocking(true)?;
             mailboxes.push(Arc::new(ShardMailbox {
                 inject: Mutex::new(Vec::new()),
                 done: Mutex::new(Vec::new()),
-                wake_tx: tx,
+                pipe: io::WakePipe::new()?,
             }));
-            wake_rxs.push(rx);
         }
         let shared = Arc::new(Shared {
             handler,
@@ -805,12 +728,12 @@ impl Transport {
             shards: mailboxes,
         });
         let mut shard_threads = Vec::with_capacity(shared.cfg.shards);
-        for (id, rx) in wake_rxs.into_iter().enumerate() {
+        for id in 0..shared.cfg.shards {
             let shard_shared = Arc::clone(&shared);
             shard_threads.push(
                 std::thread::Builder::new()
                     .name(format!("http-shard-{id}"))
-                    .spawn(move || ShardState::new(id, shard_shared).run(rx))?,
+                    .spawn(move || ShardState::new(id, shard_shared).run())?,
             );
         }
         let mut worker_threads = Vec::with_capacity(shared.cfg.handler_threads);
@@ -841,7 +764,7 @@ impl Transport {
         let _ = TcpStream::connect(addr);
         let _ = self.accept.join();
         for mb in &self.shared.shards {
-            mb.wake();
+            mb.pipe.wake();
         }
         for t in self.shard_threads {
             let _ = t.join();

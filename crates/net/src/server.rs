@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A request handler. Handlers must be panic-free; a panicking handler
-/// poisons only its own connection thread (the server keeps serving), but
-/// the peer sees a dropped connection rather than a 500.
+/// A request handler. Handlers should be panic-free: a panic is caught
+/// on the handler-pool worker that ran it (the pool and the server keep
+/// serving), but the peer sees a dropped connection rather than a 500.
 pub trait Handler: Send + Sync + 'static {
     /// Produce a response for one request.
     fn handle(&self, req: &Request) -> Response;
@@ -157,54 +157,22 @@ impl HttpServer {
     /// on a background accept thread. Returns a handle carrying the bound
     /// address and the shutdown switch.
     pub fn spawn(handler: impl Handler) -> Result<ServerHandle, NetError> {
-        Self::spawn_on("127.0.0.1:0", handler)
+        Self::spawn_configured(
+            "127.0.0.1:0",
+            handler,
+            ServerMetrics::standalone(),
+            None,
+            ReactorConfig::default(),
+        )
     }
 
-    /// Bind to an explicit address and start serving.
-    pub fn spawn_on(addr: &str, handler: impl Handler) -> Result<ServerHandle, NetError> {
-        Self::spawn_instrumented(addr, handler, ServerMetrics::standalone())
-    }
-
-    /// Bind and serve with an explicit instrument set — the way to share
-    /// the server's counters with a scrapeable [`Registry`].
-    pub fn spawn_instrumented(
-        addr: &str,
-        handler: impl Handler,
-        metrics: ServerMetrics,
-    ) -> Result<ServerHandle, NetError> {
-        Self::spawn_inner(addr, handler, metrics, None)
-    }
-
-    /// Bind and serve behind a [`FaultInjector`]: every request is first
-    /// offered to the injector, which may reset the connection, stall or
-    /// truncate the response, or answer 503 before the handler runs.
-    /// With a no-op plan the injector never fires and the fast path is a
-    /// single branch.
-    pub fn spawn_with_faults(
-        addr: &str,
-        handler: impl Handler,
-        metrics: ServerMetrics,
-        faults: FaultInjector,
-    ) -> Result<ServerHandle, NetError> {
-        Self::spawn_with_shared_faults(addr, handler, metrics, Arc::new(faults))
-    }
-
-    /// Like [`HttpServer::spawn_with_faults`], but the caller keeps a
-    /// clone of the injector — the market `/__health` handler reports
-    /// the chaos plan and fault counts of the server it runs inside.
-    pub fn spawn_with_shared_faults(
-        addr: &str,
-        handler: impl Handler,
-        metrics: ServerMetrics,
-        faults: Arc<FaultInjector>,
-    ) -> Result<ServerHandle, NetError> {
-        Self::spawn_inner(addr, handler, metrics, Some(faults))
-    }
-
-    /// The fully general entry point: explicit instruments, optional
-    /// fault injector, and an explicit [`ReactorConfig`] (shard count,
-    /// handler pool size, connection ceiling, keep-alive). Every other
-    /// `spawn_*` constructor delegates here with the default config.
+    /// The general entry point: an explicit bind address and instrument
+    /// set (register it in a [`Registry`] to make the server's counters
+    /// scrapeable), an optional [`FaultInjector`] that gets first refusal
+    /// on every request (it may reset the connection, stall or truncate
+    /// the response, or answer 5xx before the handler runs; the caller
+    /// may keep a clone to report on it), and a [`ReactorConfig`] (shard
+    /// count, handler pool size, connection ceiling, keep-alive).
     pub fn spawn_configured(
         addr: &str,
         handler: impl Handler,
@@ -232,15 +200,6 @@ impl HttpServer {
             config,
             transport: Mutex::new(Some(transport)),
         })
-    }
-
-    fn spawn_inner(
-        addr: &str,
-        handler: impl Handler,
-        metrics: ServerMetrics,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Result<ServerHandle, NetError> {
-        Self::spawn_configured(addr, handler, metrics, faults, ReactorConfig::default())
     }
 }
 
@@ -501,7 +460,7 @@ mod tests {
     fn registered_metrics_track_statuses_and_latency() {
         let registry = Registry::new();
         let metrics = ServerMetrics::register(&registry, &[("market", "test")]);
-        let server = HttpServer::spawn_instrumented(
+        let server = HttpServer::spawn_configured(
             "127.0.0.1:0",
             |req: &Request| {
                 if req.path == "/missing" {
@@ -511,6 +470,8 @@ mod tests {
                 }
             },
             metrics,
+            None,
+            ReactorConfig::default(),
         )
         .unwrap();
         raw_round_trip(

@@ -90,14 +90,13 @@ fn hundreds_in_flight_on_one_driver_thread() {
     let addr = server.addr();
 
     let client = HttpClient::builder()
-        .config(
-            ClientConfig::builder()
-                .max_inflight(SUBMITTED)
-                .retries(0)
-                .connect_timeout(Duration::from_secs(20))
-                .io_timeout(Duration::from_secs(60))
-                .build(),
-        )
+        .config(ClientConfig {
+            max_inflight: Some(SUBMITTED),
+            retries: 0,
+            connect_timeout: Duration::from_secs(20),
+            io_timeout: Duration::from_secs(60),
+            ..ClientConfig::default()
+        })
         .build();
 
     // Warm up through the open gate: proves the plumbing works and

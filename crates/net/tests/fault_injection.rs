@@ -8,10 +8,12 @@ use marketscope_net::client::{ClientConfig, HttpClient};
 use marketscope_net::error::NetError;
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response};
+use marketscope_net::reactor::ReactorConfig;
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
 use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
 use marketscope_telemetry::Registry;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn ping_router() -> Router {
@@ -31,11 +33,12 @@ fn ping_router() -> Router {
 }
 
 fn faulty_server(seed: u64, plan: FaultPlan) -> ServerHandle {
-    HttpServer::spawn_with_faults(
+    HttpServer::spawn_configured(
         "127.0.0.1:0",
         ping_router(),
         ServerMetrics::standalone(),
-        FaultInjector::new(seed, plan),
+        Some(Arc::new(FaultInjector::new(seed, plan))),
+        ReactorConfig::default(),
     )
     .unwrap()
 }
@@ -44,7 +47,10 @@ fn faulty_server(seed: u64, plan: FaultPlan) -> ServerHandle {
 /// breaker — it sees faults exactly as injected.
 fn bare_client() -> HttpClient {
     HttpClient::builder()
-        .config(ClientConfig::builder().retries(0).build())
+        .config(ClientConfig {
+            retries: 0,
+            ..ClientConfig::default()
+        })
         .build()
 }
 
@@ -169,7 +175,10 @@ fn retry_policy_rides_out_flapping_downtime() {
     );
     let registry = Registry::new();
     let client = HttpClient::builder()
-        .config(ClientConfig::builder().retries(0).build())
+        .config(ClientConfig {
+            retries: 0,
+            ..ClientConfig::default()
+        })
         .retry(RetryPolicy::default())
         .resilience_metrics(ResilienceMetrics::register(&registry, &[]))
         .build();
@@ -203,7 +212,10 @@ fn breaker_fast_fails_against_a_market_that_stays_dark() {
         },
     );
     let client = HttpClient::builder()
-        .config(ClientConfig::builder().retries(0).build())
+        .config(ClientConfig {
+            retries: 0,
+            ..ClientConfig::default()
+        })
         .breaker(BreakerConfig {
             failure_threshold: 3,
             cooldown_rejections: 100,

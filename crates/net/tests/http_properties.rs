@@ -1,23 +1,54 @@
-//! Property tests for the HTTP subset: total parsing over hostile bytes,
-//! lossless round-trips over arbitrary content.
+//! Property tests for the HTTP subset, through the parser that faces
+//! sockets (`parse_partial`): total over hostile bytes, lossless
+//! round-trips over arbitrary content, size caps, and verdicts that do
+//! not depend on how the bytes were chunked.
 
-use marketscope_net::http::{url_decode, url_encode, Method, Request, Response, Status};
+use marketscope_net::http::{
+    url_decode, url_encode, Method, Request, Response, Status, MAX_BODY, MAX_HEAD,
+};
+use marketscope_net::NetError;
 use proptest::prelude::*;
-use std::io::BufReader;
+
+/// A parse outcome reduced to something comparable: the message and
+/// bytes consumed, "need more", or the error's class and text.
+fn outcome<M>(r: Result<Option<(M, usize)>, NetError>) -> Result<Option<(M, usize)>, String> {
+    r.map_err(|e| format!("{}: {e}", e.kind()))
+}
+
+/// Every prefix of `wire` must parse to "need more" or to exactly what
+/// the whole buffer parses to — a complete message or an error, once
+/// reached, is not changed by the bytes that follow.
+fn assert_prefix_consistent<M: PartialEq + std::fmt::Debug>(
+    wire: &[u8],
+    parse: impl Fn(&[u8]) -> Result<Option<(M, usize)>, NetError>,
+) -> Result<(), TestCaseError> {
+    let full = outcome(parse(wire));
+    for cut in 0..wire.len() {
+        let partial = outcome(parse(&wire[..cut]));
+        prop_assert!(
+            partial == Ok(None) || partial == full,
+            "prefix of {cut}/{} bytes gave {partial:?}, whole buffer {full:?}",
+            wire.len()
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn request_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let mut reader = BufReader::new(bytes.as_slice());
-        let _ = Request::read_from(&mut reader);
+    fn request_parser_is_total_and_chunking_blind(
+        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        assert_prefix_consistent(&bytes, Request::parse_partial)?;
     }
 
     #[test]
-    fn response_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let mut reader = BufReader::new(bytes.as_slice());
-        let _ = Response::read_from(&mut reader);
+    fn response_parser_is_total_and_chunking_blind(
+        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        assert_prefix_consistent(&bytes, Response::parse_partial)?;
     }
 
     #[test]
@@ -26,6 +57,7 @@ proptest! {
         params in proptest::collection::vec(("[a-z]{1,8}", "\\PC{0,24}"), 0..5),
         body in proptest::collection::vec(any::<u8>(), 0..512),
         post in any::<bool>(),
+        trailing in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let mut req = Request::get(&format!("/x/{path_seg}"));
         req.method = if post { Method::Post } else { Method::Get };
@@ -35,28 +67,36 @@ proptest! {
         req.body = body;
         let mut wire = Vec::new();
         req.write_to(&mut wire).unwrap();
-        let back = Request::read_from(&mut BufReader::new(wire.as_slice()))
-            .unwrap()
-            .expect("complete request");
+        let message_len = wire.len();
+        // Whatever follows the message (a pipelined request, garbage)
+        // must not leak into it.
+        wire.extend_from_slice(&trailing);
+        let (back, used) = Request::parse_partial(&wire).unwrap().expect("complete request");
+        prop_assert_eq!(used, message_len);
         prop_assert_eq!(back.method, req.method);
         prop_assert_eq!(&back.path, &req.path);
         prop_assert_eq!(&back.body, &req.body);
         // Query params survive in order with exact values.
         prop_assert_eq!(&back.query, &req.query);
+        assert_prefix_consistent(&wire, Request::parse_partial)?;
     }
 
     #[test]
     fn response_round_trips(
         body in proptest::collection::vec(any::<u8>(), 0..4096),
         ct in "[a-z]{3,12}/[a-z]{3,12}",
+        trailing in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let resp = Response::ok(&ct, body);
         let mut wire = Vec::new();
         resp.write_to(&mut wire).unwrap();
-        let back = Response::read_from(&mut BufReader::new(wire.as_slice())).unwrap();
+        let message_len = wire.len();
+        wire.extend_from_slice(&trailing);
+        let (back, used) = Response::parse_partial(&wire).unwrap().expect("complete response");
+        prop_assert_eq!(used, message_len);
         prop_assert_eq!(back.status, Status::Ok);
-        prop_assert_eq!(&back.body, &resp.body);
-        prop_assert_eq!(back.headers.get("content-type"), resp.headers.get("content-type"));
+        prop_assert_eq!(&back, &resp);
+        assert_prefix_consistent(&wire, Response::parse_partial)?;
     }
 
     #[test]
@@ -75,11 +115,68 @@ proptest! {
         for i in 0..n {
             Request::get(&format!("/req/{i}")).write_to(&mut wire).unwrap();
         }
-        let mut reader = BufReader::new(wire.as_slice());
+        let mut at = 0;
         for i in 0..n {
-            let req = Request::read_from(&mut reader).unwrap().expect("request");
+            let (req, used) = Request::parse_partial(&wire[at..]).unwrap().expect("request");
             prop_assert_eq!(req.path, format!("/req/{i}"));
+            at += used;
         }
-        prop_assert!(Request::read_from(&mut reader).unwrap().is_none());
+        prop_assert_eq!(at, wire.len());
+        prop_assert!(Request::parse_partial(&wire[at..]).unwrap().is_none());
+    }
+
+    #[test]
+    fn size_caps_hold_for_any_overshoot(
+        filler in any::<u8>(),
+        head_over in 4usize..4096,
+        body_over in 1u64..(1 << 40),
+    ) {
+        // A head that has not terminated within the cap is refused, not
+        // buffered forever, whatever it is made of (`\r`/`\n` fillers
+        // that happen to terminate it are heads, not overshoots).
+        if filler != b'\r' && filler != b'\n' {
+            let endless = vec![filler; MAX_HEAD + head_over];
+            prop_assert!(matches!(
+                Request::parse_partial(&endless),
+                Err(NetError::TooLarge { what: "header", .. })
+            ));
+            prop_assert!(matches!(
+                Response::parse_partial(&endless),
+                Err(NetError::TooLarge { what: "header", .. })
+            ));
+        }
+        // A declared body over the cap is refused from the head alone.
+        let declared = MAX_BODY as u64 + body_over;
+        let req = format!("POST /x HTTP/1.1\r\ncontent-length: {declared}\r\n\r\n");
+        prop_assert!(matches!(
+            Request::parse_partial(req.as_bytes()),
+            Err(NetError::TooLarge { what: "body", .. })
+        ));
+        let resp = format!("HTTP/1.1 200 OK\r\ncontent-length: {declared}\r\n\r\n");
+        prop_assert!(matches!(
+            Response::parse_partial(resp.as_bytes()),
+            Err(NetError::TooLarge { what: "body", .. })
+        ));
+    }
+}
+
+/// The chunking-blind property at the one place random inputs never
+/// reach: a head whose terminator straddles the size cap.
+#[test]
+fn heads_at_the_size_cap_parse_the_same_however_chunked() {
+    for pad in (MAX_HEAD - 40)..(MAX_HEAD + 8) {
+        let mut wire = b"GET /x HTTP/1.1\r\nx-pad: ".to_vec();
+        wire.resize(pad, b'v');
+        wire.extend_from_slice(b"\r\n\r\n");
+        let full = outcome(Request::parse_partial(&wire));
+        let accepted = pad <= MAX_HEAD;
+        assert_eq!(full.is_ok(), accepted, "head of {pad} bytes");
+        for cut in (pad - 8)..wire.len() {
+            let partial = outcome(Request::parse_partial(&wire[..cut]));
+            assert!(
+                partial == Ok(None) || partial == full,
+                "head of {pad} bytes cut at {cut}: {partial:?} vs {full:?}"
+            );
+        }
     }
 }

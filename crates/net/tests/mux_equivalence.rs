@@ -10,6 +10,7 @@ use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient
 use marketscope_net::error::NetError;
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response};
+use marketscope_net::reactor::ReactorConfig;
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
 use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
@@ -28,11 +29,12 @@ fn ping_router() -> Router {
 }
 
 fn faulty_server(seed: u64, plan: FaultPlan) -> ServerHandle {
-    HttpServer::spawn_with_faults(
+    HttpServer::spawn_configured(
         "127.0.0.1:0",
         ping_router(),
         ServerMetrics::standalone(),
-        FaultInjector::new(seed, plan),
+        Some(Arc::new(FaultInjector::new(seed, plan))),
+        ReactorConfig::default(),
     )
     .unwrap()
 }
@@ -84,7 +86,10 @@ fn batched_outcomes_match_blocking_outcomes_under_seeded_chaos() {
     };
     let bare = || {
         HttpClient::builder()
-            .config(ClientConfig::builder().retries(0).build())
+            .config(ClientConfig {
+                retries: 0,
+                ..ClientConfig::default()
+            })
             .build()
     };
 
@@ -114,7 +119,10 @@ fn resilient_retries_ride_out_chaos_identically_on_both_paths() {
     };
     let resilient = |registry: &Registry| {
         HttpClient::builder()
-            .config(ClientConfig::builder().retries(0).build())
+            .config(ClientConfig {
+                retries: 0,
+                ..ClientConfig::default()
+            })
             .retry(RetryPolicy::default())
             .metrics(ClientMetrics::register(registry, &[]))
             .resilience_metrics(ResilienceMetrics::register(registry, &[]))
@@ -200,7 +208,10 @@ fn transparent_retry_spans_share_their_shape_across_paths() {
     };
     let client_with = |tracer: &Arc<Tracer>| {
         HttpClient::builder()
-            .config(ClientConfig::builder().retries(2).build())
+            .config(ClientConfig {
+                retries: 2,
+                ..ClientConfig::default()
+            })
             .tracer(Arc::clone(tracer))
             .build()
     };
@@ -254,7 +265,10 @@ fn breakers_trip_at_the_same_request_index_on_both_paths() {
     };
     let breaker_client = || {
         HttpClient::builder()
-            .config(ClientConfig::builder().retries(0).build())
+            .config(ClientConfig {
+                retries: 0,
+                ..ClientConfig::default()
+            })
             .breaker(BreakerConfig {
                 failure_threshold: 3,
                 cooldown_rejections: 100,

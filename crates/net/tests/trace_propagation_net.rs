@@ -4,6 +4,7 @@
 
 use marketscope_net::client::HttpClient;
 use marketscope_net::http::{Request, Response};
+use marketscope_net::reactor::ReactorConfig;
 use marketscope_net::server::{HttpServer, ServerMetrics};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::{JournalSnapshot, TRACE_HEADER};
@@ -27,10 +28,12 @@ fn snapshot_with_at_least(tracer: &Arc<Tracer>, n: usize) -> JournalSnapshot {
 #[test]
 fn sampled_request_links_client_and_server_spans() {
     let tracer = Arc::new(Tracer::new(TracerConfig::always(256)));
-    let server = HttpServer::spawn_instrumented(
+    let server = HttpServer::spawn_configured(
         "127.0.0.1:0",
         |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
         ServerMetrics::standalone().traced(Arc::clone(&tracer)),
+        None,
+        ReactorConfig::default(),
     )
     .unwrap();
     let client = HttpClient::builder().tracer(Arc::clone(&tracer)).build();
@@ -79,7 +82,7 @@ fn unsampled_request_sends_no_header_and_records_nothing() {
     let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(256)));
     let saw_header = Arc::new(AtomicBool::new(false));
     let saw = Arc::clone(&saw_header);
-    let server = HttpServer::spawn_instrumented(
+    let server = HttpServer::spawn_configured(
         "127.0.0.1:0",
         move |req: &Request| {
             if req.header(TRACE_HEADER).is_some() {
@@ -88,6 +91,8 @@ fn unsampled_request_sends_no_header_and_records_nothing() {
             Response::ok("text/plain", b"ok".to_vec())
         },
         ServerMetrics::standalone().traced(Arc::clone(&tracer)),
+        None,
+        ReactorConfig::default(),
     )
     .unwrap();
     let client = HttpClient::builder().tracer(Arc::clone(&tracer)).build();

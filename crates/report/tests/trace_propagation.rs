@@ -121,11 +121,13 @@ fn rate_limit_stall_stays_inside_one_trace() {
     }));
     // One tracer on both sides so the journal merges up front.
     let tracer = Arc::new(Tracer::new(TracerConfig::always(4096)));
-    let server = MarketServer::spawn_with_telemetry(
+    let server = MarketServer::spawn_with_ops(
         Arc::clone(&world),
         MarketId::GooglePlay,
         Arc::new(Registry::new()),
         Arc::clone(&tracer),
+        None,
+        None,
     )
     .unwrap();
     let client = HttpClient::builder().tracer(Arc::clone(&tracer)).build();
