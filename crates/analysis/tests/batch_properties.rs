@@ -10,9 +10,9 @@ use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
 use marketscope_apk::digest::ApkDigest;
 use marketscope_apk::manifest::Manifest;
 use marketscope_apk::permmap::PERMISSIONS;
+use marketscope_core::propcheck::{check, usize_in, vec_of};
+use marketscope_core::rng::DetRng;
 use marketscope_core::{DeveloperKey, PackageName, VersionCode};
-use proptest::collection::vec;
-use proptest::prelude::*;
 
 /// Build a digest from generated parameters: a permission subset, one
 /// class of methods with generated API calls and code hashes.
@@ -54,38 +54,45 @@ fn build_digest(salt: u64, perm_mask: u32, calls: &[u32], hashes: &[u64]) -> Apk
     ApkDigest::from_bytes(&bytes).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// An arbitrary corpus of 1..12 digests.
+fn arb_corpus(rng: &mut DetRng) -> Vec<ApkDigest> {
+    vec_of(rng, 1..12, |r| {
+        let salt = r.range_u64(0, 1_000_000);
+        let perm_mask = r.range_u64(0, u32::MAX.into()) as u32;
+        let calls = vec_of(r, 0..6, |r| r.range_u64(0, 2_000) as u32);
+        let hashes = vec_of(r, 1..5, |r| r.range_u64(1, u64::MAX));
+        build_digest(salt, perm_mask, &calls, &hashes)
+    })
+}
 
-    #[test]
-    fn scan_batch_equals_per_digest_scan(
-        specs in vec((0u64..1_000_000, 0u32..u32::MAX, vec(0u32..2_000, 0..6), vec(1u64..u64::MAX, 1..5)), 1..12),
-        workers in 1usize..9,
-    ) {
-        let digests: Vec<ApkDigest> = specs
-            .iter()
-            .map(|(salt, mask, calls, hashes)| build_digest(*salt, *mask, calls, hashes))
-            .collect();
+/// This suite's runner: 24 cases per property, streams named
+/// `batch_properties::<property>`.
+fn property(name: &str, body: impl FnMut(&mut DetRng)) {
+    check(&format!("batch_properties::{name}"), 24, body);
+}
+
+#[test]
+fn scan_batch_equals_per_digest_scan() {
+    property("scan_batch_equals_per_digest_scan", |rng| {
+        let digests = arb_corpus(rng);
+        let workers = usize_in(rng, 1..9);
         let refs: Vec<&ApkDigest> = digests.iter().collect();
         let sim = AvSimulator::new();
         let batch = sim.scan_batch(&refs, workers);
         let sequential: Vec<_> = refs.iter().map(|d| sim.scan(d)).collect();
-        prop_assert_eq!(batch, sequential);
-    }
+        assert_eq!(batch, sequential, "workers = {workers}");
+    });
+}
 
-    #[test]
-    fn analyze_batch_equals_per_digest_analyze(
-        specs in vec((0u64..1_000_000, 0u32..u32::MAX, vec(0u32..2_000, 0..6), vec(1u64..u64::MAX, 1..5)), 1..12),
-        workers in 1usize..9,
-    ) {
-        let digests: Vec<ApkDigest> = specs
-            .iter()
-            .map(|(salt, mask, calls, hashes)| build_digest(*salt, *mask, calls, hashes))
-            .collect();
+#[test]
+fn analyze_batch_equals_per_digest_analyze() {
+    property("analyze_batch_equals_per_digest_analyze", |rng| {
+        let digests = arb_corpus(rng);
+        let workers = usize_in(rng, 1..9);
         let refs: Vec<&ApkDigest> = digests.iter().collect();
         let analyzer = OverprivilegeAnalyzer::new();
         let batch = analyzer.analyze_batch(&refs, workers);
         let sequential: Vec<_> = refs.iter().map(|d| analyzer.analyze(d)).collect();
-        prop_assert_eq!(batch, sequential);
-    }
+        assert_eq!(batch, sequential, "workers = {workers}");
+    });
 }

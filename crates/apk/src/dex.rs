@@ -13,19 +13,17 @@
 //! * per-method **intra-app invocation edges** — the call graph the
 //!   reachability pass walks from manifest-declared entry points.
 //!
-//! Layout: magic + counts, then length-prefixed class records. Two wire
-//! versions exist: v1 (`dex035`) has no invocation edges and still
-//! decodes (edge-free); v2 (`dex036`) appends a per-method invoke list
-//! of `(class_index, method_index)` pairs. As with the manifest,
-//! decoding is total and bounds-checked; v2 additionally rejects
+//! Layout (`dex036`): magic + counts, then length-prefixed class
+//! records, each method carrying an invoke list of
+//! `(class_index, method_index)` pairs. As with the manifest, decoding
+//! is total and bounds-checked, and rejects any other magic as well as
 //! dangling edges (refs to classes or methods that do not exist).
 
 use crate::apicalls::{ApiCallId, API_DIMENSIONS};
 use crate::error::ApkError;
 use bytes::{Buf, BufMut};
 
-const MAGIC_V1: u64 = 0x6465_7830_3335_0000; // "dex035"-flavoured
-const MAGIC_V2: u64 = 0x6465_7830_3336_0000; // "dex036"-flavoured
+const MAGIC: u64 = 0x6465_7830_3336_0000; // "dex036"-flavoured
 const MAX_CLASSES: usize = 65_536;
 const MAX_METHODS: usize = 4_096;
 const MAX_CALLS: usize = 65_536;
@@ -54,7 +52,7 @@ pub struct MethodDef {
     /// equal hashes are "the same code segment" for clone detection.
     pub code_hash: u64,
     /// Intra-app call edges: other methods in the same DEX this method's
-    /// body invokes. Empty for v1 payloads.
+    /// body invokes.
     pub invokes: Vec<MethodRef>,
 }
 
@@ -116,20 +114,10 @@ impl DexFile {
             .map(|m| m.code_hash)
     }
 
-    /// Encode to the current (v2) binary layout, edges included.
+    /// Encode to the binary layout, edges included.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with_magic(MAGIC_V2)
-    }
-
-    /// Encode to the legacy v1 layout. Invocation edges are dropped on
-    /// the wire; decoding the result yields an edge-free file.
-    pub fn encode_v1(&self) -> Vec<u8> {
-        self.encode_with_magic(MAGIC_V1)
-    }
-
-    fn encode_with_magic(&self, magic: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 * self.classes.len().max(1));
-        out.put_u64_le(magic);
+        out.put_u64_le(MAGIC);
         out.put_u32_le(self.classes.len() as u32);
         for c in &self.classes {
             let name = c.name.as_bytes();
@@ -142,32 +130,26 @@ impl DexFile {
                 for a in &m.api_calls {
                     out.put_u32_le(a.0);
                 }
-                if magic == MAGIC_V2 {
-                    out.put_u16_le(m.invokes.len() as u16);
-                    for r in &m.invokes {
-                        out.put_u16_le(r.class);
-                        out.put_u16_le(r.method);
-                    }
+                out.put_u16_le(m.invokes.len() as u16);
+                for r in &m.invokes {
+                    out.put_u16_le(r.class);
+                    out.put_u16_le(r.method);
                 }
             }
         }
         out
     }
 
-    /// Decode from either binary layout; total and bounds-checked. v1
-    /// payloads produce edge-free files; v2 payloads are additionally
-    /// checked for dangling invocation edges.
+    /// Decode from the binary layout; total and bounds-checked,
+    /// including for dangling invocation edges.
     pub fn decode(bytes: &[u8]) -> Result<DexFile, ApkError> {
         let mut buf = bytes;
         if buf.remaining() < 12 {
             return Err(ApkError::Dex("truncated header"));
         }
-        let magic = buf.get_u64_le();
-        let with_edges = match magic {
-            MAGIC_V1 => false,
-            MAGIC_V2 => true,
-            _ => return Err(ApkError::Dex("bad magic")),
-        };
+        if buf.get_u64_le() != MAGIC {
+            return Err(ApkError::Dex("bad magic"));
+        }
         let class_count = buf.get_u32_le() as usize;
         if class_count > MAX_CLASSES {
             return Err(ApkError::Bounds {
@@ -229,36 +211,33 @@ impl DexFile {
                     })?;
                     api_calls.push(id);
                 }
-                let mut invokes = Vec::new();
-                if with_edges {
-                    if buf.remaining() < 2 {
-                        return Err(ApkError::Dex("truncated invoke count"));
-                    }
-                    let invoke_count = buf.get_u16_le() as usize;
-                    if invoke_count > MAX_INVOKES {
+                if buf.remaining() < 2 {
+                    return Err(ApkError::Dex("truncated invoke count"));
+                }
+                let invoke_count = buf.get_u16_le() as usize;
+                if invoke_count > MAX_INVOKES {
+                    return Err(ApkError::Bounds {
+                        what: "invoke count",
+                        value: invoke_count as u64,
+                    });
+                }
+                if buf.remaining() < invoke_count * 4 {
+                    return Err(ApkError::Dex("truncated invoke list"));
+                }
+                let mut invokes = Vec::with_capacity(invoke_count);
+                for _ in 0..invoke_count {
+                    let class = buf.get_u16_le();
+                    let method = buf.get_u16_le();
+                    // Class index validated against the header count
+                    // here; the method index is validated post-decode
+                    // once the target class's method list is known.
+                    if (class as usize) >= class_count {
                         return Err(ApkError::Bounds {
-                            what: "invoke count",
-                            value: invoke_count as u64,
+                            what: "invoke class index",
+                            value: class as u64,
                         });
                     }
-                    if buf.remaining() < invoke_count * 4 {
-                        return Err(ApkError::Dex("truncated invoke list"));
-                    }
-                    invokes.reserve(invoke_count);
-                    for _ in 0..invoke_count {
-                        let class = buf.get_u16_le();
-                        let method = buf.get_u16_le();
-                        // Class index validated against the header count
-                        // here; the method index is validated post-decode
-                        // once the target class's method list is known.
-                        if (class as usize) >= class_count {
-                            return Err(ApkError::Bounds {
-                                what: "invoke class index",
-                                value: class as u64,
-                            });
-                        }
-                        invokes.push(MethodRef { class, method });
-                    }
+                    invokes.push(MethodRef { class, method });
                 }
                 methods.push(MethodDef {
                     api_calls,
@@ -271,18 +250,16 @@ impl DexFile {
         if buf.has_remaining() {
             return Err(ApkError::Dex("trailing bytes"));
         }
-        if with_edges {
-            // Dangling-method check: every edge must land on a method that
-            // actually exists in its (already bounds-checked) target class.
-            for c in &classes {
-                for m in &c.methods {
-                    for r in &m.invokes {
-                        if (r.method as usize) >= classes[r.class as usize].methods.len() {
-                            return Err(ApkError::Bounds {
-                                what: "invoke method index",
-                                value: r.method as u64,
-                            });
-                        }
+        // Dangling-method check: every edge must land on a method that
+        // actually exists in its (already bounds-checked) target class.
+        for c in &classes {
+            for m in &c.methods {
+                for r in &m.invokes {
+                    if (r.method as usize) >= classes[r.class as usize].methods.len() {
+                        return Err(ApkError::Bounds {
+                            what: "invoke method index",
+                            value: r.method as u64,
+                        });
                     }
                 }
             }
@@ -350,24 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_still_decode_edge_free() {
-        let d = sample();
-        let back = DexFile::decode(&d.encode_v1()).unwrap();
-        // Same structure, API calls and code hashes; edges dropped.
-        assert_eq!(back.classes.len(), d.classes.len());
-        for (a, b) in back.classes.iter().zip(&d.classes) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.methods.len(), b.methods.len());
-            for (ma, mb) in a.methods.iter().zip(&b.methods) {
-                assert_eq!(ma.api_calls, mb.api_calls);
-                assert_eq!(ma.code_hash, mb.code_hash);
-                assert!(ma.invokes.is_empty());
-            }
-        }
-        assert_eq!(back.edge_count(), 0);
-    }
-
-    #[test]
     fn java_package_extraction() {
         let c = ClassDef {
             name: "Lcom/umeng/analytics/A;".into(),
@@ -399,14 +358,6 @@ mod tests {
     #[test]
     fn rejects_truncation_everywhere() {
         let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            assert!(DexFile::decode(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn rejects_truncation_everywhere_v1() {
-        let bytes = sample().encode_v1();
         for cut in 0..bytes.len() {
             assert!(DexFile::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -464,6 +415,14 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[0] ^= 1;
         assert!(DexFile::decode(&bytes).is_err());
+        // The retired edge-free "dex035" layout: an empty file in it was
+        // magic + zero class count. Unknown layouts are refused.
+        let mut old = 0x6465_7830_3335_0000u64.to_le_bytes().to_vec();
+        old.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            DexFile::decode(&old),
+            Err(ApkError::Dex("bad magic"))
+        ));
         let mut bytes = sample().encode();
         bytes.push(7);
         assert!(DexFile::decode(&bytes).is_err());

@@ -9,10 +9,9 @@
 //! a fraction of the parsed APK's memory, so snapshots of whole markets
 //! stay cheap.
 //!
-//! Reachability policy: a manifest with no declared components (all v1
-//! payloads) gives no entry points to anchor the walk, so every method is
-//! conservatively treated as reachable and the flat and reachable views
-//! coincide.
+//! Reachability policy: a manifest with no declared components gives no
+//! entry points to anchor the walk, so every method is conservatively
+//! treated as reachable and the flat and reachable views coincide.
 
 use crate::apicalls::ApiCallId;
 use crate::parse::ParsedApk;
@@ -107,7 +106,7 @@ impl ApkDigest {
     pub fn from_parsed_with_stats(apk: &ParsedApk) -> (ApkDigest, ReachStats) {
         // Entry points: the classes of the manifest-declared components.
         // No components ⇒ no anchoring information ⇒ conservatively mark
-        // everything reachable (v1 semantics).
+        // everything reachable.
         let graph = CallGraph::new(&apk.dex);
         let reach = if apk.manifest.components.is_empty() {
             graph.reach_all()

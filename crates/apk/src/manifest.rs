@@ -9,17 +9,16 @@
 //! header, a length-prefixed UTF-8 string pool, and typed attribute
 //! records that reference the pool.
 //!
-//! Two wire versions exist: v1 has no component records and still
-//! decodes (component-free); v2 appends the component classes to the
-//! string pool plus one kind byte per component.
+//! Component classes ride at the end of the string pool, followed by
+//! one kind byte per component. Any other version word is refused.
 
 use crate::error::ApkError;
 use bytes::{Buf, BufMut};
 use marketscope_core::{PackageName, VersionCode};
 
 const MAGIC: u32 = 0x0041_584D; // "AXM\0"-ish
-const VERSION_V1: u16 = 1;
-const VERSION_V2: u16 = 2;
+const VERSION: u16 = 2;
+const HEADER_LEN: usize = 18;
 const MAX_STRINGS: usize = 65_536;
 const MAX_STRING_LEN: usize = 4_096;
 const MAX_PERMISSIONS: usize = 512;
@@ -86,14 +85,14 @@ pub struct Manifest {
     pub permissions: Vec<String>,
     /// The developer-reported store category string (possibly junk).
     pub category: String,
-    /// Declared components — the reachability entry points. Empty for v1
-    /// payloads, which analyses treat as "entry points unknown" (every
-    /// method is conservatively reachable).
+    /// Declared components — the reachability entry points. When empty,
+    /// analyses treat the entry points as unknown (every method is
+    /// conservatively reachable).
     pub components: Vec<Component>,
 }
 
 impl Manifest {
-    /// Encode to the current (v2) binary manifest layout.
+    /// Encode to the binary manifest layout.
     pub fn encode(&self) -> Vec<u8> {
         // String pool: package, version name, label, category, then
         // permissions, then component classes.
@@ -108,7 +107,7 @@ impl Manifest {
 
         let mut out = Vec::with_capacity(128 + pool.iter().map(|s| s.len() + 2).sum::<usize>());
         out.put_u32_le(MAGIC);
-        out.put_u16_le(VERSION_V2);
+        out.put_u16_le(VERSION);
         out.put_u32_le(self.version_code.0);
         out.put_u8(self.min_sdk);
         out.put_u8(self.target_sdk);
@@ -126,62 +125,24 @@ impl Manifest {
         out
     }
 
-    /// Encode to the legacy v1 layout. Components are dropped on the
-    /// wire; decoding the result yields a component-free manifest.
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let mut pool: Vec<&str> = vec![
-            self.package.as_str(),
-            &self.version_name,
-            &self.app_label,
-            &self.category,
-        ];
-        pool.extend(self.permissions.iter().map(String::as_str));
-
-        let mut out = Vec::with_capacity(128 + pool.iter().map(|s| s.len() + 2).sum::<usize>());
-        out.put_u32_le(MAGIC);
-        out.put_u16_le(VERSION_V1);
-        out.put_u32_le(self.version_code.0);
-        out.put_u8(self.min_sdk);
-        out.put_u8(self.target_sdk);
-        out.put_u16_le(self.permissions.len() as u16);
-        out.put_u16_le(pool.len() as u16);
-        for s in pool {
-            let b = s.as_bytes();
-            out.put_u16_le(b.len() as u16);
-            out.put_slice(b);
-        }
-        out
-    }
-
-    /// Decode from either binary manifest layout. Total: every malformed
+    /// Decode from the binary manifest layout. Total: every malformed
     /// input produces `ApkError::Manifest`, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Manifest, ApkError> {
         let mut buf = bytes;
-        if buf.remaining() < 16 {
+        if buf.remaining() < HEADER_LEN {
             return Err(ApkError::Manifest("truncated header"));
         }
         if buf.get_u32_le() != MAGIC {
             return Err(ApkError::Manifest("bad magic"));
         }
-        let version = buf.get_u16_le();
-        if version != VERSION_V1 && version != VERSION_V2 {
+        if buf.get_u16_le() != VERSION {
             return Err(ApkError::Manifest("unsupported version"));
         }
         let version_code = VersionCode(buf.get_u32_le());
         let min_sdk = buf.get_u8();
         let target_sdk = buf.get_u8();
         let perm_count = buf.get_u16_le() as usize;
-        let comp_count = if version == VERSION_V2 {
-            if buf.remaining() < 2 {
-                return Err(ApkError::Manifest("truncated header"));
-            }
-            buf.get_u16_le() as usize
-        } else {
-            0
-        };
-        if buf.remaining() < 2 {
-            return Err(ApkError::Manifest("truncated header"));
-        }
+        let comp_count = buf.get_u16_le() as usize;
         let pool_count = buf.get_u16_le() as usize;
         if perm_count > MAX_PERMISSIONS {
             return Err(ApkError::Bounds {
@@ -307,27 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_still_decode_component_free() {
-        let m = sample();
-        let back = Manifest::decode(&m.encode_v1()).unwrap();
-        assert!(back.components.is_empty());
-        assert_eq!(back.package, m.package);
-        assert_eq!(back.permissions, m.permissions);
-        assert_eq!(back.app_label, m.app_label);
-        assert_eq!(back.category, m.category);
-    }
-
-    #[test]
     fn rejects_truncation_everywhere() {
         let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn rejects_truncation_everywhere_v1() {
-        let bytes = sample().encode_v1();
         for cut in 0..bytes.len() {
             assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -361,6 +303,19 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[4] = 99;
         assert!(Manifest::decode(&bytes).is_err());
+        // The retired version 1: the same header minus the component
+        // count, valid only for component-free manifests.
+        let mut old = Manifest {
+            components: vec![],
+            ..sample()
+        }
+        .encode();
+        old[4] = 1;
+        old.drain(14..16);
+        assert!(matches!(
+            Manifest::decode(&old),
+            Err(ApkError::Manifest("unsupported version"))
+        ));
     }
 
     #[test]
@@ -370,9 +325,9 @@ mod tests {
         // then corrupting the first pool string ("com.kugou.android").
         m.version_name = "x".into();
         let mut bytes = m.encode();
-        // First pool string starts right after the 18-byte v2 header +
+        // First pool string starts right after the 18-byte header +
         // 2-byte len.
-        let start = 18 + 2;
+        let start = HEADER_LEN + 2;
         bytes[start] = b'9'; // "9om.kugou.android" → invalid first segment
         assert!(matches!(
             Manifest::decode(&bytes),

@@ -11,7 +11,7 @@
 //!
 //! The core is deliberately free of policy: callers decide what the entry
 //! set is and what "no entry points declared" means (analyses treat it as
-//! "everything reachable", preserving v1 semantics).
+//! "everything reachable").
 
 use crate::dex::DexFile;
 use std::collections::HashMap;
@@ -177,7 +177,7 @@ impl<'a> CallGraph<'a> {
     }
 
     /// Mark every method reachable (the conservative fallback when no
-    /// entry points are declared — v1 manifests).
+    /// entry points are declared).
     pub fn reach_all(&self) -> Reachability {
         let total = self.owner.len() as u64;
         Reachability {

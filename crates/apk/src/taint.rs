@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn reach_all_fallback_finds_same_method_flows() {
         let m = map();
-        // Source and sink in one method, no edges at all (v1 bytes).
+        // Source and sink in one method, no edges at all.
         let dex = DexFile {
             classes: vec![ClassDef {
                 name: "Lcom/app/Solo;".into(),

@@ -1,199 +1,144 @@
-//! Property-based tests for the v2 wire formats: DEX with invocation
-//! edges and manifests with declared components must round-trip for any
-//! generated input, v1 bytes must keep decoding (edge- and
-//! component-free), and every strict prefix of an encoding must fail to
+//! Property-based tests for the wire formats: DEX with invocation edges
+//! and manifests with declared components must round-trip for any
+//! generated input, and every strict prefix of an encoding must fail to
 //! decode rather than panic or silently succeed.
 
 use marketscope_apk::apicalls::{ApiCallId, API_DIMENSIONS};
 use marketscope_apk::dex::{ClassDef, DexFile, MethodDef, MethodRef};
 use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
+use marketscope_core::propcheck::{any_u64, check, string_of, usize_in, vec_of};
+use marketscope_core::rng::DetRng;
 use marketscope_core::{PackageName, VersionCode};
-use proptest::prelude::*;
+
+/// This suite's runner: 64 cases per property, streams named
+/// `format_properties::<property>`.
+fn property(name: &str, body: impl FnMut(&mut DetRng)) {
+    check(&format!("format_properties::{name}"), 64, body);
+}
 
 // ---------- generators ----------
-//
-// Edges are generated as raw (u16, u16) pairs and clamped onto real
-// (class, method) coordinates inside `prop_map`, so every generated DEX
-// is well-formed by construction (the decoder rejects dangling refs).
 
-type MethodRecipe = (Vec<u32>, (u64, Vec<(u16, u16)>));
-type ClassRecipe = ((String, String), Vec<MethodRecipe>);
-
-fn arb_method_recipe() -> impl Strategy<Value = MethodRecipe> {
+fn arb_class_name(rng: &mut DetRng) -> (String, String) {
     (
-        proptest::collection::vec(0u32..API_DIMENSIONS, 0..5),
-        (
-            any::<u64>(),
-            proptest::collection::vec((any::<u16>(), any::<u16>()), 0..5),
-        ),
+        string_of(rng, "a-z", 1..=1) + &string_of(rng, "a-z0-9", 0..=5),
+        string_of(rng, "A-Z", 1..=1) + &string_of(rng, "a-zA-Z0-9", 0..=6),
     )
 }
 
-fn arb_class_recipe() -> impl Strategy<Value = ClassRecipe> {
-    (
-        ("[a-z][a-z0-9]{0,5}", "[A-Z][a-zA-Z0-9]{0,6}"),
-        proptest::collection::vec(arb_method_recipe(), 0..4),
-    )
-}
-
-fn build_dex(recipes: Vec<ClassRecipe>) -> DexFile {
-    let method_counts: Vec<usize> = recipes.iter().map(|(_, ms)| ms.len()).collect();
-    let n_classes = recipes.len();
-    let classes = recipes
-        .iter()
-        .enumerate()
-        .map(|(ci, ((pkg, cls), methods))| ClassDef {
-            // Distinct per-class suffix keeps names unique even when the
-            // string generator repeats itself.
-            name: format!("L{pkg}/{cls}{ci};"),
-            methods: methods
-                .iter()
-                .map(|(calls, (hash, raw_edges))| MethodDef {
-                    api_calls: calls.iter().copied().map(ApiCallId).collect(),
-                    code_hash: *hash,
-                    invokes: raw_edges
-                        .iter()
-                        .filter_map(|(c, m)| {
-                            let class = *c as usize % n_classes.max(1);
-                            let methods_there = method_counts[class];
-                            if methods_there == 0 {
-                                return None; // cannot target a method-less class
-                            }
-                            Some(MethodRef {
-                                class: class as u16,
-                                method: (*m as usize % methods_there) as u16,
-                            })
-                        })
-                        .collect(),
-                })
-                .collect(),
+/// Edges are drawn as raw index pairs and clamped onto real (class,
+/// method) coordinates, so every generated DEX is well-formed by
+/// construction (the decoder rejects dangling refs).
+fn arb_dex(rng: &mut DetRng) -> DexFile {
+    let mut classes: Vec<ClassDef> = (0..usize_in(rng, 1..6))
+        .map(|ci| {
+            let (pkg, cls) = arb_class_name(rng);
+            ClassDef {
+                // Distinct per-class suffix keeps names unique even when
+                // the string generator repeats itself.
+                name: format!("L{pkg}/{cls}{ci};"),
+                methods: vec_of(rng, 0..4, |r| MethodDef {
+                    api_calls: vec_of(r, 0..5, |r| {
+                        ApiCallId(r.range_u64(0, API_DIMENSIONS.into()) as u32)
+                    }),
+                    code_hash: any_u64(r),
+                    invokes: vec![],
+                }),
+            }
         })
         .collect();
+    let method_counts: Vec<usize> = classes.iter().map(|c| c.methods.len()).collect();
+    for method in classes.iter_mut().flat_map(|c| &mut c.methods) {
+        method.invokes = vec_of(rng, 0..5, |r| (r.index(method_counts.len()), any_u64(r)))
+            .into_iter()
+            .filter(|(class, _)| method_counts[*class] > 0) // cannot target a method-less class
+            .map(|(class, m)| MethodRef {
+                class: class as u16,
+                method: (m % method_counts[class] as u64) as u16,
+            })
+            .collect();
+    }
     DexFile { classes }
 }
 
-fn arb_dex() -> impl Strategy<Value = DexFile> {
-    proptest::collection::vec(arb_class_recipe(), 1..6).prop_map(build_dex)
+fn arb_component(rng: &mut DetRng) -> Component {
+    let kind = *rng.pick(&[
+        ComponentKind::Activity,
+        ComponentKind::Service,
+        ComponentKind::Receiver,
+    ]);
+    let (pkg, cls) = arb_class_name(rng);
+    Component {
+        kind,
+        class: format!("L{pkg}/{cls};"),
+    }
 }
 
-fn arb_component() -> impl Strategy<Value = Component> {
-    (any::<u8>(), ("[a-z][a-z0-9]{0,5}", "[A-Z][a-zA-Z0-9]{0,6}")).prop_map(|(kind, (pkg, cls))| {
-        Component {
-            kind: match kind % 3 {
-                0 => ComponentKind::Activity,
-                1 => ComponentKind::Service,
-                _ => ComponentKind::Receiver,
-            },
-            class: format!("L{pkg}/{cls};"),
-        }
-    })
+fn arb_manifest(rng: &mut DetRng) -> Manifest {
+    let mut seg = || string_of(rng, "a-z", 1..=1) + &string_of(rng, "a-z0-9_", 0..=6);
+    let package = format!("{}.{}", seg(), seg());
+    let vc = rng.range_u64(1, 500) as u32;
+    let sdk = rng.range_u64(0, 28) as u8;
+    Manifest {
+        package: PackageName::new(&package).expect("generated packages are valid"),
+        version_code: VersionCode(vc),
+        version_name: format!("{vc}.0"),
+        min_sdk: sdk.max(1),
+        target_sdk: sdk.max(1).saturating_add(5),
+        app_label: "App".into(),
+        permissions: vec_of(rng, 0..6, |r| {
+            format!("android.permission.{}", string_of(r, "A-Z_", 3..=20))
+        }),
+        category: "Tools".into(),
+        components: vec_of(rng, 0..5, arb_component),
+    }
 }
 
-/// Force an arbitrary generated string into a valid package segment.
-fn seg(s: &str) -> String {
-    let body: String = s
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    format!("p{body}")
+fn assert_every_prefix_errors<T>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, marketscope_apk::ApkError>,
+) {
+    for cut in 0..bytes.len() {
+        assert!(
+            decode(&bytes[..cut]).is_err(),
+            "prefix of {cut} / {} bytes decoded",
+            bytes.len()
+        );
+    }
 }
 
-fn arb_manifest() -> impl Strategy<Value = Manifest> {
-    (
-        (
-            ("[a-z][a-z0-9_]{0,6}", "[a-z][a-z0-9_]{0,6}"),
-            (1u32..500, 0u8..28),
-        ),
-        (
-            proptest::collection::vec("android\\.permission\\.[A-Z_]{3,20}", 0..6),
-            proptest::collection::vec(arb_component(), 0..5),
-        ),
-    )
-        .prop_map(|(((a, b), (vc, sdk)), (perms, components))| Manifest {
-            package: PackageName::new(&format!("{}.{}", seg(&a), seg(&b)))
-                .expect("sanitized packages are valid"),
-            version_code: VersionCode(vc),
-            version_name: format!("{vc}.0"),
-            min_sdk: sdk.max(1),
-            target_sdk: sdk.max(1).saturating_add(5),
-            app_label: "App".into(),
-            permissions: perms,
-            category: "Tools".into(),
-            components,
-        })
-}
+// ---------- DEX ----------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // ---------- DEX v2 ----------
-
-    #[test]
-    fn dex_v2_round_trips_with_edges(dex in arb_dex()) {
+#[test]
+fn dex_v2_round_trips_with_edges() {
+    property("dex_v2_round_trips_with_edges", |rng| {
+        let dex = arb_dex(rng);
         let decoded = DexFile::decode(&dex.encode()).expect("own encoding decodes");
-        prop_assert_eq!(&decoded, &dex);
-        prop_assert_eq!(decoded.edge_count(), dex.edge_count());
-    }
+        assert_eq!(decoded, dex);
+        assert_eq!(decoded.edge_count(), dex.edge_count());
+    });
+}
 
-    #[test]
-    fn dex_v1_bytes_still_decode_edge_free(dex in arb_dex()) {
-        let decoded = DexFile::decode(&dex.encode_v1()).expect("v1 encoding decodes");
-        let stripped = DexFile {
-            classes: dex
-                .classes
-                .iter()
-                .map(|c| ClassDef {
-                    name: c.name.clone(),
-                    methods: c
-                        .methods
-                        .iter()
-                        .map(|m| MethodDef { invokes: vec![], ..m.clone() })
-                        .collect(),
-                })
-                .collect(),
-        };
-        prop_assert_eq!(&decoded, &stripped);
-        prop_assert_eq!(decoded.edge_count(), 0);
-    }
+#[test]
+fn dex_truncation_always_errors() {
+    property("dex_truncation_always_errors", |rng| {
+        assert_every_prefix_errors(&arb_dex(rng).encode(), DexFile::decode);
+    });
+}
 
-    #[test]
-    fn dex_truncation_always_errors(dex in arb_dex()) {
-        let bytes = dex.encode();
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                DexFile::decode(&bytes[..cut]).is_err(),
-                "prefix of {} / {} bytes decoded",
-                cut,
-                bytes.len()
-            );
-        }
-    }
+// ---------- manifest ----------
 
-    // ---------- manifest v2 ----------
-
-    #[test]
-    fn manifest_v2_round_trips_with_components(m in arb_manifest()) {
+#[test]
+fn manifest_v2_round_trips_with_components() {
+    property("manifest_v2_round_trips_with_components", |rng| {
+        let m = arb_manifest(rng);
         let decoded = Manifest::decode(&m.encode()).expect("own encoding decodes");
-        prop_assert_eq!(&decoded, &m);
-    }
+        assert_eq!(decoded, m);
+    });
+}
 
-    #[test]
-    fn manifest_v1_bytes_still_decode_component_free(m in arb_manifest()) {
-        let decoded = Manifest::decode(&m.encode_v1()).expect("v1 encoding decodes");
-        let stripped = Manifest { components: vec![], ..m.clone() };
-        prop_assert_eq!(&decoded, &stripped);
-    }
-
-    #[test]
-    fn manifest_truncation_always_errors(m in arb_manifest()) {
-        let bytes = m.encode();
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                Manifest::decode(&bytes[..cut]).is_err(),
-                "prefix of {} / {} bytes decoded",
-                cut,
-                bytes.len()
-            );
-        }
-    }
+#[test]
+fn manifest_truncation_always_errors() {
+    property("manifest_truncation_always_errors", |rng| {
+        assert_every_prefix_errors(&arb_manifest(rng).encode(), Manifest::decode);
+    });
 }

@@ -600,25 +600,27 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use marketscope_core::propcheck::{any_u64, check, usize_in, vec_of};
+    use marketscope_core::rng::DetRng;
+    use std::collections::BTreeMap;
 
-    fn arb_app(idx: usize) -> impl Strategy<Value = UniqueApp> {
-        (
-            proptest::collection::btree_map(0u32..5_000, 1u32..6, 10..120),
-            proptest::collection::vec(any::<u64>(), 10..120),
-        )
-            .prop_map(move |(api, mut segs)| {
-                segs.sort_unstable();
-                UniqueApp {
-                    package: format!("com.base{idx}.app"),
-                    developer: DeveloperKey::from_label(&format!("dev{idx}")),
-                    own_api: api.into_iter().collect(),
-                    own_segments: segs,
-                    markets: vec![(MarketId::GooglePlay, idx as u64)],
-                }
-            })
+    fn arb_app(rng: &mut DetRng, idx: usize) -> UniqueApp {
+        let api: BTreeMap<u32, u32> = vec_of(rng, 10..120, |r| {
+            (r.range_u64(0, 5_000) as u32, r.range_u64(1, 6) as u32)
+        })
+        .into_iter()
+        .collect();
+        let mut segs = vec_of(rng, 10..120, any_u64);
+        segs.sort_unstable();
+        UniqueApp {
+            package: format!("com.orig{idx}.app"),
+            developer: DeveloperKey::from_label(&format!("orig{idx}")),
+            own_api: api.into_iter().collect(),
+            own_segments: segs,
+            markets: vec![(MarketId::GooglePlay, idx as u64)],
+        }
     }
 
     /// Derive a near-clone of `base`: perturb a few entries, re-key the
@@ -643,52 +645,69 @@ mod proptests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// MinHash candidate generation must find every pair the
-        /// threshold criteria accept: plant near-clones among distractors
-        /// and require them all back.
-        #[test]
-        fn minhash_recalls_planted_pairs(
-            bases in proptest::collection::vec(arb_app(0), 2..6),
-        ) {
-            let mut apps = Vec::new();
-            let mut expected = 0usize;
-            for (i, base) in bases.iter().enumerate() {
-                let mut b = base.clone();
-                b.package = format!("com.orig{i}.app");
-                b.developer = DeveloperKey::from_label(&format!("orig{i}"));
-                // 2% perturbation keeps the pair inside both thresholds.
-                let perturb = b.own_segments.len() / 50;
-                let clone = derive_clone(&b, i, perturb);
-                let d = normalized_manhattan(&b.own_api, &clone.own_api);
-                let s = segment_overlap(&b.own_segments, &clone.own_segments);
-                if d <= 0.05 && s >= 0.85 {
-                    expected += 1;
+    /// The exhaustive reference: every index pair the two thresholds
+    /// accept, with no candidate generation in front of them.
+    fn code_clones_all_pairs(apps: &[UniqueApp], config: &CloneConfig) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for i in 0..apps.len() {
+            for j in i + 1..apps.len() {
+                let (a, b) = (&apps[i], &apps[j]);
+                if a.package == b.package || a.developer == b.developer {
+                    continue;
                 }
-                apps.push(b);
+                if normalized_manhattan(&a.own_api, &b.own_api) > config.distance_threshold {
+                    continue;
+                }
+                if segment_overlap(&a.own_segments, &b.own_segments) < config.segment_threshold {
+                    continue;
+                }
+                pairs.push((i, j));
+            }
+        }
+        pairs
+    }
+
+    /// MinHash candidate generation must find every pair the threshold
+    /// criteria accept: plant near-clones among distractors and require
+    /// banded LSH to return everything the all-pairs scan does.
+    #[test]
+    fn minhash_recalls_planted_pairs() {
+        check("clonedetect::minhash_recalls_planted_pairs", 32, |rng| {
+            let mut apps = Vec::new();
+            for i in 0..usize_in(rng, 2..6) {
+                let base = arb_app(rng, i);
+                // 2% perturbation keeps the pair inside both thresholds.
+                let clone = derive_clone(&base, i, base.own_segments.len() / 50);
+                apps.push(base);
                 apps.push(clone);
             }
             let pairs = CloneDetector::new().code_clones(&apps);
-            prop_assert!(
-                pairs.len() >= expected,
-                "found {} pairs, planted {expected}",
-                pairs.len()
+            let found: Vec<(usize, usize)> = pairs.iter().map(|p| (p.a, p.b)).collect();
+            let exact = code_clones_all_pairs(&apps, &CloneConfig::default());
+            let missed: Vec<_> = exact.iter().filter(|p| !found.contains(p)).collect();
+            assert!(
+                missed.is_empty(),
+                "LSH missed {missed:?}: found {} of the {} pairs the all-pairs scan accepts",
+                exact.len() - missed.len(),
+                exact.len()
             );
             // Every reported pair actually satisfies the thresholds.
             for p in &pairs {
                 let (a, b) = (&apps[p.a], &apps[p.b]);
-                prop_assert!(p.distance <= 0.05);
-                prop_assert!(p.segment_share >= 0.85);
-                prop_assert!(a.package != b.package);
-                prop_assert!(a.developer != b.developer);
+                assert!(p.distance <= 0.05);
+                assert!(p.segment_share >= 0.85);
+                assert!(a.package != b.package);
+                assert!(a.developer != b.developer);
             }
-        }
+        });
+    }
 
-        /// The signature pass flags exactly the packages with ≥2 keys.
-        #[test]
-        fn sig_pass_is_exact(n_pkgs in 1usize..8, dup in 0usize..8) {
+    /// The signature pass flags exactly the packages with ≥2 keys.
+    #[test]
+    fn sig_pass_is_exact() {
+        check("clonedetect::sig_pass_is_exact", 32, |rng| {
+            let n_pkgs = usize_in(rng, 1..8);
+            let dup = usize_in(rng, 0..8) % n_pkgs;
             let mut apps = Vec::new();
             for i in 0..n_pkgs {
                 apps.push(UniqueApp {
@@ -699,7 +718,6 @@ mod proptests {
                     markets: vec![(MarketId::GooglePlay, 0)],
                 });
             }
-            let dup = dup % n_pkgs;
             apps.push(UniqueApp {
                 package: format!("com.pkg{dup}.app"),
                 developer: DeveloperKey::from_label("attacker"),
@@ -708,11 +726,11 @@ mod proptests {
                 markets: vec![(MarketId::PcOnline, 0)],
             });
             let report = CloneDetector::new().sig_clones(&apps);
-            prop_assert_eq!(report.clusters.len(), 1);
+            assert_eq!(report.clusters.len(), 1);
             let key = format!("com.pkg{dup}.app");
-            prop_assert!(report.clusters.contains_key(&key));
+            assert!(report.clusters.contains_key(&key));
             let flagged = report.flagged.iter().filter(|f| **f).count();
-            prop_assert_eq!(flagged, 2);
-        }
+            assert_eq!(flagged, 2);
+        });
     }
 }

@@ -19,7 +19,9 @@
 //! * a small, strict JSON value/parser/serializer used as the wire format
 //!   between simulated market servers and the crawler ([`json`]);
 //! * deterministic, seedable randomness with the heavy-tailed samplers the
-//!   synthetic-world generator needs ([`rng`]).
+//!   synthetic-world generator needs ([`rng`]);
+//! * the seeded case runner and generators every property suite in the
+//!   workspace runs on ([`propcheck`]).
 //!
 //! Everything in the workspace is deterministic given a single `u64` seed;
 //! no module here reads the wall clock or any ambient state.
@@ -35,6 +37,7 @@ pub mod installs;
 pub mod json;
 pub mod market;
 pub mod parallel;
+pub mod propcheck;
 pub mod rng;
 pub mod time;
 

@@ -174,7 +174,7 @@ mod tests {
             move |line| sink_seen.lock().push(line),
         );
         reporter.stop();
-        let lines = seen.lock();
+        let lines: Vec<String> = seen.lock().clone();
         assert!(
             lines.iter().any(|l| l.contains("market=baidu")),
             "final report missing: {lines:?}"

@@ -78,7 +78,7 @@ impl Cdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use marketscope_core::propcheck::{check, f64_in, vec_of};
 
     #[test]
     fn basic_fractions() {
@@ -130,23 +130,25 @@ mod tests {
         assert_eq!(c.median(), Some(7.0));
     }
 
-    proptest! {
-        #[test]
-        fn fraction_is_monotone_in_x(mut xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
-                                     a in -1e6f64..1e6, b in -1e6f64..1e6) {
-            let c = Cdf::new(std::mem::take(&mut xs));
+    #[test]
+    fn fraction_is_monotone_in_x() {
+        check("cdf::fraction_is_monotone_in_x", 256, |rng| {
+            let c = Cdf::new(vec_of(rng, 1..200, |r| f64_in(r, -1e6, 1e6)));
+            let (a, b) = (f64_in(rng, -1e6, 1e6), f64_in(rng, -1e6, 1e6));
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(c.fraction_at_or_below(lo) <= c.fraction_at_or_below(hi));
-        }
+            assert!(c.fraction_at_or_below(lo) <= c.fraction_at_or_below(hi));
+        });
+    }
 
-        #[test]
-        fn quantile_in_sample_range(xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
-                                    q in 0.0f64..1.0) {
-            let c = Cdf::new(xs.clone());
-            let v = c.quantile(q).unwrap();
+    #[test]
+    fn quantile_in_sample_range() {
+        check("cdf::quantile_in_sample_range", 256, |rng| {
+            let xs = vec_of(rng, 1..100, |r| f64_in(r, -1e6, 1e6));
+            let q = f64_in(rng, 0.0, 1.0);
+            let v = Cdf::new(xs.clone()).quantile(q).unwrap();
             let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(v >= lo && v <= hi);
-        }
+            assert!(v >= lo && v <= hi, "q={q} gave {v} outside [{lo}, {hi}]");
+        });
     }
 }

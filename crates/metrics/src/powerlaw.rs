@@ -45,7 +45,7 @@ pub fn gini(values: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use marketscope_core::propcheck::{check, f64_in, vec_of};
 
     #[test]
     fn top_share_of_uniform_matches_fraction() {
@@ -79,21 +79,24 @@ mod tests {
         assert!((g - 0.75).abs() < 1e-12, "{g}");
     }
 
-    proptest! {
-        #[test]
-        fn top_share_bounded_and_monotone(values in proptest::collection::vec(0u64..1_000_000, 1..300),
-                                          f1 in 0.001f64..1.0, f2 in 0.001f64..1.0) {
+    #[test]
+    fn top_share_bounded_and_monotone() {
+        check("powerlaw::top_share_bounded_and_monotone", 256, |rng| {
+            let values = vec_of(rng, 1..300, |r| r.range_u64(0, 1_000_000));
+            let (f1, f2) = (f64_in(rng, 0.001, 1.0), f64_in(rng, 0.001, 1.0));
             let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
             let a = top_share(&values, lo);
             let b = top_share(&values, hi);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&a));
-            prop_assert!(a <= b + 1e-9, "top_share not monotone: {a} > {b}");
-        }
+            assert!((0.0..=1.0 + 1e-9).contains(&a));
+            assert!(a <= b + 1e-9, "top_share not monotone: {a} > {b}");
+        });
+    }
 
-        #[test]
-        fn gini_in_unit_interval(values in proptest::collection::vec(0u64..1_000_000, 1..300)) {
-            let g = gini(&values);
-            prop_assert!((-1e-9..=1.0).contains(&g), "gini {g}");
-        }
+    #[test]
+    fn gini_in_unit_interval() {
+        check("powerlaw::gini_in_unit_interval", 256, |rng| {
+            let g = gini(&vec_of(rng, 1..300, |r| r.range_u64(0, 1_000_000)));
+            assert!((-1e-9..=1.0).contains(&g), "gini {g}");
+        });
     }
 }

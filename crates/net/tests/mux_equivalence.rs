@@ -93,7 +93,7 @@ fn batched_outcomes_match_blocking_outcomes_under_seeded_chaos() {
             .build()
     };
 
-    let blocking_server = faulty_server(42, plan.clone());
+    let blocking_server = faulty_server(42, plan);
     let blocking = blocking_fingerprints(&bare(), &blocking_server, 24);
 
     let batched_server = faulty_server(42, plan);
@@ -136,7 +136,7 @@ fn resilient_retries_ride_out_chaos_identically_on_both_paths() {
     };
 
     let blocking_registry = Registry::new();
-    let blocking_server = faulty_server(9, plan.clone());
+    let blocking_server = faulty_server(9, plan);
     let blocking = blocking_fingerprints(&resilient(&blocking_registry), &blocking_server, 24);
 
     let batched_registry = Registry::new();
@@ -217,7 +217,7 @@ fn transparent_retry_spans_share_their_shape_across_paths() {
     };
 
     let blocking_tracer = Arc::new(Tracer::new(TracerConfig::always(256)));
-    let blocking_server = faulty_server(11, plan.clone());
+    let blocking_server = faulty_server(11, plan);
     let client = client_with(&blocking_tracer);
     let root = blocking_tracer.root_span("test", "fetch");
     let root_ctx = root.context().unwrap();
@@ -277,7 +277,7 @@ fn breakers_trip_at_the_same_request_index_on_both_paths() {
             .build()
     };
 
-    let blocking_server = faulty_server(8, plan.clone());
+    let blocking_server = faulty_server(8, plan);
     let blocking = blocking_fingerprints(&breaker_client(), &blocking_server, 7);
 
     let batched_server = faulty_server(8, plan);

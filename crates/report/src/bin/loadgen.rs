@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `run` generates a world (default scale honors
-//! `MARKETSCOPE_BENCH_DIVISOR`, like the Criterion suites), spawns the
+//! `MARKETSCOPE_BENCH_DIVISOR`), spawns the
 //! market fleet, drives it with the chosen load profile and writes
 //! `BENCH_<label>.json`. Unlike `reproduce --bench` it skips the crawl
 //! and analysis pipeline, so the BENCH file carries no stage timings —

@@ -4,11 +4,12 @@
 //! merges are order-insensitive, and burn-rate alerts fire and resolve
 //! deterministically.
 
+use marketscope_core::propcheck::{check, usize_in, vec_of};
+use marketscope_core::rng::DetRng;
 use marketscope_telemetry::{
     EventLog, LogLevel, MetricSelector, Registry, SeriesStore, SloEvaluator, SloObjective,
     SloPolicy, SloRule,
 };
-use proptest::prelude::*;
 
 /// A registry snapshot with one counter at `total`, stamps pinned so
 /// snapshot-level equality is exact across processes.
@@ -18,16 +19,19 @@ fn counter_snapshot(total: u64, stamp: u64) -> marketscope_telemetry::RegistrySn
     r.snapshot().stamped(stamp, stamp)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// This suite's runner: 128 cases per property, streams named
+/// `series_properties::<property>`.
+fn property(name: &str, body: impl FnMut(&mut DetRng)) {
+    check(&format!("series_properties::{name}"), 128, body);
+}
 
-    /// Deltas never go negative, even when consecutive observations are
-    /// fed out of order (a restarted process, a clock-skewed peer): the
-    /// store saturates instead of underflowing.
-    #[test]
-    fn counter_deltas_never_negative(
-        totals in proptest::collection::vec(0u64..1_000_000, 1..40),
-    ) {
+/// Deltas never go negative, even when consecutive observations are
+/// fed out of order (a restarted process, a clock-skewed peer): the
+/// store saturates instead of underflowing.
+#[test]
+fn counter_deltas_never_negative() {
+    property("counter_deltas_never_negative", |rng| {
+        let totals = vec_of(rng, 1..40, |r| r.range_u64(0, 1_000_000));
         let mut store = SeriesStore::new(64);
         for (i, &t) in totals.iter().enumerate() {
             store.observe(&counter_snapshot(t, i as u64 + 1));
@@ -39,7 +43,7 @@ proptest! {
                 // `delta` is u64, so a backwards total can never
                 // underflow; it also can never exceed its own tick's
                 // cumulative total.
-                prop_assert!(p.delta <= p.total);
+                assert!(p.delta <= p.total);
                 windowed += p.delta;
             }
         }
@@ -49,21 +53,20 @@ proptest! {
         for w in totals.windows(2) {
             expect += w[1].saturating_sub(w[0]);
         }
-        prop_assert_eq!(windowed, expect);
-    }
+        assert_eq!(windowed, expect);
+    });
+}
 
-    /// merge(delta(a), delta(b)) == delta(merge(a, b)) for two stores on
-    /// a shared tick schedule.
-    #[test]
-    fn merge_then_delta_equals_delta_then_merge(
-        xs in proptest::collection::vec(0u64..10_000, 1..20),
-        ys in proptest::collection::vec(0u64..10_000, 1..20),
-    ) {
+/// merge(delta(a), delta(b)) == delta(merge(a, b)) for two stores on
+/// a shared tick schedule.
+#[test]
+fn merge_then_delta_equals_delta_then_merge() {
+    property("merge_then_delta_equals_delta_then_merge", |rng| {
+        let xs = vec_of(rng, 1..20, |r| r.range_u64(0, 10_000));
+        let ys = vec_of(rng, 1..20, |r| r.range_u64(0, 10_000));
         let ticks = xs.len().max(ys.len());
         // Cumulative totals: each process's counter only goes up.
-        let cum = |vals: &[u64], t: usize| -> u64 {
-            vals.iter().take(t + 1).sum()
-        };
+        let cum = |vals: &[u64], t: usize| -> u64 { vals.iter().take(t + 1).sum() };
         let mut store_a = SeriesStore::new(64);
         let mut store_b = SeriesStore::new(64);
         let mut store_merged = SeriesStore::new(64);
@@ -77,38 +80,39 @@ proptest! {
         }
         let merged_after = store_a.snapshot().merge(&store_b.snapshot());
         let merged_before = store_merged.snapshot();
-        prop_assert_eq!(merged_after, merged_before);
-    }
+        assert_eq!(merged_after, merged_before);
+    });
+}
 
-    /// The per-instrument ring keeps exactly the newest `capacity`
-    /// points, in tick order.
-    #[test]
-    fn ring_keeps_newest_capacity_points(
-        n in 1usize..60,
-        capacity in 1usize..16,
-    ) {
+/// The per-instrument ring keeps exactly the newest `capacity`
+/// points, in tick order.
+#[test]
+fn ring_keeps_newest_capacity_points() {
+    property("ring_keeps_newest_capacity_points", |rng| {
+        let n = usize_in(rng, 1..60);
+        let capacity = usize_in(rng, 1..16);
         let mut store = SeriesStore::new(capacity);
         for t in 0..n {
             store.observe(&counter_snapshot((t as u64 + 1) * 10, t as u64 + 1));
         }
         let snap = store.snapshot();
-        prop_assert_eq!(snap.ticks, n as u64);
+        assert_eq!(snap.ticks, n as u64);
         for points in snap.counters.values() {
-            prop_assert_eq!(points.len(), n.min(capacity));
+            assert_eq!(points.len(), n.min(capacity));
             let ticks: Vec<u64> = points.iter().map(|p| p.tick).collect();
-            let expect: Vec<u64> =
-                ((n - n.min(capacity)) as u64..n as u64).collect();
-            prop_assert_eq!(ticks, expect);
+            let expect: Vec<u64> = ((n - n.min(capacity)) as u64..n as u64).collect();
+            assert_eq!(ticks, expect);
         }
-    }
+    });
+}
 
-    /// Log snapshot merging is order-insensitive: merge(a, b) and
-    /// merge(b, a) produce the same timeline and tallies.
-    #[test]
-    fn log_merge_is_order_insensitive(
-        na in 0usize..20,
-        nb in 0usize..20,
-    ) {
+/// Log snapshot merging is order-insensitive: merge(a, b) and
+/// merge(b, a) produce the same timeline and tallies.
+#[test]
+fn log_merge_is_order_insensitive() {
+    property("log_merge_is_order_insensitive", |rng| {
+        let na = usize_in(rng, 0..20);
+        let nb = usize_in(rng, 0..20);
         let log_a = EventLog::new(32);
         let log_b = EventLog::new(32);
         for i in 0..na {
@@ -120,10 +124,10 @@ proptest! {
         let (a, b) = (log_a.snapshot(), log_b.snapshot());
         let ab = a.clone().merge(&b);
         let ba = b.clone().merge(&a);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(ab.recorded, (na + nb) as u64);
-        prop_assert_eq!(ab.events.len(), na + nb);
-    }
+        assert_eq!(ab, ba);
+        assert_eq!(ab.recorded, (na + nb) as u64);
+        assert_eq!(ab.events.len(), na + nb);
+    });
 }
 
 /// A policy with one zero-budget rule over `events_total{side="x"}`,

@@ -11,230 +11,218 @@ use marketscope::apk::permmap::{PermissionMap, SinkClass, SourceClass};
 use marketscope::apk::zip::ZipArchive;
 use marketscope::clonedetect::{normalized_manhattan, segment_overlap};
 use marketscope::core::json::Json;
+use marketscope::core::propcheck::{any_u64, check, printable, string_of, usize_in, vec_of};
+use marketscope::core::rng::DetRng;
 use marketscope::core::{DeveloperKey, PackageName, SimDate, VersionCode};
 use marketscope::libdetect::PackageOwnership;
-use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // ---------- generators ----------
 
-fn arb_package() -> impl Strategy<Value = String> {
-    (
-        "[a-z][a-z0-9_]{0,6}",
-        "[a-z][a-z0-9_]{0,6}",
-        "[a-z][a-z0-9_]{0,6}",
-    )
-        .prop_map(|(a, b, c)| format!("{a}.{b}.{c}"))
+fn arb_package(rng: &mut DetRng) -> String {
+    let mut seg = || string_of(rng, "a-z", 1..=1) + &string_of(rng, "a-z0-9_", 0..=6);
+    format!("{}.{}.{}", seg(), seg(), seg())
 }
 
-fn arb_method() -> impl Strategy<Value = MethodDef> {
-    (
-        proptest::collection::vec(0u32..API_DIMENSIONS, 0..6),
-        any::<u64>(),
-    )
-        .prop_map(|(calls, hash)| MethodDef {
-            api_calls: calls.into_iter().map(ApiCallId).collect(),
-            code_hash: hash,
-            invokes: vec![],
-        })
+fn arb_method(rng: &mut DetRng) -> MethodDef {
+    MethodDef {
+        api_calls: vec_of(rng, 0..6, |r| {
+            ApiCallId(r.range_u64(0, API_DIMENSIONS.into()) as u32)
+        }),
+        code_hash: any_u64(rng),
+        invokes: vec![],
+    }
 }
 
-fn arb_class() -> impl Strategy<Value = ClassDef> {
-    (
-        "[a-z][a-z0-9]{0,5}",
-        "[a-z][a-z0-9]{0,5}",
-        "[A-Z][a-zA-Z0-9]{0,6}",
-        proptest::collection::vec(arb_method(), 0..4),
-    )
-        .prop_map(|(p1, p2, cls, methods)| ClassDef {
-            name: format!("L{p1}/{p2}/{cls};"),
-            methods,
-        })
+fn arb_class(rng: &mut DetRng) -> ClassDef {
+    let mut pkg = || string_of(rng, "a-z", 1..=1) + &string_of(rng, "a-z0-9", 0..=5);
+    let (p1, p2) = (pkg(), pkg());
+    let cls = string_of(rng, "A-Z", 1..=1) + &string_of(rng, "a-zA-Z0-9", 0..=6);
+    ClassDef {
+        name: format!("L{p1}/{p2}/{cls};"),
+        methods: vec_of(rng, 0..4, arb_method),
+    }
 }
 
 /// A dex file whose invocation edges are all valid (wired modulo the
-/// generated class/method counts), exercising the v2 tagged layout.
-fn arb_wired_dex() -> impl Strategy<Value = DexFile> {
-    (
-        proptest::collection::vec(arb_class(), 1..8),
-        proptest::collection::vec(
-            (any::<u16>(), any::<u16>(), any::<u16>(), any::<u16>()),
-            0..24,
-        ),
-    )
-        .prop_map(|(mut classes, edges)| {
-            let n = classes.len() as u16;
-            for (sc, sm, tc, tm) in edges {
-                let (sc, tc) = (sc % n, tc % n);
-                let src_methods = classes[sc as usize].methods.len() as u16;
-                let tgt_methods = classes[tc as usize].methods.len() as u16;
-                if src_methods == 0 || tgt_methods == 0 {
-                    continue;
-                }
-                let target = MethodRef {
-                    class: tc,
-                    method: tm % tgt_methods,
-                };
-                classes[sc as usize].methods[(sm % src_methods) as usize]
-                    .invokes
-                    .push(target);
-            }
-            DexFile { classes }
-        })
+/// generated class/method counts), exercising the tagged layout.
+fn arb_wired_dex(rng: &mut DetRng) -> DexFile {
+    let mut classes = vec_of(rng, 1..8, arb_class);
+    let n = classes.len() as u16;
+    for _ in 0..usize_in(rng, 0..24) {
+        let [sc, sm, tc, tm] = [(); 4].map(|()| any_u64(rng) as u16);
+        let (sc, tc) = (sc % n, tc % n);
+        let src_methods = classes[sc as usize].methods.len() as u16;
+        let tgt_methods = classes[tc as usize].methods.len() as u16;
+        if src_methods == 0 || tgt_methods == 0 {
+            continue;
+        }
+        let target = MethodRef {
+            class: tc,
+            method: tm % tgt_methods,
+        };
+        classes[sc as usize].methods[(sm % src_methods) as usize]
+            .invokes
+            .push(target);
+    }
+    DexFile { classes }
 }
 
-fn arb_component() -> impl Strategy<Value = Component> {
-    (0u8..3, "[A-Z][a-zA-Z0-9]{0,6}").prop_map(|(kind, cls)| Component {
-        kind: match kind {
-            0 => ComponentKind::Activity,
-            1 => ComponentKind::Service,
-            _ => ComponentKind::Receiver,
-        },
+fn arb_component(rng: &mut DetRng) -> Component {
+    let kind = *rng.pick(&[
+        ComponentKind::Activity,
+        ComponentKind::Service,
+        ComponentKind::Receiver,
+    ]);
+    let cls = string_of(rng, "A-Z", 1..=1) + &string_of(rng, "a-zA-Z0-9", 0..=6);
+    Component {
+        kind,
         class: format!("Lapp/{cls};"),
+    }
+}
+
+fn arb_manifest(rng: &mut DetRng) -> Manifest {
+    let pkg = arb_package(rng);
+    let vc = rng.range_u64(1, 500) as u32;
+    let sdk = rng.range_u64(0, 28) as u8;
+    Manifest {
+        package: PackageName::new(&pkg).expect("generated packages are valid"),
+        version_code: VersionCode(vc),
+        version_name: format!("{vc}.0"),
+        min_sdk: sdk.max(1),
+        target_sdk: sdk.max(1).saturating_add(5),
+        permissions: vec_of(rng, 0..6, |r| {
+            format!("android.permission.{}", string_of(r, "A-Z_", 3..=20))
+        }),
+        app_label: string_of(rng, " -~", 0..=30),
+        category: "Tools".into(),
+        components: vec_of(rng, 0..4, arb_component),
+    }
+}
+
+/// `(position, xor mask)` corruptions applied modulo the buffer length.
+fn flip_bytes(rng: &mut DetRng, buf: &mut [u8]) {
+    for _ in 0..usize_in(rng, 1..8) {
+        let i = any_u64(rng) as u16 as usize % buf.len();
+        buf[i] ^= any_u64(rng) as u8;
+    }
+}
+
+/// A sparse vector: distinct keys in `0..2000`, counts in `1..50`.
+fn arb_sparse_vector(rng: &mut DetRng) -> Vec<(u32, u32)> {
+    let entries: BTreeMap<u32, u32> = vec_of(rng, 0..40, |r| {
+        (r.range_u64(0, 2000) as u32, r.range_u64(1, 50) as u32)
     })
+    .into_iter()
+    .collect();
+    entries.into_iter().collect()
 }
 
-fn arb_manifest() -> impl Strategy<Value = Manifest> {
-    (
-        arb_package(),
-        1u32..500,
-        0u8..28,
-        proptest::collection::vec("android\\.permission\\.[A-Z_]{3,20}", 0..6),
-        "[ -~]{0,30}",
-        proptest::collection::vec(arb_component(), 0..4),
-    )
-        .prop_map(|(pkg, vc, sdk, perms, label, components)| Manifest {
-            package: PackageName::new(&pkg).expect("generated packages are valid"),
-            version_code: VersionCode(vc),
-            version_name: format!("{vc}.0"),
-            min_sdk: sdk.max(1),
-            target_sdk: sdk.max(1).saturating_add(5),
-            app_label: label,
-            permissions: perms,
-            category: "Tools".into(),
-            components,
-        })
+/// This suite's runner: 64 cases per property, streams named
+/// `properties::<property>`.
+fn property(name: &str, body: impl FnMut(&mut DetRng)) {
+    check(&format!("properties::{name}"), 64, body);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+// ---------- APK container ----------
 
-    // ---------- APK container ----------
-
-    #[test]
-    fn any_built_apk_parses_back(
-        manifest in arb_manifest(),
-        classes in proptest::collection::vec(arb_class(), 0..12),
-        dev in "[a-z0-9]{1,12}",
-        channel in proptest::option::of("[a-z]{1,10}"),
-    ) {
-        let dex = DexFile { classes };
-        let key = DeveloperKey::from_label(&dev);
+#[test]
+fn any_built_apk_parses_back() {
+    property("any_built_apk_parses_back", |rng| {
+        let manifest = arb_manifest(rng);
+        let dex = DexFile {
+            classes: vec_of(rng, 0..12, arb_class),
+        };
+        let key = DeveloperKey::from_label(&string_of(rng, "a-z0-9", 1..=12));
+        let channel = rng.chance(0.5).then(|| string_of(rng, "a-z", 1..=10));
         let mut builder = ApkBuilder::new(manifest.clone(), dex.clone());
         if let Some(ch) = &channel {
             builder = builder.channel(ch, b"chan".to_vec());
         }
         let bytes = builder.build(key).unwrap();
         let parsed = marketscope::apk::ParsedApk::parse(&bytes).unwrap();
-        prop_assert_eq!(&parsed.manifest, &manifest);
-        prop_assert_eq!(&parsed.dex, &dex);
-        prop_assert!(parsed.signature_valid);
-        prop_assert_eq!(parsed.developer(), key);
-        prop_assert_eq!(parsed.channels.len(), usize::from(channel.is_some()));
+        assert_eq!(parsed.manifest, manifest);
+        assert_eq!(parsed.dex, dex);
+        assert!(parsed.signature_valid);
+        assert_eq!(parsed.developer(), key);
+        assert_eq!(parsed.channels.len(), usize::from(channel.is_some()));
         // The digest agrees with the parse.
         let digest = ApkDigest::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&digest.package, &manifest.package);
-        prop_assert_eq!(digest.code_segments().count(), dex.method_count());
-    }
+        assert_eq!(digest.package, manifest.package);
+        assert_eq!(digest.code_segments().count(), dex.method_count());
+    });
+}
 
-    #[test]
-    fn apk_parser_never_panics_on_mutations(
-        manifest in arb_manifest(),
-        classes in proptest::collection::vec(arb_class(), 0..4),
-        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..8),
-    ) {
-        let bytes = ApkBuilder::new(manifest, DexFile { classes })
+#[test]
+fn apk_parser_never_panics_on_mutations() {
+    property("apk_parser_never_panics_on_mutations", |rng| {
+        let manifest = arb_manifest(rng);
+        let classes = vec_of(rng, 0..4, arb_class);
+        let mut corrupted = ApkBuilder::new(manifest, DexFile { classes })
             .build(DeveloperKey::from_label("d"))
             .unwrap();
-        let mut corrupted = bytes.clone();
-        for (pos, val) in flips {
-            let i = pos as usize % corrupted.len();
-            corrupted[i] ^= val;
-        }
+        flip_bytes(rng, &mut corrupted);
         // Must never panic; any Result is acceptable.
         let _ = marketscope::apk::ParsedApk::parse(&corrupted);
         let _ = ZipArchive::parse(&corrupted);
-    }
+    });
+}
 
-    // ---------- tagged dex surface ----------
+// ---------- tagged dex surface ----------
 
-    #[test]
-    fn dex_v2_round_trips_and_v1_strips_edges(dex in arb_wired_dex()) {
-        // The v2 (edge-tagged) layout is lossless.
-        let decoded = DexFile::decode(&dex.encode()).unwrap();
-        prop_assert_eq!(&decoded, &dex);
-        // The v1 layout drops edges on the wire and nothing else.
-        let v1 = DexFile::decode(&dex.encode_v1()).unwrap();
-        prop_assert_eq!(v1.classes.len(), dex.classes.len());
-        for (a, b) in v1.classes.iter().zip(&dex.classes) {
-            prop_assert_eq!(&a.name, &b.name);
-            prop_assert_eq!(a.methods.len(), b.methods.len());
-            for (ma, mb) in a.methods.iter().zip(&b.methods) {
-                prop_assert_eq!(ma.code_hash, mb.code_hash);
-                prop_assert_eq!(&ma.api_calls, &mb.api_calls);
-                prop_assert!(ma.invokes.is_empty(), "v1 must strip edges");
-            }
-        }
-    }
+#[test]
+fn dex_v2_round_trips() {
+    property("dex_v2_round_trips", |rng| {
+        let dex = arb_wired_dex(rng);
+        assert_eq!(DexFile::decode(&dex.encode()).unwrap(), dex);
+    });
+}
 
-    #[test]
-    fn dex_decoder_rejects_every_truncation(dex in arb_wired_dex(), cut in any::<u16>()) {
+#[test]
+fn dex_decoder_rejects_every_truncation() {
+    property("dex_decoder_rejects_every_truncation", |rng| {
         // A valid encoding consumes every byte, so *any* strict prefix
         // must be rejected — never panic, never half-parse.
-        let bytes = dex.encode();
-        let k = cut as usize % bytes.len();
-        prop_assert!(DexFile::decode(&bytes[..k]).is_err());
-    }
+        let bytes = arb_wired_dex(rng).encode();
+        let k = usize_in(rng, 0..bytes.len());
+        assert!(DexFile::decode(&bytes[..k]).is_err(), "prefix of {k} bytes");
+    });
+}
 
-    #[test]
-    fn dex_decoder_is_total_under_bit_flips(
-        dex in arb_wired_dex(),
-        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..8),
-    ) {
-        let mut bytes = dex.encode();
-        for (pos, val) in flips {
-            let i = pos as usize % bytes.len();
-            bytes[i] ^= val;
-        }
+#[test]
+fn dex_decoder_is_total_under_bit_flips() {
+    property("dex_decoder_is_total_under_bit_flips", |rng| {
+        let mut bytes = arb_wired_dex(rng).encode();
+        flip_bytes(rng, &mut bytes);
         // Must never panic; any Result is acceptable.
         let _ = DexFile::decode(&bytes);
-    }
+    });
+}
 
-    // ---------- taint / leak attribution ----------
+// ---------- taint / leak attribution ----------
 
-    #[test]
-    fn leak_analysis_is_worker_invariant(
-        manifest in arb_manifest(),
-        classes in proptest::collection::vec(arb_class(), 1..8),
-        injections in proptest::collection::vec(
-            (any::<u8>(), any::<u8>(), any::<u16>()),
-            0..6,
-        ),
-    ) {
+#[test]
+fn leak_analysis_is_worker_invariant() {
+    property("leak_analysis_is_worker_invariant", |rng| {
+        let manifest = arb_manifest(rng);
+        let mut classes = vec_of(rng, 1..8, arb_class);
         // Inject real source/sink API ids so a share of generated apps
         // genuinely leak (pure-random call ids rarely hit the sparse
         // sink space).
         let map = PermissionMap::standard();
-        let mut classes = classes;
-        for (s, k, at) in injections {
-            let src = map.source_apis(SourceClass::ALL[s as usize % SourceClass::ALL.len()])[0];
-            let snk = map.sink_apis(SinkClass::ALL[k as usize % SinkClass::ALL.len()])[0];
-            let ci = at as usize % classes.len();
+        for _ in 0..usize_in(rng, 0..6) {
+            let src = map.source_apis(*rng.pick(&SourceClass::ALL))[0];
+            let snk = map.sink_apis(*rng.pick(&SinkClass::ALL))[0];
+            let ci = rng.index(classes.len());
             if let Some(m) = classes[ci].methods.first_mut() {
                 m.api_calls.push(src);
                 m.api_calls.push(snk);
             }
         }
-        let bytes = ApkBuilder::new(manifest, DexFile { classes: classes.clone() })
+        let dex = DexFile {
+            classes: classes.clone(),
+        };
+        let bytes = ApkBuilder::new(manifest, dex)
             .build(DeveloperKey::from_label("prop"))
             .unwrap();
         let digest = ApkDigest::from_bytes(&bytes).unwrap();
@@ -254,88 +242,100 @@ proptest! {
             .collect();
         for workers in [1usize, 2, 8] {
             let batch = analyzer.analyze_batch(&digests, &ownership, workers);
-            prop_assert_eq!(&batch, &sequential, "workers = {}", workers);
+            assert_eq!(batch, sequential, "workers = {workers}");
         }
         // Attribution is a partition of the digest's flows.
         let r = &sequential[0];
-        prop_assert_eq!(r.flows.len(), digest.flows.len());
-        prop_assert_eq!(r.host_flows() + r.library_flows(), r.flows.len());
-        prop_assert_eq!(r.leaks(), !digest.flows.is_empty());
-    }
+        assert_eq!(r.flows.len(), digest.flows.len());
+        assert_eq!(r.host_flows() + r.library_flows(), r.flows.len());
+        assert_eq!(r.leaks(), !digest.flows.is_empty());
+    });
+}
 
-    // ---------- JSON ----------
+// ---------- JSON ----------
 
-    #[test]
-    fn json_strings_round_trip(s in "\\PC*") {
-        let doc = Json::Str(s.clone());
+#[test]
+fn json_strings_round_trip() {
+    property("json_strings_round_trip", |rng| {
+        let doc = Json::Str(printable(rng, 0..=32));
         let wire = doc.to_string_compact();
-        prop_assert_eq!(Json::parse(&wire).unwrap(), doc);
-    }
+        assert_eq!(Json::parse(&wire).unwrap(), doc);
+    });
+}
 
-    #[test]
-    fn json_numbers_round_trip(i in any::<i64>()) {
+#[test]
+fn json_numbers_round_trip() {
+    property("json_numbers_round_trip", |rng| {
+        let i = any_u64(rng) as i64;
         let wire = Json::Int(i).to_string_compact();
-        prop_assert_eq!(Json::parse(&wire).unwrap(), Json::Int(i));
-    }
+        assert_eq!(Json::parse(&wire).unwrap(), Json::Int(i));
+    });
+}
 
-    #[test]
-    fn json_parser_never_panics(input in "\\PC*") {
-        let _ = Json::parse(&input);
-    }
+#[test]
+fn json_parser_never_panics() {
+    property("json_parser_never_panics", |rng| {
+        let _ = Json::parse(&printable(rng, 0..=32));
+    });
+}
 
-    // ---------- clone metrics ----------
+// ---------- clone metrics ----------
 
-    #[test]
-    fn manhattan_distance_is_a_semimetric(
-        a in proptest::collection::btree_map(0u32..2000, 1u32..50, 0..40),
-        b in proptest::collection::btree_map(0u32..2000, 1u32..50, 0..40),
-    ) {
-        let va: Vec<(u32, u32)> = a.into_iter().collect();
-        let vb: Vec<(u32, u32)> = b.into_iter().collect();
+#[test]
+fn manhattan_distance_is_a_semimetric() {
+    property("manhattan_distance_is_a_semimetric", |rng| {
+        let va = arb_sparse_vector(rng);
+        let vb = arb_sparse_vector(rng);
         let dab = normalized_manhattan(&va, &vb);
         let dba = normalized_manhattan(&vb, &va);
-        prop_assert!((dab - dba).abs() < 1e-12, "asymmetric: {dab} vs {dba}");
-        prop_assert!((0.0..=1.0).contains(&dab), "out of range: {dab}");
-        prop_assert!(normalized_manhattan(&va, &va) == 0.0 || va.is_empty());
-    }
+        assert!((dab - dba).abs() < 1e-12, "asymmetric: {dab} vs {dba}");
+        assert!((0.0..=1.0).contains(&dab), "out of range: {dab}");
+        assert!(normalized_manhattan(&va, &va) == 0.0 || va.is_empty());
+    });
+}
 
-    #[test]
-    fn segment_overlap_is_bounded_and_symmetric(
-        a in proptest::collection::vec(any::<u64>(), 0..60),
-        b in proptest::collection::vec(any::<u64>(), 0..60),
-    ) {
-        let mut a = a; a.sort_unstable();
-        let mut b = b; b.sort_unstable();
+#[test]
+fn segment_overlap_is_bounded_and_symmetric() {
+    property("segment_overlap_is_bounded_and_symmetric", |rng| {
+        let mut a = vec_of(rng, 0..60, any_u64);
+        let mut b = vec_of(rng, 0..60, any_u64);
+        a.sort_unstable();
+        b.sort_unstable();
         let sab = segment_overlap(&a, &b);
         let sba = segment_overlap(&b, &a);
-        prop_assert!((sab - sba).abs() < 1e-12);
-        prop_assert!((0.0..=1.0).contains(&sab));
+        assert!((sab - sba).abs() < 1e-12);
+        assert!((0.0..=1.0).contains(&sab));
         if !a.is_empty() {
-            prop_assert_eq!(segment_overlap(&a, &a), 1.0);
+            assert_eq!(segment_overlap(&a, &a), 1.0);
         }
-    }
+    });
+}
 
-    // ---------- dates ----------
+// ---------- dates ----------
 
-    #[test]
-    fn simdate_roundtrips_through_strings(days in -14000i64..60000) {
+#[test]
+fn simdate_roundtrips_through_strings() {
+    property("simdate_roundtrips_through_strings", |rng| {
+        let days = rng.range_u64(0, 74_000) as i64 - 14_000;
         let d = SimDate::from_days(days).unwrap();
-        let s = d.to_string();
-        let back: SimDate = s.parse().unwrap();
-        prop_assert_eq!(back, d);
-    }
+        let back: SimDate = d.to_string().parse().unwrap();
+        assert_eq!(back, d);
+    });
+}
 
-    // ---------- install ranges ----------
+// ---------- install ranges ----------
 
-    #[test]
-    fn install_range_string_parses_to_lower_bound(v in any::<u64>()) {
-        use marketscope::core::InstallRange;
+#[test]
+fn install_range_string_parses_to_lower_bound() {
+    use marketscope::core::InstallRange;
+    property("install_range_string_parses_to_lower_bound", |rng| {
+        let v = any_u64(rng);
         let r = InstallRange::from_count(v);
-        prop_assert!(v >= r.lower_bound());
+        assert!(v >= r.lower_bound());
         if let Some(hi) = r.upper_bound() {
-            prop_assert!(v < hi);
+            assert!(v < hi);
         }
-    }
+    });
 }
 
 // ---------- deterministic cross-crate invariants ----------
