@@ -15,7 +15,6 @@
 use marketscope_apk::digest::ApkDigest;
 use marketscope_core::hash::{fnv1a64, mix64};
 use marketscope_ecosystem::threat::{decode_detectability, FamilyId, ThreatDb};
-use std::collections::HashSet;
 
 /// Number of simulated engines (VirusTotal aggregates "more than 60").
 pub const ENGINE_COUNT: usize = 60;
@@ -64,9 +63,7 @@ impl AvSimulator {
 
     /// Scan one sample.
     pub fn scan(&self, digest: &ApkDigest) -> AvReport {
-        let hashes: HashSet<u64> = digest.code_segments().collect();
-        let matched = self.db.scan(hashes.iter().copied());
-        let Some((family, sig_count)) = matched else {
+        let Some((family, sig_count)) = self.db.scan(digest.code_segments()) else {
             // Clean sample: engines almost never false-positive here; a
             // tiny deterministic residue keeps the model honest.
             let mut rank = 0;
@@ -86,7 +83,8 @@ impl AvSimulator {
         };
         // Detectability from the variant marker; fall back to a value
         // implied by how many signatures are present.
-        let detectability = decode_detectability(&hashes).unwrap_or(0.05 + 0.03 * sig_count as f64);
+        let detectability =
+            decode_detectability(digest.code_segments()).unwrap_or(0.05 + 0.03 * sig_count as f64);
         let fam = self.db.family(family);
         let variant_key = mix64(fnv1a64(fam.name.as_bytes()), md5_key(digest));
         let mut rank = 0;
@@ -164,6 +162,7 @@ mod tests {
     use marketscope_apk::manifest::Manifest;
     use marketscope_core::{DeveloperKey, PackageName, VersionCode};
     use marketscope_ecosystem::threat::{detectability_marker, DETECTABILITY_STEPS};
+    use std::collections::HashSet;
 
     fn sample(family: Option<(&str, f64)>, salt: u64) -> ApkDigest {
         let db = ThreatDb::standard();

@@ -10,9 +10,9 @@
 //! manifest-declared components). The paper's dead-code caveat is the gap
 //! between the two.
 
+use marketscope_apk::apicalls::ApiCallId;
 use marketscope_apk::digest::ApkDigest;
-use marketscope_apk::permmap::{Permission, PermissionMap, PERMISSIONS};
-use std::collections::{BTreeSet, HashMap};
+use marketscope_apk::permmap::{PermSet, Permission, PermissionMap};
 
 /// Which API footprint the over-privilege verdict is computed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,19 +24,19 @@ pub enum FootprintMode {
 }
 
 /// Per-app over-privilege facts, under both footprints.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverprivilegeResult {
     /// Permissions declared in the manifest (recognized ones).
-    pub declared: BTreeSet<Permission>,
+    pub declared: PermSet,
     /// Permissions exercised by any API call in the DEX (flat).
-    pub used: BTreeSet<Permission>,
+    pub used: PermSet,
     /// Declared but never exercised anywhere in the DEX (flat).
-    pub unused: BTreeSet<Permission>,
+    pub unused: PermSet,
     /// Permissions exercised by *reachable* API calls.
-    pub used_reachable: BTreeSet<Permission>,
+    pub used_reachable: PermSet,
     /// Declared but not exercised by any reachable call. Superset of
     /// `unused`: a permission used only from dead code lands here.
-    pub unused_reachable: BTreeSet<Permission>,
+    pub unused_reachable: PermSet,
 }
 
 impl OverprivilegeResult {
@@ -52,10 +52,10 @@ impl OverprivilegeResult {
     }
 
     /// The unused permission set under a given footprint.
-    pub fn unused_in(&self, mode: FootprintMode) -> &BTreeSet<Permission> {
+    pub fn unused_in(&self, mode: FootprintMode) -> PermSet {
         match mode {
-            FootprintMode::Flat => &self.unused,
-            FootprintMode::Reachable => &self.unused_reachable,
+            FootprintMode::Flat => self.unused,
+            FootprintMode::Reachable => self.unused_reachable,
         }
     }
 
@@ -70,18 +70,16 @@ impl OverprivilegeResult {
     }
 
     /// Unused permissions Google labels dangerous (flat baseline).
-    pub fn unused_dangerous(&self) -> impl Iterator<Item = &Permission> {
+    pub fn unused_dangerous(&self) -> impl Iterator<Item = Permission> {
         self.unused.iter().filter(|p| p.is_dangerous())
     }
 }
 
-/// The analyzer: permission map + both static API footprints.
+/// The analyzer: the shared permission map over both static API
+/// footprints.
 #[derive(Debug, Clone)]
 pub struct OverprivilegeAnalyzer {
-    map: PermissionMap,
-    /// Permission-name lookup built once; `analyze` is called per app
-    /// across whole markets, so no linear scans on that path.
-    by_name: HashMap<&'static str, Permission>,
+    map: &'static PermissionMap,
 }
 
 impl Default for OverprivilegeAnalyzer {
@@ -94,29 +92,30 @@ impl OverprivilegeAnalyzer {
     /// Analyzer over the standard platform map.
     pub fn new() -> Self {
         OverprivilegeAnalyzer {
-            map: PermissionMap::standard(),
-            by_name: PERMISSIONS.iter().map(|p| (*p, Permission(p))).collect(),
+            map: PermissionMap::shared(),
         }
+    }
+
+    /// Permissions exercised by the ids of per-package count vectors. An
+    /// id called from several Java packages is looked up once per
+    /// package: folding into a mask needs no dedupe pass.
+    fn exercised<'a>(&self, vectors: impl Iterator<Item = &'a Vec<(u32, u16)>>) -> PermSet {
+        self.map
+            .used_permissions(vectors.flatten().map(|(id, _)| ApiCallId(*id)))
     }
 
     /// Analyze one app digest.
     pub fn analyze(&self, digest: &ApkDigest) -> OverprivilegeResult {
-        let used = self.map.used_permissions(digest.api_calls());
-        let used_reachable = self.map.used_permissions(digest.reachable_api_calls());
-        let declared: BTreeSet<Permission> = digest
-            .permissions
-            .iter()
-            .filter_map(|name| self.by_name.get(name.as_str()).copied())
-            .collect();
-        let unused: BTreeSet<Permission> = declared.difference(&used).copied().collect();
-        let unused_reachable: BTreeSet<Permission> =
-            declared.difference(&used_reachable).copied().collect();
+        let features = &digest.package_features;
+        let used = self.exercised(features.iter().map(|f| &f.api_counts));
+        let used_reachable = self.exercised(features.iter().map(|f| &f.reachable_api_counts));
+        let declared = PermSet::from_names(digest.permissions.iter().map(String::as_str));
         OverprivilegeResult {
             declared,
             used,
-            unused,
+            unused: declared.difference(used),
             used_reachable,
-            unused_reachable,
+            unused_reachable: declared.difference(used_reachable),
         }
     }
 
@@ -143,7 +142,10 @@ pub fn unused_histogram(results: &[OverprivilegeResult]) -> [u64; 11] {
 }
 
 /// The Figure 11 histogram under a chosen footprint.
-pub fn unused_histogram_in(results: &[OverprivilegeResult], mode: FootprintMode) -> [u64; 11] {
+pub fn unused_histogram_in<'a>(
+    results: impl IntoIterator<Item = &'a OverprivilegeResult>,
+    mode: FootprintMode,
+) -> [u64; 11] {
     let mut out = [0u64; 11];
     for r in results {
         let bucket = r.unused_count_in(mode).min(10);
@@ -155,10 +157,10 @@ pub fn unused_histogram_in(results: &[OverprivilegeResult], mode: FootprintMode)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marketscope_apk::apicalls::ApiCallId;
     use marketscope_apk::builder::ApkBuilder;
     use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
     use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
+    use marketscope_apk::permmap::PERMISSIONS;
     use marketscope_core::{DeveloperKey, PackageName, VersionCode};
 
     fn digest_of(declared: Vec<String>, dex: DexFile, components: Vec<Component>) -> ApkDigest {
@@ -237,6 +239,23 @@ mod tests {
         let r = OverprivilegeAnalyzer::new().analyze(&d);
         assert_eq!(r.declared.len(), 0);
         assert!(!r.is_overprivileged());
+    }
+
+    #[test]
+    fn ids_beyond_the_feature_space_exercise_nothing() {
+        use marketscope_apk::apicalls::API_DIMENSIONS;
+        // Digest fields are public, so a caller can hand over ids no
+        // decoder would produce; they must read as "no permission".
+        let mut d = digest_with(vec!["android.permission.CAMERA".into()], vec![]);
+        for f in &mut d.package_features {
+            for id in [API_DIMENSIONS, API_DIMENSIONS + 1, u32::MAX] {
+                f.api_counts.push((id, 1));
+                f.reachable_api_counts.push((id, 1));
+            }
+        }
+        let r = OverprivilegeAnalyzer::new().analyze(&d);
+        assert!(r.used.is_empty() && r.used_reachable.is_empty());
+        assert_eq!(r.unused_count(), 1);
     }
 
     #[test]

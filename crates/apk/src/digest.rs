@@ -13,14 +13,13 @@
 //! entry points to anchor the walk, so every method is conservatively
 //! treated as reachable and the flat and reachable views coincide.
 
-use crate::apicalls::ApiCallId;
 use crate::parse::ParsedApk;
 use crate::permmap::PermissionMap;
 use crate::reach::{CallGraph, ReachStats};
 use crate::taint::{self, TaintFlow};
 use marketscope_core::hash::{fnv1a64, mix64};
 use marketscope_core::{AppKey, DeveloperKey, PackageName, VersionCode};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Feature summary of one Java package subtree inside an APK.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,32 +224,6 @@ impl ApkDigest {
         merged.into_iter().collect()
     }
 
-    /// Iterate the distinct API calls of the whole app (for permission
-    /// mapping). Deduplicated across Java packages: an API called from
-    /// two packages is yielded once.
-    pub fn api_calls(&self) -> impl Iterator<Item = ApiCallId> + '_ {
-        self.package_features
-            .iter()
-            .flat_map(|f| f.api_counts.iter())
-            .map(|(id, _)| *id)
-            .collect::<BTreeSet<u32>>()
-            .into_iter()
-            .map(ApiCallId)
-    }
-
-    /// Iterate the distinct *reachable* API calls of the whole app —
-    /// the PScout input once dead code is discounted. Deduplicated
-    /// across Java packages.
-    pub fn reachable_api_calls(&self) -> impl Iterator<Item = ApiCallId> + '_ {
-        self.package_features
-            .iter()
-            .flat_map(|f| f.reachable_api_counts.iter())
-            .map(|(id, _)| *id)
-            .collect::<BTreeSet<u32>>()
-            .into_iter()
-            .map(ApiCallId)
-    }
-
     /// Iterate every method code-segment hash in the app.
     pub fn code_segments(&self) -> impl Iterator<Item = u64> + '_ {
         self.package_features
@@ -304,6 +277,7 @@ impl ApkDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apicalls::ApiCallId;
     use crate::builder::ApkBuilder;
     use crate::dex::{ClassDef, DexFile, MethodDef, MethodRef};
     use crate::manifest::{Component, ComponentKind, Manifest};
@@ -428,13 +402,13 @@ mod tests {
         let bytes = build(vec![class("Lcom/a/b/C;", &[5, 5, 5], 1)], "com.a.b");
         let d = ApkDigest::from_bytes(&bytes).unwrap();
         assert_eq!(d.api_total(), 3);
-        assert_eq!(d.api_calls().count(), 1); // distinct ids
+        assert_eq!(d.api_counts_merged(), vec![(5, 3)]); // distinct ids
     }
 
     #[test]
-    fn api_calls_dedup_across_packages() {
-        // The same API id called from two Java packages must be yielded
-        // once: the doc promises *distinct* calls of the whole app.
+    fn merged_counts_coalesce_across_packages() {
+        // The same API id called from two Java packages is one entry of
+        // the whole-app vector, carrying both counts.
         let bytes = build(
             vec![
                 class("Lcom/a/b/C;", &[5, 9], 1),
@@ -444,8 +418,7 @@ mod tests {
         );
         let d = ApkDigest::from_bytes(&bytes).unwrap();
         assert_eq!(d.package_features.len(), 2);
-        let ids: Vec<u32> = d.api_calls().map(|a| a.0).collect();
-        assert_eq!(ids, vec![5, 9]);
+        assert_eq!(d.api_counts_merged(), vec![(5, 2), (9, 1)]);
     }
 
     #[test]
@@ -502,11 +475,14 @@ mod tests {
         assert!((d.dead_code_share() - 1.0 / 3.0).abs() < 1e-9);
         assert_eq!(stats.edges_traversed, 1);
         // Flat view still sees everything.
-        let flat: Vec<u32> = d.api_calls().map(|a| a.0).collect();
-        assert_eq!(flat, vec![1, 7, 9]);
+        assert_eq!(d.api_counts_merged(), vec![(1, 1), (7, 1), (9, 1)]);
         // Reachable view drops the dead subtree's call.
-        let reachable: Vec<u32> = d.reachable_api_calls().map(|a| a.0).collect();
-        assert_eq!(reachable, vec![1, 7]);
+        let reachable: Vec<(u32, u16)> = d
+            .package_features
+            .iter()
+            .flat_map(|f| f.reachable_api_counts.iter().copied())
+            .collect();
+        assert_eq!(reachable, vec![(1, 1), (7, 1)]);
         let dead: Vec<&str> = d.dead_packages().map(|f| f.java_package.as_str()).collect();
         assert_eq!(dead, vec!["com.dead.lib"]);
     }

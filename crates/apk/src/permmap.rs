@@ -14,7 +14,6 @@
 
 use crate::apicalls::{ApiCallId, ApiFamily};
 use marketscope_core::hash::mix64;
-use std::collections::BTreeSet;
 
 /// An Android permission, e.g. `android.permission.CAMERA`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,7 +22,7 @@ pub struct Permission(pub &'static str);
 impl Permission {
     /// Whether Google labels this permission *dangerous* (runtime-granted).
     pub fn is_dangerous(self) -> bool {
-        DANGEROUS.contains(&self.0)
+        PermSet::DANGEROUS.contains(self)
     }
 
     /// Short name without the `android.permission.` prefix.
@@ -61,25 +60,62 @@ pub const PERMISSIONS: [&str; 24] = [
     "android.permission.RECEIVE_BOOT_COMPLETED",
 ];
 
-/// The dangerous subset (per Google's protection levels).
-const DANGEROUS: [&str; 16] = [
-    "android.permission.READ_PHONE_STATE",
-    "android.permission.ACCESS_COARSE_LOCATION",
-    "android.permission.ACCESS_FINE_LOCATION",
-    "android.permission.CAMERA",
-    "android.permission.RECORD_AUDIO",
-    "android.permission.READ_CONTACTS",
-    "android.permission.WRITE_CONTACTS",
-    "android.permission.READ_SMS",
-    "android.permission.SEND_SMS",
-    "android.permission.RECEIVE_SMS",
-    "android.permission.READ_CALL_LOG",
-    "android.permission.READ_CALENDAR",
-    "android.permission.WRITE_CALENDAR",
-    "android.permission.READ_EXTERNAL_STORAGE",
-    "android.permission.WRITE_EXTERNAL_STORAGE",
-    "android.permission.GET_ACCOUNTS",
-];
+/// Position of a permission name in [`PERMISSIONS`].
+fn index_of(name: &str) -> Option<usize> {
+    PERMISSIONS.iter().position(|q| *q == name)
+}
+
+/// A set of model permissions: bit `i` stands for `PERMISSIONS[i]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct PermSet(u32);
+
+impl PermSet {
+    /// The dangerous subset (per Google's protection levels): the first
+    /// 16 entries of [`PERMISSIONS`].
+    pub const DANGEROUS: PermSet = PermSet(0xFFFF);
+
+    /// The recognized permissions among `names`; strings outside the
+    /// model (custom or vendor permissions) are ignored.
+    pub fn from_names<'a>(names: impl IntoIterator<Item = &'a str>) -> PermSet {
+        let bits = names
+            .into_iter()
+            .filter_map(index_of)
+            .fold(0, |bits, i| bits | (1 << i));
+        PermSet(bits)
+    }
+
+    /// Number of permissions in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set holds no permission.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether `perm` is in the set.
+    pub fn contains(self, perm: Permission) -> bool {
+        index_of(perm.0).is_some_and(|i| (self.0 >> i) & 1 == 1)
+    }
+
+    /// The members, in [`PERMISSIONS`] order.
+    pub fn iter(self) -> impl Iterator<Item = Permission> {
+        PERMISSIONS
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| (self.0 >> i) & 1 == 1)
+            .map(|(_, p)| Permission(p))
+    }
+
+    /// The members of `self` that are not in `other`.
+    pub fn difference(self, other: PermSet) -> PermSet {
+        PermSet(self.0 & !other.0)
+    }
+}
+
+/// `perm_index` entry of an API id that needs no permission.
+const NO_PERMISSION: u8 = u8::MAX;
 
 /// Density of permission-protected method-call ids (~0.53%): tuned so a
 /// typical app's static API footprint exercises 4–8 distinct permissions.
@@ -177,6 +213,9 @@ impl SinkClass {
 /// taint pass consumes and a precomputed permission → API reverse index.
 #[derive(Debug, Clone)]
 pub struct PermissionMap {
+    /// Forward index: per API id, the `PERMISSIONS` position of the
+    /// permission it requires, or [`NO_PERMISSION`].
+    perm_index: Vec<u8>,
     /// Reverse index: per permission (in `PERMISSIONS` order), every API
     /// id requiring it, ascending.
     reverse: Vec<Vec<ApiCallId>>,
@@ -196,41 +235,36 @@ impl Default for PermissionMap {
 
 impl PermissionMap {
     /// The standard platform map (deterministic; same on both sides of
-    /// the simulation). Builds the reverse and source/sink indices once,
-    /// so lookups afterwards never rescan the id space.
+    /// the simulation). Builds the forward, reverse and source/sink
+    /// indices once, so lookups afterwards never rescan the id space.
     pub fn standard() -> PermissionMap {
-        let probe = PermissionMap {
-            reverse: Vec::new(),
-            sources: Vec::new(),
-            sinks: Vec::new(),
+        // `required` and the two classifications are pure in the id, so
+        // they can be asked of the map while its indices fill.
+        let mut map = PermissionMap {
+            perm_index: vec![NO_PERMISSION; crate::apicalls::API_DIMENSIONS as usize],
+            reverse: vec![Vec::new(); PERMISSIONS.len()],
+            sources: vec![Vec::new(); SourceClass::ALL.len()],
+            sinks: vec![Vec::new(); SinkClass::ALL.len()],
         };
-        let mut reverse = vec![Vec::new(); PERMISSIONS.len()];
-        let mut sources = vec![Vec::new(); SourceClass::ALL.len()];
-        let mut sinks = vec![Vec::new(); SinkClass::ALL.len()];
         for raw in 0..crate::apicalls::API_DIMENSIONS {
             let api = ApiCallId(raw);
-            if let Some(p) = probe.required(api) {
-                if let Some(idx) = PERMISSIONS.iter().position(|q| *q == p.0) {
-                    reverse[idx].push(api);
-                }
+            if let Some(idx) = map.required(api).and_then(|p| index_of(p.0)) {
+                map.perm_index[api.index()] = idx as u8;
+                map.reverse[idx].push(api);
             }
-            if let Some(s) = probe.source_class(api) {
-                sources[s.index()].push(api);
+            if let Some(s) = map.source_class(api) {
+                map.sources[s.index()].push(api);
             }
-            if let Some(s) = probe.sink_class(api) {
-                sinks[s.index()].push(api);
+            if let Some(s) = map.sink_class(api) {
+                map.sinks[s.index()].push(api);
             }
         }
-        PermissionMap {
-            reverse,
-            sources,
-            sinks,
-        }
+        map
     }
 
     /// A process-wide shared copy of the standard map, for hot paths
-    /// (digest extraction runs once per APK) that should not rebuild the
-    /// reverse index each time.
+    /// (digest extraction and over-privilege analysis run once per APK)
+    /// that should not rebuild the indices each time.
     pub fn shared() -> &'static PermissionMap {
         static SHARED: std::sync::OnceLock<PermissionMap> = std::sync::OnceLock::new();
         SHARED.get_or_init(PermissionMap::standard)
@@ -256,15 +290,15 @@ impl PermissionMap {
     }
 
     /// The set of permissions actually exercised by a sequence of API
-    /// calls — the "used" side of the over-privilege comparison.
-    pub fn used_permissions(&self, calls: impl Iterator<Item = ApiCallId>) -> BTreeSet<Permission> {
-        let mut out = BTreeSet::new();
-        for c in calls {
-            if let Some(p) = self.required(c) {
-                out.insert(p);
-            }
-        }
-        out
+    /// calls — the "used" side of the over-privilege comparison. Served
+    /// from the forward index; ids outside the feature space exercise
+    /// nothing.
+    pub fn used_permissions(&self, calls: impl Iterator<Item = ApiCallId>) -> PermSet {
+        let bits = calls.fold(0, |bits, c| match self.perm_index.get(c.index()) {
+            Some(&idx) if idx != NO_PERMISSION => bits | (1 << idx),
+            _ => bits,
+        });
+        PermSet(bits)
     }
 
     /// All API ids (within a range) that exercise `perm` — used by the
@@ -272,7 +306,7 @@ impl PermissionMap {
     /// the reverse index built in [`PermissionMap::standard`]; the index
     /// is ascending, so the range cut is a prefix.
     pub fn apis_for(&self, perm: Permission, scan_limit: u32) -> Vec<ApiCallId> {
-        let Some(idx) = PERMISSIONS.iter().position(|q| *q == perm.0) else {
+        let Some(idx) = index_of(perm.0) else {
             return Vec::new();
         };
         self.reverse[idx]
@@ -382,7 +416,28 @@ mod tests {
         let apis = m.apis_for(Permission(PERMISSIONS[0]), crate::apicalls::API_CALL_RANGE);
         let used = m.used_permissions(apis.iter().copied().chain(apis.iter().copied()));
         assert_eq!(used.len(), 1);
-        assert!(used.contains(&Permission(PERMISSIONS[0])));
+        assert!(used.contains(Permission(PERMISSIONS[0])));
+    }
+
+    #[test]
+    fn forward_index_matches_pure_mapping() {
+        let m = PermissionMap::standard();
+        for id in 0..API_DIMENSIONS {
+            let api = ApiCallId(id);
+            let used: Vec<Permission> = m.used_permissions([api].into_iter()).iter().collect();
+            assert_eq!(
+                used,
+                m.required(api).into_iter().collect::<Vec<_>>(),
+                "{id}"
+            );
+        }
+    }
+
+    #[test]
+    fn ids_outside_the_feature_space_exercise_nothing() {
+        let m = PermissionMap::standard();
+        let hostile = [API_DIMENSIONS, API_DIMENSIONS + 1, u32::MAX].map(ApiCallId);
+        assert!(m.used_permissions(hostile.into_iter()).is_empty());
     }
 
     #[test]
@@ -390,6 +445,52 @@ mod tests {
         assert!(Permission("android.permission.CAMERA").is_dangerous());
         assert!(!Permission("android.permission.INTERNET").is_dangerous());
         assert_eq!(Permission("android.permission.CAMERA").short(), "CAMERA");
+        let named = [
+            "android.permission.READ_PHONE_STATE",
+            "android.permission.ACCESS_COARSE_LOCATION",
+            "android.permission.ACCESS_FINE_LOCATION",
+            "android.permission.CAMERA",
+            "android.permission.RECORD_AUDIO",
+            "android.permission.READ_CONTACTS",
+            "android.permission.WRITE_CONTACTS",
+            "android.permission.READ_SMS",
+            "android.permission.SEND_SMS",
+            "android.permission.RECEIVE_SMS",
+            "android.permission.READ_CALL_LOG",
+            "android.permission.READ_CALENDAR",
+            "android.permission.WRITE_CALENDAR",
+            "android.permission.READ_EXTERNAL_STORAGE",
+            "android.permission.WRITE_EXTERNAL_STORAGE",
+            "android.permission.GET_ACCOUNTS",
+        ];
+        assert_eq!(PermSet::DANGEROUS, PermSet::from_names(named));
+        assert_eq!(PermSet::DANGEROUS.len(), 16);
+    }
+
+    #[test]
+    fn permset_full_empty_and_difference() {
+        let all = PermSet::from_names(PERMISSIONS);
+        assert_eq!(all.len(), 24);
+        assert!(!all.is_empty());
+        assert!(PERMISSIONS.iter().all(|p| all.contains(Permission(p))));
+        let listed: Vec<&str> = all.iter().map(|p| p.0).collect();
+        assert_eq!(listed, PERMISSIONS);
+
+        let none = PermSet::default();
+        assert!(none.is_empty());
+        assert_eq!(none.len(), 0);
+        assert_eq!(none.iter().count(), 0);
+        assert!(!none.contains(Permission(PERMISSIONS[0])));
+        // Names outside the model are neither inserted nor found.
+        assert!(PermSet::from_names(["com.custom.PERMISSION"]).is_empty());
+        assert!(!all.contains(Permission("com.custom.PERMISSION")));
+
+        let rest = all.difference(PermSet::DANGEROUS);
+        assert_eq!(rest.len(), 8);
+        assert!(rest.iter().all(|p| !p.is_dangerous()));
+        assert_eq!(all.difference(all), none);
+        assert_eq!(none.difference(all), none);
+        assert_eq!(all.difference(none), all);
     }
 
     #[test]

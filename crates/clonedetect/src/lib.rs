@@ -55,19 +55,25 @@ impl UniqueApp {
         lib_packages: &HashSet<String>,
         markets: Vec<(MarketId, u64)>,
     ) -> UniqueApp {
-        let mut own_api: HashMap<u32, u32> = HashMap::new();
+        let mut own_api: Vec<(u32, u32)> = Vec::new();
         let mut own_segments = Vec::new();
         for f in &digest.package_features {
             if lib_packages.contains(&f.java_package) {
                 continue;
             }
-            for (id, c) in &f.api_counts {
-                *own_api.entry(*id).or_insert(0) += *c as u32;
-            }
+            own_api.extend(f.api_counts.iter().map(|(id, c)| (*id, *c as u32)));
             own_segments.extend_from_slice(&f.code_segments);
         }
-        let mut own_api: Vec<(u32, u32)> = own_api.into_iter().collect();
-        own_api.sort_unstable();
+        // Each package's run is already ascending; sort the concatenation
+        // and add up the counts of an id several packages call.
+        own_api.sort_unstable_by_key(|(id, _)| *id);
+        own_api.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
         own_segments.sort_unstable();
         UniqueApp {
             package: digest.package.as_str().to_owned(),

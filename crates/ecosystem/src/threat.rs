@@ -21,6 +21,7 @@
 //! databases of known strains.
 
 use marketscope_core::hash::{fnv1a64, mix64};
+use std::sync::OnceLock;
 
 /// Severity tier of an infection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,12 +185,22 @@ const SIGNATURES_PER_FAMILY: usize = 16;
 pub struct ThreatDb {
     /// Per-family signature hash sets (indexed by `FamilyId.0`).
     signatures: Vec<[u64; SIGNATURES_PER_FAMILY]>,
+    /// Every signature with its `(family, ordinal within the family)`,
+    /// ascending — what `scan` searches.
+    index: Vec<(u64, (u16, u8))>,
+}
+
+/// The payload stored beside `hash` in a table sorted by hash.
+fn lookup<T: Copy>(table: &[(u64, T)], hash: u64) -> Option<T> {
+    let at = table.binary_search_by_key(&hash, |e| e.0).ok()?;
+    Some(table[at].1)
 }
 
 impl ThreatDb {
     /// The standard database covering [`FAMILIES`]. Deterministic: both
     /// sides of the simulation construct the identical table.
     pub fn standard() -> ThreatDb {
+        let mut index = Vec::new();
         let signatures = FAMILIES
             .iter()
             .enumerate()
@@ -198,11 +209,13 @@ impl ThreatDb {
                 let mut sigs = [0u64; SIGNATURES_PER_FAMILY];
                 for (si, s) in sigs.iter_mut().enumerate() {
                     *s = mix64(base, (fi as u64) << 32 | si as u64 | 0x7437_0000_0000);
+                    index.push((*s, (fi as u16, si as u8)));
                 }
                 sigs
             })
             .collect();
-        ThreatDb { signatures }
+        index.sort_unstable();
+        ThreatDb { signatures, index }
     }
 
     /// Look up a family id by canonical name.
@@ -224,20 +237,23 @@ impl ThreatDb {
         &self.signatures[id.0 as usize]
     }
 
-    /// Classify a set of method code-hashes: the family whose signatures
-    /// appear, if any, and how many distinct signatures matched (more
-    /// matches → higher-confidence detection).
-    pub fn scan<'a>(
-        &self,
-        code_hashes: impl Iterator<Item = u64> + 'a,
-    ) -> Option<(FamilyId, usize)> {
-        use std::collections::HashSet;
-        let hashes: HashSet<u64> = code_hashes.collect();
+    /// Classify a stream of method code-hashes: the family whose
+    /// signatures appear, if any, and how many distinct signatures matched
+    /// (more matches → higher-confidence detection; equal counts go to the
+    /// lowest family id). A hash repeated in the stream counts once: each
+    /// family keeps one bit per signature ordinal.
+    pub fn scan(&self, code_hashes: impl Iterator<Item = u64>) -> Option<(FamilyId, usize)> {
+        let mut matched = [0u16; FAMILIES.len()];
+        for h in code_hashes {
+            if let Some((family, ordinal)) = lookup(&self.index, h) {
+                matched[family as usize] |= 1 << ordinal;
+            }
+        }
         let mut best: Option<(FamilyId, usize)> = None;
-        for (fi, sigs) in self.signatures.iter().enumerate() {
-            let matched = sigs.iter().filter(|s| hashes.contains(s)).count();
-            if matched > 0 && best.map_or(true, |(_, m)| matched > m) {
-                best = Some((FamilyId(fi as u16), matched));
+        for (fi, bits) in matched.iter().enumerate() {
+            let count = bits.count_ones() as usize;
+            if count > 0 && best.map_or(true, |(_, m)| count > m) {
+                best = Some((FamilyId(fi as u16), count));
             }
         }
         best
@@ -262,10 +278,20 @@ pub fn detectability_marker(step: u8) -> u64 {
     )
 }
 
-/// Decode a detectability marker from a sample's code hashes.
-pub fn decode_detectability(code_hashes: &std::collections::HashSet<u64>) -> Option<f64> {
-    (0..DETECTABILITY_STEPS)
-        .find(|q| code_hashes.contains(&detectability_marker(*q)))
+/// Decode a detectability marker from a sample's code hashes; when
+/// several markers are present the lowest step wins.
+pub fn decode_detectability(code_hashes: impl Iterator<Item = u64>) -> Option<f64> {
+    static MARKERS: OnceLock<Vec<(u64, u8)>> = OnceLock::new();
+    let markers = MARKERS.get_or_init(|| {
+        let mut markers: Vec<(u64, u8)> = (0..DETECTABILITY_STEPS)
+            .map(|q| (detectability_marker(q), q))
+            .collect();
+        markers.sort_unstable();
+        markers
+    });
+    code_hashes
+        .filter_map(|h| lookup(markers, h))
+        .min()
         .map(|q| (q as f64 + 0.5) / DETECTABILITY_STEPS as f64)
 }
 
@@ -359,6 +385,40 @@ mod tests {
         code.extend_from_slice(&db.signatures(b)[..3]);
         let (fam, _) = db.scan(code.into_iter()).unwrap();
         assert_eq!(fam, b);
+    }
+
+    #[test]
+    fn repeated_signature_counts_once() {
+        let db = ThreatDb::standard();
+        let kuguo = db.family_by_name("kuguo").unwrap();
+        let sigs = db.signatures(kuguo);
+        let code = [sigs[2], 7, sigs[2], sigs[9], sigs[2], sigs[9]];
+        assert_eq!(db.scan(code.into_iter()), Some((kuguo, 2)));
+    }
+
+    #[test]
+    fn equal_match_counts_go_to_the_lowest_family() {
+        let db = ThreatDb::standard();
+        let low = db.family_by_name("dowgin").unwrap();
+        let high = db.family_by_name("airpush").unwrap();
+        assert!(low.0 < high.0);
+        // The higher family's signatures come first in the stream.
+        let mut code = db.signatures(high)[..3].to_vec();
+        code.extend_from_slice(&db.signatures(low)[4..7]);
+        assert_eq!(db.scan(code.into_iter()), Some((low, 3)));
+    }
+
+    #[test]
+    fn two_markers_decode_to_the_lowest_step() {
+        let step = |q: u8| (q as f64 + 0.5) / DETECTABILITY_STEPS as f64;
+        let code = [1, detectability_marker(40), 2, detectability_marker(5), 3];
+        assert_eq!(decode_detectability(code.into_iter()), Some(step(5)));
+        assert_eq!(
+            decode_detectability(code.into_iter().rev()),
+            Some(step(5)),
+            "stream order must not matter"
+        );
+        assert_eq!(decode_detectability([1u64, 2, 3].into_iter()), None);
     }
 
     #[test]

@@ -225,7 +225,9 @@ impl AnalysisEngine {
                 .counter(STAGE_ITEMS_METRIC, &labels)
                 .add(items as u64);
         }
-        span.event(&format!("items:{items}"));
+        if span.is_sampled() {
+            span.event(&format!("items:{items}"));
+        }
         span.finish();
         out
     }
@@ -396,13 +398,13 @@ type MarketIndex = HashMap<MarketId, Vec<usize>>;
 /// deep copy), and build the per-market index of app positions (ascending,
 /// each app at most once per market).
 fn dedup(snapshot: &Snapshot) -> (Vec<UniqueApp>, MarketIndex) {
-    let mut index: HashMap<(String, DeveloperKey), usize> = HashMap::new();
+    let mut index: HashMap<(&str, DeveloperKey), usize> = HashMap::new();
     let mut apps: Vec<UniqueApp> = Vec::new();
     for (market, listing) in snapshot.iter() {
         let Some(digest) = &listing.digest else {
             continue;
         };
-        let key = (listing.package.clone(), digest.developer);
+        let key = (listing.package.as_str(), digest.developer);
         let downloads = listing.downloads.unwrap_or(0);
         match index.get(&key) {
             Some(&i) => {

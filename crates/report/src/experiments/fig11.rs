@@ -50,11 +50,7 @@ pub struct Fig11 {
 
 fn mode_view(analyzed: &Analyzed, mode: FootprintMode) -> ModeView {
     let shares = |indices: &[usize]| -> [f64; 11] {
-        let results: Vec<_> = indices
-            .iter()
-            .map(|i| analyzed.overpriv[*i].clone())
-            .collect();
-        let h = unused_histogram_in(&results, mode);
+        let h = unused_histogram_in(indices.iter().map(|i| &analyzed.overpriv[*i]), mode);
         let total = h.iter().sum::<u64>().max(1) as f64;
         let mut out = [0.0; 11];
         for (o, c) in out.iter_mut().zip(h) {
@@ -132,7 +128,7 @@ pub fn run(analyzed: &Analyzed) -> Fig11 {
     for r in &analyzed.overpriv {
         if r.is_overprivileged() {
             over_apps += 1;
-            for p in &r.unused {
+            for p in r.unused.iter() {
                 *unused_counts.entry(p.0).or_insert(0) += 1;
             }
         }
