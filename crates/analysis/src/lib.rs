@@ -5,9 +5,6 @@
 //!
 //! * [`fake`] — fake-app detection by app-name clustering plus the
 //!   paper's small-cluster heuristic;
-//! * [`reach`] — static reachability: call graph + worklist pass from
-//!   the manifest-declared components, with dead-code accounting and
-//!   telemetry instrumentation;
 //! * [`overpriv`] — PScout-style over-privilege analysis (declared
 //!   permissions vs. permissions exercised by API calls, under both the
 //!   flat and the reachable footprint);
@@ -28,7 +25,6 @@ pub mod av;
 pub mod avclass;
 pub mod fake;
 pub mod overpriv;
-pub mod reach;
 pub mod removal;
 pub mod taint;
 
@@ -36,6 +32,5 @@ pub use av::{AvReport, AvSimulator, ENGINE_COUNT};
 pub use avclass::normalize_label;
 pub use fake::{FakeDetector, FakeReport};
 pub use overpriv::{FootprintMode, OverprivilegeAnalyzer, OverprivilegeResult};
-pub use reach::{ReachabilityAnalyzer, ReachabilityReport};
 pub use removal::{removal_rates, RemovalInput, RemovalReport};
 pub use taint::{LeakAnalyzer, LeakAttribution, LeakFlow, LeakResult};

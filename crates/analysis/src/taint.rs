@@ -11,19 +11,13 @@
 //! joining the sink package against the library-detection ownership
 //! index ([`PackageOwnership`]), the distinction the ecosystem papers
 //! care about (an SDK exfiltrating the IMEI is a supply-chain problem;
-//! host code doing it is developer intent). Every pass feeds four
-//! instruments:
-//!
-//! * `marketscope_analysis_taint_flows_total`
-//! * `marketscope_analysis_taint_library_flows_total`
-//! * `marketscope_analysis_taint_leaky_apps_total`
-//! * `marketscope_analysis_taint_latency_nanos`
+//! host code doing it is developer intent). The pass carries no
+//! instruments of its own: the report engine's `taint` stage times and
+//! counts it.
 
 use marketscope_apk::digest::ApkDigest;
 use marketscope_apk::permmap::{SinkClass, SourceClass};
 use marketscope_libdetect::PackageOwnership;
-use marketscope_telemetry::{Counter, Histogram, Registry};
-use std::sync::Arc;
 
 /// Who owns the code performing the sink call of a leak flow.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,40 +82,18 @@ impl LeakResult {
     }
 }
 
-/// The leak engine. Cheap to clone; instruments are shared.
-#[derive(Clone)]
-pub struct LeakAnalyzer {
-    flows_total: Arc<Counter>,
-    library_flows: Arc<Counter>,
-    leaky_apps: Arc<Counter>,
-    latency: Arc<Histogram>,
-}
-
-impl Default for LeakAnalyzer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The leak engine: stateless, a pure function of digest and ownership.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LeakAnalyzer;
 
 impl LeakAnalyzer {
-    /// Analyzer with a private registry (tests, one-off runs).
+    /// A leak analyzer.
     pub fn new() -> Self {
-        Self::with_registry(&Registry::new())
-    }
-
-    /// Analyzer publishing into a shared registry (pipeline use).
-    pub fn with_registry(registry: &Registry) -> Self {
-        LeakAnalyzer {
-            flows_total: registry.counter("marketscope_analysis_taint_flows_total", &[]),
-            library_flows: registry.counter("marketscope_analysis_taint_library_flows_total", &[]),
-            leaky_apps: registry.counter("marketscope_analysis_taint_leaky_apps_total", &[]),
-            latency: registry.histogram("marketscope_analysis_taint_latency_nanos", &[]),
-        }
+        LeakAnalyzer
     }
 
     /// Attribute one digest's taint flows against the ownership join.
     pub fn analyze(&self, digest: &ApkDigest, ownership: &PackageOwnership) -> LeakResult {
-        let _span = self.latency.start_span();
         let flows: Vec<LeakFlow> = digest
             .flows
             .iter()
@@ -140,12 +112,6 @@ impl LeakAnalyzer {
                 }
             })
             .collect();
-        self.flows_total.add(flows.len() as u64);
-        self.library_flows
-            .add(flows.iter().filter(|f| f.attribution.is_library()).count() as u64);
-        if !flows.is_empty() {
-            self.leaky_apps.add(1);
-        }
         LeakResult { flows }
     }
 
@@ -301,33 +267,5 @@ mod tests {
             let batch = analyzer.analyze_batch(&digests, &ownership, workers);
             assert_eq!(batch, sequential, "workers = {workers}");
         }
-    }
-
-    #[test]
-    fn instruments_accumulate_in_shared_registry() {
-        let registry = Registry::new();
-        let analyzer = LeakAnalyzer::with_registry(&registry);
-        let m = PermissionMap::standard();
-        let d = leaky_digest(&m);
-        let ownership = PackageOwnership::new(["com.ads.sdk".to_owned()]);
-        analyzer.analyze(&d, &ownership);
-        analyzer.analyze(&d, &ownership);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter_value("marketscope_analysis_taint_flows_total", &[]),
-            Some(4)
-        );
-        assert_eq!(
-            snap.counter_value("marketscope_analysis_taint_library_flows_total", &[]),
-            Some(2)
-        );
-        assert_eq!(
-            snap.counter_value("marketscope_analysis_taint_leaky_apps_total", &[]),
-            Some(2)
-        );
-        let lat = snap
-            .histogram("marketscope_analysis_taint_latency_nanos", &[])
-            .unwrap();
-        assert_eq!(lat.count(), 2);
     }
 }

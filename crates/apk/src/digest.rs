@@ -101,7 +101,7 @@ impl ApkDigest {
     }
 
     /// Extract a digest and return the reachability-pass counters
-    /// alongside it (telemetry feed for the crawl pipeline).
+    /// alongside it.
     pub fn from_parsed_with_stats(apk: &ParsedApk) -> (ApkDigest, ReachStats) {
         // Entry points: the classes of the manifest-declared components.
         // No components ⇒ no anchoring information ⇒ conservatively mark
@@ -198,13 +198,6 @@ impl ApkDigest {
     /// Parse raw APK bytes straight into a digest.
     pub fn from_bytes(bytes: &[u8]) -> Result<ApkDigest, crate::error::ApkError> {
         Ok(Self::from_parsed(&ParsedApk::parse(bytes)?))
-    }
-
-    /// Parse raw APK bytes into a digest plus reachability counters.
-    pub fn from_bytes_with_stats(
-        bytes: &[u8],
-    ) -> Result<(ApkDigest, ReachStats), crate::error::ApkError> {
-        Ok(Self::from_parsed_with_stats(&ParsedApk::parse(bytes)?))
     }
 
     /// The release key (package + version).
@@ -430,7 +423,7 @@ mod tests {
             ],
             "com.my.app",
         );
-        let (d, stats) = ApkDigest::from_bytes_with_stats(&bytes).unwrap();
+        let (d, stats) = ApkDigest::from_parsed_with_stats(&ParsedApk::parse(&bytes).unwrap());
         assert_eq!(d.component_count, 0);
         assert_eq!(d.method_total(), 2);
         assert_eq!(d.reachable_method_total(), 2);
@@ -468,7 +461,7 @@ mod tests {
                 class: "Lcom/my/app/Main;".into(),
             }],
         );
-        let (d, stats) = ApkDigest::from_bytes_with_stats(&bytes).unwrap();
+        let (d, stats) = ApkDigest::from_parsed_with_stats(&ParsedApk::parse(&bytes).unwrap());
         assert_eq!(d.component_count, 1);
         assert_eq!(d.method_total(), 3);
         assert_eq!(d.reachable_method_total(), 2);

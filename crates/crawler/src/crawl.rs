@@ -10,7 +10,7 @@ use marketscope_net::ratelimit::{RateLimitMetrics, TokenBucket};
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
 use marketscope_net::{NetError, Ticket};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
-use marketscope_telemetry::{Counter, EventLog, Gauge, Histogram, LogLevel, Registry, TraceSpan};
+use marketscope_telemetry::{Counter, EventLog, Gauge, LogLevel, Registry, TraceSpan};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
@@ -111,14 +111,6 @@ struct MarketMetrics {
     dedup_hits: Arc<Counter>,
     /// `marketscope_crawler_bfs_queue_depth` (live frontier size)
     queue_depth: Arc<Gauge>,
-    /// `marketscope_crawler_reach_methods_visited_total` — methods the
-    /// digest-time reachability pass visited across harvested APKs.
-    reach_methods: Arc<Counter>,
-    /// `marketscope_crawler_reach_edges_traversed_total`
-    reach_edges: Arc<Counter>,
-    /// `marketscope_crawler_reach_latency_nanos` — per-APK digest +
-    /// reachability extraction latency.
-    reach_latency: Arc<Histogram>,
     /// `marketscope_crawler_fetch_errors_total{market,kind}` — terminal
     /// fetch failures observed while crawling this market, by
     /// [`NetError::kind`]. Definitive 404s are answers, not degradation,
@@ -143,11 +135,6 @@ impl MarketMetrics {
             apks: registry.counter("marketscope_crawler_apks_harvested_total", &labels),
             dedup_hits: registry.counter("marketscope_crawler_dedup_hits_total", &labels),
             queue_depth: registry.gauge("marketscope_crawler_bfs_queue_depth", &labels),
-            reach_methods: registry
-                .counter("marketscope_crawler_reach_methods_visited_total", &labels),
-            reach_edges: registry
-                .counter("marketscope_crawler_reach_edges_traversed_total", &labels),
-            reach_latency: registry.histogram("marketscope_crawler_reach_latency_nanos", &labels),
             // Pre-registered for every kind so snapshots are shaped
             // identically whether or not a kind ever fires.
             fetch_errors: NetError::KINDS
@@ -207,9 +194,9 @@ pub struct Crawler {
     metrics: Vec<MarketMetrics>,
     /// Tracer sampling per-fetch spans (per `config.trace_sample`).
     tracer: Arc<Tracer>,
-    /// Shared structured event log (the fleet's, in campaigns); `None`
-    /// keeps quarantine/breaker seams counter-only.
-    log: Option<Arc<EventLog>>,
+    /// Structured event log quarantine/breaker seams record to: the
+    /// fleet's in campaigns, a small private one otherwise.
+    log: Arc<EventLog>,
 }
 
 impl Crawler {
@@ -227,16 +214,17 @@ impl Crawler {
     /// — pass a shared one to scrape crawler progress alongside other
     /// components. Trace spans record into `tracer`; pass the same
     /// tracer to other components to merge their spans into one journal
-    /// up front instead of merging snapshots later. With a shared
-    /// structured [`EventLog`], circuit breaker transitions and
-    /// quarantine lifecycle emit events (with the active trace context
-    /// attached) alongside their counters.
+    /// up front instead of merging snapshots later. Circuit breaker
+    /// transitions and quarantine lifecycle emit events (with the active
+    /// trace context attached) alongside their counters — into `log`
+    /// when given one, else into a small private [`EventLog`].
     pub fn with_ops(
         config: CrawlConfig,
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
         log: Option<Arc<EventLog>>,
     ) -> Crawler {
+        let log = log.unwrap_or_else(|| Arc::new(EventLog::new(16)));
         let buckets = config.politeness_rps.map(|rps| {
             MarketId::ALL
                 .iter()
@@ -264,11 +252,9 @@ impl Crawler {
             .metrics(ClientMetrics::register(&registry, &[]))
             .tracer(Arc::clone(&tracer));
         if config.retry.is_some() || config.breaker.is_some() {
-            let mut resilience = ResilienceMetrics::register(&registry, &[]);
-            if let Some(log) = &log {
-                resilience = resilience.with_log(Arc::clone(log));
-            }
-            builder = builder.resilience_metrics(resilience);
+            builder = builder.resilience_metrics(
+                ResilienceMetrics::register(&registry, &[]).with_log(Arc::clone(&log)),
+            );
         }
         if let Some(policy) = config.retry {
             builder = builder.retry(policy);
@@ -618,17 +604,15 @@ impl Crawler {
             } else if health.note_failure() {
                 metrics.quarantines.inc();
                 stats.lock().markets_quarantined += 1;
-                if let Some(log) = &self.log {
-                    log.record(
-                        LogLevel::Warn,
-                        "crawler.quarantine",
-                        "market quarantined",
-                        &[
-                            ("market", market.slug()),
-                            ("threshold", &self.config.quarantine_threshold.to_string()),
-                        ],
-                    );
-                }
+                self.log.record(
+                    LogLevel::Warn,
+                    "crawler.quarantine",
+                    "market quarantined",
+                    &[
+                        ("market", market.slug()),
+                        ("threshold", &self.config.quarantine_threshold.to_string()),
+                    ],
+                );
             }
         }
         if deferred.is_empty() {
@@ -641,17 +625,15 @@ impl Crawler {
         // normal way (error kinds, `apks_missing`).
         metrics.deferred.add(deferred.len() as u64);
         stats.lock().fetches_deferred += deferred.len() as u64;
-        if let Some(log) = &self.log {
-            log.record(
-                LogLevel::Info,
-                "crawler.quarantine",
-                "deferred fetches queued for revisit",
-                &[
-                    ("market", market.slug()),
-                    ("count", &deferred.len().to_string()),
-                ],
-            );
-        }
+        self.log.record(
+            LogLevel::Info,
+            "crawler.quarantine",
+            "deferred fetches queued for revisit",
+            &[
+                ("market", market.slug()),
+                ("count", &deferred.len().to_string()),
+            ],
+        );
         health.release();
         let mut recovered = 0u64;
         for i in deferred {
@@ -661,17 +643,15 @@ impl Crawler {
                 recovered += 1;
             }
         }
-        if let Some(log) = &self.log {
-            log.record(
-                LogLevel::Info,
-                "crawler.quarantine",
-                "revisit pass finished",
-                &[
-                    ("market", market.slug()),
-                    ("recovered", &recovered.to_string()),
-                ],
-            );
-        }
+        self.log.record(
+            LogLevel::Info,
+            "crawler.quarantine",
+            "revisit pass finished",
+            &[
+                ("market", market.slug()),
+                ("recovered", &recovered.to_string()),
+            ],
+        );
     }
 
     /// Harvest one listing's APK: the direct fetch, any backfill, and
@@ -726,21 +706,13 @@ impl Crawler {
         match bytes {
             Some(bytes) => {
                 metrics.apks.inc();
-                let digest_span = if trace_span.is_sampled() {
-                    self.tracer.span("crawler", "digest")
-                } else {
-                    TraceSpan::noop()
-                };
-                let span = metrics.reach_latency.start_span();
-                match ApkDigest::from_bytes_with_stats(&bytes) {
-                    Ok((digest, reach)) => {
-                        metrics.reach_methods.add(reach.methods_reached);
-                        metrics.reach_edges.add(reach.edges_traversed);
-                        listing.digest = Some(std::sync::Arc::new(digest));
-                    }
+                let digest_span = self
+                    .tracer
+                    .child_of(trace_span.context(), "crawler", "digest");
+                match ApkDigest::from_bytes(&bytes) {
+                    Ok(digest) => listing.digest = Some(std::sync::Arc::new(digest)),
                     Err(_) => stats.lock().parse_failures += 1,
                 }
-                drop(span);
                 digest_span.finish();
             }
             None => {

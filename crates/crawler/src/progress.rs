@@ -1,7 +1,7 @@
 //! Structured crawl-progress reporting.
 //!
-//! A [`CrawlProgress`] reporter snapshots a telemetry
-//! [`Registry`](marketscope_telemetry::Registry) on a fixed cadence and
+//! A [`CrawlProgress`] reporter snapshots a telemetry [`Registry`] on a
+//! fixed cadence and
 //! emits one structured line per market to a caller-provided sink:
 //!
 //! ```text
@@ -14,10 +14,9 @@
 //! both use. The reporter never touches the hot path: it only reads
 //! snapshots, so a paused or slow sink cannot slow the crawl.
 
-use marketscope_telemetry::{Registry, RegistrySnapshot};
-use std::sync::atomic::{AtomicBool, Ordering};
+use marketscope_telemetry::{Periodic, Registry, RegistrySnapshot};
+use parking_lot::Mutex;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Render one `crawl-progress` line per market present in `snap`.
@@ -64,8 +63,10 @@ pub fn progress_lines(snap: &RegistrySnapshot) -> Vec<String> {
 /// Dropping (or calling [`CrawlProgress::stop`]) stops the thread after
 /// one final report, so short crawls still produce at least one line.
 pub struct CrawlProgress {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    /// One report: snapshot the registry, feed the sink. Shared with
+    /// the reporter thread so the final report can run after it exits.
+    emit: Arc<Mutex<dyn FnMut() + Send>>,
+    thread: Periodic,
 }
 
 impl CrawlProgress {
@@ -76,53 +77,26 @@ impl CrawlProgress {
         interval: Duration,
         mut sink: impl FnMut(String) + Send + 'static,
     ) -> CrawlProgress {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut emit = |registry: &Registry| {
-                for line in progress_lines(&registry.snapshot()) {
-                    sink(line);
-                }
-            };
-            while !stop_flag.load(Ordering::Relaxed) {
-                // Sleep in short slices so stop() returns promptly even
-                // with a long reporting interval.
-                let mut remaining = interval;
-                while remaining > Duration::ZERO && !stop_flag.load(Ordering::Relaxed) {
-                    let slice = remaining.min(Duration::from_millis(20));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                emit(&registry);
+        let emit: Arc<Mutex<dyn FnMut() + Send>> = Arc::new(Mutex::new(move || {
+            for line in progress_lines(&registry.snapshot()) {
+                sink(line);
             }
-            // Final report so the last state is always visible.
-            emit(&registry);
-        });
-        CrawlProgress {
-            stop,
-            handle: Some(handle),
-        }
+        }));
+        let thread_emit = Arc::clone(&emit);
+        let thread = Periodic::spawn("crawl-progress", interval, move || (*thread_emit.lock())());
+        CrawlProgress { emit, thread }
     }
 
-    /// Stop the reporter, emitting one final report before returning.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    /// Stop the reporter, emitting one final report before returning
+    /// (dropping does the same).
+    pub fn stop(self) {}
 }
 
 impl Drop for CrawlProgress {
     fn drop(&mut self) {
-        self.shutdown();
+        self.thread.stop();
+        // Final report so the last state is always visible.
+        (*self.emit.lock())();
     }
 }
 

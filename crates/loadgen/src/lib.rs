@@ -13,11 +13,10 @@
 //!   never re-measures what the telemetry layer already records;
 //! * fault/retry/circuit counts from the same instruments the crawler
 //!   uses;
-//! * allocation and RSS peaks via [`telemetry::perf`]
-//!   (`marketscope_telemetry::perf`).
+//! * allocation and RSS peaks via [`marketscope_telemetry::perf`].
 //!
 //! Results serialize into a schema-versioned `BENCH_<label>.json`
-//! ([`report::BenchReport`]) and regress via [`diff`].
+//! ([`report::BenchReport`]) and regress via [`mod@diff`].
 //!
 //! Determinism: with a fixed seed and a mix that excludes the
 //! rate-limited `/apk` endpoint, two runs issue identical request

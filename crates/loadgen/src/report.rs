@@ -3,7 +3,7 @@
 //! A `BENCH_<label>.json` at the repo root is one commit's perf
 //! baseline: what throughput the fleet sustained, what the latency
 //! quantiles were per endpoint, what the run cost in memory, and how
-//! long each analysis-engine stage took. [`diff`](crate::diff) compares
+//! long each analysis-engine stage took. [`diff`](mod@crate::diff) compares
 //! two of them; the schema version gates comparability — a reader must
 //! refuse to diff files whose `schema_version` differs.
 

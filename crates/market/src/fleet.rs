@@ -37,7 +37,7 @@ const EVENT_LOG_CAPACITY: usize = 4096;
 /// endpoint serves the combined fleet exposition.
 ///
 /// The fleet also runs the live ops plane: a [`Scraper`] thread samples
-/// the merged registry every [`SCRAPE_TICK`] into windowed time series,
+/// the merged registry every `SCRAPE_TICK` into windowed time series,
 /// an [`SloEvaluator`] re-judges the fleet SLOs on each tick (served at
 /// any market's `GET /__slo`), and a shared [`EventLog`] collects
 /// structured incidents from every seam (served at `GET /__log`). Each
@@ -130,7 +130,7 @@ impl MarketFleet {
             },
             sample,
             vec![slo_hook],
-            Some(Arc::clone(&ops_tracer)),
+            Arc::clone(&ops_tracer),
         );
 
         let ops = OpsHandles {

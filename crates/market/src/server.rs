@@ -157,6 +157,11 @@ impl MarketServer {
                 )
             }),
         });
+        let mut metrics = ServerMetrics::register(&registry, &[("market", market.slug())])
+            .traced(Arc::clone(&tracer));
+        if let Some(o) = &ops {
+            metrics = metrics.logged(Arc::clone(&o.log));
+        }
         let router = build_router(Arc::clone(&state))
             .get("/__metrics", {
                 let registry = Arc::clone(&registry);
@@ -189,28 +194,12 @@ impl MarketServer {
                 }
             })
             .get("/__health", {
-                // The health closure reads the same registry instruments
-                // ServerMetrics registers (get-or-create by identical
-                // name+labels returns the same Arc), so totals here match
+                // The health closure reads the very instruments the
+                // transport records into, so totals here match
                 // `/__metrics` exactly; section assembly is shared with
                 // the other ops surfaces via `opsjson`.
                 let st = Arc::clone(&state);
-                let requests = registry.counter(
-                    "marketscope_net_requests_total",
-                    &[("market", market.slug())],
-                );
-                let live = registry.gauge(
-                    "marketscope_net_live_connections",
-                    &[("market", market.slug())],
-                );
-                let shed = registry.counter(
-                    "marketscope_net_connections_shed_total",
-                    &[("market", market.slug())],
-                );
-                let accept_errors = registry.counter(
-                    "marketscope_net_accept_errors_total",
-                    &[("market", market.slug())],
-                );
+                let metrics = metrics.clone();
                 let transport = transport.clone();
                 let faults = faults.clone();
                 let ops = ops.clone();
@@ -219,7 +208,7 @@ impl MarketServer {
                         CrawlPhase::First => "first",
                         CrawlPhase::Second => "second",
                     };
-                    let open = live.get().max(0) as u64;
+                    let open = metrics.live_connections();
                     let slo = match &ops {
                         Some(o) => crate::opsjson::slo_summary_json(&o.slo.lock().verdicts()),
                         None => Json::Null,
@@ -232,7 +221,7 @@ impl MarketServer {
                             "uptime_ms",
                             Json::from(started.elapsed().as_millis() as u64),
                         ),
-                        ("requests_total", Json::from(requests.get())),
+                        ("requests_total", Json::from(metrics.request_count())),
                         ("live_connections", Json::from(open)),
                         ("catalog_size", Json::from(st.catalog.len())),
                         (
@@ -240,8 +229,8 @@ impl MarketServer {
                             crate::opsjson::transport_json(
                                 &transport,
                                 open,
-                                shed.get(),
-                                accept_errors.get(),
+                                metrics.shed_connections(),
+                                metrics.accept_errors(),
                             ),
                         ),
                         (
@@ -253,11 +242,6 @@ impl MarketServer {
                     ]))
                 }
             });
-        let mut metrics = ServerMetrics::register(&registry, &[("market", market.slug())])
-            .traced(Arc::clone(&tracer));
-        if let Some(o) = &ops {
-            metrics = metrics.logged(Arc::clone(&o.log));
-        }
         let handle =
             HttpServer::spawn_configured("127.0.0.1:0", router, metrics, faults, transport)?;
         Ok(MarketServer {

@@ -111,7 +111,8 @@ impl ClientMetrics {
 }
 
 /// Configures and builds an [`HttpClient`]. Obtained from
-/// [`HttpClient::builder`]; every knob is optional:
+/// [`HttpClient::builder`]; every knob is optional (telemetry not
+/// attached goes to a private registry and a disabled tracer):
 ///
 /// ```no_run
 /// # use marketscope_net::client::{ClientConfig, HttpClient};
@@ -122,28 +123,41 @@ impl ClientMetrics {
 ///     .breaker(BreakerConfig::default())
 ///     .build();
 /// ```
-#[derive(Default)]
 pub struct HttpClientBuilder {
-    config: Option<ClientConfig>,
-    metrics: Option<ClientMetrics>,
-    tracer: Option<Arc<Tracer>>,
+    config: ClientConfig,
+    metrics: ClientMetrics,
+    tracer: Arc<Tracer>,
     retry: Option<RetryPolicy>,
     breaker: Option<BreakerConfig>,
-    resilience_metrics: Option<ResilienceMetrics>,
+    resilience_metrics: ResilienceMetrics,
+}
+
+impl Default for HttpClientBuilder {
+    fn default() -> Self {
+        let private = Registry::new();
+        HttpClientBuilder {
+            config: ClientConfig::default(),
+            metrics: ClientMetrics::register(&private, &[]),
+            tracer: Arc::new(Tracer::disabled()),
+            retry: None,
+            breaker: None,
+            resilience_metrics: ResilienceMetrics::register(&private, &[]),
+        }
+    }
 }
 
 impl HttpClientBuilder {
     /// Socket-level configuration (timeouts, pool size, transparent
     /// connection retries, driver in-flight cap).
     pub fn config(mut self, config: ClientConfig) -> Self {
-        self.config = Some(config);
+        self.config = config;
         self
     }
 
     /// Attach registered instruments: every request records its latency;
     /// retries and errors are counted by kind.
     pub fn metrics(mut self, metrics: ClientMetrics) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 
@@ -153,7 +167,7 @@ impl HttpClientBuilder {
     /// context out in the `x-marketscope-trace` header so the server's
     /// handler spans link back to this exact attempt.
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -177,20 +191,19 @@ impl HttpClientBuilder {
     /// Attach resilience instruments (retry counts, backoff time,
     /// fast-fails, breaker transitions and the open-circuit gauge).
     pub fn resilience_metrics(mut self, metrics: ResilienceMetrics) -> Self {
-        self.resilience_metrics = Some(metrics);
+        self.resilience_metrics = metrics;
         self
     }
 
     /// Build the client (and its mux engine; the driver thread itself
     /// spawns lazily on the first submission).
     pub fn build(self) -> HttpClient {
-        let config = self.config.unwrap_or_default();
         let breakers = self
             .breaker
             .map(|cfg| Arc::new(BreakerSet::new(cfg, self.resilience_metrics.clone())));
         HttpClient {
             mux: MuxClient::new(
-                config,
+                self.config,
                 self.tracer,
                 self.metrics,
                 self.retry,
@@ -259,8 +272,8 @@ pub struct HttpClient {
 }
 
 impl HttpClient {
-    /// Client with default configuration, no telemetry, no resilience
-    /// policy — the trivial case. Everything else goes through
+    /// Client with default configuration, private telemetry, no
+    /// resilience policy — the trivial case. Everything else goes through
     /// [`HttpClient::builder`].
     pub fn new() -> Self {
         Self::builder().build()
@@ -390,7 +403,7 @@ impl Default for HttpClient {
 mod tests {
     use super::*;
     use crate::http::Status;
-    use crate::server::HttpServer;
+    use crate::server::{HttpServer, ServerHandle};
     use marketscope_core::json::Json;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -571,6 +584,56 @@ mod tests {
             .unwrap();
         assert_eq!(hist.count(), 2);
         assert!(hist.sum > 0, "latency must have been recorded");
+    }
+
+    #[test]
+    fn private_handles_report_exactly_what_registered_ones_do() {
+        // One request script against a server/client pair on private
+        // telemetry (`spawn` / `new`) and against a pair registered in
+        // a shared registry: same counts, same error kinds.
+        fn script(server: &ServerHandle, client: &HttpClient) -> (u64, Vec<&'static str>) {
+            let dead = {
+                let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+                l.local_addr().unwrap()
+            };
+            let kinds = [
+                client.get(server.addr(), "/ok"),
+                client.get(server.addr(), "/limited"),
+                client.get(server.addr(), "/missing"),
+                client.get(dead, "/x"),
+            ]
+            .into_iter()
+            .filter_map(|r| r.err().map(|e| e.kind()))
+            .collect();
+            (server.request_count(), kinds)
+        }
+        let handler = |req: &Request| match req.path.as_str() {
+            "/ok" => Response::ok("text/plain", b"ok".to_vec()),
+            "/limited" => Response::status(Status::TooManyRequests),
+            _ => Response::status(Status::NotFound),
+        };
+        let private = script(&HttpServer::spawn(handler).unwrap(), &HttpClient::new());
+
+        let registry = Registry::new();
+        let server = HttpServer::spawn_configured(
+            "127.0.0.1:0",
+            handler,
+            crate::server::ServerMetrics::register(&registry, &[]),
+            None,
+            crate::reactor::ReactorConfig::default(),
+        )
+        .unwrap();
+        let client = HttpClient::builder()
+            .metrics(ClientMetrics::register(&registry, &[]))
+            .build();
+        let registered = script(&server, &client);
+
+        assert_eq!(private, registered);
+        assert_eq!(private, (3, vec!["status", "status", "io"]));
+        let snap = registry.snapshot();
+        let errors = snap.counter_sum("marketscope_net_client_errors_total", &[]);
+        let requests = snap.counter_sum("marketscope_net_requests_total", &[]);
+        assert_eq!((requests, errors), (3, 3));
     }
 
     #[test]

@@ -150,38 +150,27 @@ pub enum FaultAction {
 /// labels (the fleet adds `market`).
 #[derive(Clone)]
 pub struct FaultMetrics {
-    reset: Arc<Counter>,
-    stall: Arc<Counter>,
-    truncate: Arc<Counter>,
-    error: Arc<Counter>,
-    downtime: Arc<Counter>,
+    by_kind: Vec<(&'static str, Arc<Counter>)>,
 }
 
 impl FaultMetrics {
     /// Create the fault counters in `registry`, tagged with `labels`.
     pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> FaultMetrics {
-        let counter = |fault: &str| {
-            let mut all = vec![("fault", fault)];
-            all.extend_from_slice(labels);
-            registry.counter("marketscope_net_faults_injected_total", &all)
-        };
-        FaultMetrics {
-            reset: counter("reset"),
-            stall: counter("stall"),
-            truncate: counter("truncate"),
-            error: counter("error"),
-            downtime: counter("downtime"),
-        }
+        let by_kind = ["reset", "stall", "truncate", "error", "downtime"]
+            .into_iter()
+            .map(|fault| {
+                let mut all = vec![("fault", fault)];
+                all.extend_from_slice(labels);
+                let counter = registry.counter("marketscope_net_faults_injected_total", &all);
+                (fault, counter)
+            })
+            .collect();
+        FaultMetrics { by_kind }
     }
 
-    fn note(&self, action: FaultAction, in_downtime: bool) {
-        match action {
-            FaultAction::Serve => {}
-            FaultAction::Reset if in_downtime => self.downtime.inc(),
-            FaultAction::Reset => self.reset.inc(),
-            FaultAction::Stall(_) => self.stall.inc(),
-            FaultAction::Truncate => self.truncate.inc(),
-            FaultAction::Error { .. } => self.error.inc(),
+    fn note(&self, kind: &str) {
+        if let Some((_, counter)) = self.by_kind.iter().find(|(k, _)| *k == kind) {
+            counter.inc();
         }
     }
 }
@@ -198,31 +187,26 @@ pub struct FaultInjector {
     index: AtomicU64,
     /// Total faults injected (all kinds).
     injected: AtomicU64,
-    metrics: Option<FaultMetrics>,
+    metrics: FaultMetrics,
     /// Structured event log plus the scope tag (`market` label) stamped
     /// on every injection event.
-    log: Option<(Arc<EventLog>, String)>,
+    log: Arc<EventLog>,
+    scope: String,
 }
 
 impl FaultInjector {
-    /// An injector with no telemetry.
+    /// An injector counting into a private registry.
     pub fn new(seed: u64, plan: FaultPlan) -> FaultInjector {
-        FaultInjector {
-            seed,
-            plan,
-            counts: Mutex::new(HashMap::new()),
-            index: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-            metrics: None,
-            log: None,
-        }
+        FaultInjector::instrumented(seed, plan, &Registry::new(), &[])
     }
 
-    /// Record every injected fault to `log`, tagged with `scope` as the
-    /// `market` field (events are exempt paths' only blind spot: `/__`
-    /// requests never fault, so they never log).
+    /// Record every injected fault to `log` (instead of a small private
+    /// one), tagged with `scope` as the `market` field (events are exempt
+    /// paths' only blind spot: `/__` requests never fault, so they never
+    /// log).
     pub fn with_log(mut self, log: Arc<EventLog>, scope: &str) -> FaultInjector {
-        self.log = Some((log, scope.to_owned()));
+        self.log = log;
+        self.scope = scope.to_owned();
         self
     }
 
@@ -234,8 +218,14 @@ impl FaultInjector {
         labels: &[(&str, &str)],
     ) -> FaultInjector {
         FaultInjector {
-            metrics: Some(FaultMetrics::register(registry, labels)),
-            ..FaultInjector::new(seed, plan)
+            seed,
+            plan,
+            counts: Mutex::new(HashMap::new()),
+            index: AtomicU64::new(0),
+            injected: AtomicU64::new(0),
+            metrics: FaultMetrics::register(registry, labels),
+            log: crate::private_log(),
+            scope: String::new(),
         }
     }
 
@@ -267,28 +257,22 @@ impl FaultInjector {
         } else {
             self.draw(path)
         };
-        if action != FaultAction::Serve {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.note(action, in_downtime);
-            }
-            if let Some((log, scope)) = &self.log {
-                let kind = match action {
-                    FaultAction::Serve => "serve",
-                    FaultAction::Reset if in_downtime => "downtime",
-                    FaultAction::Reset => "reset",
-                    FaultAction::Stall(_) => "stall",
-                    FaultAction::Truncate => "truncate",
-                    FaultAction::Error { .. } => "error",
-                };
-                log.record(
-                    LogLevel::Warn,
-                    "net.fault",
-                    "fault injected",
-                    &[("market", scope), ("fault", kind), ("path", path)],
-                );
-            }
-        }
+        let kind = match action {
+            FaultAction::Serve => return action,
+            FaultAction::Reset if in_downtime => "downtime",
+            FaultAction::Reset => "reset",
+            FaultAction::Stall(_) => "stall",
+            FaultAction::Truncate => "truncate",
+            FaultAction::Error { .. } => "error",
+        };
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        self.metrics.note(kind);
+        self.log.record(
+            LogLevel::Warn,
+            "net.fault",
+            "fault injected",
+            &[("market", &self.scope), ("fault", kind), ("path", path)],
+        );
         action
     }
 

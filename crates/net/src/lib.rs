@@ -67,3 +67,9 @@ pub use resilience::{
 };
 pub use router::Router;
 pub use server::{HttpServer, ServerHandle, ServerMetrics};
+
+/// The event log a component records to until a caller attaches a shared
+/// one: every component always holds a log, this one is just unread.
+pub(crate) fn private_log() -> std::sync::Arc<marketscope_telemetry::EventLog> {
+    std::sync::Arc::new(marketscope_telemetry::EventLog::new(16))
+}

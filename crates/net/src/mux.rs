@@ -5,7 +5,7 @@
 //! the outcome ([`MuxClient::wait`]), while a single driver thread owns
 //! every connection as a nonblocking state machine (`Connecting →
 //! Sending → Receiving`, keep-alive reuse through a per-host pool) and
-//! multiplexes them over the [`reactor::sys`](crate::reactor::sys) poll
+//! multiplexes them over the `reactor::sys` poll
 //! shim and the I/O primitives it shares with the server shards. A
 //! caller blocked in `wait` costs a parked ticket, not a socket-bound
 //! thread. Every [`HttpClient`](crate::client::HttpClient) call is a
@@ -115,7 +115,7 @@ impl TicketCell {
 }
 
 /// Handle to one outstanding submission. Redeem it with
-/// [`MuxClient::wait`] (or internally, [`MuxClient::wait_payload`]).
+/// [`MuxClient::wait`] (or internally, `MuxClient::wait_payload`).
 pub struct Ticket {
     cell: Arc<TicketCell>,
 }
@@ -213,11 +213,11 @@ struct Lane {
 /// State shared between the caller-facing handle and the driver thread.
 struct Shared {
     config: ClientConfig,
-    tracer: Option<Arc<Tracer>>,
-    metrics: Option<ClientMetrics>,
+    tracer: Arc<Tracer>,
+    metrics: ClientMetrics,
     retry: Option<RetryPolicy>,
     breakers: Option<Arc<BreakerSet>>,
-    resilience: Option<ResilienceMetrics>,
+    resilience: ResilienceMetrics,
     queue: Mutex<Vec<Submission>>,
     pool: Mutex<HashMap<SocketAddr, Vec<IdleConn>>>,
     shutdown: AtomicBool,
@@ -247,17 +247,17 @@ pub struct MuxClient {
 }
 
 impl MuxClient {
-    /// A mux engine with the given socket configuration and (optional)
-    /// telemetry and resilience stack. The resilience pieces are only
+    /// A mux engine with the given socket configuration, telemetry and
+    /// (optional) resilience stack. The resilience pieces are only
     /// consulted by *managed* submissions; raw submissions get
     /// transparent connect retries only.
     pub fn new(
         config: ClientConfig,
-        tracer: Option<Arc<Tracer>>,
-        metrics: Option<ClientMetrics>,
+        tracer: Arc<Tracer>,
+        metrics: ClientMetrics,
         retry: Option<RetryPolicy>,
         breakers: Option<Arc<BreakerSet>>,
-        resilience: Option<ResilienceMetrics>,
+        resilience: ResilienceMetrics,
     ) -> MuxClient {
         MuxClient {
             shared: Arc::new(Shared {
@@ -535,18 +535,16 @@ impl Driver {
                 .map_or(true, |b| b.for_host(item.sub.addr).admit());
             if !admitted {
                 let err = NetError::CircuitOpen;
-                if let Some(m) = &self.shared.metrics {
-                    m.note_error(&err);
-                }
+                self.shared.metrics.note_error(&err);
                 self.complete_sub(item.sub, Err(err));
                 return;
             }
         }
         let name = format!("{} {}", item.sub.req.method.as_str(), item.sub.req.path);
-        let request_span = match &self.shared.tracer {
-            Some(t) => t.child_of(item.sub.parent, "client", &name),
-            None => TraceSpan::noop(),
-        };
+        let request_span = self
+            .shared
+            .tracer
+            .child_of(item.sub.parent, "client", &name);
         let mut act = Active {
             sub: item.sub,
             attempt: 0,
@@ -568,14 +566,11 @@ impl Driver {
     /// nonblocking connect). An `Err` is a connect-phase failure: the
     /// cycle is over (connect errors burn no transparent retries).
     fn start_attempt(&mut self, act: &mut Active) -> Result<(), NetError> {
-        let attempt_span = match &self.shared.tracer {
-            Some(t) => t.child_of(
-                act.request_span.context(),
-                "client",
-                &format!("attempt#{}", act.attempt),
-            ),
-            None => TraceSpan::noop(),
-        };
+        let attempt_span = self.shared.tracer.child_of(
+            act.request_span.context(),
+            "client",
+            &format!("attempt#{}", act.attempt),
+        );
         if act.attempt > 0 {
             attempt_span.event("retry");
         }
@@ -732,9 +727,7 @@ impl Driver {
         act.conn = None;
         if !connect_phase && err.is_transient() && act.attempt < self.shared.config.retries {
             act.attempt += 1;
-            if let Some(m) = &self.shared.metrics {
-                m.note_transparent_retry();
-            }
+            self.shared.metrics.note_transparent_retry();
             match self.start_attempt(&mut act) {
                 Ok(()) => self.active.push(act),
                 Err(e) => self.fail_attempt(act, e, true),
@@ -751,13 +744,11 @@ impl Driver {
         if let Err(e) = &wire {
             act.request_span.event(&format!("error:{}", e.kind()));
         }
-        if let Some(m) = &self.shared.metrics {
-            m.record_request(act.started.elapsed());
-        }
+        self.shared.metrics.record_request(act.started.elapsed());
         let (key, decode) = match act.sub.policy {
             Policy::Raw => {
-                if let (Some(m), Err(e)) = (&self.shared.metrics, &wire) {
-                    m.note_error(e);
+                if let Err(e) = &wire {
+                    self.shared.metrics.note_error(e);
                 }
                 std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
                 self.complete_sub(act.sub, wire.map(Payload::Resp));
@@ -796,9 +787,7 @@ impl Driver {
         };
         // Wire errors and the status/decode errors minted above all land
         // here exactly once.
-        if let Some(m) = &self.shared.metrics {
-            m.note_error(&err);
-        }
+        self.shared.metrics.note_error(&err);
         let delay = self
             .shared
             .retry
@@ -811,9 +800,7 @@ impl Driver {
                 act.request_span
                     .event(&format!("resilient-retry:{}", err.kind()));
                 std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
-                if let Some(rm) = &self.shared.resilience {
-                    rm.note_retry(wait);
-                }
+                self.shared.resilience.note_retry(wait);
                 self.parked.push(Parked {
                     until: Instant::now() + wait,
                     cycles: act.cycles + 1,

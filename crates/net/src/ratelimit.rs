@@ -47,7 +47,7 @@ pub struct TokenBucket {
     inner: Mutex<BucketState>,
     capacity: f64,
     rate_per_sec: f64,
-    metrics: Option<RateLimitMetrics>,
+    metrics: RateLimitMetrics,
 }
 
 #[derive(Debug)]
@@ -58,8 +58,15 @@ struct BucketState {
 
 impl TokenBucket {
     /// A bucket holding up to `capacity` tokens, refilling at
-    /// `rate_per_sec`. Starts full.
+    /// `rate_per_sec`. Starts full. Counts into a private registry.
     pub fn new(capacity: u32, rate_per_sec: f64) -> Self {
+        let metrics = RateLimitMetrics::register(&Registry::new(), &[]);
+        TokenBucket::instrumented(capacity, rate_per_sec, metrics)
+    }
+
+    /// A bucket whose grants, rejections and caller waits are counted in
+    /// a telemetry registry.
+    pub fn instrumented(capacity: u32, rate_per_sec: f64, metrics: RateLimitMetrics) -> Self {
         assert!(capacity > 0, "zero-capacity bucket");
         assert!(rate_per_sec > 0.0, "non-positive refill rate");
         TokenBucket {
@@ -69,16 +76,8 @@ impl TokenBucket {
             }),
             capacity: capacity as f64,
             rate_per_sec,
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// A bucket whose grants, rejections and caller waits are counted in
-    /// a telemetry registry.
-    pub fn instrumented(capacity: u32, rate_per_sec: f64, metrics: RateLimitMetrics) -> Self {
-        let mut bucket = TokenBucket::new(capacity, rate_per_sec);
-        bucket.metrics = Some(metrics);
-        bucket
     }
 
     /// Try to take one token now.
@@ -98,23 +97,19 @@ impl TokenBucket {
                 false
             }
         };
-        if let Some(m) = &self.metrics {
-            if granted {
-                m.grants.inc();
-            } else {
-                m.rejections.inc();
-            }
+        if granted {
+            self.metrics.grants.inc();
+        } else {
+            self.metrics.rejections.inc();
         }
         granted
     }
 
-    /// Record how long a caller actually blocked waiting for a token
-    /// (no-op on uninstrumented buckets). The bucket itself never sleeps,
-    /// so the polite-waiting caller reports its measured wait here.
+    /// Record how long a caller actually blocked waiting for a token.
+    /// The bucket itself never sleeps, so the polite-waiting caller
+    /// reports its measured wait here.
     pub fn note_wait(&self, waited: Duration) {
-        if let Some(m) = &self.metrics {
-            m.wait_nanos.record_duration(waited);
-        }
+        self.metrics.wait_nanos.record_duration(waited);
     }
 
     /// How long until one token will be available (zero if one is ready).

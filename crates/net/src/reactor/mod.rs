@@ -16,7 +16,7 @@
 //!   set of connections outright (no cross-shard locking on the hot
 //!   path) and runs `poll` → read → parse → dispatch → write;
 //! * **M handler-pool workers** ([`ReactorConfig::handler_threads`]) —
-//!   the [`Handler`](crate::server::Handler) trait is blocking by
+//!   the [`Handler`] trait is blocking by
 //!   contract, so handlers run on a bounded pool, never on a shard.
 //!
 //! # Connection state machine
@@ -76,7 +76,7 @@ pub struct ReactorConfig {
     /// at accept time and never migrate.
     pub shards: usize,
     /// Handler-pool worker threads running the blocking
-    /// [`Handler`](crate::server::Handler) trait (and fault stalls).
+    /// [`Handler`] trait (and fault stalls).
     pub handler_threads: usize,
     /// Open-connection ceiling. Beyond it the acceptor sheds new
     /// connections with `503` + `connection: close` and counts them in
@@ -287,7 +287,6 @@ impl ShardState {
                 owners.push((idx, conn.gen));
             }
             let _ = sys::poll_fds(&mut pollfds, self.poll_timeout());
-            self.shared.metrics.wakeups.inc();
             if pollfds[0].readable() {
                 mailbox.pipe.drain();
             }
@@ -526,7 +525,6 @@ fn worker_loop(shared: Arc<Shared>) {
 /// (before any span), then request span → handler span → handler →
 /// `note_response` → write span → serialization.
 fn process_request(shared: &Shared, req: &Request) -> Directive {
-    use marketscope_telemetry::TraceSpan;
     let metrics = &shared.metrics;
     let close = req.wants_close();
     // The fault injector gets first refusal, before any span opens: a
@@ -561,21 +559,15 @@ fn process_request(shared: &Shared, req: &Request) -> Directive {
         }
     }
     // A propagated trace context makes this request a remote child of
-    // the client-side attempt span; without one (or without a tracer)
-    // every span below is a no-op.
-    let req_span = match &metrics.tracer {
-        Some(t) => t.child_of(
-            req.trace_context(),
-            "server",
-            &format!("{} {}", req.method.as_str(), req.path),
-        ),
-        None => TraceSpan::noop(),
-    };
+    // the client-side attempt span; without one every span below is a
+    // no-op.
+    let req_span = metrics.tracer.child_of(
+        req.trace_context(),
+        "server",
+        &format!("{} {}", req.method.as_str(), req.path),
+    );
     let start = Instant::now();
-    let handler_span = match &metrics.tracer {
-        Some(t) => t.span("server", "handler"),
-        None => TraceSpan::noop(),
-    };
+    let handler_span = metrics.tracer.span("server", "handler");
     // A panicking handler must not kill a pool worker (that would shrink
     // the pool forever). Catch it and drop the connection — the same
     // observable outcome the per-connection transport gave the peer.
@@ -596,10 +588,7 @@ fn process_request(shared: &Shared, req: &Request) -> Directive {
     // itself is excluded from both.
     metrics.note_response(resp.status, start.elapsed());
     req_span.event(&format!("status:{}", resp.status.code()));
-    let write_span = match &metrics.tracer {
-        Some(t) => t.span("server", "write"),
-        None => TraceSpan::noop(),
-    };
+    let write_span = metrics.tracer.span("server", "write");
     let directive = if fault == FaultAction::Truncate {
         // Cut the body mid-stream and close so the client sees an
         // unexpected EOF. An empty body can't be cut — drop the
@@ -647,14 +636,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 // EMFILE, ENFILE, ECONNABORTED: transient. Count it and
                 // back off instead of spinning hot on the error.
                 shared.metrics.accept_errors.inc();
-                if let Some(log) = &shared.metrics.log {
-                    log.record(
-                        LogLevel::Warn,
-                        "net.reactor",
-                        "transient accept error, backing off",
-                        &[("backoff_ms", &backoff.as_millis().to_string())],
-                    );
-                }
+                shared.metrics.log.record(
+                    LogLevel::Warn,
+                    "net.reactor",
+                    "transient accept error, backing off",
+                    &[("backoff_ms", &backoff.as_millis().to_string())],
+                );
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
                 continue;
@@ -662,14 +649,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         };
         if shared.metrics.live.get() >= shared.cfg.max_connections as i64 {
             shared.metrics.shed.inc();
-            if let Some(log) = &shared.metrics.log {
-                log.record(
-                    LogLevel::Warn,
-                    "net.reactor",
-                    "connection shed at ceiling",
-                    &[("max_connections", &shared.cfg.max_connections.to_string())],
-                );
-            }
+            shared.metrics.log.record(
+                LogLevel::Warn,
+                "net.reactor",
+                "connection shed at ceiling",
+                &[("max_connections", &shared.cfg.max_connections.to_string())],
+            );
             // Best-effort single write; the shed path must never block
             // the acceptor.
             let _ = stream.set_nonblocking(true);

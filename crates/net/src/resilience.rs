@@ -160,7 +160,7 @@ pub struct ResilienceMetrics {
     to_half_open: Arc<Counter>,
     to_closed: Arc<Counter>,
     open_circuits: Arc<Gauge>,
-    log: Option<Arc<EventLog>>,
+    log: Arc<EventLog>,
 }
 
 impl ResilienceMetrics {
@@ -179,14 +179,15 @@ impl ResilienceMetrics {
             to_half_open: transition("half_open"),
             to_closed: transition("closed"),
             open_circuits: registry.gauge("marketscope_net_client_open_circuits", labels),
-            log: None,
+            log: crate::private_log(),
         }
     }
 
     /// Record breaker transitions to `log` as structured events (in
-    /// addition to the transition counters).
+    /// addition to the transition counters) instead of to a small
+    /// private one.
     pub fn with_log(mut self, log: Arc<EventLog>) -> ResilienceMetrics {
-        self.log = Some(log);
+        self.log = log;
         self
     }
 
@@ -202,20 +203,26 @@ impl ResilienceMetrics {
 pub struct CircuitBreaker {
     config: BreakerConfig,
     state: Mutex<State>,
-    metrics: Option<ResilienceMetrics>,
+    metrics: ResilienceMetrics,
     /// Host tag stamped on transition log events (set by
     /// [`BreakerSet::for_host`]).
-    scope: Option<String>,
+    scope: String,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given thresholds.
+    /// A closed breaker with the given thresholds, counting into a
+    /// private registry.
     pub fn new(config: BreakerConfig) -> CircuitBreaker {
+        let metrics = ResilienceMetrics::register(&Registry::new(), &[]);
+        CircuitBreaker::scoped(config, metrics, "?")
+    }
+
+    fn scoped(config: BreakerConfig, metrics: ResilienceMetrics, scope: &str) -> CircuitBreaker {
         CircuitBreaker {
             config,
             state: Mutex::new(State::Closed { failures: 0 }),
-            metrics: None,
-            scope: None,
+            metrics,
+            scope: scope.to_owned(),
         }
     }
 
@@ -260,9 +267,7 @@ impl CircuitBreaker {
         };
         drop(st);
         if !admitted {
-            if let Some(m) = &self.metrics {
-                m.fast_fails.inc();
-            }
+            self.metrics.fast_fails.inc();
         }
         admitted
     }
@@ -297,9 +302,7 @@ impl CircuitBreaker {
                 if *failures >= self.config.failure_threshold {
                     *st = State::Open { rejections: 0 };
                     drop(st);
-                    if let Some(m) = &self.metrics {
-                        m.open_circuits.inc();
-                    }
+                    self.metrics.open_circuits.inc();
                     self.note_transition(BreakerState::Open);
                     trace::current_event("breaker:open");
                 }
@@ -316,25 +319,24 @@ impl CircuitBreaker {
     }
 
     fn note_transition(&self, to: BreakerState) {
-        if let Some(m) = &self.metrics {
-            match to {
-                BreakerState::Open => m.to_open.inc(),
-                BreakerState::HalfOpen => m.to_half_open.inc(),
-                BreakerState::Closed => {
-                    m.to_closed.inc();
-                    m.open_circuits.dec();
-                }
+        let m = &self.metrics;
+        let (level, message) = match to {
+            BreakerState::Open => {
+                m.to_open.inc();
+                (LogLevel::Warn, "circuit opened")
             }
-            if let Some(log) = &m.log {
-                let (level, message) = match to {
-                    BreakerState::Open => (LogLevel::Warn, "circuit opened"),
-                    BreakerState::HalfOpen => (LogLevel::Info, "circuit half-open, probing"),
-                    BreakerState::Closed => (LogLevel::Info, "circuit closed"),
-                };
-                let host = self.scope.as_deref().unwrap_or("?");
-                log.record(level, "net.breaker", message, &[("host", host)]);
+            BreakerState::HalfOpen => {
+                m.to_half_open.inc();
+                (LogLevel::Info, "circuit half-open, probing")
             }
-        }
+            BreakerState::Closed => {
+                m.to_closed.inc();
+                m.open_circuits.dec();
+                (LogLevel::Info, "circuit closed")
+            }
+        };
+        m.log
+            .record(level, "net.breaker", message, &[("host", &self.scope)]);
     }
 }
 
@@ -343,13 +345,13 @@ impl CircuitBreaker {
 /// one set of (aggregate) instruments.
 pub struct BreakerSet {
     config: BreakerConfig,
-    metrics: Option<ResilienceMetrics>,
+    metrics: ResilienceMetrics,
     by_host: Mutex<HashMap<SocketAddr, Arc<CircuitBreaker>>>,
 }
 
 impl BreakerSet {
-    /// A breaker set with the given thresholds.
-    pub fn new(config: BreakerConfig, metrics: Option<ResilienceMetrics>) -> BreakerSet {
+    /// A breaker set with the given thresholds, counting into `metrics`.
+    pub fn new(config: BreakerConfig, metrics: ResilienceMetrics) -> BreakerSet {
         BreakerSet {
             config,
             metrics,
@@ -360,11 +362,11 @@ impl BreakerSet {
     /// The breaker guarding `addr`, created closed on first use.
     pub fn for_host(&self, addr: SocketAddr) -> Arc<CircuitBreaker> {
         Arc::clone(self.by_host.lock().entry(addr).or_insert_with(|| {
-            Arc::new(CircuitBreaker {
-                metrics: self.metrics.clone(),
-                scope: Some(addr.to_string()),
-                ..CircuitBreaker::new(self.config)
-            })
+            Arc::new(CircuitBreaker::scoped(
+                self.config,
+                self.metrics.clone(),
+                &addr.to_string(),
+            ))
         }))
     }
 
@@ -510,7 +512,7 @@ mod tests {
                 cooldown_rejections: 1,
                 half_open_trials: 1,
             },
-            Some(metrics),
+            metrics,
         );
         let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let b = set.for_host(addr);

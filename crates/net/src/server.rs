@@ -48,11 +48,12 @@ const TRACKED_STATUSES: [(u16, &str); 6] = [
 /// The server-side instrument set: total requests, live connections,
 /// handler latency, and per-status response counts.
 ///
-/// Built either [standalone](ServerMetrics::standalone) (free-floating
-/// instruments, still readable through [`ServerHandle`]) or
-/// [registered](ServerMetrics::register) in a [`Registry`] so a scrape
-/// endpoint sees them. Either way the record path is lock-free.
-#[derive(Debug)]
+/// Built either [standalone](ServerMetrics::standalone) (a private
+/// registry, still readable through [`ServerHandle`]) or
+/// [registered](ServerMetrics::register) in a caller's [`Registry`] so a
+/// scrape endpoint sees them. Either way the record path is lock-free,
+/// and clones share the instruments (a health handler keeps one to read).
+#[derive(Debug, Clone)]
 pub struct ServerMetrics {
     pub(crate) requests: Arc<Counter>,
     pub(crate) live: Arc<Gauge>,
@@ -60,9 +61,8 @@ pub struct ServerMetrics {
     pub(crate) responses: Vec<(u16, Arc<Counter>)>,
     pub(crate) accept_errors: Arc<Counter>,
     pub(crate) shed: Arc<Counter>,
-    pub(crate) wakeups: Arc<Counter>,
-    pub(crate) tracer: Option<Arc<Tracer>>,
-    pub(crate) log: Option<Arc<EventLog>>,
+    pub(crate) tracer: Arc<Tracer>,
+    pub(crate) log: Arc<EventLog>,
 }
 
 impl ServerMetrics {
@@ -75,7 +75,9 @@ impl ServerMetrics {
     /// * `marketscope_net_responses_total{status="..."}`
     /// * `marketscope_net_accept_errors_total` (transient accept failures)
     /// * `marketscope_net_connections_shed_total` (503s above the ceiling)
-    /// * `marketscope_net_eventloop_wakeups_total` (shard poll returns)
+    ///
+    /// Spans go to a disabled tracer and events to a private log until
+    /// [`traced`](Self::traced) / [`logged`](Self::logged) attach shared ones.
     pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> ServerMetrics {
         let responses = TRACKED_STATUSES
             .iter()
@@ -95,9 +97,8 @@ impl ServerMetrics {
             responses,
             accept_errors: registry.counter("marketscope_net_accept_errors_total", labels),
             shed: registry.counter("marketscope_net_connections_shed_total", labels),
-            wakeups: registry.counter("marketscope_net_eventloop_wakeups_total", labels),
-            tracer: None,
-            log: None,
+            tracer: Arc::new(Tracer::disabled()),
+            log: crate::private_log(),
         }
     }
 
@@ -107,7 +108,7 @@ impl ServerMetrics {
     /// the caller's trace crosses the wire into this server. Requests
     /// without the header trace nothing.
     pub fn traced(mut self, tracer: Arc<Tracer>) -> ServerMetrics {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -115,28 +116,37 @@ impl ServerMetrics {
     /// only bump counters (connection shed at the ceiling, accept
     /// errors) also record an event with context.
     pub fn logged(mut self, log: Arc<EventLog>) -> ServerMetrics {
-        self.log = Some(log);
+        self.log = log;
         self
     }
 
-    /// Free-floating instruments, not attached to any registry. Used by
+    /// Instruments in a private registry nobody scrapes. Used by
     /// [`HttpServer::spawn`] so every server counts requests and live
     /// connections even without a scrape endpoint.
     pub fn standalone() -> ServerMetrics {
-        ServerMetrics {
-            requests: Arc::new(Counter::new()),
-            live: Arc::new(Gauge::new()),
-            handler_nanos: Arc::new(Histogram::new()),
-            responses: TRACKED_STATUSES
-                .iter()
-                .map(|&(code, _)| (code, Arc::new(Counter::new())))
-                .collect(),
-            accept_errors: Arc::new(Counter::new()),
-            shed: Arc::new(Counter::new()),
-            wakeups: Arc::new(Counter::new()),
-            tracer: None,
-            log: None,
-        }
+        ServerMetrics::register(&Registry::new(), &[])
+    }
+
+    /// Total requests served so far.
+    pub fn request_count(&self) -> u64 {
+        self.requests.get()
+    }
+
+    /// Connections currently open.
+    pub fn live_connections(&self) -> u64 {
+        self.live.get().max(0) as u64
+    }
+
+    /// Transient accept-loop errors absorbed with backoff so far
+    /// (`marketscope_net_accept_errors_total`).
+    pub fn accept_errors(&self) -> u64 {
+        self.accept_errors.get()
+    }
+
+    /// Connections shed with an immediate `503` because the server was
+    /// at its ceiling (`marketscope_net_connections_shed_total`).
+    pub fn shed_connections(&self) -> u64 {
+        self.shed.get()
     }
 
     pub(crate) fn note_response(&self, status: Status, handler_time: Duration) {
@@ -221,28 +231,12 @@ impl ServerHandle {
 
     /// Total requests served so far.
     pub fn request_count(&self) -> u64 {
-        self.metrics.requests.get()
+        self.metrics.request_count()
     }
 
     /// Connections currently open.
     pub fn live_connections(&self) -> u64 {
-        self.metrics.live.get().max(0) as u64
-    }
-
-    /// The request counter itself — the single source of truth also
-    /// visible through a registered [`ServerMetrics`].
-    pub fn requests_counter(&self) -> &Arc<Counter> {
-        &self.metrics.requests
-    }
-
-    /// The live-connection gauge itself.
-    pub fn live_gauge(&self) -> &Arc<Gauge> {
-        &self.metrics.live
-    }
-
-    /// Handler latency histogram (nanoseconds).
-    pub fn handler_latency(&self) -> &Arc<Histogram> {
-        &self.metrics.handler_nanos
+        self.metrics.live_connections()
     }
 
     /// The fault injector wrapping this server, when spawned with one.
@@ -256,16 +250,14 @@ impl ServerHandle {
         &self.config
     }
 
-    /// Transient accept-loop errors absorbed with backoff so far
-    /// (`marketscope_net_accept_errors_total`).
+    /// Transient accept-loop errors absorbed with backoff so far.
     pub fn accept_errors(&self) -> u64 {
-        self.metrics.accept_errors.get()
+        self.metrics.accept_errors()
     }
 
-    /// Connections shed with an immediate `503` because the server was
-    /// at its ceiling (`marketscope_net_connections_shed_total`).
+    /// Connections shed with an immediate `503` at the ceiling so far.
     pub fn shed_connections(&self) -> u64 {
-        self.metrics.shed.get()
+        self.metrics.shed_connections()
     }
 
     /// Stop accepting, then wake and join every transport thread (the
@@ -506,9 +498,5 @@ mod tests {
         assert_eq!(hist.count(), 2);
         // ServerHandle accessors read the same instruments.
         assert_eq!(server.request_count(), 2);
-        assert!(Arc::ptr_eq(
-            server.requests_counter(),
-            &registry.counter("marketscope_net_requests_total", &labels)
-        ));
     }
 }

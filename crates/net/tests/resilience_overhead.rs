@@ -49,7 +49,10 @@ fn idle_resilience_overhead_is_under_5_percent() {
     // per-host breaker lookup, admission check, success vote, and the
     // retry loop's request-key hash. (The backoff machinery itself only
     // runs after a failure, which this guard by construction never has.)
-    let set = BreakerSet::new(BreakerConfig::default(), None);
+    let set = BreakerSet::new(
+        BreakerConfig::default(),
+        ResilienceMetrics::register(&Registry::new(), &[]),
+    );
     let addr = server.addr();
     let iters = 100_000u32;
     let t = Instant::now();

@@ -2,8 +2,7 @@
 //! expensive passes every experiment reads from.
 //!
 //! The passes themselves are scheduled by the staged
-//! [`AnalysisEngine`](crate::engine::AnalysisEngine);
-//! [`Analyzed::compute`] is a thin wrapper over it.
+//! [`AnalysisEngine`]; [`Analyzed::compute`] is a thin wrapper over it.
 
 use marketscope_analysis::av::AvReport;
 use marketscope_analysis::fake::{FakeInput, FakeReport};

@@ -34,11 +34,12 @@
 //! * `av` and `overpriv` are pure per-digest functions mapped in input
 //!   order.
 //!
-//! When built [`AnalysisEngine::with_registry`], every stage records its
-//! wall-clock latency into the `marketscope_analysis_stage_nanos{stage=..}`
-//! histogram and its item count into
-//! `marketscope_analysis_stage_items_total{stage=..}`, which
-//! [`crate::OpsSummary`] renders as the analysis section.
+//! Every stage records its wall-clock latency into the
+//! `marketscope_analysis_stage_nanos{stage=..}` histogram and its item
+//! count into `marketscope_analysis_stage_items_total{stage=..}` — in the
+//! registry [`AnalysisEngine::with_registry`] was given, which
+//! [`crate::OpsSummary`] renders as the analysis section, or in a
+//! private one.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -54,7 +55,7 @@ use marketscope_core::parallel;
 use marketscope_core::{DeveloperKey, MarketId};
 use marketscope_crawler::Snapshot;
 use marketscope_libdetect::LibraryDetector;
-use marketscope_telemetry::trace::{SpanContext, TraceSpan, Tracer};
+use marketscope_telemetry::trace::{SpanContext, Tracer};
 use marketscope_telemetry::Registry;
 
 use crate::context::{Analyzed, UniqueApp};
@@ -151,30 +152,28 @@ impl EngineConfig {
 
 /// The staged analysis engine. See the module docs for the stage graph and
 /// the determinism contract.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AnalysisEngine {
     config: EngineConfig,
-    registry: Option<Arc<Registry>>,
-    tracer: Option<Arc<Tracer>>,
+    registry: Arc<Registry>,
+    tracer: Arc<Tracer>,
+}
+
+impl Default for AnalysisEngine {
+    fn default() -> Self {
+        AnalysisEngine::new(EngineConfig::default())
+    }
 }
 
 impl AnalysisEngine {
-    /// Engine with the given config and no telemetry.
+    /// Engine with the given config and private telemetry.
     pub fn new(config: EngineConfig) -> Self {
-        AnalysisEngine {
-            config,
-            registry: None,
-            tracer: None,
-        }
+        AnalysisEngine::with_registry(config, Arc::new(Registry::new()))
     }
 
     /// Engine recording per-stage latency and item counts into `registry`.
     pub fn with_registry(config: EngineConfig, registry: Arc<Registry>) -> Self {
-        AnalysisEngine {
-            config,
-            registry: Some(registry),
-            tracer: None,
-        }
+        AnalysisEngine::with_telemetry(config, registry, Arc::new(Tracer::disabled()))
     }
 
     /// Engine recording stage metrics into `registry` *and* per-stage
@@ -188,8 +187,8 @@ impl AnalysisEngine {
     ) -> Self {
         AnalysisEngine {
             config,
-            registry: Some(registry),
-            tracer: Some(tracer),
+            registry,
+            tracer,
         }
     }
 
@@ -199,7 +198,7 @@ impl AnalysisEngine {
     }
 
     /// Time `f` as stage `name`, recording latency and `items` processed.
-    /// When traced, the stage runs under its own span parented on the
+    /// The stage runs under its own span parented on the
     /// engine's `analysis` root via the explicit `parent` context —
     /// stages run on scoped threads, so thread-local parenting would not
     /// reach across.
@@ -210,21 +209,16 @@ impl AnalysisEngine {
         items: usize,
         f: impl FnOnce() -> T,
     ) -> T {
-        let span = match &self.tracer {
-            Some(t) => t.child_of(parent, "analysis", name),
-            None => TraceSpan::noop(),
-        };
+        let span = self.tracer.child_of(parent, "analysis", name);
         let start = Instant::now();
         let out = f();
-        if let Some(registry) = &self.registry {
-            let labels = [("stage", name)];
-            registry
-                .histogram(STAGE_LATENCY_METRIC, &labels)
-                .record_duration(start.elapsed());
-            registry
-                .counter(STAGE_ITEMS_METRIC, &labels)
-                .add(items as u64);
-        }
+        let labels = [("stage", name)];
+        self.registry
+            .histogram(STAGE_LATENCY_METRIC, &labels)
+            .record_duration(start.elapsed());
+        self.registry
+            .counter(STAGE_ITEMS_METRIC, &labels)
+            .add(items as u64);
         if span.is_sampled() {
             span.event(&format!("items:{items}"));
         }
@@ -235,10 +229,7 @@ impl AnalysisEngine {
     /// Run every stage over a snapshot.
     pub fn run(&self, snapshot: &Snapshot) -> Analyzed {
         let workers = self.workers();
-        let root = match &self.tracer {
-            Some(t) => t.root_span("analysis", "analysis"),
-            None => TraceSpan::noop(),
-        };
+        let root = self.tracer.root_span("analysis", "analysis");
         let root_ctx = root.context();
 
         // dedup is always sequential: snapshot iteration order defines the
@@ -291,11 +282,7 @@ impl AnalysisEngine {
             // reads it.
             let leaks = self.stage(root_ctx, "taint", apps.len(), || {
                 let ownership = lib_report.ownership();
-                let analyzer = match &self.registry {
-                    Some(r) => LeakAnalyzer::with_registry(r),
-                    None => LeakAnalyzer::new(),
-                };
-                analyzer.analyze_batch(&digest_refs, &ownership, workers)
+                LeakAnalyzer::new().analyze_batch(&digest_refs, &ownership, workers)
             });
             // Download counters feeding the clone-origin heuristic are
             // binned to Google Play's range lower bounds: GP reports

@@ -70,8 +70,7 @@ pub struct Campaign {
     pub ops: OpsSummary,
     /// Merged trace journal (crawler-side + fleet-side + ops-scraper
     /// spans); sampled fetch traces appear only when `trace_sample` was
-    /// above zero. Export with [`marketscope_telemetry::chrome_trace`] or
-    /// [`marketscope_telemetry::flamegraph`].
+    /// above zero. Export with [`marketscope_telemetry::chrome_trace`].
     pub traces: JournalSnapshot,
     /// Final SLO verdicts from the fleet's live evaluator (after the
     /// post-traffic settle ticks).

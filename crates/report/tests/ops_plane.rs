@@ -173,3 +173,141 @@ fn ops_bundle_writes_the_full_record() {
     assert!(events.get("recorded").unwrap().as_u64().unwrap_or(0) > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Who reads an instrument. Anything recorded has one of these; an
+/// instrument nobody reads is deleted, not listed.
+#[derive(Debug, Clone, Copy)]
+enum Reader {
+    /// A row or column of `OpsSummary::render`.
+    OpsReport,
+    /// A selector in `SloPolicy::fleet_default`.
+    Slo,
+    /// A field of the `crawl-progress` line.
+    Progress,
+    /// A field of a market's `/__health` document.
+    Health,
+    /// A field of the repo benchmark or of a loadgen `BENCH_*.json`.
+    Benchmark,
+    /// Only `/__metrics` (and the ops bundle's `metrics.prom`) shows it;
+    /// behavioural tests pin its value.
+    ExpositionOnly,
+}
+
+/// The instrument inventory: every name a campaign's merged registry
+/// holds, with its first reader; DESIGN §8 renders the same table with
+/// labels. The eleven recorders PR 15 deleted as unread (the reactor's
+/// wake-up counter, the crawler's and the analysis crate's reachability
+/// trios, the taint quartet) are absent, so one coming back fails the
+/// test below like any other unlisted name.
+const INSTRUMENTS: &[(&str, Reader)] = &[
+    ("marketscope_analysis_stage_items_total", Reader::OpsReport),
+    ("marketscope_analysis_stage_nanos", Reader::OpsReport),
+    ("marketscope_build_info", Reader::OpsReport),
+    (
+        "marketscope_crawler_apks_harvested_total",
+        Reader::OpsReport,
+    ),
+    ("marketscope_crawler_bfs_queue_depth", Reader::Progress),
+    ("marketscope_crawler_dedup_hits_total", Reader::Progress),
+    (
+        "marketscope_crawler_deferred_fetches_total",
+        Reader::OpsReport,
+    ),
+    ("marketscope_crawler_fetch_errors_total", Reader::OpsReport),
+    (
+        "marketscope_crawler_listings_fetched_total",
+        Reader::OpsReport,
+    ),
+    ("marketscope_crawler_quarantines_total", Reader::OpsReport),
+    (
+        "marketscope_crawler_revisit_recovered_total",
+        Reader::OpsReport,
+    ),
+    ("marketscope_net_accept_errors_total", Reader::Slo),
+    (
+        "marketscope_net_client_backoff_nanos_total",
+        Reader::OpsReport,
+    ),
+    (
+        "marketscope_net_client_breaker_transitions_total",
+        Reader::OpsReport,
+    ),
+    (
+        "marketscope_net_client_errors_total",
+        Reader::ExpositionOnly,
+    ),
+    ("marketscope_net_client_fast_fails_total", Reader::OpsReport),
+    (
+        "marketscope_net_client_open_circuits",
+        Reader::ExpositionOnly,
+    ),
+    ("marketscope_net_client_request_nanos", Reader::Benchmark),
+    (
+        "marketscope_net_client_resilient_retries_total",
+        Reader::OpsReport,
+    ),
+    ("marketscope_net_client_retries_total", Reader::Benchmark),
+    ("marketscope_net_connections_shed_total", Reader::Slo),
+    ("marketscope_net_faults_injected_total", Reader::OpsReport),
+    ("marketscope_net_handler_nanos", Reader::OpsReport),
+    ("marketscope_net_live_connections", Reader::Health),
+    (
+        "marketscope_net_ratelimit_grants_total",
+        Reader::ExpositionOnly,
+    ),
+    (
+        "marketscope_net_ratelimit_rejections_total",
+        Reader::ExpositionOnly,
+    ),
+    ("marketscope_net_ratelimit_wait_nanos", Reader::Progress),
+    ("marketscope_net_requests_total", Reader::OpsReport),
+    ("marketscope_net_responses_total", Reader::OpsReport),
+    ("marketscope_process_rss_bytes", Reader::ExpositionOnly),
+    ("marketscope_process_rss_peak_bytes", Reader::OpsReport),
+    ("marketscope_process_threads", Reader::OpsReport),
+    ("marketscope_process_threads_peak", Reader::OpsReport),
+    ("marketscope_slo_alerts_fired_total", Reader::ExpositionOnly),
+    ("marketscope_slo_alerts_firing", Reader::ExpositionOnly),
+    (
+        "marketscope_slo_alerts_resolved_total",
+        Reader::ExpositionOnly,
+    ),
+];
+
+/// Label-cardinality ceiling for one campaign's merged registry: 17
+/// markets + the repository, 6 statuses, 6 error kinds, 5 fault kinds,
+/// 9 stages and 5 SLO rules come to 555 series today.
+const SERIES_CEILING: usize = 600;
+
+#[test]
+fn every_campaign_instrument_has_a_listed_reader() {
+    let campaign = run_campaign(CampaignConfig {
+        chaos: Some(ChaosProfile::heavy(0xC4A05)),
+        ..base_config()
+    });
+    let t = &campaign.telemetry;
+    let ids: Vec<_> = t
+        .counters
+        .keys()
+        .chain(t.gauges.keys())
+        .chain(t.histograms.keys())
+        .collect();
+    let names: std::collections::BTreeSet<&str> = ids.iter().map(|id| id.name.as_str()).collect();
+    for name in &names {
+        assert!(
+            INSTRUMENTS.iter().any(|(listed, _)| listed == name),
+            "{name} is recorded but has no reader in INSTRUMENTS: name one or delete it"
+        );
+    }
+    for (listed, reader) in INSTRUMENTS {
+        assert!(
+            names.contains(listed),
+            "{listed} ({reader:?}) is listed but no longer recorded: drop the row"
+        );
+    }
+    assert!(
+        ids.len() <= SERIES_CEILING,
+        "{} series exceed the stated ceiling of {SERIES_CEILING}",
+        ids.len()
+    );
+}

@@ -6,7 +6,6 @@
 //! relaxed `fetch_add`s (bucket + running sum) — no locks, no allocation —
 //! so histograms sit directly on request hot paths.
 
-use crate::span::Span;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -77,11 +76,6 @@ impl Histogram {
     #[inline]
     pub fn record_duration(&self, d: Duration) {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Start a [`Span`] that records its elapsed time here when dropped.
-    pub fn start_span(&self) -> Span<'_> {
-        Span::start(self)
     }
 
     /// Total observations so far.

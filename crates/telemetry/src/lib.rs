@@ -15,15 +15,13 @@
 //! * [`Histogram`] — 64 fixed log2 buckets of atomics; recording is two
 //!   relaxed `fetch_add`s, snapshots are mergeable and answer
 //!   p50/p90/p99;
-//! * [`Span`] — an RAII timer that records its elapsed time into a
-//!   histogram on drop;
 //! * [`Registry`] — owns named, labelled instruments and renders the
 //!   whole set as a text exposition ([`exposition`] also parses it back,
 //!   for tests and scrapers);
 //! * [`trace`] — a sampling distributed tracer: 64-bit trace/span ids,
 //!   parent links and timestamped events in a bounded ring-buffer
 //!   journal, with wire propagation via [`TRACE_HEADER`] and exporters
-//!   in [`trace_export`] (Chrome trace-event JSON, folded flamegraph);
+//!   in [`trace_export`] (Chrome trace-event JSON, slowest traces);
 //! * [`series`] — a [`Scraper`] thread that diffs registry snapshots on
 //!   a fixed tick into ring-buffer time series, turning lifetime
 //!   aggregates into windowed rates and windowed p50/p99;
@@ -31,7 +29,15 @@
 //!   alerting over those series (ok → firing → resolved state machine);
 //! * [`log`] — a bounded structured [`EventLog`] whose events carry the
 //!   recording thread's trace context, so alerts and fault injections
-//!   correlate back to traces.
+//!   correlate back to traces;
+//! * [`Periodic`] — the one interval thread behind the scraper, the
+//!   resource sampler and the crawl-progress reporter: it waits on a
+//!   condition variable, so stopping never waits out an interval.
+//!
+//! Components never hold a telemetry handle as an `Option`: one that was
+//! given none records into a private [`Registry`], a
+//! [`Tracer::disabled`] and a small private [`EventLog`], so there is
+//! one instrumented code path and nothing to branch on.
 //!
 //! The record path never takes a lock or allocates: callers resolve an
 //! instrument from the registry once (a short `RwLock` critical section,
@@ -54,10 +60,10 @@ pub mod exposition;
 pub mod histogram;
 pub mod log;
 pub mod perf;
+pub mod periodic;
 pub mod registry;
 pub mod series;
 pub mod slo;
-pub mod span;
 pub mod trace;
 pub mod trace_export;
 
@@ -69,6 +75,7 @@ pub use perf::{
     alloc_stats, build_profile, register_build_info, rss_bytes, thread_count, AllocDelta,
     AllocPhase, AllocStats, ResourcePeaks, ResourceSampler,
 };
+pub use periodic::Periodic;
 pub use registry::{InstrumentId, Registry, RegistrySnapshot};
 pub use series::{
     CounterPoint, GaugePoint, HistogramPoint, Scraper, SeriesConfig, SeriesSnapshot, SeriesStore,
@@ -77,9 +84,8 @@ pub use series::{
 pub use slo::{
     AlertState, MetricSelector, SloEvaluator, SloObjective, SloPolicy, SloRule, SloVerdict,
 };
-pub use span::Span;
 pub use trace::{
     JournalSnapshot, SpanContext, SpanEvent, SpanRecord, TraceSpan, Tracer, TracerConfig,
     TRACE_HEADER,
 };
-pub use trace_export::{chrome_trace, flamegraph, slowest_traces, TraceSummary};
+pub use trace_export::{chrome_trace, slowest_traces, TraceSummary};

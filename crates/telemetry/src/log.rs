@@ -3,7 +3,7 @@
 //! The [`EventLog`] is the narrative complement to the numeric registry:
 //! where counters say *how often* something happened, log events say
 //! *what* happened, *where*, and — because the active trace context is
-//! attached automatically via [`trace::current`](crate::trace::current) —
+//! attached automatically via [`trace::current`] —
 //! *within which request*. The ring mirrors the trace journal's design:
 //! a fixed slot vector claimed by an atomic cursor, so recording is
 //! wait-free apart from one uncontended per-slot mutex, and the oldest

@@ -5,7 +5,7 @@
 //! *what did the run cost the process*? Three pieces:
 //!
 //! * **Allocation accounting** — process-wide atomic counters
-//!   ([`alloc_stats`]) fed by [`CountingAlloc`], a wrapper around the
+//!   ([`alloc_stats`]) fed by `CountingAlloc`, a wrapper around the
 //!   system allocator compiled only under the `alloc-profile` feature
 //!   (counting every allocation costs a few percent, so it is opt-in).
 //!   Binaries install it with `#[global_allocator]`; without the feature
@@ -20,10 +20,10 @@
 //!   exposition and BENCH file records which binary produced it.
 
 use crate::counter::Gauge;
+use crate::periodic::Periodic;
 use crate::registry::Registry;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Allocations since process start (never decremented).
@@ -39,7 +39,7 @@ static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time copy of the process-wide allocation counters.
 ///
-/// All zeros unless [`CountingAlloc`] is installed as the global
+/// All zeros unless `CountingAlloc` is installed as the global
 /// allocator (which requires the `alloc-profile` feature).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -240,27 +240,28 @@ struct PeakState {
 /// * `marketscope_process_rss_bytes` / `marketscope_process_rss_peak_bytes`
 /// * `marketscope_process_threads` / `marketscope_process_threads_peak`
 ///
-/// One sample is taken synchronously at spawn, so even a short-lived
-/// sampler reports real peaks. [`ResourceSampler::stop`] joins the
-/// thread and returns the peaks.
+/// One sample is taken synchronously at spawn and one at
+/// [`ResourceSampler::stop`], so even a short-lived sampler reports real
+/// peaks and the gauges are settled when `stop` returns — which it does
+/// without waiting out the interval. Dropping the sampler stops the
+/// thread too.
 pub struct ResourceSampler {
-    stop: Arc<AtomicBool>,
     peaks: Arc<PeakState>,
-    handle: Option<JoinHandle<()>>,
+    sample: Arc<dyn Fn() + Send + Sync>,
+    thread: Periodic,
 }
 
 impl ResourceSampler {
     /// Start sampling every `interval` into `registry`.
     pub fn spawn(registry: Arc<Registry>, interval: Duration) -> ResourceSampler {
-        let stop = Arc::new(AtomicBool::new(false));
         let peaks = Arc::new(PeakState::default());
         let rss = registry.gauge("marketscope_process_rss_bytes", &[]);
         let rss_peak = registry.gauge("marketscope_process_rss_peak_bytes", &[]);
         let threads = registry.gauge("marketscope_process_threads", &[]);
         let threads_peak = registry.gauge("marketscope_process_threads_peak", &[]);
-        let sample = {
+        let sample: Arc<dyn Fn() + Send + Sync> = {
             let peaks = Arc::clone(&peaks);
-            move || {
+            Arc::new(move || {
                 if let Some(v) = rss_bytes() {
                     rss.set(v as i64);
                     let peak = peaks.rss_peak.fetch_max(v, Ordering::Relaxed).max(v);
@@ -272,24 +273,16 @@ impl ResourceSampler {
                     threads_peak.set(peak as i64);
                 }
                 peaks.samples.fetch_add(1, Ordering::Relaxed);
-            }
+            })
         };
         sample();
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("perf-sampler".to_owned())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    sample();
-                }
-            })
-            // The OS refusing a thread degrades to the initial sample only.
-            .ok();
+        let thread_sample = Arc::clone(&sample);
+        // The OS refusing a thread degrades to the two synchronous samples.
+        let thread = Periodic::spawn("perf-sampler", interval, move || thread_sample());
         ResourceSampler {
-            stop,
             peaks,
-            handle,
+            sample,
+            thread,
         }
     }
 
@@ -302,22 +295,12 @@ impl ResourceSampler {
         }
     }
 
-    /// Stop the sampling thread and return the observed peaks.
-    pub fn stop(mut self) -> ResourcePeaks {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stop the sampling thread, take a last sample and return the
+    /// observed peaks.
+    pub fn stop(self) -> ResourcePeaks {
+        self.thread.stop();
+        (self.sample)();
         self.peaks()
-    }
-}
-
-impl Drop for ResourceSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

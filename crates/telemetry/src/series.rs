@@ -2,7 +2,7 @@
 //!
 //! A [`SeriesStore`] turns the registry's since-process-start aggregates
 //! into per-tick deltas: each call to [`SeriesStore::observe`] diffs the
-//! new [`RegistrySnapshot`](crate::RegistrySnapshot) against the previous
+//! new [`RegistrySnapshot`] against the previous
 //! one and appends one point per instrument to a fixed-capacity ring.
 //! Counter points carry the tick's delta (never negative — diffs
 //! saturate), gauge points carry the instantaneous level, and histogram
@@ -25,10 +25,10 @@
 //! one synchronous tick for deterministic tests and campaign settling.
 
 use crate::histogram::{HistogramSnapshot, BUCKET_COUNT};
+use crate::periodic::Periodic;
 use crate::registry::{InstrumentId, RegistrySnapshot};
 use crate::trace::Tracer;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -485,113 +485,38 @@ fn merge_points<T: Clone>(
 pub type TickHook = Box<dyn Fn(&SeriesStore) + Send + Sync>;
 
 /// Background scrape loop: samples a snapshot closure on a fixed tick,
-/// feeds a [`SeriesStore`], then runs the tick hooks. When a tracer is
-/// attached, each tick runs inside an `ops`-component span so anything
+/// feeds a [`SeriesStore`], then runs the tick hooks. Each tick runs
+/// inside an `ops`-component root span of the given tracer so anything
 /// the hooks record (SLO alert events, notably) carries a resolvable
 /// trace id. Dropping the scraper stops the thread.
 pub struct Scraper {
-    store: Arc<Mutex<SeriesStore>>,
-    sample: Arc<dyn Fn() -> RegistrySnapshot + Send + Sync>,
-    hooks: Arc<Vec<TickHook>>,
-    tracer: Option<Arc<Tracer>>,
-    stop: Arc<AtomicBool>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    tick: Arc<Tick>,
+    thread: Periodic,
 }
 
-impl std::fmt::Debug for Scraper {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scraper")
-            .field("ticks", &self.store().ticks())
-            .finish()
-    }
+/// Everything one tick touches, shared between the background thread
+/// and [`Scraper::tick_now`].
+struct Tick {
+    store: Mutex<SeriesStore>,
+    sample: Box<dyn Fn() -> RegistrySnapshot + Send + Sync>,
+    hooks: Vec<TickHook>,
+    tracer: Arc<Tracer>,
 }
 
-impl Scraper {
-    /// Start a scraper over `sample`. `hooks` run after every tick;
-    /// `tracer` (if any) wraps each tick in a span.
-    pub fn spawn(
-        config: SeriesConfig,
-        sample: impl Fn() -> RegistrySnapshot + Send + Sync + 'static,
-        hooks: Vec<TickHook>,
-        tracer: Option<Arc<Tracer>>,
-    ) -> Scraper {
-        let scraper = Scraper {
-            store: Arc::new(Mutex::new(SeriesStore::new(config.capacity))),
-            sample: Arc::new(sample),
-            hooks: Arc::new(hooks),
-            tracer,
-            stop: Arc::new(AtomicBool::new(false)),
-            thread: Mutex::new(None),
-        };
-        let store = Arc::clone(&scraper.store);
-        let sample = Arc::clone(&scraper.sample);
-        let hooks = Arc::clone(&scraper.hooks);
-        let tracer = scraper.tracer.clone();
-        let stop = Arc::clone(&scraper.stop);
-        let tick = config.tick;
-        let handle = std::thread::Builder::new()
-            .name("ops-scraper".into())
-            .spawn(move || {
-                // Sleep in short slices so `stop()` never has to wait
-                // out a long tick mid-sleep.
-                let slice = Duration::from_millis(10).min(tick.max(Duration::from_millis(1)));
-                loop {
-                    let mut slept = Duration::ZERO;
-                    while slept < tick {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let nap = slice.min(tick - slept);
-                        std::thread::sleep(nap);
-                        slept += nap;
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    run_tick(&store, sample.as_ref(), &hooks, tracer.as_ref());
-                }
-            });
-        if let Ok(handle) = handle {
-            *scraper
-                .thread
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(handle);
+impl Tick {
+    fn run(&self) {
+        // Each tick is its own trace: `root_span` starts one even with no
+        // ambient context, so hook-recorded events (SLO alerts) always
+        // carry a resolvable trace id.
+        let span = self.tracer.root_span("ops", "scrape-tick");
+        let snap = (self.sample)();
+        let mut store = self.store();
+        store.observe(&snap);
+        for hook in &self.hooks {
+            hook(&store);
         }
-        scraper
-    }
-
-    /// Run one synchronous tick (sample + observe + hooks). Used for
-    /// deterministic tests and to settle alerts at campaign end.
-    pub fn tick_now(&self) {
-        run_tick(
-            &self.store,
-            self.sample.as_ref(),
-            &self.hooks,
-            self.tracer.as_ref(),
-        );
-    }
-
-    /// Snapshot of the underlying store's rings.
-    pub fn series(&self) -> SeriesSnapshot {
-        self.store().snapshot()
-    }
-
-    /// Ticks observed so far (background + synchronous).
-    pub fn ticks(&self) -> u64 {
-        self.store().ticks()
-    }
-
-    /// Stop the background thread and wait for it to exit. Idempotent.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let handle = self
-            .thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        drop(store);
+        span.finish();
     }
 
     fn store(&self) -> std::sync::MutexGuard<'_, SeriesStore> {
@@ -599,31 +524,53 @@ impl Scraper {
     }
 }
 
-impl Drop for Scraper {
-    fn drop(&mut self) {
-        self.stop();
+impl std::fmt::Debug for Scraper {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scraper")
+            .field("ticks", &self.ticks())
+            .finish()
     }
 }
 
-fn run_tick(
-    store: &Mutex<SeriesStore>,
-    sample: &(dyn Fn() -> RegistrySnapshot + Send + Sync),
-    hooks: &[TickHook],
-    tracer: Option<&Arc<Tracer>>,
-) {
-    // Each tick is its own trace: `root_span` starts one even with no
-    // ambient context, so hook-recorded events (SLO alerts) always
-    // carry a resolvable trace id.
-    let span = tracer.map(|t| t.root_span("ops", "scrape-tick"));
-    let snap = sample();
-    let mut guard = store.lock().unwrap_or_else(PoisonError::into_inner);
-    guard.observe(&snap);
-    for hook in hooks {
-        hook(&guard);
+impl Scraper {
+    /// Start a scraper over `sample`. `hooks` run after every tick;
+    /// `tracer` wraps each tick in a span ([`Tracer::disabled`] for none).
+    pub fn spawn(
+        config: SeriesConfig,
+        sample: impl Fn() -> RegistrySnapshot + Send + Sync + 'static,
+        hooks: Vec<TickHook>,
+        tracer: Arc<Tracer>,
+    ) -> Scraper {
+        let tick = Arc::new(Tick {
+            store: Mutex::new(SeriesStore::new(config.capacity)),
+            sample: Box::new(sample),
+            hooks,
+            tracer,
+        });
+        let thread_tick = Arc::clone(&tick);
+        let thread = Periodic::spawn("ops-scraper", config.tick, move || thread_tick.run());
+        Scraper { tick, thread }
     }
-    drop(guard);
-    if let Some(span) = span {
-        span.finish();
+
+    /// Run one synchronous tick (sample + observe + hooks). Used for
+    /// deterministic tests and to settle alerts at campaign end.
+    pub fn tick_now(&self) {
+        self.tick.run();
+    }
+
+    /// Snapshot of the underlying store's rings.
+    pub fn series(&self) -> SeriesSnapshot {
+        self.tick.store().snapshot()
+    }
+
+    /// Ticks observed so far (background + synchronous).
+    pub fn ticks(&self) -> u64 {
+        self.tick.store().ticks()
+    }
+
+    /// Stop the background thread and wait for it to exit. Idempotent.
+    pub fn stop(&self) {
+        self.thread.stop();
     }
 }
 
@@ -631,6 +578,7 @@ fn run_tick(
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn snap_with(counter: u64, gauge: i64) -> RegistrySnapshot {
         let registry = Registry::new();
@@ -730,7 +678,7 @@ mod tests {
                     seen_hook.store(true, Ordering::Relaxed);
                 }
             })],
-            None,
+            Arc::new(Tracer::disabled()),
         );
         counter.add(5);
         scraper.tick_now();

@@ -10,7 +10,7 @@
 //! threshold, which suppresses one-tick blips without missing sustained
 //! burns. Each alert walks `ok → firing → resolved`, re-arms from
 //! `resolved`, and bumps per-rule fired/resolved counters; transitions
-//! are also recorded to the structured [`EventLog`](crate::EventLog)
+//! are also recorded to the structured [`EventLog`]
 //! with the scrape tick's trace context attached.
 
 use crate::counter::{Counter, Gauge};
@@ -217,7 +217,7 @@ struct RuleStatus {
     state: AlertState,
     fired: u64,
     resolved: u64,
-    instruments: Option<RuleInstruments>,
+    instruments: RuleInstruments,
 }
 
 struct RuleInstruments {
@@ -226,13 +226,24 @@ struct RuleInstruments {
     firing: Arc<Gauge>,
 }
 
+impl RuleInstruments {
+    fn register(registry: &Registry, rule: &SloRule) -> RuleInstruments {
+        let labels = [("rule", rule.name.as_str())];
+        RuleInstruments {
+            fired: registry.counter("marketscope_slo_alerts_fired_total", &labels),
+            resolved: registry.counter("marketscope_slo_alerts_resolved_total", &labels),
+            firing: registry.gauge("marketscope_slo_alerts_firing", &labels),
+        }
+    }
+}
+
 /// Evaluates an [`SloPolicy`] against a [`SeriesStore`] tick by tick,
 /// holding the alert state machines and the latest verdicts.
 pub struct SloEvaluator {
     rules: Vec<SloRule>,
     status: Vec<RuleStatus>,
     verdicts: Vec<SloVerdict>,
-    log: Option<Arc<EventLog>>,
+    log: Arc<EventLog>,
 }
 
 impl std::fmt::Debug for SloEvaluator {
@@ -245,23 +256,25 @@ impl std::fmt::Debug for SloEvaluator {
 }
 
 impl SloEvaluator {
-    /// Build an evaluator over `policy` with no instrumentation.
+    /// Build an evaluator over `policy`, counting into a private
+    /// registry and logging to a small private event log.
     pub fn new(policy: SloPolicy) -> SloEvaluator {
+        let private = Registry::new();
         let status = policy
             .rules
             .iter()
-            .map(|_| RuleStatus {
+            .map(|rule| RuleStatus {
                 state: AlertState::Ok,
                 fired: 0,
                 resolved: 0,
-                instruments: None,
+                instruments: RuleInstruments::register(&private, rule),
             })
             .collect();
         SloEvaluator {
             rules: policy.rules,
             status,
             verdicts: Vec::new(),
-            log: None,
+            log: Arc::new(EventLog::new(16)),
         }
     }
 
@@ -270,12 +283,7 @@ impl SloEvaluator {
     /// `marketscope_slo_alerts_firing{rule=...}` gauge in `registry`.
     pub fn instrumented(mut self, registry: &Registry) -> SloEvaluator {
         for (rule, status) in self.rules.iter().zip(self.status.iter_mut()) {
-            let labels = [("rule", rule.name.as_str())];
-            status.instruments = Some(RuleInstruments {
-                fired: registry.counter("marketscope_slo_alerts_fired_total", &labels),
-                resolved: registry.counter("marketscope_slo_alerts_resolved_total", &labels),
-                firing: registry.gauge("marketscope_slo_alerts_firing", &labels),
-            });
+            status.instruments = RuleInstruments::register(registry, rule);
         }
         self
     }
@@ -283,7 +291,7 @@ impl SloEvaluator {
     /// Record alert transitions to `log` (with whatever trace context is
     /// active on the evaluating thread).
     pub fn with_log(mut self, log: Arc<EventLog>) -> SloEvaluator {
-        self.log = Some(log);
+        self.log = log;
         self
     }
 
@@ -300,42 +308,34 @@ impl SloEvaluator {
                 AlertState::Ok | AlertState::Resolved if burning => {
                     status.state = AlertState::Firing;
                     status.fired += 1;
-                    if let Some(instruments) = &status.instruments {
-                        instruments.fired.inc();
-                        instruments.firing.set(1);
-                    }
-                    if let Some(log) = &self.log {
-                        log.record(
-                            LogLevel::Warn,
-                            "telemetry.slo",
-                            "slo alert fired",
-                            &[
-                                ("rule", rule.name.as_str()),
-                                ("fast_burn", &format!("{fast:.4}")),
-                                ("slow_burn", &format!("{slow:.4}")),
-                                ("threshold", &format!("{threshold:.4}")),
-                            ],
-                        );
-                    }
+                    status.instruments.fired.inc();
+                    status.instruments.firing.set(1);
+                    self.log.record(
+                        LogLevel::Warn,
+                        "telemetry.slo",
+                        "slo alert fired",
+                        &[
+                            ("rule", rule.name.as_str()),
+                            ("fast_burn", &format!("{fast:.4}")),
+                            ("slow_burn", &format!("{slow:.4}")),
+                            ("threshold", &format!("{threshold:.4}")),
+                        ],
+                    );
                 }
                 AlertState::Firing if fast <= threshold => {
                     status.state = AlertState::Resolved;
                     status.resolved += 1;
-                    if let Some(instruments) = &status.instruments {
-                        instruments.resolved.inc();
-                        instruments.firing.set(0);
-                    }
-                    if let Some(log) = &self.log {
-                        log.record(
-                            LogLevel::Info,
-                            "telemetry.slo",
-                            "slo alert resolved",
-                            &[
-                                ("rule", rule.name.as_str()),
-                                ("fast_burn", &format!("{fast:.4}")),
-                            ],
-                        );
-                    }
+                    status.instruments.resolved.inc();
+                    status.instruments.firing.set(0);
+                    self.log.record(
+                        LogLevel::Info,
+                        "telemetry.slo",
+                        "slo alert resolved",
+                        &[
+                            ("rule", rule.name.as_str()),
+                            ("fast_burn", &format!("{fast:.4}")),
+                        ],
+                    );
                 }
                 _ => {}
             }

@@ -370,7 +370,9 @@ impl Tracer {
         }
     }
 
-    /// A tracer that records nothing and samples nothing.
+    /// A tracer that records, samples and opens nothing — not even under
+    /// a sampled parent, so it never puts a context on the wire. What a
+    /// component holds until a caller attaches a real one.
     pub fn disabled() -> Tracer {
         Tracer::new(TracerConfig {
             sample_rate: 0.0,
@@ -428,6 +430,11 @@ impl Tracer {
         component: &'static str,
         name: &str,
     ) -> TraceSpan {
+        // No journal, no reader: a span here could only leak its context
+        // to the thread-local stack and, through it, onto the wire.
+        if self.journal.slots.is_empty() {
+            return TraceSpan::noop();
+        }
         let ctx = SpanContext {
             trace_id,
             span_id: next_id(),
@@ -479,7 +486,7 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
-    /// A span that records nothing (for call sites without a tracer).
+    /// A span that records nothing (a placeholder where none is open).
     pub fn noop() -> TraceSpan {
         TraceSpan { inner: None }
     }
@@ -693,6 +700,21 @@ mod tests {
         }));
         t.root_span("a", "root").finish();
         assert_eq!(t.snapshot().records.len(), 0);
+    }
+
+    #[test]
+    fn disabled_tracer_opens_nothing_even_under_a_sampled_parent() {
+        let real = always(16);
+        let disabled = Arc::new(Tracer::disabled());
+        let root = real.root_span("a", "root");
+        assert!(!disabled.span("b", "ambient").is_sampled());
+        assert!(!disabled
+            .child_of(root.context(), "b", "explicit")
+            .is_sampled());
+        assert!(!disabled.root_span("b", "root").is_sampled());
+        assert_eq!(current(), root.context(), "stack untouched");
+        root.finish();
+        assert_eq!(disabled.recorded(), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Trace exporters: Chrome trace-event JSON and a flamegraph-style
-//! self-time aggregation over [`JournalSnapshot`]s.
+//! Trace exporters: Chrome trace-event JSON and a slowest-traces
+//! self-time roll-up over [`JournalSnapshot`]s.
 //!
 //! The Chrome format ([`chrome_trace`]) loads directly into
 //! `chrome://tracing` or Perfetto: each span becomes a `ph:"X"` complete
@@ -8,11 +8,9 @@
 //! named via `ph:"M"` metadata so the viewer groups crawler, client,
 //! server and analysis rows separately.
 //!
-//! The flamegraph export ([`flamegraph`]) folds every span into its
-//! root-to-leaf name path and aggregates *self* time (duration minus
-//! children) per path — the collapsed-stack text format consumed by
-//! `flamegraph.pl`-style tooling, and a quick way to eyeball where a
-//! campaign spent its wall clock without leaving the terminal.
+//! [`slowest_traces`] ranks traces by root-span duration and breaks each
+//! one down by per-span *self* time (duration minus children) — the
+//! table the ops report prints.
 
 use crate::trace::{JournalSnapshot, SpanRecord};
 use std::collections::{BTreeMap, HashMap};
@@ -81,9 +79,8 @@ pub fn chrome_trace(snap: &JournalSnapshot) -> String {
     format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
 
-/// Per-trace span index: span id -> record, plus parent -> children.
+/// Per-trace span index: parent -> children, plus the parentless.
 struct TraceTree<'a> {
-    by_id: HashMap<u64, &'a SpanRecord>,
     children: HashMap<u64, Vec<&'a SpanRecord>>,
     roots: Vec<&'a SpanRecord>,
 }
@@ -101,11 +98,7 @@ fn build_tree<'a>(spans: &[&'a SpanRecord]) -> TraceTree<'a> {
             None => roots.push(*r),
         }
     }
-    TraceTree {
-        by_id,
-        children,
-        roots,
-    }
+    TraceTree { children, roots }
 }
 
 /// Self time of a span: duration minus the summed durations of its
@@ -117,37 +110,6 @@ fn self_nanos(tree: &TraceTree<'_>, r: &SpanRecord) -> u64 {
         .map(|cs| cs.iter().map(|c| c.duration_nanos()).sum())
         .unwrap_or(0);
     r.duration_nanos().saturating_sub(child_sum)
-}
-
-/// Fold a snapshot into collapsed-stack flamegraph lines:
-/// `root;child;leaf <self_time_us>`, aggregated across all traces and
-/// sorted by path. Suitable for `flamegraph.pl` or quick terminal reads.
-pub fn flamegraph(snap: &JournalSnapshot) -> String {
-    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    for trace_id in snap.trace_ids() {
-        let spans = snap.trace(trace_id);
-        let tree = build_tree(&spans);
-        for r in &spans {
-            // Build the name path by walking parent links.
-            let mut path = vec![r.name.as_str()];
-            let mut cur = *r;
-            while let Some(p) = cur.parent_id.and_then(|p| tree.by_id.get(&p)) {
-                path.push(p.name.as_str());
-                cur = p;
-            }
-            path.reverse();
-            let self_us = self_nanos(&tree, r) / 1_000;
-            *folded.entry(path.join(";")).or_insert(0) += self_us;
-        }
-    }
-    let mut out = String::new();
-    for (path, us) in folded {
-        out.push_str(&path);
-        out.push(' ');
-        out.push_str(&us.to_string());
-        out.push('\n');
-    }
-    out
 }
 
 /// One row of the "slowest traces" table: a root span plus roll-up stats
@@ -268,31 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn flamegraph_folds_self_time_by_path() {
-        // root [0, 10ms], child [1ms, 4ms] => root self 7ms, child self 3ms.
-        let s = snap(vec![
-            rec(1, 1, None, "root", 0, 10_000_000),
-            rec(1, 2, Some(1), "child", 1_000_000, 4_000_000),
-        ]);
-        let fg = flamegraph(&s);
-        let lines: Vec<&str> = fg.lines().collect();
-        assert_eq!(lines, vec!["root 7000", "root;child 3000"]);
-    }
-
-    #[test]
-    fn flamegraph_aggregates_same_path_across_traces() {
-        let s = snap(vec![
-            rec(1, 1, None, "fetch", 0, 1_000_000),
-            rec(2, 2, None, "fetch", 0, 2_000_000),
-        ]);
-        assert_eq!(flamegraph(&s), "fetch 3000\n");
-    }
-
-    #[test]
     fn orphaned_span_counts_as_root() {
         // Parent id 99 not in the snapshot (overwritten): still shows up.
         let s = snap(vec![rec(1, 1, Some(99), "lost-parent", 0, 1_000_000)]);
-        assert_eq!(flamegraph(&s), "lost-parent 1000\n");
         let rows = slowest_traces(&s, 5);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].root_name, "lost-parent");
