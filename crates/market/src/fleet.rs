@@ -6,6 +6,7 @@ use crate::server::{CrawlPhase, MarketServer, OpsHandles};
 use marketscope_core::MarketId;
 use marketscope_ecosystem::World;
 use marketscope_net::fault::{FaultInjector, FaultPlan};
+use marketscope_net::{ReactorConfig, Transport};
 use marketscope_telemetry::trace::{JournalSnapshot, Tracer, TracerConfig};
 use marketscope_telemetry::{
     EventLog, LogLevel, LogSnapshot, Registry, Scraper, SeriesConfig, SeriesSnapshot, SeriesStore,
@@ -29,7 +30,9 @@ const SCRAPE_CAPACITY: usize = 600;
 const EVENT_LOG_CAPACITY: usize = 4096;
 
 /// All 17 market servers plus the AndroZoo repository, bound to ephemeral
-/// loopback ports.
+/// loopback ports: eighteen listeners on one [`Transport`], so the fleet
+/// costs one acceptor, one shard set and one handler pool (seven threads
+/// at the reactor defaults) however many markets it serves.
 ///
 /// The whole fleet shares one telemetry [`Registry`]: every server's
 /// request counters, latency histograms and rate-limiter instruments
@@ -47,6 +50,7 @@ const EVENT_LOG_CAPACITY: usize = 4096;
 pub struct MarketFleet {
     servers: Vec<MarketServer>,
     repository: AndroZooServer,
+    transport: Arc<Transport>,
     world: Arc<World>,
     registry: Arc<Registry>,
     tracer: Arc<Tracer>,
@@ -137,6 +141,7 @@ impl MarketFleet {
             slo: Arc::clone(&slo),
             log: Arc::clone(&event_log),
         };
+        let transport = Transport::spawn(ReactorConfig::default())?;
         let mut servers = Vec::with_capacity(17);
         for m in MarketId::ALL {
             let plan = chaos.map(|c| c.plan_for(m)).unwrap_or(FaultPlan::none());
@@ -152,7 +157,8 @@ impl MarketFleet {
                 ),
                 _ => None,
             };
-            let server = MarketServer::spawn_with_ops(
+            let server = MarketServer::spawn_on(
+                Some(&transport),
                 Arc::clone(&world),
                 m,
                 Arc::clone(&registry),
@@ -172,7 +178,8 @@ impl MarketFleet {
             );
             servers.push(server);
         }
-        let repository = AndroZooServer::spawn_shared(
+        let repository = AndroZooServer::spawn_on(
+            Some(&transport),
             Arc::clone(&world),
             Arc::clone(&registry),
             Arc::clone(&tracer),
@@ -189,6 +196,7 @@ impl MarketFleet {
         Ok(MarketFleet {
             servers,
             repository,
+            transport,
             world,
             registry,
             tracer,
@@ -298,7 +306,8 @@ impl MarketFleet {
         self.servers[market.index()].faults_injected()
     }
 
-    /// Stop the scraper and every server.
+    /// Stop the scraper, retire every server's listener, then join the
+    /// transport they shared.
     pub fn stop(&self) {
         let first = !self.stopped.swap(true, Ordering::SeqCst);
         self.scraper.stop();
@@ -306,6 +315,7 @@ impl MarketFleet {
             s.stop();
         }
         self.repository.stop();
+        self.transport.stop();
         if first {
             self.event_log.record(
                 LogLevel::Info,

@@ -14,6 +14,7 @@ use marketscope_ecosystem::{ListingId, World};
 use marketscope_net::http::{Response, Status};
 use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
+use marketscope_net::{ReactorConfig, Transport};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::Registry;
 use std::collections::HashMap;
@@ -43,6 +44,18 @@ impl AndroZooServer {
     /// cross-process span trees as the market fetches they compensate
     /// for.
     pub fn spawn_shared(
+        world: Arc<World>,
+        registry: Arc<Registry>,
+        tracer: Arc<Tracer>,
+    ) -> Result<AndroZooServer, marketscope_net::NetError> {
+        AndroZooServer::spawn_on(None, world, registry, tracer)
+    }
+
+    /// [`spawn_shared`](Self::spawn_shared), as one more listener on a
+    /// [`MarketFleet`](crate::MarketFleet)'s transport or, given `None`,
+    /// on one of its own that stops with the server.
+    pub(crate) fn spawn_on(
+        transport: Option<&Arc<Transport>>,
         world: Arc<World>,
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
@@ -77,13 +90,13 @@ impl AndroZooServer {
             })
         };
         let metrics = ServerMetrics::register(&registry, &[("market", "androzoo")]).traced(tracer);
-        let handle = HttpServer::spawn_configured(
-            "127.0.0.1:0",
-            router,
-            metrics,
-            None,
-            marketscope_net::ReactorConfig::default(),
-        )?;
+        let addr = "127.0.0.1:0";
+        let handle = match transport {
+            Some(shared) => HttpServer::spawn_on(shared, addr, router, metrics, None)?,
+            None => {
+                HttpServer::spawn_configured(addr, router, metrics, None, ReactorConfig::default())?
+            }
+        };
         Ok(AndroZooServer { handle, holdings })
     }
 

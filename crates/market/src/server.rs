@@ -10,6 +10,7 @@ use marketscope_net::http::{Request, Response, Status};
 use marketscope_net::ratelimit::{RateLimitMetrics, TokenBucket};
 use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
+use marketscope_net::{ReactorConfig, Transport};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::{EventLog, Registry, SloEvaluator};
 use parking_lot::{Mutex, RwLock};
@@ -116,13 +117,30 @@ impl MarketServer {
         faults: Option<FaultInjector>,
         ops: Option<OpsHandles>,
     ) -> Result<MarketServer, marketscope_net::NetError> {
+        MarketServer::spawn_on(None, world, market, registry, tracer, faults, ops)
+    }
+
+    /// [`spawn_with_ops`](Self::spawn_with_ops), as one more listener on
+    /// the transport a [`MarketFleet`](crate::MarketFleet) spawned for
+    /// all of its servers (with the reactor defaults) or, given `None`,
+    /// on one of its own that stops with the server.
+    pub(crate) fn spawn_on(
+        transport: Option<&Arc<Transport>>,
+        world: Arc<World>,
+        market: MarketId,
+        registry: Arc<Registry>,
+        tracer: Arc<Tracer>,
+        faults: Option<FaultInjector>,
+        ops: Option<OpsHandles>,
+    ) -> Result<MarketServer, marketscope_net::NetError> {
         let faults = faults.map(Arc::new);
         let started = std::time::Instant::now();
-        // One explicit transport config per market server so /__health can
-        // report the ceiling the acceptor sheds against. Defaults are the
-        // reactor's (2 shards, 4 handler workers, 8192-connection ceiling):
-        // a whole fleet stays at a constant handful of threads per market.
-        let transport = marketscope_net::ReactorConfig::default();
+        // What /__health reports of the transport, its own or a fleet's:
+        // the shard and worker counts (shared with whatever else listens
+        // on it) and the ceiling the acceptor sheds this listener's
+        // connections against. The reactor's defaults: 2 shards, 4
+        // handler workers, 8192 connections.
+        let transport_cfg = ReactorConfig::default();
         let catalog: Vec<ListingId> = world.market_listings(market).to_vec();
         let by_package = catalog
             .iter()
@@ -200,7 +218,7 @@ impl MarketServer {
                 // the other ops surfaces via `opsjson`.
                 let st = Arc::clone(&state);
                 let metrics = metrics.clone();
-                let transport = transport.clone();
+                let transport_cfg = transport_cfg.clone();
                 let faults = faults.clone();
                 let ops = ops.clone();
                 move |_req: &Request, _: &marketscope_net::router::Params| {
@@ -227,7 +245,7 @@ impl MarketServer {
                         (
                             "transport",
                             crate::opsjson::transport_json(
-                                &transport,
+                                &transport_cfg,
                                 open,
                                 metrics.shed_connections(),
                                 metrics.accept_errors(),
@@ -242,8 +260,11 @@ impl MarketServer {
                     ]))
                 }
             });
-        let handle =
-            HttpServer::spawn_configured("127.0.0.1:0", router, metrics, faults, transport)?;
+        let addr = "127.0.0.1:0";
+        let handle = match transport {
+            Some(shared) => HttpServer::spawn_on(shared, addr, router, metrics, faults)?,
+            None => HttpServer::spawn_configured(addr, router, metrics, faults, transport_cfg)?,
+        };
         Ok(MarketServer {
             market,
             handle,

@@ -131,7 +131,8 @@ pub enum FaultAction {
     Serve,
     /// Drop the connection without writing a byte.
     Reset,
-    /// Sleep for the given duration, then handle normally.
+    /// Hold the connection (not a handler thread) for the given
+    /// duration, then handle normally.
     Stall(Duration),
     /// Handle normally but cut the response body mid-stream and close.
     Truncate,

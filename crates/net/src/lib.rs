@@ -61,7 +61,7 @@ pub use fault::{FaultAction, FaultInjector, FaultMetrics, FaultPlan};
 pub use http::{Method, Request, Response, Status};
 pub use mux::{MuxClient, Ticket};
 pub use ratelimit::{RateLimitMetrics, TokenBucket};
-pub use reactor::ReactorConfig;
+pub use reactor::{ReactorConfig, Transport};
 pub use resilience::{
     BreakerConfig, BreakerSet, BreakerState, CircuitBreaker, ResilienceMetrics, RetryPolicy,
 };

@@ -540,11 +540,15 @@ impl Driver {
                 return;
             }
         }
-        let name = format!("{} {}", item.sub.req.method.as_str(), item.sub.req.path);
-        let request_span = self
-            .shared
-            .tracer
-            .child_of(item.sub.parent, "client", &name);
+        // Span text is built only under a sampled parent.
+        let request_span = match item.sub.parent {
+            Some(parent) => self.shared.tracer.child_of(
+                Some(parent),
+                "client",
+                &format!("{} {}", item.sub.req.method.as_str(), item.sub.req.path),
+            ),
+            None => TraceSpan::noop(),
+        };
         let mut act = Active {
             sub: item.sub,
             attempt: 0,
@@ -566,11 +570,14 @@ impl Driver {
     /// nonblocking connect). An `Err` is a connect-phase failure: the
     /// cycle is over (connect errors burn no transparent retries).
     fn start_attempt(&mut self, act: &mut Active) -> Result<(), NetError> {
-        let attempt_span = self.shared.tracer.child_of(
-            act.request_span.context(),
-            "client",
-            &format!("attempt#{}", act.attempt),
-        );
+        let attempt_span = match act.request_span.context() {
+            Some(request) => self.shared.tracer.child_of(
+                Some(request),
+                "client",
+                &format!("attempt#{}", act.attempt),
+            ),
+            None => TraceSpan::noop(),
+        };
         if act.attempt > 0 {
             attempt_span.event("retry");
         }

@@ -1,14 +1,15 @@
-//! The nonblocking I/O primitives both event loops share: the server
-//! shards in [`crate::reactor`] and the client driver in [`crate::mux`].
+//! The nonblocking I/O primitives the event loops share: the server's
+//! acceptor and shards in [`crate::reactor`] and the client driver in
+//! [`crate::mux`].
 //!
-//! Both loops are level-triggered `poll(2)`, so every helper here may
-//! stop early — unread bytes or an unflushed tail simply make the
-//! descriptor poll ready again. This is the only place in the crate
-//! that interprets `WouldBlock`.
+//! Every loop is level-triggered `poll(2)`, so every helper here may
+//! stop early — unread bytes, an unflushed tail or a backlog not yet
+//! emptied simply make the descriptor poll ready again. This is the only
+//! place in the crate that interprets `WouldBlock`.
 
 use super::sys;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 
@@ -53,6 +54,20 @@ impl WakePipe {
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => break, // WouldBlock: drained
             }
+        }
+    }
+}
+
+/// Take one connection off a nonblocking listener's backlog; `Ok(None)`
+/// once it is empty. `Err` is the listener failing to accept (EMFILE,
+/// ECONNABORTED), which leaves the listener itself usable.
+pub(crate) fn accept_pending(listener: &TcpListener) -> io::Result<Option<TcpStream>> {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => return Ok(Some(stream)),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -106,7 +121,6 @@ pub(crate) fn write_pending(stream: &TcpStream, buf: &[u8], pos: &mut usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
     use std::time::Duration;
 
     fn connected_pair() -> (TcpStream, TcpStream) {
@@ -132,6 +146,22 @@ mod tests {
         assert!(readable(pipe.pollfd(), Duration::from_secs(5)));
         pipe.drain();
         assert!(!readable(pipe.pollfd(), Duration::ZERO), "drain left bytes");
+    }
+
+    #[test]
+    fn accept_pending_empties_the_backlog_and_never_blocks() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        assert!(accept_pending(&listener).unwrap().is_none());
+        let _a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let _b = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(readable(
+            sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN),
+            Duration::from_secs(5)
+        ));
+        assert!(accept_pending(&listener).unwrap().is_some());
+        assert!(accept_pending(&listener).unwrap().is_some());
+        assert!(accept_pending(&listener).unwrap().is_none());
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //! `poll(2)`.
 //!
 //! This is the C10k-scale engine behind [`crate::server::HttpServer`].
-//! The public server API is unchanged — what changed is what a
-//! connection costs. The thread-per-connection transport paid one OS
-//! thread (stack, scheduler slot) per open socket, capping a market at a
-//! few hundred concurrent clients; here a connection is a slab slot (a
-//! socket, two byte buffers, a state tag) and the thread count is fixed:
+//! The thread-per-connection transport paid one OS thread (stack,
+//! scheduler slot) per open socket, capping a market at a few hundred
+//! concurrent clients; here a connection is a slab slot (a socket, two
+//! byte buffers, a state tag) and the thread count is a property of the
+//! [`Transport`], not of a server or of its connections. A transport
+//! serves any number of registered listeners — a standalone server owns
+//! one, a whole fleet of market servers shares one — on:
 //!
-//! * **one acceptor** — blocking `accept`, with bounded backoff on
-//!   transient errors (EMFILE must not busy-loop) and load shedding
-//!   above [`ReactorConfig::max_connections`] (an immediate `503` +
+//! * **one acceptor** — `poll`s a wake pipe plus every registered
+//!   nonblocking listener, with bounded backoff on transient errors
+//!   (EMFILE must not busy-loop) and load shedding above
+//!   [`ReactorConfig::max_connections`] (an immediate `503` +
 //!   `connection: close`, never a silent drop);
 //! * **N event-loop shards** ([`ReactorConfig::shards`]) — each owns a
 //!   set of connections outright (no cross-shard locking on the hot
@@ -19,56 +22,70 @@
 //!   the [`Handler`] trait is blocking by
 //!   contract, so handlers run on a bounded pool, never on a shard.
 //!
+//! What differs between the servers on one transport — handler,
+//! instruments, fault injector — is an `Endpoint`, created when a
+//! listener registers and carried by every connection accepted on it
+//! and every request cut from those, so each close, shed, reject and
+//! response records into the instruments of the connection's own server.
+//!
 //! # Connection state machine
 //!
 //! ```text
-//!            adopt                    parse_partial
-//!   accept ────────▶ Reading ──(complete request)──▶ Handling
-//!                    ▲   │                              │
+//!            adopt                    parse_partial, decide
+//!   accept ────────▶ Reading ──(complete request)──▶ Handling ◀─(deadline)─ Stalled
+//!                    ▲   │            └───────────(injected stall)────────────▲
 //!     residual bytes │   │ EOF / parse error /          │ handler pool:
-//!     re-parsed      │   │ idle keep-alive              │ faults, spans,
+//!     re-parsed      │   │ idle keep-alive              │ fault verdict, spans,
 //!                    │   ▼                              │ handler.handle
 //!                    │  close ◀──(close_after | reset)  ▼
 //!                    └────────────(keep-alive)─────── Writing
 //! ```
 //!
-//! A connection in `Handling` has **no poll interest**: one request is
-//! in flight per connection at a time, which preserves HTTP/1.1 response
-//! ordering and keeps the fault injector's per-path occurrence counting
-//! identical to the thread-per-connection transport.
+//! A connection in `Handling` or `Stalled` has **no poll interest**: one
+//! request is in flight per connection at a time, which preserves
+//! HTTP/1.1 response ordering and keeps the fault injector's per-path
+//! occurrence counting identical to the thread-per-connection transport.
+//! An injected stall holds the *connection* — parked on its shard until
+//! a deadline, the same `poll` timeout that carries keep-alive expiry —
+//! never a pool worker: the pool may be a whole fleet's, and one slow
+//! market must not freeze the others.
 //!
 //! # Why the fault and trace seams survive
 //!
 //! The chaos-replay and trace-propagation suites pin *logical seam
-//! order*, not threads. A pool worker replays exactly the sequence the
-//! old per-connection thread ran: `FaultInjector::decide` first (before
-//! any span opens — a reset market must not trace), then the server
-//! request span as a remote child of the propagated context, then the
-//! `handler` and `write` child spans, with `note_response` between
-//! handler and write. Because the whole sequence runs on one worker
-//! thread, the tracer's thread-local implicit parenting links the spans
-//! exactly as before.
+//! order*, not threads. Shard and pool worker between them replay
+//! exactly the sequence the old per-connection thread ran:
+//! `FaultInjector::decide` first, once per request, on the shard that
+//! cut it (before any span opens — a reset market must not trace), then
+//! on a worker the verdict's effect and the server request span as a
+//! remote child of the propagated context, then the `handler` and
+//! `write` child spans, with `note_response` between handler and write.
+//! Because every span of the sequence opens on one worker thread, the
+//! tracer's thread-local implicit parenting links the spans exactly as
+//! before.
 
 pub(crate) mod io;
 pub(crate) mod sys;
 
+use crate::error::NetError;
 use crate::fault::{FaultAction, FaultInjector};
 use crate::http::{Request, Response, Status};
 use crate::server::{Handler, ServerMetrics};
-use marketscope_telemetry::LogLevel;
-use parking_lot::{Condvar, Mutex};
+use marketscope_telemetry::{LogLevel, TraceSpan};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the event-loop transport. The defaults suit a fleet
-/// of loopback market servers: thread cost per server stays fixed at
-/// `1 + shards + handler_threads` regardless of how many thousands of
+/// of loopback market servers sharing one transport: thread cost stays
+/// fixed at `1 + shards + handler_threads` per transport regardless of
+/// how many listeners are registered on it or how many thousands of
 /// connections are open.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
@@ -76,10 +93,11 @@ pub struct ReactorConfig {
     /// at accept time and never migrate.
     pub shards: usize,
     /// Handler-pool worker threads running the blocking
-    /// [`Handler`] trait (and fault stalls).
+    /// [`Handler`] trait.
     pub handler_threads: usize,
-    /// Open-connection ceiling. Beyond it the acceptor sheds new
-    /// connections with `503` + `connection: close` and counts them in
+    /// Open-connection ceiling of each listener. Beyond it the acceptor
+    /// sheds that listener's new connections with `503` +
+    /// `connection: close` and counts them in its
     /// `marketscope_net_connections_shed_total`.
     pub max_connections: usize,
     /// Idle keep-alive connections are reaped after this long (the
@@ -108,13 +126,39 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 const SHED_RESPONSE: &[u8] =
     b"HTTP/1.1 503 Service Unavailable\r\nconnection: close\r\ncontent-length: 0\r\n\r\n";
 
+/// What one registered listener serves and records into: the part of a
+/// server that is its own when the threads are shared. Every connection
+/// accepted on the listener, and every request cut from one, carries it.
+pub(crate) struct Endpoint {
+    /// `None` once retired. A worker holds the read side across
+    /// `handle`, so taking the handler out also waits for the calls in
+    /// flight: after that no request reaches it.
+    handler: RwLock<Option<Box<dyn Handler>>>,
+    pub(crate) metrics: ServerMetrics,
+    pub(crate) faults: Option<Arc<FaultInjector>>,
+}
+
+impl Endpoint {
+    pub(crate) fn new(
+        handler: impl Handler,
+        metrics: ServerMetrics,
+        faults: Option<Arc<FaultInjector>>,
+    ) -> Arc<Endpoint> {
+        Arc::new(Endpoint {
+            handler: RwLock::new(Some(Box::new(handler))),
+            metrics,
+            faults,
+        })
+    }
+}
+
 /// What a finished handler tells the owning shard to do with the
 /// connection.
 enum Directive {
     /// Write these serialized bytes, then keep alive or close.
     Respond { bytes: Vec<u8>, close: bool },
     /// Drop the connection without further bytes: fault resets,
-    /// truncation of empty bodies, handler panics.
+    /// truncation of empty bodies, handler panics, a retired endpoint.
     Close,
 }
 
@@ -123,7 +167,11 @@ enum Directive {
 struct Job {
     shard: usize,
     token: u64,
+    endpoint: Arc<Endpoint>,
     req: Request,
+    /// The fault injector's verdict on the request (never `Stall`: the
+    /// shard sits those out before it dispatches).
+    fault: FaultAction,
 }
 
 /// Blocking MPMC job queue for the handler pool. A mutex-guarded deque
@@ -178,31 +226,72 @@ impl JobQueue {
     }
 }
 
-/// Cross-thread mailbox for one shard: sockets from the acceptor,
-/// directives from the pool, and the wake pipe that interrupts its
-/// `poll`.
-struct ShardMailbox {
-    inject: Mutex<Vec<TcpStream>>,
-    done: Mutex<Vec<(u64, Directive)>>,
+/// Receipt for a [`Transport::retire`] message: the loop that handled it
+/// drops the sender, and the retiring thread's `recv` returns once every
+/// sender is gone.
+type Ack = mpsc::Sender<()>;
+
+/// What other threads tell the acceptor.
+enum AcceptorMsg {
+    /// Start accepting on this (nonblocking) listener for this endpoint.
+    Listen(TcpListener, Arc<Endpoint>),
+    /// Close the endpoint's listener.
+    Retire(Arc<Endpoint>, Ack),
+}
+
+/// What other threads tell a shard.
+enum ShardMsg {
+    /// A freshly accepted socket, already counted in its endpoint's live
+    /// gauge.
+    Adopt(TcpStream, Arc<Endpoint>),
+    /// A handler-pool verdict for the connection behind the token.
+    Done(u64, Directive),
+    /// Drop every connection of the endpoint.
+    Retire(Arc<Endpoint>, Ack),
+}
+
+/// A loop thread's inbox: messages in posting order, and the wake pipe
+/// that interrupts its `poll`.
+struct Inbox<M> {
+    msgs: Mutex<Vec<M>>,
     pipe: io::WakePipe,
+}
+
+impl<M> Inbox<M> {
+    fn new() -> std::io::Result<Inbox<M>> {
+        Ok(Inbox {
+            msgs: Mutex::new(Vec::new()),
+            pipe: io::WakePipe::new()?,
+        })
+    }
+
+    fn post(&self, msg: M) {
+        self.msgs.lock().push(msg);
+        self.pipe.wake();
+    }
+
+    fn take(&self) -> Vec<M> {
+        std::mem::take(&mut *self.msgs.lock())
+    }
 }
 
 /// State shared by the acceptor, every shard, and every pool worker.
 struct Shared {
-    handler: Arc<dyn Handler>,
-    metrics: Arc<ServerMetrics>,
-    faults: Option<Arc<FaultInjector>>,
-    shutdown: Arc<AtomicBool>,
     cfg: ReactorConfig,
+    shutdown: AtomicBool,
     jobs: JobQueue,
-    shards: Vec<Arc<ShardMailbox>>,
+    acceptor: Inbox<AcceptorMsg>,
+    shards: Vec<Inbox<ShardMsg>>,
 }
 
-/// Per-connection state tag (see the module-level diagram).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-connection state (see the module-level diagram).
+#[derive(Debug)]
 enum ConnState {
     /// Waiting for (more of) a request; poll interest `POLLIN`.
     Reading,
+    /// Sitting out an injected stall; no poll interest. The request goes
+    /// to the handler pool once `until` has passed.
+    Stalled { until: Instant, req: Box<Request> },
     /// A request is with the handler pool; no poll interest.
     Handling,
     /// Flushing a response; poll interest `POLLOUT`.
@@ -215,6 +304,7 @@ enum ConnState {
 /// One connection in a shard's slab.
 struct Conn {
     stream: TcpStream,
+    endpoint: Arc<Endpoint>,
     state: ConnState,
     /// Unparsed inbound bytes (may span pipelined requests).
     buf: Vec<u8>,
@@ -240,18 +330,10 @@ struct ShardState {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u32,
-}
-
-/// Outcome of trying to advance the parser on buffered bytes.
-enum ParseOutcome {
-    /// A full request was cut; dispatch it to the pool.
-    Dispatch(u64, Box<Request>),
-    /// Incomplete and the peer already half-closed — nothing more comes.
-    CloseNow,
-    /// Protocol violation: answer 400 and close.
-    Reject,
-    /// Incomplete; wait for more bytes.
-    Wait,
+    /// No keep-alive expiry and no stall ends before this instant: the
+    /// `poll` timeout, and the only time the slab is swept. `None` when
+    /// no connection is waiting on the clock.
+    next_deadline: Option<Instant>,
 }
 
 impl ShardState {
@@ -262,11 +344,13 @@ impl ShardState {
             conns: Vec::new(),
             free: Vec::new(),
             next_gen: 0,
+            next_deadline: None,
         }
     }
 
     fn run(mut self) {
-        let mailbox = Arc::clone(&self.shared.shards[self.id]);
+        let shared = Arc::clone(&self.shared);
+        let inbox = &shared.shards[self.id];
         let mut pollfds: Vec<sys::PollFd> = Vec::new();
         // `owners[i]` maps `pollfds[i]` back to (slab index, generation);
         // entry 0 is the wake pipe.
@@ -274,7 +358,7 @@ impl ShardState {
         loop {
             pollfds.clear();
             owners.clear();
-            pollfds.push(mailbox.pipe.pollfd());
+            pollfds.push(inbox.pipe.pollfd());
             owners.push((usize::MAX, 0));
             for (idx, slot) in self.conns.iter().enumerate() {
                 let Some(conn) = slot else { continue };
@@ -286,29 +370,31 @@ impl ShardState {
                 pollfds.push(sys::PollFd::new(conn.stream.as_raw_fd(), interest));
                 owners.push((idx, conn.gen));
             }
-            let _ = sys::poll_fds(&mut pollfds, self.poll_timeout());
+            let timeout = self
+                .next_deadline
+                .map(|d| d.saturating_duration_since(Instant::now()));
+            let _ = sys::poll_fds(&mut pollfds, timeout);
             if pollfds[0].readable() {
-                mailbox.pipe.drain();
+                inbox.pipe.drain();
             }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            // Completions before injections: finished responses free
-            // slots that new connections can then reuse.
-            let done = std::mem::take(&mut *mailbox.done.lock());
-            for (tok, directive) in done {
-                self.apply(tok, directive);
-            }
-            let injected = std::mem::take(&mut *mailbox.inject.lock());
-            for stream in injected {
-                self.adopt(stream);
+            // In posting order, so an endpoint's last `Adopt` is handled
+            // before its `Retire`.
+            for msg in inbox.take() {
+                match msg {
+                    ShardMsg::Adopt(stream, endpoint) => self.adopt(stream, endpoint),
+                    ShardMsg::Done(tok, directive) => self.apply(tok, directive),
+                    ShardMsg::Retire(endpoint, _ack) => self.close_all_of(&endpoint),
+                }
             }
             for (i, pfd) in pollfds.iter().enumerate().skip(1) {
                 if pfd.revents() == 0 {
                     continue;
                 }
                 let (idx, gen) = owners[i];
-                // A completion above may have closed or repurposed the
+                // A message above may have closed or repurposed the
                 // slot; the generation tag catches stale readiness.
                 let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) else {
                     continue;
@@ -319,76 +405,95 @@ impl ShardState {
                 match conn.state {
                     ConnState::Reading => self.drive_read(idx),
                     ConnState::Writing { .. } => self.drive_write(idx),
-                    ConnState::Handling => {}
+                    ConnState::Handling | ConnState::Stalled { .. } => {}
                 }
             }
-            self.sweep_idle();
+            let now = Instant::now();
+            if self.next_deadline.is_some_and(|d| d <= now) {
+                self.sweep(now);
+            }
         }
-        // Teardown: every still-open connection leaves the gauge exactly
-        // balanced (the acceptor counted it on the way in).
+        // Teardown: every still-open connection leaves its endpoint's
+        // gauge exactly balanced (the acceptor counted it on the way in).
         for idx in 0..self.conns.len() {
             self.close(idx);
         }
     }
 
-    /// Next keep-alive deadline across parked connections, as a poll
-    /// timeout. `None` (block forever) when the shard is empty or only
-    /// handling — the wake pipe covers every other event source.
-    fn poll_timeout(&self) -> Option<Duration> {
-        let ka = self.shared.cfg.keep_alive;
-        let now = Instant::now();
-        self.conns
-            .iter()
-            .flatten()
-            .filter(|c| c.state != ConnState::Handling)
-            .map(|c| (c.last_activity + ka).saturating_duration_since(now))
-            .min()
+    /// A connection started waiting on the clock until `deadline` (an
+    /// idle one, until its keep-alive runs out; activity only moves that
+    /// later, which needs no re-arming).
+    fn arm(&mut self, deadline: Instant) {
+        self.next_deadline = Some(self.next_deadline.map_or(deadline, |d| d.min(deadline)));
     }
 
-    fn sweep_idle(&mut self) {
-        let ka = self.shared.cfg.keep_alive;
-        let now = Instant::now();
+    /// The one pass over the slab that looks at the clock, run only once
+    /// `next_deadline` has passed: reap idle keep-alive connections,
+    /// dispatch the stalls that are over, and find the next deadline.
+    fn sweep(&mut self, now: Instant) {
+        let keep_alive = self.shared.cfg.keep_alive;
+        self.next_deadline = None;
         for idx in 0..self.conns.len() {
-            let expired = matches!(
-                &self.conns[idx],
-                Some(c) if c.state != ConnState::Handling
-                    && now.duration_since(c.last_activity) > ka
-            );
-            if expired {
-                self.close(idx);
+            let Some(conn) = self.conns[idx].as_mut() else {
+                continue;
+            };
+            let deadline = match conn.state {
+                ConnState::Handling => continue,
+                ConnState::Stalled { until, .. } => until,
+                ConnState::Reading | ConnState::Writing { .. } => conn.last_activity + keep_alive,
+            };
+            if deadline > now {
+                self.arm(deadline);
+                continue;
+            }
+            match std::mem::replace(&mut conn.state, ConnState::Handling) {
+                ConnState::Stalled { req, .. } => self.dispatch(idx, *req, FaultAction::Serve),
+                _ => self.close(idx),
             }
         }
     }
 
     /// Take ownership of a freshly accepted socket.
-    fn adopt(&mut self, stream: TcpStream) {
+    fn adopt(&mut self, stream: TcpStream, endpoint: Arc<Endpoint>) {
         if stream.set_nonblocking(true).is_err() {
             // The acceptor already counted it; balance the gauge.
-            self.shared.metrics.live.dec();
+            endpoint.metrics.live.dec();
             return;
         }
         let _ = stream.set_nodelay(true);
         self.next_gen = self.next_gen.wrapping_add(1);
+        let now = Instant::now();
         let conn = Conn {
             stream,
+            endpoint,
             state: ConnState::Reading,
             buf: Vec::new(),
             out: Vec::new(),
             out_pos: 0,
             eof: false,
-            last_activity: Instant::now(),
+            last_activity: now,
             gen: self.next_gen,
         };
         match self.free.pop() {
             Some(idx) => self.conns[idx] = Some(conn),
             None => self.conns.push(Some(conn)),
         }
+        self.arm(now + self.shared.cfg.keep_alive);
     }
 
     fn close(&mut self, idx: usize) {
-        if self.conns[idx].take().is_some() {
+        if let Some(conn) = self.conns[idx].take() {
             self.free.push(idx);
-            self.shared.metrics.live.dec();
+            conn.endpoint.metrics.live.dec();
+        }
+    }
+
+    /// Drop every connection of a retiring endpoint, whatever its state.
+    fn close_all_of(&mut self, endpoint: &Arc<Endpoint>) {
+        for idx in 0..self.conns.len() {
+            if matches!(&self.conns[idx], Some(c) if Arc::ptr_eq(&c.endpoint, endpoint)) {
+                self.close(idx);
+            }
         }
     }
 
@@ -411,60 +516,92 @@ impl ShardState {
         }
     }
 
-    /// Try to cut one request from the connection's buffer and dispatch
-    /// it. Called after every read and after every keep-alive write
-    /// completion (pipelined requests are already buffered — no further
-    /// readiness event will announce them).
+    /// Try to cut one request from the connection's buffer and hand it
+    /// to the fault seam. Called after every read and after every
+    /// keep-alive write completion (pipelined requests are already
+    /// buffered — no further readiness event will announce them).
     fn advance_parse(&mut self, idx: usize) {
-        let outcome = {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            if conn.state != ConnState::Reading {
-                return;
-            }
-            match Request::parse_partial(&conn.buf) {
-                Ok(Some((req, used))) => {
-                    conn.buf.drain(..used);
-                    conn.state = ConnState::Handling;
-                    ParseOutcome::Dispatch(token(idx, conn.gen), Box::new(req))
-                }
-                Ok(None) if conn.eof => ParseOutcome::CloseNow,
-                Ok(None) => ParseOutcome::Wait,
-                Err(_) => ParseOutcome::Reject,
-            }
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
         };
-        match outcome {
-            ParseOutcome::Dispatch(tok, req) => self.shared.jobs.push(Job {
-                shard: self.id,
-                token: tok,
-                req: *req,
-            }),
-            ParseOutcome::CloseNow => self.close(idx),
-            ParseOutcome::Reject => {
+        if !matches!(conn.state, ConnState::Reading) {
+            return;
+        }
+        match Request::parse_partial(&conn.buf) {
+            Ok(Some((req, used))) => {
+                conn.buf.drain(..used);
+                conn.state = ConnState::Handling;
+                self.admit(idx, req);
+            }
+            // Incomplete and the peer already half-closed — nothing more
+            // comes.
+            Ok(None) if conn.eof => self.close(idx),
+            Ok(None) => {}
+            Err(_) => {
                 // Same wire behavior as the blocking transport: answer
                 // 400, count it, close.
-                self.shared
+                conn.endpoint
                     .metrics
                     .note_response(Status::BadRequest, Duration::ZERO);
-                let mut bytes = Vec::new();
-                let _ = Response::status(Status::BadRequest).write_to(&mut bytes);
+                let bytes = serialize(&Response::status(Status::BadRequest));
                 self.start_write(idx, bytes, true);
             }
-            ParseOutcome::Wait => {}
         }
     }
 
-    fn start_write(&mut self, idx: usize, bytes: Vec<u8>, close_after: bool) {
-        {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            conn.out = bytes;
-            conn.out_pos = 0;
-            conn.state = ConnState::Writing { close_after };
-            conn.last_activity = Instant::now();
+    /// The fault seam: the endpoint's injector gets first refusal on a
+    /// freshly cut request, exactly once and before any span opens — a
+    /// reset market never answers, so it must not trace either. A stall
+    /// is sat out here, by the connection; a pool worker acts on every
+    /// other verdict.
+    fn admit(&mut self, idx: usize, req: Request) {
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        let fault = match &conn.endpoint.faults {
+            Some(f) => f.decide(&req.path),
+            None => FaultAction::Serve,
+        };
+        match fault {
+            // Added latency, then serve normally. The connection waits,
+            // not a worker: the pool may be a whole fleet's, and a
+            // stalled market must slow its own clients only.
+            FaultAction::Stall(d) => {
+                let until = Instant::now() + d;
+                conn.state = ConnState::Stalled {
+                    until,
+                    req: Box::new(req),
+                };
+                self.arm(until);
+            }
+            fault => self.dispatch(idx, req, fault),
         }
+    }
+
+    /// Send a request (its connection already `Handling`) to the pool.
+    fn dispatch(&mut self, idx: usize, req: Request, fault: FaultAction) {
+        let Some(conn) = self.conns[idx].as_ref() else {
+            return;
+        };
+        self.shared.jobs.push(Job {
+            shard: self.id,
+            token: token(idx, conn.gen),
+            endpoint: Arc::clone(&conn.endpoint),
+            req,
+            fault,
+        });
+    }
+
+    fn start_write(&mut self, idx: usize, bytes: Vec<u8>, close_after: bool) {
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        let now = Instant::now();
+        conn.out = bytes;
+        conn.out_pos = 0;
+        conn.state = ConnState::Writing { close_after };
+        conn.last_activity = now;
+        self.arm(now + self.shared.cfg.keep_alive);
         // Opportunistic flush: most responses fit the socket buffer and
         // complete without another poll round trip.
         self.drive_write(idx);
@@ -498,7 +635,7 @@ impl ShardState {
         let gen = (tok >> 32) as u32;
         let valid = matches!(
             self.conns.get(idx).and_then(Option::as_ref),
-            Some(c) if c.gen == gen && c.state == ConnState::Handling
+            Some(c) if c.gen == gen && matches!(c.state, ConnState::Handling)
         );
         if !valid {
             return;
@@ -514,34 +651,24 @@ impl ShardState {
 /// per-connection thread used to run, then mails the directive back.
 fn worker_loop(shared: Arc<Shared>) {
     while let Some(job) = shared.jobs.pop() {
-        let directive = process_request(&shared, &job.req);
-        let mb = &shared.shards[job.shard];
-        mb.done.lock().push((job.token, directive));
-        mb.pipe.wake();
+        let directive = process_request(&job);
+        shared.shards[job.shard].post(ShardMsg::Done(job.token, directive));
     }
 }
 
-/// One request through the preserved seam order: fault decision first
-/// (before any span), then request span → handler span → handler →
-/// `note_response` → write span → serialization.
-fn process_request(shared: &Shared, req: &Request) -> Directive {
-    let metrics = &shared.metrics;
+/// One request through the preserved seam order: the fault verdict
+/// (taken on the shard, before any span), then request span → handler
+/// span → handler → `note_response` → write span → serialization.
+fn process_request(job: &Job) -> Directive {
+    let Job { endpoint, req, .. } = job;
+    let metrics = &endpoint.metrics;
     let close = req.wants_close();
-    // The fault injector gets first refusal, before any span opens: a
-    // reset market never answers, so it must not trace either.
-    let fault = match &shared.faults {
-        Some(f) => f.decide(&req.path),
-        None => FaultAction::Serve,
-    };
-    match fault {
-        FaultAction::Serve | FaultAction::Truncate => {}
+    match job.fault {
+        // A stall is over by the time its request is dispatched.
+        FaultAction::Serve | FaultAction::Truncate | FaultAction::Stall(_) => {}
         // Slam the door without a byte: the client sees a reset or a
         // mid-message EOF.
         FaultAction::Reset => return Directive::Close,
-        // Added latency, then serve normally. Sleeping a pool worker is
-        // deliberate: a stalled market is slow *capacity*, not just a
-        // slow socket.
-        FaultAction::Stall(d) => std::thread::sleep(d),
         // Answer for the handler: the market is erroring, not slow.
         FaultAction::Error {
             status,
@@ -558,21 +685,27 @@ fn process_request(shared: &Shared, req: &Request) -> Directive {
             };
         }
     }
+    let handler = endpoint.handler.read();
+    let Some(handler) = handler.as_ref() else {
+        return Directive::Close;
+    };
     // A propagated trace context makes this request a remote child of
     // the client-side attempt span; without one every span below is a
-    // no-op.
-    let req_span = metrics.tracer.child_of(
-        req.trace_context(),
-        "server",
-        &format!("{} {}", req.method.as_str(), req.path),
-    );
+    // no-op, and no span text is built.
+    let req_span = match req.trace_context() {
+        Some(ctx) => metrics.tracer.child_of(
+            Some(ctx),
+            "server",
+            &format!("{} {}", req.method.as_str(), req.path),
+        ),
+        None => TraceSpan::noop(),
+    };
     let start = Instant::now();
     let handler_span = metrics.tracer.span("server", "handler");
     // A panicking handler must not kill a pool worker (that would shrink
     // the pool forever). Catch it and drop the connection — the same
     // observable outcome the per-connection transport gave the peer.
-    let handled =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shared.handler.handle(req)));
+    let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(req)));
     handler_span.finish();
     let resp = match handled {
         Ok(resp) => resp,
@@ -587,9 +720,11 @@ fn process_request(shared: &Shared, req: &Request) -> Directive {
     // `requests_total == handler_nanos_count` and the in-flight scrape
     // itself is excluded from both.
     metrics.note_response(resp.status, start.elapsed());
-    req_span.event(&format!("status:{}", resp.status.code()));
+    if req_span.is_sampled() {
+        req_span.event(&format!("status:{}", resp.status.code()));
+    }
     let write_span = metrics.tracer.span("server", "write");
-    let directive = if fault == FaultAction::Truncate {
+    let directive = if job.fault == FaultAction::Truncate {
         // Cut the body mid-stream and close so the client sees an
         // unexpected EOF. An empty body can't be cut — drop the
         // connection instead (same observable failure).
@@ -618,153 +753,244 @@ fn serialize(resp: &Response) -> Vec<u8> {
     bytes
 }
 
-/// The blocking accept loop: backoff on transient errors, shed above the
-/// connection ceiling, round-robin the rest across shards.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+/// The accept loop: `poll` the wake pipe and every registered listener,
+/// back off on transient errors, shed above a listener's connection
+/// ceiling, round-robin the rest across shards.
+fn accept_loop(shared: Arc<Shared>) {
+    let inbox = &shared.acceptor;
+    let mut listeners: Vec<(TcpListener, Arc<Endpoint>)> = Vec::new();
+    let mut pollfds: Vec<sys::PollFd> = Vec::new();
     let mut next_shard = 0usize;
     let mut backoff = ACCEPT_BACKOFF_MIN;
-    for stream in listener.incoming() {
+    // The last round met an accept error: sit `backoff` out on the wake
+    // pipe alone. Descriptor exhaustion is the process's, not one
+    // listener's, so every listener waits.
+    let mut backing_off = false;
+    loop {
+        pollfds.clear();
+        pollfds.push(inbox.pipe.pollfd());
+        if !backing_off {
+            pollfds.extend(
+                listeners
+                    .iter()
+                    .map(|(l, _)| sys::PollFd::new(l.as_raw_fd(), sys::POLLIN)),
+            );
+        }
+        let _ = sys::poll_fds(&mut pollfds, backing_off.then_some(backoff));
+        if backing_off {
+            backing_off = false;
+            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+        }
+        if pollfds[0].readable() {
+            inbox.pipe.drain();
+        }
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match stream {
-            Ok(s) => {
-                backoff = ACCEPT_BACKOFF_MIN;
-                s
-            }
-            Err(_) => {
-                // EMFILE, ENFILE, ECONNABORTED: transient. Count it and
-                // back off instead of spinning hot on the error.
-                shared.metrics.accept_errors.inc();
-                shared.metrics.log.record(
-                    LogLevel::Warn,
-                    "net.reactor",
-                    "transient accept error, backing off",
-                    &[("backoff_ms", &backoff.as_millis().to_string())],
-                );
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+        // `pollfds[i + 1]` is `listeners[i]`: the set is only changed
+        // below, after the readiness pass.
+        for (pfd, (listener, endpoint)) in pollfds[1..].iter().zip(&listeners) {
+            if !pfd.readable() {
                 continue;
             }
-        };
-        if shared.metrics.live.get() >= shared.cfg.max_connections as i64 {
-            shared.metrics.shed.inc();
-            shared.metrics.log.record(
-                LogLevel::Warn,
-                "net.reactor",
-                "connection shed at ceiling",
-                &[("max_connections", &shared.cfg.max_connections.to_string())],
-            );
-            // Best-effort single write; the shed path must never block
-            // the acceptor.
-            let _ = stream.set_nonblocking(true);
-            let _ = (&stream).write(SHED_RESPONSE);
-            continue;
+            loop {
+                match io::accept_pending(listener) {
+                    Ok(Some(stream)) => {
+                        backoff = ACCEPT_BACKOFF_MIN;
+                        if endpoint.metrics.live.get() >= shared.cfg.max_connections as i64 {
+                            shed(&stream, endpoint, shared.cfg.max_connections);
+                            continue;
+                        }
+                        endpoint.metrics.live.inc();
+                        let shard = &shared.shards[next_shard % shared.shards.len()];
+                        next_shard = next_shard.wrapping_add(1);
+                        shard.post(ShardMsg::Adopt(stream, Arc::clone(endpoint)));
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        // EMFILE, ENFILE, ECONNABORTED: transient. Count
+                        // it and back off instead of spinning hot on the
+                        // error.
+                        endpoint.metrics.accept_errors.inc();
+                        endpoint.metrics.log.record(
+                            LogLevel::Warn,
+                            "net.reactor",
+                            "transient accept error, backing off",
+                            &[("backoff_ms", &backoff.as_millis().to_string())],
+                        );
+                        backing_off = true;
+                        break;
+                    }
+                }
+            }
         }
-        shared.metrics.live.inc();
-        let mb = &shared.shards[next_shard % shared.shards.len()];
-        next_shard = next_shard.wrapping_add(1);
-        mb.inject.lock().push(stream);
-        mb.pipe.wake();
+        // After the readiness pass, so every socket accepted for an
+        // endpoint is with its shard before the retirement is receipted.
+        for msg in inbox.take() {
+            match msg {
+                AcceptorMsg::Listen(listener, endpoint) => listeners.push((listener, endpoint)),
+                AcceptorMsg::Retire(endpoint, _ack) => {
+                    listeners.retain(|(_, e)| !Arc::ptr_eq(e, &endpoint));
+                }
+            }
+        }
     }
 }
 
-/// A running reactor transport: the fixed thread set serving one bound
-/// listener. Owned by [`ServerHandle`](crate::server::ServerHandle).
-pub(crate) struct Transport {
+/// Turn away a connection accepted above its endpoint's ceiling: count
+/// it, answer `503` + `connection: close`, and let the caller drop it.
+fn shed(stream: &TcpStream, endpoint: &Endpoint, max_connections: usize) {
+    endpoint.metrics.shed.inc();
+    endpoint.metrics.log.record(
+        LogLevel::Warn,
+        "net.reactor",
+        "connection shed at ceiling",
+        &[("max_connections", &max_connections.to_string())],
+    );
+    // Best-effort single write; the shed path must never block the
+    // acceptor.
+    let _ = stream.set_nonblocking(true);
+    let _ = (&*stream).write(SHED_RESPONSE);
+}
+
+/// A running reactor transport: the fixed thread set — one acceptor,
+/// [`ReactorConfig::shards`] event loops, [`ReactorConfig::handler_threads`]
+/// workers — under every listener registered on it with
+/// [`HttpServer::spawn_on`](crate::server::HttpServer::spawn_on).
+/// Dropping the last reference stops it.
+pub struct Transport {
     shared: Arc<Shared>,
-    accept: JoinHandle<()>,
-    shard_threads: Vec<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
+    /// The running threads; emptied by [`stop`](Transport::stop), which
+    /// holds the lock throughout, as do a listener's registration and
+    /// retirement: neither can race the shutdown.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Transport {
-    /// Spawn the acceptor, shard, and worker threads for `listener`.
-    pub(crate) fn spawn(
-        listener: TcpListener,
-        handler: Arc<dyn Handler>,
-        metrics: Arc<ServerMetrics>,
-        faults: Option<Arc<FaultInjector>>,
-        cfg: ReactorConfig,
-        shutdown: Arc<AtomicBool>,
-    ) -> std::io::Result<Transport> {
-        let local = listener.local_addr()?;
+    /// Spawn the acceptor, shard, and worker threads. Nothing is served
+    /// until a listener registers.
+    pub fn spawn(cfg: ReactorConfig) -> Result<Arc<Transport>, NetError> {
         let cfg = ReactorConfig {
             shards: cfg.shards.max(1),
             handler_threads: cfg.handler_threads.max(1),
             max_connections: cfg.max_connections.max(1),
             keep_alive: cfg.keep_alive,
         };
-        let mut mailboxes = Vec::with_capacity(cfg.shards);
-        for _ in 0..cfg.shards {
-            mailboxes.push(Arc::new(ShardMailbox {
-                inject: Mutex::new(Vec::new()),
-                done: Mutex::new(Vec::new()),
-                pipe: io::WakePipe::new()?,
-            }));
-        }
+        let shards = (0..cfg.shards)
+            .map(|_| Inbox::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
-            handler,
-            metrics,
-            faults,
-            shutdown,
             cfg,
+            shutdown: AtomicBool::new(false),
             jobs: JobQueue::new(),
-            shards: mailboxes,
+            acceptor: Inbox::new()?,
+            shards,
         });
-        let mut shard_threads = Vec::with_capacity(shared.cfg.shards);
+        // Built before the first thread starts: if a later spawn fails,
+        // dropping it stops and joins the threads that did start.
+        let transport = Arc::new(Transport {
+            shared: Arc::clone(&shared),
+            threads: Mutex::new(Vec::new()),
+        });
+        let acceptor = Arc::clone(&shared);
+        transport.start("http-accept".into(), move || accept_loop(acceptor))?;
         for id in 0..shared.cfg.shards {
-            let shard_shared = Arc::clone(&shared);
-            shard_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("http-shard-{id}"))
-                    .spawn(move || ShardState::new(id, shard_shared).run())?,
-            );
+            let shard = Arc::clone(&shared);
+            transport.start(format!("http-shard-{id}"), move || {
+                ShardState::new(id, shard).run()
+            })?;
         }
-        let mut worker_threads = Vec::with_capacity(shared.cfg.handler_threads);
         for w in 0..shared.cfg.handler_threads {
-            let worker_shared = Arc::clone(&shared);
-            worker_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("http-worker-{w}"))
-                    .spawn(move || worker_loop(worker_shared))?,
-            );
+            let worker = Arc::clone(&shared);
+            transport.start(format!("http-worker-{w}"), move || worker_loop(worker))?;
         }
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name(format!("http-accept-{local}"))
-            .spawn(move || accept_loop(listener, accept_shared))?;
-        Ok(Transport {
-            shared,
-            accept,
-            shard_threads,
-            worker_threads,
-        })
+        Ok(transport)
     }
 
-    /// Wake and join every thread. The caller has already set the shared
-    /// shutdown flag.
-    pub(crate) fn stop(self, addr: SocketAddr) {
-        // Wake the blocking accept with a no-op connection.
-        let _ = TcpStream::connect(addr);
-        let _ = self.accept.join();
-        for mb in &self.shared.shards {
-            mb.pipe.wake();
+    fn start(&self, name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let thread = std::thread::Builder::new().name(name).spawn(body)?;
+        self.threads.lock().push(thread);
+        Ok(())
+    }
+
+    /// The configuration in force (after clamping zeros to one).
+    pub(crate) fn config(&self) -> &ReactorConfig {
+        &self.shared.cfg
+    }
+
+    /// Start serving `endpoint` on `listener`.
+    pub(crate) fn listen(
+        &self,
+        listener: TcpListener,
+        endpoint: Arc<Endpoint>,
+    ) -> std::io::Result<()> {
+        let _running = self.threads.lock();
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("transport already stopped"));
         }
-        for t in self.shard_threads {
+        listener.set_nonblocking(true)?;
+        self.shared
+            .acceptor
+            .post(AcceptorMsg::Listen(listener, endpoint));
+        Ok(())
+    }
+
+    /// Stop serving `endpoint`, leaving every other listener as it is.
+    /// On return its listener is closed, no request reaches its handler,
+    /// its connections are dropped and its live gauge is back to zero.
+    pub(crate) fn retire(&self, endpoint: &Arc<Endpoint>) {
+        // Waits out the handler calls in flight; requests cut from now
+        // on find no handler and drop their connection.
+        drop(endpoint.handler.write().take());
+        let _running = self.threads.lock();
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            // A stopped transport has closed everything already.
+            return;
+        }
+        // The acceptor first: once it has receipted, no socket of this
+        // endpoint is posted to a shard any more, so each shard's sweep
+        // catches them all.
+        let (ack, receipts) = mpsc::channel();
+        self.shared
+            .acceptor
+            .post(AcceptorMsg::Retire(Arc::clone(endpoint), ack));
+        let _ = receipts.recv();
+        let (ack, receipts) = mpsc::channel();
+        for shard in &self.shared.shards {
+            shard.post(ShardMsg::Retire(Arc::clone(endpoint), ack.clone()));
+        }
+        drop(ack);
+        let _ = receipts.recv();
+    }
+
+    /// Stop every listener, then wake and join every thread. Open
+    /// connections are dropped and each endpoint's live gauge returns to
+    /// balance. Idempotent.
+    pub fn stop(&self) {
+        let mut threads = self.threads.lock();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.acceptor.pipe.wake();
+        for shard in &self.shared.shards {
+            shard.pipe.wake();
+        }
+        self.shared.jobs.close();
+        for t in threads.drain(..) {
             let _ = t.join();
         }
         // Sockets the acceptor counted but no shard adopted before the
         // flag flipped: balance the gauge as they drop.
-        for mb in &self.shared.shards {
-            let leftover = std::mem::take(&mut *mb.inject.lock());
-            for _ in leftover {
-                self.shared.metrics.live.dec();
+        for shard in &self.shared.shards {
+            for msg in shard.take() {
+                if let ShardMsg::Adopt(_, endpoint) = msg {
+                    endpoint.metrics.live.dec();
+                }
             }
         }
-        self.shared.jobs.close();
-        for t in self.worker_threads {
-            let _ = t.join();
-        }
+    }
+}
+
+impl Drop for Transport {
+    fn drop(&mut self) {
+        self.stop();
     }
 }

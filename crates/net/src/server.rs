@@ -1,19 +1,18 @@
-//! The HTTP server: an event-loop transport (see [`crate::reactor`])
-//! behind the same blocking-`Handler` API — keep-alive, graceful
-//! shutdown, fault seams, built-in telemetry.
+//! The HTTP server: one listener on an event-loop transport (see
+//! [`crate::reactor`]) behind the same blocking-`Handler` API —
+//! keep-alive, graceful shutdown, fault seams, built-in telemetry.
 //!
 //! One accept thread feeds nonblocking connections to a fixed set of
 //! `poll(2)` shards; handlers run on a bounded worker pool. Thread count
-//! is a constant of [`ReactorConfig`], not of the connection count.
+//! is a constant of the [`Transport`]'s [`ReactorConfig`], not of the
+//! connection count nor of how many servers share the transport.
 
 use crate::error::NetError;
 use crate::fault::FaultInjector;
 use crate::http::{Request, Response, Status};
-use crate::reactor::{ReactorConfig, Transport};
+use crate::reactor::{Endpoint, ReactorConfig, Transport};
 use marketscope_telemetry::{Counter, EventLog, Gauge, Histogram, Registry, Tracer};
-use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -176,13 +175,16 @@ impl HttpServer {
         )
     }
 
-    /// The general entry point: an explicit bind address and instrument
-    /// set (register it in a [`Registry`] to make the server's counters
-    /// scrapeable), an optional [`FaultInjector`] that gets first refusal
-    /// on every request (it may reset the connection, stall or truncate
-    /// the response, or answer 5xx before the handler runs; the caller
-    /// may keep a clone to report on it), and a [`ReactorConfig`] (shard
-    /// count, handler pool size, connection ceiling, keep-alive).
+    /// The general entry point for a server with threads of its own: an
+    /// explicit bind address and instrument set (register it in a
+    /// [`Registry`] to make the server's counters scrapeable), an optional
+    /// [`FaultInjector`] that gets first refusal on every request (it may
+    /// reset the connection, stall or truncate the response, or answer
+    /// 5xx before the handler runs; the caller may keep a clone to report
+    /// on it), and a [`ReactorConfig`] (shard count, handler pool size,
+    /// connection ceiling, keep-alive). Spawns a [`Transport`] that the
+    /// returned handle owns — its [`stop`](ServerHandle::stop) joins the
+    /// threads — and registers on it as [`spawn_on`](Self::spawn_on) does.
     pub fn spawn_configured(
         addr: &str,
         handler: impl Handler,
@@ -190,25 +192,34 @@ impl HttpServer {
         faults: Option<Arc<FaultInjector>>,
         config: ReactorConfig,
     ) -> Result<ServerHandle, NetError> {
+        let transport = Transport::spawn(config)?;
+        let mut handle = Self::spawn_on(&transport, addr, handler, metrics, faults)?;
+        handle.owns_transport = true;
+        Ok(handle)
+    }
+
+    /// Serve `handler` at `addr` on a transport shared with other
+    /// servers: this one adds a listener, no thread. Requests, statuses,
+    /// the live-connection gauge, the connection ceiling, shed and
+    /// accept-error counts and the fault injector are all this server's
+    /// own; stopping the handle closes its listener and connections and
+    /// leaves the transport and its other servers running.
+    pub fn spawn_on(
+        transport: &Arc<Transport>,
+        addr: &str,
+        handler: impl Handler,
+        metrics: ServerMetrics,
+        faults: Option<Arc<FaultInjector>>,
+    ) -> Result<ServerHandle, NetError> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(metrics);
-        let transport = Transport::spawn(
-            listener,
-            Arc::new(handler),
-            Arc::clone(&metrics),
-            faults.clone(),
-            config.clone(),
-            Arc::clone(&shutdown),
-        )?;
+        let addr = listener.local_addr()?;
+        let endpoint = Endpoint::new(handler, metrics, faults);
+        transport.listen(listener, Arc::clone(&endpoint))?;
         Ok(ServerHandle {
-            addr: local,
-            shutdown,
-            metrics,
-            faults,
-            config,
-            transport: Mutex::new(Some(transport)),
+            addr,
+            endpoint,
+            transport: Arc::clone(transport),
+            owns_transport: false,
         })
     }
 }
@@ -216,11 +227,11 @@ impl HttpServer {
 /// Handle to a running server: address, telemetry, shutdown.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    metrics: Arc<ServerMetrics>,
-    faults: Option<Arc<FaultInjector>>,
-    config: ReactorConfig,
-    transport: Mutex<Option<Transport>>,
+    endpoint: Arc<Endpoint>,
+    transport: Arc<Transport>,
+    /// Spawned with the server ([`HttpServer::spawn_configured`]), so
+    /// stopped with it.
+    owns_transport: bool,
 }
 
 impl ServerHandle {
@@ -231,42 +242,46 @@ impl ServerHandle {
 
     /// Total requests served so far.
     pub fn request_count(&self) -> u64 {
-        self.metrics.request_count()
+        self.endpoint.metrics.request_count()
     }
 
     /// Connections currently open.
     pub fn live_connections(&self) -> u64 {
-        self.metrics.live_connections()
+        self.endpoint.metrics.live_connections()
     }
 
     /// The fault injector wrapping this server, when spawned with one.
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
+        self.endpoint.faults.as_ref()
     }
 
-    /// The transport configuration this server runs with (shards,
-    /// handler pool size, connection ceiling, keep-alive).
+    /// The configuration of the transport this server runs on (shards,
+    /// handler pool size, each listener's connection ceiling,
+    /// keep-alive).
     pub fn transport_config(&self) -> &ReactorConfig {
-        &self.config
+        self.transport.config()
     }
 
     /// Transient accept-loop errors absorbed with backoff so far.
     pub fn accept_errors(&self) -> u64 {
-        self.metrics.accept_errors()
+        self.endpoint.metrics.accept_errors()
     }
 
     /// Connections shed with an immediate `503` at the ceiling so far.
     pub fn shed_connections(&self) -> u64 {
-        self.metrics.shed_connections()
+        self.endpoint.metrics.shed_connections()
     }
 
-    /// Stop accepting, then wake and join every transport thread (the
-    /// acceptor, the event-loop shards, the handler pool). Open
-    /// connections are dropped; the live gauge returns to balance.
+    /// Stop serving. On return the listener is closed, no request
+    /// reaches the handler any more, open connections are dropped and
+    /// the live gauge is back in balance; a transport spawned with this
+    /// server has its threads (the acceptor, the event-loop shards, the
+    /// handler pool) woken and joined, a shared one keeps serving its
+    /// other listeners. Idempotent.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.transport.lock().take() {
-            t.stop(self.addr);
+        self.transport.retire(&self.endpoint);
+        if self.owns_transport {
+            self.transport.stop();
         }
     }
 }
