@@ -13,7 +13,7 @@ use crate::dex::DexFile;
 use crate::error::ApkError;
 use crate::manifest::Manifest;
 use crate::zip::ZipArchive;
-use marketscope_core::hash::md5;
+use marketscope_core::hash::Md5;
 use marketscope_core::DeveloperKey;
 
 /// Well-known entry names.
@@ -84,17 +84,24 @@ impl ApkBuilder {
 /// Digest of all entries outside `META-INF/` (names and payloads, in
 /// archive order).
 pub fn payload_digest(zip: &ZipArchive) -> [u8; 16] {
-    let mut input = Vec::new();
-    for e in zip.entries() {
-        if e.name.starts_with("META-INF/") {
-            continue;
-        }
-        input.extend_from_slice(&(e.name.len() as u32).to_le_bytes());
-        input.extend_from_slice(e.name.as_bytes());
-        input.extend_from_slice(&(e.data.len() as u32).to_le_bytes());
-        input.extend_from_slice(&e.data);
+    digest_entries(
+        zip.entries()
+            .iter()
+            .map(|e| (e.name.as_str(), e.data.as_slice())),
+    )
+}
+
+/// [`payload_digest`] over `(name, payload)` pairs, each field streamed
+/// into the hash as it stands.
+pub(crate) fn digest_entries<'a>(entries: impl Iterator<Item = (&'a str, &'a [u8])>) -> [u8; 16] {
+    let mut h = Md5::new();
+    for (name, data) in entries.filter(|(name, _)| !name.starts_with("META-INF/")) {
+        h.update(&(name.len() as u32).to_le_bytes());
+        h.update(name.as_bytes());
+        h.update(&(data.len() as u32).to_le_bytes());
+        h.update(data);
     }
-    md5(&input)
+    h.finish()
 }
 
 #[cfg(test)]
@@ -102,6 +109,7 @@ mod tests {
     use super::*;
     use crate::dex::{ClassDef, MethodDef};
     use crate::ApiCallId;
+    use marketscope_core::hash::md5;
     use marketscope_core::{PackageName, VersionCode};
 
     fn manifest() -> Manifest {

@@ -11,7 +11,7 @@
 
 use crate::error::ApkError;
 use bytes::{Buf, BufMut};
-use marketscope_core::hash::md5;
+use marketscope_core::hash::Md5;
 use marketscope_core::DeveloperKey;
 
 const MAGIC: u32 = 0x5349_4731; // "SIG1"
@@ -69,16 +69,17 @@ impl Signature {
 }
 
 fn mac(developer: &DeveloperKey, payload_digest: &[u8; 16]) -> [u8; 16] {
-    let mut input = Vec::with_capacity(20 + 16 + 4);
-    input.extend_from_slice(&developer.0);
-    input.extend_from_slice(payload_digest);
-    input.extend_from_slice(b"mac1");
-    md5(&input)
+    let mut h = Md5::new();
+    h.update(&developer.0);
+    h.update(payload_digest);
+    h.update(b"mac1");
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marketscope_core::hash::md5;
 
     #[test]
     fn sign_and_verify() {

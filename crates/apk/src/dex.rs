@@ -21,7 +21,7 @@
 
 use crate::apicalls::{ApiCallId, API_DIMENSIONS};
 use crate::error::ApkError;
-use bytes::{Buf, BufMut};
+use bytes::Buf;
 
 const MAGIC: u64 = 0x6465_7830_3336_0000; // "dex036"-flavoured
 const MAX_CLASSES: usize = 65_536;
@@ -70,9 +70,15 @@ impl ClassDef {
     /// (`Lcom/umeng/analytics/A;` → `com.umeng.analytics`), or `None`
     /// for malformed descriptors or default-package classes.
     pub fn java_package(&self) -> Option<String> {
+        self.package_path().map(|pkg| pkg.replace('/', "."))
+    }
+
+    /// The package part of the descriptor as written, slash-separated
+    /// (`Lcom/umeng/analytics/A;` → `com/umeng/analytics`); `None` exactly
+    /// when [`ClassDef::java_package`] is.
+    pub(crate) fn package_path(&self) -> Option<&str> {
         let inner = self.name.strip_prefix('L')?.strip_suffix(';')?;
-        let (pkg, _cls) = inner.rsplit_once('/')?;
-        Some(pkg.replace('/', "."))
+        Some(inner.rsplit_once('/')?.0)
     }
 }
 
@@ -114,29 +120,35 @@ impl DexFile {
             .map(|m| m.code_hash)
     }
 
-    /// Encode to the binary layout, edges included.
+    /// Encode to the binary layout, edges included, into a buffer sized
+    /// once from the file's counts.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 * self.classes.len().max(1));
-        out.put_u64_le(MAGIC);
-        out.put_u32_le(self.classes.len() as u32);
+        let method_size = |m: &MethodDef| 12 + 4 * (m.api_calls.len() + m.invokes.len());
+        let class_size =
+            |c: &ClassDef| 4 + c.name.len() + c.methods.iter().map(method_size).sum::<usize>();
+        let size = 12 + self.classes.iter().map(class_size).sum::<usize>();
+        let mut out = Vec::with_capacity(size);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&(self.classes.len() as u32).to_le_bytes());
         for c in &self.classes {
             let name = c.name.as_bytes();
-            out.put_u16_le(name.len() as u16);
-            out.put_slice(name);
-            out.put_u16_le(c.methods.len() as u16);
+            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            out.extend_from_slice(name);
+            out.extend_from_slice(&(c.methods.len() as u16).to_le_bytes());
             for m in &c.methods {
-                out.put_u64_le(m.code_hash);
-                out.put_u16_le(m.api_calls.len() as u16);
+                out.extend_from_slice(&m.code_hash.to_le_bytes());
+                out.extend_from_slice(&(m.api_calls.len() as u16).to_le_bytes());
                 for a in &m.api_calls {
-                    out.put_u32_le(a.0);
+                    out.extend_from_slice(&a.0.to_le_bytes());
                 }
-                out.put_u16_le(m.invokes.len() as u16);
+                out.extend_from_slice(&(m.invokes.len() as u16).to_le_bytes());
                 for r in &m.invokes {
-                    out.put_u16_le(r.class);
-                    out.put_u16_le(r.method);
+                    out.extend_from_slice(&r.class.to_le_bytes());
+                    out.extend_from_slice(&r.method.to_le_bytes());
                 }
             }
         }
+        debug_assert_eq!(out.len(), size);
         out
     }
 
@@ -202,9 +214,11 @@ impl DexFile {
                 if buf.remaining() < call_count * 4 {
                     return Err(ApkError::Dex("truncated call list"));
                 }
+                let (call_bytes, rest) = buf.split_at(call_count * 4);
+                buf = rest;
                 let mut api_calls = Vec::with_capacity(call_count);
-                for _ in 0..call_count {
-                    let raw = buf.get_u32_le();
+                for b in call_bytes.chunks_exact(4) {
+                    let raw = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                     let id = ApiCallId::new(raw).ok_or(ApkError::Bounds {
                         what: "api call id",
                         value: raw as u64,
@@ -224,10 +238,12 @@ impl DexFile {
                 if buf.remaining() < invoke_count * 4 {
                     return Err(ApkError::Dex("truncated invoke list"));
                 }
+                let (invoke_bytes, rest) = buf.split_at(invoke_count * 4);
+                buf = rest;
                 let mut invokes = Vec::with_capacity(invoke_count);
-                for _ in 0..invoke_count {
-                    let class = buf.get_u16_le();
-                    let method = buf.get_u16_le();
+                for b in invoke_bytes.chunks_exact(4) {
+                    let class = u16::from_le_bytes([b[0], b[1]]);
+                    let method = u16::from_le_bytes([b[2], b[3]]);
                     // Class index validated against the header count
                     // here; the method index is validated post-decode
                     // once the target class's method list is known.

@@ -16,10 +16,13 @@
 use crate::parse::ParsedApk;
 use crate::permmap::PermissionMap;
 use crate::reach::{CallGraph, ReachStats};
+use crate::runs;
 use crate::taint::{self, TaintFlow};
 use marketscope_core::hash::{fnv1a64, mix64};
 use marketscope_core::{AppKey, DeveloperKey, PackageName, VersionCode};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Feature summary of one Java package subtree inside an APK.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,6 +97,28 @@ pub struct ApkDigest {
     pub flows: Vec<TaintFlow>,
 }
 
+/// Group name of the classes without a Java package (and of malformed
+/// descriptors).
+const DEFAULT_PACKAGE: &str = "<default>";
+
+/// Compare two slash-form package paths as their dotted forms compare.
+/// `.` and `/` are adjacent bytes, so mapping one onto the other keeps
+/// the order of every other pair: only a `.`/`/` mismatch is looked past.
+fn dotted_cmp(a: &str, b: &str) -> Ordering {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    for (x, y) in a.iter().zip(b) {
+        if x != y && !matches!((x, y), (b'.', b'/') | (b'/', b'.')) {
+            return x.cmp(y);
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
+/// A run length as a `u16` count, saturating at `u16::MAX`.
+fn saturating_count(n: usize) -> u16 {
+    u16::try_from(n).unwrap_or(u16::MAX)
+}
+
 impl ApkDigest {
     /// Extract a digest from a parsed APK.
     pub fn from_parsed(apk: &ParsedApk) -> ApkDigest {
@@ -122,61 +147,81 @@ impl ApkDigest {
         // library's classes sit directly under its root package, so the
         // group name is the library root (LibRadar walks real package
         // trees at several depths; flat grouping is the equivalent here).
-        let mut groups: BTreeMap<String, Vec<(usize, &crate::dex::ClassDef)>> = BTreeMap::new();
-        for (ci, class) in apk.dex.classes.iter().enumerate() {
-            let pkg = class
-                .java_package()
-                .unwrap_or_else(|| "<default>".to_owned());
-            groups.entry(pkg).or_default().push((ci, class));
+        // Consecutive classes of one package path form a span; spans are
+        // sorted by the path in dotted form, so groups come out in the
+        // order of their dotted names and two spellings of one dotted name
+        // (`a.b/X`, `a/b/Y`) share a group. Everything below is
+        // insensitive to the order of a group's classes, so ties may land
+        // in any order.
+        let classes = &apk.dex.classes;
+        let mut spans: Vec<(&str, Range<usize>)> = Vec::new();
+        for (ci, class) in classes.iter().enumerate() {
+            let path = class.package_path().unwrap_or(DEFAULT_PACKAGE);
+            match spans.last_mut() {
+                Some((last, span)) if *last == path => span.end = ci + 1,
+                _ => spans.push((path, ci..ci + 1)),
+            }
         }
-        let package_features = groups
-            .into_iter()
-            .map(|(java_package, classes)| {
-                // Order-insensitive: hash each class, then XOR-fold with a
-                // mix so permutations of the class list agree.
-                let mut acc = 0u64;
-                let mut api_counts: BTreeMap<u32, u16> = BTreeMap::new();
-                let mut reachable_api_counts: BTreeMap<u32, u16> = BTreeMap::new();
-                let mut code_segments = Vec::new();
-                let mut method_count = 0u32;
-                let mut reachable_method_count = 0u32;
-                for (ci, c) in &classes {
-                    let mut h = fnv1a64(&[]);
-                    for (mi, m) in c.methods.iter().enumerate() {
-                        let reached = reach.is_reached(*ci, mi);
-                        method_count += 1;
-                        if reached {
-                            reachable_method_count += 1;
-                        }
-                        let mut calls: Vec<u32> = m.api_calls.iter().map(|a| a.0).collect();
-                        calls.sort_unstable();
-                        for call in calls {
-                            h = mix64(h, call as u64);
-                            let cnt = api_counts.entry(call).or_insert(0);
-                            *cnt = cnt.saturating_add(1);
-                            if reached {
-                                let cnt = reachable_api_counts.entry(call).or_insert(0);
-                                *cnt = cnt.saturating_add(1);
-                            }
-                        }
-                        h = mix64(h, m.code_hash);
-                        code_segments.push(m.code_hash);
+        spans.sort_unstable_by(|a, b| dotted_cmp(a.0, b.0));
+        let packages = || runs(&spans, |a, b| dotted_cmp(a.0, b.0).is_eq());
+        let mut package_features = Vec::with_capacity(packages().count());
+        // Scratch reused across the app: one method's sorted calls, and
+        // one package's `(api id << 1) | reached` tags.
+        let mut calls: Vec<u32> = Vec::new();
+        let mut tags: Vec<u64> = Vec::new();
+        for group in packages() {
+            // Order-insensitive: hash each class, then XOR-fold with a
+            // mix so permutations of the class list agree.
+            let mut acc = 0u64;
+            let members = || group.iter().flat_map(|(_, span)| span.clone());
+            let method_count: usize = members().map(|ci| classes[ci].methods.len()).sum();
+            let mut code_segments = Vec::with_capacity(method_count);
+            let mut reachable_method_count = 0u32;
+            tags.clear();
+            for ci in members() {
+                let mut h = fnv1a64(&[]);
+                for (mi, m) in classes[ci].methods.iter().enumerate() {
+                    let reached = reach.is_reached(ci, mi);
+                    reachable_method_count += u32::from(reached);
+                    calls.clear();
+                    calls.extend(m.api_calls.iter().map(|a| a.0));
+                    calls.sort_unstable();
+                    for &call in &calls {
+                        h = mix64(h, call as u64);
+                        tags.push((u64::from(call) << 1) | u64::from(reached));
                     }
-                    acc ^= mix64(h, 0xf00d);
+                    h = mix64(h, m.code_hash);
+                    code_segments.push(m.code_hash);
                 }
-                code_segments.sort_unstable();
-                PackageFeature {
-                    feature_hash: acc,
-                    class_count: classes.len() as u32,
-                    java_package,
-                    api_counts: api_counts.into_iter().collect(),
-                    reachable_api_counts: reachable_api_counts.into_iter().collect(),
-                    code_segments,
-                    method_count,
-                    reachable_method_count,
+                acc ^= mix64(h, 0xf00d);
+            }
+            code_segments.sort_unstable();
+            // One run per API id; within a run the unreached tags sort
+            // first. Counts saturate at `u16::MAX`.
+            tags.sort_unstable();
+            let ids = || runs(&tags, |a, b| a >> 1 == b >> 1);
+            let mut api_counts = Vec::with_capacity(ids().count());
+            let mut reachable_api_counts =
+                Vec::with_capacity(ids().filter(|run| run[run.len() - 1] & 1 == 1).count());
+            for run in ids() {
+                let id = (run[0] >> 1) as u32;
+                api_counts.push((id, saturating_count(run.len())));
+                let reached = run.len() - run.partition_point(|t| t & 1 == 0);
+                if reached > 0 {
+                    reachable_api_counts.push((id, saturating_count(reached)));
                 }
-            })
-            .collect();
+            }
+            package_features.push(PackageFeature {
+                java_package: group[0].0.replace('/', "."),
+                feature_hash: acc,
+                class_count: members().count() as u32,
+                api_counts,
+                reachable_api_counts,
+                code_segments,
+                method_count: method_count as u32,
+                reachable_method_count,
+            });
+        }
         let digest = ApkDigest {
             package: apk.manifest.package.clone(),
             version_code: apk.manifest.version_code,

@@ -55,3 +55,21 @@ pub use permmap::{Permission, PermissionMap, SinkClass, SourceClass};
 pub use reach::{CallGraph, ReachStats, Reachability};
 pub use taint::{TaintAnalysis, TaintFlow, TaintStats};
 pub use zip::{ZipArchive, ZipEntry};
+
+/// The maximal runs of `items` whose members `same` relates to the run's
+/// first item — `slice::chunk_by` for an equivalence, within the MSRV.
+pub(crate) fn runs<'a, T>(
+    mut items: &'a [T],
+    same: impl Fn(&T, &T) -> bool + 'a,
+) -> impl Iterator<Item = &'a [T]> + 'a {
+    std::iter::from_fn(move || {
+        let first = items.first()?;
+        let len = items
+            .iter()
+            .position(|x| !same(first, x))
+            .unwrap_or(items.len());
+        let (run, rest) = items.split_at(len);
+        items = rest;
+        Some(run)
+    })
+}

@@ -1,11 +1,11 @@
 //! The top-level APK parser: what every analysis consumes.
 
-use crate::builder::{payload_digest, CERT_ENTRY, DEX_ENTRY, MANIFEST_ENTRY};
+use crate::builder::{digest_entries, CERT_ENTRY, DEX_ENTRY, MANIFEST_ENTRY};
 use crate::cert::Signature;
 use crate::dex::DexFile;
 use crate::error::ApkError;
 use crate::manifest::Manifest;
-use crate::zip::ZipArchive;
+use crate::zip;
 use marketscope_core::hash::md5;
 use marketscope_core::{AppKey, DeveloperKey};
 
@@ -36,26 +36,22 @@ impl ParsedApk {
     /// not required — the study wants to observe bad actors, not reject
     /// them at ingest).
     pub fn parse(bytes: &[u8]) -> Result<ParsedApk, ApkError> {
-        let zip = ZipArchive::parse(bytes)?;
-        let manifest_bytes = zip
-            .get(MANIFEST_ENTRY)
-            .ok_or(ApkError::MissingEntry(MANIFEST_ENTRY))?;
-        let manifest = Manifest::decode(manifest_bytes)?;
-        let dex_bytes = zip
-            .get(DEX_ENTRY)
-            .ok_or(ApkError::MissingEntry(DEX_ENTRY))?;
-        let dex = DexFile::decode(dex_bytes)?;
-        let sig_bytes = zip
-            .get(CERT_ENTRY)
-            .ok_or(ApkError::MissingEntry(CERT_ENTRY))?;
-        let signature = Signature::decode(sig_bytes)?;
-        let digest = payload_digest(&zip);
-        let signature_valid = signature.verify(&digest);
-        let channels = zip
-            .entries()
+        let entries = zip::read_entries(bytes)?;
+        let get = |name: &'static str| {
+            entries
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, data)| *data)
+                .ok_or(ApkError::MissingEntry(name))
+        };
+        let manifest = Manifest::decode(get(MANIFEST_ENTRY)?)?;
+        let dex = DexFile::decode(get(DEX_ENTRY)?)?;
+        let signature = Signature::decode(get(CERT_ENTRY)?)?;
+        let signature_valid = signature.verify(&digest_entries(entries.iter().copied()));
+        let channels = entries
             .iter()
-            .filter(|e| e.name.starts_with("META-INF/") && e.name != CERT_ENTRY)
-            .map(|e| (e.name.clone(), e.data.clone()))
+            .filter(|(name, _)| name.starts_with("META-INF/") && *name != CERT_ENTRY)
+            .map(|(name, data)| ((*name).to_owned(), data.to_vec()))
             .collect();
         Ok(ParsedApk {
             manifest,
@@ -64,7 +60,7 @@ impl ParsedApk {
             signature_valid,
             file_md5: md5(bytes),
             channels,
-            entry_names: zip.names().map(str::to_owned).collect(),
+            entry_names: entries.iter().map(|(name, _)| (*name).to_owned()).collect(),
         })
     }
 
@@ -84,6 +80,7 @@ mod tests {
     use super::*;
     use crate::builder::ApkBuilder;
     use crate::dex::{ClassDef, MethodDef};
+    use crate::zip::ZipArchive;
     use crate::ApiCallId;
     use marketscope_core::{PackageName, VersionCode};
 

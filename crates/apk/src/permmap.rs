@@ -209,6 +209,11 @@ impl SinkClass {
     }
 }
 
+/// Bit offset of the sink classes in a [`PermissionMap::taint_classes`]
+/// byte: bit `SourceClass::index()` marks a source, bit
+/// `SINK_SHIFT + SinkClass::index()` a sink.
+pub(crate) const SINK_SHIFT: u32 = 4;
+
 /// The API → permission map, with the source/sink classification the
 /// taint pass consumes and a precomputed permission → API reverse index.
 #[derive(Debug, Clone)]
@@ -216,6 +221,9 @@ pub struct PermissionMap {
     /// Forward index: per API id, the `PERMISSIONS` position of the
     /// permission it requires, or [`NO_PERMISSION`].
     perm_index: Vec<u8>,
+    /// Per API id, its source and sink classes as one byte (layout at
+    /// [`SINK_SHIFT`]).
+    taint_class: Vec<u8>,
     /// Reverse index: per permission (in `PERMISSIONS` order), every API
     /// id requiring it, ascending.
     reverse: Vec<Vec<ApiCallId>>,
@@ -242,6 +250,7 @@ impl PermissionMap {
         // they can be asked of the map while its indices fill.
         let mut map = PermissionMap {
             perm_index: vec![NO_PERMISSION; crate::apicalls::API_DIMENSIONS as usize],
+            taint_class: vec![0; crate::apicalls::API_DIMENSIONS as usize],
             reverse: vec![Vec::new(); PERMISSIONS.len()],
             sources: vec![Vec::new(); SourceClass::ALL.len()],
             sinks: vec![Vec::new(); SinkClass::ALL.len()],
@@ -254,9 +263,11 @@ impl PermissionMap {
             }
             if let Some(s) = map.source_class(api) {
                 map.sources[s.index()].push(api);
+                map.taint_class[api.index()] |= 1 << s.index();
             }
             if let Some(s) = map.sink_class(api) {
                 map.sinks[s.index()].push(api);
+                map.taint_class[api.index()] |= 1 << (SINK_SHIFT as usize + s.index());
             }
         }
         map
@@ -354,6 +365,16 @@ impl PermissionMap {
                 }
             }
         }
+    }
+
+    /// The taint classes of `api` as one byte, served from a dense table:
+    /// bit `SourceClass::index()` is set when `api` is a source of that
+    /// class (low nibble), bit `4 + SinkClass::index()` when it is a sink
+    /// of that class. Zero for ids outside the feature space, as for
+    /// every id [`PermissionMap::source_class`] and
+    /// [`PermissionMap::sink_class`] both leave unclassified.
+    pub fn taint_classes(&self, api: ApiCallId) -> u8 {
+        self.taint_class.get(api.index()).copied().unwrap_or(0)
     }
 
     /// Every source API of one class, ascending (precomputed).
@@ -532,6 +553,22 @@ mod tests {
                 .collect();
             assert_eq!(m.sink_apis(class), scanned.as_slice(), "{class:?}");
             assert!(!scanned.is_empty(), "{class:?} has no sink APIs");
+        }
+    }
+
+    #[test]
+    fn taint_class_table_matches_pure_classification() {
+        let m = PermissionMap::standard();
+        for id in (0..API_DIMENSIONS + 4).chain([u32::MAX]) {
+            let api = ApiCallId(id);
+            let mut want = 0u8;
+            if let Some(s) = m.source_class(api) {
+                want |= 1 << s.index();
+            }
+            if let Some(s) = m.sink_class(api) {
+                want |= 1 << (SINK_SHIFT as usize + s.index());
+            }
+            assert_eq!(m.taint_classes(api), want, "id {id}");
         }
     }
 

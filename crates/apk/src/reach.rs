@@ -14,7 +14,6 @@
 //! "everything reachable").
 
 use crate::dex::DexFile;
-use std::collections::HashMap;
 
 /// A flattened call graph over one DEX file. Methods are addressed by a
 /// dense flat index (`method_base[class] + method`), so the worklist pass
@@ -25,8 +24,6 @@ pub struct CallGraph<'a> {
     method_base: Vec<u32>,
     /// Reverse map: flat index → (class index, method index).
     owner: Vec<(u32, u32)>,
-    /// Class descriptor → class index, for entry-point resolution.
-    by_name: HashMap<&'a str, usize>,
     /// CSR edge index: `targets[edge_base[m]..edge_base[m + 1]]` are the
     /// flat indices method `m` invokes — deduplicated (a method invoking
     /// the same target repeatedly contributes one edge) and with dangling
@@ -60,11 +57,9 @@ impl<'a> CallGraph<'a> {
     pub fn new(dex: &'a DexFile) -> CallGraph<'a> {
         let mut method_base = Vec::with_capacity(dex.classes.len());
         let mut owner = Vec::with_capacity(dex.method_count());
-        let mut by_name = HashMap::with_capacity(dex.classes.len());
         let mut next = 0u32;
         for (ci, class) in dex.classes.iter().enumerate() {
             method_base.push(next);
-            by_name.insert(class.name.as_str(), ci);
             for mi in 0..class.methods.len() {
                 owner.push((ci as u32, mi as u32));
             }
@@ -98,7 +93,6 @@ impl<'a> CallGraph<'a> {
             dex,
             method_base,
             owner,
-            by_name,
             edge_base,
             targets,
         }
@@ -115,9 +109,11 @@ impl<'a> CallGraph<'a> {
         self.targets.len()
     }
 
-    /// Resolve a class descriptor to its index.
+    /// Resolve a class descriptor to its index (the last class of that
+    /// name). A scan of the class list: entry resolution asks once per
+    /// declared component, which is cheaper than hashing every name.
     pub fn class_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.dex.classes.iter().rposition(|c| c.name == name)
     }
 
     /// The (class, method) coordinates of a flat method index.

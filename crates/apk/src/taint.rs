@@ -16,9 +16,9 @@
 //! deterministic: flows are returned deduplicated and sorted.
 
 use crate::dex::DexFile;
-use crate::permmap::{PermissionMap, SinkClass, SourceClass};
+use crate::permmap::{PermissionMap, SinkClass, SourceClass, SINK_SHIFT};
 use crate::reach::{CallGraph, Reachability};
-use std::collections::BTreeSet;
+use crate::runs;
 
 /// One discovered leak path, collapsed to its endpoints: data of
 /// `source` class escapes through a `sink` call sited in `sink_package`.
@@ -73,7 +73,7 @@ pub fn propagate(
 ) -> TaintAnalysis {
     let n = graph.method_count();
     // Per-method class masks: bit `SourceClass::index()` / bit
-    // `SinkClass::index()`.
+    // `SinkClass::index()`, read from the map's dense per-API table.
     let mut src_mask = vec![0u8; n];
     let mut snk_mask = vec![0u8; n];
     let mut stats = TaintStats::default();
@@ -82,14 +82,12 @@ pub fn propagate(
         for (ci, class) in dex.classes.iter().enumerate() {
             for (mi, m) in class.methods.iter().enumerate() {
                 if reach.is_reached(ci, mi) {
-                    for &call in &m.api_calls {
-                        if let Some(s) = map.source_class(call) {
-                            src_mask[flat] |= 1 << s.index();
-                        }
-                        if let Some(s) = map.sink_class(call) {
-                            snk_mask[flat] |= 1 << s.index();
-                        }
-                    }
+                    let taint = m
+                        .api_calls
+                        .iter()
+                        .fold(0u8, |acc, &call| acc | map.taint_classes(call));
+                    src_mask[flat] = taint & ((1 << SINK_SHIFT) - 1);
+                    snk_mask[flat] = taint >> SINK_SHIFT;
                     if snk_mask[flat] != 0 {
                         stats.sink_sites += 1;
                     }
@@ -99,12 +97,14 @@ pub fn propagate(
         }
     }
 
-    let mut flows: BTreeSet<TaintFlow> = BTreeSet::new();
+    // Tainted sink visits as (class index, source index, sink mask); the
+    // sink's package is resolved once per class after the walks.
+    let mut hits: Vec<(u32, u8, u8)> = Vec::new();
     let mut tainted = vec![false; n];
+    let mut work: Vec<u32> = Vec::new();
     for source in SourceClass::ALL {
         let bit = 1u8 << source.index();
         tainted.iter_mut().for_each(|t| *t = false);
-        let mut work: Vec<u32> = Vec::new();
         for (flat, &mask) in src_mask.iter().enumerate() {
             if mask & bit != 0 {
                 stats.source_sites += 1;
@@ -117,16 +117,7 @@ pub fn propagate(
             let flat = flat as usize;
             if snk_mask[flat] != 0 {
                 let (ci, _) = graph.owner_of(flat);
-                let pkg = dex.classes[ci].java_package();
-                for sink in SinkClass::ALL {
-                    if snk_mask[flat] & (1 << sink.index()) != 0 {
-                        flows.insert(TaintFlow {
-                            source,
-                            sink,
-                            sink_package: pkg.clone(),
-                        });
-                    }
-                }
+                hits.push((ci as u32, source.index() as u8, snk_mask[flat]));
             }
             for &tgt in graph.targets_of(flat) {
                 stats.edges_traversed += 1;
@@ -140,10 +131,27 @@ pub fn propagate(
             }
         }
     }
-    TaintAnalysis {
-        flows: flows.into_iter().collect(),
-        stats,
+
+    hits.sort_unstable();
+    hits.dedup();
+    let mut flows = Vec::new();
+    for class_hits in runs(&hits, |a, b| a.0 == b.0) {
+        let sink_package = dex.classes[class_hits[0].0 as usize].java_package();
+        for &(_, source, sinks) in class_hits {
+            for sink in SinkClass::ALL {
+                if sinks & (1 << sink.index()) != 0 {
+                    flows.push(TaintFlow {
+                        source: SourceClass::ALL[source as usize],
+                        sink,
+                        sink_package: sink_package.clone(),
+                    });
+                }
+            }
+        }
     }
+    flows.sort_unstable();
+    flows.dedup();
+    TaintAnalysis { flows, stats }
 }
 
 #[cfg(test)]

@@ -18,6 +18,9 @@ const LOCAL_SIG: u32 = 0x0403_4B50;
 const CENTRAL_SIG: u32 = 0x0201_4B50;
 const EOCD_SIG: u32 = 0x0605_4B50;
 const EOCD_MIN: usize = 22;
+/// Fixed part of a local file header and of a central directory record.
+const LOCAL_HEADER: usize = 30;
+const CENTRAL_HEADER: usize = 46;
 /// Upper bound on entries we will read from untrusted archives.
 const MAX_ENTRIES: usize = 65_535;
 /// Upper bound on a single entry name length.
@@ -80,14 +83,18 @@ impl ZipArchive {
 
     /// Serialize to ZIP bytes (stored entries, one central directory).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut central = Vec::new();
+        let names: usize = self.entries.iter().map(|e| e.name.len()).sum();
+        let payload: usize = self.entries.iter().map(|e| e.data.len()).sum();
+        let size =
+            (LOCAL_HEADER + CENTRAL_HEADER) * self.entries.len() + 2 * names + payload + EOCD_MIN;
+        let mut out = Vec::with_capacity(size);
+        let mut crcs = Vec::with_capacity(self.entries.len());
+        // Local file headers and payloads.
         for e in &self.entries {
-            let offset = out.len() as u32;
             let crc = crc32(&e.data);
+            crcs.push((crc, out.len() as u32));
             let name = e.name.as_bytes();
             let size = e.data.len() as u32;
-            // Local file header.
             put_u32(&mut out, LOCAL_SIG);
             put_u16(&mut out, 20); // version needed
             put_u16(&mut out, 0); // flags
@@ -101,29 +108,32 @@ impl ZipArchive {
             put_u16(&mut out, 0); // extra len
             out.extend_from_slice(name);
             out.extend_from_slice(&e.data);
-            // Central directory record.
-            put_u32(&mut central, CENTRAL_SIG);
-            put_u16(&mut central, 20); // version made by
-            put_u16(&mut central, 20); // version needed
-            put_u16(&mut central, 0); // flags
-            put_u16(&mut central, 0); // method
-            put_u16(&mut central, 0); // time
-            put_u16(&mut central, 0); // date
-            put_u32(&mut central, crc);
-            put_u32(&mut central, size);
-            put_u32(&mut central, size);
-            put_u16(&mut central, name.len() as u16);
-            put_u16(&mut central, 0); // extra
-            put_u16(&mut central, 0); // comment
-            put_u16(&mut central, 0); // disk start
-            put_u16(&mut central, 0); // internal attrs
-            put_u32(&mut central, 0); // external attrs
-            put_u32(&mut central, offset);
-            central.extend_from_slice(name);
         }
+        // Central directory, one record per entry.
         let cd_offset = out.len() as u32;
-        let cd_size = central.len() as u32;
-        out.extend_from_slice(&central);
+        for (e, &(crc, offset)) in self.entries.iter().zip(&crcs) {
+            let name = e.name.as_bytes();
+            let size = e.data.len() as u32;
+            put_u32(&mut out, CENTRAL_SIG);
+            put_u16(&mut out, 20); // version made by
+            put_u16(&mut out, 20); // version needed
+            put_u16(&mut out, 0); // flags
+            put_u16(&mut out, 0); // method
+            put_u16(&mut out, 0); // time
+            put_u16(&mut out, 0); // date
+            put_u32(&mut out, crc);
+            put_u32(&mut out, size);
+            put_u32(&mut out, size);
+            put_u16(&mut out, name.len() as u16);
+            put_u16(&mut out, 0); // extra
+            put_u16(&mut out, 0); // comment
+            put_u16(&mut out, 0); // disk start
+            put_u16(&mut out, 0); // internal attrs
+            put_u32(&mut out, 0); // external attrs
+            put_u32(&mut out, offset);
+            out.extend_from_slice(name);
+        }
+        let cd_size = out.len() as u32 - cd_offset;
         // EOCD.
         put_u32(&mut out, EOCD_SIG);
         put_u16(&mut out, 0); // disk
@@ -133,81 +143,99 @@ impl ZipArchive {
         put_u32(&mut out, cd_size);
         put_u32(&mut out, cd_offset);
         put_u16(&mut out, 0); // comment len
+        debug_assert_eq!(out.len(), size);
         out
     }
 
     /// Parse ZIP bytes, verifying structure and every entry CRC.
     pub fn parse(bytes: &[u8]) -> Result<ZipArchive, ApkError> {
-        let eocd = find_eocd(bytes)?;
-        let entry_count = read_u16(bytes, eocd + 10)? as usize;
-        if entry_count > MAX_ENTRIES {
-            return Err(ApkError::Bounds {
-                what: "zip entry count",
-                value: entry_count as u64,
-            });
-        }
-        let cd_size = read_u32(bytes, eocd + 12)? as usize;
-        let cd_offset = read_u32(bytes, eocd + 16)? as usize;
-        if cd_offset
-            .checked_add(cd_size)
-            .map_or(true, |end| end > eocd)
-        {
-            return Err(ApkError::Zip("central directory out of bounds"));
-        }
-        let mut entries = Vec::with_capacity(entry_count.min(1024));
-        let mut pos = cd_offset;
-        for _ in 0..entry_count {
-            if read_u32(bytes, pos)? != CENTRAL_SIG {
-                return Err(ApkError::Zip("bad central directory signature"));
-            }
-            let method = read_u16(bytes, pos + 10)?;
-            if method != 0 {
-                return Err(ApkError::Zip("unsupported compression method"));
-            }
-            let crc = read_u32(bytes, pos + 16)?;
-            let size = read_u32(bytes, pos + 20)? as usize;
-            let usize_ = read_u32(bytes, pos + 24)? as usize;
-            if size != usize_ {
-                return Err(ApkError::Zip("stored entry size mismatch"));
-            }
-            let name_len = read_u16(bytes, pos + 28)? as usize;
-            let extra_len = read_u16(bytes, pos + 30)? as usize;
-            let comment_len = read_u16(bytes, pos + 32)? as usize;
-            let local_offset = read_u32(bytes, pos + 42)? as usize;
-            if name_len == 0 || name_len > MAX_NAME {
-                return Err(ApkError::Zip("bad central entry name length"));
-            }
-            let name_start = pos + 46;
-            let name_end = name_start
-                .checked_add(name_len)
-                .filter(|&e| e <= cd_offset + cd_size)
-                .ok_or(ApkError::Zip("central entry name out of bounds"))?;
-            let name = std::str::from_utf8(&bytes[name_start..name_end])
-                .map_err(|_| ApkError::Zip("entry name not utf-8"))?
-                .to_owned();
-            // Resolve the local header and payload.
-            if read_u32(bytes, local_offset)? != LOCAL_SIG {
-                return Err(ApkError::Zip("bad local header signature"));
-            }
-            let l_name_len = read_u16(bytes, local_offset + 26)? as usize;
-            let l_extra_len = read_u16(bytes, local_offset + 28)? as usize;
-            let data_start = local_offset + 30 + l_name_len + l_extra_len;
-            let data_end = data_start
-                .checked_add(size)
-                .filter(|&e| e <= cd_offset)
-                .ok_or(ApkError::Zip("entry payload out of bounds"))?;
-            let data = bytes[data_start..data_end].to_vec();
-            if crc32(&data) != crc {
-                return Err(ApkError::CrcMismatch { name });
-            }
-            if entries.iter().any(|e: &ZipEntry| e.name == name) {
-                return Err(ApkError::Zip("duplicate entry name"));
-            }
-            entries.push(ZipEntry { name, data });
-            pos = name_end + extra_len + comment_len;
-        }
+        let entries = read_entries(bytes)?
+            .into_iter()
+            .map(|(name, data)| ZipEntry {
+                name: name.to_owned(),
+                data: data.to_vec(),
+            })
+            .collect();
         Ok(ZipArchive { entries })
     }
+}
+
+/// The ZIP reader: walk the central directory of `bytes`, checking every
+/// length field against the buffer, every entry's CRC and name
+/// uniqueness, and return the entries — `(name, payload)` borrowed from
+/// `bytes` — in archive order. [`ZipArchive::parse`] owns what this
+/// returns; the APK decoder reads it in place.
+pub(crate) fn read_entries(bytes: &[u8]) -> Result<Vec<(&str, &[u8])>, ApkError> {
+    let eocd = find_eocd(bytes)?;
+    let entry_count = read_u16(bytes, eocd + 10)? as usize;
+    if entry_count > MAX_ENTRIES {
+        return Err(ApkError::Bounds {
+            what: "zip entry count",
+            value: entry_count as u64,
+        });
+    }
+    let cd_size = read_u32(bytes, eocd + 12)? as usize;
+    let cd_offset = read_u32(bytes, eocd + 16)? as usize;
+    if cd_offset
+        .checked_add(cd_size)
+        .map_or(true, |end| end > eocd)
+    {
+        return Err(ApkError::Zip("central directory out of bounds"));
+    }
+    let mut entries: Vec<(&str, &[u8])> = Vec::with_capacity(entry_count.min(1024));
+    let mut pos = cd_offset;
+    for _ in 0..entry_count {
+        if read_u32(bytes, pos)? != CENTRAL_SIG {
+            return Err(ApkError::Zip("bad central directory signature"));
+        }
+        let method = read_u16(bytes, pos + 10)?;
+        if method != 0 {
+            return Err(ApkError::Zip("unsupported compression method"));
+        }
+        let crc = read_u32(bytes, pos + 16)?;
+        let size = read_u32(bytes, pos + 20)? as usize;
+        let usize_ = read_u32(bytes, pos + 24)? as usize;
+        if size != usize_ {
+            return Err(ApkError::Zip("stored entry size mismatch"));
+        }
+        let name_len = read_u16(bytes, pos + 28)? as usize;
+        let extra_len = read_u16(bytes, pos + 30)? as usize;
+        let comment_len = read_u16(bytes, pos + 32)? as usize;
+        let local_offset = read_u32(bytes, pos + 42)? as usize;
+        if name_len == 0 || name_len > MAX_NAME {
+            return Err(ApkError::Zip("bad central entry name length"));
+        }
+        let name_start = pos + CENTRAL_HEADER;
+        let name_end = name_start
+            .checked_add(name_len)
+            .filter(|&e| e <= cd_offset + cd_size)
+            .ok_or(ApkError::Zip("central entry name out of bounds"))?;
+        let name = std::str::from_utf8(&bytes[name_start..name_end])
+            .map_err(|_| ApkError::Zip("entry name not utf-8"))?;
+        // Resolve the local header and payload.
+        if read_u32(bytes, local_offset)? != LOCAL_SIG {
+            return Err(ApkError::Zip("bad local header signature"));
+        }
+        let l_name_len = read_u16(bytes, local_offset + 26)? as usize;
+        let l_extra_len = read_u16(bytes, local_offset + 28)? as usize;
+        let data_start = local_offset + LOCAL_HEADER + l_name_len + l_extra_len;
+        let data_end = data_start
+            .checked_add(size)
+            .filter(|&e| e <= cd_offset)
+            .ok_or(ApkError::Zip("entry payload out of bounds"))?;
+        let data = &bytes[data_start..data_end];
+        if crc32(data) != crc {
+            return Err(ApkError::CrcMismatch {
+                name: name.to_owned(),
+            });
+        }
+        if entries.iter().any(|(n, _)| *n == name) {
+            return Err(ApkError::Zip("duplicate entry name"));
+        }
+        entries.push((name, data));
+        pos = name_end + extra_len + comment_len;
+    }
+    Ok(entries)
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {

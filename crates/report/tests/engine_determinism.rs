@@ -81,7 +81,7 @@ fn assert_analyzed_eq(a: &Analyzed, b: &Analyzed, what: &str) {
 /// strictly sequential, deep-cloning nothing it doesn't need, calling the
 /// same public detector APIs in the same order. The engine at any worker
 /// count must match this exactly.
-fn legacy_compute(snapshot: &Snapshot) -> Analyzed {
+fn oracle_compute(snapshot: &Snapshot) -> Analyzed {
     struct LegacyApp {
         package: String,
         label: String,
@@ -219,7 +219,7 @@ fn engine_output_is_identical_for_1_2_and_8_workers() {
 #[test]
 fn engine_matches_the_pre_refactor_sequential_monolith() {
     let cam = campaign();
-    let legacy = legacy_compute(&cam.snapshot);
+    let legacy = oracle_compute(&cam.snapshot);
     assert_analyzed_eq(&legacy, &cam.analyzed, "legacy oracle");
 }
 
