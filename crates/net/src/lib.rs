@@ -11,13 +11,13 @@
 //! by `poll(2)` across a fixed set of shard threads, with the blocking
 //! [`Handler`](server::Handler) trait running on a bounded worker pool —
 //! C10k-scale concurrency at a constant thread count, with no async
-//! runtime (per the networking guides' advice, a readiness loop over
-//! `std::net` is all a loopback fleet needs). The client side mirrors
-//! it: a multiplexed submit/complete engine ([`mux`]) where one driver
-//! thread owns every connection as a nonblocking state machine and
-//! every [`HttpClient`] call is a submission to it (the blocking forms
-//! just wait on their ticket), so crawl fan-out is bounded by sockets,
-//! not threads.
+//! runtime. The client side mirrors it: a multiplexed submit/complete
+//! engine ([`mux`]) where one driver thread owns every connection as a
+//! nonblocking state machine and every [`HttpClient`] call is a
+//! submission to it (the blocking forms just wait on their ticket), so
+//! crawl fan-out is bounded by sockets, not threads. Shards, acceptor
+//! and driver are three loop bodies over one loop core: one `poll` turn,
+//! one slot table, one deadline bound and one clock read.
 //!
 //! Protocol subset: `GET`/`POST`, `Content-Length` bodies (no chunked
 //! encoding), `Connection: keep-alive`/`close`, status codes the market

@@ -4,10 +4,9 @@
 //! Callers enqueue requests ([`MuxClient::submit`]) and later block on
 //! the outcome ([`MuxClient::wait`]), while a single driver thread owns
 //! every connection as a nonblocking state machine (`Connecting →
-//! Sending → Receiving`, keep-alive reuse through a per-host pool) and
-//! multiplexes them over the `reactor::sys` poll
-//! shim and the I/O primitives it shares with the server shards. A
-//! caller blocked in `wait` costs a parked ticket, not a socket-bound
+//! Sending → Receiving`, keep-alive reuse through a per-host pool) in a
+//! loop body over the loop core the server shards use (`reactor::io`).
+//! A caller blocked in `wait` costs a parked ticket, not a socket-bound
 //! thread. Every [`HttpClient`](crate::client::HttpClient) call is a
 //! submission here; there is no other request path.
 //!
@@ -15,7 +14,7 @@
 //!
 //! * **Raw** — one wire request, with transparent retries on transient
 //!   connection-level failures only. `HttpClient::request`/`submit`
-//!   (POST submission, the open-loop load generator) ride this.
+//!   (POST submission) ride this.
 //! * **Managed** — the full `HttpClient::get` policy executed inside
 //!   the driver: circuit-breaker admission at (re)activation, the
 //!   status/decode seam, retry backoff as *timed resubmission* (the
@@ -34,7 +33,7 @@
 use crate::client::{ClientConfig, ClientMetrics};
 use crate::error::NetError;
 use crate::http::{Request, Response, Status};
-use crate::reactor::io::{read_available, write_pending, WakePipe};
+use crate::reactor::io::{read_available, write_pending, Inbox, Poller, Slab};
 use crate::reactor::sys;
 use crate::resilience::{BreakerSet, ResilienceMetrics, RetryPolicy};
 use marketscope_core::hash::fnv1a64;
@@ -46,7 +45,8 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How a managed submission's 200 body is decoded before completion.
@@ -154,13 +154,6 @@ struct PendingItem {
     owns_lane: bool,
 }
 
-/// An idle pooled connection. `residue` holds bytes read past the last
-/// response; a nonempty residue poisons the connection.
-struct IdleConn {
-    stream: TcpStream,
-    residue: Vec<u8>,
-}
-
 /// Per-connection nonblocking state machine.
 enum CState {
     /// `connect(2)` returned `EINPROGRESS`; waiting for `POLLOUT`.
@@ -193,21 +186,6 @@ struct Active {
     started: Instant,
     request_span: TraceSpan,
     attempt_span: TraceSpan,
-    conn: Option<Conn>,
-}
-
-/// A managed submission waiting out a retry backoff on the driver's
-/// timer instead of a sleeping thread.
-struct Parked {
-    sub: Submission,
-    cycles: u32,
-    slept: Duration,
-    until: Instant,
-}
-
-struct Lane {
-    queue: VecDeque<PendingItem>,
-    busy: bool,
 }
 
 /// State shared between the caller-facing handle and the driver thread.
@@ -218,20 +196,8 @@ struct Shared {
     retry: Option<RetryPolicy>,
     breakers: Option<Arc<BreakerSet>>,
     resilience: ResilienceMetrics,
-    queue: Mutex<Vec<Submission>>,
-    pool: Mutex<HashMap<SocketAddr, Vec<IdleConn>>>,
+    pool: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
     shutdown: AtomicBool,
-    /// The driver's wake pipe, set once the driver has been (lazily)
-    /// spawned.
-    wake: OnceLock<WakePipe>,
-}
-
-impl Shared {
-    fn wake_driver(&self) {
-        if let Some(pipe) = self.wake.get() {
-            pipe.wake();
-        }
-    }
 }
 
 /// The multiplexed client: a submit/complete API over one driver thread.
@@ -243,8 +209,14 @@ impl Shared {
 /// shutdown complete with an I/O error rather than hanging.
 pub struct MuxClient {
     shared: Arc<Shared>,
-    driver: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Spawned by the first submission, so that clients which never issue
+    /// a request (and tests that meter process thread counts around other
+    /// components) cost no thread.
+    driver: Mutex<Option<DriverHandle>>,
 }
+
+/// The driver thread and the inbox it turns on.
+type DriverHandle = (JoinHandle<()>, Arc<Inbox<Submission>>);
 
 impl MuxClient {
     /// A mux engine with the given socket configuration, telemetry and
@@ -267,10 +239,8 @@ impl MuxClient {
                 retry,
                 breakers,
                 resilience,
-                queue: Mutex::new(Vec::new()),
                 pool: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
-                wake: OnceLock::new(),
             }),
             driver: Mutex::new(None),
         }
@@ -339,40 +309,25 @@ impl MuxClient {
         let ticket = Ticket {
             cell: Arc::clone(&sub.cell),
         };
-        if let Err(e) = self.ensure_driver() {
-            sub.cell.complete(Err(NetError::Io(e)));
-            return ticket;
-        }
-        self.shared.queue.lock().push(sub);
-        self.shared.wake_driver();
-        ticket
-    }
-
-    /// Spawn the driver thread on first use. Lazy so that clients which
-    /// never issue a request (and tests that meter process thread
-    /// counts around other components) cost no thread.
-    fn ensure_driver(&self) -> io::Result<()> {
         let mut driver = self.driver.lock();
-        if driver.is_some() {
-            return Ok(());
+        if driver.is_none() {
+            match Driver::spawn(Arc::clone(&self.shared)) {
+                Ok(spawned) => *driver = Some(spawned),
+                Err(e) => sub.cell.complete(Err(NetError::Io(e))),
+            }
         }
-        if self.shared.wake.get().is_none() {
-            let _ = self.shared.wake.set(WakePipe::new()?);
+        if let Some((_, inbox)) = driver.as_ref() {
+            inbox.post(sub);
         }
-        let shared = Arc::clone(&self.shared);
-        let handle = std::thread::Builder::new()
-            .name("mux-driver".to_owned())
-            .spawn(move || Driver::new(shared).run())?;
-        *driver = Some(handle);
-        Ok(())
+        ticket
     }
 }
 
 impl Drop for MuxClient {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake_driver();
-        if let Some(handle) = self.driver.lock().take() {
+        if let Some((handle, inbox)) = self.driver.lock().take() {
+            inbox.wake();
             let _ = handle.join();
         }
     }
@@ -381,101 +336,100 @@ impl Drop for MuxClient {
 /// The driver: owns every connection and runs the readiness loop.
 struct Driver {
     shared: Arc<Shared>,
+    /// Armed with every connection deadline and backoff end as it starts.
+    poller: Poller,
     pending: VecDeque<PendingItem>,
-    lanes: HashMap<u64, Lane>,
-    active: Vec<Active>,
-    parked: Vec<Parked>,
+    /// The submissions queued behind each lane's holder; a lane's key is
+    /// present while a submission holds it.
+    lanes: HashMap<u64, VecDeque<PendingItem>>,
+    /// Wire-active submissions, each with the connection it is on.
+    active: Slab<(Active, Conn)>,
+    /// Managed submissions waiting out a retry backoff until the instant
+    /// beside them, on the poller instead of a sleeping thread.
+    parked: Slab<(Instant, PendingItem)>,
 }
 
 impl Driver {
-    fn new(shared: Arc<Shared>) -> Driver {
-        Driver {
-            shared,
-            pending: VecDeque::new(),
-            lanes: HashMap::new(),
-            active: Vec::new(),
-            parked: Vec::new(),
-        }
+    /// Spawn the driver thread and hand back its inbox.
+    fn spawn(shared: Arc<Shared>) -> io::Result<DriverHandle> {
+        let inbox = Arc::new(Inbox::new()?);
+        let theirs = Arc::clone(&inbox);
+        let handle = std::thread::Builder::new()
+            .name("mux-driver".to_owned())
+            .spawn(move || {
+                Driver {
+                    shared,
+                    poller: Poller::new(),
+                    pending: VecDeque::new(),
+                    lanes: HashMap::new(),
+                    active: Slab::new(),
+                    parked: Slab::new(),
+                }
+                .run(&theirs)
+            })?;
+        Ok((handle, inbox))
     }
 
-    fn run(mut self) {
-        let shared = Arc::clone(&self.shared);
-        let Some(wake) = shared.wake.get() else {
-            return; // unreachable: the pipe is set before the driver spawns
-        };
+    fn run(mut self, inbox: &Inbox<Submission>) {
         loop {
-            self.drain_queue();
-            self.unpark_expired();
-            self.admit();
+            for (tok, (_, conn)) in self.active.iter() {
+                let events = match conn.state {
+                    CState::Connecting { .. } | CState::Sending { .. } => sys::POLLOUT,
+                    CState::Receiving { .. } => sys::POLLIN,
+                };
+                self.poller.watch(conn.stream.as_raw_fd(), events, tok);
+            }
+            let due = self.poller.turn(inbox);
             if self.shared.shutdown.load(Ordering::SeqCst) {
-                self.abort_outstanding();
+                self.abort_outstanding(inbox);
                 return;
             }
-            let timeout = self.poll_timeout();
-
-            // Rebuild the poll set each round: entry 0 is the wake pipe,
-            // the rest map 1:1 onto active connections.
-            let mut fds = vec![wake.pollfd()];
-            for act in &self.active {
-                if let Some(conn) = &act.conn {
-                    let events = match conn.state {
-                        CState::Connecting { .. } | CState::Sending { .. } => sys::POLLOUT,
-                        CState::Receiving { .. } => sys::POLLIN,
-                    };
-                    fds.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+            while let Some((tok, _)) = self.poller.ready() {
+                if let Some((act, conn)) = self.active.remove(tok) {
+                    self.drive(act, conn);
                 }
             }
-            if sys::poll_fds(&mut fds, timeout).is_err() {
-                // EINTR is retried inside poll_fds; anything else here is
-                // unrecoverable for the whole loop — fail everything out
-                // rather than spin.
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                continue;
+            for sub in inbox.take() {
+                self.enqueue(PendingItem {
+                    sub,
+                    cycles: 0,
+                    slept: Duration::ZERO,
+                    owns_lane: false,
+                });
             }
-            if fds[0].readable() {
-                wake.drain();
+            if due {
+                self.sweep();
             }
-
-            let now = Instant::now();
-            let ready: Vec<bool> = fds[1..].iter().map(|fd| fd.revents() != 0).collect();
-            let actives = std::mem::take(&mut self.active);
-            for (i, act) in actives.into_iter().enumerate() {
-                if ready.get(i).copied().unwrap_or(false) {
-                    self.drive(act);
-                } else if act.conn.as_ref().is_some_and(|c| now >= c.deadline) {
-                    self.expire(act);
-                } else {
-                    self.active.push(act);
-                }
-            }
+            self.admit();
         }
     }
 
-    /// Move freshly submitted work into the lane/pending structure.
-    fn drain_queue(&mut self) {
-        let subs = std::mem::take(&mut *self.shared.queue.lock());
-        for sub in subs {
-            let item = PendingItem {
-                sub,
-                cycles: 0,
-                slept: Duration::ZERO,
-                owns_lane: false,
-            };
-            self.enqueue(item);
+    /// Once the armed bound has passed: fail the attempts whose deadline
+    /// has passed (connect-phase timeouts end the cycle, I/O timeouts are
+    /// transient), and send ended backoffs back to admission (where the
+    /// breaker gets its per-cycle say).
+    fn sweep(&mut self) {
+        for tok in self.poller.expired(&self.active, |(_, c)| Some(c.deadline)) {
+            if let Some((act, conn)) = self.active.remove(tok) {
+                let connect_phase = matches!(conn.state, CState::Connecting { .. });
+                let e = io::Error::new(io::ErrorKind::TimedOut, "mux i/o deadline elapsed");
+                self.fail_attempt(act, NetError::Io(e), connect_phase);
+            }
+        }
+        for tok in self.poller.expired(&self.parked, |(until, _)| Some(*until)) {
+            if let Some((_, item)) = self.parked.remove(tok) {
+                self.pending.push_back(item);
+            }
         }
     }
 
     fn enqueue(&mut self, mut item: PendingItem) {
         if let (Some(lane_key), false) = (item.sub.lane, item.owns_lane) {
-            let lane = self.lanes.entry(lane_key).or_insert_with(|| Lane {
-                queue: VecDeque::new(),
-                busy: false,
-            });
-            if lane.busy {
-                lane.queue.push_back(item);
+            if let Some(queue) = self.lanes.get_mut(&lane_key) {
+                queue.push_back(item);
                 return;
             }
-            lane.busy = true;
+            self.lanes.insert(lane_key, VecDeque::new());
             item.owns_lane = true;
         }
         self.pending.push_back(item);
@@ -484,31 +438,13 @@ impl Driver {
     /// Release `lane_key` and promote the next queued submission, which
     /// inherits the lane without re-gating.
     fn release_lane(&mut self, lane_key: u64) {
-        if let Some(lane) = self.lanes.get_mut(&lane_key) {
-            if let Some(mut next) = lane.queue.pop_front() {
+        match self.lanes.get_mut(&lane_key).and_then(VecDeque::pop_front) {
+            Some(mut next) => {
                 next.owns_lane = true;
                 self.pending.push_back(next);
-            } else {
-                lane.busy = false;
             }
-        }
-    }
-
-    /// Expired backoffs re-enter admission (where the breaker gets its
-    /// per-cycle say).
-    fn unpark_expired(&mut self) {
-        let now = Instant::now();
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            if p.until <= now {
-                self.pending.push_back(PendingItem {
-                    sub: p.sub,
-                    cycles: p.cycles,
-                    slept: p.slept,
-                    owns_lane: true,
-                });
-            } else {
-                self.parked.push(p);
+            None => {
+                self.lanes.remove(&lane_key);
             }
         }
     }
@@ -549,7 +485,7 @@ impl Driver {
             ),
             None => TraceSpan::noop(),
         };
-        let mut act = Active {
+        self.start_attempt(Active {
             sub: item.sub,
             attempt: 0,
             cycles: item.cycles,
@@ -557,19 +493,25 @@ impl Driver {
             started: Instant::now(),
             request_span,
             attempt_span: TraceSpan::noop(),
-            conn: None,
-        };
-        match self.start_attempt(&mut act) {
-            Ok(()) => self.active.push(act),
+        });
+    }
+
+    /// Put `act` on the wire under a fresh attempt; a connect-phase
+    /// failure ends its cycle (connect errors burn no transparent
+    /// retries).
+    fn start_attempt(&mut self, mut act: Active) {
+        match self.connect(&mut act) {
+            Ok(conn) => {
+                self.active.insert((act, conn));
+            }
             Err(e) => self.fail_attempt(act, e, true),
         }
     }
 
     /// Open the attempt span, serialize the request with this attempt's
     /// trace context, and acquire a connection (pooled first, else a
-    /// nonblocking connect). An `Err` is a connect-phase failure: the
-    /// cycle is over (connect errors burn no transparent retries).
-    fn start_attempt(&mut self, act: &mut Active) -> Result<(), NetError> {
+    /// nonblocking connect).
+    fn connect(&mut self, act: &mut Active) -> Result<Conn, NetError> {
         let attempt_span = match act.request_span.context() {
             Some(request) => self.shared.tracer.child_of(
                 Some(request),
@@ -588,65 +530,62 @@ impl Driver {
         };
         let mut buf = Vec::new();
         wire_req.write_to(&mut buf)?;
-        let io_timeout = self.shared.config.io_timeout;
-        if let Some(idle) = self.take_pooled(act.sub.addr) {
-            act.conn = Some(Conn {
-                stream: idle.stream,
-                state: CState::Sending { buf, off: 0 },
-                deadline: Instant::now() + io_timeout,
-            });
-            return Ok(());
-        }
-        let (stream, established) = sys::connect_nonblocking(&act.sub.addr)?;
-        stream.set_nodelay(true)?;
-        act.conn = Some(if established {
-            Conn {
-                stream,
-                state: CState::Sending { buf, off: 0 },
-                deadline: Instant::now() + io_timeout,
+        let (stream, connecting) = match self.take_pooled(act.sub.addr) {
+            Some(stream) => (stream, false),
+            None => {
+                let (stream, established) = sys::connect_nonblocking(&act.sub.addr)?;
+                stream.set_nodelay(true)?;
+                (stream, !established)
             }
+        };
+        let (state, timeout) = if connecting {
+            (
+                CState::Connecting { buf },
+                self.shared.config.connect_timeout,
+            )
         } else {
-            Conn {
-                stream,
-                state: CState::Connecting { buf },
-                deadline: Instant::now() + self.shared.config.connect_timeout,
-            }
-        });
-        Ok(())
+            (
+                CState::Sending { buf, off: 0 },
+                self.shared.config.io_timeout,
+            )
+        };
+        let deadline = self.poller.now() + timeout;
+        self.poller.arm(deadline);
+        Ok(Conn {
+            stream,
+            state,
+            deadline,
+        })
     }
 
-    /// Take a live idle connection for `addr`, discarding stale ones:
-    /// leftover unparsed bytes poison a connection, and an idle pooled
-    /// socket must be silent (a zero-timeout readable poll means the
-    /// server closed or corrupted it while pooled).
-    fn take_pooled(&mut self, addr: SocketAddr) -> Option<IdleConn> {
+    /// Take a live idle connection for `addr`, discarding stale ones: an
+    /// idle pooled socket must be silent (a zero-timeout readable poll
+    /// means the server closed or corrupted it while pooled).
+    fn take_pooled(&mut self, addr: SocketAddr) -> Option<TcpStream> {
         let mut pool = self.shared.pool.lock();
         let conns = pool.get_mut(&addr)?;
-        while let Some(idle) = conns.pop() {
-            if !idle.residue.is_empty() {
-                continue;
-            }
-            let probe = sys::poll_one(idle.stream.as_raw_fd(), sys::POLLIN, Some(Duration::ZERO));
+        while let Some(stream) = conns.pop() {
+            let probe = sys::poll_one(stream.as_raw_fd(), sys::POLLIN, Some(Duration::ZERO));
             if matches!(probe, Ok(0)) {
-                return Some(idle);
+                return Some(stream);
             }
         }
         None
     }
 
-    fn return_pooled(&mut self, addr: SocketAddr, idle: IdleConn) {
+    fn return_pooled(&mut self, addr: SocketAddr, stream: TcpStream) {
         let mut pool = self.shared.pool.lock();
         let conns = pool.entry(addr).or_default();
         if conns.len() < self.shared.config.pool_per_host {
-            conns.push(idle);
+            conns.push(stream);
         }
     }
 
-    /// Advance one ready connection's state machine.
-    fn drive(&mut self, mut act: Active) {
-        let Some(conn) = act.conn.as_mut() else {
-            return; // unreachable: active submissions always hold a conn
-        };
+    /// Advance one ready connection's state machine. Progress moves its
+    /// I/O deadline later, past the armed bound: only the end of a
+    /// connect, whose deadline may move earlier, arms again.
+    fn drive(&mut self, act: Active, mut conn: Conn) {
+        let io_deadline = self.poller.now() + self.shared.config.io_timeout;
         match &mut conn.state {
             CState::Connecting { buf } => match sys::take_socket_error(conn.stream.as_raw_fd()) {
                 Ok(()) => {
@@ -654,8 +593,9 @@ impl Driver {
                         buf: std::mem::take(buf),
                         off: 0,
                     };
-                    conn.deadline = Instant::now() + self.shared.config.io_timeout;
-                    self.active.push(act);
+                    conn.deadline = io_deadline;
+                    self.poller.arm(io_deadline);
+                    self.active.insert((act, conn));
                 }
                 Err(e) => self.fail_attempt(act, NetError::Io(e), true),
             },
@@ -664,12 +604,12 @@ impl Driver {
                 match write_pending(&conn.stream, buf, off) {
                     Ok(flushed) => {
                         if flushed || *off > before {
-                            conn.deadline = Instant::now() + self.shared.config.io_timeout;
+                            conn.deadline = io_deadline;
                         }
                         if flushed {
                             conn.state = CState::Receiving { buf: Vec::new() };
                         }
-                        self.active.push(act);
+                        self.active.insert((act, conn));
                     }
                     Err(e) => self.fail_attempt(act, NetError::Io(e), false),
                 }
@@ -678,7 +618,7 @@ impl Driver {
                 let eof = match read_available(&conn.stream, buf) {
                     Ok((n, eof)) => {
                         if n > 0 {
-                            conn.deadline = Instant::now() + self.shared.config.io_timeout;
+                            conn.deadline = io_deadline;
                         }
                         eof
                     }
@@ -689,38 +629,23 @@ impl Driver {
                 };
                 match Response::parse_partial(buf) {
                     Ok(Some((resp, used))) => {
-                        let residue = buf.split_off(used);
-                        let Some(conn) = act.conn.take() else { return };
                         // Pool *before* completing the ticket so a caller
                         // observing `idle_connections` right after `wait`
-                        // returns sees the connection back.
-                        self.return_pooled(
-                            act.sub.addr,
-                            IdleConn {
-                                stream: conn.stream,
-                                residue,
-                            },
-                        );
+                        // returns sees the connection back. Bytes past the
+                        // response poison it: it is closed instead.
+                        if used == buf.len() {
+                            self.return_pooled(act.sub.addr, conn.stream);
+                        }
                         self.finish_wire(act, Ok(resp));
                     }
                     Ok(None) if eof => self.fail_attempt(act, NetError::UnexpectedEof, false),
-                    Ok(None) => self.active.push(act),
+                    Ok(None) => {
+                        self.active.insert((act, conn));
+                    }
                     Err(e) => self.fail_attempt(act, e, false),
                 }
             }
         }
-    }
-
-    /// A connection deadline passed: connect-phase timeouts are terminal
-    /// for the cycle, I/O timeouts are transient.
-    fn expire(&mut self, mut act: Active) {
-        let connect_phase = matches!(
-            act.conn.as_ref().map(|c| &c.state),
-            Some(CState::Connecting { .. })
-        );
-        act.conn = None;
-        let e = io::Error::new(io::ErrorKind::TimedOut, "mux i/o deadline elapsed");
-        self.fail_attempt(act, NetError::Io(e), connect_phase);
     }
 
     /// One attempt failed. Transient wire failures burn a transparent
@@ -731,14 +656,10 @@ impl Driver {
             act.attempt_span.event(&format!("failed:{}", err.kind()));
         }
         std::mem::replace(&mut act.attempt_span, TraceSpan::noop()).finish();
-        act.conn = None;
         if !connect_phase && err.is_transient() && act.attempt < self.shared.config.retries {
             act.attempt += 1;
             self.shared.metrics.note_transparent_retry();
-            match self.start_attempt(&mut act) {
-                Ok(()) => self.active.push(act),
-                Err(e) => self.fail_attempt(act, e, true),
-            }
+            self.start_attempt(act);
             return;
         }
         self.finish_wire(act, Err(err));
@@ -808,12 +729,17 @@ impl Driver {
                     .event(&format!("resilient-retry:{}", err.kind()));
                 std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
                 self.shared.resilience.note_retry(wait);
-                self.parked.push(Parked {
-                    until: Instant::now() + wait,
-                    cycles: act.cycles + 1,
-                    slept: act.slept + wait,
-                    sub: act.sub,
-                });
+                let until = self.poller.now() + wait;
+                self.poller.arm(until);
+                self.parked.insert((
+                    until,
+                    PendingItem {
+                        sub: act.sub,
+                        cycles: act.cycles + 1,
+                        slept: act.slept + wait,
+                        owns_lane: true,
+                    },
+                ));
             }
             None => {
                 std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
@@ -849,51 +775,24 @@ impl Driver {
         sub.cell.complete(result);
     }
 
-    /// The next instant the loop must act even without readiness: the
-    /// earliest connection deadline or backoff expiry.
-    fn poll_timeout(&self) -> Option<Duration> {
-        let mut next: Option<Instant> = None;
-        let mut fold = |at: Instant| {
-            next = Some(match next {
-                Some(cur) if cur <= at => cur,
-                _ => at,
-            });
-        };
-        for act in &self.active {
-            if let Some(conn) = &act.conn {
-                fold(conn.deadline);
-            }
-        }
-        for p in &self.parked {
-            fold(p.until);
-        }
-        next.map(|at| at.saturating_duration_since(Instant::now()))
-    }
-
     /// Shutdown: every outstanding ticket completes with an error so no
     /// waiter hangs on a joined driver.
-    fn abort_outstanding(&mut self) {
+    fn abort_outstanding(&self, inbox: &Inbox<Submission>) {
         let gone = || {
             NetError::Io(io::Error::new(
                 io::ErrorKind::Interrupted,
                 "mux client shut down",
             ))
         };
-        for act in std::mem::take(&mut self.active) {
-            act.sub.cell.complete(Err(gone()));
-        }
-        for p in std::mem::take(&mut self.parked) {
-            p.sub.cell.complete(Err(gone()));
-        }
-        for item in std::mem::take(&mut self.pending) {
+        let parked = self.parked.iter().map(|(_, (_, item))| item);
+        let queued = self.lanes.values().flatten();
+        for item in self.pending.iter().chain(parked).chain(queued) {
             item.sub.cell.complete(Err(gone()));
         }
-        for (_, lane) in std::mem::take(&mut self.lanes) {
-            for item in lane.queue {
-                item.sub.cell.complete(Err(gone()));
-            }
+        for (_, (act, _)) in self.active.iter() {
+            act.sub.cell.complete(Err(gone()));
         }
-        for sub in std::mem::take(&mut *self.shared.queue.lock()) {
+        for sub in inbox.take() {
             sub.cell.complete(Err(gone()));
         }
     }

@@ -10,14 +10,14 @@
 //! serves any number of registered listeners — a standalone server owns
 //! one, a whole fleet of market servers shares one — on:
 //!
-//! * **one acceptor** — `poll`s a wake pipe plus every registered
-//!   nonblocking listener, with bounded backoff on transient errors
-//!   (EMFILE must not busy-loop) and load shedding above
+//! * **one acceptor** — watches every registered nonblocking listener,
+//!   with bounded backoff on transient errors (EMFILE must not
+//!   busy-loop) and load shedding above
 //!   [`ReactorConfig::max_connections`] (an immediate `503` +
 //!   `connection: close`, never a silent drop);
 //! * **N event-loop shards** ([`ReactorConfig::shards`]) — each owns a
-//!   set of connections outright (no cross-shard locking on the hot
-//!   path) and runs `poll` → read → parse → dispatch → write;
+//!   slab of connections outright (no cross-shard locking on the hot
+//!   path) and runs turn → read → parse → dispatch → write;
 //! * **M handler-pool workers** ([`ReactorConfig::handler_threads`]) —
 //!   the [`Handler`] trait is blocking by
 //!   contract, so handlers run on a bounded pool, never on a shard.
@@ -27,6 +27,10 @@
 //! listener registers and carried by every connection accepted on it
 //! and every request cut from those, so each close, shed, reject and
 //! response records into the instruments of the connection's own server.
+//!
+//! Acceptor and shards are loop bodies over the loop core in
+//! `reactor::io`, each with its own message order: a shard handles
+//! messages before readiness, the acceptor readiness before messages.
 //!
 //! # Connection state machine
 //!
@@ -46,8 +50,8 @@
 //! HTTP/1.1 response ordering and keeps the fault injector's per-path
 //! occurrence counting identical to the thread-per-connection transport.
 //! An injected stall holds the *connection* — parked on its shard until
-//! a deadline, the same `poll` timeout that carries keep-alive expiry —
-//! never a pool worker: the pool may be a whole fleet's, and one slow
+//! a deadline, armed on the same poller as keep-alive expiry — never a
+//! pool worker: the pool may be a whole fleet's, and one slow
 //! market must not freeze the others.
 //!
 //! # Why the fault and trace seams survive
@@ -71,6 +75,7 @@ use crate::error::NetError;
 use crate::fault::{FaultAction, FaultInjector};
 use crate::http::{Request, Response, Status};
 use crate::server::{Handler, ServerMetrics};
+use io::{Inbox, Poller, Slab};
 use marketscope_telemetry::{LogLevel, TraceSpan};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
@@ -250,31 +255,6 @@ enum ShardMsg {
     Retire(Arc<Endpoint>, Ack),
 }
 
-/// A loop thread's inbox: messages in posting order, and the wake pipe
-/// that interrupts its `poll`.
-struct Inbox<M> {
-    msgs: Mutex<Vec<M>>,
-    pipe: io::WakePipe,
-}
-
-impl<M> Inbox<M> {
-    fn new() -> std::io::Result<Inbox<M>> {
-        Ok(Inbox {
-            msgs: Mutex::new(Vec::new()),
-            pipe: io::WakePipe::new()?,
-        })
-    }
-
-    fn post(&self, msg: M) {
-        self.msgs.lock().push(msg);
-        self.pipe.wake();
-    }
-
-    fn take(&self) -> Vec<M> {
-        std::mem::take(&mut *self.msgs.lock())
-    }
-}
-
 /// State shared by the acceptor, every shard, and every pool worker.
 struct Shared {
     cfg: ReactorConfig,
@@ -314,69 +294,33 @@ struct Conn {
     /// Peer half-closed its write side; serve what's buffered, then close.
     eof: bool,
     last_activity: Instant,
-    /// Generation tag guarding against slot reuse between a dispatch and
-    /// its completion (the ABA problem on tokens).
-    gen: u32,
-}
-
-fn token(idx: usize, gen: u32) -> u64 {
-    ((gen as u64) << 32) | idx as u64
 }
 
 /// One event-loop shard: a slab of connections it owns exclusively.
 struct ShardState {
     id: usize,
     shared: Arc<Shared>,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    next_gen: u32,
-    /// No keep-alive expiry and no stall ends before this instant: the
-    /// `poll` timeout, and the only time the slab is swept. `None` when
-    /// no connection is waiting on the clock.
-    next_deadline: Option<Instant>,
+    /// A connection's token addresses its pool jobs too, so a verdict
+    /// for a connection that died mid-handling misses a reused slot.
+    conns: Slab<Conn>,
+    /// Armed with every keep-alive expiry and stall end as it starts.
+    poller: Poller,
 }
 
 impl ShardState {
-    fn new(id: usize, shared: Arc<Shared>) -> ShardState {
-        ShardState {
-            id,
-            shared,
-            conns: Vec::new(),
-            free: Vec::new(),
-            next_gen: 0,
-            next_deadline: None,
-        }
-    }
-
     fn run(mut self) {
         let shared = Arc::clone(&self.shared);
         let inbox = &shared.shards[self.id];
-        let mut pollfds: Vec<sys::PollFd> = Vec::new();
-        // `owners[i]` maps `pollfds[i]` back to (slab index, generation);
-        // entry 0 is the wake pipe.
-        let mut owners: Vec<(usize, u32)> = Vec::new();
         loop {
-            pollfds.clear();
-            owners.clear();
-            pollfds.push(inbox.pipe.pollfd());
-            owners.push((usize::MAX, 0));
-            for (idx, slot) in self.conns.iter().enumerate() {
-                let Some(conn) = slot else { continue };
+            for (tok, conn) in self.conns.iter() {
                 let interest = match conn.state {
                     ConnState::Reading if !conn.eof => sys::POLLIN,
                     ConnState::Writing { .. } => sys::POLLOUT,
                     _ => continue,
                 };
-                pollfds.push(sys::PollFd::new(conn.stream.as_raw_fd(), interest));
-                owners.push((idx, conn.gen));
+                self.poller.watch(conn.stream.as_raw_fd(), interest, tok);
             }
-            let timeout = self
-                .next_deadline
-                .map(|d| d.saturating_duration_since(Instant::now()));
-            let _ = sys::poll_fds(&mut pollfds, timeout);
-            if pollfds[0].readable() {
-                inbox.pipe.drain();
-            }
+            let due = self.poller.turn(inbox);
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -389,66 +333,42 @@ impl ShardState {
                     ShardMsg::Retire(endpoint, _ack) => self.close_all_of(&endpoint),
                 }
             }
-            for (i, pfd) in pollfds.iter().enumerate().skip(1) {
-                if pfd.revents() == 0 {
-                    continue;
-                }
-                let (idx, gen) = owners[i];
-                // A message above may have closed or repurposed the
-                // slot; the generation tag catches stale readiness.
-                let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) else {
-                    continue;
-                };
-                if conn.gen != gen {
-                    continue;
-                }
-                match conn.state {
-                    ConnState::Reading => self.drive_read(idx),
-                    ConnState::Writing { .. } => self.drive_write(idx),
-                    ConnState::Handling | ConnState::Stalled { .. } => {}
+            // A message above may have closed or repurposed a slot: its
+            // stale token reads nothing.
+            while let Some((tok, _)) = self.poller.ready() {
+                match self.conns.get_mut(tok).map(|c| &c.state) {
+                    Some(ConnState::Reading) => self.drive_read(tok),
+                    Some(ConnState::Writing { .. }) => self.drive_write(tok),
+                    _ => {}
                 }
             }
-            let now = Instant::now();
-            if self.next_deadline.is_some_and(|d| d <= now) {
-                self.sweep(now);
+            if due {
+                self.sweep();
             }
         }
         // Teardown: every still-open connection leaves its endpoint's
         // gauge exactly balanced (the acceptor counted it on the way in).
-        for idx in 0..self.conns.len() {
-            self.close(idx);
+        for (_, conn) in self.conns.iter() {
+            conn.endpoint.metrics.live.dec();
         }
     }
 
-    /// A connection started waiting on the clock until `deadline` (an
-    /// idle one, until its keep-alive runs out; activity only moves that
-    /// later, which needs no re-arming).
-    fn arm(&mut self, deadline: Instant) {
-        self.next_deadline = Some(self.next_deadline.map_or(deadline, |d| d.min(deadline)));
-    }
-
-    /// The one pass over the slab that looks at the clock, run only once
-    /// `next_deadline` has passed: reap idle keep-alive connections,
-    /// dispatch the stalls that are over, and find the next deadline.
-    fn sweep(&mut self, now: Instant) {
+    /// Once the armed bound has passed: reap idle keep-alive connections
+    /// and dispatch the stalls that are over.
+    fn sweep(&mut self) {
         let keep_alive = self.shared.cfg.keep_alive;
-        self.next_deadline = None;
-        for idx in 0..self.conns.len() {
-            let Some(conn) = self.conns[idx].as_mut() else {
+        let expired = self.poller.expired(&self.conns, |conn| match conn.state {
+            ConnState::Handling => None,
+            ConnState::Stalled { until, .. } => Some(until),
+            ConnState::Reading | ConnState::Writing { .. } => Some(conn.last_activity + keep_alive),
+        });
+        for tok in expired {
+            let Some(conn) = self.conns.get_mut(tok) else {
                 continue;
             };
-            let deadline = match conn.state {
-                ConnState::Handling => continue,
-                ConnState::Stalled { until, .. } => until,
-                ConnState::Reading | ConnState::Writing { .. } => conn.last_activity + keep_alive,
-            };
-            if deadline > now {
-                self.arm(deadline);
-                continue;
-            }
             match std::mem::replace(&mut conn.state, ConnState::Handling) {
-                ConnState::Stalled { req, .. } => self.dispatch(idx, *req, FaultAction::Serve),
-                _ => self.close(idx),
+                ConnState::Stalled { req, .. } => self.dispatch(tok, *req, FaultAction::Serve),
+                _ => self.close(tok),
             }
         }
     }
@@ -461,9 +381,8 @@ impl ShardState {
             return;
         }
         let _ = stream.set_nodelay(true);
-        self.next_gen = self.next_gen.wrapping_add(1);
-        let now = Instant::now();
-        let conn = Conn {
+        let now = self.poller.now();
+        self.conns.insert(Conn {
             stream,
             endpoint,
             state: ConnState::Reading,
@@ -472,35 +391,35 @@ impl ShardState {
             out_pos: 0,
             eof: false,
             last_activity: now,
-            gen: self.next_gen,
-        };
-        match self.free.pop() {
-            Some(idx) => self.conns[idx] = Some(conn),
-            None => self.conns.push(Some(conn)),
-        }
-        self.arm(now + self.shared.cfg.keep_alive);
+        });
+        // Reads and writes only move the expiry later: they re-arm nothing.
+        self.poller.arm(now + self.shared.cfg.keep_alive);
     }
 
-    fn close(&mut self, idx: usize) {
-        if let Some(conn) = self.conns[idx].take() {
-            self.free.push(idx);
+    fn close(&mut self, tok: u64) {
+        if let Some(conn) = self.conns.remove(tok) {
             conn.endpoint.metrics.live.dec();
         }
     }
 
     /// Drop every connection of a retiring endpoint, whatever its state.
     fn close_all_of(&mut self, endpoint: &Arc<Endpoint>) {
-        for idx in 0..self.conns.len() {
-            if matches!(&self.conns[idx], Some(c) if Arc::ptr_eq(&c.endpoint, endpoint)) {
-                self.close(idx);
-            }
+        let toks: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| Arc::ptr_eq(&c.endpoint, endpoint))
+            .map(|(tok, _)| tok)
+            .collect();
+        for tok in toks {
+            self.close(tok);
         }
     }
 
     /// Read what the socket has, then try to cut a request out of the
     /// buffer.
-    fn drive_read(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].as_mut() else {
+    fn drive_read(&mut self, tok: u64) {
+        let now = self.poller.now();
+        let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
         match io::read_available(&conn.stream, &mut conn.buf) {
@@ -509,10 +428,10 @@ impl ShardState {
             // it before closing.
             Ok((_, eof)) => {
                 conn.eof |= eof;
-                conn.last_activity = Instant::now();
-                self.advance_parse(idx);
+                conn.last_activity = now;
+                self.advance_parse(tok);
             }
-            Err(_) => self.close(idx),
+            Err(_) => self.close(tok),
         }
     }
 
@@ -520,8 +439,8 @@ impl ShardState {
     /// to the fault seam. Called after every read and after every
     /// keep-alive write completion (pipelined requests are already
     /// buffered — no further readiness event will announce them).
-    fn advance_parse(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].as_mut() else {
+    fn advance_parse(&mut self, tok: u64) {
+        let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
         if !matches!(conn.state, ConnState::Reading) {
@@ -531,11 +450,11 @@ impl ShardState {
             Ok(Some((req, used))) => {
                 conn.buf.drain(..used);
                 conn.state = ConnState::Handling;
-                self.admit(idx, req);
+                self.admit(tok, req);
             }
             // Incomplete and the peer already half-closed — nothing more
             // comes.
-            Ok(None) if conn.eof => self.close(idx),
+            Ok(None) if conn.eof => self.close(tok),
             Ok(None) => {}
             Err(_) => {
                 // Same wire behavior as the blocking transport: answer
@@ -544,7 +463,7 @@ impl ShardState {
                     .metrics
                     .note_response(Status::BadRequest, Duration::ZERO);
                 let bytes = serialize(&Response::status(Status::BadRequest));
-                self.start_write(idx, bytes, true);
+                self.start_write(tok, bytes, true);
             }
         }
     }
@@ -554,8 +473,9 @@ impl ShardState {
     /// reset market never answers, so it must not trace either. A stall
     /// is sat out here, by the connection; a pool worker acts on every
     /// other verdict.
-    fn admit(&mut self, idx: usize, req: Request) {
-        let Some(conn) = self.conns[idx].as_mut() else {
+    fn admit(&mut self, tok: u64, req: Request) {
+        let now = self.poller.now();
+        let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
         let fault = match &conn.endpoint.faults {
@@ -567,49 +487,51 @@ impl ShardState {
             // not a worker: the pool may be a whole fleet's, and a
             // stalled market must slow its own clients only.
             FaultAction::Stall(d) => {
-                let until = Instant::now() + d;
+                let until = now + d;
                 conn.state = ConnState::Stalled {
                     until,
                     req: Box::new(req),
                 };
-                self.arm(until);
+                self.poller.arm(until);
             }
-            fault => self.dispatch(idx, req, fault),
+            fault => self.dispatch(tok, req, fault),
         }
     }
 
     /// Send a request (its connection already `Handling`) to the pool.
-    fn dispatch(&mut self, idx: usize, req: Request, fault: FaultAction) {
-        let Some(conn) = self.conns[idx].as_ref() else {
+    fn dispatch(&mut self, tok: u64, req: Request, fault: FaultAction) {
+        let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
         self.shared.jobs.push(Job {
             shard: self.id,
-            token: token(idx, conn.gen),
+            token: tok,
             endpoint: Arc::clone(&conn.endpoint),
             req,
             fault,
         });
     }
 
-    fn start_write(&mut self, idx: usize, bytes: Vec<u8>, close_after: bool) {
-        let Some(conn) = self.conns[idx].as_mut() else {
+    fn start_write(&mut self, tok: u64, bytes: Vec<u8>, close_after: bool) {
+        let now = self.poller.now();
+        let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
-        let now = Instant::now();
         conn.out = bytes;
         conn.out_pos = 0;
         conn.state = ConnState::Writing { close_after };
         conn.last_activity = now;
-        self.arm(now + self.shared.cfg.keep_alive);
+        // Coming out of `Handling`, which waits on no deadline: arm again.
+        self.poller.arm(now + self.shared.cfg.keep_alive);
         // Opportunistic flush: most responses fit the socket buffer and
         // complete without another poll round trip.
-        self.drive_write(idx);
+        self.drive_write(tok);
     }
 
     /// Nonblocking write until flushed or the socket pushes back.
-    fn drive_write(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].as_mut() else {
+    fn drive_write(&mut self, tok: u64) {
+        let now = self.poller.now();
+        let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
         let ConnState::Writing { close_after } = conn.state else {
@@ -621,28 +543,22 @@ impl ShardState {
                 conn.state = ConnState::Reading;
                 conn.out = Vec::new();
                 conn.out_pos = 0;
-                conn.last_activity = Instant::now();
-                self.advance_parse(idx);
+                conn.last_activity = now;
+                self.advance_parse(tok);
             }
-            Ok(true) | Err(_) => self.close(idx),
+            Ok(true) | Err(_) => self.close(tok),
         }
     }
 
-    /// Apply a handler-pool directive to the connection it belongs to
-    /// (if the slot still holds that generation).
+    /// Apply a handler-pool directive to the connection it belongs to, if
+    /// its slot still holds it.
     fn apply(&mut self, tok: u64, directive: Directive) {
-        let idx = (tok & u32::MAX as u64) as usize;
-        let gen = (tok >> 32) as u32;
-        let valid = matches!(
-            self.conns.get(idx).and_then(Option::as_ref),
-            Some(c) if c.gen == gen && matches!(c.state, ConnState::Handling)
-        );
-        if !valid {
+        if !matches!(self.conns.get_mut(tok), Some(c) if matches!(c.state, ConnState::Handling)) {
             return;
         }
         match directive {
-            Directive::Close => self.close(idx),
-            Directive::Respond { bytes, close } => self.start_write(idx, bytes, close),
+            Directive::Close => self.close(tok),
+            Directive::Respond { bytes, close } => self.start_write(tok, bytes, close),
         }
     }
 }
@@ -753,46 +669,38 @@ fn serialize(resp: &Response) -> Vec<u8> {
     bytes
 }
 
-/// The accept loop: `poll` the wake pipe and every registered listener,
-/// back off on transient errors, shed above a listener's connection
-/// ceiling, round-robin the rest across shards.
+/// The accept loop: watch every registered listener, back off on
+/// transient errors, shed above a listener's connection ceiling,
+/// round-robin the rest across shards.
 fn accept_loop(shared: Arc<Shared>) {
     let inbox = &shared.acceptor;
     let mut listeners: Vec<(TcpListener, Arc<Endpoint>)> = Vec::new();
-    let mut pollfds: Vec<sys::PollFd> = Vec::new();
+    let mut poller = Poller::new();
     let mut next_shard = 0usize;
     let mut backoff = ACCEPT_BACKOFF_MIN;
-    // The last round met an accept error: sit `backoff` out on the wake
-    // pipe alone. Descriptor exhaustion is the process's, not one
+    // An accept error armed `backoff`: until it passes, watch no
+    // listener. Descriptor exhaustion is the process's, not one
     // listener's, so every listener waits.
     let mut backing_off = false;
     loop {
-        pollfds.clear();
-        pollfds.push(inbox.pipe.pollfd());
         if !backing_off {
-            pollfds.extend(
-                listeners
-                    .iter()
-                    .map(|(l, _)| sys::PollFd::new(l.as_raw_fd(), sys::POLLIN)),
-            );
+            for (i, (listener, _)) in listeners.iter().enumerate() {
+                poller.watch(listener.as_raw_fd(), sys::POLLIN, i as u64);
+            }
         }
-        let _ = sys::poll_fds(&mut pollfds, backing_off.then_some(backoff));
-        if backing_off {
+        if poller.turn(inbox) {
             backing_off = false;
             backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-        }
-        if pollfds[0].readable() {
-            inbox.pipe.drain();
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        // `pollfds[i + 1]` is `listeners[i]`: the set is only changed
-        // below, after the readiness pass.
-        for (pfd, (listener, endpoint)) in pollfds[1..].iter().zip(&listeners) {
-            if !pfd.readable() {
+        // A token is an index into `listeners`, which only changes below,
+        // after the readiness pass.
+        while let Some((i, _)) = poller.ready() {
+            let Some((listener, endpoint)) = listeners.get(i as usize) else {
                 continue;
-            }
+            };
             loop {
                 match io::accept_pending(listener) {
                     Ok(Some(stream)) => {
@@ -818,6 +726,7 @@ fn accept_loop(shared: Arc<Shared>) {
                             "transient accept error, backing off",
                             &[("backoff_ms", &backoff.as_millis().to_string())],
                         );
+                        poller.arm(poller.now() + backoff);
                         backing_off = true;
                         break;
                     }
@@ -897,7 +806,13 @@ impl Transport {
         for id in 0..shared.cfg.shards {
             let shard = Arc::clone(&shared);
             transport.start(format!("http-shard-{id}"), move || {
-                ShardState::new(id, shard).run()
+                ShardState {
+                    id,
+                    shared: shard,
+                    conns: Slab::new(),
+                    poller: Poller::new(),
+                }
+                .run()
             })?;
         }
         for w in 0..shared.cfg.handler_threads {
@@ -969,9 +884,9 @@ impl Transport {
     pub fn stop(&self) {
         let mut threads = self.threads.lock();
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.acceptor.pipe.wake();
+        self.shared.acceptor.wake();
         for shard in &self.shared.shards {
-            shard.pipe.wake();
+            shard.wake();
         }
         self.shared.jobs.close();
         for t in threads.drain(..) {
