@@ -158,7 +158,7 @@ pub fn vendor_label(engine: usize, family: &str) -> String {
 mod tests {
     use super::*;
     use marketscope_apk::builder::ApkBuilder;
-    use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
+    use marketscope_apk::dex::DexFile;
     use marketscope_apk::manifest::Manifest;
     use marketscope_core::{DeveloperKey, PackageName, VersionCode};
     use marketscope_ecosystem::threat::{detectability_marker, DETECTABILITY_STEPS};
@@ -166,35 +166,18 @@ mod tests {
 
     fn sample(family: Option<(&str, f64)>, salt: u64) -> ApkDigest {
         let db = ThreatDb::standard();
-        let mut classes = vec![ClassDef {
-            name: "Lcom/s/x/Main;".into(),
-            methods: vec![MethodDef {
-                api_calls: vec![],
-                code_hash: 0x1000 + salt,
-                invokes: vec![],
-            }],
-        }];
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/s/x/Main;");
+        dex.push_method(0x1000 + salt, &[], &[]);
         if let Some((name, d)) = family {
             let fam = db.family_by_name(name).unwrap();
             let sigs = db.signatures(fam);
             let step = ((d * DETECTABILITY_STEPS as f64) as u8).min(DETECTABILITY_STEPS - 1);
-            let mut methods: Vec<MethodDef> = sigs[..6]
-                .iter()
-                .map(|s| MethodDef {
-                    api_calls: vec![],
-                    code_hash: *s,
-                    invokes: vec![],
-                })
-                .collect();
-            methods.push(MethodDef {
-                api_calls: vec![],
-                code_hash: detectability_marker(step),
-                invokes: vec![],
-            });
-            classes.push(ClassDef {
-                name: "La1b2/c;".into(),
-                methods,
-            });
+            dex.push_class("La1b2/c;");
+            for s in &sigs[..6] {
+                dex.push_method(*s, &[], &[]);
+            }
+            dex.push_method(detectability_marker(step), &[], &[]);
         }
         let manifest = Manifest {
             package: PackageName::new("com.s.x").unwrap(),
@@ -207,7 +190,7 @@ mod tests {
             category: "Tools".into(),
             components: vec![],
         };
-        let bytes = ApkBuilder::new(manifest, DexFile { classes })
+        let bytes = ApkBuilder::new(manifest, dex)
             .build(DeveloperKey::from_label(&format!("d{salt}")))
             .unwrap();
         ApkDigest::from_bytes(&bytes).unwrap()

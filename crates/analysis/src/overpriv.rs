@@ -158,7 +158,7 @@ pub fn unused_histogram_in<'a>(
 mod tests {
     use super::*;
     use marketscope_apk::builder::ApkBuilder;
-    use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
+    use marketscope_apk::dex::DexFile;
     use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
     use marketscope_apk::permmap::PERMISSIONS;
     use marketscope_core::{DeveloperKey, PackageName, VersionCode};
@@ -182,16 +182,10 @@ mod tests {
     }
 
     fn digest_with(declared: Vec<String>, calls: Vec<u32>) -> ApkDigest {
-        let dex = DexFile {
-            classes: vec![ClassDef {
-                name: "Lcom/t/x/Main;".into(),
-                methods: vec![MethodDef {
-                    api_calls: calls.into_iter().map(ApiCallId).collect(),
-                    code_hash: 1,
-                    invokes: vec![],
-                }],
-            }],
-        };
+        let calls: Vec<ApiCallId> = calls.into_iter().map(ApiCallId).collect();
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/t/x/Main;");
+        dex.push_method(1, &calls, &[]);
         digest_of(declared, dex, vec![])
     }
 
@@ -294,27 +288,12 @@ mod tests {
     #[test]
     fn dead_code_permission_flagged_only_in_reachable_mode() {
         let camera_api = api_for("android.permission.CAMERA");
-        let dex = DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "Lcom/t/x/Main;".into(),
-                    methods: vec![MethodDef {
-                        api_calls: vec![],
-                        code_hash: 1,
-                        invokes: vec![],
-                    }],
-                },
-                // Bundled library class nothing ever invokes.
-                ClassDef {
-                    name: "Lcom/deadlib/sdk/Camera;".into(),
-                    methods: vec![MethodDef {
-                        api_calls: vec![ApiCallId(camera_api)],
-                        code_hash: 2,
-                        invokes: vec![],
-                    }],
-                },
-            ],
-        };
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/t/x/Main;");
+        dex.push_method(1, &[], &[]);
+        // Bundled library class nothing ever invokes.
+        dex.push_class("Lcom/deadlib/sdk/Camera;");
+        dex.push_method(2, &[ApiCallId(camera_api)], &[]);
         let d = digest_of(
             vec!["android.permission.CAMERA".into()],
             dex,

@@ -135,7 +135,7 @@ impl LeakAnalyzer {
 mod tests {
     use super::*;
     use marketscope_apk::builder::ApkBuilder;
-    use marketscope_apk::dex::{ClassDef, DexFile, MethodDef, MethodRef};
+    use marketscope_apk::dex::{DexFile, MethodRef};
     use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
     use marketscope_apk::permmap::PermissionMap;
     use marketscope_core::{DeveloperKey, PackageName, VersionCode};
@@ -161,15 +161,19 @@ mod tests {
         ApkDigest::from_bytes(&bytes).unwrap()
     }
 
-    fn method(calls: &[marketscope_apk::ApiCallId], invokes: &[(u16, u16)]) -> MethodDef {
-        MethodDef {
-            api_calls: calls.to_vec(),
-            code_hash: 3,
-            invokes: invokes
-                .iter()
-                .map(|&(class, method)| MethodRef { class, method })
-                .collect(),
-        }
+    /// Append a one-method class with `calls` and `invokes`.
+    fn class(
+        dex: &mut DexFile,
+        name: &str,
+        calls: &[marketscope_apk::ApiCallId],
+        invokes: &[(u16, u16)],
+    ) {
+        let invokes: Vec<MethodRef> = invokes
+            .iter()
+            .map(|&(class, method)| MethodRef { class, method })
+            .collect();
+        dex.push_class(name);
+        dex.push_method(3, calls, &invokes);
     }
 
     /// Main reads the device id, relays into an ad-SDK subpackage that
@@ -178,22 +182,11 @@ mod tests {
         let src = m.source_apis(SourceClass::DeviceId)[0];
         let net = m.sink_apis(SinkClass::NetworkSend)[0];
         let log = m.sink_apis(SinkClass::LogExfil)[0];
-        digest(DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "Lcom/t/x/Main;".into(),
-                    methods: vec![method(&[src], &[(1, 0), (2, 0)])],
-                },
-                ClassDef {
-                    name: "Lcom/ads/sdk/v2/Send;".into(),
-                    methods: vec![method(&[net], &[])],
-                },
-                ClassDef {
-                    name: "Lcom/t/x/Log;".into(),
-                    methods: vec![method(&[log], &[])],
-                },
-            ],
-        })
+        let mut dex = DexFile::default();
+        class(&mut dex, "Lcom/t/x/Main;", &[src], &[(1, 0), (2, 0)]);
+        class(&mut dex, "Lcom/ads/sdk/v2/Send;", &[net], &[]);
+        class(&mut dex, "Lcom/t/x/Log;", &[log], &[]);
+        digest(dex)
     }
 
     #[test]
@@ -235,12 +228,14 @@ mod tests {
 
     #[test]
     fn clean_app_has_no_flows() {
-        let d = digest(DexFile {
-            classes: vec![ClassDef {
-                name: "Lcom/t/x/Main;".into(),
-                methods: vec![method(&[marketscope_apk::ApiCallId(40_000)], &[])],
-            }],
-        });
+        let mut dex = DexFile::default();
+        class(
+            &mut dex,
+            "Lcom/t/x/Main;",
+            &[marketscope_apk::ApiCallId(40_000)],
+            &[],
+        );
+        let d = digest(dex);
         let r = LeakAnalyzer::new().analyze(&d, &PackageOwnership::default());
         assert!(!r.leaks());
         assert_eq!(r, LeakResult::default());
@@ -250,12 +245,9 @@ mod tests {
     fn batch_is_order_preserving_and_worker_invariant() {
         let m = PermissionMap::standard();
         let leaky = leaky_digest(&m);
-        let clean = digest(DexFile {
-            classes: vec![ClassDef {
-                name: "Lcom/t/x/Main;".into(),
-                methods: vec![method(&[], &[])],
-            }],
-        });
+        let mut dex = DexFile::default();
+        class(&mut dex, "Lcom/t/x/Main;", &[], &[]);
+        let clean = digest(dex);
         let digests: Vec<&ApkDigest> = vec![&leaky, &clean, &leaky, &clean, &leaky];
         let ownership = PackageOwnership::new(["com.ads.sdk".to_owned()]);
         let analyzer = LeakAnalyzer::new();

@@ -6,7 +6,7 @@ use marketscope_analysis::av::AvSimulator;
 use marketscope_analysis::overpriv::OverprivilegeAnalyzer;
 use marketscope_apk::apicalls::ApiCallId;
 use marketscope_apk::builder::ApkBuilder;
-use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
+use marketscope_apk::dex::DexFile;
 use marketscope_apk::digest::ApkDigest;
 use marketscope_apk::manifest::Manifest;
 use marketscope_apk::permmap::PERMISSIONS;
@@ -34,20 +34,12 @@ fn build_digest(salt: u64, perm_mask: u32, calls: &[u32], hashes: &[u64]) -> Apk
         category: "Tools".into(),
         components: vec![],
     };
-    let methods: Vec<MethodDef> = hashes
-        .iter()
-        .map(|h| MethodDef {
-            api_calls: calls.iter().map(|c| ApiCallId(*c)).collect(),
-            code_hash: h ^ salt,
-            invokes: vec![],
-        })
-        .collect();
-    let dex = DexFile {
-        classes: vec![ClassDef {
-            name: format!("Lcom/prop/a{}/Main;", salt % 97),
-            methods,
-        }],
-    };
+    let calls: Vec<ApiCallId> = calls.iter().map(|c| ApiCallId(*c)).collect();
+    let mut dex = DexFile::default();
+    dex.push_class(&format!("Lcom/prop/a{}/Main;", salt % 97));
+    for h in hashes {
+        dex.push_method(h ^ salt, &calls, &[]);
+    }
     let bytes = ApkBuilder::new(manifest, dex)
         .build(DeveloperKey::from_label(&format!("dev{}", salt % 13)))
         .unwrap();

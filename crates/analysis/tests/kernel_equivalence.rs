@@ -13,7 +13,7 @@ use marketscope_analysis::av::{vendor_label, AvReport, AvSimulator, ENGINE_COUNT
 use marketscope_analysis::overpriv::OverprivilegeAnalyzer;
 use marketscope_apk::apicalls::{ApiCallId, API_CALL_RANGE, API_DIMENSIONS};
 use marketscope_apk::builder::ApkBuilder;
-use marketscope_apk::dex::{ClassDef, DexFile, MethodDef, MethodRef};
+use marketscope_apk::dex::{DexFile, MethodRef};
 use marketscope_apk::digest::ApkDigest;
 use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
 use marketscope_apk::permmap::{PermSet, Permission, PermissionMap, PERMISSIONS};
@@ -115,30 +115,45 @@ fn arb_digest(rng: &mut DetRng, db: &ThreatDb) -> ApkDigest {
     let apis = arb_api_pool(rng);
     let hashes = arb_hash_pool(rng, db);
     let salt = rng.range_u64(0, 1_000_000);
-    let mut classes: Vec<ClassDef> = (0..usize_in(rng, 2..6))
+    // (name, [(calls, code hash)]) per class; the root's edges are drawn
+    // after the classes, then everything is written in class order.
+    type Class = (String, Vec<(Vec<ApiCallId>, u64)>);
+    let classes: Vec<Class> = (0..usize_in(rng, 2..6))
         .flat_map(|p| (0..2).map(move |c| format!("Lcom/k{salt}/p{p}/C{c};")))
-        .map(|name| ClassDef {
-            name,
-            methods: vec_of(rng, 1..4, |r| MethodDef {
-                api_calls: vec_of(r, 0..6, |r| ApiCallId(*r.pick(&apis))),
+        .map(|name| {
+            let methods = vec_of(rng, 1..4, |r| {
+                let calls = vec_of(r, 0..6, |r| ApiCallId(*r.pick(&apis)));
                 // Every pooled hash is drawn about twice per app.
-                code_hash: *r.pick(&hashes),
-                invokes: vec![],
-            }),
+                (calls, *r.pick(&hashes))
+            });
+            (name, methods)
         })
         .collect();
     let mut components = Vec::new();
+    let mut root_edges = Vec::new();
     if rng.chance(0.7) {
         components.push(Component {
             kind: ComponentKind::Activity,
-            class: classes[0].name.clone(),
+            class: classes[0].0.clone(),
         });
         for _ in 0..usize_in(rng, 0..3) {
             let class = rng.index(classes.len());
-            classes[0].methods[0].invokes.push(MethodRef {
+            root_edges.push(MethodRef {
                 class: class as u16,
                 method: 0,
             });
+        }
+    }
+    let mut dex = DexFile::default();
+    for (ci, (name, methods)) in classes.iter().enumerate() {
+        dex.push_class(name);
+        for (mi, (calls, code_hash)) in methods.iter().enumerate() {
+            let invokes = if ci == 0 && mi == 0 {
+                &root_edges[..]
+            } else {
+                &[]
+            };
+            dex.push_method(*code_hash, calls, invokes);
         }
     }
     let mut permissions: Vec<String> = PERMISSIONS
@@ -161,7 +176,7 @@ fn arb_digest(rng: &mut DetRng, db: &ThreatDb) -> ApkDigest {
         category: "Tools".into(),
         components,
     };
-    let bytes = ApkBuilder::new(manifest, DexFile { classes })
+    let bytes = ApkBuilder::new(manifest, dex)
         .build(DeveloperKey::from_label(&format!("dev{}", salt % 13)))
         .unwrap();
     ApkDigest::from_bytes(&bytes).unwrap()

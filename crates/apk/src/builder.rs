@@ -63,11 +63,13 @@ impl ApkBuilder {
         self
     }
 
-    /// Sign with `developer`'s key and serialize to APK bytes.
+    /// Sign with `developer`'s key and serialize to APK bytes. A DEX
+    /// model the format cannot carry is refused as [`DexFile::encode`]
+    /// refuses it.
     pub fn build(self, developer: DeveloperKey) -> Result<Vec<u8>, ApkError> {
         let mut zip = ZipArchive::new();
         zip.add(MANIFEST_ENTRY, self.manifest.encode())?;
-        zip.add(DEX_ENTRY, self.dex.encode())?;
+        zip.add(DEX_ENTRY, self.dex.encode()?)?;
         for (name, data) in self.assets {
             zip.add(&name, data)?;
         }
@@ -107,7 +109,6 @@ pub(crate) fn digest_entries<'a>(entries: impl Iterator<Item = (&'a str, &'a [u8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dex::{ClassDef, MethodDef};
     use crate::ApiCallId;
     use marketscope_core::hash::md5;
     use marketscope_core::{PackageName, VersionCode};
@@ -127,16 +128,10 @@ mod tests {
     }
 
     fn dex() -> DexFile {
-        DexFile {
-            classes: vec![ClassDef {
-                name: "Lcom/example/app/Main;".into(),
-                methods: vec![MethodDef {
-                    api_calls: vec![ApiCallId(5)],
-                    code_hash: 77,
-                    invokes: vec![],
-                }],
-            }],
-        }
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/example/app/Main;");
+        dex.push_method(77, &[ApiCallId(5)], &[]);
+        dex
     }
 
     #[test]
@@ -177,6 +172,25 @@ mod tests {
         let za = ZipArchive::parse(&a).unwrap();
         let zb = ZipArchive::parse(&b).unwrap();
         assert_ne!(payload_digest(&za), payload_digest(&zb));
+    }
+
+    #[test]
+    fn a_model_the_format_cannot_carry_is_a_bounds_error() {
+        let mut dex = dex();
+        dex.push_method(78, &vec![ApiCallId(5); 70_000], &[]);
+        let err = ApkBuilder::new(manifest(), dex)
+            .build(DeveloperKey::from_label("d1"))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ApkError::Bounds {
+                    what: "call count",
+                    value: 70_000
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -153,10 +153,11 @@ impl ApkDigest {
         // (`a.b/X`, `a/b/Y`) share a group. Everything below is
         // insensitive to the order of a group's classes, so ties may land
         // in any order.
-        let classes = &apk.dex.classes;
+        let dex = &apk.dex;
         let mut spans: Vec<(&str, Range<usize>)> = Vec::new();
-        for (ci, class) in classes.iter().enumerate() {
+        for class in dex.classes() {
             let path = class.package_path().unwrap_or(DEFAULT_PACKAGE);
+            let ci = class.index();
             match spans.last_mut() {
                 Some((last, span)) if *last == path => span.end = ci + 1,
                 _ => spans.push((path, ci..ci + 1)),
@@ -174,24 +175,25 @@ impl ApkDigest {
             // mix so permutations of the class list agree.
             let mut acc = 0u64;
             let members = || group.iter().flat_map(|(_, span)| span.clone());
-            let method_count: usize = members().map(|ci| classes[ci].methods.len()).sum();
+            let method_count: usize = members().map(|ci| dex.class(ci).method_count()).sum();
             let mut code_segments = Vec::with_capacity(method_count);
             let mut reachable_method_count = 0u32;
             tags.clear();
             for ci in members() {
                 let mut h = fnv1a64(&[]);
-                for (mi, m) in classes[ci].methods.iter().enumerate() {
-                    let reached = reach.is_reached(ci, mi);
+                for flat in dex.class(ci).method_range() {
+                    let m = dex.method(flat);
+                    let reached = reach.reached(flat);
                     reachable_method_count += u32::from(reached);
                     calls.clear();
-                    calls.extend(m.api_calls.iter().map(|a| a.0));
+                    calls.extend(m.api_calls().iter().map(|a| a.0));
                     calls.sort_unstable();
                     for &call in &calls {
                         h = mix64(h, call as u64);
                         tags.push((u64::from(call) << 1) | u64::from(reached));
                     }
-                    h = mix64(h, m.code_hash);
-                    code_segments.push(m.code_hash);
+                    h = mix64(h, m.code_hash());
+                    code_segments.push(m.code_hash());
                 }
                 acc ^= mix64(h, 0xf00d);
             }
@@ -317,14 +319,10 @@ mod tests {
     use super::*;
     use crate::apicalls::ApiCallId;
     use crate::builder::ApkBuilder;
-    use crate::dex::{ClassDef, DexFile, MethodDef, MethodRef};
+    use crate::dex::{DexFile, MethodRef};
     use crate::manifest::{Component, ComponentKind, Manifest};
 
-    fn build_with_components(
-        classes: Vec<ClassDef>,
-        pkg: &str,
-        components: Vec<Component>,
-    ) -> Vec<u8> {
+    fn build_with_components(dex: DexFile, pkg: &str, components: Vec<Component>) -> Vec<u8> {
         let manifest = Manifest {
             package: PackageName::new(pkg).unwrap(),
             version_code: VersionCode(1),
@@ -336,34 +334,39 @@ mod tests {
             category: "Tools".into(),
             components,
         };
-        ApkBuilder::new(manifest, DexFile { classes })
+        ApkBuilder::new(manifest, dex)
             .build(DeveloperKey::from_label("d"))
             .unwrap()
     }
 
-    fn build(classes: Vec<ClassDef>, pkg: &str) -> Vec<u8> {
-        build_with_components(classes, pkg, vec![])
+    fn build(dex: DexFile, pkg: &str) -> Vec<u8> {
+        build_with_components(dex, pkg, vec![])
     }
 
-    fn class(name: &str, calls: &[u32], hash: u64) -> ClassDef {
-        ClassDef {
-            name: name.into(),
-            methods: vec![MethodDef {
-                api_calls: calls.iter().map(|c| ApiCallId(*c)).collect(),
-                code_hash: hash,
-                invokes: vec![],
-            }],
+    /// Append a one-method class: `calls`, code hash `hash`, no edges.
+    fn class(dex: &mut DexFile, name: &str, calls: &[u32], hash: u64) {
+        let calls: Vec<ApiCallId> = calls.iter().map(|c| ApiCallId(*c)).collect();
+        dex.push_class(name);
+        dex.push_method(hash, &calls, &[]);
+    }
+
+    /// A file of one-method, edge-free classes `(name, calls, hash)`.
+    fn classes(specs: &[(&str, &[u32], u64)]) -> DexFile {
+        let mut dex = DexFile::default();
+        for &(name, calls, hash) in specs {
+            class(&mut dex, name, calls, hash);
         }
+        dex
     }
 
     #[test]
     fn digest_extracts_identity_and_features() {
         let bytes = build(
-            vec![
-                class("Lcom/my/app/Main;", &[1, 2, 2], 100),
-                class("Lcom/umeng/analytics/A;", &[7], 200),
-                class("Lcom/umeng/common/B;", &[9], 300),
-            ],
+            classes(&[
+                ("Lcom/my/app/Main;", &[1, 2, 2], 100),
+                ("Lcom/umeng/analytics/A;", &[7], 200),
+                ("Lcom/umeng/common/B;", &[9], 300),
+            ]),
             "com.my.app",
         );
         let d = ApkDigest::from_bytes(&bytes).unwrap();
@@ -388,17 +391,11 @@ mod tests {
     #[test]
     fn feature_hash_is_order_insensitive() {
         let a = build(
-            vec![
-                class("Lcom/lib/x/A;", &[1], 10),
-                class("Lcom/lib/x/B;", &[2], 20),
-            ],
+            classes(&[("Lcom/lib/x/A;", &[1], 10), ("Lcom/lib/x/B;", &[2], 20)]),
             "com.my.app",
         );
         let b = build(
-            vec![
-                class("Lcom/lib/x/B;", &[2], 20),
-                class("Lcom/lib/x/A;", &[1], 10),
-            ],
+            classes(&[("Lcom/lib/x/B;", &[2], 20), ("Lcom/lib/x/A;", &[1], 10)]),
             "com.my.app",
         );
         let da = ApkDigest::from_bytes(&a).unwrap();
@@ -418,8 +415,8 @@ mod tests {
 
     #[test]
     fn feature_hash_changes_with_content() {
-        let a = build(vec![class("Lcom/lib/x/A;", &[1], 10)], "com.my.app");
-        let b = build(vec![class("Lcom/lib/x/A;", &[1], 11)], "com.my.app");
+        let a = build(classes(&[("Lcom/lib/x/A;", &[1], 10)]), "com.my.app");
+        let b = build(classes(&[("Lcom/lib/x/A;", &[1], 11)]), "com.my.app");
         let da = ApkDigest::from_bytes(&a).unwrap();
         let db = ApkDigest::from_bytes(&b).unwrap();
         let la = da
@@ -437,7 +434,7 @@ mod tests {
 
     #[test]
     fn api_total_counts_multiplicity() {
-        let bytes = build(vec![class("Lcom/a/b/C;", &[5, 5, 5], 1)], "com.a.b");
+        let bytes = build(classes(&[("Lcom/a/b/C;", &[5, 5, 5], 1)]), "com.a.b");
         let d = ApkDigest::from_bytes(&bytes).unwrap();
         assert_eq!(d.api_total(), 3);
         assert_eq!(d.api_counts_merged(), vec![(5, 3)]); // distinct ids
@@ -448,10 +445,7 @@ mod tests {
         // The same API id called from two Java packages is one entry of
         // the whole-app vector, carrying both counts.
         let bytes = build(
-            vec![
-                class("Lcom/a/b/C;", &[5, 9], 1),
-                class("Lcom/x/y/Z;", &[5], 2),
-            ],
+            classes(&[("Lcom/a/b/C;", &[5, 9], 1), ("Lcom/x/y/Z;", &[5], 2)]),
             "com.a.b",
         );
         let d = ApkDigest::from_bytes(&bytes).unwrap();
@@ -462,10 +456,10 @@ mod tests {
     #[test]
     fn no_components_means_everything_reachable() {
         let bytes = build(
-            vec![
-                class("Lcom/my/app/Main;", &[1], 100),
-                class("Lcom/umeng/analytics/A;", &[7], 200),
-            ],
+            classes(&[
+                ("Lcom/my/app/Main;", &[1], 100),
+                ("Lcom/umeng/analytics/A;", &[7], 200),
+            ]),
             "com.my.app",
         );
         let (d, stats) = ApkDigest::from_parsed_with_stats(&ParsedApk::parse(&bytes).unwrap());
@@ -483,23 +477,20 @@ mod tests {
     #[test]
     fn components_gate_reachable_features() {
         // Main invokes the lib's A; B is a dead bundled subtree.
-        let classes = vec![
-            ClassDef {
-                name: "Lcom/my/app/Main;".into(),
-                methods: vec![MethodDef {
-                    api_calls: vec![ApiCallId(1)],
-                    code_hash: 100,
-                    invokes: vec![MethodRef {
-                        class: 1,
-                        method: 0,
-                    }],
-                }],
-            },
-            class("Lcom/umeng/analytics/A;", &[7], 200),
-            class("Lcom/dead/lib/B;", &[9], 300),
-        ];
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/my/app/Main;");
+        dex.push_method(
+            100,
+            &[ApiCallId(1)],
+            &[MethodRef {
+                class: 1,
+                method: 0,
+            }],
+        );
+        class(&mut dex, "Lcom/umeng/analytics/A;", &[7], 200);
+        class(&mut dex, "Lcom/dead/lib/B;", &[9], 300);
         let bytes = build_with_components(
-            classes,
+            dex,
             "com.my.app",
             vec![Component {
                 kind: ComponentKind::Activity,
@@ -534,23 +525,20 @@ mod tests {
         let log = m.sink_apis(SinkClass::LogExfil)[0].0;
         // Main (source) → ads sink; a dead class holds a log sink that
         // must not be reported once components gate reachability.
-        let classes = vec![
-            ClassDef {
-                name: "Lcom/my/app/Main;".into(),
-                methods: vec![MethodDef {
-                    api_calls: vec![ApiCallId(src)],
-                    code_hash: 1,
-                    invokes: vec![MethodRef {
-                        class: 1,
-                        method: 0,
-                    }],
-                }],
-            },
-            class("Lcom/ads/net/S;", &[snk], 2),
-            class("Lcom/dead/lib/L;", &[log], 3),
-        ];
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/my/app/Main;");
+        dex.push_method(
+            1,
+            &[ApiCallId(src)],
+            &[MethodRef {
+                class: 1,
+                method: 0,
+            }],
+        );
+        class(&mut dex, "Lcom/ads/net/S;", &[snk], 2);
+        class(&mut dex, "Lcom/dead/lib/L;", &[log], 3);
         let bytes = build_with_components(
-            classes.clone(),
+            dex.clone(),
             "com.my.app",
             vec![Component {
                 kind: ComponentKind::Activity,
@@ -571,7 +559,7 @@ mod tests {
         // no path from the source to it, so only reachability (not the
         // flow set) changes... unless the walk finds one. Here it cannot:
         // the dead class has no incoming edges from the source.
-        let bytes = build(classes, "com.my.app");
+        let bytes = build(dex, "com.my.app");
         let d = ApkDigest::from_bytes(&bytes).unwrap();
         assert_eq!(d.flows.len(), 1, "{:?}", d.flows);
     }
@@ -580,12 +568,18 @@ mod tests {
     fn edges_do_not_perturb_feature_hash() {
         // Same classes, one wired with an edge: library clustering and
         // clone detection must see identical features.
-        let plain = vec![class("Lcom/a/b/C;", &[5], 1), class("Lcom/a/b/D;", &[6], 2)];
-        let mut wired = plain.clone();
-        wired[0].methods[0].invokes.push(MethodRef {
-            class: 1,
-            method: 0,
-        });
+        let plain = classes(&[("Lcom/a/b/C;", &[5], 1), ("Lcom/a/b/D;", &[6], 2)]);
+        let mut wired = DexFile::default();
+        wired.push_class("Lcom/a/b/C;");
+        wired.push_method(
+            1,
+            &[ApiCallId(5)],
+            &[MethodRef {
+                class: 1,
+                method: 0,
+            }],
+        );
+        class(&mut wired, "Lcom/a/b/D;", &[6], 2);
         let dp = ApkDigest::from_bytes(&build(plain, "com.a.b")).unwrap();
         let dw = ApkDigest::from_bytes(&build(wired, "com.a.b")).unwrap();
         assert_eq!(

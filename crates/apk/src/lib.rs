@@ -14,7 +14,8 @@
 //! * `classes.dex` — a DEX-inspired code container ([`dex`]): a string
 //!   pool of class names plus per-method lists of framework **API-call
 //!   ids** (the 45k-dimension feature space the paper's WuKong-based clone
-//!   detector uses) and per-method code-segment hashes;
+//!   detector uses), per-method code-segment hashes and invocation edges,
+//!   held in memory as flat class and method tables;
 //! * `META-INF/CERT.SF` — the developer signature ([`cert`]): a key
 //!   digest plus a MAC over the archive payload, giving the same equality
 //!   semantics as the paper's `ApkSigner`-extracted signatures (a
@@ -46,7 +47,7 @@ pub mod zip;
 pub use apicalls::{ApiCallId, API_DIMENSIONS};
 pub use builder::ApkBuilder;
 pub use cert::Signature;
-pub use dex::{ClassDef, DexFile, MethodDef, MethodRef};
+pub use dex::{ClassView, DexFile, MethodRef, MethodView};
 pub use digest::{ApkDigest, PackageFeature};
 pub use error::ApkError;
 pub use manifest::{Component, ComponentKind, Manifest};

@@ -61,7 +61,7 @@ pub struct Component {
     /// What kind of component the manifest declares.
     pub kind: ComponentKind,
     /// JVM-style class descriptor, e.g. `Lcom/kugou/android/Main;`,
-    /// matching a `ClassDef::name` in the DEX.
+    /// matching a class name in the DEX.
     pub class: String,
 }
 

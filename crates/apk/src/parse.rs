@@ -79,7 +79,6 @@ impl ParsedApk {
 mod tests {
     use super::*;
     use crate::builder::ApkBuilder;
-    use crate::dex::{ClassDef, MethodDef};
     use crate::zip::ZipArchive;
     use crate::ApiCallId;
     use marketscope_core::{PackageName, VersionCode};
@@ -99,16 +98,10 @@ mod tests {
     }
 
     fn dex() -> DexFile {
-        DexFile {
-            classes: vec![ClassDef {
-                name: "Lcom/example/app/Main;".into(),
-                methods: vec![MethodDef {
-                    api_calls: vec![ApiCallId(9)],
-                    code_hash: 5,
-                    invokes: vec![],
-                }],
-            }],
-        }
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/example/app/Main;");
+        dex.push_method(5, &[ApiCallId(9)], &[]);
+        dex
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! permission map applied to the *statically reachable* API set, not the
 //! flat DEX footprint — bundled-but-unreached library code would otherwise
 //! inflate every app's apparent permission usage. This module is the
-//! format-level core of that pass: it flattens a DEX's methods into a
-//! dense index space, then runs a worklist walk over the per-method
-//! invocation edges starting from a set of entry classes (the
-//! manifest-declared components).
+//! format-level core of that pass: it indexes a DEX's invocation edges
+//! over the method table's dense index space, then runs a worklist walk
+//! over them starting from a set of entry classes (the manifest-declared
+//! components).
 //!
 //! The core is deliberately free of policy: callers decide what the entry
 //! set is and what "no entry points declared" means (analyses treat it as
@@ -15,18 +15,16 @@
 
 use crate::dex::DexFile;
 
-/// A flattened call graph over one DEX file. Methods are addressed by a
-/// dense flat index (`method_base[class] + method`), so the worklist pass
-/// is a bit-vector walk with no hashing on the hot path.
+/// A call graph over one DEX file. Methods are addressed by their
+/// file-wide index (the method table's order, which
+/// [`ClassView::method_range`](crate::dex::ClassView::method_range) maps a
+/// class onto), so the worklist pass is a bit-vector walk with no hashing
+/// on the hot path.
 pub struct CallGraph<'a> {
     dex: &'a DexFile,
-    /// Flat index of each class's method 0 (prefix sums).
-    method_base: Vec<u32>,
-    /// Reverse map: flat index → (class index, method index).
-    owner: Vec<(u32, u32)>,
     /// CSR edge index: `targets[edge_base[m]..edge_base[m + 1]]` are the
-    /// flat indices method `m` invokes — deduplicated (a method invoking
-    /// the same target repeatedly contributes one edge) and with dangling
+    /// methods method `m` invokes — deduplicated (a method invoking the
+    /// same target repeatedly contributes one edge) and with dangling
     /// refs dropped at build time, so edge counts never inflate.
     edge_base: Vec<u32>,
     /// Flat, deduplicated invocation targets (CSR payload).
@@ -45,54 +43,37 @@ pub struct ReachStats {
 }
 
 /// The result of a reachability pass: a dense reached-bit per method.
-pub struct Reachability {
+pub struct Reachability<'a> {
+    dex: &'a DexFile,
     reached: Vec<bool>,
-    method_base: Vec<u32>,
     /// Pass counters.
     pub stats: ReachStats,
 }
 
 impl<'a> CallGraph<'a> {
-    /// Flatten the DEX into a call graph.
+    /// Index the DEX's invocation edges.
     pub fn new(dex: &'a DexFile) -> CallGraph<'a> {
-        let mut method_base = Vec::with_capacity(dex.classes.len());
-        let mut owner = Vec::with_capacity(dex.method_count());
-        let mut next = 0u32;
-        for (ci, class) in dex.classes.iter().enumerate() {
-            method_base.push(next);
-            for mi in 0..class.methods.len() {
-                owner.push((ci as u32, mi as u32));
-            }
-            next += class.methods.len() as u32;
-        }
-        // CSR edge lists: resolve each invoke to a flat target, dropping
+        // CSR edge lists: resolve each invoke to a method index, dropping
         // dangling refs (possible only in hand-built in-memory files) and
         // duplicates (first occurrence wins, order preserved).
-        let mut edge_base = Vec::with_capacity(owner.len() + 1);
+        let mut edge_base = Vec::with_capacity(dex.method_count() + 1);
         let mut targets: Vec<u32> = Vec::with_capacity(dex.edge_count());
         edge_base.push(0);
-        for class in &dex.classes {
-            for m in &class.methods {
-                let start = targets.len();
-                for r in &m.invokes {
-                    let Some(target_class) = dex.classes.get(r.class as usize) else {
-                        continue;
-                    };
-                    if (r.method as usize) >= target_class.methods.len() {
-                        continue;
-                    }
-                    let tgt = method_base[r.class as usize] + r.method as u32;
-                    if !targets[start..].contains(&tgt) {
-                        targets.push(tgt);
-                    }
+        for m in dex.methods() {
+            let start = targets.len();
+            for &r in m.invokes() {
+                let Some(tgt) = dex.resolve(r) else {
+                    continue;
+                };
+                let tgt = tgt as u32;
+                if !targets[start..].contains(&tgt) {
+                    targets.push(tgt);
                 }
-                edge_base.push(targets.len() as u32);
             }
+            edge_base.push(targets.len() as u32);
         }
         CallGraph {
             dex,
-            method_base,
-            owner,
             edge_base,
             targets,
         }
@@ -100,7 +81,7 @@ impl<'a> CallGraph<'a> {
 
     /// Total methods in the graph.
     pub fn method_count(&self) -> usize {
-        self.owner.len()
+        self.dex.method_count()
     }
 
     /// Total invocation edges in the graph, after deduplication and
@@ -113,16 +94,16 @@ impl<'a> CallGraph<'a> {
     /// name). A scan of the class list: entry resolution asks once per
     /// declared component, which is cheaper than hashing every name.
     pub fn class_index(&self, name: &str) -> Option<usize> {
-        self.dex.classes.iter().rposition(|c| c.name == name)
+        self.dex.classes().rposition(|c| c.name() == name)
     }
 
-    /// The (class, method) coordinates of a flat method index.
+    /// The (class, method) coordinates of a file-wide method index.
     pub fn owner_of(&self, flat: usize) -> (usize, usize) {
-        let (ci, mi) = self.owner[flat];
-        (ci as usize, mi as usize)
+        let class = self.dex.method_class(flat);
+        (class, flat - self.dex.class(class).method_range().start)
     }
 
-    /// The deduplicated flat invocation targets of one flat method index.
+    /// The deduplicated invocation targets of one method.
     pub fn targets_of(&self, flat: usize) -> &[u32] {
         &self.targets[self.edge_base[flat] as usize..self.edge_base[flat + 1] as usize]
     }
@@ -133,26 +114,24 @@ impl<'a> CallGraph<'a> {
     /// match no class are ignored; dangling and duplicate edges were
     /// already dropped when the CSR index was built, so `edges_traversed`
     /// counts distinct resolved edges only.
-    pub fn reach_from_classes<'n, I>(&self, entries: I) -> Reachability
+    pub fn reach_from_classes<'n, I>(&self, entries: I) -> Reachability<'a>
     where
         I: IntoIterator<Item = &'n str>,
     {
-        let mut reached = vec![false; self.owner.len()];
+        let mut reached = vec![false; self.method_count()];
         let mut work: Vec<u32> = Vec::new();
         for name in entries {
             if let Some(ci) = self.class_index(name) {
-                let base = self.method_base[ci];
-                for mi in 0..self.dex.classes[ci].methods.len() {
-                    let flat = base + mi as u32;
-                    if !reached[flat as usize] {
-                        reached[flat as usize] = true;
-                        work.push(flat);
+                for flat in self.dex.class(ci).method_range() {
+                    if !reached[flat] {
+                        reached[flat] = true;
+                        work.push(flat as u32);
                     }
                 }
             }
         }
         let mut stats = ReachStats {
-            methods_total: self.owner.len() as u64,
+            methods_total: reached.len() as u64,
             ..ReachStats::default()
         };
         while let Some(flat) = work.pop() {
@@ -166,19 +145,19 @@ impl<'a> CallGraph<'a> {
             }
         }
         Reachability {
+            dex: self.dex,
             reached,
-            method_base: self.method_base.clone(),
             stats,
         }
     }
 
     /// Mark every method reachable (the conservative fallback when no
     /// entry points are declared).
-    pub fn reach_all(&self) -> Reachability {
-        let total = self.owner.len() as u64;
+    pub fn reach_all(&self) -> Reachability<'a> {
+        let total = self.method_count() as u64;
         Reachability {
-            reached: vec![true; self.owner.len()],
-            method_base: self.method_base.clone(),
+            dex: self.dex,
+            reached: vec![true; self.method_count()],
             stats: ReachStats {
                 methods_total: total,
                 methods_reached: total,
@@ -188,10 +167,14 @@ impl<'a> CallGraph<'a> {
     }
 }
 
-impl Reachability {
+impl Reachability<'_> {
     /// Whether method `method` of class `class` was reached.
     pub fn is_reached(&self, class: usize, method: usize) -> bool {
-        let flat = self.method_base[class] as usize + method;
+        self.reached[self.dex.class(class).method_range().start + method]
+    }
+
+    /// Whether the method at file-wide index `flat` was reached.
+    pub(crate) fn reached(&self, flat: usize) -> bool {
         self.reached[flat]
     }
 
@@ -214,37 +197,29 @@ impl Reachability {
 mod tests {
     use super::*;
     use crate::apicalls::ApiCallId;
-    use crate::dex::{ClassDef, MethodDef, MethodRef};
+    use crate::dex::MethodRef;
 
-    fn method(calls: &[u32], invokes: &[(u16, u16)]) -> MethodDef {
-        MethodDef {
-            api_calls: calls.iter().map(|c| ApiCallId(*c)).collect(),
-            code_hash: 7,
-            invokes: invokes
-                .iter()
-                .map(|&(class, method)| MethodRef { class, method })
-                .collect(),
-        }
+    /// Append a method with `calls` and `invokes` to the last class.
+    fn method(dex: &mut DexFile, calls: &[u32], invokes: &[(u16, u16)]) {
+        let calls: Vec<ApiCallId> = calls.iter().map(|c| ApiCallId(*c)).collect();
+        let invokes: Vec<MethodRef> = invokes
+            .iter()
+            .map(|&(class, method)| MethodRef { class, method })
+            .collect();
+        dex.push_method(7, &calls, &invokes);
     }
 
     /// Three classes: Main → Helper; Dead is untouched.
     fn chain() -> DexFile {
-        DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "La/Main;".into(),
-                    methods: vec![method(&[1], &[(1, 0)]), method(&[], &[])],
-                },
-                ClassDef {
-                    name: "La/Helper;".into(),
-                    methods: vec![method(&[2], &[])],
-                },
-                ClassDef {
-                    name: "La/Dead;".into(),
-                    methods: vec![method(&[3], &[])],
-                },
-            ],
-        }
+        let mut dex = DexFile::default();
+        dex.push_class("La/Main;");
+        method(&mut dex, &[1], &[(1, 0)]);
+        method(&mut dex, &[], &[]);
+        dex.push_class("La/Helper;");
+        method(&mut dex, &[2], &[]);
+        dex.push_class("La/Dead;");
+        method(&mut dex, &[3], &[]);
+        dex
     }
 
     #[test]
@@ -259,22 +234,17 @@ mod tests {
         assert_eq!(r.reached_count(), 3);
         assert_eq!(r.stats.methods_total, 4);
         assert_eq!(r.stats.edges_traversed, 1);
+        assert_eq!(graph.owner_of(2), (1, 0));
+        assert_eq!(graph.owner_of(1), (0, 1));
     }
 
     #[test]
     fn cycles_terminate() {
-        let dex = DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "La/A;".into(),
-                    methods: vec![method(&[], &[(1, 0)])],
-                },
-                ClassDef {
-                    name: "La/B;".into(),
-                    methods: vec![method(&[], &[(0, 0), (1, 0)])],
-                },
-            ],
-        };
+        let mut dex = DexFile::default();
+        dex.push_class("La/A;");
+        method(&mut dex, &[], &[(1, 0)]);
+        dex.push_class("La/B;");
+        method(&mut dex, &[], &[(0, 0), (1, 0)]);
         let graph = CallGraph::new(&dex);
         let r = graph.reach_from_classes(["La/A;"]);
         assert_eq!(r.reached_count(), 2);
@@ -301,12 +271,9 @@ mod tests {
 
     #[test]
     fn dangling_in_memory_edges_are_dropped_at_build() {
-        let dex = DexFile {
-            classes: vec![ClassDef {
-                name: "La/A;".into(),
-                methods: vec![method(&[], &[(9, 9), (0, 5)])],
-            }],
-        };
+        let mut dex = DexFile::default();
+        dex.push_class("La/A;");
+        method(&mut dex, &[], &[(9, 9), (0, 5)]);
         let graph = CallGraph::new(&dex);
         // Both refs dangle: neither survives CSR construction.
         assert_eq!(graph.edge_count(), 0);
@@ -320,18 +287,11 @@ mod tests {
         // Main's first method invokes Helper.0 three times and itself
         // twice; the CSR index keeps one edge each, so neither the edge
         // count nor the traversal counter inflates.
-        let dex = DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "La/Main;".into(),
-                    methods: vec![method(&[], &[(1, 0), (1, 0), (0, 0), (1, 0), (0, 0)])],
-                },
-                ClassDef {
-                    name: "La/Helper;".into(),
-                    methods: vec![method(&[], &[])],
-                },
-            ],
-        };
+        let mut dex = DexFile::default();
+        dex.push_class("La/Main;");
+        method(&mut dex, &[], &[(1, 0), (1, 0), (0, 0), (1, 0), (0, 0)]);
+        dex.push_class("La/Helper;");
+        method(&mut dex, &[], &[]);
         assert_eq!(dex.edge_count(), 5, "raw wire edges keep multiplicity");
         let graph = CallGraph::new(&dex);
         assert_eq!(graph.edge_count(), 2, "CSR deduplicates");

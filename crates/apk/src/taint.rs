@@ -68,7 +68,7 @@ pub struct TaintAnalysis {
 pub fn propagate(
     dex: &DexFile,
     graph: &CallGraph<'_>,
-    reach: &Reachability,
+    reach: &Reachability<'_>,
     map: &PermissionMap,
 ) -> TaintAnalysis {
     let n = graph.method_count();
@@ -77,22 +77,16 @@ pub fn propagate(
     let mut src_mask = vec![0u8; n];
     let mut snk_mask = vec![0u8; n];
     let mut stats = TaintStats::default();
-    {
-        let mut flat = 0usize;
-        for (ci, class) in dex.classes.iter().enumerate() {
-            for (mi, m) in class.methods.iter().enumerate() {
-                if reach.is_reached(ci, mi) {
-                    let taint = m
-                        .api_calls
-                        .iter()
-                        .fold(0u8, |acc, &call| acc | map.taint_classes(call));
-                    src_mask[flat] = taint & ((1 << SINK_SHIFT) - 1);
-                    snk_mask[flat] = taint >> SINK_SHIFT;
-                    if snk_mask[flat] != 0 {
-                        stats.sink_sites += 1;
-                    }
-                }
-                flat += 1;
+    for (flat, m) in dex.methods().enumerate() {
+        if reach.reached(flat) {
+            let taint = m
+                .api_calls()
+                .iter()
+                .fold(0u8, |acc, &call| acc | map.taint_classes(call));
+            src_mask[flat] = taint & ((1 << SINK_SHIFT) - 1);
+            snk_mask[flat] = taint >> SINK_SHIFT;
+            if snk_mask[flat] != 0 {
+                stats.sink_sites += 1;
             }
         }
     }
@@ -116,15 +110,14 @@ pub fn propagate(
             stats.methods_visited += 1;
             let flat = flat as usize;
             if snk_mask[flat] != 0 {
-                let (ci, _) = graph.owner_of(flat);
-                hits.push((ci as u32, source.index() as u8, snk_mask[flat]));
+                let class = dex.method_class(flat);
+                hits.push((class as u32, source.index() as u8, snk_mask[flat]));
             }
             for &tgt in graph.targets_of(flat) {
                 stats.edges_traversed += 1;
                 let tgt = tgt as usize;
                 // Taint only spreads through entry-point-reachable code.
-                let (ci, mi) = graph.owner_of(tgt);
-                if !tainted[tgt] && reach.is_reached(ci, mi) {
+                if !tainted[tgt] && reach.reached(tgt) {
                     tainted[tgt] = true;
                     work.push(tgt as u32);
                 }
@@ -136,7 +129,7 @@ pub fn propagate(
     hits.dedup();
     let mut flows = Vec::new();
     for class_hits in runs(&hits, |a, b| a.0 == b.0) {
-        let sink_package = dex.classes[class_hits[0].0 as usize].java_package();
+        let sink_package = dex.class(class_hits[0].0 as usize).java_package();
         for &(_, source, sinks) in class_hits {
             for sink in SinkClass::ALL {
                 if sinks & (1 << sink.index()) != 0 {
@@ -158,7 +151,7 @@ pub fn propagate(
 mod tests {
     use super::*;
     use crate::apicalls::ApiCallId;
-    use crate::dex::{ClassDef, MethodDef, MethodRef};
+    use crate::dex::MethodRef;
 
     fn map() -> PermissionMap {
         PermissionMap::standard()
@@ -172,40 +165,28 @@ mod tests {
         m.sink_apis(class)[0]
     }
 
-    fn method(calls: &[ApiCallId], invokes: &[(u16, u16)]) -> MethodDef {
-        MethodDef {
-            api_calls: calls.to_vec(),
-            code_hash: 7,
-            invokes: invokes
-                .iter()
-                .map(|&(class, method)| MethodRef { class, method })
-                .collect(),
-        }
+    /// Append a method with `calls` and `invokes` to the last class.
+    fn method(dex: &mut DexFile, calls: &[ApiCallId], invokes: &[(u16, u16)]) {
+        let invokes: Vec<MethodRef> = invokes
+            .iter()
+            .map(|&(class, method)| MethodRef { class, method })
+            .collect();
+        dex.push_method(7, calls, &invokes);
     }
 
     /// Main (source) → Relay → Sink.a (network send); Dead holds a sink
     /// that is never on a tainted path.
     fn leaky_dex(m: &PermissionMap) -> DexFile {
-        DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "Lcom/app/Main;".into(),
-                    methods: vec![method(&[source_api(m, SourceClass::DeviceId)], &[(1, 0)])],
-                },
-                ClassDef {
-                    name: "Lcom/app/Relay;".into(),
-                    methods: vec![method(&[], &[(2, 0)])],
-                },
-                ClassDef {
-                    name: "Lcom/ads/Sink;".into(),
-                    methods: vec![method(&[sink_api(m, SinkClass::NetworkSend)], &[])],
-                },
-                ClassDef {
-                    name: "Lcom/app/Dead;".into(),
-                    methods: vec![method(&[sink_api(m, SinkClass::LogExfil)], &[])],
-                },
-            ],
-        }
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/app/Main;");
+        method(&mut dex, &[source_api(m, SourceClass::DeviceId)], &[(1, 0)]);
+        dex.push_class("Lcom/app/Relay;");
+        method(&mut dex, &[], &[(2, 0)]);
+        dex.push_class("Lcom/ads/Sink;");
+        method(&mut dex, &[sink_api(m, SinkClass::NetworkSend)], &[]);
+        dex.push_class("Lcom/app/Dead;");
+        method(&mut dex, &[sink_api(m, SinkClass::LogExfil)], &[]);
+        dex
     }
 
     #[test]
@@ -243,18 +224,16 @@ mod tests {
     fn reach_all_fallback_finds_same_method_flows() {
         let m = map();
         // Source and sink in one method, no edges at all.
-        let dex = DexFile {
-            classes: vec![ClassDef {
-                name: "Lcom/app/Solo;".into(),
-                methods: vec![method(
-                    &[
-                        source_api(&m, SourceClass::Location),
-                        sink_api(&m, SinkClass::LogExfil),
-                    ],
-                    &[],
-                )],
-            }],
-        };
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/app/Solo;");
+        method(
+            &mut dex,
+            &[
+                source_api(&m, SourceClass::Location),
+                sink_api(&m, SinkClass::LogExfil),
+            ],
+            &[],
+        );
         let graph = CallGraph::new(&dex);
         let t = propagate(&dex, &graph, &graph.reach_all(), &m);
         assert_eq!(t.flows.len(), 1);
@@ -267,18 +246,11 @@ mod tests {
     fn taint_does_not_flow_backwards() {
         let m = map();
         // Sink → Source edge direction: no flow.
-        let dex = DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "La/S;".into(),
-                    methods: vec![method(&[sink_api(&m, SinkClass::NetworkSend)], &[(1, 0)])],
-                },
-                ClassDef {
-                    name: "La/T;".into(),
-                    methods: vec![method(&[source_api(&m, SourceClass::Contacts)], &[])],
-                },
-            ],
-        };
+        let mut dex = DexFile::default();
+        dex.push_class("La/S;");
+        method(&mut dex, &[sink_api(&m, SinkClass::NetworkSend)], &[(1, 0)]);
+        dex.push_class("La/T;");
+        method(&mut dex, &[source_api(&m, SourceClass::Contacts)], &[]);
         let graph = CallGraph::new(&dex);
         let t = propagate(&dex, &graph, &graph.reach_all(), &m);
         assert!(t.flows.is_empty(), "{:?}", t.flows);
@@ -289,28 +261,28 @@ mod tests {
         let m = map();
         // Two source classes, both reaching two sinks, with duplicate
         // source sites feeding the same endpoints.
-        let dex = DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "La/A;".into(),
-                    methods: vec![
-                        method(&[source_api(&m, SourceClass::DeviceId)], &[(1, 0)]),
-                        method(&[source_api(&m, SourceClass::DeviceId)], &[(1, 0)]),
-                        method(&[source_api(&m, SourceClass::Account)], &[(1, 0)]),
-                    ],
-                },
-                ClassDef {
-                    name: "Lb/B;".into(),
-                    methods: vec![method(
-                        &[
-                            sink_api(&m, SinkClass::NetworkSend),
-                            sink_api(&m, SinkClass::LogExfil),
-                        ],
-                        &[],
-                    )],
-                },
+        let mut dex = DexFile::default();
+        dex.push_class("La/A;");
+        method(
+            &mut dex,
+            &[source_api(&m, SourceClass::DeviceId)],
+            &[(1, 0)],
+        );
+        method(
+            &mut dex,
+            &[source_api(&m, SourceClass::DeviceId)],
+            &[(1, 0)],
+        );
+        method(&mut dex, &[source_api(&m, SourceClass::Account)], &[(1, 0)]);
+        dex.push_class("Lb/B;");
+        method(
+            &mut dex,
+            &[
+                sink_api(&m, SinkClass::NetworkSend),
+                sink_api(&m, SinkClass::LogExfil),
             ],
-        };
+            &[],
+        );
         let graph = CallGraph::new(&dex);
         let t = propagate(&dex, &graph, &graph.reach_all(), &m);
         assert_eq!(t.flows.len(), 4, "{:?}", t.flows);
@@ -323,18 +295,15 @@ mod tests {
     #[test]
     fn cycles_terminate() {
         let m = map();
-        let dex = DexFile {
-            classes: vec![
-                ClassDef {
-                    name: "La/A;".into(),
-                    methods: vec![method(&[source_api(&m, SourceClass::DeviceId)], &[(1, 0)])],
-                },
-                ClassDef {
-                    name: "La/B;".into(),
-                    methods: vec![method(&[], &[(0, 0), (1, 0)])],
-                },
-            ],
-        };
+        let mut dex = DexFile::default();
+        dex.push_class("La/A;");
+        method(
+            &mut dex,
+            &[source_api(&m, SourceClass::DeviceId)],
+            &[(1, 0)],
+        );
+        dex.push_class("La/B;");
+        method(&mut dex, &[], &[(0, 0), (1, 0)]);
         let graph = CallGraph::new(&dex);
         let t = propagate(&dex, &graph, &graph.reach_all(), &m);
         assert!(t.flows.is_empty());

@@ -14,7 +14,7 @@
 
 use marketscope_apk::apicalls::{ApiCallId, API_DIMENSIONS};
 use marketscope_apk::builder::ApkBuilder;
-use marketscope_apk::dex::{ClassDef, DexFile, MethodDef, MethodRef};
+use marketscope_apk::dex::{DexFile, MethodRef};
 use marketscope_apk::digest::{ApkDigest, PackageFeature};
 use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
 use marketscope_apk::parse::ParsedApk;
@@ -46,10 +46,10 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
     let mut src_mask = vec![0u8; n];
     let mut snk_mask = vec![0u8; n];
     let mut flat = 0;
-    for (ci, class) in dex.classes.iter().enumerate() {
-        for (mi, m) in class.methods.iter().enumerate() {
+    for (ci, class) in dex.classes().enumerate() {
+        for (mi, m) in class.methods().enumerate() {
             if reach.is_reached(ci, mi) {
-                for &call in &m.api_calls {
+                for &call in m.api_calls() {
                     if let Some(s) = map.source_class(call) {
                         src_mask[flat] |= 1 << s.index();
                     }
@@ -70,7 +70,7 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
         work.iter().for_each(|&f| tainted[f] = true);
         while let Some(f) = work.pop() {
             if snk_mask[f] != 0 {
-                let pkg = dex.classes[graph.owner_of(f).0].java_package();
+                let pkg = dex.class(graph.owner_of(f).0).java_package();
                 for sink in SinkClass::ALL {
                     if snk_mask[f] & (1 << sink.index()) != 0 {
                         flows.insert(TaintFlow {
@@ -94,7 +94,7 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
 
     // Grouping: dotted package string → classes, in file order.
     let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (ci, class) in dex.classes.iter().enumerate() {
+    for (ci, class) in dex.classes().enumerate() {
         let pkg = class
             .java_package()
             .unwrap_or_else(|| "<default>".to_owned());
@@ -110,11 +110,11 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
             let (mut method_count, mut reachable_method_count) = (0u32, 0u32);
             for &ci in &members {
                 let mut h = fnv1a64(&[]);
-                for (mi, m) in dex.classes[ci].methods.iter().enumerate() {
+                for (mi, m) in dex.class(ci).methods().enumerate() {
                     let reached = reach.is_reached(ci, mi);
                     method_count += 1;
                     reachable_method_count += u32::from(reached);
-                    let mut calls: Vec<u32> = m.api_calls.iter().map(|a| a.0).collect();
+                    let mut calls: Vec<u32> = m.api_calls().iter().map(|a| a.0).collect();
                     calls.sort_unstable();
                     for call in calls {
                         h = mix64(h, call as u64);
@@ -125,8 +125,8 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
                             *cnt = cnt.saturating_add(1);
                         }
                     }
-                    h = mix64(h, m.code_hash);
-                    code_segments.push(m.code_hash);
+                    h = mix64(h, m.code_hash());
+                    code_segments.push(m.code_hash());
                 }
                 acc ^= mix64(h, 0xf00d);
             }
@@ -159,7 +159,7 @@ fn assert_agrees(bytes: &[u8], what: &str) -> ApkDigest {
     digest
 }
 
-fn build(classes: Vec<ClassDef>, components: &[&str]) -> Vec<u8> {
+fn build(classes: Vec<Class>, components: &[&str]) -> Vec<u8> {
     let manifest = Manifest {
         package: PackageName::new("com.hostile.app").unwrap(),
         version_code: VersionCode(1),
@@ -177,27 +177,34 @@ fn build(classes: Vec<ClassDef>, components: &[&str]) -> Vec<u8> {
             })
             .collect(),
     };
-    ApkBuilder::new(manifest, DexFile { classes })
+    let mut dex = DexFile::default();
+    for (name, methods) in &classes {
+        dex.push_class(name);
+        for (calls, code_hash, invokes) in methods {
+            dex.push_method(*code_hash, calls, invokes);
+        }
+    }
+    ApkBuilder::new(manifest, dex)
         .build(DeveloperKey::from_label("hostile"))
         .unwrap()
 }
 
-fn method(calls: Vec<ApiCallId>, code_hash: u64, invokes: &[(u16, u16)]) -> MethodDef {
-    MethodDef {
-        api_calls: calls,
-        code_hash,
-        invokes: invokes
-            .iter()
-            .map(|&(class, method)| MethodRef { class, method })
-            .collect(),
-    }
+/// A hand-built method before it is written: calls, code hash, edges.
+type Method = (Vec<ApiCallId>, u64, Vec<MethodRef>);
+
+/// A hand-built class before it is written: its name and methods.
+type Class = (String, Vec<Method>);
+
+fn method(calls: Vec<ApiCallId>, code_hash: u64, invokes: &[(u16, u16)]) -> Method {
+    let invokes = invokes
+        .iter()
+        .map(|&(class, method)| MethodRef { class, method })
+        .collect();
+    (calls, code_hash, invokes)
 }
 
-fn class(name: &str, methods: Vec<MethodDef>) -> ClassDef {
-    ClassDef {
-        name: name.to_owned(),
-        methods,
-    }
+fn class(name: &str, methods: Vec<Method>) -> Class {
+    (name.to_owned(), methods)
 }
 
 #[test]
@@ -330,21 +337,22 @@ fn arbitrary_dex_matches_oracle() {
     pool.extend(SinkClass::ALL.iter().map(|&s| m.sink_apis(s)[0]));
     check("digest_equivalence::arbitrary_dex", 128, |rng| {
         let class_count = usize_in(rng, 1..10);
-        let mut classes: Vec<ClassDef> = (0..class_count)
-            .map(|_| ClassDef {
-                name: arb_name(rng),
-                methods: vec_of(rng, 0..4, |r| {
+        let mut classes: Vec<Class> = (0..class_count)
+            .map(|_| {
+                let name = arb_name(rng);
+                let methods = vec_of(rng, 0..4, |r| {
                     method(vec_of(r, 0..6, |r| *r.pick(&pool)), r.range_u64(0, 4), &[])
-                }),
+                });
+                (name, methods)
             })
             .collect();
-        let sizes: Vec<usize> = classes.iter().map(|c| c.methods.len()).collect();
+        let sizes: Vec<usize> = classes.iter().map(|c| c.1.len()).collect();
         for c in &mut classes {
-            for meth in &mut c.methods {
+            for meth in &mut c.1 {
                 for _ in 0..usize_in(rng, 0..3) {
                     let target = rng.index(class_count);
                     if sizes[target] > 0 {
-                        meth.invokes.push(MethodRef {
+                        meth.2.push(MethodRef {
                             class: target as u16,
                             method: rng.index(sizes[target]) as u16,
                         });
@@ -352,7 +360,7 @@ fn arbitrary_dex_matches_oracle() {
                 }
             }
         }
-        let entry = classes[0].name.clone();
+        let entry = classes[0].0.clone();
         let components: &[&str] = if rng.chance(0.5) { &[&entry] } else { &[] };
         assert_agrees(&build(classes, components), "arbitrary");
     });

@@ -1,11 +1,13 @@
 //! Property-based tests for the wire formats: DEX with invocation edges
 //! and manifests with declared components must round-trip for any
 //! generated input, and every strict prefix of an encoding must fail to
-//! decode rather than panic or silently succeed.
+//! decode rather than panic or silently succeed. A DEX model the format
+//! cannot carry must fail to encode rather than encode into other bytes.
 
 use marketscope_apk::apicalls::{ApiCallId, API_DIMENSIONS};
-use marketscope_apk::dex::{ClassDef, DexFile, MethodDef, MethodRef};
+use marketscope_apk::dex::{DexFile, MethodRef};
 use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
+use marketscope_apk::ApkError;
 use marketscope_core::propcheck::{any_u64, check, string_of, usize_in, vec_of};
 use marketscope_core::rng::DetRng;
 use marketscope_core::{PackageName, VersionCode};
@@ -29,35 +31,114 @@ fn arb_class_name(rng: &mut DetRng) -> (String, String) {
 /// method) coordinates, so every generated DEX is well-formed by
 /// construction (the decoder rejects dangling refs).
 fn arb_dex(rng: &mut DetRng) -> DexFile {
-    let mut classes: Vec<ClassDef> = (0..usize_in(rng, 1..6))
+    // (name, [(calls, code hash)]) per class; edges are drawn once every
+    // class's method count is known.
+    type Class = (String, Vec<(Vec<ApiCallId>, u64)>);
+    let classes: Vec<Class> = (0..usize_in(rng, 1..6))
         .map(|ci| {
             let (pkg, cls) = arb_class_name(rng);
-            ClassDef {
-                // Distinct per-class suffix keeps names unique even when
-                // the string generator repeats itself.
-                name: format!("L{pkg}/{cls}{ci};"),
-                methods: vec_of(rng, 0..4, |r| MethodDef {
-                    api_calls: vec_of(r, 0..5, |r| {
-                        ApiCallId(r.range_u64(0, API_DIMENSIONS.into()) as u32)
-                    }),
-                    code_hash: any_u64(r),
-                    invokes: vec![],
-                }),
-            }
+            // Distinct per-class suffix keeps names unique even when
+            // the string generator repeats itself.
+            let name = format!("L{pkg}/{cls}{ci};");
+            let methods = vec_of(rng, 0..4, |r| {
+                let calls = vec_of(r, 0..5, |r| {
+                    ApiCallId(r.range_u64(0, API_DIMENSIONS.into()) as u32)
+                });
+                (calls, any_u64(r))
+            });
+            (name, methods)
         })
         .collect();
-    let method_counts: Vec<usize> = classes.iter().map(|c| c.methods.len()).collect();
-    for method in classes.iter_mut().flat_map(|c| &mut c.methods) {
-        method.invokes = vec_of(rng, 0..5, |r| (r.index(method_counts.len()), any_u64(r)))
-            .into_iter()
-            .filter(|(class, _)| method_counts[*class] > 0) // cannot target a method-less class
-            .map(|(class, m)| MethodRef {
-                class: class as u16,
-                method: (m % method_counts[class] as u64) as u16,
-            })
-            .collect();
+    let method_counts: Vec<usize> = classes.iter().map(|c| c.1.len()).collect();
+    let mut dex = DexFile::default();
+    for (name, methods) in &classes {
+        dex.push_class(name);
+        for (calls, code_hash) in methods {
+            let invokes: Vec<MethodRef> =
+                vec_of(rng, 0..5, |r| (r.index(method_counts.len()), any_u64(r)))
+                    .into_iter()
+                    .filter(|(class, _)| method_counts[*class] > 0) // cannot target a method-less class
+                    .map(|(class, m)| MethodRef {
+                        class: class as u16,
+                        method: (m % method_counts[class] as u64) as u16,
+                    })
+                    .collect();
+            dex.push_method(*code_hash, calls, &invokes);
+        }
     }
-    DexFile { classes }
+    dex
+}
+
+/// Models at and past each limit of the format: an empty or overlong
+/// class name, more than 4 096 methods in a class, more than 65 535
+/// calls or edges in a method, an API id outside the feature space, a
+/// dangling edge, more than 65 536 classes. Each limit is crossed only
+/// now and then, so models sitting exactly at a limit, which must still
+/// encode, are common too.
+fn arb_any_dex(rng: &mut DetRng) -> DexFile {
+    let mut dex = DexFile::default();
+    if rng.chance(0.03) {
+        for _ in 0..65_537 {
+            dex.push_class("La;");
+        }
+        return dex;
+    }
+    // At a limit, or one past it.
+    let near = |r: &mut DetRng, limit: usize| limit + usize::from(r.chance(0.3));
+    let classes = usize_in(rng, 1..4);
+    for class in 0..classes {
+        let name_len = if rng.chance(0.1) {
+            *rng.pick(&[0, 1_024, 1_025])
+        } else {
+            usize_in(rng, 1..12)
+        };
+        dex.push_class(&"x".repeat(name_len));
+        let methods = if rng.chance(0.05) {
+            near(rng, 4_096)
+        } else {
+            usize_in(rng, 0..4)
+        };
+        // At most one bad API id and one dangling edge per class.
+        let mut flaw = |p: f64| rng.chance(p).then(|| rng.index(methods.max(1)));
+        let (bad_id, dangling) = (flaw(0.1), flaw(0.1));
+        for method in 0..methods {
+            let big = methods < 8 && rng.chance(0.3);
+            let calls = if big {
+                near(rng, 65_535)
+            } else {
+                usize_in(rng, 0..4)
+            };
+            let id = if bad_id == Some(method) {
+                API_DIMENSIONS
+            } else {
+                rng.range_u64(0, API_DIMENSIONS.into()) as u32
+            };
+            // A method's edge to itself always lands; one past the last
+            // class, or past its class's last method, never does.
+            let (target, index) = if dangling != Some(method) {
+                (class, method)
+            } else if rng.chance(0.5) {
+                (classes, method)
+            } else {
+                (class, methods)
+            };
+            let edge = MethodRef {
+                class: target as u16,
+                method: index as u16,
+            };
+            let edges = if big && rng.chance(0.5) {
+                near(rng, 65_535)
+            } else {
+                usize_in(rng, 0..3)
+            };
+            dex.push_method(
+                method as u64,
+                &vec![ApiCallId(id); calls],
+                &vec![edge; edges],
+            );
+        }
+    }
+    dex
 }
 
 fn arb_component(rng: &mut DetRng) -> Component {
@@ -112,7 +193,8 @@ fn assert_every_prefix_errors<T>(
 fn dex_v2_round_trips_with_edges() {
     property("dex_v2_round_trips_with_edges", |rng| {
         let dex = arb_dex(rng);
-        let decoded = DexFile::decode(&dex.encode()).expect("own encoding decodes");
+        let bytes = dex.encode().expect("a well-formed model encodes");
+        let decoded = DexFile::decode(&bytes).expect("own encoding decodes");
         assert_eq!(decoded, dex);
         assert_eq!(decoded.edge_count(), dex.edge_count());
     });
@@ -121,8 +203,31 @@ fn dex_v2_round_trips_with_edges() {
 #[test]
 fn dex_truncation_always_errors() {
     property("dex_truncation_always_errors", |rng| {
-        assert_every_prefix_errors(&arb_dex(rng).encode(), DexFile::decode);
+        let bytes = arb_dex(rng).encode().expect("a well-formed model encodes");
+        assert_every_prefix_errors(&bytes, DexFile::decode);
     });
+}
+
+#[test]
+fn dex_encode_refuses_or_round_trips() {
+    let (mut encoded, mut refused) = (0, 0);
+    property("dex_encode_refuses_or_round_trips", |rng| {
+        let dex = arb_any_dex(rng);
+        match dex.encode() {
+            Ok(bytes) => {
+                encoded += 1;
+                assert_eq!(DexFile::decode(&bytes).expect("own encoding decodes"), dex);
+            }
+            Err(e) => {
+                refused += 1;
+                assert!(matches!(e, ApkError::Bounds { .. }), "{e:?}");
+            }
+        }
+    });
+    assert!(
+        encoded > 0 && refused > 0,
+        "{encoded} encoded, {refused} refused"
+    );
 }
 
 // ---------- manifest ----------

@@ -14,14 +14,15 @@
 //!    plus the named Table 5 top-malware specials;
 //! 4. **removal** — second-crawl disappearance at Table 6 rates.
 
-use crate::libs::{LibCatalog, LibUse};
+use crate::libs::{LibBlocks, LibCatalog, LibUse};
 use crate::names::NameForge;
 use crate::profiles::{all_profiles, profile, MarketProfile, Scale};
 use crate::threat::{FamilyRegion, Infection, ThreatDb, ThreatTier, FAMILIES};
 use crate::world::{
-    own_classes, App, AppId, DevId, Developer, GroundTruth, Listing, ListingId, PlantedLeak,
+    App, AppId, DevId, Developer, GroundTruth, Listing, ListingId, OwnCode, PlantedLeak,
     Provenance, World,
 };
+use marketscope_apk::dex::DexFile;
 use marketscope_apk::permmap::{PermissionMap, SinkClass, SourceClass, PERMISSIONS};
 use marketscope_core::rng::{DetRng, WeightedIndex};
 use marketscope_core::{Category, DeveloperKey, MarketId, MarketKind, PackageName, SimDate};
@@ -204,8 +205,8 @@ struct Generator {
     dev_pool_gp: Vec<DevId>,
     dev_pool_cn: Vec<DevId>,
     dev_pool_both: Vec<DevId>,
-    /// Cached per-library-use permission sets.
-    lib_perm_cache: HashMap<LibUse, BTreeSet<&'static str>>,
+    /// Every library version an app embeds, expanded once.
+    lib_blocks: LibBlocks,
 }
 
 impl Generator {
@@ -231,7 +232,7 @@ impl Generator {
             dev_pool_gp: Vec::new(),
             dev_pool_cn: Vec::new(),
             dev_pool_both: Vec::new(),
-            lib_perm_cache: HashMap::new(),
+            lib_blocks: LibBlocks::default(),
             config,
         }
     }
@@ -262,6 +263,7 @@ impl Generator {
             listings: self.listings,
             ground_truth: self.ground_truth,
             per_market: self.per_market,
+            lib_blocks: self.lib_blocks,
         }
     }
 
@@ -631,56 +633,32 @@ impl Generator {
     }
 
     fn compute_permissions(&mut self, app: &App, home: MarketId) -> Vec<String> {
-        // Used permissions: own code + every embedded library.
-        let own = own_classes(
-            app.own_code_seed,
-            &app.own_package,
-            app.own_class_count,
-            app.version_count,
-            app.code_mutation,
-        );
-        let mut used: BTreeSet<&'static str> = self
+        // Used permissions: own code, every embedded library (whose block
+        // is expanded here, once per world) and the planted leak's calls,
+        // which are real uses: declaring their permissions keeps leaky
+        // apps from reading as under-declared.
+        let own = OwnCode {
+            seed: app.own_code_seed,
+            count: app.own_class_count,
+            version: app.version_count,
+            mutation: app.code_mutation,
+        }
+        .classes(&app.own_package);
+        for lu in &app.libs {
+            self.lib_blocks.fill(&self.libraries, *lu);
+        }
+        let libs = app.libs.iter().filter_map(|lu| self.lib_blocks.get(*lu));
+        let leak = app.leak.into_iter().flat_map(|l| [l.source, l.sink]);
+        let used: BTreeSet<&'static str> = self
             .permmap
             .used_permissions(
-                own.iter()
-                    .flat_map(|c| c.methods.iter())
-                    .flat_map(|m| m.api_calls.iter().copied()),
+                own.api_calls()
+                    .chain(libs.flat_map(DexFile::api_calls))
+                    .chain(leak),
             )
             .iter()
             .map(|p| p.0)
             .collect();
-        for lu in &app.libs {
-            let cached = match self.lib_perm_cache.get(lu) {
-                Some(c) => c.clone(),
-                None => {
-                    let classes = self.libraries.classes_for(*lu);
-                    let set: BTreeSet<&'static str> = self
-                        .permmap
-                        .used_permissions(
-                            classes
-                                .iter()
-                                .flat_map(|c| c.methods.iter())
-                                .flat_map(|m| m.api_calls.iter().copied()),
-                        )
-                        .iter()
-                        .map(|p| p.0)
-                        .collect();
-                    self.lib_perm_cache.insert(*lu, set.clone());
-                    set
-                }
-            };
-            used.extend(cached);
-        }
-        // The planted leak's calls are real uses: declare their
-        // permissions so leaky apps don't read as under-declared.
-        if let Some(leak) = app.leak {
-            used.extend(
-                self.permmap
-                    .used_permissions([leak.source, leak.sink].into_iter())
-                    .iter()
-                    .map(|p| p.0),
-            );
-        }
         // Over-privilege extras (Figure 11).
         let p = profile(home);
         let overprivileged = if home == MarketId::GooglePlay {
@@ -1665,9 +1643,8 @@ mod tests {
         assert_eq!(parsed.manifest.package, w.apps[0].package);
         assert!(parsed
             .dex
-            .classes
-            .iter()
-            .any(|c| c.name.starts_with("Lcom/jiagu/")));
+            .classes()
+            .any(|c| c.name().starts_with("Lcom/jiagu/")));
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! the same version embedded by two apps is byte-identical — the property
 //! LibRadar-style clustering keys on.
 
+use crate::world::segment_edges;
 use marketscope_apk::apicalls::{ApiCallId, API_CALL_RANGE};
-use marketscope_apk::dex::{ClassDef, MethodDef};
+use marketscope_apk::dex::DexFile;
 use marketscope_core::hash::mix64;
 use marketscope_core::rng::DetRng;
+use std::collections::HashMap;
 
 /// Functional category of a library (the paper's 5 labels plus the game
 /// engines it lists in Table 2).
@@ -200,43 +202,69 @@ impl LibCatalog {
             .map(|i| LibId(i as u32))
     }
 
-    /// Deterministically expand a `(library, version)` into DEX classes.
-    /// Two apps embedding the same version get byte-identical classes;
-    /// different versions share most classes (real minor releases change
-    /// a fraction of the code), which LibRadar-style clustering tolerates.
-    pub fn classes_for(&self, u: LibUse) -> Vec<ClassDef> {
+    /// Deterministically expand a `(library, version)` into DEX classes,
+    /// wired as one segment (see [`segment_edges`]): its block. Two apps
+    /// embedding the same version get byte-identical classes; different
+    /// versions share most classes (real minor releases change a fraction
+    /// of the code), which LibRadar-style clustering tolerates.
+    pub(crate) fn classes_for(&self, u: LibUse) -> DexFile {
         let spec = self.spec(u.lib);
         let path = spec.package.replace('.', "/");
-        (0..spec.classes)
-            .map(|ci| {
-                // Roughly a quarter of a library's classes are touched by
-                // every release; the rest are stable across versions.
-                let last_changed = if ci % 4 == 0 { u.version } else { 0 };
-                let class_seed = mix64(
-                    mix64(u.lib.0 as u64, 0x11b0 + ci as u64),
-                    last_changed as u64,
+        let classes = spec.classes as usize;
+        let mut dex = DexFile::default();
+        let mut calls = Vec::new();
+        let mut invokes = Vec::new();
+        for ci in 0..classes {
+            // Roughly a quarter of a library's classes are touched by
+            // every release; the rest are stable across versions.
+            let last_changed = if ci % 4 == 0 { u.version } else { 0 };
+            let class_seed = mix64(
+                mix64(u.lib.0 as u64, 0x11b0 + ci as u64),
+                last_changed as u64,
+            );
+            let mut r = DetRng::new(class_seed);
+            let method_count = 2 + (class_seed % 4) as usize;
+            dex.push_class(&format!("L{path}/C{ci};"));
+            for mi in 0..method_count {
+                let call_count = 1 + r.index(6);
+                calls.clear();
+                calls.extend(
+                    (0..call_count)
+                        .map(|_| ApiCallId(r.range_u64(0, API_CALL_RANGE as u64) as u32)),
                 );
-                let mut r = DetRng::new(class_seed);
-                let method_count = 2 + (class_seed % 4) as usize;
-                let methods = (0..method_count)
-                    .map(|mi| {
-                        let call_count = 1 + r.index(6);
-                        let api_calls = (0..call_count)
-                            .map(|_| ApiCallId(r.range_u64(0, API_CALL_RANGE as u64) as u32))
-                            .collect();
-                        MethodDef {
-                            api_calls,
-                            code_hash: mix64(class_seed, 0xae70 + mi as u64),
-                            invokes: vec![],
-                        }
-                    })
-                    .collect();
-                ClassDef {
-                    name: format!("L{path}/C{ci};"),
-                    methods,
+                invokes.clear();
+                if mi == 0 {
+                    segment_edges(ci, method_count, classes, &mut invokes);
                 }
-            })
-            .collect()
+                dex.push_method(mix64(class_seed, 0xae70 + mi as u64), &calls, &invokes);
+            }
+        }
+        dex
+    }
+}
+
+/// The world's library blocks: every `(library, version)` some app
+/// embeds, expanded once by [`LibCatalog::classes_for`] while the
+/// generator works out the app's permissions, then spliced into every
+/// APK that bundles it. At most one block per `(library, version)` an
+/// app embeds, each with exact capacity: ≈ 440 blocks and ≈ 0.85 MB at
+/// ÷2 000.
+#[derive(Debug, Default)]
+pub(crate) struct LibBlocks(HashMap<LibUse, DexFile>);
+
+impl LibBlocks {
+    /// Expand `u` from `catalog` unless it already is.
+    pub(crate) fn fill(&mut self, catalog: &LibCatalog, u: LibUse) {
+        self.0.entry(u).or_insert_with(|| {
+            let mut block = catalog.classes_for(u);
+            block.shrink_to_fit();
+            block
+        });
+    }
+
+    /// The block of `u`, if an app embeds it.
+    pub(crate) fn get(&self, u: LibUse) -> Option<&DexFile> {
+        self.0.get(&u)
     }
 }
 
@@ -254,6 +282,7 @@ fn category_slug(c: LibCategory) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marketscope_apk::dex::MethodRef;
 
     fn catalog() -> LibCatalog {
         LibCatalog::generate(&DetRng::new(42), 120)
@@ -282,6 +311,23 @@ mod tests {
         }
     }
 
+    /// A class's content: name, and per method its code hash, calls and
+    /// edges (edges relative to the block).
+    type ClassContent = (String, Vec<(u64, Vec<ApiCallId>, Vec<MethodRef>)>);
+
+    fn contents(block: &DexFile) -> Vec<ClassContent> {
+        block
+            .classes()
+            .map(|c| {
+                let methods = c
+                    .methods()
+                    .map(|m| (m.code_hash(), m.api_calls().to_vec(), m.invokes().to_vec()))
+                    .collect();
+                (c.name().to_owned(), methods)
+            })
+            .collect()
+    }
+
     #[test]
     fn same_version_is_byte_identical_across_calls() {
         let c = catalog();
@@ -295,14 +341,14 @@ mod tests {
     #[test]
     fn adjacent_versions_share_most_classes() {
         let c = catalog();
-        let v5 = c.classes_for(LibUse {
+        let v5 = contents(&c.classes_for(LibUse {
             lib: LibId(0),
             version: 5,
-        });
-        let v6 = c.classes_for(LibUse {
+        }));
+        let v6 = contents(&c.classes_for(LibUse {
             lib: LibId(0),
             version: 6,
-        });
+        }));
         let shared = v5.iter().filter(|cl| v6.contains(cl)).count();
         assert!(shared >= v5.len() / 2, "only {shared}/{} shared", v5.len());
         assert_ne!(v5, v6, "versions must differ somewhere");
@@ -311,15 +357,44 @@ mod tests {
     #[test]
     fn distinct_libraries_have_distinct_code() {
         let c = catalog();
-        let a = c.classes_for(LibUse {
+        let a = contents(&c.classes_for(LibUse {
             lib: LibId(0),
             version: 0,
-        });
-        let b = c.classes_for(LibUse {
+        }));
+        let b = contents(&c.classes_for(LibUse {
             lib: LibId(1),
             version: 0,
-        });
+        }));
         assert!(a.iter().all(|cl| !b.contains(cl)));
+    }
+
+    #[test]
+    fn a_block_is_one_wired_segment() {
+        let c = catalog();
+        let block = c.classes_for(LibUse {
+            lib: LibId(12),
+            version: 0,
+        });
+        let classes = block.class_count();
+        assert_eq!(classes, c.spec(LibId(12)).classes as usize);
+        // The first class reaches every class, and every first method its
+        // siblings; nothing else is wired.
+        let mut want = Vec::new();
+        for class in block.classes() {
+            want.clear();
+            segment_edges(class.index(), class.method_count(), classes, &mut want);
+            let mut methods = class.methods();
+            assert_eq!(methods.next().unwrap().invokes(), want);
+            assert!(methods.all(|m| m.invokes().is_empty()));
+        }
+        let blocks = &mut LibBlocks::default();
+        let u = LibUse {
+            lib: LibId(12),
+            version: 0,
+        };
+        assert!(blocks.get(u).is_none());
+        blocks.fill(&c, u);
+        assert_eq!(blocks.get(u), Some(&block));
     }
 
     #[test]
@@ -350,8 +425,8 @@ mod tests {
             lib: LibId(12),
             version: 0,
         });
-        for cl in &classes {
-            assert!(cl.name.starts_with("Lcom/umeng/"), "{}", cl.name);
+        for cl in classes.classes() {
+            assert!(cl.name().starts_with("Lcom/umeng/"), "{}", cl.name());
             assert_eq!(cl.java_package().unwrap(), "com.umeng");
         }
     }

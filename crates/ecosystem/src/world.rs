@@ -1,16 +1,17 @@
 //! The synthetic world: developers, apps, per-market listings, and the
 //! deterministic APK assembly that turns them into bytes.
 
-use crate::libs::{LibCatalog, LibCategory, LibUse};
+use crate::libs::{LibBlocks, LibCatalog, LibCategory, LibUse};
 use crate::profiles::Scale;
 use crate::threat::{Infection, ThreatDb};
 use marketscope_apk::apicalls::ApiCallId;
 use marketscope_apk::builder::ApkBuilder;
-use marketscope_apk::dex::{ClassDef, DexFile, MethodDef, MethodRef};
+use marketscope_apk::dex::{DexFile, MethodRef};
 use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
 use marketscope_core::hash::mix64;
 use marketscope_core::rng::DetRng;
 use marketscope_core::{Category, DeveloperKey, MarketId, PackageName, SimDate, VersionCode};
+use std::fmt::Write;
 
 /// Index of an app in [`World::apps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -179,6 +180,8 @@ pub struct World {
     /// Ground-truth counters.
     pub ground_truth: GroundTruth,
     pub(crate) per_market: Vec<Vec<ListingId>>,
+    /// Every library version some app embeds, expanded once.
+    pub(crate) lib_blocks: LibBlocks,
 }
 
 impl World {
@@ -220,60 +223,124 @@ impl World {
     /// repackager's dead cargo — so reachability-mode over-privilege and
     /// the dead-code stats diverge from the flat baseline exactly where
     /// the paper says they should.
+    ///
+    /// The layout follows from counts alone: the stub when packed, the
+    /// own classes, one block per bundled library, the malware payload,
+    /// then the class sinking a third-party-library leak. Every class is
+    /// written once, in that order, with its final name and edges:
+    ///
+    /// * own code forms a chain (`K0 → K1 → …`) with each class's first
+    ///   method fanning out to its siblings, so everything own is
+    ///   reachable from the root;
+    /// * a library block and the payload are each internally coherent
+    ///   (their first class fans out to the rest); library blocks come
+    ///   prebuilt from the world's block table;
+    /// * an original's own class `li % own_len` invokes library `li`'s
+    ///   first class;
+    /// * the own root invokes the payload, reads a planted leak's source
+    ///   and invokes its leak class; a host leak sinks in the last own
+    ///   class;
+    /// * the stub bootstraps the own root.
     pub fn build_apk(&self, app_id: AppId, version: u32, obfuscated: bool) -> Vec<u8> {
         let app = self.app(app_id);
         let version = version.clamp(1, app.version_count);
-        let mut classes = own_classes(
-            app.own_code_seed,
-            &app.own_package,
-            app.own_class_count,
-            version,
-            app.code_mutation,
-        );
-        let own_len = classes.len();
-        let mut lib_ranges = Vec::new();
-        for lu in &app.libs {
-            let start = classes.len();
-            classes.extend(self.libraries.classes_for(*lu));
-            lib_ranges.push((start, classes.len()));
+        let own_len = app.own_class_count as usize;
+        let blocks: Vec<&DexFile> = app
+            .libs
+            .iter()
+            .map(|lu| {
+                self.lib_blocks.get(*lu).unwrap_or_else(|| {
+                    unreachable!("generation expands every library version an app embeds")
+                })
+            })
+            .collect();
+        let payload = app
+            .infection
+            .map(|inf| payload_classes(&self.threat_db, inf, app.own_code_seed));
+        let leak = app.leak.filter(|_| own_len > 0);
+        let tpl_root = leak
+            .filter(|leak| leak.via_tpl)
+            .and_then(|_| leak_host_package(app, &self.libraries));
+
+        let packer = obfuscated.then(|| Packer::new(&app.own_package, app.own_code_seed));
+        let shift = usize::from(obfuscated);
+        let mut lib_starts = Vec::with_capacity(blocks.len());
+        let mut next = shift + own_len;
+        for block in &blocks {
+            lib_starts.push(next);
+            next += block.class_count();
         }
-        let payload_range = app.infection.map(|inf| {
-            let start = classes.len();
-            classes.extend(payload_classes(&self.threat_db, inf, app.own_code_seed));
-            (start, classes.len())
-        });
-        // Wrapping inserts the stub at index 0, shifting every class; the
-        // call graph is wired afterwards so its indices are final.
-        let shift = if obfuscated {
-            jiagu_wrap(&mut classes, &app.own_package, app.own_code_seed);
-            1
-        } else {
-            0
+        let payload_start = next;
+        let leak_class = payload_start + payload.as_ref().map_or(0, DexFile::class_count);
+
+        let mut dex = DexFile::default();
+        if obfuscated {
+            dex.push_class("Lcom/jiagu/StubLoader;");
+            let boot = if own_len > 0 { &[edge(1, 0)][..] } else { &[] };
+            dex.push_method(mix64(app.own_code_seed, 0x360), &[ApiCallId(1)], boot);
+        }
+        let own_prefix = match &packer {
+            Some(packer) => packer.packed.clone(),
+            None => own_path(&app.own_package),
         };
         let wire_libs = matches!(app.provenance, Provenance::Original);
-        wire_call_graph(
-            &mut classes,
-            shift,
-            own_len,
-            &lib_ranges,
-            payload_range,
-            wire_libs,
-        );
-        if let Some(leak) = app.leak {
-            inject_leak(&mut classes, shift, own_len, leak, app, &self.libraries);
+        let own = OwnCode {
+            seed: app.own_code_seed,
+            count: app.own_class_count,
+            version,
+            mutation: app.code_mutation,
+        };
+        own.push(&mut dex, &own_prefix, |ci, methods, calls, invokes| {
+            let class = shift + ci;
+            invokes.extend((1..methods).map(|m| edge(class, m)));
+            if ci + 1 < own_len {
+                invokes.push(edge(class + 1, 0));
+            }
+            if wire_libs {
+                let hosted = lib_starts.iter().skip(ci).step_by(own_len);
+                invokes.extend(hosted.map(|&start| edge(start, 0)));
+            }
+            if ci == 0 {
+                if payload.is_some() {
+                    invokes.push(edge(payload_start, 0));
+                }
+                if let Some(leak) = leak {
+                    calls.push(leak.source);
+                    if tpl_root.is_some() {
+                        invokes.push(edge(leak_class, 0));
+                    }
+                }
+            }
+            if ci + 1 == own_len && tpl_root.is_none() {
+                calls.extend(leak.map(|leak| leak.sink));
+            }
+        });
+        for segment in blocks.iter().copied().chain(payload.as_ref()) {
+            match &packer {
+                Some(packer) => packer.splice(&mut dex, segment),
+                None => dex.append(segment),
+            }
+        }
+        debug_assert_eq!(dex.class_count(), leak_class);
+        if let (Some(root), Some(leak)) = (tpl_root, leak) {
+            // A unique subpackage, so the class never clusters into the
+            // library itself.
+            let ns = mix64(app.own_code_seed, 0x1eaf) & 0xFFFF;
+            dex.push_class(&format!("L{}/x{ns:x}/Leak;", root.replace('.', "/")));
+            dex.push_method(mix64(app.own_code_seed, 0x5117), &[leak.sink], &[]);
         }
         let mut components = Vec::new();
-        if !classes.is_empty() {
+        if dex.class_count() > 0 {
             // The launcher activity: the stub loader when packed (which
             // bootstraps the real root), the own root class otherwise.
             components.push(Component {
                 kind: ComponentKind::Activity,
-                class: classes[0].name.clone(),
+                class: dex.class(0).name().to_owned(),
             });
             if own_len > 1 {
                 components.push(Component {
                     kind: ComponentKind::Service,
-                    class: classes[shift + own_len - 1].name.clone(),
+                    class: dex.class(shift + own_len - 1).name().to_owned(),
                 });
             }
         }
@@ -289,81 +356,33 @@ impl World {
             components,
         };
         let dev = self.developer(app.developer);
-        ApkBuilder::new(manifest, DexFile { classes })
+        ApkBuilder::new(manifest, dex)
             .build(dev.key)
             .unwrap_or_else(|e| unreachable!("generated apk is structurally valid: {e:?}"))
     }
 }
 
-/// Wire the app's intra-DEX call graph after assembly.
-///
-/// * Own code forms a chain (`K0 → K1 → …`) with each class's first
-///   method fanning out to its siblings, so everything own is reachable
-///   from the root.
-/// * Each library subtree is internally coherent (root class fans out to
-///   the rest), but the own→library-root edge is added only when
-///   `wire_libs` is set: originals use the libraries they bundle, while
-///   fakes and clones carry them as dead cargo.
-/// * A malware payload is always invoked from the own root — planted
-///   payloads run.
-/// * Packed apps get a stub→root bootstrap edge.
-///
-/// `shift` is the index displacement introduced by the packer stub (1
-/// when wrapped, 0 otherwise); all recorded ranges predate the stub.
-fn wire_call_graph(
-    classes: &mut [ClassDef],
-    shift: usize,
-    own_len: usize,
-    lib_ranges: &[(usize, usize)],
-    payload_range: Option<(usize, usize)>,
-    wire_libs: bool,
+/// An edge to method `method` of class `class`.
+pub(crate) fn edge(class: usize, method: usize) -> MethodRef {
+    MethodRef {
+        class: class as u16,
+        method: method as u16,
+    }
+}
+
+/// The edges of the first method of class `class` (of `methods` methods)
+/// in a segment of `classes` classes indexed from its own first class —
+/// a library block or a malware payload: it fans out to its sibling
+/// methods, and the segment's first class also to every other class.
+pub(crate) fn segment_edges(
+    class: usize,
+    methods: usize,
+    classes: usize,
+    out: &mut Vec<MethodRef>,
 ) {
-    fn edge(class: usize, method: usize) -> MethodRef {
-        MethodRef {
-            class: class as u16,
-            method: method as u16,
-        }
-    }
-    // A segment's first class fans out to the segment's other classes;
-    // every class's first method fans out to its sibling methods.
-    let wire_segment = |classes: &mut [ClassDef], start: usize, end: usize| {
-        for ci in start..end {
-            let abs = shift + ci;
-            let sibs = classes[abs].methods.len();
-            let mut inv: Vec<MethodRef> = (1..sibs).map(|mi| edge(abs, mi)).collect();
-            if ci == start {
-                inv.extend((start + 1..end).map(|c| edge(shift + c, 0)));
-            }
-            classes[abs].methods[0].invokes.extend(inv);
-        }
-    };
-    // Own code: intra-class fan-out plus the K0 → K1 → … chain.
-    for ci in 0..own_len {
-        let abs = shift + ci;
-        let sibs = classes[abs].methods.len();
-        let mut inv: Vec<MethodRef> = (1..sibs).map(|mi| edge(abs, mi)).collect();
-        if ci + 1 < own_len {
-            inv.push(edge(shift + ci + 1, 0));
-        }
-        classes[abs].methods[0].invokes.extend(inv);
-    }
-    for (li, &(start, end)) in lib_ranges.iter().enumerate() {
-        wire_segment(classes, start, end);
-        if wire_libs && own_len > 0 {
-            let host = shift + (li % own_len);
-            let root = edge(shift + start, 0);
-            classes[host].methods[0].invokes.push(root);
-        }
-    }
-    if let Some((start, end)) = payload_range {
-        wire_segment(classes, start, end);
-        if own_len > 0 {
-            let root = edge(shift + start, 0);
-            classes[shift].methods[0].invokes.push(root);
-        }
-    }
-    if shift == 1 && own_len > 0 {
-        classes[0].methods[0].invokes.push(edge(shift, 0));
+    out.extend((1..methods).map(|m| edge(class, m)));
+    if class == 0 {
+        out.extend((1..classes).map(|c| edge(c, 0)));
     }
 }
 
@@ -379,127 +398,102 @@ pub(crate) fn leak_host_package(app: &App, libraries: &LibCatalog) -> Option<Str
     Some(libraries.spec(lu.lib).package.clone())
 }
 
-/// Materialize a planted leak in the assembled DEX.
-///
-/// The source call lands in the own root method (reachable from the
-/// launcher component, so entry-point-rooted taint passes see it). A
-/// host leak sinks in the last own class. A TPL leak appends a fresh
-/// class under a bundled library's namespace — in a unique subpackage,
-/// so the class never clusters into the library itself — and wires it
-/// from the own root.
-fn inject_leak(
-    classes: &mut Vec<ClassDef>,
-    shift: usize,
-    own_len: usize,
-    leak: PlantedLeak,
-    app: &App,
-    libraries: &LibCatalog,
-) {
-    if own_len == 0 {
-        return;
-    }
-    classes[shift].methods[0].api_calls.push(leak.source);
-    let tpl_root = if leak.via_tpl {
-        leak_host_package(app, libraries)
-    } else {
-        None
-    };
-    match tpl_root {
-        Some(root) => {
-            let ns = mix64(app.own_code_seed, 0x1eaf) & 0xFFFF;
-            let path = root.replace('.', "/");
-            let target = classes.len();
-            classes.push(ClassDef {
-                name: format!("L{path}/x{ns:x}/Leak;"),
-                methods: vec![MethodDef {
-                    api_calls: vec![leak.sink],
-                    code_hash: mix64(app.own_code_seed, 0x5117),
-                    invokes: vec![],
-                }],
-            });
-            classes[shift].methods[0].invokes.push(MethodRef {
-                class: target as u16,
-                method: 0,
-            });
-        }
-        None => {
-            classes[shift + own_len - 1].methods[0]
-                .api_calls
-                .push(leak.sink);
-        }
-    }
+/// The descriptor prefix of the classes under a dotted package:
+/// `com.foo` → `Lcom/foo/`.
+fn own_path(package_dotted: &str) -> String {
+    format!("L{}/", package_dotted.replace('.', "/"))
 }
 
-/// Generate an app's own classes.
-///
-/// * `version` perturbs the code hashes of ~20% of classes (release
-///   churn) while keeping API footprints stable;
-/// * `mutation` models a repackager's edits: ~6% of methods get one API
-///   call swapped and ~5% get their code hash changed, leaving the app
-///   well inside WuKong's ≥85%-shared-segments clone band even after a
-///   malware payload is attached.
-pub(crate) fn own_classes(
-    seed: u64,
-    package_path_dotted: &str,
-    count: u32,
-    version: u32,
-    mutation: Option<u64>,
-) -> Vec<ClassDef> {
-    let path = package_path_dotted.replace('.', "/");
-    (0..count)
-        .map(|ci| {
-            let class_seed = mix64(seed, 0x0c1a_5500 + ci as u64);
+/// What an app's own code is generated from.
+pub(crate) struct OwnCode {
+    /// The app's own-code seed.
+    pub(crate) seed: u64,
+    /// Number of own classes.
+    pub(crate) count: u32,
+    /// The release: it churns ~20% of classes' code hashes.
+    pub(crate) version: u32,
+    /// A repackager's edits, if any.
+    pub(crate) mutation: Option<u64>,
+}
+
+impl OwnCode {
+    /// Append the app's own classes `{prefix}K{ci};` to `dex`.
+    ///
+    /// * `version` perturbs the code hashes of ~20% of classes (release
+    ///   churn) while keeping API footprints stable;
+    /// * `mutation` models a repackager's edits: ~6% of methods get one
+    ///   API call swapped and ~5% get their code hash changed, leaving the
+    ///   app well inside WuKong's ≥85%-shared-segments clone band even
+    ///   after a malware payload is attached.
+    ///
+    /// `wire(ci, methods, calls, invokes)` appends to class `ci`'s first
+    /// method (one of `methods`) whatever calls and edges the app's
+    /// layout gives it, before the method is written.
+    pub(crate) fn push(
+        &self,
+        dex: &mut DexFile,
+        prefix: &str,
+        mut wire: impl FnMut(usize, usize, &mut Vec<ApiCallId>, &mut Vec<MethodRef>),
+    ) {
+        let mut name = String::new();
+        let mut calls = Vec::new();
+        let mut invokes = Vec::new();
+        for ci in 0..self.count {
+            let class_seed = mix64(self.seed, 0x0c1a_5500 + ci as u64);
             let churns = ci % 5 == 0;
             let mut r = DetRng::new(class_seed);
             let method_count = 1 + r.index(5);
-            let methods = (0..method_count)
-                .map(|mi| {
-                    let call_count = r.index(8);
-                    let mut api_calls: Vec<ApiCallId> = (0..call_count)
-                        .map(|_| {
-                            ApiCallId(
-                                r.range_u64(0, marketscope_apk::apicalls::API_CALL_RANGE as u64)
+            name.clear();
+            let _ = write!(name, "{prefix}K{ci};");
+            dex.push_class(&name);
+            for mi in 0..method_count {
+                let call_count = r.index(8);
+                calls.clear();
+                calls.extend((0..call_count).map(|_| {
+                    ApiCallId(
+                        r.range_u64(0, marketscope_apk::apicalls::API_CALL_RANGE as u64) as u32,
+                    )
+                }));
+                let mut code_hash = mix64(class_seed, 0xc0de_0000 + mi as u64);
+                if churns {
+                    code_hash = mix64(code_hash, self.version as u64);
+                }
+                if let Some(mseed) = self.mutation {
+                    let mrng = mix64(mseed, mix64(class_seed, mi as u64));
+                    if mrng % 100 < 6 {
+                        if let Some(first) = calls.first_mut() {
+                            *first = ApiCallId(
+                                (mix64(mrng, 0xa1)
+                                    % marketscope_apk::apicalls::API_DIMENSIONS as u64)
                                     as u32,
-                            )
-                        })
-                        .collect();
-                    let mut code_hash = mix64(class_seed, 0xc0de_0000 + mi as u64);
-                    if churns {
-                        code_hash = mix64(code_hash, version as u64);
-                    }
-                    if let Some(mseed) = mutation {
-                        let mrng = mix64(mseed, mix64(class_seed, mi as u64));
-                        if mrng % 100 < 6 {
-                            if let Some(first) = api_calls.first_mut() {
-                                *first = ApiCallId(
-                                    (mix64(mrng, 0xa1)
-                                        % marketscope_apk::apicalls::API_DIMENSIONS as u64)
-                                        as u32,
-                                );
-                            }
-                        }
-                        if mix64(mrng, 0xb2) % 100 < 5 {
-                            code_hash = mix64(code_hash, mseed);
+                            );
                         }
                     }
-                    MethodDef {
-                        api_calls,
-                        code_hash,
-                        invokes: vec![],
+                    if mix64(mrng, 0xb2) % 100 < 5 {
+                        code_hash = mix64(code_hash, mseed);
                     }
-                })
-                .collect();
-            ClassDef {
-                name: format!("L{path}/K{ci};"),
-                methods,
+                }
+                invokes.clear();
+                if mi == 0 {
+                    wire(ci as usize, method_count, &mut calls, &mut invokes);
+                }
+                dex.push_method(code_hash, &calls, &invokes);
             }
-        })
-        .collect()
+        }
+    }
+
+    /// The own classes alone, unwired, named under `package_dotted`.
+    pub(crate) fn classes(&self, package_dotted: &str) -> DexFile {
+        let mut dex = DexFile::default();
+        self.push(&mut dex, &own_path(package_dotted), |_, _, _, _| {});
+        dex
+    }
 }
 
 /// Build a malware payload: a few classes under an obfuscated namespace
-/// whose method code hashes carry the family's signatures.
-pub(crate) fn payload_classes(db: &ThreatDb, infection: Infection, app_seed: u64) -> Vec<ClassDef> {
+/// whose method code hashes carry the family's signatures, wired as one
+/// segment (see [`segment_edges`]).
+pub(crate) fn payload_classes(db: &ThreatDb, infection: Infection, app_seed: u64) -> DexFile {
     let sigs = db.signatures(infection.family);
     let ns = mix64(app_seed, 0xbad0) % 0xFFFF;
     // 3–4 of the family's signature hashes appear in the payload. Kept
@@ -507,67 +501,100 @@ pub(crate) fn payload_classes(db: &ThreatDb, infection: Infection, app_seed: u64
     // 85%-shared-segments band relative to its victim (the paper finds
     // 38.3% of malware is repackaged — those must be detectable as both).
     let take = 3 + (app_seed % 2) as usize;
-    let mut classes = Vec::new();
+    let chunks = sigs[..take.min(sigs.len())].chunks(3);
+    let classes = 1 + chunks.len();
+    let mut dex = DexFile::default();
+    let mut invokes = Vec::new();
     // Variant metadata: a marker class encoding how detectable this
     // particular variant is (see `threat::decode_detectability`).
     let step = ((infection.detectability * crate::threat::DETECTABILITY_STEPS as f64) as u8)
         .min(crate::threat::DETECTABILITY_STEPS - 1);
-    classes.push(ClassDef {
-        name: format!("La{ns:x}/v;"),
-        methods: vec![MethodDef {
-            api_calls: vec![],
-            code_hash: crate::threat::detectability_marker(step),
-            invokes: vec![],
-        }],
-    });
-    for (ci, chunk) in sigs[..take.min(sigs.len())].chunks(3).enumerate() {
-        let methods = chunk
-            .iter()
-            .enumerate()
-            .map(|(mi, &sig)| MethodDef {
-                api_calls: vec![
-                    // SMS / phone-state flavoured API ids.
-                    ApiCallId((mix64(sig, mi as u64) % 2_048) as u32),
-                ],
-                code_hash: sig,
-                invokes: vec![],
-            })
-            .collect();
-        classes.push(ClassDef {
-            name: format!("La{ns:x}/b{ci};"),
-            methods,
-        });
-    }
-    classes
-}
-
-/// 360-style packer wrapping: rename own classes under `Lcom/jiagu/...`
-/// and prepend a stub loader.
-fn jiagu_wrap(classes: &mut Vec<ClassDef>, own_package_dotted: &str, seed: u64) {
-    let own_path = format!("L{}/", own_package_dotted.replace('.', "/"));
-    for c in classes.iter_mut() {
-        if c.name.starts_with(&own_path) {
-            let tail = c.name[own_path.len()..].trim_end_matches(';').to_owned();
-            c.name = format!("Lcom/jiagu/p{:x}/{tail};", seed % 0xFFF);
+    dex.push_class(&format!("La{ns:x}/v;"));
+    segment_edges(0, 1, classes, &mut invokes);
+    dex.push_method(crate::threat::detectability_marker(step), &[], &invokes);
+    for (ci, chunk) in chunks.enumerate() {
+        dex.push_class(&format!("La{ns:x}/b{ci};"));
+        for (mi, &sig) in chunk.iter().enumerate() {
+            invokes.clear();
+            if mi == 0 {
+                segment_edges(ci + 1, chunk.len(), classes, &mut invokes);
+            }
+            // SMS / phone-state flavoured API ids.
+            let call = ApiCallId((mix64(sig, mi as u64) % 2_048) as u32);
+            dex.push_method(sig, &[call], &invokes);
         }
     }
-    classes.insert(
-        0,
-        ClassDef {
-            name: "Lcom/jiagu/StubLoader;".to_owned(),
-            methods: vec![MethodDef {
-                api_calls: vec![ApiCallId(1)],
-                code_hash: mix64(seed, 0x360),
-                invokes: vec![],
-            }],
-        },
-    );
+    dex
+}
+
+/// 360-style packer wrapping: every class under the app's own package
+/// moves under `Lcom/jiagu/p…/`, keeping the rest of its name.
+struct Packer {
+    /// `L{own/package}/`.
+    own_path: String,
+    /// `Lcom/jiagu/p{seed % 0xFFF:x}/`.
+    packed: String,
+}
+
+impl Packer {
+    fn new(own_package_dotted: &str, seed: u64) -> Packer {
+        Packer {
+            own_path: own_path(own_package_dotted),
+            packed: format!("Lcom/jiagu/p{:x}/", seed % 0xFFF),
+        }
+    }
+
+    /// The packed name of a class under the own package, `None` for any
+    /// other class.
+    fn rename(&self, name: &str) -> Option<String> {
+        let tail = name.strip_prefix(&self.own_path)?;
+        Some(format!("{}{};", self.packed, tail.trim_end_matches(';')))
+    }
+
+    /// Splice `segment` into `dex`, renaming any of its classes that lie
+    /// under the own package.
+    fn splice(&self, dex: &mut DexFile, segment: &DexFile) {
+        if !segment
+            .classes()
+            .any(|c| c.name().starts_with(&self.own_path))
+        {
+            return dex.append(segment);
+        }
+        let mut renamed = DexFile::default();
+        for class in segment.classes() {
+            renamed.push_class(
+                &self
+                    .rename(class.name())
+                    .unwrap_or_else(|| class.name().to_owned()),
+            );
+            for m in class.methods() {
+                renamed.push_method(m.code_hash(), m.api_calls(), m.invokes());
+            }
+        }
+        dex.append(&renamed);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::threat::{ThreatTier, FAMILIES};
+
+    fn own_classes(
+        seed: u64,
+        package: &str,
+        count: u32,
+        version: u32,
+        mutation: Option<u64>,
+    ) -> DexFile {
+        OwnCode {
+            seed,
+            count,
+            version,
+            mutation,
+        }
+        .classes(package)
+    }
 
     #[test]
     fn own_classes_deterministic_and_versioned() {
@@ -577,29 +604,19 @@ mod tests {
         let c = own_classes(7, "com.x.y", 20, 4, None);
         assert_ne!(a, c, "version must churn some code");
         // API footprints are version-stable.
-        let calls = |cs: &[ClassDef]| {
-            cs.iter()
-                .flat_map(|c| &c.methods)
-                .flat_map(|m| &m.api_calls)
-                .count()
-        };
-        assert_eq!(calls(&a), calls(&c));
+        assert_eq!(a.api_calls().count(), c.api_calls().count());
+        assert_eq!(a.class(3).name(), "Lcom/x/y/K3;");
     }
 
     #[test]
     fn mutation_stays_in_clone_band() {
         let orig = own_classes(9, "com.a.b", 40, 1, None);
         let cloned = own_classes(9, "com.a.b", 40, 1, Some(0x5eed));
-        let orig_hashes: std::collections::HashSet<u64> = orig
-            .iter()
-            .flat_map(|c| &c.methods)
-            .map(|m| m.code_hash)
-            .collect();
-        let total = cloned.iter().map(|c| c.methods.len()).sum::<usize>();
+        let orig_hashes: std::collections::HashSet<u64> = orig.code_segments().collect();
+        let total = cloned.method_count();
         let shared = cloned
-            .iter()
-            .flat_map(|c| &c.methods)
-            .filter(|m| orig_hashes.contains(&m.code_hash))
+            .code_segments()
+            .filter(|h| orig_hashes.contains(h))
             .count();
         let ratio = shared as f64 / total as f64;
         assert!(ratio > 0.8 && ratio < 1.0, "similarity {ratio}");
@@ -615,14 +632,12 @@ mod tests {
             detectability: 0.3,
         };
         let classes = payload_classes(&db, inf, 1234);
-        let hashes: Vec<u64> = classes
-            .iter()
-            .flat_map(|c| &c.methods)
-            .map(|m| m.code_hash)
-            .collect();
-        let (found, matched) = db.scan(hashes.into_iter()).unwrap();
+        let (found, matched) = db.scan(classes.code_segments()).unwrap();
         assert_eq!(found, fam);
         assert!(matched >= 3);
+        // One segment: the marker class fans out to every other class.
+        let fan_out: Vec<MethodRef> = (1..classes.class_count()).map(|c| edge(c, 0)).collect();
+        assert_eq!(classes.method(0).invokes(), fan_out);
     }
 
     #[test]
@@ -632,21 +647,48 @@ mod tests {
 
     #[test]
     fn jiagu_wrap_renames_only_own_code() {
-        let mut classes = own_classes(3, "com.own.app", 10, 1, None);
-        classes.push(ClassDef {
-            name: "Lcom/umeng/C0;".into(),
-            methods: vec![],
-        });
-        jiagu_wrap(&mut classes, "com.own.app", 3);
-        assert_eq!(classes[0].name, "Lcom/jiagu/StubLoader;");
-        assert!(
-            classes
-                .iter()
-                .filter(|c| c.name.starts_with("Lcom/jiagu/p"))
-                .count()
-                == 10
+        let packer = Packer::new("com.own.app", 3);
+        assert_eq!(
+            packer.rename("Lcom/own/app/K0;").as_deref(),
+            Some("Lcom/jiagu/p3/K0;")
         );
-        assert!(classes.iter().any(|c| c.name == "Lcom/umeng/C0;"));
-        assert!(!classes.iter().any(|c| c.name.starts_with("Lcom/own/")));
+        assert_eq!(
+            packer.rename("Lcom/own/app/sdk/C1;").as_deref(),
+            Some("Lcom/jiagu/p3/sdk/C1;")
+        );
+        assert_eq!(packer.rename("Lcom/umeng/C0;"), None);
+        assert_eq!(packer.rename("Lcom/own/apps/C0;"), None);
+        // A segment with classes under the own package is renamed class
+        // by class; its edges still land on its own classes.
+        let mut segment = DexFile::default();
+        segment.push_class("Lcom/own/app/sdk/C0;");
+        segment.push_method(1, &[], &[edge(1, 0)]);
+        segment.push_class("Lcom/umeng/C1;");
+        segment.push_method(2, &[], &[]);
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/jiagu/StubLoader;");
+        packer.splice(&mut dex, &segment);
+        let names: Vec<&str> = dex.classes().map(|c| c.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "Lcom/jiagu/StubLoader;",
+                "Lcom/jiagu/p3/sdk/C0;",
+                "Lcom/umeng/C1;"
+            ]
+        );
+        assert_eq!(dex.method(0).invokes(), [edge(2, 0)]);
+        // Without such a class the segment is spliced as it is.
+        let mut lib = DexFile::default();
+        lib.push_class("Lcom/umeng/C0;");
+        lib.push_method(3, &[], &[edge(0, 0)]);
+        let mut plain = DexFile::default();
+        plain.push_class("Lcom/jiagu/StubLoader;");
+        packer.splice(&mut plain, &lib);
+        let mut expected = DexFile::default();
+        expected.push_class("Lcom/jiagu/StubLoader;");
+        expected.append(&lib);
+        assert_eq!(plain, expected);
+        assert_eq!(plain.class(1).name(), "Lcom/umeng/C0;");
     }
 }

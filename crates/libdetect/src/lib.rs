@@ -285,33 +285,26 @@ mod tests {
     use super::*;
     use marketscope_apk::apicalls::ApiCallId;
     use marketscope_apk::builder::ApkBuilder;
-    use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
+    use marketscope_apk::dex::DexFile;
     use marketscope_apk::manifest::Manifest;
     use marketscope_core::{PackageName, VersionCode};
 
-    fn lib_class(pkg_path: &str, idx: u32, seed: u64) -> ClassDef {
-        ClassDef {
-            name: format!("L{pkg_path}/C{idx};"),
-            methods: vec![MethodDef {
-                api_calls: vec![ApiCallId((seed % 1000) as u32), ApiCallId(idx)],
-                code_hash: seed + idx as u64,
-                invokes: vec![],
-            }],
-        }
+    fn lib_class(dex: &mut DexFile, pkg_path: &str, idx: u32, seed: u64) {
+        dex.push_class(&format!("L{pkg_path}/C{idx};"));
+        dex.push_method(
+            seed + idx as u64,
+            &[ApiCallId((seed % 1000) as u32), ApiCallId(idx)],
+            &[],
+        );
     }
 
     fn app(pkg: &str, dev: &str, libs: &[(&str, u64)], own_seed: u64) -> ApkDigest {
-        let mut classes = vec![ClassDef {
-            name: format!("L{}/Main;", pkg.replace('.', "/")),
-            methods: vec![MethodDef {
-                api_calls: vec![ApiCallId((own_seed % 40_000) as u32)],
-                code_hash: own_seed,
-                invokes: vec![],
-            }],
-        }];
+        let mut dex = DexFile::default();
+        dex.push_class(&format!("L{}/Main;", pkg.replace('.', "/")));
+        dex.push_method(own_seed, &[ApiCallId((own_seed % 40_000) as u32)], &[]);
         for (lib, seed) in libs {
             for i in 0..3 {
-                classes.push(lib_class(&lib.replace('.', "/"), i, *seed));
+                lib_class(&mut dex, &lib.replace('.', "/"), i, *seed);
             }
         }
         let manifest = Manifest {
@@ -325,7 +318,7 @@ mod tests {
             category: "Tools".into(),
             components: vec![],
         };
-        let bytes = ApkBuilder::new(manifest, DexFile { classes })
+        let bytes = ApkBuilder::new(manifest, dex)
             .build(marketscope_core::DeveloperKey::from_label(dev))
             .unwrap();
         ApkDigest::from_bytes(&bytes).unwrap()

@@ -811,9 +811,8 @@ mod tests {
         let parsed = ParsedApk::parse(&apk.body).unwrap();
         assert!(parsed
             .dex
-            .classes
-            .iter()
-            .any(|c| c.name.starts_with("Lcom/jiagu/")));
+            .classes()
+            .any(|c| c.name().starts_with("Lcom/jiagu/")));
     }
 
     #[test]

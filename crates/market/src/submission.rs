@@ -71,9 +71,8 @@ pub fn evaluate(
     if p.requires_obfuscation
         && !apk
             .dex
-            .classes
-            .iter()
-            .any(|c| c.name.starts_with("Lcom/jiagu/"))
+            .classes()
+            .any(|c| c.name().starts_with("Lcom/jiagu/"))
     {
         return SubmissionOutcome::Rejected("app must be packed with Jiagubao first");
     }
@@ -102,7 +101,7 @@ pub fn outcome_json(outcome: &SubmissionOutcome) -> Json {
 mod tests {
     use super::*;
     use marketscope_apk::builder::ApkBuilder;
-    use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
+    use marketscope_apk::dex::DexFile;
     use marketscope_apk::manifest::Manifest;
     use marketscope_core::{DeveloperKey, PackageName, VersionCode};
 
@@ -118,21 +117,13 @@ mod tests {
             category: category.into(),
             components: vec![],
         };
-        let mut classes = vec![ClassDef {
-            name: "Lcom/dev/submission/Main;".into(),
-            methods: vec![MethodDef {
-                api_calls: vec![],
-                code_hash: 7,
-                invokes: vec![],
-            }],
-        }];
+        let mut dex = DexFile::default();
+        dex.push_class("Lcom/dev/submission/Main;");
+        dex.push_method(7, &[], &[]);
         if jiagu {
-            classes.push(ClassDef {
-                name: "Lcom/jiagu/StubLoader;".into(),
-                methods: vec![],
-            });
+            dex.push_class("Lcom/jiagu/StubLoader;");
         }
-        ApkBuilder::new(manifest, DexFile { classes })
+        ApkBuilder::new(manifest, dex)
             .build(DeveloperKey::from_label("submitter"))
             .unwrap()
     }

@@ -3,7 +3,7 @@
 
 use marketscope_apk::apicalls::ApiCallId;
 use marketscope_apk::builder::ApkBuilder;
-use marketscope_apk::dex::{ClassDef, DexFile, MethodDef};
+use marketscope_apk::dex::DexFile;
 use marketscope_apk::digest::ApkDigest;
 use marketscope_apk::manifest::Manifest;
 use marketscope_core::{DeveloperKey, MarketId, PackageName, VersionCode};
@@ -31,18 +31,13 @@ fn digest(
         category: "Game".into(),
         components: vec![],
     };
-    let classes = vec![ClassDef {
-        name: format!("L{}/Main;", pkg.replace('.', "/")),
-        methods: hashes
-            .iter()
-            .map(|h| MethodDef {
-                api_calls: calls.iter().map(|c| ApiCallId(*c)).collect(),
-                code_hash: *h,
-                invokes: vec![],
-            })
-            .collect(),
-    }];
-    let bytes = ApkBuilder::new(manifest, DexFile { classes })
+    let calls: Vec<ApiCallId> = calls.iter().map(|c| ApiCallId(*c)).collect();
+    let mut dex = DexFile::default();
+    dex.push_class(&format!("L{}/Main;", pkg.replace('.', "/")));
+    for h in hashes {
+        dex.push_method(*h, &calls, &[]);
+    }
+    let bytes = ApkBuilder::new(manifest, dex)
         .build(DeveloperKey::from_label(dev))
         .unwrap();
     ApkDigest::from_bytes(&bytes).unwrap()

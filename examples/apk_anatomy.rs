@@ -8,7 +8,7 @@
 
 use marketscope::apk::apicalls::ApiCallId;
 use marketscope::apk::builder::{ApkBuilder, CERT_ENTRY};
-use marketscope::apk::dex::{ClassDef, DexFile, MethodDef};
+use marketscope::apk::dex::DexFile;
 use marketscope::apk::digest::ApkDigest;
 use marketscope::apk::manifest::Manifest;
 use marketscope::apk::zip::ZipArchive;
@@ -32,26 +32,11 @@ fn main() {
         category: "Music".into(),
         components: vec![],
     };
-    let dex = DexFile {
-        classes: vec![
-            ClassDef {
-                name: "Lcom/kugou/android/Player;".into(),
-                methods: vec![MethodDef {
-                    api_calls: vec![ApiCallId(101), ApiCallId(2044)],
-                    code_hash: 0xFEED_0001,
-                    invokes: vec![],
-                }],
-            },
-            ClassDef {
-                name: "Lcom/umeng/analytics/Agent;".into(),
-                methods: vec![MethodDef {
-                    api_calls: vec![ApiCallId(7)],
-                    code_hash: 0xFEED_0002,
-                    invokes: vec![],
-                }],
-            },
-        ],
-    };
+    let mut dex = DexFile::default();
+    dex.push_class("Lcom/kugou/android/Player;");
+    dex.push_method(0xFEED_0001, &[ApiCallId(101), ApiCallId(2044)], &[]);
+    dex.push_class("Lcom/umeng/analytics/Agent;");
+    dex.push_method(0xFEED_0002, &[ApiCallId(7)], &[]);
     let dev = DeveloperKey::from_label("kugou-official");
     let bytes = ApkBuilder::new(manifest, dex)
         .channel("kgchannel", b"source=tencent".to_vec())
@@ -74,7 +59,15 @@ fn main() {
     );
     println!("label:    {}", apk.manifest.app_label);
     println!("perms:    {:?}", apk.manifest.permissions);
-    println!("classes:  {}", apk.dex.classes.len());
+    println!("classes:  {}", apk.dex.class_count());
+    for class in apk.dex.classes() {
+        let calls: usize = class.methods().map(|m| m.api_calls().len()).sum();
+        println!(
+            "  {:<28} {} method(s), {calls} API call(s)",
+            class.name(),
+            class.method_count()
+        );
+    }
     println!("signature valid: {}", apk.signature_valid);
     println!("file md5: {}", to_hex(&apk.file_md5));
     println!(
@@ -92,13 +85,25 @@ fn main() {
         );
     }
 
-    // 5. Tamper: swap a code byte without re-signing.
+    // 5. Tamper: rewrite the first method's code without re-signing.
     let mut tampered = ZipArchive::new();
     for e in zip.entries() {
         if e.name == "classes.dex" {
-            let mut dex = marketscope::apk::dex::DexFile::decode(&e.data).unwrap();
-            dex.classes[0].methods[0].code_hash ^= 0xBAD;
-            tampered.add(&e.name, dex.encode()).unwrap();
+            let original = DexFile::decode(&e.data).unwrap();
+            let mut dex = DexFile::default();
+            for class in original.classes() {
+                dex.push_class(class.name());
+                for m in class.methods() {
+                    let first = dex.method_count() == 0;
+                    let hash = if first {
+                        m.code_hash() ^ 0xBAD
+                    } else {
+                        m.code_hash()
+                    };
+                    dex.push_method(hash, m.api_calls(), m.invokes());
+                }
+            }
+            tampered.add(&e.name, dex.encode().unwrap()).unwrap();
         } else {
             tampered.add(&e.name, e.data.clone()).unwrap();
         }

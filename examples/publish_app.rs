@@ -8,7 +8,7 @@
 //! ```
 
 use marketscope::apk::builder::ApkBuilder;
-use marketscope::apk::dex::{ClassDef, DexFile, MethodDef};
+use marketscope::apk::dex::DexFile;
 use marketscope::apk::manifest::Manifest;
 use marketscope::core::json::Json;
 use marketscope::core::{DeveloperKey, MarketId, PackageName, VersionCode};
@@ -30,22 +30,14 @@ fn build_app(category: &str, jiagu: bool) -> Vec<u8> {
         category: category.into(),
         components: vec![],
     };
-    let mut classes = vec![ClassDef {
-        name: "Lcom/indie/megarunner/Main;".into(),
-        methods: vec![MethodDef {
-            api_calls: vec![],
-            code_hash: 0xC0FFEE,
-            invokes: vec![],
-        }],
-    }];
+    let mut dex = DexFile::default();
+    dex.push_class("Lcom/indie/megarunner/Main;");
+    dex.push_method(0xC0FFEE, &[], &[]);
     if jiagu {
         // 360 requires packing with Jiagubao before submission.
-        classes.push(ClassDef {
-            name: "Lcom/jiagu/StubLoader;".into(),
-            methods: vec![],
-        });
+        dex.push_class("Lcom/jiagu/StubLoader;");
     }
-    ApkBuilder::new(manifest, DexFile { classes })
+    ApkBuilder::new(manifest, dex)
         .build(DeveloperKey::from_label("indie-dev"))
         .unwrap()
 }

@@ -4,7 +4,7 @@
 use marketscope::analysis::taint::LeakAnalyzer;
 use marketscope::apk::apicalls::{ApiCallId, API_DIMENSIONS};
 use marketscope::apk::builder::ApkBuilder;
-use marketscope::apk::dex::{ClassDef, DexFile, MethodDef, MethodRef};
+use marketscope::apk::dex::{DexFile, MethodRef};
 use marketscope::apk::digest::ApkDigest;
 use marketscope::apk::manifest::{Component, ComponentKind, Manifest};
 use marketscope::apk::permmap::{PermissionMap, SinkClass, SourceClass};
@@ -24,24 +24,42 @@ fn arb_package(rng: &mut DetRng) -> String {
     format!("{}.{}.{}", seg(), seg(), seg())
 }
 
-fn arb_method(rng: &mut DetRng) -> MethodDef {
-    MethodDef {
-        api_calls: vec_of(rng, 0..6, |r| {
-            ApiCallId(r.range_u64(0, API_DIMENSIONS.into()) as u32)
-        }),
-        code_hash: any_u64(rng),
-        invokes: vec![],
-    }
+/// A generated method before it is written: calls, code hash, edges.
+type ArbMethod = (Vec<ApiCallId>, u64, Vec<MethodRef>);
+
+/// A generated class before it is written: its name and methods.
+struct ArbClass {
+    name: String,
+    methods: Vec<ArbMethod>,
 }
 
-fn arb_class(rng: &mut DetRng) -> ClassDef {
+fn arb_method(rng: &mut DetRng) -> ArbMethod {
+    let calls = vec_of(rng, 0..6, |r| {
+        ApiCallId(r.range_u64(0, API_DIMENSIONS.into()) as u32)
+    });
+    (calls, any_u64(rng), vec![])
+}
+
+fn arb_class(rng: &mut DetRng) -> ArbClass {
     let mut pkg = || string_of(rng, "a-z", 1..=1) + &string_of(rng, "a-z0-9", 0..=5);
     let (p1, p2) = (pkg(), pkg());
     let cls = string_of(rng, "A-Z", 1..=1) + &string_of(rng, "a-zA-Z0-9", 0..=6);
-    ClassDef {
+    ArbClass {
         name: format!("L{p1}/{p2}/{cls};"),
         methods: vec_of(rng, 0..4, arb_method),
     }
+}
+
+/// Write generated classes into a DEX model, in order.
+fn dex_of(classes: &[ArbClass]) -> DexFile {
+    let mut dex = DexFile::default();
+    for class in classes {
+        dex.push_class(&class.name);
+        for (calls, code_hash, invokes) in &class.methods {
+            dex.push_method(*code_hash, calls, invokes);
+        }
+    }
+    dex
 }
 
 /// A dex file whose invocation edges are all valid (wired modulo the
@@ -62,10 +80,10 @@ fn arb_wired_dex(rng: &mut DetRng) -> DexFile {
             method: tm % tgt_methods,
         };
         classes[sc as usize].methods[(sm % src_methods) as usize]
-            .invokes
+            .2
             .push(target);
     }
-    DexFile { classes }
+    dex_of(&classes)
 }
 
 fn arb_component(rng: &mut DetRng) -> Component {
@@ -130,9 +148,7 @@ fn property(name: &str, body: impl FnMut(&mut DetRng)) {
 fn any_built_apk_parses_back() {
     property("any_built_apk_parses_back", |rng| {
         let manifest = arb_manifest(rng);
-        let dex = DexFile {
-            classes: vec_of(rng, 0..12, arb_class),
-        };
+        let dex = dex_of(&vec_of(rng, 0..12, arb_class));
         let key = DeveloperKey::from_label(&string_of(rng, "a-z0-9", 1..=12));
         let channel = rng.chance(0.5).then(|| string_of(rng, "a-z", 1..=10));
         let mut builder = ApkBuilder::new(manifest.clone(), dex.clone());
@@ -157,8 +173,8 @@ fn any_built_apk_parses_back() {
 fn apk_parser_never_panics_on_mutations() {
     property("apk_parser_never_panics_on_mutations", |rng| {
         let manifest = arb_manifest(rng);
-        let classes = vec_of(rng, 0..4, arb_class);
-        let mut corrupted = ApkBuilder::new(manifest, DexFile { classes })
+        let dex = dex_of(&vec_of(rng, 0..4, arb_class));
+        let mut corrupted = ApkBuilder::new(manifest, dex)
             .build(DeveloperKey::from_label("d"))
             .unwrap();
         flip_bytes(rng, &mut corrupted);
@@ -174,7 +190,7 @@ fn apk_parser_never_panics_on_mutations() {
 fn dex_v2_round_trips() {
     property("dex_v2_round_trips", |rng| {
         let dex = arb_wired_dex(rng);
-        assert_eq!(DexFile::decode(&dex.encode()).unwrap(), dex);
+        assert_eq!(DexFile::decode(&dex.encode().unwrap()).unwrap(), dex);
     });
 }
 
@@ -183,7 +199,7 @@ fn dex_decoder_rejects_every_truncation() {
     property("dex_decoder_rejects_every_truncation", |rng| {
         // A valid encoding consumes every byte, so *any* strict prefix
         // must be rejected — never panic, never half-parse.
-        let bytes = arb_wired_dex(rng).encode();
+        let bytes = arb_wired_dex(rng).encode().unwrap();
         let k = usize_in(rng, 0..bytes.len());
         assert!(DexFile::decode(&bytes[..k]).is_err(), "prefix of {k} bytes");
     });
@@ -192,7 +208,7 @@ fn dex_decoder_rejects_every_truncation() {
 #[test]
 fn dex_decoder_is_total_under_bit_flips() {
     property("dex_decoder_is_total_under_bit_flips", |rng| {
-        let mut bytes = arb_wired_dex(rng).encode();
+        let mut bytes = arb_wired_dex(rng).encode().unwrap();
         flip_bytes(rng, &mut bytes);
         // Must never panic; any Result is acceptable.
         let _ = DexFile::decode(&bytes);
@@ -215,21 +231,19 @@ fn leak_analysis_is_worker_invariant() {
             let snk = map.sink_apis(*rng.pick(&SinkClass::ALL))[0];
             let ci = rng.index(classes.len());
             if let Some(m) = classes[ci].methods.first_mut() {
-                m.api_calls.push(src);
-                m.api_calls.push(snk);
+                m.0.push(src);
+                m.0.push(snk);
             }
         }
-        let dex = DexFile {
-            classes: classes.clone(),
-        };
+        let dex = dex_of(&classes);
         let bytes = ApkBuilder::new(manifest, dex)
             .build(DeveloperKey::from_label("prop"))
             .unwrap();
         let digest = ApkDigest::from_bytes(&bytes).unwrap();
         // Ownership roots drawn from the generated packages themselves,
         // so both Host and Library attributions occur.
-        let roots: Vec<String> = classes
-            .iter()
+        let roots: Vec<String> = dex_of(&classes)
+            .classes()
             .step_by(2)
             .filter_map(|c| c.java_package())
             .collect();
