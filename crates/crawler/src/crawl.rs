@@ -1,21 +1,58 @@
-//! The crawl engine.
+//! The crawl engine: one completion-driven loop over per-market state
+//! machines.
+//!
+//! [`Crawler::crawl`] runs the paper's three phases (Section 3) as
+//! barriers — enumerate, parallel search, harvest — and drives all
+//! seventeen markets through each phase from the calling thread. Each
+//! market is a small state machine (an index walk or seed + BFS, then a
+//! listing sweep; a search sweep; a harvest). Every request is a ticket on
+//! the shared mux client, registered with one [`CompletionQueue`]: the
+//! loop waits on the queue, settles whichever ticket finished, and lets
+//! that market submit what comes next. A market's requests ride its own
+//! ordering lane, so its server sees exactly the sequence a blocking
+//! per-market loop sends; seeded fault windows, breaker and quarantine
+//! decisions and the dataset replay.
+//!
+//! * **Politeness** is a per-market not-before instant taken from the
+//!   market's token bucket; the loop's wait times out at the earliest one.
+//! * **Negative set.** An index walk is complete when it reaches a page
+//!   without `next` and no page failed or came back malformed; the market
+//!   then cannot list a package the walk did not see. A definitive 404
+//!   from a BFS probe is an answer too. Parallel search probes a market
+//!   only for packages it did not list that are not such known misses, so
+//!   an index package whose listing fetch failed still gets its second
+//!   chance, and a walk that died mid-pagination rules nothing out.
+//! * **Harvest window.** Each market keeps exactly one direct `/apk/{pkg}`
+//!   fetch in flight, in listing order, so its server and its
+//!   [`MarketHealth`] see the sequential outcomes in the sequential order.
+//!   A 429 or a degraded fetch submits its backfill on the market's
+//!   repository lane (one backfill at a time per market), and the next
+//!   direct fetch goes out without waiting for it or for the digest.
+//!   Bodies are digested on a [`Stage`] of `default_workers()` threads
+//!   and applied by (market, listing index), so the dataset does not
+//!   depend on completion order.
+//! * **Bound.** At most two responses are in flight per market (one
+//!   direct, one backfill), plus `DIGEST_BACKLOG_PER_WORKER` queued bodies
+//!   per digest worker and the one each worker is digesting. A full digest
+//!   queue blocks the loop until a worker takes a body.
 
 use crate::health::MarketHealth;
 use crate::snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};
 use marketscope_apk::digest::ApkDigest;
 use marketscope_core::json::Json;
+use marketscope_core::parallel::{default_workers, Stage};
 use marketscope_core::MarketId;
 use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient};
+use marketscope_net::http::Response;
 use marketscope_net::ratelimit::{RateLimitMetrics, TokenBucket};
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
-use marketscope_net::{NetError, Ticket};
+use marketscope_net::{CompletionQueue, NetError, Ticket};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
-use marketscope_telemetry::{Counter, EventLog, Gauge, LogLevel, Registry, TraceSpan};
-use parking_lot::Mutex;
-use std::collections::{HashSet, VecDeque};
+use marketscope_telemetry::{Counter, EventLog, Gauge, LogLevel, Registry, SpanContext, TraceSpan};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where to crawl: one address per market, plus the offline repository.
 #[derive(Debug, Clone)]
@@ -99,6 +136,19 @@ pub fn politeness_burst(rps: f64) -> u32 {
     (rps / 4.0).ceil().max(1.0) as u32
 }
 
+/// Lane-key bit of a market's repository backfills: a lane of their own,
+/// so a backfill never holds up the market's next direct fetch, while
+/// the repository's breaker still sees one market's backfills one at a
+/// time.
+const REPOSITORY_LANE: u64 = 1 << 32;
+
+/// Bodies the digest stage may queue per worker before the loop blocks.
+const DIGEST_BACKLOG_PER_WORKER: usize = 2;
+
+/// The completion tag the digest stage posts after each body; ticket
+/// tags count up from zero and never reach it.
+const DIGESTED: u64 = u64::MAX;
+
 /// Per-market crawl instruments (names under `marketscope_crawler_*`,
 /// one `market=<slug>` label per market).
 #[derive(Debug)]
@@ -163,29 +213,32 @@ impl MarketMetrics {
 
 /// Account one terminal fetch failure: per-kind market counter, the
 /// campaign-wide stat, and a `fetch_error:<kind>` event on `span` — the
-/// fetch's own span handle, because by the time a batched probe drains
-/// the thread's *current* span is whichever probe was submitted last.
-/// Definitive 404s are answers, not degradation — they are deliberately
-/// *not* counted (BFS probes and parallel search live on expected
-/// misses).
+/// fetch's own span handle, since many fetches are open at once on the
+/// crawl loop. Definitive 404s are answers, not degradation — they are
+/// deliberately *not* counted (BFS probes and parallel search live on
+/// expected misses).
 fn note_fetch_failure(
     span: &TraceSpan,
     metrics: &MarketMetrics,
-    stats: &Mutex<CrawlStats>,
+    stats: &mut CrawlStats,
     err: &NetError,
 ) {
-    if matches!(err, NetError::Status { code: 404, .. }) {
+    if is_404(err) {
         return;
     }
     metrics.note_fetch_error(err.kind());
-    stats.lock().fetch_errors += 1;
+    stats.fetch_errors += 1;
     span.event(&format!("fetch_error:{}", err.kind()));
+}
+
+fn is_404(err: &NetError) -> bool {
+    matches!(err, NetError::Status { code: 404, .. })
 }
 
 /// The crawler: a shared HTTP client plus configuration.
 pub struct Crawler {
     config: CrawlConfig,
-    client: Arc<HttpClient>,
+    client: HttpClient,
     /// One politeness bucket per market (when politeness is on).
     buckets: Option<Vec<TokenBucket>>,
     /// Telemetry registry every crawler instrument lives in.
@@ -224,7 +277,7 @@ impl Crawler {
         tracer: Arc<Tracer>,
         log: Option<Arc<EventLog>>,
     ) -> Crawler {
-        let log = log.unwrap_or_else(|| Arc::new(EventLog::new(16)));
+        let log = log.unwrap_or_else(EventLog::private);
         let buckets = config.politeness_rps.map(|rps| {
             MarketId::ALL
                 .iter()
@@ -264,7 +317,7 @@ impl Crawler {
         }
         Crawler {
             config,
-            client: Arc::new(builder.build()),
+            client: builder.build(),
             buckets,
             registry,
             metrics,
@@ -285,470 +338,33 @@ impl Crawler {
         &self.tracer
     }
 
-    /// Block until the politeness budget allows another request to
-    /// `market` (no-op when politeness is off). Time actually spent
-    /// blocked is recorded on the market's rate-limit instruments.
-    fn polite(&self, market: MarketId) {
-        let Some(buckets) = &self.buckets else { return };
-        let bucket = &buckets[market.index()];
-        if bucket.try_acquire() {
-            return;
-        }
-        let started = Instant::now();
-        loop {
-            std::thread::sleep(bucket.wait_hint().min(std::time::Duration::from_millis(25)));
-            if bucket.try_acquire() {
-                break;
-            }
-        }
-        bucket.note_wait(started.elapsed());
-        // If this stall happened inside a sampled fetch span, pin it to
-        // the trace timeline too.
-        marketscope_telemetry::trace::current_event("politeness_wait");
-    }
-
-    /// Open one (sampled) root span for a metadata probe and enqueue
-    /// the fetch on the market's ordering lane. The span's context
-    /// flows through the driver into the market server; the lane
-    /// serializes this market's probes so its server sees them in
-    /// submission order (seeded fault windows stay bit-identical).
-    fn submit_metadata_probe(
-        &self,
-        market: MarketId,
-        addr: SocketAddr,
-        kind: &str,
-        pkg: &str,
-    ) -> (TraceSpan, Ticket) {
-        let span = self
-            .tracer
-            .root_span("crawler", &format!("{kind} {}/{pkg}", market.slug()));
-        let spec = FetchSpec::new(addr, format!("/app/{pkg}"))
-            .parent(span.context())
-            .lane(market.index() as u64);
-        (span, self.client.submit_get_json(&spec))
-    }
-
-    /// The batched metadata fan-out: submit one `/app/{pkg}` probe per
-    /// package through the mux driver — all in flight at once, the
-    /// whole batch riding the one driver thread — then drain and settle
-    /// in submission order.
-    fn fetch_many(
-        &self,
-        market: MarketId,
-        addr: SocketAddr,
-        kind: &str,
-        packages: &[String],
-        stats: &Mutex<CrawlStats>,
-    ) -> Vec<Option<CrawledListing>> {
-        let probes: Vec<(TraceSpan, Ticket)> = packages
-            .iter()
-            .map(|pkg| self.submit_metadata_probe(market, addr, kind, pkg))
-            .collect();
-        let metrics = &self.metrics[market.index()];
-        probes
-            .into_iter()
-            .map(|(span, ticket)| {
-                let listing = settle_metadata(self.client.wait_json(ticket), &span, stats, metrics);
-                span.finish();
-                listing
-            })
-            .collect()
-    }
-
     /// Run a full crawl campaign against `targets`.
     ///
-    /// Three phases, mirroring Section 3:
-    /// 1. *enumerate* every market (index walk or seed+BFS) in parallel;
+    /// Three phases, mirroring Section 3, each finished before the next
+    /// begins:
+    /// 1. *enumerate* every market (index walk or seed+BFS, then one
+    ///    metadata fetch per package found);
     /// 2. *parallel search*: look up every globally discovered package in
-    ///    every market that did not list it;
+    ///    every market that did not list it and is not known to lack it;
     /// 3. *harvest* APKs, backfilling rate-limited fetches from the
     ///    offline repository.
     pub fn crawl(&self, targets: &CrawlTargets) -> Snapshot {
-        let stats = Arc::new(Mutex::new(CrawlStats::default()));
-
-        // Phase 1: enumerate.
-        let mut markets: Vec<MarketSnapshot> = std::thread::scope(|s| {
-            let handles: Vec<_> = MarketId::ALL
-                .iter()
-                .map(|m| {
-                    let stats = Arc::clone(&stats);
-                    let client = Arc::clone(&self.client);
-                    s.spawn(move || self.enumerate_market(*m, targets, &client, &stats))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-
-        // Phase 2: parallel search. Probed in sorted order so the
-        // per-market request sequence is run-to-run deterministic —
-        // index-keyed fault windows (chaos downtime) would otherwise see
-        // a different request stream every run.
-        let mut global: Vec<String> = markets
-            .iter()
-            .flat_map(|m| m.listings.iter().map(|l| l.package.clone()))
-            .collect::<HashSet<String>>()
-            .into_iter()
-            .collect();
-        global.sort_unstable();
-        // The batched fetch path: every market's probes are submitted
-        // up front and ride the mux driver's one readiness loop — no
-        // per-market thread pile. Each market's ordering lane delivers
-        // its probes in submission order, so seeded fault windows (and
-        // with them campaign datasets) stay bit-identical; across
-        // markets the probes overlap freely.
-        let search_batches: Vec<Vec<(TraceSpan, Ticket)>> = markets
-            .iter()
-            .map(|snapshot| {
-                let have: HashSet<&str> = snapshot
-                    .listings
-                    .iter()
-                    .map(|l| l.package.as_str())
-                    .collect();
-                let addr = targets.addr(snapshot.market);
-                global
-                    .iter()
-                    .filter(|pkg| !have.contains(pkg.as_str()))
-                    .map(|pkg| self.submit_metadata_probe(snapshot.market, addr, "search", pkg))
-                    .collect()
-            })
-            .collect();
-        for (snapshot, probes) in markets.iter_mut().zip(search_batches) {
-            let metrics = &self.metrics[snapshot.market.index()];
-            for (span, ticket) in probes {
-                if let Some(listing) =
-                    settle_metadata(self.client.wait_json(ticket), &span, &stats, metrics)
-                {
-                    snapshot.listings.push(listing);
-                    stats.lock().parallel_search_hits += 1;
-                }
-                span.finish();
-            }
-        }
-
-        // Phase 3: harvest APKs.
+        let mut run = Run::new(self, targets);
+        run.enumerate();
+        run.search();
         if self.config.fetch_apks {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = markets
-                    .iter_mut()
-                    .map(|snapshot| {
-                        let stats = Arc::clone(&stats);
-                        let client = Arc::clone(&self.client);
-                        s.spawn(move || self.harvest_market(snapshot, targets, &client, &stats))
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                }
-            });
+            run.harvest();
         }
-
-        let stats = *stats.lock();
-        Snapshot { markets, stats }
-    }
-
-    fn enumerate_market(
-        &self,
-        market: MarketId,
-        targets: &CrawlTargets,
-        client: &HttpClient,
-        stats: &Mutex<CrawlStats>,
-    ) -> MarketSnapshot {
-        let addr = targets.addr(market);
-        let packages = if self.config.bfs_markets.contains(&market) {
-            self.bfs_enumerate(market, addr, client, stats)
-        } else {
-            self.index_enumerate(market, addr, client, stats)
-        };
-        // Unthrottled, uncapped enumeration takes the batched fetch
-        // path: the whole listing sweep is submitted at once and rides
-        // the mux driver. Politeness needs per-request pacing, and a
-        // cap counts *successful* listings (a failed fetch means one
-        // more package gets tried) — both are inherently sequential, so
-        // those configurations fetch one listing at a time.
-        if self.buckets.is_none() && self.config.per_market_cap == 0 {
-            let listings = self
-                .fetch_many(market, addr, "listing", &packages, stats)
+        Snapshot {
+            markets: run
+                .markets
                 .into_iter()
-                .flatten()
-                .collect();
-            return MarketSnapshot { market, listings };
-        }
-        let mut listings = Vec::with_capacity(packages.len());
-        for pkg in packages {
-            if self.config.per_market_cap > 0 && listings.len() >= self.config.per_market_cap {
-                break;
-            }
-            // One (sampled) trace per listing fetch: the root span's
-            // context flows through the client into the market server.
-            let span = self
-                .tracer
-                .root_span("crawler", &format!("listing {}/{pkg}", market.slug()));
-            self.polite(market);
-            let metrics = &self.metrics[market.index()];
-            let fetched = client.get_json(addr, &format!("/app/{pkg}"));
-            if let Some(listing) = settle_metadata(fetched, &span, stats, metrics) {
-                listings.push(listing);
-            }
-            span.finish();
-        }
-        MarketSnapshot { market, listings }
-    }
-
-    /// Walk `/index?page=N` to exhaustion.
-    fn index_enumerate(
-        &self,
-        market: MarketId,
-        addr: SocketAddr,
-        client: &HttpClient,
-        stats: &Mutex<CrawlStats>,
-    ) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut page = 0u64;
-        loop {
-            let doc = match client.get_json(addr, &format!("/index?page={page}")) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    // An index walk that dies mid-pagination is a real
-                    // coverage loss — account it, don't swallow it. (No
-                    // span is open around enumeration requests.)
-                    let metrics = &self.metrics[market.index()];
-                    note_fetch_failure(&TraceSpan::noop(), metrics, stats, &e);
-                    break;
-                }
-            };
-            let Some(packages) = doc.get("packages").and_then(|p| p.as_arr()) else {
-                break;
-            };
-            for p in packages {
-                if let Some(s) = p.as_str() {
-                    out.push(s.to_owned());
-                }
-            }
-            match doc.get("next").and_then(|n| n.as_u64()) {
-                Some(n) => page = n,
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Seed + BFS enumeration: expand through `/related/{pkg}`.
-    fn bfs_enumerate(
-        &self,
-        market: MarketId,
-        addr: SocketAddr,
-        client: &HttpClient,
-        stats: &Mutex<CrawlStats>,
-    ) -> Vec<String> {
-        let metrics = &self.metrics[market.index()];
-        let mut visited: HashSet<String> = HashSet::new();
-        let mut found = Vec::new();
-        let mut frontier: VecDeque<String> = self.config.seeds.iter().cloned().collect();
-        while let Some(pkg) = frontier.pop_front() {
-            metrics.queue_depth.set(frontier.len() as i64);
-            if !visited.insert(pkg.clone()) {
-                metrics.dedup_hits.inc();
-                continue;
-            }
-            // Confirm the package exists in this market. A 404 is the
-            // expected answer for a probe that misses; anything else is
-            // degradation and gets accounted.
-            match client.get_json(addr, &format!("/app/{pkg}")) {
-                Ok(_) => found.push(pkg.clone()),
-                Err(e) => {
-                    note_fetch_failure(&TraceSpan::noop(), metrics, stats, &e);
-                    continue;
-                }
-            }
-            if let Ok(doc) = client.get_json(addr, &format!("/related/{pkg}")) {
-                if let Some(related) = doc.get("related").and_then(|r| r.as_arr()) {
-                    for r in related {
-                        if let Some(s) = r.as_str() {
-                            if !visited.contains(s) {
-                                frontier.push_back(s.to_owned());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        metrics.queue_depth.set(0);
-        found
-    }
-
-    /// Harvest one market's APKs, degrading gracefully: consecutive
-    /// terminal failures quarantine the market (via [`MarketHealth`]),
-    /// deferring its remaining listings to a single revisit pass instead
-    /// of burning politeness and retry budget against a dead host.
-    fn harvest_market(
-        &self,
-        snapshot: &mut MarketSnapshot,
-        targets: &CrawlTargets,
-        client: &HttpClient,
-        stats: &Mutex<CrawlStats>,
-    ) {
-        let market = snapshot.market;
-        let metrics = &self.metrics[market.index()];
-        let mut health = MarketHealth::new(self.config.quarantine_threshold);
-        let mut deferred: Vec<usize> = Vec::new();
-        for i in 0..snapshot.listings.len() {
-            if health.is_quarantined() {
-                deferred.push(i);
-                continue;
-            }
-            if self.harvest_one(market, targets, &mut snapshot.listings[i], client, stats) {
-                health.note_ok();
-            } else if health.note_failure() {
-                metrics.quarantines.inc();
-                stats.lock().markets_quarantined += 1;
-                self.log.record(
-                    LogLevel::Warn,
-                    "crawler.quarantine",
-                    "market quarantined",
-                    &[
-                        ("market", market.slug()),
-                        ("threshold", &self.config.quarantine_threshold.to_string()),
-                    ],
-                );
-            }
-        }
-        if deferred.is_empty() {
-            return;
-        }
-        // Revisit pass: by the time the deferred tail comes back around,
-        // a flapping market's downtime window has had time to rotate out
-        // and an open circuit breaker to half-open. Each deferred listing
-        // gets exactly one more chance; what still fails is accounted the
-        // normal way (error kinds, `apks_missing`).
-        metrics.deferred.add(deferred.len() as u64);
-        stats.lock().fetches_deferred += deferred.len() as u64;
-        self.log.record(
-            LogLevel::Info,
-            "crawler.quarantine",
-            "deferred fetches queued for revisit",
-            &[
-                ("market", market.slug()),
-                ("count", &deferred.len().to_string()),
-            ],
-        );
-        health.release();
-        let mut recovered = 0u64;
-        for i in deferred {
-            if self.harvest_one(market, targets, &mut snapshot.listings[i], client, stats) {
-                metrics.recovered.inc();
-                stats.lock().revisit_recovered += 1;
-                recovered += 1;
-            }
-        }
-        self.log.record(
-            LogLevel::Info,
-            "crawler.quarantine",
-            "revisit pass finished",
-            &[
-                ("market", market.slug()),
-                ("recovered", &recovered.to_string()),
-            ],
-        );
-    }
-
-    /// Harvest one listing's APK: the direct fetch, any backfill, and
-    /// digesting. Returns whether the market answered definitively
-    /// (success, 404, or a rate limit) — `false` is a vote toward
-    /// quarantine.
-    fn harvest_one(
-        &self,
-        market: MarketId,
-        targets: &CrawlTargets,
-        listing: &mut CrawledListing,
-        client: &HttpClient,
-        stats: &Mutex<CrawlStats>,
-    ) -> bool {
-        let metrics = &self.metrics[market.index()];
-        // One (sampled) trace per APK harvest, covering the direct
-        // fetch, any 429 + repository backfill, and digesting.
-        let trace_span = self.tracer.root_span(
-            "crawler",
-            &format!("apk {}/{}", market.slug(), listing.package),
-        );
-        self.polite(market);
-        let path = format!("/apk/{}", listing.package);
-        let mut healthy = true;
-        let bytes = match client.get(targets.addr(market), &path) {
-            Ok(resp) => {
-                stats.lock().apks_direct += 1;
-                Some(resp.body)
-            }
-            Err(NetError::Status { code: 429, .. }) => {
-                // Throttled — an answer, not an outage. Backfill from
-                // the offline repository by (pkg, version).
-                stats.lock().rate_limited += 1;
-                trace_span.event("rate_limited_429");
-                self.backfill(targets, listing, client, stats, metrics, &trace_span)
-            }
-            Err(NetError::Status { code: 404, .. }) => {
-                // Definitive miss: the store answered that it no longer
-                // serves this package.
-                trace_span.event("gone_404");
-                None
-            }
-            Err(e) => {
-                // Degraded fetch: account the kind and still try the
-                // repository — it mirrors the catalogs, so a flaky
-                // market need not cost us the APK.
-                note_fetch_failure(&trace_span, metrics, stats, &e);
-                healthy = false;
-                self.backfill(targets, listing, client, stats, metrics, &trace_span)
-            }
-        };
-        match bytes {
-            Some(bytes) => {
-                metrics.apks.inc();
-                let digest_span = self
-                    .tracer
-                    .child_of(trace_span.context(), "crawler", "digest");
-                match ApkDigest::from_bytes(&bytes) {
-                    Ok(digest) => listing.digest = Some(std::sync::Arc::new(digest)),
-                    Err(_) => stats.lock().parse_failures += 1,
-                }
-                digest_span.finish();
-            }
-            None => {
-                trace_span.event("missing");
-                stats.lock().apks_missing += 1;
-            }
-        }
-        trace_span.finish();
-        healthy
-    }
-
-    /// Fetch `(package, version)` from the offline repository, if one is
-    /// configured. Repository failures are accounted like any other
-    /// fetch error (under the market being harvested); a repository 404
-    /// just means that version was never archived.
-    fn backfill(
-        &self,
-        targets: &CrawlTargets,
-        listing: &CrawledListing,
-        client: &HttpClient,
-        stats: &Mutex<CrawlStats>,
-        metrics: &MarketMetrics,
-        trace_span: &TraceSpan,
-    ) -> Option<Vec<u8>> {
-        let repo = targets.repository?;
-        trace_span.event("backfill");
-        let path = format!("/apk/{}/{}", listing.package, listing.version_code);
-        match client.get(repo, &path) {
-            Ok(resp) => {
-                stats.lock().apks_backfilled += 1;
-                Some(resp.body)
-            }
-            Err(e) => {
-                note_fetch_failure(trace_span, metrics, stats, &e);
-                None
-            }
+                .map(|m| MarketSnapshot {
+                    market: m.id,
+                    listings: m.listings,
+                })
+                .collect(),
+            stats: run.stats,
         }
     }
 }
@@ -759,7 +375,7 @@ impl Crawler {
 fn settle_metadata(
     result: Result<Json, NetError>,
     span: &TraceSpan,
-    stats: &Mutex<CrawlStats>,
+    stats: &mut CrawlStats,
     metrics: &MarketMetrics,
 ) -> Option<CrawledListing> {
     let doc = match result {
@@ -769,9 +385,828 @@ fn settle_metadata(
             return None;
         }
     };
-    stats.lock().metadata_fetched += 1;
+    stats.metadata_fetched += 1;
     metrics.listings.inc();
     CrawledListing::from_metadata(&doc)
+}
+
+/// What a ticket in flight was submitted for.
+enum Op {
+    /// One `/index?page=N` of an index walk.
+    Page,
+    /// A BFS existence probe of a package.
+    Probe(String),
+    /// A BFS `/related/{pkg}` expansion.
+    Related,
+    /// One `/app/{pkg}` of a listing or search sweep, settling into
+    /// `slot`.
+    Metadata { slot: usize, span: TraceSpan },
+    /// The direct `/apk/{pkg}` fetch of a listing.
+    Direct(usize),
+    /// The repository backfill of a listing.
+    Backfill(usize),
+}
+
+struct InFlight {
+    market: usize,
+    op: Op,
+    ticket: Ticket,
+}
+
+/// The loop's side of the client: tickets in flight, each tagged on the
+/// completion queue with the op it settles.
+struct Io<'c> {
+    client: &'c HttpClient,
+    queue: Arc<CompletionQueue>,
+    next_tag: u64,
+    in_flight: HashMap<u64, InFlight>,
+}
+
+impl Io<'_> {
+    /// Submit a GET for `market` on `lane`, its client spans parented
+    /// under `parent`.
+    fn submit(
+        &mut self,
+        market: usize,
+        addr: SocketAddr,
+        path: String,
+        parent: Option<SpanContext>,
+        lane: u64,
+        op: Op,
+    ) {
+        let spec = FetchSpec::new(addr, path).parent(parent).lane(lane);
+        let ticket = match op {
+            Op::Direct(_) | Op::Backfill(_) => self.client.submit_get(&spec),
+            _ => self.client.submit_get_json(&spec),
+        };
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        ticket.notify(&self.queue, tag);
+        self.in_flight.insert(tag, InFlight { market, op, ticket });
+    }
+}
+
+/// One market's share of the current phase.
+#[derive(Default)]
+enum Task {
+    /// Nothing left to submit in this phase.
+    #[default]
+    Idle,
+    Index(IndexWalk),
+    Bfs(Bfs),
+    Sweep(Sweep),
+    Harvest(Harvest),
+}
+
+/// `/index?page=N` to exhaustion, one page in flight.
+struct IndexWalk {
+    /// The page to request next; `None` while one is in flight.
+    next_page: Option<u64>,
+    seen: Vec<String>,
+    /// No page failed or came back malformed.
+    intact: bool,
+    done: bool,
+}
+
+/// Seed + BFS through `/related/{pkg}`, one request in flight.
+struct Bfs {
+    frontier: VecDeque<String>,
+    visited: HashSet<String>,
+    found: Vec<String>,
+    busy: bool,
+}
+
+/// `/app/{pkg}` over a package list: enumeration's listing sweep or a
+/// parallel-search batch. Results land by slot, so they keep list order.
+struct Sweep {
+    search: bool,
+    packages: Vec<String>,
+    next: usize,
+    slots: Vec<Option<CrawledListing>>,
+    in_flight: usize,
+    /// All at once, or one at a time when politeness paces each request
+    /// or a cap counts *successful* listings.
+    window: usize,
+    /// Stop once this many listings were found (0 = never).
+    cap: usize,
+    found: usize,
+    polite: bool,
+}
+
+impl Sweep {
+    fn new(search: bool, packages: Vec<String>, cap: usize, polite: bool) -> Sweep {
+        Sweep {
+            search,
+            slots: packages.iter().map(|_| None).collect(),
+            packages,
+            next: 0,
+            in_flight: 0,
+            window: if polite || cap > 0 { 1 } else { usize::MAX },
+            cap,
+            found: 0,
+            polite,
+        }
+    }
+
+    fn capped(&self) -> bool {
+        self.cap > 0 && self.found >= self.cap
+    }
+}
+
+/// One pass over the listings with one direct fetch in flight, then one
+/// revisit pass over what a quarantine deferred.
+struct Harvest {
+    health: MarketHealth,
+    /// The listings of the pass under way, in listing order.
+    pass: Vec<usize>,
+    next: usize,
+    deferred: Vec<usize>,
+    revisit: bool,
+    recovered: u64,
+    direct: bool,
+}
+
+/// Politeness: a market waiting for its token sends nothing before
+/// `not_before`, which bounds the loop's wait.
+#[derive(Default)]
+struct Pace {
+    not_before: Option<Instant>,
+    waiting_since: Option<Instant>,
+}
+
+impl Pace {
+    /// `Some(waited)` when the market may send now — `waited` says it
+    /// had to wait for the token — or `None` when its bucket is dry and
+    /// the wake-up is set from the bucket's hint.
+    fn admit(&mut self, bucket: Option<&TokenBucket>) -> Option<bool> {
+        let Some(bucket) = bucket else {
+            return Some(false);
+        };
+        let now = Instant::now();
+        if self.not_before.is_some_and(|at| now < at) {
+            return None;
+        }
+        self.not_before = None;
+        if bucket.try_acquire() {
+            return Some(match self.waiting_since.take() {
+                Some(since) => {
+                    bucket.note_wait(since.elapsed());
+                    true
+                }
+                None => false,
+            });
+        }
+        self.waiting_since.get_or_insert(now);
+        self.not_before = Some(now + bucket.wait_hint().max(Duration::from_millis(1)));
+        None
+    }
+}
+
+struct Market {
+    id: MarketId,
+    addr: SocketAddr,
+    listings: Vec<CrawledListing>,
+    task: Task,
+    pace: Pace,
+    /// Negative set: the whole catalog, when an index walk completed.
+    catalog: Option<HashSet<String>>,
+    /// Negative set: packages a BFS probe found absent.
+    misses: HashSet<String>,
+}
+
+impl Market {
+    fn known_missing(&self, pkg: &str) -> bool {
+        self.misses.contains(pkg) || self.catalog.as_ref().is_some_and(|c| !c.contains(pkg))
+    }
+}
+
+/// A harvested body on its way to the digest stage: where it belongs and
+/// the context of its harvest's root span.
+struct Body {
+    market: usize,
+    listing: usize,
+    bytes: Vec<u8>,
+    trace: Option<SpanContext>,
+}
+
+type Digested = (usize, usize, Option<ApkDigest>);
+
+/// One crawl in progress.
+struct Run<'c> {
+    crawler: &'c Crawler,
+    repository: Option<SocketAddr>,
+    io: Io<'c>,
+    markets: Vec<Market>,
+    stats: CrawlStats,
+    /// Root spans of harvests not yet settled, by (market, listing).
+    harvests: HashMap<(usize, usize), TraceSpan>,
+    digests: Option<Stage<Body, Digested>>,
+    /// Bodies pushed to the digest stage and not yet applied.
+    digesting: usize,
+}
+
+impl<'c> Run<'c> {
+    fn new(crawler: &'c Crawler, targets: &CrawlTargets) -> Run<'c> {
+        Run {
+            crawler,
+            repository: targets.repository,
+            io: Io {
+                client: &crawler.client,
+                queue: Arc::new(CompletionQueue::new()),
+                next_tag: 0,
+                in_flight: HashMap::new(),
+            },
+            markets: MarketId::ALL
+                .iter()
+                .map(|&id| Market {
+                    id,
+                    addr: targets.addr(id),
+                    listings: Vec::new(),
+                    task: Task::Idle,
+                    pace: Pace::default(),
+                    catalog: None,
+                    misses: HashSet::new(),
+                })
+                .collect(),
+            stats: CrawlStats::default(),
+            harvests: HashMap::new(),
+            digests: None,
+            digesting: 0,
+        }
+    }
+
+    /// Phase 1: walk every market's index (or BFS from the seeds), then
+    /// fetch each package's metadata.
+    fn enumerate(&mut self) {
+        let config = &self.crawler.config;
+        for market in &mut self.markets {
+            market.task = if config.bfs_markets.contains(&market.id) {
+                Task::Bfs(Bfs {
+                    frontier: config.seeds.iter().cloned().collect(),
+                    visited: HashSet::new(),
+                    found: Vec::new(),
+                    busy: false,
+                })
+            } else {
+                Task::Index(IndexWalk {
+                    next_page: Some(0),
+                    seen: Vec::new(),
+                    intact: true,
+                    done: false,
+                })
+            };
+        }
+        self.drive();
+    }
+
+    /// Phase 2: parallel search. Probed in sorted order so the
+    /// per-market request sequence is run-to-run deterministic —
+    /// index-keyed fault windows (chaos downtime) would otherwise see a
+    /// different request stream every run.
+    fn search(&mut self) {
+        let mut global: Vec<String> = self
+            .markets
+            .iter()
+            .flat_map(|m| m.listings.iter().map(|l| l.package.clone()))
+            .collect::<HashSet<String>>()
+            .into_iter()
+            .collect();
+        global.sort_unstable();
+        for market in &mut self.markets {
+            let have: HashSet<&str> = market.listings.iter().map(|l| l.package.as_str()).collect();
+            let probes = global
+                .iter()
+                .filter(|pkg| !have.contains(pkg.as_str()) && !market.known_missing(pkg))
+                .cloned()
+                .collect();
+            market.task = Task::Sweep(Sweep::new(true, probes, 0, false));
+        }
+        self.drive();
+    }
+
+    /// Phase 3: harvest every listing's APK, digesting on a bounded
+    /// stage that lives as long as the phase.
+    fn harvest(&mut self) {
+        let workers = default_workers();
+        let tracer = Arc::clone(&self.crawler.tracer);
+        let queue = Arc::clone(&self.io.queue);
+        self.digests = Some(Stage::spawn(
+            workers,
+            DIGEST_BACKLOG_PER_WORKER * workers,
+            move |body: Body| {
+                let span = tracer.child_of(body.trace, "crawler", "digest");
+                let digest = ApkDigest::from_bytes(&body.bytes).ok();
+                span.finish();
+                (body.market, body.listing, digest)
+            },
+            move || queue.post(DIGESTED),
+        ));
+        for market in &mut self.markets {
+            market.task = Task::Harvest(Harvest {
+                health: MarketHealth::new(self.crawler.config.quarantine_threshold),
+                pass: (0..market.listings.len()).collect(),
+                next: 0,
+                deferred: Vec::new(),
+                revisit: false,
+                recovered: 0,
+                direct: false,
+            });
+        }
+        self.drive();
+        // Joins the digest workers.
+        self.digests = None;
+    }
+
+    /// Run the phase to completion: wait for whichever ticket (or digest)
+    /// finishes next, or for the earliest politeness wake-up, and let the
+    /// market it belongs to move on.
+    fn drive(&mut self) {
+        for m in 0..self.markets.len() {
+            self.pump(m);
+        }
+        loop {
+            let wake_at = self.markets.iter().filter_map(|m| m.pace.not_before).min();
+            if self.io.in_flight.is_empty() && self.digesting == 0 && wake_at.is_none() {
+                break;
+            }
+            match self.io.queue.wait_until(wake_at) {
+                Some(DIGESTED) => self.apply_digests(),
+                Some(tag) => self.settle(tag),
+                None => {}
+            }
+            let now = Instant::now();
+            for m in 0..self.markets.len() {
+                if self.markets[m].pace.not_before.is_some_and(|at| at <= now) {
+                    self.pump(m);
+                }
+            }
+        }
+        debug_assert!(self.markets.iter().all(|m| matches!(m.task, Task::Idle)));
+    }
+
+    /// Let market `m` submit whatever its task allows now; a finished
+    /// task hands over to the next one.
+    fn pump(&mut self, m: usize) {
+        let Run {
+            crawler,
+            io,
+            markets,
+            stats,
+            harvests,
+            ..
+        } = &mut *self;
+        let market = &mut markets[m];
+        let lane = m as u64;
+        let bucket = crawler.buckets.as_ref().map(|b| &b[m]);
+        let ended = match &mut market.task {
+            Task::Idle => false,
+            Task::Index(walk) => {
+                if let Some(page) = walk.next_page.take() {
+                    let path = format!("/index?page={page}");
+                    io.submit(m, market.addr, path, None, lane, Op::Page);
+                }
+                walk.done
+            }
+            Task::Bfs(bfs) => {
+                let metrics = &crawler.metrics[m];
+                let mut ended = false;
+                if !bfs.busy {
+                    ended = true;
+                    while let Some(pkg) = bfs.frontier.pop_front() {
+                        metrics.queue_depth.set(bfs.frontier.len() as i64);
+                        if !bfs.visited.insert(pkg.clone()) {
+                            metrics.dedup_hits.inc();
+                            continue;
+                        }
+                        // Confirm the package exists in this market.
+                        let path = format!("/app/{pkg}");
+                        io.submit(m, market.addr, path, None, lane, Op::Probe(pkg));
+                        bfs.busy = true;
+                        ended = false;
+                        break;
+                    }
+                    if ended {
+                        metrics.queue_depth.set(0);
+                    }
+                }
+                ended
+            }
+            Task::Sweep(sweep) => {
+                let kind = if sweep.search { "search" } else { "listing" };
+                while sweep.next < sweep.packages.len()
+                    && sweep.in_flight < sweep.window
+                    && !sweep.capped()
+                {
+                    let waited = if sweep.polite {
+                        match market.pace.admit(bucket) {
+                            Some(waited) => waited,
+                            None => break,
+                        }
+                    } else {
+                        false
+                    };
+                    let pkg = &sweep.packages[sweep.next];
+                    // One (sampled) trace per metadata fetch: the root
+                    // span's context flows through the driver into the
+                    // market server.
+                    let span = crawler
+                        .tracer
+                        .root_span("crawler", &format!("{kind} {}/{pkg}", market.id.slug()));
+                    if waited {
+                        span.event("politeness_wait");
+                    }
+                    let (path, parent) = (format!("/app/{pkg}"), span.context());
+                    let op = Op::Metadata {
+                        slot: sweep.next,
+                        span,
+                    };
+                    io.submit(m, market.addr, path, parent, lane, op);
+                    sweep.next += 1;
+                    sweep.in_flight += 1;
+                }
+                sweep.in_flight == 0 && (sweep.next == sweep.packages.len() || sweep.capped())
+            }
+            Task::Harvest(h) => {
+                let metrics = &crawler.metrics[m];
+                let mut ended = false;
+                while !h.direct {
+                    let Some(&i) = h.pass.get(h.next) else {
+                        if h.revisit || h.deferred.is_empty() {
+                            if h.revisit {
+                                crawler.log.record(
+                                    LogLevel::Info,
+                                    "crawler.quarantine",
+                                    "revisit pass finished",
+                                    &[
+                                        ("market", market.id.slug()),
+                                        ("recovered", &h.recovered.to_string()),
+                                    ],
+                                );
+                            }
+                            ended = true;
+                            break;
+                        }
+                        // Revisit pass: by the time the deferred tail
+                        // comes back around, a flapping market's downtime
+                        // window has had time to rotate out and an open
+                        // circuit breaker to half-open. Each deferred
+                        // listing gets exactly one more chance; what
+                        // still fails is accounted the normal way.
+                        let deferred = h.deferred.len();
+                        metrics.deferred.add(deferred as u64);
+                        stats.fetches_deferred += deferred as u64;
+                        crawler.log.record(
+                            LogLevel::Info,
+                            "crawler.quarantine",
+                            "deferred fetches queued for revisit",
+                            &[
+                                ("market", market.id.slug()),
+                                ("count", &deferred.to_string()),
+                            ],
+                        );
+                        h.health.release();
+                        h.pass = std::mem::take(&mut h.deferred);
+                        h.next = 0;
+                        h.revisit = true;
+                        continue;
+                    };
+                    if !h.revisit && h.health.is_quarantined() {
+                        h.deferred.push(i);
+                        h.next += 1;
+                        continue;
+                    }
+                    let Some(waited) = market.pace.admit(bucket) else {
+                        break;
+                    };
+                    h.next += 1;
+                    let pkg = &market.listings[i].package;
+                    // One (sampled) trace per APK harvest, covering the
+                    // direct fetch, any 429 + repository backfill, and
+                    // the digest.
+                    let span = crawler
+                        .tracer
+                        .root_span("crawler", &format!("apk {}/{pkg}", market.id.slug()));
+                    if waited {
+                        span.event("politeness_wait");
+                    }
+                    let (path, parent) = (format!("/apk/{pkg}"), span.context());
+                    io.submit(m, market.addr, path, parent, lane, Op::Direct(i));
+                    harvests.insert((m, i), span);
+                    h.direct = true;
+                }
+                ended
+            }
+        };
+        if ended {
+            self.advance(m);
+        }
+    }
+
+    /// Market `m`'s task is over: hand its results on and start the next
+    /// task of the phase, if any.
+    fn advance(&mut self, m: usize) {
+        self.markets[m].pace = Pace::default();
+        let found = match std::mem::take(&mut self.markets[m].task) {
+            Task::Index(walk) => {
+                if walk.intact {
+                    self.markets[m].catalog = Some(walk.seen.iter().cloned().collect());
+                }
+                walk.seen
+            }
+            Task::Bfs(bfs) => bfs.found,
+            Task::Sweep(sweep) => {
+                let listings = &mut self.markets[m].listings;
+                let before = listings.len();
+                listings.extend(sweep.slots.into_iter().flatten());
+                if sweep.search {
+                    self.stats.parallel_search_hits += (listings.len() - before) as u64;
+                }
+                return;
+            }
+            Task::Harvest(_) | Task::Idle => return,
+        };
+        // Enumeration found its packages: fetch each one's metadata.
+        let config = &self.crawler.config;
+        let sweep = Sweep::new(
+            false,
+            found,
+            config.per_market_cap,
+            self.crawler.buckets.is_some(),
+        );
+        self.markets[m].task = Task::Sweep(sweep);
+        self.pump(m);
+    }
+
+    /// Settle the ticket behind `tag`, then let its market move on.
+    fn settle(&mut self, tag: u64) {
+        let Some(InFlight {
+            market: m,
+            op,
+            ticket,
+        }) = self.io.in_flight.remove(&tag)
+        else {
+            return;
+        };
+        let client = self.io.client;
+        match op {
+            Op::Page => self.on_page(m, client.wait_json(ticket)),
+            Op::Probe(pkg) => self.on_probe(m, pkg, client.wait_json(ticket)),
+            Op::Related => self.on_related(m, client.wait_json(ticket)),
+            Op::Metadata { slot, span } => {
+                let metrics = &self.crawler.metrics[m];
+                let listing =
+                    settle_metadata(client.wait_json(ticket), &span, &mut self.stats, metrics);
+                span.finish();
+                if let Task::Sweep(sweep) = &mut self.markets[m].task {
+                    sweep.in_flight -= 1;
+                    sweep.found += usize::from(listing.is_some());
+                    sweep.slots[slot] = listing;
+                }
+            }
+            Op::Direct(i) => self.on_direct(m, i, client.wait(ticket)),
+            Op::Backfill(i) => self.on_backfill(m, i, client.wait(ticket)),
+        }
+        self.pump(m);
+    }
+
+    fn on_page(&mut self, m: usize, page: Result<Json, NetError>) {
+        let metrics = &self.crawler.metrics[m];
+        let Task::Index(walk) = &mut self.markets[m].task else {
+            return;
+        };
+        // An index walk that dies mid-pagination is a real coverage loss
+        // — account it, don't swallow it. (No span is open around
+        // enumeration requests.)
+        let failure = match page {
+            Err(e) => Some(e),
+            Ok(doc) => match doc.get("packages").and_then(Json::as_arr) {
+                None => Some(NetError::Protocol("index page without packages")),
+                Some(packages) => {
+                    for p in packages {
+                        match p.as_str() {
+                            Some(s) => walk.seen.push(s.to_owned()),
+                            None => walk.intact = false,
+                        }
+                    }
+                    match doc.get("next").map(Json::as_u64) {
+                        Some(Some(next)) => walk.next_page = Some(next),
+                        Some(None) => walk.intact = false,
+                        None => {}
+                    }
+                    None
+                }
+            },
+        };
+        if let Some(e) = &failure {
+            note_fetch_failure(&TraceSpan::noop(), metrics, &mut self.stats, e);
+            walk.intact = false;
+        }
+        walk.done = walk.next_page.is_none();
+    }
+
+    fn on_probe(&mut self, m: usize, pkg: String, found: Result<Json, NetError>) {
+        let Run {
+            crawler,
+            io,
+            markets,
+            stats,
+            ..
+        } = &mut *self;
+        let market = &mut markets[m];
+        let Task::Bfs(bfs) = &mut market.task else {
+            return;
+        };
+        match found {
+            Ok(_) => {
+                let path = format!("/related/{pkg}");
+                bfs.found.push(pkg);
+                io.submit(m, market.addr, path, None, m as u64, Op::Related);
+            }
+            Err(e) => {
+                // A 404 is the expected answer for a probe that misses;
+                // anything else is degradation and gets accounted.
+                if is_404(&e) {
+                    market.misses.insert(pkg);
+                }
+                note_fetch_failure(&TraceSpan::noop(), &crawler.metrics[m], stats, &e);
+                bfs.busy = false;
+            }
+        }
+    }
+
+    fn on_related(&mut self, m: usize, related: Result<Json, NetError>) {
+        let metrics = &self.crawler.metrics[m];
+        let Task::Bfs(bfs) = &mut self.markets[m].task else {
+            return;
+        };
+        bfs.busy = false;
+        let doc = match related {
+            Ok(doc) => doc,
+            Err(e) => {
+                // A failed expansion loses this package's whole
+                // neighbourhood: account it like any failed fetch.
+                note_fetch_failure(&TraceSpan::noop(), metrics, &mut self.stats, &e);
+                return;
+            }
+        };
+        for r in doc
+            .get("related")
+            .and_then(Json::as_arr)
+            .into_iter()
+            .flatten()
+        {
+            if let Some(s) = r.as_str() {
+                if !bfs.visited.contains(s) {
+                    bfs.frontier.push_back(s.to_owned());
+                }
+            }
+        }
+    }
+
+    /// The direct fetch of listing `i` finished. Whether the market
+    /// answered definitively (success, 404, or a rate limit) feeds its
+    /// health: anything else is a vote toward quarantine.
+    fn on_direct(&mut self, m: usize, i: usize, fetched: Result<Response, NetError>) {
+        let mut healthy = true;
+        match fetched {
+            Ok(resp) => {
+                self.stats.apks_direct += 1;
+                self.digest(m, i, resp.body);
+            }
+            Err(NetError::Status { code: 429, .. }) => {
+                // Throttled — an answer, not an outage. Backfill from
+                // the offline repository by (pkg, version).
+                self.stats.rate_limited += 1;
+                self.event(m, i, "rate_limited_429");
+                self.backfill(m, i);
+            }
+            Err(e) if is_404(&e) => {
+                // Definitive miss: the store answered that it no longer
+                // serves this package.
+                self.event(m, i, "gone_404");
+                self.missing(m, i);
+            }
+            Err(e) => {
+                // Degraded fetch: account the kind and still try the
+                // repository — it mirrors the catalogs, so a flaky
+                // market need not cost us the APK.
+                let noop = TraceSpan::noop();
+                let span = self.harvests.get(&(m, i)).unwrap_or(&noop);
+                note_fetch_failure(span, &self.crawler.metrics[m], &mut self.stats, &e);
+                healthy = false;
+                self.backfill(m, i);
+            }
+        }
+        let (crawler, slug) = (self.crawler, self.markets[m].id.slug());
+        let Task::Harvest(h) = &mut self.markets[m].task else {
+            return;
+        };
+        h.direct = false;
+        let metrics = &crawler.metrics[m];
+        if h.revisit {
+            if healthy {
+                metrics.recovered.inc();
+                self.stats.revisit_recovered += 1;
+                h.recovered += 1;
+            }
+        } else if healthy {
+            h.health.note_ok();
+        } else if h.health.note_failure() {
+            metrics.quarantines.inc();
+            self.stats.markets_quarantined += 1;
+            crawler.log.record(
+                LogLevel::Warn,
+                "crawler.quarantine",
+                "market quarantined",
+                &[
+                    ("market", slug),
+                    (
+                        "threshold",
+                        &crawler.config.quarantine_threshold.to_string(),
+                    ),
+                ],
+            );
+        }
+    }
+
+    /// Fetch listing `i`'s `(package, version)` from the offline
+    /// repository, if one is configured, on the market's repository lane.
+    fn backfill(&mut self, m: usize, i: usize) {
+        let Some(repo) = self.repository else {
+            self.missing(m, i);
+            return;
+        };
+        self.event(m, i, "backfill");
+        let listing = &self.markets[m].listings[i];
+        let path = format!("/apk/{}/{}", listing.package, listing.version_code);
+        let parent = self.harvests.get(&(m, i)).and_then(TraceSpan::context);
+        let lane = REPOSITORY_LANE | m as u64;
+        self.io.submit(m, repo, path, parent, lane, Op::Backfill(i));
+    }
+
+    /// Repository failures are accounted like any other fetch error
+    /// (under the market being harvested); a repository 404 just means
+    /// that version was never archived.
+    fn on_backfill(&mut self, m: usize, i: usize, fetched: Result<Response, NetError>) {
+        match fetched {
+            Ok(resp) => {
+                self.stats.apks_backfilled += 1;
+                self.digest(m, i, resp.body);
+            }
+            Err(e) => {
+                let noop = TraceSpan::noop();
+                let span = self.harvests.get(&(m, i)).unwrap_or(&noop);
+                note_fetch_failure(span, &self.crawler.metrics[m], &mut self.stats, &e);
+                self.missing(m, i);
+            }
+        }
+    }
+
+    /// Hand listing `i`'s APK to the digest stage (blocking while its
+    /// queue is full).
+    fn digest(&mut self, m: usize, i: usize, bytes: Vec<u8>) {
+        self.crawler.metrics[m].apks.inc();
+        let trace = self.harvests.get(&(m, i)).and_then(TraceSpan::context);
+        if let Some(stage) = &mut self.digests {
+            stage.push(Body {
+                market: m,
+                listing: i,
+                bytes,
+                trace,
+            });
+            self.digesting += 1;
+        }
+    }
+
+    /// Apply every digest the stage has finished, by (market, listing).
+    fn apply_digests(&mut self) {
+        while let Some((m, i, digest)) = self.digests.as_mut().and_then(Stage::try_recv) {
+            self.digesting -= 1;
+            match digest {
+                Some(digest) => self.markets[m].listings[i].digest = Some(Arc::new(digest)),
+                None => self.stats.parse_failures += 1,
+            }
+            if let Some(span) = self.harvests.remove(&(m, i)) {
+                span.finish();
+            }
+        }
+    }
+
+    /// Listing `i` ends the harvest without an APK.
+    fn missing(&mut self, m: usize, i: usize) {
+        if let Some(span) = self.harvests.remove(&(m, i)) {
+            span.event("missing");
+            span.finish();
+        }
+        self.stats.apks_missing += 1;
+    }
+
+    /// An event on listing `i`'s harvest span.
+    fn event(&self, m: usize, i: usize, label: &str) {
+        if let Some(span) = self.harvests.get(&(m, i)) {
+            span.event(label);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -827,5 +1262,25 @@ mod tests {
             MarketId::ALL.len(),
             "one market label per market"
         );
+    }
+
+    #[test]
+    fn the_negative_set_rules_out_only_what_an_answer_proved() {
+        let mut market = Market {
+            id: MarketId::TencentMyapp,
+            addr: SocketAddr::from(([127, 0, 0, 1], 9)),
+            listings: Vec::new(),
+            task: Task::Idle,
+            pace: Pace::default(),
+            catalog: None,
+            misses: HashSet::from(["gone".to_owned()]),
+        };
+        // No complete walk: only definitive misses are ruled out.
+        assert!(market.known_missing("gone"));
+        assert!(!market.known_missing("elsewhere"));
+        // A complete walk rules out everything it did not see.
+        market.catalog = Some(HashSet::from(["listed".to_owned()]));
+        assert!(!market.known_missing("listed"));
+        assert!(market.known_missing("elsewhere"));
     }
 }

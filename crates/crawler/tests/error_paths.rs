@@ -165,6 +165,123 @@ fn unreachable_markets_yield_empty_catalogs() {
     }
 }
 
+/// A store whose `/app/{pkg}` answers for its `count` packages and whose
+/// `/related/{pkg}` always answers 500.
+fn failing_related_store(count: usize) -> ServerHandle {
+    let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i}.app")).collect();
+    let router = Router::new()
+        .get(
+            "/app/{pkg}",
+            move |_req: &Request, params: &marketscope_net::router::Params| {
+                if !packages.contains(&params["pkg"]) {
+                    return Response::status(Status::NotFound);
+                }
+                Response::json(&Json::obj([
+                    ("package", Json::from(params["pkg"].as_str())),
+                    ("name", Json::from("Mock")),
+                    ("version_code", Json::from(1u64)),
+                ]))
+            },
+        )
+        .get(
+            "/related/{pkg}",
+            |_req: &Request, _params: &marketscope_net::router::Params| {
+                Response::status(Status::InternalError)
+            },
+        );
+    HttpServer::spawn(router).unwrap()
+}
+
+/// A store listing `count` packages whose index pages from
+/// `broken_from` on carry a `next` but no `packages`.
+fn truncated_index_store(count: usize, broken_from: usize) -> ServerHandle {
+    let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i}.app")).collect();
+    let index = packages.clone();
+    let router = Router::new()
+        .get("/index", move |req: &Request, _| {
+            let page: usize = req
+                .query_param("page")
+                .and_then(|p| p.parse().ok())
+                .unwrap_or(0);
+            if page >= broken_from {
+                return Response::json(&Json::obj([("next", Json::from((page + 1) as u64))]));
+            }
+            let start = (page * 50).min(index.len());
+            let end = (start + 50).min(index.len());
+            let listed: Vec<Json> = index[start..end]
+                .iter()
+                .map(|p| Json::from(p.as_str()))
+                .collect();
+            Response::json(&Json::obj([
+                ("packages", Json::Arr(listed)),
+                ("next", Json::from((page + 1) as u64)),
+            ]))
+        })
+        .get(
+            "/app/{pkg}",
+            move |_req: &Request, params: &marketscope_net::router::Params| {
+                if !packages.contains(&params["pkg"]) {
+                    return Response::status(Status::NotFound);
+                }
+                Response::json(&Json::obj([
+                    ("package", Json::from(params["pkg"].as_str())),
+                    ("name", Json::from("Mock")),
+                    ("version_code", Json::from(1u64)),
+                ]))
+            },
+        );
+    HttpServer::spawn(router).unwrap()
+}
+
+fn fetch_errors(crawler: &Crawler, market: &str, kind: &str) -> u64 {
+    crawler
+        .registry()
+        .snapshot()
+        .counter_value(
+            "marketscope_crawler_fetch_errors_total",
+            &[("market", market), ("kind", kind)],
+        )
+        .unwrap_or(0)
+}
+
+#[test]
+fn bfs_related_failures_are_counted_and_the_crawl_completes() {
+    let store = failing_related_store(4);
+    let crawler = Crawler::new(CrawlConfig {
+        seeds: vec!["com.mock0.app".into(), "com.mock1.app".into()],
+        bfs_markets: vec![MarketId::TencentMyapp],
+        fetch_apks: false,
+        retry: None,
+        ..CrawlConfig::default()
+    });
+    let snap = crawler.crawl(&targets_with(store.addr()));
+    // Both seeds exist; each one's lost neighbourhood is one status error.
+    assert_eq!(snap.market(MarketId::TencentMyapp).listings.len(), 2);
+    assert_eq!(fetch_errors(&crawler, "tencent", "status"), 2);
+}
+
+#[test]
+fn index_page_without_packages_is_a_protocol_error_and_rules_nothing_out() {
+    // Tencent's index breaks after its first page; Wandoujia lists the
+    // same hundred packages in full.
+    let broken = truncated_index_store(100, 1);
+    let full = mock_store(100, false, false);
+    let mut targets = targets_with(broken.addr());
+    targets.markets[MarketId::Wandoujia.index()] = full.addr();
+    let crawler = Crawler::new(CrawlConfig {
+        seeds: Vec::new(),
+        bfs_markets: Vec::new(),
+        fetch_apks: false,
+        ..CrawlConfig::default()
+    });
+    let snap = crawler.crawl(&targets);
+    assert_eq!(fetch_errors(&crawler, "tencent", "protocol"), 1);
+    // The truncated walk proves nothing about the other fifty: parallel
+    // search probes Tencent for them and finds them.
+    assert_eq!(snap.market(MarketId::TencentMyapp).listings.len(), 100);
+    assert_eq!(snap.stats.parallel_search_hits, 50);
+}
+
 #[test]
 fn bfs_with_unknown_seeds_finds_nothing() {
     let store = mock_store(4, false, false);

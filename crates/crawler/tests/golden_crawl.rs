@@ -47,7 +47,12 @@ fn hash_snapshot(h: &mut Fnv, snapshot: &Snapshot) {
             h.u64(l.downloads.map_or(u64::MAX, |d| d));
             h.u64(u64::from(l.downloads_from_range));
             h.u64(l.rating.to_bits());
-            h.bytes(l.updated.map(|d| d.to_string()).unwrap_or_default().as_bytes());
+            h.bytes(
+                l.updated
+                    .map(|d| d.to_string())
+                    .unwrap_or_default()
+                    .as_bytes(),
+            );
             h.bytes(l.developer_name.as_bytes());
             if market == MarketId::GooglePlay {
                 continue;
@@ -129,5 +134,9 @@ fn campaign_crawls_are_pinned() {
     for seed in [0x1517_2018, 7, 99] {
         campaign_crawls(seed, &mut h);
     }
-    assert_eq!(h.0, 0xd186_6cac_1d6d_4b9a, "crawl answers moved: {:#018x}", h.0);
+    assert_eq!(
+        h.0, 0xd186_6cac_1d6d_4b9a,
+        "crawl answers moved: {:#018x}",
+        h.0
+    );
 }

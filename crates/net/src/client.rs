@@ -866,6 +866,62 @@ mod tests {
     }
 
     #[test]
+    fn completion_queue_delivers_every_tag_once_across_shutdown() {
+        use crate::mux::CompletionQueue;
+        use std::time::Instant;
+        // `/held/*` answers only once the gate opens, which is after the
+        // client is gone: those tickets are outstanding at shutdown.
+        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let server_gate = Arc::clone(&gate);
+        let server = HttpServer::spawn(move |req: &Request| {
+            if req.path.starts_with("/held") {
+                let (open, opened) = &*server_gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = opened.wait(open).unwrap();
+                }
+            }
+            Response::ok("text/plain", b"ok".to_vec())
+        })
+        .unwrap();
+        let client = HttpClient::new();
+        let queue = Arc::new(CompletionQueue::new());
+        let soon = || Some(Instant::now() + Duration::from_secs(10));
+
+        // Registered after completing: the tag posts at once. (`after`
+        // shares `done`'s lane, so its answer means `done` has one.)
+        let early = Arc::new(CompletionQueue::new());
+        let done = client.submit_get(&FetchSpec::new(server.addr(), "/answered").lane(7));
+        let after = client.submit_get(&FetchSpec::new(server.addr(), "/answered").lane(7));
+        after.notify(&early, 99);
+        assert_eq!(early.wait_until(soon()), Some(99));
+        done.notify(&queue, 0);
+
+        let tickets: Vec<Ticket> = (1..=6u64)
+            .map(|tag| {
+                let path = if tag % 2 == 0 { "/held" } else { "/quick" };
+                let ticket = client.submit_get(&FetchSpec::new(server.addr(), path));
+                ticket.notify(&queue, tag);
+                ticket
+            })
+            .collect();
+        drop(client);
+        {
+            let (open, opened) = &*gate;
+            *open.lock().unwrap() = true;
+            opened.notify_all();
+        }
+        let mut tags = Vec::new();
+        while let Some(tag) = queue.wait_until(Some(Instant::now())) {
+            tags.push(tag);
+        }
+        tags.sort_unstable();
+        assert_eq!(tags, (0..=6).collect::<Vec<u64>>(), "each tag exactly once");
+        assert!(early.wait_until(Some(Instant::now())).is_none());
+        drop((done, after, tickets));
+    }
+
+    #[test]
     fn get_json_decode_failures_are_classified_and_counted() {
         // A 200 whose body is not JSON must surface as a protocol error
         // AND hit the error counters / breaker seam like any terminal

@@ -225,7 +225,7 @@ impl FaultInjector {
             index: AtomicU64::new(0),
             injected: AtomicU64::new(0),
             metrics: FaultMetrics::register(registry, labels),
-            log: crate::private_log(),
+            log: EventLog::private(),
             scope: String::new(),
         }
     }

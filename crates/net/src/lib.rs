@@ -15,7 +15,9 @@
 //! engine ([`mux`]) where one driver thread owns every connection as a
 //! nonblocking state machine and every [`HttpClient`] call is a
 //! submission to it (the blocking forms just wait on their ticket), so
-//! crawl fan-out is bounded by sockets, not threads. Shards, acceptor
+//! crawl fan-out is bounded by sockets, not threads. A caller driving
+//! many tickets at once registers each with one [`CompletionQueue`] and
+//! waits on the queue for whichever finishes first. Shards, acceptor
 //! and driver are three loop bodies over one loop core: one `poll` turn,
 //! one slot table, one deadline bound and one clock read.
 //!
@@ -59,7 +61,7 @@ pub use client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient, HttpClientB
 pub use error::NetError;
 pub use fault::{FaultAction, FaultInjector, FaultMetrics, FaultPlan};
 pub use http::{Method, Request, Response, Status};
-pub use mux::{MuxClient, Ticket};
+pub use mux::{CompletionQueue, MuxClient, Ticket};
 pub use ratelimit::{RateLimitMetrics, TokenBucket};
 pub use reactor::{ReactorConfig, Transport};
 pub use resilience::{
@@ -67,9 +69,3 @@ pub use resilience::{
 };
 pub use router::Router;
 pub use server::{HttpServer, ServerHandle, ServerMetrics};
-
-/// The event log a component records to until a caller attaches a shared
-/// one: every component always holds a log, this one is just unread.
-pub(crate) fn private_log() -> std::sync::Arc<marketscope_telemetry::EventLog> {
-    std::sync::Arc::new(marketscope_telemetry::EventLog::new(16))
-}

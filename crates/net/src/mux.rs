@@ -10,6 +10,10 @@
 //! thread. Every [`HttpClient`](crate::client::HttpClient) call is a
 //! submission here; there is no other request path.
 //!
+//! A caller with many tickets out registers each with a shared
+//! [`CompletionQueue`] ([`Ticket::notify`]) and waits on the queue, which
+//! hands back the caller's tag of whichever ticket completes next.
+//!
 //! Two submission flavors exist:
 //!
 //! * **Raw** — one wire request, with transparent retries on transient
@@ -20,8 +24,8 @@
 //!   status/decode seam, retry backoff as *timed resubmission* (the
 //!   submission parks on a timer instead of a thread sleeping), and
 //!   terminal breaker accounting. `get`/`get_json`, the ticket-level
-//!   `submit_get`/`submit_get_json`, the crawler's `fetch_many` and the
-//!   loadgen `fanout` profile ride this.
+//!   `submit_get`/`submit_get_json`, the crawler's completion loop and
+//!   the loadgen `fanout` profile ride this.
 //!
 //! Ordering: a submission may carry a *lane* key. The driver runs at
 //! most one submission per lane at a time, FIFO — so a per-market batch
@@ -81,32 +85,106 @@ fn decode_response(resp: Response, mode: DecodeMode) -> Result<Payload, NetError
     }
 }
 
+/// A wait-any completion queue: every [`Ticket`] registered with
+/// [`Ticket::notify`] posts its caller's tag here exactly once when it
+/// completes — answered, failed, or aborted by its client shutting down —
+/// so one thread can drive hundreds of submissions by waiting on the
+/// queue instead of on any one ticket. Other producers may
+/// [`post`](CompletionQueue::post) tags of their own.
+#[derive(Debug, Default)]
+pub struct CompletionQueue {
+    tags: std::sync::Mutex<VecDeque<u64>>,
+    posted: std::sync::Condvar,
+}
+
+impl CompletionQueue {
+    /// An empty queue.
+    pub fn new() -> CompletionQueue {
+        CompletionQueue::default()
+    }
+
+    /// Append `tag` and wake a waiter.
+    pub fn post(&self, tag: u64) {
+        self.lock().push_back(tag);
+        self.posted.notify_one();
+    }
+
+    /// Take the oldest posted tag, waiting for one until `deadline`
+    /// (forever when `None`). `None` means the deadline passed first.
+    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<u64> {
+        let mut tags = self.lock();
+        loop {
+            if let Some(tag) = tags.pop_front() {
+                return Some(tag);
+            }
+            tags = match deadline {
+                None => self
+                    .posted
+                    .wait(tags)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(at) => {
+                    let left = at.checked_duration_since(Instant::now())?;
+                    self.posted
+                        .wait_timeout(tags, left)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<u64>> {
+        self.tags
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
 /// One-shot completion cell shared between a [`Ticket`] and the driver.
 struct TicketCell {
-    slot: Mutex<Option<Result<Payload, NetError>>>,
+    slot: Mutex<CellState>,
     ready: Condvar,
+}
+
+#[derive(Default)]
+struct CellState {
+    done: bool,
+    /// The outcome until a waiter takes it.
+    result: Option<Result<Payload, NetError>>,
+    /// Where to post the caller's tag on completion.
+    notify: Option<(Arc<CompletionQueue>, u64)>,
 }
 
 impl TicketCell {
     fn new() -> Arc<TicketCell> {
         Arc::new(TicketCell {
-            slot: Mutex::new(None),
+            slot: Mutex::new(CellState::default()),
             ready: Condvar::new(),
         })
     }
 
+    /// Fill the cell once (later completions are ignored), wake its
+    /// waiter and post its tag.
     fn complete(&self, result: Result<Payload, NetError>) {
-        let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(result);
-        }
+        let notify = {
+            let mut slot = self.slot.lock();
+            if slot.done {
+                return;
+            }
+            slot.done = true;
+            slot.result = Some(result);
+            slot.notify.take()
+        };
         self.ready.notify_all();
+        if let Some((queue, tag)) = notify {
+            queue.post(tag);
+        }
     }
 
     fn wait(&self) -> Result<Payload, NetError> {
         let mut slot = self.slot.lock();
         loop {
-            if let Some(result) = slot.take() {
+            if let Some(result) = slot.result.take() {
                 return result;
             }
             self.ready.wait(&mut slot);
@@ -118,6 +196,21 @@ impl TicketCell {
 /// [`MuxClient::wait`] (or internally, `MuxClient::wait_payload`).
 pub struct Ticket {
     cell: Arc<TicketCell>,
+}
+
+impl Ticket {
+    /// Post `tag` to `queue` when this submission completes — at once if
+    /// it already has. Register a ticket at most once; redeeming it
+    /// after its tag arrives returns without blocking.
+    pub fn notify(&self, queue: &Arc<CompletionQueue>, tag: u64) {
+        let mut slot = self.cell.slot.lock();
+        if slot.done {
+            drop(slot);
+            queue.post(tag);
+        } else {
+            slot.notify = Some((Arc::clone(queue), tag));
+        }
+    }
 }
 
 /// The policy a submission runs under inside the driver.
@@ -206,7 +299,8 @@ struct Shared {
 /// [`HttpClient::builder`](crate::client::HttpClient::builder), which
 /// owns one of these internally). The driver thread is spawned lazily on
 /// the first submission and joined on drop; outstanding tickets at
-/// shutdown complete with an I/O error rather than hanging.
+/// shutdown complete with an I/O error (and post their tags) rather than
+/// hanging.
 pub struct MuxClient {
     shared: Arc<Shared>,
     /// Spawned by the first submission, so that clients which never issue

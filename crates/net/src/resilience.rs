@@ -179,7 +179,7 @@ impl ResilienceMetrics {
             to_half_open: transition("half_open"),
             to_closed: transition("closed"),
             open_circuits: registry.gauge("marketscope_net_client_open_circuits", labels),
-            log: crate::private_log(),
+            log: EventLog::private(),
         }
     }
 

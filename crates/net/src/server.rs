@@ -97,7 +97,7 @@ impl ServerMetrics {
             accept_errors: registry.counter("marketscope_net_accept_errors_total", labels),
             shed: registry.counter("marketscope_net_connections_shed_total", labels),
             tracer: Arc::new(Tracer::disabled()),
-            log: crate::private_log(),
+            log: EventLog::private(),
         }
     }
 

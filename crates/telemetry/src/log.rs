@@ -148,6 +148,13 @@ impl EventLog {
         }
     }
 
+    /// The small log a component records to until a caller attaches a
+    /// shared one: every component always holds a log, this one is just
+    /// unread.
+    pub fn private() -> std::sync::Arc<EventLog> {
+        std::sync::Arc::new(EventLog::new(16))
+    }
+
     /// Record one event. The active trace/span ids on the calling thread
     /// (if any) are attached automatically.
     pub fn record(&self, level: LogLevel, target: &str, message: &str, fields: &[(&str, &str)]) {

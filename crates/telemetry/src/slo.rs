@@ -274,7 +274,7 @@ impl SloEvaluator {
             rules: policy.rules,
             status,
             verdicts: Vec::new(),
-            log: Arc::new(EventLog::new(16)),
+            log: EventLog::private(),
         }
     }
 
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn alert_transitions_emit_log_events() {
-        let log = Arc::new(EventLog::new(16));
+        let log = EventLog::private();
         let mut eval = SloEvaluator::new(error_rate_policy()).with_log(Arc::clone(&log));
         let mut rig = Rig::new();
         rig.tick(&mut eval, 100, 0);
