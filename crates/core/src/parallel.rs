@@ -234,8 +234,10 @@ impl<I, O> Stage<I, O> {
         self.shared.lock().closed = true;
         self.shared.filled.notify_all();
         for worker in self.workers.drain(..) {
-            // `serve` catches panics in `work`, so a join never fails.
-            let _ = worker.join();
+            // `serve` catches panics in `work`; this keeps one in `ready`.
+            if let Err(panic) = worker.join() {
+                self.shared.lock().panic.get_or_insert(panic);
+            }
         }
     }
 

@@ -401,10 +401,11 @@ enum Op {
     /// One `/app/{pkg}` of a listing or search sweep, settling into
     /// `slot`.
     Metadata { slot: usize, span: TraceSpan },
-    /// The direct `/apk/{pkg}` fetch of a listing.
-    Direct(usize),
+    /// The direct `/apk/{pkg}` fetch of a listing, under its harvest's
+    /// root span.
+    Direct { listing: usize, span: TraceSpan },
     /// The repository backfill of a listing.
-    Backfill(usize),
+    Backfill { listing: usize, span: TraceSpan },
 }
 
 struct InFlight {
@@ -436,7 +437,7 @@ impl Io<'_> {
     ) {
         let spec = FetchSpec::new(addr, path).parent(parent).lane(lane);
         let ticket = match op {
-            Op::Direct(_) | Op::Backfill(_) => self.client.submit_get(&spec),
+            Op::Direct { .. } | Op::Backfill { .. } => self.client.submit_get(&spec),
             _ => self.client.submit_get_json(&spec),
         };
         let tag = self.next_tag;
@@ -580,16 +581,17 @@ impl Market {
     }
 }
 
-/// A harvested body on its way to the digest stage: where it belongs and
-/// the context of its harvest's root span.
-struct Body {
+/// One harvested APK on its way through the digest stage: where its
+/// digest belongs, and its harvest's root span, which the loop finishes
+/// once the digest is applied.
+struct Harvested {
     market: usize,
     listing: usize,
-    bytes: Vec<u8>,
-    trace: Option<SpanContext>,
+    span: TraceSpan,
 }
 
-type Digested = (usize, usize, Option<ApkDigest>);
+/// Bodies in, digests (`None` when the APK does not parse) out.
+type DigestStage = Stage<(Harvested, Vec<u8>), (Harvested, Option<ApkDigest>)>;
 
 /// One crawl in progress.
 struct Run<'c> {
@@ -598,9 +600,8 @@ struct Run<'c> {
     io: Io<'c>,
     markets: Vec<Market>,
     stats: CrawlStats,
-    /// Root spans of harvests not yet settled, by (market, listing).
-    harvests: HashMap<(usize, usize), TraceSpan>,
-    digests: Option<Stage<Body, Digested>>,
+    /// Live for the harvest phase only.
+    digests: Option<DigestStage>,
     /// Bodies pushed to the digest stage and not yet applied.
     digesting: usize,
 }
@@ -629,7 +630,6 @@ impl<'c> Run<'c> {
                 })
                 .collect(),
             stats: CrawlStats::default(),
-            harvests: HashMap::new(),
             digests: None,
             digesting: 0,
         }
@@ -693,11 +693,11 @@ impl<'c> Run<'c> {
         self.digests = Some(Stage::spawn(
             workers,
             DIGEST_BACKLOG_PER_WORKER * workers,
-            move |body: Body| {
-                let span = tracer.child_of(body.trace, "crawler", "digest");
-                let digest = ApkDigest::from_bytes(&body.bytes).ok();
+            move |(apk, bytes): (Harvested, Vec<u8>)| {
+                let span = tracer.child_of(apk.span.context(), "crawler", "digest");
+                let digest = ApkDigest::from_bytes(&bytes).ok();
                 span.finish();
-                (body.market, body.listing, digest)
+                (apk, digest)
             },
             move || queue.post(DIGESTED),
         ));
@@ -752,7 +752,6 @@ impl<'c> Run<'c> {
             io,
             markets,
             stats,
-            harvests,
             ..
         } = &mut *self;
         let market = &mut markets[m];
@@ -890,8 +889,8 @@ impl<'c> Run<'c> {
                         span.event("politeness_wait");
                     }
                     let (path, parent) = (format!("/apk/{pkg}"), span.context());
-                    io.submit(m, market.addr, path, parent, lane, Op::Direct(i));
-                    harvests.insert((m, i), span);
+                    let op = Op::Direct { listing: i, span };
+                    io.submit(m, market.addr, path, parent, lane, op);
                     h.direct = true;
                 }
                 ended
@@ -963,8 +962,10 @@ impl<'c> Run<'c> {
                     sweep.slots[slot] = listing;
                 }
             }
-            Op::Direct(i) => self.on_direct(m, i, client.wait(ticket)),
-            Op::Backfill(i) => self.on_backfill(m, i, client.wait(ticket)),
+            Op::Direct { listing, span } => self.on_direct(m, listing, span, client.wait(ticket)),
+            Op::Backfill { listing, span } => {
+                self.on_backfill(m, listing, span, client.wait(ticket));
+            }
         }
         self.pump(m);
     }
@@ -1066,35 +1067,39 @@ impl<'c> Run<'c> {
     /// The direct fetch of listing `i` finished. Whether the market
     /// answered definitively (success, 404, or a rate limit) feeds its
     /// health: anything else is a vote toward quarantine.
-    fn on_direct(&mut self, m: usize, i: usize, fetched: Result<Response, NetError>) {
+    fn on_direct(
+        &mut self,
+        m: usize,
+        i: usize,
+        span: TraceSpan,
+        fetched: Result<Response, NetError>,
+    ) {
         let mut healthy = true;
         match fetched {
             Ok(resp) => {
                 self.stats.apks_direct += 1;
-                self.digest(m, i, resp.body);
+                self.digest(m, i, span, resp.body);
             }
             Err(NetError::Status { code: 429, .. }) => {
                 // Throttled — an answer, not an outage. Backfill from
                 // the offline repository by (pkg, version).
                 self.stats.rate_limited += 1;
-                self.event(m, i, "rate_limited_429");
-                self.backfill(m, i);
+                span.event("rate_limited_429");
+                self.backfill(m, i, span);
             }
             Err(e) if is_404(&e) => {
                 // Definitive miss: the store answered that it no longer
                 // serves this package.
-                self.event(m, i, "gone_404");
-                self.missing(m, i);
+                span.event("gone_404");
+                self.missing(span);
             }
             Err(e) => {
                 // Degraded fetch: account the kind and still try the
                 // repository — it mirrors the catalogs, so a flaky
                 // market need not cost us the APK.
-                let noop = TraceSpan::noop();
-                let span = self.harvests.get(&(m, i)).unwrap_or(&noop);
-                note_fetch_failure(span, &self.crawler.metrics[m], &mut self.stats, &e);
+                note_fetch_failure(&span, &self.crawler.metrics[m], &mut self.stats, &e);
                 healthy = false;
-                self.backfill(m, i);
+                self.backfill(m, i, span);
             }
         }
         let (crawler, slug) = (self.crawler, self.markets[m].id.slug());
@@ -1131,81 +1136,75 @@ impl<'c> Run<'c> {
 
     /// Fetch listing `i`'s `(package, version)` from the offline
     /// repository, if one is configured, on the market's repository lane.
-    fn backfill(&mut self, m: usize, i: usize) {
+    fn backfill(&mut self, m: usize, i: usize, span: TraceSpan) {
         let Some(repo) = self.repository else {
-            self.missing(m, i);
+            self.missing(span);
             return;
         };
-        self.event(m, i, "backfill");
+        span.event("backfill");
         let listing = &self.markets[m].listings[i];
         let path = format!("/apk/{}/{}", listing.package, listing.version_code);
-        let parent = self.harvests.get(&(m, i)).and_then(TraceSpan::context);
-        let lane = REPOSITORY_LANE | m as u64;
-        self.io.submit(m, repo, path, parent, lane, Op::Backfill(i));
+        let (parent, lane) = (span.context(), REPOSITORY_LANE | m as u64);
+        let op = Op::Backfill { listing: i, span };
+        self.io.submit(m, repo, path, parent, lane, op);
     }
 
     /// Repository failures are accounted like any other fetch error
     /// (under the market being harvested); a repository 404 just means
     /// that version was never archived.
-    fn on_backfill(&mut self, m: usize, i: usize, fetched: Result<Response, NetError>) {
+    fn on_backfill(
+        &mut self,
+        m: usize,
+        i: usize,
+        span: TraceSpan,
+        fetched: Result<Response, NetError>,
+    ) {
         match fetched {
             Ok(resp) => {
                 self.stats.apks_backfilled += 1;
-                self.digest(m, i, resp.body);
+                self.digest(m, i, span, resp.body);
             }
             Err(e) => {
-                let noop = TraceSpan::noop();
-                let span = self.harvests.get(&(m, i)).unwrap_or(&noop);
-                note_fetch_failure(span, &self.crawler.metrics[m], &mut self.stats, &e);
-                self.missing(m, i);
+                note_fetch_failure(&span, &self.crawler.metrics[m], &mut self.stats, &e);
+                self.missing(span);
             }
         }
     }
 
     /// Hand listing `i`'s APK to the digest stage (blocking while its
     /// queue is full).
-    fn digest(&mut self, m: usize, i: usize, bytes: Vec<u8>) {
+    fn digest(&mut self, m: usize, i: usize, span: TraceSpan, bytes: Vec<u8>) {
         self.crawler.metrics[m].apks.inc();
-        let trace = self.harvests.get(&(m, i)).and_then(TraceSpan::context);
         if let Some(stage) = &mut self.digests {
-            stage.push(Body {
+            let apk = Harvested {
                 market: m,
                 listing: i,
-                bytes,
-                trace,
-            });
+                span,
+            };
+            stage.push((apk, bytes));
             self.digesting += 1;
         }
     }
 
     /// Apply every digest the stage has finished, by (market, listing).
     fn apply_digests(&mut self) {
-        while let Some((m, i, digest)) = self.digests.as_mut().and_then(Stage::try_recv) {
+        while let Some((apk, digest)) = self.digests.as_mut().and_then(Stage::try_recv) {
             self.digesting -= 1;
             match digest {
-                Some(digest) => self.markets[m].listings[i].digest = Some(Arc::new(digest)),
+                Some(digest) => {
+                    self.markets[apk.market].listings[apk.listing].digest = Some(Arc::new(digest));
+                }
                 None => self.stats.parse_failures += 1,
             }
-            if let Some(span) = self.harvests.remove(&(m, i)) {
-                span.finish();
-            }
+            apk.span.finish();
         }
     }
 
-    /// Listing `i` ends the harvest without an APK.
-    fn missing(&mut self, m: usize, i: usize) {
-        if let Some(span) = self.harvests.remove(&(m, i)) {
-            span.event("missing");
-            span.finish();
-        }
+    /// A harvest ends without an APK.
+    fn missing(&mut self, span: TraceSpan) {
+        span.event("missing");
+        span.finish();
         self.stats.apks_missing += 1;
-    }
-
-    /// An event on listing `i`'s harvest span.
-    fn event(&self, m: usize, i: usize, label: &str) {
-        if let Some(span) = self.harvests.get(&(m, i)) {
-            span.event(label);
-        }
     }
 }
 

@@ -23,6 +23,19 @@
 //! The crawler knows nothing about the synthetic world: it speaks HTTP to
 //! whatever addresses it is given and parses whatever bytes come back.
 //!
+//! One crawl is one completion-driven loop on the calling thread (see
+//! [`crawl`]): every market is a state machine whose requests are tickets
+//! on the shared mux client, and the loop reacts to whichever completes
+//! next. The phases stay barriers, as in the paper. Parallel search skips
+//! the answers the crawl already has — a complete index walk rules out
+//! every package it did not list, a BFS 404 rules out that package — so
+//! it only probes what could still be found. The harvest keeps one
+//! direct APK fetch in flight per market, in listing order; backfills go
+//! on a per-market repository lane and digests run on a bounded stage of
+//! `default_workers()` threads, so at most two responses per market plus
+//! a fixed digest queue are in memory at once. A crawl adds the mux
+//! driver and the digest workers to the process, nothing per market.
+//!
 //! Every crawl is instrumented through `marketscope-telemetry`: per-market
 //! listing/APK/dedup counters, BFS queue depth, politeness-bucket waits,
 //! and HTTP client latency all land in the crawler's

@@ -869,7 +869,7 @@ mod tests {
     fn completion_queue_delivers_every_tag_once_across_shutdown() {
         use crate::mux::CompletionQueue;
         use std::time::Instant;
-        // `/held/*` answers only once the gate opens, which is after the
+        // `/held` answers only once the gate opens, which is after the
         // client is gone: those tickets are outstanding at shutdown.
         let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
         let server_gate = Arc::clone(&gate);
