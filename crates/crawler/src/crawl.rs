@@ -485,9 +485,6 @@ struct Sweep {
     next: usize,
     slots: Vec<Option<CrawledListing>>,
     in_flight: usize,
-    /// All at once, or one at a time when politeness paces each request
-    /// or a cap counts *successful* listings.
-    window: usize,
     /// Stop once this many listings were found (0 = never).
     cap: usize,
     found: usize,
@@ -502,10 +499,20 @@ impl Sweep {
             packages,
             next: 0,
             in_flight: 0,
-            window: if polite || cap > 0 { 1 } else { usize::MAX },
             cap,
             found: 0,
             polite,
+        }
+    }
+
+    /// Fetches in flight at once: all of them, or one at a time when
+    /// politeness paces each request or a cap counts *successful*
+    /// listings.
+    fn window(&self) -> usize {
+        if self.polite || self.cap > 0 {
+            1
+        } else {
+            usize::MAX
         }
     }
 
@@ -793,7 +800,7 @@ impl<'c> Run<'c> {
             Task::Sweep(sweep) => {
                 let kind = if sweep.search { "search" } else { "listing" };
                 while sweep.next < sweep.packages.len()
-                    && sweep.in_flight < sweep.window
+                    && sweep.in_flight < sweep.window()
                     && !sweep.capped()
                 {
                     let waited = if sweep.polite {
