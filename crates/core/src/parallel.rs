@@ -369,6 +369,16 @@ mod tests {
         gate.1.notify_all();
     }
 
+    /// Opens the gate when dropped, so a failed assertion releases the
+    /// workers before the stage's drop joins them.
+    struct OpenOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            open(&self.0);
+        }
+    }
+
     #[test]
     fn stage_queue_never_holds_more_than_its_capacity() {
         let (workers, capacity) = (2, 3);
@@ -383,6 +393,7 @@ mod tests {
             },
             || {},
         );
+        let _release = OpenOnDrop(Arc::clone(&shut));
         // Each worker holds one input; the queue then fills to capacity.
         for x in 0..(workers + capacity) as u32 {
             stage.push(x);
