@@ -88,8 +88,8 @@ impl MarketFleet {
         // propagate in — one fleet-wide timeline.
         let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(16_384)));
         let registry = Arc::new(Registry::new());
-        // Stamp the exposition with the producing binary: BENCH files and
-        // scrapes record which version/profile served the fleet.
+        // Stamp the exposition with the producing binary: scrapes record
+        // which version/profile served the fleet.
         marketscope_telemetry::perf::register_build_info(
             &registry,
             env!("CARGO_PKG_VERSION"),

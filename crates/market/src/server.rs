@@ -138,9 +138,9 @@ impl MarketServer {
         // What /__health reports of the transport, its own or a fleet's:
         // the shard and worker counts (shared with whatever else listens
         // on it) and the ceiling the acceptor sheds this listener's
-        // connections against. The reactor's defaults: 2 shards, 4
-        // handler workers, 8192 connections.
-        let transport_cfg = ReactorConfig::default();
+        // connections against. A transport of its own runs the reactor
+        // defaults.
+        let transport_cfg = transport.map_or_else(ReactorConfig::default, |t| t.config().clone());
         let catalog: Vec<ListingId> = world.market_listings(market).to_vec();
         let by_package = catalog
             .iter()
@@ -683,6 +683,35 @@ mod tests {
         let huawei = MarketServer::spawn(Arc::clone(&w), MarketId::HuaweiMarket).unwrap();
         let health = client.get_json(huawei.addr(), "/__health").unwrap();
         assert_eq!(health.get("rate_limiter"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn health_reports_the_config_of_the_transport_it_serves_on() {
+        let transport = Transport::spawn(ReactorConfig {
+            max_connections: 7,
+            ..ReactorConfig::default()
+        })
+        .unwrap();
+        let server = MarketServer::spawn_on(
+            Some(&transport),
+            world(),
+            MarketId::HuaweiMarket,
+            Arc::new(Registry::new()),
+            Arc::new(Tracer::new(TracerConfig::propagate_only(64))),
+            None,
+            None,
+        )
+        .unwrap();
+        let health = HttpClient::new()
+            .get_json(server.addr(), "/__health")
+            .unwrap();
+        let transport_doc = health.get("transport").unwrap();
+        assert_eq!(
+            transport_doc.get("max_connections").unwrap().as_u64(),
+            Some(7)
+        );
+        server.stop();
+        transport.stop();
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //!    evaluation, rendered with [`metrics`].
 //!
 //! Throughout, [`telemetry`] provides lock-free counters, log2-bucketed
-//! latency histograms and span timers; every server exposes the shared
-//! registry at `GET /__metrics` in Prometheus text format and its ops
-//! state at `GET /__health`. [`loadgen`] keeps the standing perf
-//! baseline: it drives the fleet to saturation and emits schema-versioned
-//! `BENCH_*.json` reports that `loadgen bench-diff` regresses.
+//! latency histograms and a sampling span tracer; every server exposes
+//! the shared registry at `GET /__metrics` in Prometheus text format and
+//! its ops state at `GET /__health`. Performance is measured by the
+//! separate `benchmark/` package at the repository root.
 //!
 //! ## Quickstart
 //!
@@ -47,7 +46,6 @@ pub use marketscope_core as core;
 pub use marketscope_crawler as crawler;
 pub use marketscope_ecosystem as ecosystem;
 pub use marketscope_libdetect as libdetect;
-pub use marketscope_loadgen as loadgen;
 pub use marketscope_market as market;
 pub use marketscope_metrics as metrics;
 pub use marketscope_net as net;

@@ -33,14 +33,6 @@ pub struct ClientConfig {
     /// failures (the keep-alive race, a reset socket). HTTP error
     /// statuses never retry here — that is [`RetryPolicy`]'s job.
     pub retries: u32,
-    /// Cap on concurrently in-flight requests through this client,
-    /// enforced as the mux driver's wire-active limit: excess
-    /// submissions queue inside the driver instead of blocking caller
-    /// threads on a gate. `None` (the default) means unbounded; the
-    /// load generator sets it to hold *offered* concurrency constant
-    /// while it sweeps worker counts, so achieved-vs-offered RPS is
-    /// attributable to the server side rather than client-side queueing.
-    pub max_inflight: Option<usize>,
 }
 
 impl Default for ClientConfig {
@@ -50,7 +42,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(5),
             pool_per_host: 8,
             retries: 2,
-            max_inflight: None,
         }
     }
 }
@@ -655,48 +646,6 @@ mod tests {
             }
         });
         assert!(client.idle_connections() <= 1);
-    }
-
-    #[test]
-    fn max_inflight_bounds_server_side_concurrency() {
-        // Each handler invocation bumps a live counter; the peak it ever
-        // reaches is the true concurrency the server saw.
-        let live = Arc::new(AtomicU64::new(0));
-        let peak = Arc::new(AtomicU64::new(0));
-        let (h_live, h_peak) = (Arc::clone(&live), Arc::clone(&peak));
-        let server = HttpServer::spawn(move |_req: &Request| {
-            let now = h_live.fetch_add(1, Ordering::SeqCst) + 1;
-            h_peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(5));
-            h_live.fetch_sub(1, Ordering::SeqCst);
-            Response::ok("text/plain", b"ok".to_vec())
-        })
-        .unwrap();
-        let client = Arc::new(
-            HttpClient::builder()
-                .config(ClientConfig {
-                    max_inflight: Some(2),
-                    ..ClientConfig::default()
-                })
-                .build(),
-        );
-        let addr = server.addr();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let client = Arc::clone(&client);
-                s.spawn(move || {
-                    for _ in 0..3 {
-                        client.get(addr, "/x").unwrap();
-                    }
-                });
-            }
-        });
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "gate leaked: peak concurrency {}",
-            peak.load(Ordering::SeqCst)
-        );
-        assert_eq!(server.request_count(), 24);
     }
 
     #[test]

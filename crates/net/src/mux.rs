@@ -24,8 +24,8 @@
 //!   status/decode seam, retry backoff as *timed resubmission* (the
 //!   submission parks on a timer instead of a thread sleeping), and
 //!   terminal breaker accounting. `get`/`get_json`, the ticket-level
-//!   `submit_get`/`submit_get_json`, the crawler's completion loop and
-//!   the loadgen `fanout` profile ride this.
+//!   `submit_get`/`submit_get_json` and the crawler's completion loop
+//!   ride this.
 //!
 //! Ordering: a submission may carry a *lane* key. The driver runs at
 //! most one submission per lane at a time, FIFO — so a per-market batch
@@ -543,15 +543,12 @@ impl Driver {
         }
     }
 
-    /// Start pending submissions while the in-flight cap allows. The cap
-    /// bounds *wire-active* submissions only — parked backoffs hold no
-    /// slot.
+    /// Start every pending submission. The driver holds no cap of its
+    /// own: callers bound what they put in flight (the crawler's lanes
+    /// and harvest window), and lanes already serialize what must not
+    /// overlap.
     fn admit(&mut self) {
-        let cap = self.shared.config.max_inflight.unwrap_or(usize::MAX).max(1);
-        while self.active.len() < cap {
-            let Some(item) = self.pending.pop_front() else {
-                return;
-            };
+        while let Some(item) = self.pending.pop_front() {
             self.admit_one(item);
         }
     }

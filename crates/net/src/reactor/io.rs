@@ -100,10 +100,6 @@ impl<T> Slab<T> {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
     /// Store `value` and return its token.
     pub(crate) fn insert(&mut self, value: T) -> u64 {
         let idx = self.free.pop().unwrap_or(self.slots.len());
@@ -344,7 +340,6 @@ mod tests {
         assert_eq!(slab.remove(first), None);
         assert_eq!(slab.get_mut(reused), Some(&mut "reused"));
         assert_eq!(slab.get_mut(kept), Some(&mut "kept"));
-        assert_eq!(slab.len(), 2);
         let listed: Vec<_> = slab.iter().collect();
         assert_eq!(listed, [(reused, &"reused"), (kept, &"kept")]);
         assert_ne!(reused, first);

@@ -829,7 +829,7 @@ impl Transport {
     }
 
     /// The configuration in force (after clamping zeros to one).
-    pub(crate) fn config(&self) -> &ReactorConfig {
+    pub fn config(&self) -> &ReactorConfig {
         &self.shared.cfg
     }
 

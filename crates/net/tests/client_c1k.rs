@@ -91,7 +91,6 @@ fn hundreds_in_flight_on_one_driver_thread() {
 
     let client = HttpClient::builder()
         .config(ClientConfig {
-            max_inflight: Some(SUBMITTED),
             retries: 0,
             connect_timeout: Duration::from_secs(20),
             io_timeout: Duration::from_secs(60),

@@ -4,7 +4,7 @@
 //! ```text
 //! reproduce [--seed N] [--scale small|medium|large] [--only ARTIFACT] [--out DIR] [--progress]
 //!           [--trace-out FILE] [--chaos-seed N] [--chaos-profile light|heavy]
-//!           [--ops-bundle DIR] [--bench LABEL] [--bench-profile smoke|fanout]
+//!           [--ops-bundle DIR]
 //! ```
 //!
 //! `--trace-out FILE` samples every fetch (trace rate 1.0) and writes the
@@ -21,25 +21,14 @@
 //! `metrics.prom` (Prometheus exposition), `series.json` (scraped time
 //! series), `slo.json` (burn-rate verdicts), `trace.json` (Chrome trace
 //! events), `events.json` (structured log) — for archiving or diffing.
-//!
-//! `--bench LABEL` follows the campaign with a short load-generation
-//! pass against a fresh fleet — the `marketscope_loadgen` smoke profile
-//! by default, or the open-loop `fanout` profile with
-//! `--bench-profile fanout`
-//! over the same world, and writes a schema-versioned `BENCH_LABEL.json`
-//! — achieved RPS, per-endpoint latency quantiles, resource peaks, and
-//! the campaign's per-stage analysis timings. Compare two of them with
-//! `loadgen bench-diff`.
 
 // A CLI binary reports fatal setup/IO errors by panicking with context.
 #![allow(clippy::disallowed_methods)]
 
 use marketscope_ecosystem::Scale;
-use marketscope_loadgen::{BenchReport, LoadConfig, StageTiming};
-use marketscope_market::{ChaosIntensity, ChaosProfile, MarketFleet};
+use marketscope_market::{ChaosIntensity, ChaosProfile};
 use marketscope_report::experiments as ex;
 use marketscope_report::{run_campaign, Campaign, CampaignConfig};
-use std::sync::Arc;
 
 fn main() {
     let mut config = CampaignConfig::default();
@@ -47,8 +36,6 @@ fn main() {
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut ops_bundle: Option<std::path::PathBuf> = None;
-    let mut bench_label: Option<String> = None;
-    let mut bench_profile = "smoke".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -105,20 +92,6 @@ fn main() {
                     args.next()
                         .unwrap_or_else(|| usage("--ops-bundle needs a directory")),
                 ));
-            }
-            "--bench" => {
-                bench_label = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench needs a label")),
-                );
-            }
-            "--bench-profile" => {
-                bench_profile = args
-                    .next()
-                    .unwrap_or_else(|| usage("--bench-profile needs smoke|fanout"));
-                if !matches!(bench_profile.as_str(), "smoke" | "fanout") {
-                    usage("--bench-profile needs smoke|fanout");
-                }
             }
             "--progress" => config.progress = true,
             "--help" | "-h" => usage(""),
@@ -181,46 +154,6 @@ fn main() {
             firing
         );
     }
-    if let Some(label) = bench_label {
-        eprintln!("bench: running loadgen {bench_profile} profile against a fresh fleet ...");
-        // The campaign stopped its fleet; the perf baseline gets its own
-        // over the same world so the load run measures serving, not the
-        // crawl's leftovers.
-        let fleet = MarketFleet::spawn(Arc::clone(&campaign.world)).expect("spawn fleet");
-        let load_config = match bench_profile.as_str() {
-            "fanout" => LoadConfig::fanout(config.seed),
-            _ => LoadConfig::smoke(config.seed),
-        };
-        let load = marketscope_loadgen::run_against(&fleet, &load_config);
-        fleet.stop();
-        let report = BenchReport {
-            label,
-            seed: config.seed,
-            scale_divisor: config.scale.divisor as u64,
-            version: env!("CARGO_PKG_VERSION").to_owned(),
-            profile: marketscope_telemetry::perf::build_profile().to_owned(),
-            load,
-            stages: campaign
-                .ops
-                .analysis
-                .iter()
-                .map(|s| StageTiming {
-                    stage: s.stage.clone(),
-                    items: s.items,
-                    elapsed_us: s.elapsed_us,
-                })
-                .collect(),
-        };
-        let dir = out_dir
-            .clone()
-            .unwrap_or_else(|| std::path::PathBuf::from("."));
-        let path = report.write(&dir).expect("write bench report");
-        eprintln!(
-            "bench report written to {} ({:.0} rps achieved)",
-            path.display(),
-            report.load.achieved_rps()
-        );
-    }
 }
 
 /// All artifacts in paper order.
@@ -260,7 +193,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: reproduce [--seed N] [--scale small|medium|large] [--only ARTIFACT] [--out DIR] [--progress] [--trace-out FILE] [--chaos-seed N] [--chaos-profile light|heavy] [--ops-bundle DIR] [--bench LABEL] [--bench-profile smoke|fanout]"
+        "usage: reproduce [--seed N] [--scale small|medium|large] [--only ARTIFACT] [--out DIR] [--progress] [--trace-out FILE] [--chaos-seed N] [--chaos-profile light|heavy] [--ops-bundle DIR]"
     );
     eprintln!("artifacts: table1..table6, fig1..fig13, leaks, sec53, sec64, ops");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });

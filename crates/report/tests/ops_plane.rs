@@ -186,7 +186,7 @@ enum Reader {
     Progress,
     /// A field of a market's `/__health` document.
     Health,
-    /// A field of the repo benchmark or of a loadgen `BENCH_*.json`.
+    /// A field of the repo benchmark.
     Benchmark,
     /// Only `/__metrics` (and the ops bundle's `metrics.prom`) shows it;
     /// behavioural tests pin its value.
@@ -241,7 +241,10 @@ const INSTRUMENTS: &[(&str, Reader)] = &[
         "marketscope_net_client_open_circuits",
         Reader::ExpositionOnly,
     ),
-    ("marketscope_net_client_request_nanos", Reader::Benchmark),
+    (
+        "marketscope_net_client_request_nanos",
+        Reader::ExpositionOnly,
+    ),
     (
         "marketscope_net_client_resilient_retries_total",
         Reader::OpsReport,

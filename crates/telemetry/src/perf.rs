@@ -8,16 +8,17 @@
 //!   ([`alloc_stats`]) fed by `CountingAlloc`, a wrapper around the
 //!   system allocator compiled only under the `alloc-profile` feature
 //!   (counting every allocation costs a few percent, so it is opt-in).
-//!   Binaries install it with `#[global_allocator]`; without the feature
+//!   A binary installs it with `#[global_allocator]` (the `alloc_profile`
+//!   test suite does); without the feature
 //!   (or without installation) every counter reads zero and
 //!   [`AllocPhase`] deltas are zero — callers need no cfg of their own.
 //! * **Process sampling** — [`rss_bytes`] and [`thread_count`] read
 //!   `/proc/self/status`, and [`ResourceSampler`] polls them on a
 //!   background thread into registry gauges, tracking peaks for the
-//!   BENCH report.
+//!   ops report's `perf:` line.
 //! * **Build info** — [`register_build_info`] publishes a constant
 //!   `marketscope_build_info{version=...,profile=...} 1` gauge so every
-//!   exposition and BENCH file records which binary produced it.
+//!   exposition records which binary produced it.
 
 use crate::counter::Gauge;
 use crate::periodic::Periodic;
@@ -314,7 +315,7 @@ pub fn build_profile() -> &'static str {
 }
 
 /// Register the constant `marketscope_build_info{version,profile} 1`
-/// gauge: exposition scrapes and BENCH files record which binary
+/// gauge: exposition scrapes and ops reports record which binary
 /// produced them. Idempotent (same labels return the same gauge).
 pub fn register_build_info(registry: &Registry, version: &str, profile: &str) -> Arc<Gauge> {
     let g = registry.gauge(

@@ -44,6 +44,7 @@
 //! fleet's and the crawler's — line up on one clock.
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -244,13 +245,12 @@ impl JournalSnapshot {
 
     /// Distinct trace ids present, in first-seen (start-time) order.
     pub fn trace_ids(&self) -> Vec<u64> {
-        let mut seen = Vec::new();
-        for r in &self.records {
-            if !seen.contains(&r.trace_id) {
-                seen.push(r.trace_id);
-            }
-        }
-        seen
+        let mut seen = HashSet::new();
+        self.records
+            .iter()
+            .map(|r| r.trace_id)
+            .filter(|id| seen.insert(*id))
+            .collect()
     }
 
     /// Whether nothing was ever recorded.
