@@ -15,10 +15,23 @@
 //!
 //! * **Politeness** is a per-market not-before instant taken from the
 //!   market's token bucket; the loop's wait times out at the earliest one.
+//!   BFS expansions, listing-sweep fetches and direct APK fetches each
+//!   take a token; parallel search is not paced.
+//! * **BFS window.** One `/related/{pkg}` per frontier package answers
+//!   both "is it listed?" (a 404 says no) and "what next?"; the listing
+//!   sweep fetches its metadata. Up to `BFS_WINDOW` not-yet-visited
+//!   packages are popped from the FIFO frontier and submitted at once on
+//!   the market's lane, and their answers are applied strictly in pop
+//!   order. Popping ahead only takes entries already in the FIFO and
+//!   answers still append in pop order, so the packages are visited, found
+//!   and missed in the sequential BFS's order, and the server receives the
+//!   same `/related` sequence. Only the push-time `visited` filter sees
+//!   more, so fewer duplicates enter the frontier (and
+//!   `crawler_dedup_hits_total` counts fewer).
 //! * **Negative set.** An index walk is complete when it reaches a page
 //!   without `next` and no page failed or came back malformed; the market
 //!   then cannot list a package the walk did not see. A definitive 404
-//!   from a BFS probe is an answer too. Parallel search probes a market
+//!   from a BFS `/related` is an answer too. Parallel search probes a market
 //!   only for packages it did not list that are not such known misses, so
 //!   an index package whose listing fetch failed still gets its second
 //!   chance, and a walk that died mid-pagination rules nothing out.
@@ -31,10 +44,12 @@
 //!   Bodies are digested on a [`Stage`] of `default_workers()` threads
 //!   and applied by (market, listing index), so the dataset does not
 //!   depend on completion order.
-//! * **Bound.** At most two responses are in flight per market (one
-//!   direct, one backfill), plus `DIGEST_BACKLOG_PER_WORKER` queued bodies
-//!   per digest worker and the one each worker is digesting. A full digest
-//!   queue blocks the loop until a worker takes a body.
+//! * **Bound.** While harvesting, at most two responses are in flight per
+//!   market (one direct, one backfill), plus `DIGEST_BACKLOG_PER_WORKER`
+//!   queued bodies per digest worker and the one each worker is digesting.
+//!   A full digest queue blocks the loop until a worker takes a body. A
+//!   BFS holds at most `BFS_WINDOW` `/related` answers (one under
+//!   politeness).
 
 use crate::health::MarketHealth;
 use crate::snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};
@@ -142,6 +157,13 @@ pub fn politeness_burst(rps: f64) -> u32 {
 /// time.
 const REPOSITORY_LANE: u64 = 1 << 32;
 
+/// `/related/{pkg}` expansions a BFS keeps submitted at once when no
+/// politeness bucket paces it. The lane still sends them one at a time,
+/// so the window only hides the round trip between one answer and the
+/// next request; 64 already does, and it bounds the answers held for
+/// in-order application.
+const BFS_WINDOW: usize = 64;
+
 /// Bodies the digest stage may queue per worker before the loop blocks.
 const DIGEST_BACKLOG_PER_WORKER: usize = 2;
 
@@ -215,7 +237,7 @@ impl MarketMetrics {
 /// campaign-wide stat, and a `fetch_error:<kind>` event on `span` — the
 /// fetch's own span handle, since many fetches are open at once on the
 /// crawl loop. Definitive 404s are answers, not degradation — they are
-/// deliberately *not* counted (BFS probes and parallel search live on
+/// deliberately *not* counted (BFS expansions and parallel search live on
 /// expected misses).
 fn note_fetch_failure(
     span: &TraceSpan,
@@ -394,10 +416,8 @@ fn settle_metadata(
 enum Op {
     /// One `/index?page=N` of an index walk.
     Page,
-    /// A BFS existence probe of a package.
-    Probe(String),
-    /// A BFS `/related/{pkg}` expansion.
-    Related,
+    /// The BFS `/related/{pkg}` expansion of pop number `slot`.
+    Related { slot: usize },
     /// One `/app/{pkg}` of a listing or search sweep, settling into
     /// `slot`.
     Metadata { slot: usize, span: TraceSpan },
@@ -469,12 +489,16 @@ struct IndexWalk {
     done: bool,
 }
 
-/// Seed + BFS through `/related/{pkg}`, one request in flight.
+/// Seed + BFS through `/related/{pkg}`, up to `BFS_WINDOW` expansions
+/// submitted at once and applied in pop order.
 struct Bfs {
     frontier: VecDeque<String>,
     visited: HashSet<String>,
     found: Vec<String>,
-    busy: bool,
+    /// Popped packages in pop order, each with its answer once it
+    /// arrived; the front is pop number `popped - window.len()`.
+    window: VecDeque<(String, Option<Result<Json, NetError>>)>,
+    popped: usize,
 }
 
 /// `/app/{pkg}` over a package list: enumeration's listing sweep or a
@@ -578,7 +602,7 @@ struct Market {
     pace: Pace,
     /// Negative set: the whole catalog, when an index walk completed.
     catalog: Option<HashSet<String>>,
-    /// Negative set: packages a BFS probe found absent.
+    /// Negative set: packages whose BFS `/related` answered 404.
     misses: HashSet<String>,
 }
 
@@ -652,7 +676,8 @@ impl<'c> Run<'c> {
                     frontier: config.seeds.iter().cloned().collect(),
                     visited: HashSet::new(),
                     found: Vec::new(),
-                    busy: false,
+                    window: VecDeque::new(),
+                    popped: 0,
                 })
             } else {
                 Task::Index(IndexWalk {
@@ -775,27 +800,27 @@ impl<'c> Run<'c> {
             }
             Task::Bfs(bfs) => {
                 let metrics = &crawler.metrics[m];
-                let mut ended = false;
-                if !bfs.busy {
-                    ended = true;
-                    while let Some(pkg) = bfs.frontier.pop_front() {
-                        metrics.queue_depth.set(bfs.frontier.len() as i64);
-                        if !bfs.visited.insert(pkg.clone()) {
-                            metrics.dedup_hits.inc();
-                            continue;
-                        }
-                        // Confirm the package exists in this market.
-                        let path = format!("/app/{pkg}");
-                        io.submit(m, market.addr, path, None, lane, Op::Probe(pkg));
-                        bfs.busy = true;
-                        ended = false;
+                let width = if bucket.is_some() { 1 } else { BFS_WINDOW };
+                while bfs.window.len() < width {
+                    let Some(pkg) = bfs.frontier.pop_front() else {
+                        break;
+                    };
+                    if bfs.visited.contains(&pkg) {
+                        metrics.dedup_hits.inc();
+                        continue;
+                    }
+                    if market.pace.admit(bucket).is_none() {
+                        bfs.frontier.push_front(pkg);
                         break;
                     }
-                    if ended {
-                        metrics.queue_depth.set(0);
-                    }
+                    bfs.visited.insert(pkg.clone());
+                    let op = Op::Related { slot: bfs.popped };
+                    io.submit(m, market.addr, format!("/related/{pkg}"), None, lane, op);
+                    bfs.window.push_back((pkg, None));
+                    bfs.popped += 1;
                 }
-                ended
+                metrics.queue_depth.set(bfs.frontier.len() as i64);
+                bfs.window.is_empty() && bfs.frontier.is_empty()
             }
             Task::Sweep(sweep) => {
                 let kind = if sweep.search { "search" } else { "listing" };
@@ -956,8 +981,7 @@ impl<'c> Run<'c> {
         let client = self.io.client;
         match op {
             Op::Page => self.on_page(m, client.wait_json(ticket)),
-            Op::Probe(pkg) => self.on_probe(m, pkg, client.wait_json(ticket)),
-            Op::Related => self.on_related(m, client.wait_json(ticket)),
+            Op::Related { slot } => self.on_related(m, slot, client.wait_json(ticket)),
             Op::Metadata { slot, span } => {
                 let metrics = &self.crawler.metrics[m];
                 let listing =
@@ -1012,62 +1036,50 @@ impl<'c> Run<'c> {
         walk.done = walk.next_page.is_none();
     }
 
-    fn on_probe(&mut self, m: usize, pkg: String, found: Result<Json, NetError>) {
-        let Run {
-            crawler,
-            io,
-            markets,
-            stats,
-            ..
-        } = &mut *self;
-        let market = &mut markets[m];
+    /// Park the answer of BFS pop number `slot`, then apply every answer
+    /// now at the front of the window, in pop order — never in completion
+    /// order, so the frontier grows exactly as one expansion at a time
+    /// would grow it.
+    fn on_related(&mut self, m: usize, slot: usize, related: Result<Json, NetError>) {
+        let metrics = &self.crawler.metrics[m];
+        let market = &mut self.markets[m];
         let Task::Bfs(bfs) = &mut market.task else {
             return;
         };
-        match found {
-            Ok(_) => {
-                let path = format!("/related/{pkg}");
-                bfs.found.push(pkg);
-                io.submit(m, market.addr, path, None, m as u64, Op::Related);
-            }
-            Err(e) => {
-                // A 404 is the expected answer for a probe that misses;
-                // anything else is degradation and gets accounted.
-                if is_404(&e) {
-                    market.misses.insert(pkg);
-                }
-                note_fetch_failure(&TraceSpan::noop(), &crawler.metrics[m], stats, &e);
-                bfs.busy = false;
-            }
+        let front = bfs.popped - bfs.window.len();
+        if let Some((_, answer)) = bfs.window.get_mut(slot - front) {
+            *answer = Some(related);
         }
-    }
-
-    fn on_related(&mut self, m: usize, related: Result<Json, NetError>) {
-        let metrics = &self.crawler.metrics[m];
-        let Task::Bfs(bfs) = &mut self.markets[m].task else {
-            return;
-        };
-        bfs.busy = false;
-        let doc = match related {
-            Ok(doc) => doc,
-            Err(e) => {
-                // A failed expansion loses this package's whole
-                // neighbourhood: account it like any failed fetch.
-                note_fetch_failure(&TraceSpan::noop(), metrics, &mut self.stats, &e);
-                return;
-            }
-        };
-        for r in doc
-            .get("related")
-            .and_then(Json::as_arr)
-            .into_iter()
-            .flatten()
-        {
-            if let Some(s) = r.as_str() {
-                if !bfs.visited.contains(s) {
-                    bfs.frontier.push_back(s.to_owned());
+        while let Some((_, Some(_))) = bfs.window.front() {
+            let Some((pkg, Some(answer))) = bfs.window.pop_front() else {
+                break;
+            };
+            match answer {
+                Ok(doc) => {
+                    for r in doc
+                        .get("related")
+                        .and_then(Json::as_arr)
+                        .into_iter()
+                        .flatten()
+                    {
+                        if let Some(s) = r.as_str() {
+                            if !bfs.visited.contains(s) {
+                                bfs.frontier.push_back(s.to_owned());
+                            }
+                        }
+                    }
                 }
+                // Not listed: the answer parallel search trusts.
+                Err(e) if is_404(&e) => {
+                    market.misses.insert(pkg);
+                    continue;
+                }
+                // A failed expansion loses this package's whole
+                // neighbourhood: account it like any failed fetch. Whether
+                // the package is listed is the listing sweep's to find out.
+                Err(e) => note_fetch_failure(&TraceSpan::noop(), metrics, &mut self.stats, &e),
             }
+            bfs.found.push(pkg);
         }
     }
 

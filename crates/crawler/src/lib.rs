@@ -11,7 +11,9 @@
 //! * **seed + BFS** for Google Play (no full index exists): start from an
 //!   externally provided seed list — the paper used PrivacyGrade's 1.5 M
 //!   package names — and expand through "related apps" and same-developer
-//!   links;
+//!   links, one `/related` request per package (a 404 there says the
+//!   market does not list it), a window of them in flight and their
+//!   answers applied in frontier order;
 //! * **parallel search** (the paper's key trick): any package discovered
 //!   in one market is immediately looked up in all the others, so
 //!   cross-market version comparisons are not skewed by crawl lag;
@@ -33,7 +35,8 @@
 //! direct APK fetch in flight per market, in listing order; backfills go
 //! on a per-market repository lane and digests run on a bounded stage of
 //! `default_workers()` threads, so at most two responses per market plus
-//! a fixed digest queue are in memory at once. A crawl adds the mux
+//! a fixed digest queue are in memory at once (a BFS, during enumeration,
+//! holds at most one window of `/related` answers). A crawl adds the mux
 //! driver and the digest workers to the process, nothing per market.
 //!
 //! Every crawl is instrumented through `marketscope-telemetry`: per-market

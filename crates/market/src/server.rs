@@ -4,7 +4,7 @@ use crate::endpoints::listing_json;
 use marketscope_apk::zip::ZipArchive;
 use marketscope_core::json::Json;
 use marketscope_core::MarketId;
-use marketscope_ecosystem::{profile, ListingId, World};
+use marketscope_ecosystem::{profile, App, DevId, ListingId, World};
 use marketscope_net::fault::FaultInjector;
 use marketscope_net::http::{Request, Response, Status};
 use marketscope_net::ratelimit::{RateLimitMetrics, TokenBucket};
@@ -35,12 +35,49 @@ struct MarketState {
     phase: RwLock<CrawlPhase>,
     /// Catalog in stable index order.
     catalog: Vec<ListingId>,
-    by_package: HashMap<String, ListingId>,
+    /// Each package's position in `catalog`.
+    by_package: HashMap<String, usize>,
+    /// Each developer's listings, in catalog order.
+    by_developer: HashMap<DevId, Vec<ListingId>>,
     /// APK-download rate limiter (Google Play only).
     apk_bucket: Option<TokenBucket>,
 }
 
 impl MarketState {
+    /// `market`'s catalog over `world`, indexed by package and by
+    /// developer, serving the first crawl; the APK limiter (if the market
+    /// has one) records into `registry`.
+    fn new(world: Arc<World>, market: MarketId, registry: &Registry) -> MarketState {
+        let catalog = world.market_listings(market).to_vec();
+        let mut by_package = HashMap::with_capacity(catalog.len());
+        let mut by_developer: HashMap<DevId, Vec<ListingId>> = HashMap::new();
+        for (pos, id) in catalog.iter().enumerate() {
+            let app = world.app(world.listing(*id).app);
+            by_package.insert(app.package.as_str().to_owned(), pos);
+            by_developer.entry(app.developer).or_default().push(*id);
+        }
+        MarketState {
+            world,
+            market,
+            phase: RwLock::new(CrawlPhase::First),
+            catalog,
+            by_package,
+            by_developer,
+            // Tight enough that a bulk harvest only gets a small direct
+            // sample (the paper managed 287K of 2.03M directly, ~14%).
+            apk_bucket: profile(market).rate_limited_downloads.then(|| {
+                TokenBucket::instrumented(
+                    20,
+                    2.0,
+                    RateLimitMetrics::register(
+                        registry,
+                        &[("limiter", "apk_download"), ("market", market.slug())],
+                    ),
+                )
+            }),
+        }
+    }
+
     fn visible(&self, id: ListingId) -> bool {
         match *self.phase.read() {
             CrawlPhase::First => true,
@@ -48,9 +85,51 @@ impl MarketState {
         }
     }
 
+    /// The catalog position of `package`, if it is listed and visible in
+    /// the current phase.
+    fn locate(&self, package: &str) -> Option<usize> {
+        let pos = *self.by_package.get(package)?;
+        self.visible(self.catalog[pos]).then_some(pos)
+    }
+
     fn lookup(&self, package: &str) -> Option<ListingId> {
-        let id = *self.by_package.get(package)?;
-        self.visible(id).then_some(id)
+        self.locate(package).map(|pos| self.catalog[pos])
+    }
+
+    fn app(&self, id: ListingId) -> &App {
+        self.world.app(self.world.listing(id).app)
+    }
+
+    /// `/related` for the listing at catalog position `pos`: every visible
+    /// same-developer listing in catalog order, then same-category ones
+    /// from the (at most 401) catalog positions after it, wrapping, until
+    /// there are 12.
+    fn related(&self, pos: usize) -> Json {
+        let id = self.catalog[pos];
+        let seed = self.app(id);
+        let package = |other: ListingId| Json::from(self.app(other).package.as_str());
+        let mut related: Vec<Json> = self
+            .by_developer
+            .get(&seed.developer)
+            .into_iter()
+            .flatten()
+            .filter(|other| **other != id && self.visible(**other))
+            .map(|other| package(*other))
+            .collect();
+        let n = self.catalog.len();
+        for offset in (1..n).take(401) {
+            if related.len() >= 12 {
+                break;
+            }
+            let other = self.catalog[(pos + offset) % n];
+            if other == id || !self.visible(other) {
+                continue;
+            }
+            if self.app(other).category == seed.category {
+                related.push(package(other));
+            }
+        }
+        Json::obj([("related", Json::Arr(related))])
     }
 }
 
@@ -141,40 +220,7 @@ impl MarketServer {
         // connections against. A transport of its own runs the reactor
         // defaults.
         let transport_cfg = transport.map_or_else(ReactorConfig::default, |t| t.config().clone());
-        let catalog: Vec<ListingId> = world.market_listings(market).to_vec();
-        let by_package = catalog
-            .iter()
-            .map(|id| {
-                (
-                    world
-                        .app(world.listing(*id).app)
-                        .package
-                        .as_str()
-                        .to_owned(),
-                    *id,
-                )
-            })
-            .collect();
-        let p = profile(market);
-        let state = Arc::new(MarketState {
-            world,
-            market,
-            phase: RwLock::new(CrawlPhase::First),
-            catalog,
-            by_package,
-            // Tight enough that a bulk harvest only gets a small direct
-            // sample (the paper managed 287K of 2.03M directly, ~14%).
-            apk_bucket: p.rate_limited_downloads.then(|| {
-                TokenBucket::instrumented(
-                    20,
-                    2.0,
-                    RateLimitMetrics::register(
-                        &registry,
-                        &[("limiter", "apk_download"), ("market", market.slug())],
-                    ),
-                )
-            }),
-        });
+        let state = Arc::new(MarketState::new(world, market, &registry));
         let mut metrics = ServerMetrics::register(&registry, &[("market", market.slug())])
             .traced(Arc::clone(&tracer));
         if let Some(o) = &ops {
@@ -400,41 +446,14 @@ fn build_router(state: Arc<MarketState>) -> Router {
     }
 
     // Related apps for BFS crawling: same developer, then same category.
+    // A 404 here means exactly what it means on /app/{pkg}.
     {
         let st = Arc::clone(&state);
         router = router.get("/related/{pkg}", move |_req, params| {
-            let Some(id) = st.lookup(&params["pkg"]) else {
-                return Response::status(Status::NotFound);
-            };
-            let seed_app = st.world.app(st.world.listing(id).app);
-            let mut related = Vec::new();
-            // Same developer everywhere in this market.
-            for other in &st.catalog {
-                if *other == id || !st.visible(*other) {
-                    continue;
-                }
-                let app = st.world.app(st.world.listing(*other).app);
-                if app.developer == seed_app.developer {
-                    related.push(Json::from(app.package.as_str()));
-                }
+            match st.locate(&params["pkg"]) {
+                Some(pos) => Response::json(&st.related(pos)),
+                None => Response::status(Status::NotFound),
             }
-            // Category neighbours: deterministic window around the seed
-            // (at most 401 listings scanned, as before).
-            let pos = st.catalog.iter().position(|l| *l == id).unwrap_or(0);
-            for offset in (1..st.catalog.len()).take(401) {
-                if related.len() >= 12 {
-                    break;
-                }
-                let other = st.catalog[(pos + offset) % st.catalog.len()];
-                if other == id || !st.visible(other) {
-                    continue;
-                }
-                let app = st.world.app(st.world.listing(other).app);
-                if app.category == seed_app.category {
-                    related.push(Json::from(app.package.as_str()));
-                }
-            }
-            Response::json(&Json::obj([("related", Json::Arr(related))]))
         });
     }
 
@@ -540,6 +559,73 @@ mod tests {
             scale: Scale { divisor: 40_000 },
             ..WorldConfig::default()
         }))
+    }
+
+    /// `/related/{pkg}` as it was served before the index: the whole
+    /// catalog scanned for the developer's other listings, then for the
+    /// seed's own position.
+    fn related_by_scan(st: &MarketState, package: &str) -> Response {
+        let Some(id) = st.lookup(package) else {
+            return Response::status(Status::NotFound);
+        };
+        let seed_app = st.world.app(st.world.listing(id).app);
+        let mut related = Vec::new();
+        for other in &st.catalog {
+            if *other == id || !st.visible(*other) {
+                continue;
+            }
+            let app = st.world.app(st.world.listing(*other).app);
+            if app.developer == seed_app.developer {
+                related.push(Json::from(app.package.as_str()));
+            }
+        }
+        let pos = st.catalog.iter().position(|l| *l == id).unwrap_or(0);
+        for offset in (1..st.catalog.len()).take(401) {
+            if related.len() >= 12 {
+                break;
+            }
+            let other = st.catalog[(pos + offset) % st.catalog.len()];
+            if other == id || !st.visible(other) {
+                continue;
+            }
+            let app = st.world.app(st.world.listing(other).app);
+            if app.category == seed_app.category {
+                related.push(Json::from(app.package.as_str()));
+            }
+        }
+        Response::json(&Json::obj([("related", Json::Arr(related))]))
+    }
+
+    #[test]
+    fn related_index_serves_the_bytes_the_catalog_scan_served() {
+        use marketscope_net::server::Handler;
+        let w = world();
+        let mut hidden = 0;
+        for market in MarketId::ALL {
+            let state = Arc::new(MarketState::new(Arc::clone(&w), market, &Registry::new()));
+            let router = build_router(Arc::clone(&state));
+            let mut packages: Vec<&str> = state
+                .catalog
+                .iter()
+                .map(|id| w.app(w.listing(*id).app).package.as_str())
+                .collect();
+            packages.push("com.listed.nowhere");
+            for phase in [CrawlPhase::First, CrawlPhase::Second] {
+                *state.phase.write() = phase;
+                for pkg in &packages {
+                    let served = router.handle(&Request::get(&format!("/related/{pkg}")));
+                    let oracle = related_by_scan(&state, pkg);
+                    assert_eq!(served.status, oracle.status, "{market} {phase:?} {pkg}");
+                    assert_eq!(served.body, oracle.body, "{market} {phase:?} {pkg}");
+                    hidden += usize::from(
+                        phase == CrawlPhase::Second && served.status == Status::NotFound,
+                    );
+                }
+            }
+        }
+        // The absent package in each market, and at least one listing the
+        // second crawl no longer sees.
+        assert!(hidden > MarketId::ALL.len(), "{hidden}");
     }
 
     #[test]

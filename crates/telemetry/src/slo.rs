@@ -104,9 +104,10 @@ pub struct SloPolicy {
 
 impl SloPolicy {
     /// The fleet's default serving policy. Error budgets count **5xx
-    /// only**: 404s (BFS probes) and 429s (rate-limiter answers) are
-    /// by-design traffic in clean campaigns, while chaos faults surface
-    /// as 500/503. Shed/accept-error/breaker-open budgets are zero —
+    /// only**: 404s (BFS and search misses) and 429s (rate-limiter
+    /// answers) are by-design traffic in clean campaigns, while chaos
+    /// faults surface as 500/503. Shed/accept-error/breaker-open budgets
+    /// are zero —
     /// any occurrence is an alert — and the handler p99 ceiling is
     /// deliberately generous (it guards against pathology, not noise,
     /// on a 1-CPU debug-build container).
