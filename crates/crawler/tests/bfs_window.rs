@@ -11,7 +11,7 @@ use marketscope_core::MarketId;
 use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler, Snapshot};
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response, Status};
-use marketscope_net::reactor::ReactorConfig;
+use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::router::{Params, Router};
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
 use marketscope_telemetry::Registry;
@@ -174,12 +174,12 @@ fn bfs_store(
                 }
             }
         });
-    let server = HttpServer::spawn_configured(
+    let server = HttpServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
         router,
         ServerMetrics::standalone(),
         faults.map(Arc::new),
-        ReactorConfig::default(),
     )
     .unwrap();
     (server, log)

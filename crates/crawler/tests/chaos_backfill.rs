@@ -8,7 +8,7 @@ use marketscope_core::MarketId;
 use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler};
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response, Status};
-use marketscope_net::reactor::ReactorConfig;
+use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::resilience::BreakerConfig;
 use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
@@ -122,7 +122,8 @@ fn flaky_repository_is_absorbed_by_retries() {
     let store = throttled_store(10);
     // The repository resets every third request; connection-level and
     // policy retries must absorb every hit.
-    let repo = HttpServer::spawn_configured(
+    let repo = HttpServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
         Router::new().get(
             "/apk/{pkg}/{version}",
@@ -139,7 +140,6 @@ fn flaky_repository_is_absorbed_by_retries() {
                 ..FaultPlan::none()
             },
         ))),
-        ReactorConfig::default(),
     )
     .unwrap();
 

@@ -158,7 +158,7 @@ impl MarketFleet {
                 _ => None,
             };
             let server = MarketServer::spawn_on(
-                Some(&transport),
+                &transport,
                 Arc::clone(&world),
                 m,
                 Arc::clone(&registry),
@@ -179,7 +179,7 @@ impl MarketFleet {
             servers.push(server);
         }
         let repository = AndroZooServer::spawn_on(
-            Some(&transport),
+            &transport,
             Arc::clone(&world),
             Arc::clone(&registry),
             Arc::clone(&tracer),

@@ -10,7 +10,7 @@
 use marketscope_core::json::Json;
 use marketscope_net::fault::FaultInjector;
 use marketscope_net::ratelimit::TokenBucket;
-use marketscope_net::ReactorConfig;
+use marketscope_net::reactor::{ReactorConfig, HANDLER_THREADS, SHARDS};
 use marketscope_telemetry::{LogEvent, LogSnapshot, SeriesSnapshot, SloVerdict};
 use std::collections::BTreeMap;
 
@@ -185,8 +185,8 @@ pub fn chaos_json(faults: Option<&FaultInjector>) -> Json {
 /// plus the live connection/shed/accept-error counters.
 pub fn transport_json(cfg: &ReactorConfig, open: u64, shed: u64, accept_errors: u64) -> Json {
     Json::obj([
-        ("shards", Json::from(cfg.shards)),
-        ("handler_threads", Json::from(cfg.handler_threads)),
+        ("shards", Json::from(SHARDS)),
+        ("handler_threads", Json::from(HANDLER_THREADS)),
         ("max_connections", Json::from(cfg.max_connections)),
         ("open_connections", Json::from(open)),
         ("connections_shed", Json::from(shed)),

@@ -48,14 +48,15 @@ impl AndroZooServer {
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
     ) -> Result<AndroZooServer, marketscope_net::NetError> {
-        AndroZooServer::spawn_on(None, world, registry, tracer)
+        let transport = Transport::spawn(ReactorConfig::default())?;
+        AndroZooServer::spawn_on(&transport, world, registry, tracer)
     }
 
-    /// [`spawn_shared`](Self::spawn_shared), as one more listener on a
-    /// [`MarketFleet`](crate::MarketFleet)'s transport or, given `None`,
-    /// on one of its own that stops with the server.
+    /// [`spawn_shared`](Self::spawn_shared), as one more listener on
+    /// `transport`: a [`MarketFleet`](crate::MarketFleet)'s, or a fresh
+    /// one the server then holds alone.
     pub(crate) fn spawn_on(
-        transport: Option<&Arc<Transport>>,
+        transport: &Arc<Transport>,
         world: Arc<World>,
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
@@ -90,13 +91,7 @@ impl AndroZooServer {
             })
         };
         let metrics = ServerMetrics::register(&registry, &[("market", "androzoo")]).traced(tracer);
-        let addr = "127.0.0.1:0";
-        let handle = match transport {
-            Some(shared) => HttpServer::spawn_on(shared, addr, router, metrics, None)?,
-            None => {
-                HttpServer::spawn_configured(addr, router, metrics, None, ReactorConfig::default())?
-            }
-        };
+        let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", router, metrics, None)?;
         Ok(AndroZooServer { handle, holdings })
     }
 

@@ -196,15 +196,15 @@ impl MarketServer {
         faults: Option<FaultInjector>,
         ops: Option<OpsHandles>,
     ) -> Result<MarketServer, marketscope_net::NetError> {
-        MarketServer::spawn_on(None, world, market, registry, tracer, faults, ops)
+        let transport = Transport::spawn(ReactorConfig::default())?;
+        MarketServer::spawn_on(&transport, world, market, registry, tracer, faults, ops)
     }
 
     /// [`spawn_with_ops`](Self::spawn_with_ops), as one more listener on
-    /// the transport a [`MarketFleet`](crate::MarketFleet) spawned for
-    /// all of its servers (with the reactor defaults) or, given `None`,
-    /// on one of its own that stops with the server.
+    /// `transport`: the one a [`MarketFleet`](crate::MarketFleet) spawned
+    /// for all of its servers, or a fresh one the server then holds alone.
     pub(crate) fn spawn_on(
-        transport: Option<&Arc<Transport>>,
+        transport: &Arc<Transport>,
         world: Arc<World>,
         market: MarketId,
         registry: Arc<Registry>,
@@ -215,11 +215,9 @@ impl MarketServer {
         let faults = faults.map(Arc::new);
         let started = std::time::Instant::now();
         // What /__health reports of the transport, its own or a fleet's:
-        // the shard and worker counts (shared with whatever else listens
-        // on it) and the ceiling the acceptor sheds this listener's
-        // connections against. A transport of its own runs the reactor
-        // defaults.
-        let transport_cfg = transport.map_or_else(ReactorConfig::default, |t| t.config().clone());
+        // the ceiling the acceptor sheds this listener's connections
+        // against.
+        let transport_cfg = transport.config().clone();
         let state = Arc::new(MarketState::new(world, market, &registry));
         let mut metrics = ServerMetrics::register(&registry, &[("market", market.slug())])
             .traced(Arc::clone(&tracer));
@@ -306,11 +304,7 @@ impl MarketServer {
                     ]))
                 }
             });
-        let addr = "127.0.0.1:0";
-        let handle = match transport {
-            Some(shared) => HttpServer::spawn_on(shared, addr, router, metrics, faults)?,
-            None => HttpServer::spawn_configured(addr, router, metrics, faults, transport_cfg)?,
-        };
+        let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", router, metrics, faults)?;
         Ok(MarketServer {
             market,
             handle,
@@ -779,7 +773,7 @@ mod tests {
         })
         .unwrap();
         let server = MarketServer::spawn_on(
-            Some(&transport),
+            &transport,
             world(),
             MarketId::HuaweiMarket,
             Arc::new(Registry::new()),

@@ -242,6 +242,49 @@ mod tests {
         ));
     }
 
+    /// `POST /upload` a game to a live store over a plain socket; returns
+    /// the status code and the JSON body.
+    fn upload(addr: std::net::SocketAddr, certs: &[(&str, &str)]) -> (u16, Json) {
+        use marketscope_net::http::{Method, Request, Response};
+        use std::io::Read;
+        let mut req = Request::get("/upload");
+        req.method = Method::Post;
+        req.body = apk("Game", false);
+        req.headers = headers(certs);
+        req.headers.insert("connection".into(), "close".into());
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        req.write_to(&mut stream).unwrap();
+        let mut wire = Vec::new();
+        stream.read_to_end(&mut wire).unwrap();
+        let (resp, _) = Response::parse_partial(&wire).unwrap().unwrap();
+        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        (resp.status.code(), doc)
+    }
+
+    #[test]
+    fn upload_route_answers_over_the_wire() {
+        use marketscope_ecosystem::{generate, Scale, WorldConfig};
+        let world = std::sync::Arc::new(generate(WorldConfig {
+            seed: 6,
+            scale: Scale { divisor: 60_000 },
+            ..WorldConfig::default()
+        }));
+        let server = crate::MarketServer::spawn(world, MarketId::TencentMyapp).unwrap();
+
+        let (code, doc) = upload(server.addr(), &[]);
+        assert_eq!(code, 400, "{doc:?}");
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("rejected"));
+        assert_eq!(
+            doc.get("reason").and_then(Json::as_str),
+            Some("software copyright certificate required")
+        );
+
+        let (code, doc) = upload(server.addr(), &[("x-copyright-cert", "SCC-2017-0042")]);
+        assert_eq!(code, 200, "{doc:?}");
+        let status = doc.get("status").and_then(Json::as_str);
+        assert!(matches!(status, Some("pending" | "listed")), "{doc:?}");
+    }
+
     #[test]
     fn outcome_json_shapes() {
         assert_eq!(

@@ -2,20 +2,23 @@
 //! retries, and optional circuit breaking — all executed by the
 //! multiplexed [`mux`](crate::mux) driver.
 //!
-//! Every [`HttpClient`] call is a submission to one shared
-//! [`MuxClient`] driver thread: `request`/`get`/`get_json` submit and
-//! then park on the ticket, so a caller blocked in `get` costs a parked
-//! ticket, not a socket-bound thread. Batch callers keep the tickets
+//! Every [`HttpClient`] call is a GET submitted to the client's one
+//! driver thread: `get`/`get_json` submit and then park on the ticket,
+//! so a caller blocked in `get` costs a parked ticket, not a
+//! socket-bound thread. Batch callers keep the tickets
 //! ([`HttpClient::submit_get`] / [`HttpClient::submit_get_json`], redeemed
 //! with [`HttpClient::wait`] / [`HttpClient::wait_json`]) to put
 //! hundreds of requests in flight from a single thread.
 
 use crate::error::NetError;
-use crate::http::{Request, Response};
-use crate::mux::{DecodeMode, MuxClient, Payload, Ticket};
+use crate::http::Response;
+use crate::mux::{DecodeMode, Driver, DriverHandle, Payload, Shared, Submission, Ticket};
 use crate::resilience::{BreakerConfig, BreakerSet, ResilienceMetrics, RetryPolicy};
 use marketscope_telemetry::{trace, Counter, Histogram, Registry, SpanContext, Tracer};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -139,7 +142,7 @@ impl Default for HttpClientBuilder {
 
 impl HttpClientBuilder {
     /// Socket-level configuration (timeouts, pool size, transparent
-    /// connection retries, driver in-flight cap).
+    /// connection retries).
     pub fn config(mut self, config: ClientConfig) -> Self {
         self.config = config;
         self
@@ -186,22 +189,25 @@ impl HttpClientBuilder {
         self
     }
 
-    /// Build the client (and its mux engine; the driver thread itself
-    /// spawns lazily on the first submission).
+    /// Build the client. Its driver thread spawns lazily on the first
+    /// submission.
     pub fn build(self) -> HttpClient {
+        let resilience = self.resilience_metrics;
         let breakers = self
             .breaker
-            .map(|cfg| Arc::new(BreakerSet::new(cfg, self.resilience_metrics.clone())));
+            .map(|cfg| BreakerSet::new(cfg, resilience.clone()));
         HttpClient {
-            mux: MuxClient::new(
-                self.config,
-                self.tracer,
-                self.metrics,
-                self.retry,
-                breakers.clone(),
-                self.resilience_metrics,
-            ),
-            breakers,
+            shared: Arc::new(Shared {
+                config: self.config,
+                tracer: self.tracer,
+                metrics: self.metrics,
+                retry: self.retry,
+                breakers,
+                resilience,
+                pool: Mutex::new(HashMap::new()),
+                shutdown: AtomicBool::new(false),
+            }),
+            driver: Mutex::new(None),
         }
     }
 }
@@ -255,11 +261,15 @@ impl FetchSpec {
 ///
 /// Cloneable-by-reference via `Arc` at call sites; internally synchronized
 /// so crawler worker threads can share one client (and with it one pool,
-/// one breaker set, and one driver thread).
+/// one breaker set, and one driver thread). Dropping it joins the driver;
+/// tickets still outstanding then complete with an I/O error (and post
+/// their tags) rather than hang.
 pub struct HttpClient {
-    mux: MuxClient,
-    /// Shared with the driver; kept here only for `open_circuits`.
-    breakers: Option<Arc<BreakerSet>>,
+    shared: Arc<Shared>,
+    /// Spawned by the first submission, so that clients which never issue
+    /// a request (and tests that meter process thread counts around other
+    /// components) cost no thread.
+    driver: Mutex<Option<DriverHandle>>,
 }
 
 impl HttpClient {
@@ -275,62 +285,31 @@ impl HttpClient {
         HttpClientBuilder::default()
     }
 
-    /// Issue a request and await the response. Pooled connections are
-    /// reused; *transient* connection-level failures (a reset socket,
-    /// mid-message EOF — the classic keep-alive race) are retried on a
-    /// fresh connection, bounded by [`ClientConfig::retries`]. Error
-    /// statuses and protocol violations surface immediately.
-    ///
-    /// Equivalent to [`MuxClient::submit`] + [`MuxClient::wait`]: the
-    /// wire work happens on the driver thread, this thread just parks
-    /// on the ticket.
-    pub fn request(&self, addr: SocketAddr, req: &Request) -> Result<Response, NetError> {
-        let ticket = self.mux.submit(addr, req.clone());
-        self.mux.wait(ticket)
-    }
-
-    /// Enqueue a raw request without waiting; redeem the ticket with
-    /// [`HttpClient::wait`]. The open-loop form of
-    /// [`HttpClient::request`].
-    pub fn submit(&self, addr: SocketAddr, req: &Request) -> Ticket {
-        self.mux.submit(addr, req.clone())
-    }
-
-    /// Enqueue one managed GET (full retry/breaker/trace policy executed
-    /// inside the driver) without waiting; redeem with
-    /// [`HttpClient::wait`]. The open-loop form of [`HttpClient::get`].
+    /// Enqueue one GET (full retry/breaker/trace policy executed inside
+    /// the driver) without waiting; redeem with [`HttpClient::wait`].
+    /// The open-loop form of [`HttpClient::get`].
     pub fn submit_get(&self, spec: &FetchSpec) -> Ticket {
-        self.mux.submit_managed(
-            spec.addr,
-            &spec.path,
-            DecodeMode::Response,
-            spec.parent,
-            spec.lane,
-        )
+        self.enqueue(spec, DecodeMode::Response)
     }
 
-    /// Block on a ticket from [`HttpClient::submit`] or
-    /// [`HttpClient::submit_get`].
+    /// Block on a ticket from [`HttpClient::submit_get`].
     pub fn wait(&self, ticket: Ticket) -> Result<Response, NetError> {
-        self.mux.wait(ticket)
+        match ticket.redeem()? {
+            Payload::Resp(resp) => Ok(resp),
+            Payload::Doc(_) => Err(NetError::Protocol("ticket decoded to json")),
+        }
     }
 
-    /// Enqueue one managed JSON GET without waiting; redeem with
+    /// Enqueue one JSON GET without waiting; redeem with
     /// [`HttpClient::wait_json`]. The open-loop form of
     /// [`HttpClient::get_json`].
     pub fn submit_get_json(&self, spec: &FetchSpec) -> Ticket {
-        self.mux.submit_managed(
-            spec.addr,
-            &spec.path,
-            DecodeMode::Json,
-            spec.parent,
-            spec.lane,
-        )
+        self.enqueue(spec, DecodeMode::Json)
     }
 
     /// Block on a ticket from [`HttpClient::submit_get_json`].
     pub fn wait_json(&self, ticket: Ticket) -> Result<marketscope_core::json::Json, NetError> {
-        match self.mux.wait_payload(ticket)? {
+        match ticket.redeem()? {
             Payload::Doc(doc) => Ok(doc),
             Payload::Resp(_) => Err(NetError::Protocol("unexpected undecoded payload")),
         }
@@ -347,11 +326,7 @@ impl HttpClient {
     /// opened and subsequent calls fast-fail with
     /// [`NetError::CircuitOpen`] until a probe succeeds.
     pub fn get(&self, addr: SocketAddr, path_and_query: &str) -> Result<Response, NetError> {
-        let (mode, parent) = (DecodeMode::Response, trace::current());
-        let ticket = self
-            .mux
-            .submit_managed(addr, path_and_query, mode, parent, None);
-        self.wait(ticket)
+        self.wait(self.submit_get(&FetchSpec::new(addr, path_and_query)))
     }
 
     /// Convenience: GET a path, parse the body as JSON, require a 200.
@@ -365,22 +340,35 @@ impl HttpClient {
         addr: SocketAddr,
         path_and_query: &str,
     ) -> Result<marketscope_core::json::Json, NetError> {
-        let (mode, parent) = (DecodeMode::Json, trace::current());
-        let ticket = self
-            .mux
-            .submit_managed(addr, path_and_query, mode, parent, None);
-        self.wait_json(ticket)
+        self.wait_json(self.submit_get_json(&FetchSpec::new(addr, path_and_query)))
     }
 
     /// Number of idle pooled connections (for tests/metrics).
     pub fn idle_connections(&self) -> usize {
-        self.mux.idle_connections()
+        self.shared.pool.lock().values().map(Vec::len).sum()
     }
 
     /// Number of per-host circuits currently not closed (zero without a
     /// breaker).
     pub fn open_circuits(&self) -> usize {
-        self.breakers.as_ref().map_or(0, |b| b.open_count())
+        self.shared.breakers.as_ref().map_or(0, |b| b.open_count())
+    }
+
+    /// Hand one GET to the driver, spawning it on first use; a driver
+    /// that cannot spawn fails the ticket at once.
+    fn enqueue(&self, spec: &FetchSpec, decode: DecodeMode) -> Ticket {
+        let (sub, ticket) = Submission::get(spec, decode);
+        let mut driver = self.driver.lock();
+        if driver.is_none() {
+            match Driver::spawn(Arc::clone(&self.shared)) {
+                Ok(spawned) => *driver = Some(spawned),
+                Err(e) => sub.fail(NetError::Io(e)),
+            }
+        }
+        if let Some((_, inbox)) = driver.as_ref() {
+            inbox.post(sub);
+        }
+        ticket
     }
 }
 
@@ -390,14 +378,24 @@ impl Default for HttpClient {
     }
 }
 
+impl Drop for HttpClient {
+    fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        if let Some((handle, inbox)) = self.driver.lock().take() {
+            inbox.wake();
+            let _ = handle.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::Status;
-    use crate::server::{HttpServer, ServerHandle};
+    use crate::http::{Request, Status};
+    use crate::reactor::{ReactorConfig, Transport};
+    use crate::server::{HttpServer, ServerHandle, ServerMetrics};
     use marketscope_core::json::Json;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn get_round_trip_and_pooling() {
@@ -509,18 +507,17 @@ mod tests {
 
     #[test]
     fn stale_pooled_connections_are_discarded_without_a_retry() {
-        use crate::reactor::ReactorConfig;
-        use crate::server::ServerMetrics;
         // A server whose keep-alive reaper closes idle connections fast.
-        let server = HttpServer::spawn_configured(
+        let server = HttpServer::spawn_on(
+            &Transport::spawn(ReactorConfig {
+                keep_alive: Duration::from_millis(80),
+                ..ReactorConfig::default()
+            })
+            .unwrap(),
             "127.0.0.1:0",
             |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
             ServerMetrics::standalone(),
             None,
-            ReactorConfig {
-                keep_alive: Duration::from_millis(80),
-                ..ReactorConfig::default()
-            },
         )
         .unwrap();
         let registry = Registry::new();
@@ -606,12 +603,12 @@ mod tests {
         let private = script(&HttpServer::spawn(handler).unwrap(), &HttpClient::new());
 
         let registry = Registry::new();
-        let server = HttpServer::spawn_configured(
+        let server = HttpServer::spawn_on(
+            &Transport::spawn(ReactorConfig::default()).unwrap(),
             "127.0.0.1:0",
             handler,
-            crate::server::ServerMetrics::register(&registry, &[]),
+            ServerMetrics::register(&registry, &[]),
             None,
-            crate::reactor::ReactorConfig::default(),
         )
         .unwrap();
         let client = HttpClient::builder()

@@ -21,9 +21,10 @@
 //! and driver are three loop bodies over one loop core: one `poll` turn,
 //! one slot table, one deadline bound and one clock read.
 //!
-//! Protocol subset: `GET`/`POST`, `Content-Length` bodies (no chunked
-//! encoding), `Connection: keep-alive`/`close`, status codes the market
-//! simulation needs (200, 400, 404, 429, 500, 503). The parser is total
+//! Protocol subset: `GET` (all the client sends; servers also route
+//! `POST`), `Content-Length` bodies (no chunked encoding),
+//! `Connection: keep-alive`/`close`, status codes the market simulation
+//! needs (200, 400, 404, 429, 500, 503). The parser is total
 //! and size-capped so a misbehaving peer cannot wedge or balloon a
 //! worker.
 //!
@@ -61,7 +62,7 @@ pub use client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient, HttpClientB
 pub use error::NetError;
 pub use fault::{FaultAction, FaultInjector, FaultMetrics, FaultPlan};
 pub use http::{Method, Request, Response, Status};
-pub use mux::{CompletionQueue, MuxClient, Ticket};
+pub use mux::{CompletionQueue, Ticket};
 pub use ratelimit::{RateLimitMetrics, TokenBucket};
 pub use reactor::{ReactorConfig, Transport};
 pub use resilience::{

@@ -1,31 +1,27 @@
-//! The multiplexed nonblocking client engine: one driver thread, one
+//! The multiplexed nonblocking client engine behind
+//! [`HttpClient`](crate::client::HttpClient): one driver thread, one
 //! `poll(2)` readiness loop, hundreds of outstanding requests.
 //!
-//! Callers enqueue requests ([`MuxClient::submit`]) and later block on
-//! the outcome ([`MuxClient::wait`]), while a single driver thread owns
+//! Every client call is a submission here: callers enqueue a GET
+//! ([`HttpClient::submit_get`](crate::client::HttpClient::submit_get))
+//! and later block on its [`Ticket`], while a single driver thread owns
 //! every connection as a nonblocking state machine (`Connecting →
 //! Sending → Receiving`, keep-alive reuse through a per-host pool) in a
 //! loop body over the loop core the server shards use (`reactor::io`).
 //! A caller blocked in `wait` costs a parked ticket, not a socket-bound
-//! thread. Every [`HttpClient`](crate::client::HttpClient) call is a
-//! submission here; there is no other request path.
+//! thread.
 //!
 //! A caller with many tickets out registers each with a shared
 //! [`CompletionQueue`] ([`Ticket::notify`]) and waits on the queue, which
 //! hands back the caller's tag of whichever ticket completes next.
 //!
-//! Two submission flavors exist:
-//!
-//! * **Raw** — one wire request, with transparent retries on transient
-//!   connection-level failures only. `HttpClient::request`/`submit`
-//!   (POST submission) ride this.
-//! * **Managed** — the full `HttpClient::get` policy executed inside
-//!   the driver: circuit-breaker admission at (re)activation, the
-//!   status/decode seam, retry backoff as *timed resubmission* (the
-//!   submission parks on a timer instead of a thread sleeping), and
-//!   terminal breaker accounting. `get`/`get_json`, the ticket-level
-//!   `submit_get`/`submit_get_json` and the crawler's completion loop
-//!   ride this.
+//! Every submission runs one policy inside the driver: circuit-breaker
+//! admission at (re)activation, transparent retries of transient
+//! connection-level failures, the status/decode seam, retry backoff as
+//! *timed resubmission* (the submission parks on a timer instead of a
+//! thread sleeping), and terminal breaker accounting. `get`/`get_json`,
+//! the ticket-level `submit_get`/`submit_get_json` and the crawler's
+//! completion loop all ride it.
 //!
 //! Ordering: a submission may carry a *lane* key. The driver runs at
 //! most one submission per lane at a time, FIFO — so a per-market batch
@@ -34,7 +30,7 @@
 //! per-server request indices) bit-identical while concurrency comes
 //! from *across* lanes.
 
-use crate::client::{ClientConfig, ClientMetrics};
+use crate::client::{ClientConfig, ClientMetrics, FetchSpec};
 use crate::error::NetError;
 use crate::http::{Request, Response, Status};
 use crate::reactor::io::{read_available, write_pending, Inbox, Poller, Slab};
@@ -42,7 +38,7 @@ use crate::reactor::sys;
 use crate::resilience::{BreakerSet, ResilienceMetrics, RetryPolicy};
 use marketscope_core::hash::fnv1a64;
 use marketscope_core::json::Json;
-use marketscope_telemetry::{trace, SpanContext, TraceSpan, Tracer};
+use marketscope_telemetry::{SpanContext, TraceSpan, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -53,9 +49,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How a managed submission's 200 body is decoded before completion.
+/// How a submission's 200 body is decoded before completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeMode {
+pub(crate) enum DecodeMode {
     /// Hand the response back as-is.
     Response,
     /// Parse the body as JSON (`HttpClient::get_json` semantics).
@@ -64,7 +60,7 @@ pub enum DecodeMode {
 
 /// A completed submission's payload, matching its [`DecodeMode`].
 #[derive(Debug)]
-pub enum Payload {
+pub(crate) enum Payload {
     /// An undecoded response.
     Resp(Response),
     /// A decoded JSON document.
@@ -85,47 +81,79 @@ fn decode_response(resp: Response, mode: DecodeMode) -> Result<Payload, NetError
     }
 }
 
-/// A wait-any completion queue: every [`Ticket`] registered with
-/// [`Ticket::notify`] posts its caller's tag here exactly once when it
-/// completes — answered, failed, or aborted by its client shutting down —
-/// so one thread can drive hundreds of submissions by waiting on the
-/// queue instead of on any one ticket. Other producers may
-/// [`post`](CompletionQueue::post) tags of their own.
-#[derive(Debug, Default)]
-pub struct CompletionQueue {
-    tags: std::sync::Mutex<VecDeque<u64>>,
+/// A blocking FIFO queue: producers [`post`](CompletionQueue::post), a
+/// consumer waits for the oldest item. With its default item, a `u64`
+/// tag, it is a wait-any completion queue: every [`Ticket`] registered
+/// with [`Ticket::notify`] posts its caller's tag here exactly once when
+/// it completes — answered, failed, or aborted by its client shutting
+/// down — so one thread can drive hundreds of submissions by waiting on
+/// the queue instead of on any one ticket. The server's handler pool
+/// waits on one for its jobs and is stopped by
+/// [`close`](CompletionQueue::close).
+#[derive(Debug)]
+pub struct CompletionQueue<T = u64> {
+    state: std::sync::Mutex<Posted<T>>,
     posted: std::sync::Condvar,
 }
 
-impl CompletionQueue {
+#[derive(Debug)]
+struct Posted<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
+
+impl<T> Default for CompletionQueue<T> {
+    fn default() -> Self {
+        CompletionQueue {
+            state: std::sync::Mutex::new(Posted {
+                items: VecDeque::new(),
+                closed: false,
+            }),
+            posted: std::sync::Condvar::new(),
+        }
+    }
+}
+
+impl<T> CompletionQueue<T> {
     /// An empty queue.
-    pub fn new() -> CompletionQueue {
+    pub fn new() -> CompletionQueue<T> {
         CompletionQueue::default()
     }
 
-    /// Append `tag` and wake a waiter.
-    pub fn post(&self, tag: u64) {
-        self.lock().push_back(tag);
+    /// Append `item` and wake a waiter.
+    pub fn post(&self, item: T) {
+        self.lock().items.push_back(item);
         self.posted.notify_one();
     }
 
-    /// Take the oldest posted tag, waiting for one until `deadline`
-    /// (forever when `None`). `None` means the deadline passed first.
-    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<u64> {
-        let mut tags = self.lock();
+    /// Wake every waiter; once the queue is empty, waits return `None`
+    /// instead of blocking.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.posted.notify_all();
+    }
+
+    /// Take the oldest posted item, waiting for one until `deadline`
+    /// (forever when `None`). `None` means the deadline passed first, or
+    /// the queue is closed and empty.
+    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<T> {
+        let mut state = self.lock();
         loop {
-            if let Some(tag) = tags.pop_front() {
-                return Some(tag);
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
-            tags = match deadline {
+            if state.closed {
+                return None;
+            }
+            state = match deadline {
                 None => self
                     .posted
-                    .wait(tags)
+                    .wait(state)
                     .unwrap_or_else(std::sync::PoisonError::into_inner),
                 Some(at) => {
                     let left = at.checked_duration_since(Instant::now())?;
                     self.posted
-                        .wait_timeout(tags, left)
+                        .wait_timeout(state, left)
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
                         .0
                 }
@@ -133,14 +161,15 @@ impl CompletionQueue {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<u64>> {
-        self.tags
+    fn lock(&self) -> std::sync::MutexGuard<'_, Posted<T>> {
+        self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
 /// One-shot completion cell shared between a [`Ticket`] and the driver.
+#[derive(Default)]
 struct TicketCell {
     slot: Mutex<CellState>,
     ready: Condvar,
@@ -156,13 +185,6 @@ struct CellState {
 }
 
 impl TicketCell {
-    fn new() -> Arc<TicketCell> {
-        Arc::new(TicketCell {
-            slot: Mutex::new(CellState::default()),
-            ready: Condvar::new(),
-        })
-    }
-
     /// Fill the cell once (later completions are ignored), wake its
     /// waiter and post its tag.
     fn complete(&self, result: Result<Payload, NetError>) {
@@ -193,7 +215,8 @@ impl TicketCell {
 }
 
 /// Handle to one outstanding submission. Redeem it with
-/// [`MuxClient::wait`] (or internally, `MuxClient::wait_payload`).
+/// [`HttpClient::wait`](crate::client::HttpClient::wait) or
+/// [`HttpClient::wait_json`](crate::client::HttpClient::wait_json).
 pub struct Ticket {
     cell: Arc<TicketCell>,
 }
@@ -211,29 +234,49 @@ impl Ticket {
             slot.notify = Some((Arc::clone(queue), tag));
         }
     }
+
+    /// Block until the submission completes and take its payload.
+    pub(crate) fn redeem(self) -> Result<Payload, NetError> {
+        self.cell.wait()
+    }
 }
 
-/// The policy a submission runs under inside the driver.
-enum Policy {
-    /// One wire request, transparent connect-level retries only.
-    Raw,
-    /// Full `get` semantics: breaker admission, status/decode seam,
-    /// retry policy as timed resubmission, terminal breaker accounting.
-    Managed {
-        /// Deterministic backoff jitter key (`fnv1a64` of the path).
-        key: u64,
-        decode: DecodeMode,
-    },
-}
-
-/// One queued unit of work.
-struct Submission {
+/// One queued GET.
+pub(crate) struct Submission {
     addr: SocketAddr,
     req: Request,
     parent: Option<SpanContext>,
     lane: Option<u64>,
-    policy: Policy,
+    /// Deterministic backoff jitter key (`fnv1a64` of the path).
+    key: u64,
+    decode: DecodeMode,
     cell: Arc<TicketCell>,
+}
+
+impl Submission {
+    /// The GET `spec` names, its 200 body decoded per `decode`, and the
+    /// ticket that redeems it.
+    pub(crate) fn get(spec: &FetchSpec, decode: DecodeMode) -> (Submission, Ticket) {
+        let cell = Arc::new(TicketCell::default());
+        let ticket = Ticket {
+            cell: Arc::clone(&cell),
+        };
+        let sub = Submission {
+            addr: spec.addr,
+            req: Request::get(&spec.path),
+            parent: spec.parent,
+            lane: spec.lane,
+            key: fnv1a64(spec.path.as_bytes()),
+            decode,
+            cell,
+        };
+        (sub, ticket)
+    }
+
+    /// Complete the ticket with `err`: no driver will run it.
+    pub(crate) fn fail(&self, err: NetError) {
+        self.cell.complete(Err(err));
+    }
 }
 
 /// A submission waiting for a driver slot, carrying its resilient-retry
@@ -271,9 +314,9 @@ struct Active {
     /// Transparent connect-level attempt counter, bounded by
     /// `ClientConfig::retries`.
     attempt: u32,
-    /// Managed resilient-retry cycle counter.
+    /// Resilient-retry cycle counter.
     cycles: u32,
-    /// Managed cumulative backoff already paid.
+    /// Cumulative backoff already paid.
     slept: Duration,
     /// Wire-cycle start, for the request-latency histogram.
     started: Instant,
@@ -281,154 +324,25 @@ struct Active {
     attempt_span: TraceSpan,
 }
 
-/// State shared between the caller-facing handle and the driver thread.
-struct Shared {
-    config: ClientConfig,
-    tracer: Arc<Tracer>,
-    metrics: ClientMetrics,
-    retry: Option<RetryPolicy>,
-    breakers: Option<Arc<BreakerSet>>,
-    resilience: ResilienceMetrics,
-    pool: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
-    shutdown: AtomicBool,
-}
-
-/// The multiplexed client: a submit/complete API over one driver thread.
-///
-/// Construction goes through [`MuxClient::new`] (or, for most users,
-/// [`HttpClient::builder`](crate::client::HttpClient::builder), which
-/// owns one of these internally). The driver thread is spawned lazily on
-/// the first submission and joined on drop; outstanding tickets at
-/// shutdown complete with an I/O error (and post their tags) rather than
-/// hanging.
-pub struct MuxClient {
-    shared: Arc<Shared>,
-    /// Spawned by the first submission, so that clients which never issue
-    /// a request (and tests that meter process thread counts around other
-    /// components) cost no thread.
-    driver: Mutex<Option<DriverHandle>>,
+/// State shared between a client and its driver thread.
+pub(crate) struct Shared {
+    pub(crate) config: ClientConfig,
+    pub(crate) tracer: Arc<Tracer>,
+    pub(crate) metrics: ClientMetrics,
+    pub(crate) retry: Option<RetryPolicy>,
+    pub(crate) breakers: Option<BreakerSet>,
+    pub(crate) resilience: ResilienceMetrics,
+    pub(crate) pool: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
+    /// Set when the client drops: the driver fails what is outstanding
+    /// and exits.
+    pub(crate) shutdown: AtomicBool,
 }
 
 /// The driver thread and the inbox it turns on.
-type DriverHandle = (JoinHandle<()>, Arc<Inbox<Submission>>);
-
-impl MuxClient {
-    /// A mux engine with the given socket configuration, telemetry and
-    /// (optional) resilience stack. The resilience pieces are only
-    /// consulted by *managed* submissions; raw submissions get
-    /// transparent connect retries only.
-    pub fn new(
-        config: ClientConfig,
-        tracer: Arc<Tracer>,
-        metrics: ClientMetrics,
-        retry: Option<RetryPolicy>,
-        breakers: Option<Arc<BreakerSet>>,
-        resilience: ResilienceMetrics,
-    ) -> MuxClient {
-        MuxClient {
-            shared: Arc::new(Shared {
-                config,
-                tracer,
-                metrics,
-                retry,
-                breakers,
-                resilience,
-                pool: Mutex::new(HashMap::new()),
-                shutdown: AtomicBool::new(false),
-            }),
-            driver: Mutex::new(None),
-        }
-    }
-
-    /// Enqueue one raw request and return its ticket. The request is
-    /// parented under whatever sampled span is active on *this* thread.
-    pub fn submit(&self, addr: SocketAddr, req: Request) -> Ticket {
-        self.submit_spec(Submission {
-            addr,
-            req,
-            parent: trace::current(),
-            lane: None,
-            policy: Policy::Raw,
-            cell: TicketCell::new(),
-        })
-    }
-
-    /// Enqueue one managed GET: full retry/breaker/trace policy executed
-    /// driver-side, body decoded per `mode`. `parent` is the span the
-    /// request spans hang under (pass [`trace::current()`] for the
-    /// calling thread's context); `lane` serializes submissions sharing
-    /// a key so a batch reaches its host in submission order.
-    pub(crate) fn submit_managed(
-        &self,
-        addr: SocketAddr,
-        path_and_query: &str,
-        mode: DecodeMode,
-        parent: Option<SpanContext>,
-        lane: Option<u64>,
-    ) -> Ticket {
-        self.submit_spec(Submission {
-            addr,
-            req: Request::get(path_and_query),
-            parent,
-            lane,
-            policy: Policy::Managed {
-                key: fnv1a64(path_and_query.as_bytes()),
-                decode: mode,
-            },
-            cell: TicketCell::new(),
-        })
-    }
-
-    /// Block until the submission completes and return its response.
-    pub fn wait(&self, ticket: Ticket) -> Result<Response, NetError> {
-        match ticket.cell.wait() {
-            Ok(Payload::Resp(resp)) => Ok(resp),
-            Ok(Payload::Doc(_)) => Err(NetError::Protocol("ticket decoded to json")),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Block until the submission completes and return its raw payload
-    /// (managed tickets may carry decoded JSON).
-    pub(crate) fn wait_payload(&self, ticket: Ticket) -> Result<Payload, NetError> {
-        ticket.cell.wait()
-    }
-
-    /// Number of idle pooled connections (for tests/metrics).
-    pub fn idle_connections(&self) -> usize {
-        self.shared.pool.lock().values().map(Vec::len).sum()
-    }
-
-    fn submit_spec(&self, sub: Submission) -> Ticket {
-        let ticket = Ticket {
-            cell: Arc::clone(&sub.cell),
-        };
-        let mut driver = self.driver.lock();
-        if driver.is_none() {
-            match Driver::spawn(Arc::clone(&self.shared)) {
-                Ok(spawned) => *driver = Some(spawned),
-                Err(e) => sub.cell.complete(Err(NetError::Io(e))),
-            }
-        }
-        if let Some((_, inbox)) = driver.as_ref() {
-            inbox.post(sub);
-        }
-        ticket
-    }
-}
-
-impl Drop for MuxClient {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some((handle, inbox)) = self.driver.lock().take() {
-            inbox.wake();
-            let _ = handle.join();
-        }
-    }
-}
+pub(crate) type DriverHandle = (JoinHandle<()>, Arc<Inbox<Submission>>);
 
 /// The driver: owns every connection and runs the readiness loop.
-struct Driver {
+pub(crate) struct Driver {
     shared: Arc<Shared>,
     /// Armed with every connection deadline and backoff end as it starts.
     poller: Poller,
@@ -438,14 +352,14 @@ struct Driver {
     lanes: HashMap<u64, VecDeque<PendingItem>>,
     /// Wire-active submissions, each with the connection it is on.
     active: Slab<(Active, Conn)>,
-    /// Managed submissions waiting out a retry backoff until the instant
-    /// beside them, on the poller instead of a sleeping thread.
+    /// Submissions waiting out a retry backoff until the instant beside
+    /// them, on the poller instead of a sleeping thread.
     parked: Slab<(Instant, PendingItem)>,
 }
 
 impl Driver {
     /// Spawn the driver thread and hand back its inbox.
-    fn spawn(shared: Arc<Shared>) -> io::Result<DriverHandle> {
+    pub(crate) fn spawn(shared: Arc<Shared>) -> io::Result<DriverHandle> {
         let inbox = Arc::new(Inbox::new()?);
         let theirs = Arc::clone(&inbox);
         let handle = std::thread::Builder::new()
@@ -554,18 +468,16 @@ impl Driver {
     }
 
     fn admit_one(&mut self, item: PendingItem) {
-        if matches!(item.sub.policy, Policy::Managed { .. }) {
-            let admitted = self
-                .shared
-                .breakers
-                .as_ref()
-                .map_or(true, |b| b.for_host(item.sub.addr).admit());
-            if !admitted {
-                let err = NetError::CircuitOpen;
-                self.shared.metrics.note_error(&err);
-                self.complete_sub(item.sub, Err(err));
-                return;
-            }
+        let admitted = self
+            .shared
+            .breakers
+            .as_ref()
+            .map_or(true, |b| b.for_host(item.sub.addr).admit());
+        if !admitted {
+            let err = NetError::CircuitOpen;
+            self.shared.metrics.note_error(&err);
+            self.complete_sub(item.sub, Err(err));
+            return;
         }
         // Span text is built only under a sampled parent.
         let request_span = match item.sub.parent {
@@ -756,25 +668,14 @@ impl Driver {
         self.finish_wire(act, Err(err));
     }
 
-    /// One wire cycle is over: close out spans and metrics, then either
-    /// complete the ticket (raw) or run the managed resilience policy.
+    /// One wire cycle is over: close out spans and metrics, then run the
+    /// resilience policy.
     fn finish_wire(&mut self, mut act: Active, wire: Result<Response, NetError>) {
         std::mem::replace(&mut act.attempt_span, TraceSpan::noop()).finish();
         if let Err(e) = &wire {
             act.request_span.event(&format!("error:{}", e.kind()));
         }
         self.shared.metrics.record_request(act.started.elapsed());
-        let (key, decode) = match act.sub.policy {
-            Policy::Raw => {
-                if let Err(e) = &wire {
-                    self.shared.metrics.note_error(e);
-                }
-                std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
-                self.complete_sub(act.sub, wire.map(Payload::Resp));
-                return;
-            }
-            Policy::Managed { key, decode } => (key, decode),
-        };
         // The status/decode seam.
         let result = wire
             .and_then(|resp| {
@@ -787,7 +688,7 @@ impl Driver {
                     })
                 }
             })
-            .and_then(|resp| decode_response(resp, decode));
+            .and_then(|resp| decode_response(resp, act.sub.decode));
         let breaker = self
             .shared
             .breakers
@@ -811,7 +712,7 @@ impl Driver {
             .shared
             .retry
             .as_ref()
-            .and_then(|p| p.delay_for(&err, act.cycles, key, act.slept));
+            .and_then(|p| p.delay_for(&err, act.cycles, act.sub.key, act.slept));
         match delay {
             Some(wait) => {
                 // Still trying: the breaker only hears about *terminal*
@@ -878,13 +779,13 @@ impl Driver {
         let parked = self.parked.iter().map(|(_, (_, item))| item);
         let queued = self.lanes.values().flatten();
         for item in self.pending.iter().chain(parked).chain(queued) {
-            item.sub.cell.complete(Err(gone()));
+            item.sub.fail(gone());
         }
         for (_, (act, _)) in self.active.iter() {
-            act.sub.cell.complete(Err(gone()));
+            act.sub.fail(gone());
         }
         for sub in inbox.take() {
-            sub.cell.complete(Err(gone()));
+            sub.fail(gone());
         }
     }
 }

@@ -15,12 +15,13 @@
 //!   busy-loop) and load shedding above
 //!   [`ReactorConfig::max_connections`] (an immediate `503` +
 //!   `connection: close`, never a silent drop);
-//! * **N event-loop shards** ([`ReactorConfig::shards`]) — each owns a
-//!   slab of connections outright (no cross-shard locking on the hot
-//!   path) and runs turn → read → parse → dispatch → write;
-//! * **M handler-pool workers** ([`ReactorConfig::handler_threads`]) —
-//!   the [`Handler`] trait is blocking by
-//!   contract, so handlers run on a bounded pool, never on a shard.
+//! * **[`SHARDS`] event-loop shards** — each owns a slab of connections
+//!   outright (no cross-shard locking on the hot path) and runs turn →
+//!   read → parse → dispatch → write;
+//! * **[`HANDLER_THREADS`] handler-pool workers** — the [`Handler`]
+//!   trait is blocking by contract, so handlers run on a bounded pool,
+//!   never on a shard. They wait for jobs on one
+//!   [`CompletionQueue`], which [`Transport::stop`] closes.
 //!
 //! What differs between the servers on one transport — handler,
 //! instruments, fault injector — is an `Endpoint`, created when a
@@ -74,11 +75,11 @@ pub(crate) mod sys;
 use crate::error::NetError;
 use crate::fault::{FaultAction, FaultInjector};
 use crate::http::{Request, Response, Status};
+use crate::mux::CompletionQueue;
 use crate::server::{Handler, ServerMetrics};
 use io::{Inbox, Poller, Slab};
 use marketscope_telemetry::{LogLevel, TraceSpan};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::VecDeque;
+use parking_lot::{Mutex, RwLock};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -87,19 +88,21 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Event-loop shard threads per transport. Connections are distributed
+/// round-robin at accept time and never migrate.
+pub const SHARDS: usize = 2;
+
+/// Handler-pool worker threads per transport, running the blocking
+/// [`Handler`] trait.
+pub const HANDLER_THREADS: usize = 4;
+
 /// Tuning knobs for the event-loop transport. The defaults suit a fleet
-/// of loopback market servers sharing one transport: thread cost stays
-/// fixed at `1 + shards + handler_threads` per transport regardless of
+/// of loopback market servers sharing one transport. Thread cost is
+/// fixed at `1 + SHARDS + HANDLER_THREADS` per transport regardless of
 /// how many listeners are registered on it or how many thousands of
 /// connections are open.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Event-loop shard threads. Connections are distributed round-robin
-    /// at accept time and never migrate.
-    pub shards: usize,
-    /// Handler-pool worker threads running the blocking
-    /// [`Handler`] trait.
-    pub handler_threads: usize,
     /// Open-connection ceiling of each listener. Beyond it the acceptor
     /// sheds that listener's new connections with `503` +
     /// `connection: close` and counts them in its
@@ -113,8 +116,6 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
-            shards: 2,
-            handler_threads: 4,
             max_connections: 8192,
             keep_alive: Duration::from_secs(30),
         }
@@ -179,58 +180,6 @@ struct Job {
     fault: FaultAction,
 }
 
-/// Blocking MPMC job queue for the handler pool. A mutex-guarded deque
-/// is plenty: queue operations are nanoseconds next to handler work.
-struct JobQueue {
-    inner: Mutex<JobQueueInner>,
-    ready: Condvar,
-}
-
-struct JobQueueInner {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl JobQueue {
-    fn new() -> JobQueue {
-        JobQueue {
-            inner: Mutex::new(JobQueueInner {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return;
-        }
-        inner.jobs.push_back(job);
-        self.ready.notify_one();
-    }
-
-    /// Blocks for work; `None` once closed and drained.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            self.ready.wait(&mut inner);
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.ready.notify_all();
-    }
-}
-
 /// Receipt for a [`Transport::retire`] message: the loop that handled it
 /// drops the sender, and the retiring thread's `recv` returns once every
 /// sender is gone.
@@ -259,7 +208,9 @@ enum ShardMsg {
 struct Shared {
     cfg: ReactorConfig,
     shutdown: AtomicBool,
-    jobs: JobQueue,
+    /// The handler pool's queue; a mutex-guarded deque is plenty, as
+    /// queue operations are nanoseconds next to handler work.
+    jobs: CompletionQueue<Job>,
     acceptor: Inbox<AcceptorMsg>,
     shards: Vec<Inbox<ShardMsg>>,
 }
@@ -503,7 +454,7 @@ impl ShardState {
         let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
-        self.shared.jobs.push(Job {
+        self.shared.jobs.post(Job {
             shard: self.id,
             token: tok,
             endpoint: Arc::clone(&conn.endpoint),
@@ -566,7 +517,7 @@ impl ShardState {
 /// The handler-pool worker loop: runs the request seam sequence the
 /// per-connection thread used to run, then mails the directive back.
 fn worker_loop(shared: Arc<Shared>) {
-    while let Some(job) = shared.jobs.pop() {
+    while let Some(job) = shared.jobs.wait_until(None) {
         let directive = process_request(&job);
         shared.shards[job.shard].post(ShardMsg::Done(job.token, directive));
     }
@@ -763,10 +714,10 @@ fn shed(stream: &TcpStream, endpoint: &Endpoint, max_connections: usize) {
 }
 
 /// A running reactor transport: the fixed thread set — one acceptor,
-/// [`ReactorConfig::shards`] event loops, [`ReactorConfig::handler_threads`]
-/// workers — under every listener registered on it with
+/// [`SHARDS`] event loops, [`HANDLER_THREADS`] workers — under every
+/// listener registered on it with
 /// [`HttpServer::spawn_on`](crate::server::HttpServer::spawn_on).
-/// Dropping the last reference stops it.
+/// Dropping the last reference stops it and joins its threads.
 pub struct Transport {
     shared: Arc<Shared>,
     /// The running threads; emptied by [`stop`](Transport::stop), which
@@ -779,19 +730,13 @@ impl Transport {
     /// Spawn the acceptor, shard, and worker threads. Nothing is served
     /// until a listener registers.
     pub fn spawn(cfg: ReactorConfig) -> Result<Arc<Transport>, NetError> {
-        let cfg = ReactorConfig {
-            shards: cfg.shards.max(1),
-            handler_threads: cfg.handler_threads.max(1),
-            max_connections: cfg.max_connections.max(1),
-            keep_alive: cfg.keep_alive,
-        };
-        let shards = (0..cfg.shards)
+        let shards = (0..SHARDS)
             .map(|_| Inbox::new())
             .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
             cfg,
             shutdown: AtomicBool::new(false),
-            jobs: JobQueue::new(),
+            jobs: CompletionQueue::new(),
             acceptor: Inbox::new()?,
             shards,
         });
@@ -803,7 +748,7 @@ impl Transport {
         });
         let acceptor = Arc::clone(&shared);
         transport.start("http-accept".into(), move || accept_loop(acceptor))?;
-        for id in 0..shared.cfg.shards {
+        for id in 0..SHARDS {
             let shard = Arc::clone(&shared);
             transport.start(format!("http-shard-{id}"), move || {
                 ShardState {
@@ -815,7 +760,7 @@ impl Transport {
                 .run()
             })?;
         }
-        for w in 0..shared.cfg.handler_threads {
+        for w in 0..HANDLER_THREADS {
             let worker = Arc::clone(&shared);
             transport.start(format!("http-worker-{w}"), move || worker_loop(worker))?;
         }
@@ -828,7 +773,7 @@ impl Transport {
         Ok(())
     }
 
-    /// The configuration in force (after clamping zeros to one).
+    /// The configuration in force.
     pub fn config(&self) -> &ReactorConfig {
         &self.shared.cfg
     }

@@ -4,8 +4,8 @@
 //!
 //! One accept thread feeds nonblocking connections to a fixed set of
 //! `poll(2)` shards; handlers run on a bounded worker pool. Thread count
-//! is a constant of the [`Transport`]'s [`ReactorConfig`], not of the
-//! connection count nor of how many servers share the transport.
+//! is a constant of the [`Transport`], not of the connection count nor
+//! of how many servers share the transport.
 
 use crate::error::NetError;
 use crate::fault::FaultInjector;
@@ -162,48 +162,33 @@ impl ServerMetrics {
 pub struct HttpServer;
 
 impl HttpServer {
-    /// Bind to `127.0.0.1:0` (ephemeral port) and start serving `handler`
-    /// on a background accept thread. Returns a handle carrying the bound
-    /// address and the shutdown switch.
+    /// Bind to `127.0.0.1:0` (ephemeral port) and serve `handler` with
+    /// private instruments on a transport of its own with the reactor
+    /// defaults. The handle holds the transport's only reference, so
+    /// dropping it joins the transport's threads.
     pub fn spawn(handler: impl Handler) -> Result<ServerHandle, NetError> {
-        Self::spawn_configured(
+        let transport = Transport::spawn(ReactorConfig::default())?;
+        Self::spawn_on(
+            &transport,
             "127.0.0.1:0",
             handler,
             ServerMetrics::standalone(),
             None,
-            ReactorConfig::default(),
         )
     }
 
-    /// The general entry point for a server with threads of its own: an
-    /// explicit bind address and instrument set (register it in a
-    /// [`Registry`] to make the server's counters scrapeable), an optional
-    /// [`FaultInjector`] that gets first refusal on every request (it may
-    /// reset the connection, stall or truncate the response, or answer
-    /// 5xx before the handler runs; the caller may keep a clone to report
-    /// on it), and a [`ReactorConfig`] (shard count, handler pool size,
-    /// connection ceiling, keep-alive). Spawns a [`Transport`] that the
-    /// returned handle owns — its [`stop`](ServerHandle::stop) joins the
-    /// threads — and registers on it as [`spawn_on`](Self::spawn_on) does.
-    pub fn spawn_configured(
-        addr: &str,
-        handler: impl Handler,
-        metrics: ServerMetrics,
-        faults: Option<Arc<FaultInjector>>,
-        config: ReactorConfig,
-    ) -> Result<ServerHandle, NetError> {
-        let transport = Transport::spawn(config)?;
-        let mut handle = Self::spawn_on(&transport, addr, handler, metrics, faults)?;
-        handle.owns_transport = true;
-        Ok(handle)
-    }
-
-    /// Serve `handler` at `addr` on a transport shared with other
-    /// servers: this one adds a listener, no thread. Requests, statuses,
-    /// the live-connection gauge, the connection ceiling, shed and
-    /// accept-error counts and the fault injector are all this server's
-    /// own; stopping the handle closes its listener and connections and
-    /// leaves the transport and its other servers running.
+    /// Serve `handler` at `addr` on `transport`, which other servers may
+    /// share: this one adds a listener, no thread. `metrics` is its
+    /// instrument set (register it in a [`Registry`] to make the server's
+    /// counters scrapeable), and `faults` an optional [`FaultInjector`]
+    /// that gets first refusal on every request (it may reset the
+    /// connection, stall or truncate the response, or answer 5xx before
+    /// the handler runs; the caller may keep a clone to report on it).
+    /// Requests, statuses, the live-connection gauge, the connection
+    /// ceiling, shed and accept-error counts and the fault injector are
+    /// all this server's own; stopping the handle closes its listener and
+    /// connections and leaves the transport and its other servers
+    /// running.
     pub fn spawn_on(
         transport: &Arc<Transport>,
         addr: &str,
@@ -219,7 +204,6 @@ impl HttpServer {
             addr,
             endpoint,
             transport: Arc::clone(transport),
-            owns_transport: false,
         })
     }
 }
@@ -228,10 +212,9 @@ impl HttpServer {
 pub struct ServerHandle {
     addr: SocketAddr,
     endpoint: Arc<Endpoint>,
+    /// One reference to the transport; the last one to drop joins its
+    /// threads.
     transport: Arc<Transport>,
-    /// Spawned with the server ([`HttpServer::spawn_configured`]), so
-    /// stopped with it.
-    owns_transport: bool,
 }
 
 impl ServerHandle {
@@ -274,15 +257,12 @@ impl ServerHandle {
 
     /// Stop serving. On return the listener is closed, no request
     /// reaches the handler any more, open connections are dropped and
-    /// the live gauge is back in balance; a transport spawned with this
-    /// server has its threads (the acceptor, the event-loop shards, the
-    /// handler pool) woken and joined, a shared one keeps serving its
-    /// other listeners. Idempotent.
+    /// the live gauge is back in balance; the transport keeps serving its
+    /// other listeners. Its threads (the acceptor, the event-loop shards,
+    /// the handler pool) are joined when its last reference drops: for a
+    /// [`HttpServer::spawn`] server, this handle's. Idempotent.
     pub fn stop(&self) {
         self.transport.retire(&self.endpoint);
-        if self.owns_transport {
-            self.transport.stop();
-        }
     }
 }
 
@@ -397,19 +377,26 @@ mod tests {
         cond()
     }
 
+    /// A server on a transport of its own with `config`.
+    fn spawn_with(
+        config: ReactorConfig,
+        handler: impl Handler,
+        metrics: ServerMetrics,
+    ) -> ServerHandle {
+        let transport = Transport::spawn(config).unwrap();
+        HttpServer::spawn_on(&transport, "127.0.0.1:0", handler, metrics, None).unwrap()
+    }
+
     #[test]
     fn sheds_connections_above_ceiling_with_503() {
-        let server = HttpServer::spawn_configured(
-            "127.0.0.1:0",
-            |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
-            ServerMetrics::standalone(),
-            None,
+        let server = spawn_with(
             ReactorConfig {
                 max_connections: 2,
                 ..ReactorConfig::default()
             },
-        )
-        .unwrap();
+            |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
+            ServerMetrics::standalone(),
+        );
         // Park two keep-alive connections to fill the ceiling.
         let _a = TcpStream::connect(server.addr()).unwrap();
         let _b = TcpStream::connect(server.addr()).unwrap();
@@ -437,17 +424,14 @@ mod tests {
 
     #[test]
     fn idle_keep_alive_connections_are_reaped() {
-        let server = HttpServer::spawn_configured(
-            "127.0.0.1:0",
-            |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
-            ServerMetrics::standalone(),
-            None,
+        let server = spawn_with(
             ReactorConfig {
                 keep_alive: Duration::from_millis(100),
                 ..ReactorConfig::default()
             },
-        )
-        .unwrap();
+            |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
+            ServerMetrics::standalone(),
+        );
         let mut s = TcpStream::connect(server.addr()).unwrap();
         assert!(wait_until(|| server.live_connections() == 1));
         // The reaper closes the idle connection and balances the gauge.
@@ -467,8 +451,8 @@ mod tests {
     fn registered_metrics_track_statuses_and_latency() {
         let registry = Registry::new();
         let metrics = ServerMetrics::register(&registry, &[("market", "test")]);
-        let server = HttpServer::spawn_configured(
-            "127.0.0.1:0",
+        let server = spawn_with(
+            ReactorConfig::default(),
             |req: &Request| {
                 if req.path == "/missing" {
                     Response::status(Status::NotFound)
@@ -477,10 +461,7 @@ mod tests {
                 }
             },
             metrics,
-            None,
-            ReactorConfig::default(),
-        )
-        .unwrap();
+        );
         raw_round_trip(
             server.addr(),
             b"GET /x HTTP/1.1\r\n\r\nGET /missing HTTP/1.1\r\nconnection: close\r\n\r\n",

@@ -13,7 +13,8 @@
 //! Then the gate opens and every ticket must still redeem cleanly.
 
 use marketscope_net::{
-    ClientConfig, HttpClient, HttpServer, ReactorConfig, Request, Response, ServerMetrics,
+    ClientConfig, FetchSpec, HttpClient, HttpServer, ReactorConfig, Request, Response,
+    ServerMetrics, Transport,
 };
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -76,15 +77,17 @@ fn hundreds_in_flight_on_one_driver_thread() {
             Response::ok("text/plain", b"ok".to_vec())
         }
     };
-    let server = HttpServer::spawn_configured(
+    let transport = Transport::spawn(ReactorConfig {
+        max_connections: 4096,
+        ..ReactorConfig::default()
+    })
+    .expect("spawn transport");
+    let server = HttpServer::spawn_on(
+        &transport,
         "127.0.0.1:0",
         handler,
         ServerMetrics::standalone(),
         None,
-        ReactorConfig {
-            max_connections: 4096,
-            ..ReactorConfig::default()
-        },
     )
     .expect("spawn server");
     let addr = server.addr();
@@ -109,7 +112,7 @@ fn hundreds_in_flight_on_one_driver_thread() {
         marketscope_telemetry::perf::thread_count().expect("read /proc/self/status");
 
     let tickets: Vec<_> = (0..SUBMITTED)
-        .map(|i| client.submit(addr, &Request::get(&format!("/held/{i}"))))
+        .map(|i| client.submit_get(&FetchSpec::new(addr, format!("/held/{i}"))))
         .collect();
 
     assert!(

@@ -10,7 +10,7 @@ use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient
 use marketscope_net::error::NetError;
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response};
-use marketscope_net::reactor::ReactorConfig;
+use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
 use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
@@ -29,12 +29,12 @@ fn ping_router() -> Router {
 }
 
 fn faulty_server(seed: u64, plan: FaultPlan) -> ServerHandle {
-    HttpServer::spawn_configured(
+    HttpServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
         ping_router(),
         ServerMetrics::standalone(),
         Some(Arc::new(FaultInjector::new(seed, plan))),
-        ReactorConfig::default(),
     )
     .unwrap()
 }

@@ -12,7 +12,7 @@
 
 use marketscope_net::client::HttpClient;
 use marketscope_net::http::{Request, Response};
-use marketscope_net::reactor::ReactorConfig;
+use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::server::{HttpServer, ServerMetrics};
 use marketscope_telemetry::{EventLog, LogLevel, Registry, SeriesStore};
 use std::sync::Arc;
@@ -22,12 +22,12 @@ use std::time::Instant;
 fn ops_plane_overhead_is_under_5_percent() {
     let registry = Arc::new(Registry::new());
     let log = Arc::new(EventLog::new(4096));
-    let server = HttpServer::spawn_configured(
+    let server = HttpServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
         |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
         ServerMetrics::register(&registry, &[("market", "bench")]).logged(Arc::clone(&log)),
         None,
-        ReactorConfig::default(),
     )
     .unwrap();
     let client = HttpClient::new();

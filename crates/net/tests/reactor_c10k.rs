@@ -10,7 +10,8 @@
 //! grown past the fixed transport complement (acceptor + shards +
 //! handler pool) sized at spawn.
 
-use marketscope_net::{HttpServer, ReactorConfig, Request, Response, ServerMetrics};
+use marketscope_net::reactor::{HANDLER_THREADS, SHARDS};
+use marketscope_net::{HttpServer, Request, Response};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -62,18 +63,11 @@ fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
 #[test]
 fn two_thousand_keep_alive_connections_on_a_fixed_thread_count() {
     let threads = || marketscope_telemetry::perf::thread_count().expect("linux /proc");
-    let config = ReactorConfig::default();
-    let transport_threads = (1 + config.shards + config.handler_threads) as u64;
+    let transport_threads = (1 + SHARDS + HANDLER_THREADS) as u64;
 
     let before_spawn = threads();
-    let server = HttpServer::spawn_configured(
-        "127.0.0.1:0",
-        |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
-        ServerMetrics::standalone(),
-        None,
-        config,
-    )
-    .unwrap();
+    let server =
+        HttpServer::spawn(|_req: &Request| Response::ok("text/plain", b"ok".to_vec())).unwrap();
     let after_spawn = threads();
     assert_eq!(
         after_spawn - before_spawn,

@@ -5,6 +5,7 @@
 //! not the handler pool its neighbour needs.
 
 use marketscope_net::fault::{FaultInjector, FaultPlan};
+use marketscope_net::reactor::HANDLER_THREADS;
 use marketscope_net::{
     HttpServer, ReactorConfig, Request, Response, ServerHandle, ServerMetrics, Status, Transport,
 };
@@ -182,9 +183,8 @@ fn stopping_one_listener_leaves_the_other_serving() {
 
 #[test]
 fn a_stalling_listener_does_not_hold_the_shared_pool() {
-    let config = ReactorConfig::default();
-    let stalled_clients = config.handler_threads + 2;
-    let transport = Transport::spawn(config).unwrap();
+    let stalled_clients = HANDLER_THREADS + 2;
+    let transport = Transport::spawn(ReactorConfig::default()).unwrap();
     let registry = Registry::new();
     let stall = FaultPlan {
         stall: 1.0,

@@ -11,7 +11,7 @@
 
 use marketscope_net::client::HttpClient;
 use marketscope_net::http::{Request, Response};
-use marketscope_net::reactor::ReactorConfig;
+use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::server::{HttpServer, ServerMetrics};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use std::sync::Arc;
@@ -20,12 +20,12 @@ use std::time::Instant;
 #[test]
 fn unsampled_tracing_overhead_is_under_5_percent() {
     let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(1024)));
-    let server = HttpServer::spawn_configured(
+    let server = HttpServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
         |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
         ServerMetrics::standalone().traced(Arc::clone(&tracer)),
         None,
-        ReactorConfig::default(),
     )
     .unwrap();
     let client = HttpClient::builder().tracer(Arc::clone(&tracer)).build();

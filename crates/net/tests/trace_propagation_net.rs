@@ -4,7 +4,7 @@
 
 use marketscope_net::client::HttpClient;
 use marketscope_net::http::{Request, Response};
-use marketscope_net::reactor::ReactorConfig;
+use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::server::{HttpServer, ServerMetrics};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::{JournalSnapshot, TRACE_HEADER};
@@ -28,12 +28,12 @@ fn snapshot_with_at_least(tracer: &Arc<Tracer>, n: usize) -> JournalSnapshot {
 #[test]
 fn sampled_request_links_client_and_server_spans() {
     let tracer = Arc::new(Tracer::new(TracerConfig::always(256)));
-    let server = HttpServer::spawn_configured(
+    let server = HttpServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
         |_req: &Request| Response::ok("text/plain", b"ok".to_vec()),
         ServerMetrics::standalone().traced(Arc::clone(&tracer)),
         None,
-        ReactorConfig::default(),
     )
     .unwrap();
     let client = HttpClient::builder().tracer(Arc::clone(&tracer)).build();
@@ -82,7 +82,8 @@ fn unsampled_request_sends_no_header_and_records_nothing() {
     let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(256)));
     let saw_header = Arc::new(AtomicBool::new(false));
     let saw = Arc::clone(&saw_header);
-    let server = HttpServer::spawn_configured(
+    let server = HttpServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
         move |req: &Request| {
             if req.header(TRACE_HEADER).is_some() {
@@ -92,7 +93,6 @@ fn unsampled_request_sends_no_header_and_records_nothing() {
         },
         ServerMetrics::standalone().traced(Arc::clone(&tracer)),
         None,
-        ReactorConfig::default(),
     )
     .unwrap();
     let client = HttpClient::builder().tracer(Arc::clone(&tracer)).build();

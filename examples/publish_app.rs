@@ -14,8 +14,10 @@ use marketscope::core::json::Json;
 use marketscope::core::{DeveloperKey, MarketId, PackageName, VersionCode};
 use marketscope::ecosystem::{generate, Scale, WorldConfig};
 use marketscope::market::MarketFleet;
-use marketscope::net::http::{Method, Request};
-use marketscope::net::HttpClient;
+use marketscope::net::http::{Method, Request, Response};
+use marketscope::net::NetError;
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 fn build_app(category: &str, jiagu: bool) -> Vec<u8> {
@@ -42,19 +44,28 @@ fn build_app(category: &str, jiagu: bool) -> Vec<u8> {
         .unwrap()
 }
 
-fn submit(
-    client: &HttpClient,
-    addr: std::net::SocketAddr,
-    body: Vec<u8>,
-    certs: &[(&str, &str)],
-) -> String {
+/// POST the upload over a plain socket (the HTTP client only sends GETs)
+/// and read the one answer the store sends before it closes.
+fn post_upload(addr: SocketAddr, req: &Request) -> Result<Response, NetError> {
+    let mut stream = TcpStream::connect(addr)?;
+    req.write_to(&mut stream)?;
+    let mut wire = Vec::new();
+    stream.read_to_end(&mut wire)?;
+    Response::parse_partial(&wire)?
+        .map(|(resp, _)| resp)
+        .ok_or(NetError::UnexpectedEof)
+}
+
+fn submit(addr: SocketAddr, body: Vec<u8>, certs: &[(&str, &str)]) -> String {
     let mut req = Request::get("/upload");
     req.method = Method::Post;
     req.body = body;
+    req.headers
+        .insert("connection".to_owned(), "close".to_owned());
     for (k, v) in certs {
         req.headers.insert((*k).to_owned(), (*v).to_owned());
     }
-    match client.request(addr, &req) {
+    match post_upload(addr, &req) {
         Ok(resp) => {
             let doc =
                 Json::parse(std::str::from_utf8(&resp.body).unwrap_or("{}")).unwrap_or(Json::Null);
@@ -84,18 +95,17 @@ fn main() {
         ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(world).expect("fleet");
-    let client = HttpClient::new();
 
     println!("=== first attempt: a games app, no certificates ===");
     for m in [MarketId::TencentMyapp, MarketId::HiApk, MarketId::LenovoMm] {
-        let verdict = submit(&client, fleet.addr(m), build_app("Game", false), &[]);
+        let verdict = submit(fleet.addr(m), build_app("Game", false), &[]);
         println!("  {:<14} {verdict}", m.slug());
     }
 
     println!("\n=== second attempt: with a Software Copyright Certificate ===");
     let certs = [("x-copyright-cert", "SCC-2017-0042")];
     for m in MarketId::ALL {
-        let verdict = submit(&client, fleet.addr(m), build_app("Game", false), &certs);
+        let verdict = submit(fleet.addr(m), build_app("Game", false), &certs);
         println!("  {:<14} {verdict}", m.slug());
     }
 
@@ -103,7 +113,6 @@ fn main() {
     println!(
         "  lenovo (as a company): {}",
         submit(
-            &client,
             fleet.addr(MarketId::LenovoMm),
             build_app("Game", false),
             &[
@@ -115,7 +124,6 @@ fn main() {
     println!(
         "  oppo (as a theme app): {}",
         submit(
-            &client,
             fleet.addr(MarketId::OppoMarket),
             build_app("Personalization", false),
             &certs
@@ -124,7 +132,6 @@ fn main() {
     println!(
         "  360 (packed with Jiagubao): {}",
         submit(
-            &client,
             fleet.addr(MarketId::Market360),
             build_app("Game", true),
             &certs
