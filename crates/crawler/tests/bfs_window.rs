@@ -12,7 +12,6 @@ use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler, Snapshot};
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response, Status};
 use marketscope_net::reactor::{ReactorConfig, Transport};
-use marketscope_net::router::{Params, Router};
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
 use marketscope_telemetry::Registry;
 use std::collections::{HashSet, VecDeque};
@@ -147,12 +146,12 @@ fn bfs_store(
     faults: Option<FaultInjector>,
 ) -> (ServerHandle, Arc<Mutex<Vec<String>>>) {
     let log = Arc::new(Mutex::new(Vec::new()));
-    let router = Router::new()
-        .get("/related/{pkg}", {
-            let (g, log) = (Arc::clone(g), Arc::clone(&log));
-            move |_req: &Request, params: &Params| {
-                let pkg = params["pkg"].as_str();
-                log.lock().unwrap().push(format!("/related/{pkg}"));
+    let (g, served) = (Arc::clone(g), Arc::clone(&log));
+    let router = move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["related", pkg] => {
+                served.lock().unwrap().push(format!("/related/{pkg}"));
                 match g.position(pkg) {
                     None => Response::status(Status::NotFound),
                     Some(_) if pkg == g.failing => Response::status(Status::InternalError),
@@ -162,18 +161,16 @@ fn bfs_store(
                     }
                 }
             }
-        })
-        .get("/app/{pkg}", {
-            let (g, log) = (Arc::clone(g), Arc::clone(&log));
-            move |_req: &Request, params: &Params| {
-                let pkg = params["pkg"].as_str();
-                log.lock().unwrap().push(format!("/app/{pkg}"));
+            ["app", pkg] => {
+                served.lock().unwrap().push(format!("/app/{pkg}"));
                 match g.position(pkg) {
                     Some(_) => listing(pkg),
                     None => Response::status(Status::NotFound),
                 }
             }
-        });
+            _ => Response::status(Status::NotFound),
+        }
+    };
     let server = HttpServer::spawn_on(
         &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
@@ -188,10 +185,10 @@ fn bfs_store(
 /// An index market listing `names`, 50 to a page.
 fn index_store(names: &[String]) -> ServerHandle {
     let listed = names.to_vec();
-    let router = Router::new()
-        .get("/index", {
-            let listed = listed.clone();
-            move |req: &Request, _: &Params| {
+    HttpServer::spawn(move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["index"] => {
                 let page: usize = req
                     .query_param("page")
                     .and_then(|p| p.parse().ok())
@@ -205,15 +202,11 @@ fn index_store(names: &[String]) -> ServerHandle {
                 }
                 Response::json(&Json::obj(fields))
             }
-        })
-        .get("/app/{pkg}", move |_req: &Request, params: &Params| {
-            if listed.contains(&params["pkg"]) {
-                listing(&params["pkg"])
-            } else {
-                Response::status(Status::NotFound)
-            }
-        });
-    HttpServer::spawn(router).unwrap()
+            ["app", pkg] if listed.iter().any(|p| p == pkg) => listing(pkg),
+            _ => Response::status(Status::NotFound),
+        }
+    })
+    .unwrap()
 }
 
 /// Google Play at `bfs`, every other market at `index`.

@@ -10,7 +10,6 @@ use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::http::{Request, Response, Status};
 use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::resilience::BreakerConfig;
-use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::Registry;
@@ -23,10 +22,10 @@ use std::sync::Arc;
 fn mock_store(count: usize, apk: impl Fn(u64) -> Response + Send + Sync + 'static) -> ServerHandle {
     let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i:02}.app")).collect();
     let calls = AtomicU64::new(0);
-    let router = Router::new()
-        .get("/index", {
-            let packages = packages.clone();
-            move |req: &Request, _: &marketscope_net::router::Params| {
+    HttpServer::spawn(move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["index"] => {
                 let page: usize = req
                     .query_param("page")
                     .and_then(|p| p.parse().ok())
@@ -47,28 +46,22 @@ fn mock_store(count: usize, apk: impl Fn(u64) -> Response + Send + Sync + 'stati
                 }
                 Response::json(&Json::obj(fields))
             }
-        })
-        .get("/app/{pkg}", {
-            let packages = packages.clone();
-            move |_req: &Request, params: &marketscope_net::router::Params| {
-                if !packages.contains(&params["pkg"]) {
+            ["app", pkg] => {
+                if !packages.iter().any(|p| p == pkg) {
                     return Response::status(Status::NotFound);
                 }
                 Response::json(&Json::obj([
-                    ("package", Json::from(params["pkg"].as_str())),
+                    ("package", Json::from(pkg)),
                     ("name", Json::from("Mock")),
                     ("version_code", Json::from(1u64)),
                     ("rating", Json::from(0.0)),
                 ]))
             }
-        })
-        .get(
-            "/apk/{pkg}",
-            move |_req: &Request, _: &marketscope_net::router::Params| {
-                apk(calls.fetch_add(1, Ordering::SeqCst))
-            },
-        );
-    HttpServer::spawn(router).unwrap()
+            ["apk", _] => apk(calls.fetch_add(1, Ordering::SeqCst)),
+            _ => Response::status(Status::NotFound),
+        }
+    })
+    .unwrap()
 }
 
 /// A store whose direct APK endpoint always throttles with a hint far
@@ -125,12 +118,15 @@ fn flaky_repository_is_absorbed_by_retries() {
     let repo = HttpServer::spawn_on(
         &Transport::spawn(ReactorConfig::default()).unwrap(),
         "127.0.0.1:0",
-        Router::new().get(
-            "/apk/{pkg}/{version}",
-            |_req: &Request, _: &marketscope_net::router::Params| {
-                Response::ok("application/octet-stream", b"not a real apk".to_vec())
-            },
-        ),
+        |req: &Request| {
+            let segments = req.segments();
+            match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+                ["apk", _, _] => {
+                    Response::ok("application/octet-stream", b"not a real apk".to_vec())
+                }
+                _ => Response::status(Status::NotFound),
+            }
+        },
         ServerMetrics::standalone(),
         Some(Arc::new(FaultInjector::new(
             11,

@@ -6,16 +6,15 @@ use marketscope_core::json::Json;
 use marketscope_core::MarketId;
 use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler};
 use marketscope_net::http::{Request, Response, Status};
-use marketscope_net::router::Router;
 use marketscope_net::server::{HttpServer, ServerHandle};
 
 /// A mock store serving `count` packages, with switchable pathologies.
 fn mock_store(count: usize, corrupt_apks: bool, junk_metadata: bool) -> ServerHandle {
     let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i}.app")).collect();
-    let router = Router::new()
-        .get("/index", {
-            let packages = packages.clone();
-            move |req: &Request, _| {
+    HttpServer::spawn(move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["index"] => {
                 let page: usize = req
                     .query_param("page")
                     .and_then(|p| p.parse().ok())
@@ -36,11 +35,8 @@ fn mock_store(count: usize, corrupt_apks: bool, junk_metadata: bool) -> ServerHa
                 }
                 Response::json(&Json::obj(fields))
             }
-        })
-        .get("/app/{pkg}", {
-            let packages = packages.clone();
-            move |_req: &Request, params: &marketscope_net::router::Params| {
-                if !packages.contains(&params["pkg"]) {
+            ["app", pkg] => {
+                if !packages.iter().any(|p| p == pkg) {
                     return Response::status(Status::NotFound);
                 }
                 if junk_metadata {
@@ -48,24 +44,23 @@ fn mock_store(count: usize, corrupt_apks: bool, junk_metadata: bool) -> ServerHa
                     return Response::json(&Json::obj([("name", Json::from("x"))]));
                 }
                 Response::json(&Json::obj([
-                    ("package", Json::from(params["pkg"].as_str())),
+                    ("package", Json::from(pkg)),
                     ("name", Json::from("Mock")),
                     ("version_code", Json::from(1u64)),
                     ("rating", Json::from(0.0)),
                 ]))
             }
-        })
-        .get(
-            "/apk/{pkg}",
-            move |_req: &Request, _params: &marketscope_net::router::Params| {
+            ["apk", _] => {
                 if corrupt_apks {
                     Response::ok("application/octet-stream", b"this is not an apk".to_vec())
                 } else {
                     Response::status(Status::InternalError)
                 }
-            },
-        );
-    HttpServer::spawn(router).unwrap()
+            }
+            _ => Response::status(Status::NotFound),
+        }
+    })
+    .unwrap()
 }
 
 /// A dead endpoint (connection refused) for the other 16 markets.
@@ -169,68 +164,66 @@ fn unreachable_markets_yield_empty_catalogs() {
 /// `/related/{pkg}` always answers 500.
 fn failing_related_store(count: usize) -> ServerHandle {
     let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i}.app")).collect();
-    let router = Router::new()
-        .get(
-            "/app/{pkg}",
-            move |_req: &Request, params: &marketscope_net::router::Params| {
-                if !packages.contains(&params["pkg"]) {
+    HttpServer::spawn(move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["app", pkg] => {
+                if !packages.iter().any(|p| p == pkg) {
                     return Response::status(Status::NotFound);
                 }
                 Response::json(&Json::obj([
-                    ("package", Json::from(params["pkg"].as_str())),
+                    ("package", Json::from(pkg)),
                     ("name", Json::from("Mock")),
                     ("version_code", Json::from(1u64)),
                 ]))
-            },
-        )
-        .get(
-            "/related/{pkg}",
-            |_req: &Request, _params: &marketscope_net::router::Params| {
-                Response::status(Status::InternalError)
-            },
-        );
-    HttpServer::spawn(router).unwrap()
+            }
+            ["related", _] => Response::status(Status::InternalError),
+            _ => Response::status(Status::NotFound),
+        }
+    })
+    .unwrap()
 }
 
 /// A store listing `count` packages whose index pages from
 /// `broken_from` on carry a `next` but no `packages`.
 fn truncated_index_store(count: usize, broken_from: usize) -> ServerHandle {
     let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i}.app")).collect();
-    let index = packages.clone();
-    let router = Router::new()
-        .get("/index", move |req: &Request, _| {
-            let page: usize = req
-                .query_param("page")
-                .and_then(|p| p.parse().ok())
-                .unwrap_or(0);
-            if page >= broken_from {
-                return Response::json(&Json::obj([("next", Json::from((page + 1) as u64))]));
+    HttpServer::spawn(move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["index"] => {
+                let page: usize = req
+                    .query_param("page")
+                    .and_then(|p| p.parse().ok())
+                    .unwrap_or(0);
+                if page >= broken_from {
+                    return Response::json(&Json::obj([("next", Json::from((page + 1) as u64))]));
+                }
+                let start = (page * 50).min(packages.len());
+                let end = (start + 50).min(packages.len());
+                let listed: Vec<Json> = packages[start..end]
+                    .iter()
+                    .map(|p| Json::from(p.as_str()))
+                    .collect();
+                Response::json(&Json::obj([
+                    ("packages", Json::Arr(listed)),
+                    ("next", Json::from((page + 1) as u64)),
+                ]))
             }
-            let start = (page * 50).min(index.len());
-            let end = (start + 50).min(index.len());
-            let listed: Vec<Json> = index[start..end]
-                .iter()
-                .map(|p| Json::from(p.as_str()))
-                .collect();
-            Response::json(&Json::obj([
-                ("packages", Json::Arr(listed)),
-                ("next", Json::from((page + 1) as u64)),
-            ]))
-        })
-        .get(
-            "/app/{pkg}",
-            move |_req: &Request, params: &marketscope_net::router::Params| {
-                if !packages.contains(&params["pkg"]) {
+            ["app", pkg] => {
+                if !packages.iter().any(|p| p == pkg) {
                     return Response::status(Status::NotFound);
                 }
                 Response::json(&Json::obj([
-                    ("package", Json::from(params["pkg"].as_str())),
+                    ("package", Json::from(pkg)),
                     ("name", Json::from("Mock")),
                     ("version_code", Json::from(1u64)),
                 ]))
-            },
-        );
-    HttpServer::spawn(router).unwrap()
+            }
+            _ => Response::status(Status::NotFound),
+        }
+    })
+    .unwrap()
 }
 
 fn fetch_errors(crawler: &Crawler, market: &str, kind: &str) -> u64 {

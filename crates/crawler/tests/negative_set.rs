@@ -9,7 +9,6 @@ use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler};
 use marketscope_ecosystem::{generate, Scale, WorldConfig};
 use marketscope_market::{CrawlPhase, MarketFleet};
 use marketscope_net::http::{Request, Response, Status};
-use marketscope_net::router::{Params, Router};
 use marketscope_net::server::{HttpServer, ServerHandle};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,45 +85,48 @@ fn store(
 ) -> (ServerHandle, Arc<AtomicU64>) {
     let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i:03}.app")).collect();
     let probes = Arc::new(AtomicU64::new(0));
-    let listed = packages.clone();
     let counted = Arc::clone(&probes);
-    let router = Router::new()
-        .get("/index", move |req: &Request, _: &Params| {
-            let page: usize = req
-                .query_param("page")
-                .and_then(|p| p.parse().ok())
-                .unwrap_or(0);
-            if !index(page) {
-                return Response::status(Status::InternalError);
+    let server = HttpServer::spawn(move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["index"] => {
+                let page: usize = req
+                    .query_param("page")
+                    .and_then(|p| p.parse().ok())
+                    .unwrap_or(0);
+                if !index(page) {
+                    return Response::status(Status::InternalError);
+                }
+                let start = (page * 50).min(packages.len());
+                let end = (start + 50).min(packages.len());
+                let mut fields = vec![(
+                    "packages",
+                    Json::Arr(
+                        packages[start..end]
+                            .iter()
+                            .map(|p| Json::from(p.as_str()))
+                            .collect(),
+                    ),
+                )];
+                if end < packages.len() {
+                    fields.push(("next", Json::from((page + 1) as u64)));
+                }
+                Response::json(&Json::obj(fields))
             }
-            let start = (page * 50).min(listed.len());
-            let end = (start + 50).min(listed.len());
-            let mut fields = vec![(
-                "packages",
-                Json::Arr(
-                    listed[start..end]
-                        .iter()
-                        .map(|p| Json::from(p.as_str()))
-                        .collect(),
-                ),
-            )];
-            if end < listed.len() {
-                fields.push(("next", Json::from((page + 1) as u64)));
+            ["app", pkg] => {
+                counted.fetch_add(1, Ordering::SeqCst);
+                if !packages.iter().any(|p| p == pkg) {
+                    Response::status(Status::NotFound)
+                } else if app(pkg) {
+                    listing(pkg)
+                } else {
+                    Response::status(Status::InternalError)
+                }
             }
-            Response::json(&Json::obj(fields))
-        })
-        .get("/app/{pkg}", move |_req: &Request, params: &Params| {
-            counted.fetch_add(1, Ordering::SeqCst);
-            let pkg = params["pkg"].as_str();
-            if !packages.iter().any(|p| p == pkg) {
-                Response::status(Status::NotFound)
-            } else if app(pkg) {
-                listing(pkg)
-            } else {
-                Response::status(Status::InternalError)
-            }
-        });
-    (HttpServer::spawn(router).unwrap(), probes)
+            _ => Response::status(Status::NotFound),
+        }
+    });
+    (server.unwrap(), probes)
 }
 
 /// Tencent at `tencent`, Wandoujia at `wandoujia`, every other market

@@ -31,8 +31,8 @@ const EVENT_LOG_CAPACITY: usize = 4096;
 
 /// All 17 market servers plus the AndroZoo repository, bound to ephemeral
 /// loopback ports: eighteen listeners on one [`Transport`], so the fleet
-/// costs one acceptor, one shard set and one handler pool (seven threads
-/// at the reactor defaults) however many markets it serves.
+/// costs one acceptor and one shard set (three threads) however many
+/// markets it serves.
 ///
 /// The whole fleet shares one telemetry [`Registry`]: every server's
 /// request counters, latency histograms and rate-limiter instruments

@@ -10,7 +10,7 @@
 use marketscope_core::json::Json;
 use marketscope_net::fault::FaultInjector;
 use marketscope_net::ratelimit::TokenBucket;
-use marketscope_net::reactor::{ReactorConfig, HANDLER_THREADS, SHARDS};
+use marketscope_net::reactor::{ReactorConfig, SHARDS};
 use marketscope_telemetry::{LogEvent, LogSnapshot, SeriesSnapshot, SloVerdict};
 use std::collections::BTreeMap;
 
@@ -186,7 +186,6 @@ pub fn chaos_json(faults: Option<&FaultInjector>) -> Json {
 pub fn transport_json(cfg: &ReactorConfig, open: u64, shed: u64, accept_errors: u64) -> Json {
     Json::obj([
         ("shards", Json::from(SHARDS)),
-        ("handler_threads", Json::from(HANDLER_THREADS)),
         ("max_connections", Json::from(cfg.max_connections)),
         ("open_connections", Json::from(open)),
         ("connections_shed", Json::from(shed)),

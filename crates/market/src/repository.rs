@@ -11,8 +11,7 @@
 use marketscope_core::hash::fnv1a64;
 use marketscope_core::MarketId;
 use marketscope_ecosystem::{ListingId, World};
-use marketscope_net::http::{Response, Status};
-use marketscope_net::router::Router;
+use marketscope_net::http::{Method, Request, Response, Status};
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
 use marketscope_net::{ReactorConfig, Transport};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
@@ -31,31 +30,22 @@ pub struct AndroZooServer {
 }
 
 impl AndroZooServer {
-    /// Spawn the repository over `world`'s Google Play catalog with
-    /// private telemetry.
+    /// Spawn the repository over `world`'s Google Play catalog on a
+    /// transport of its own, with private telemetry.
     pub fn spawn(world: Arc<World>) -> Result<AndroZooServer, marketscope_net::NetError> {
         let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(1024)));
-        AndroZooServer::spawn_shared(world, Arc::new(Registry::new()), tracer)
+        let transport = Transport::spawn(ReactorConfig::default())?;
+        AndroZooServer::spawn_on(&transport, world, Arc::new(Registry::new()), tracer)
     }
 
-    /// Spawn the repository with its request instruments registered in
+    /// The general constructor: one more listener on `transport` — a
+    /// [`MarketFleet`](crate::MarketFleet)'s, or a fresh one the server
+    /// then holds alone. Its request instruments are registered in
     /// `registry` under `market="androzoo"` and its request spans
     /// recorded by `tracer`, so backfill downloads show up in the same
     /// cross-process span trees as the market fetches they compensate
     /// for.
-    pub fn spawn_shared(
-        world: Arc<World>,
-        registry: Arc<Registry>,
-        tracer: Arc<Tracer>,
-    ) -> Result<AndroZooServer, marketscope_net::NetError> {
-        let transport = Transport::spawn(ReactorConfig::default())?;
-        AndroZooServer::spawn_on(&transport, world, registry, tracer)
-    }
-
-    /// [`spawn_shared`](Self::spawn_shared), as one more listener on
-    /// `transport`: a [`MarketFleet`](crate::MarketFleet)'s, or a fresh
-    /// one the server then holds alone.
-    pub(crate) fn spawn_on(
+    pub fn spawn_on(
         transport: &Arc<Transport>,
         world: Arc<World>,
         registry: Arc<Registry>,
@@ -72,26 +62,9 @@ impl AndroZooServer {
             }
         }
         let holdings = index.len();
-        let router = {
-            let world = Arc::clone(&world);
-            Router::new().get("/apk/{pkg}/{version}", move |_req, params| {
-                let Some(id) = index.get(&params["pkg"]) else {
-                    return Response::status(Status::NotFound);
-                };
-                let listing = world.listing(*id);
-                let Ok(version) = params["version"].parse::<u32>() else {
-                    return Response::status(Status::BadRequest);
-                };
-                if version != listing.version {
-                    // AndroZoo is keyed by exact (package, version).
-                    return Response::status(Status::NotFound);
-                }
-                let bytes = world.build_apk(listing.app, listing.version, false);
-                Response::ok("application/vnd.android.package-archive", bytes)
-            })
-        };
+        let handler = move |req: &Request| serve_apk(&world, &index, req);
         let metrics = ServerMetrics::register(&registry, &[("market", "androzoo")]).traced(tracer);
-        let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", router, metrics, None)?;
+        let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", handler, metrics, None)?;
         Ok(AndroZooServer { handle, holdings })
     }
 
@@ -109,6 +82,29 @@ impl AndroZooServer {
     pub fn stop(&self) {
         self.handle.stop();
     }
+}
+
+/// The repository's one route, `GET /apk/{pkg}/{version}`: the APK of a
+/// held package at exactly that version.
+fn serve_apk(world: &World, index: &HashMap<String, ListingId>, req: &Request) -> Response {
+    let segments = req.segments();
+    let segments: Vec<&str> = segments.iter().map(String::as_str).collect();
+    let (Method::Get, ["apk", pkg, version]) = (req.method, segments.as_slice()) else {
+        return Response::status(Status::NotFound);
+    };
+    let Some(id) = index.get(*pkg) else {
+        return Response::status(Status::NotFound);
+    };
+    let listing = world.listing(*id);
+    let Ok(version) = version.parse::<u32>() else {
+        return Response::status(Status::BadRequest);
+    };
+    if version != listing.version {
+        // AndroZoo is keyed by exact (package, version).
+        return Response::status(Status::NotFound);
+    }
+    let bytes = world.build_apk(listing.app, listing.version, false);
+    Response::ok("application/vnd.android.package-archive", bytes)
 }
 
 #[cfg(test)]

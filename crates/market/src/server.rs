@@ -3,13 +3,12 @@
 use crate::endpoints::listing_json;
 use marketscope_apk::zip::ZipArchive;
 use marketscope_core::json::Json;
-use marketscope_core::MarketId;
+use marketscope_core::{MarketId, MarketKind};
 use marketscope_ecosystem::{profile, App, DevId, ListingId, World};
 use marketscope_net::fault::FaultInjector;
-use marketscope_net::http::{Request, Response, Status};
+use marketscope_net::http::{Method, Request, Response, Status};
 use marketscope_net::ratelimit::{RateLimitMetrics, TokenBucket};
-use marketscope_net::router::Router;
-use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
+use marketscope_net::server::{Handler, HttpServer, ServerHandle, ServerMetrics};
 use marketscope_net::{ReactorConfig, Transport};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::{EventLog, Registry, SloEvaluator};
@@ -17,6 +16,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Which crawl campaign the server is serving (Section 3 vs Section 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +41,12 @@ struct MarketState {
     by_developer: HashMap<DevId, Vec<ListingId>>,
     /// APK-download rate limiter (Google Play only).
     apk_bucket: Option<TokenBucket>,
+    /// The `META-INF/` channel file injected into served APKs. Channel
+    /// injection is a web-company/specialized-store habit
+    /// (user-acquisition attribution); Google Play and the vendor stores
+    /// serve the developer's bytes untouched — which is what leaves some
+    /// multi-store listings byte-identical (Section 5.3).
+    channel: Option<String>,
 }
 
 impl MarketState {
@@ -75,6 +81,11 @@ impl MarketState {
                     ),
                 )
             }),
+            channel: matches!(
+                market.kind(),
+                MarketKind::WebCompany | MarketKind::Specialized
+            )
+            .then(|| format!("{}channel", market.slug())),
         }
     }
 
@@ -131,6 +142,116 @@ impl MarketState {
         }
         Json::obj([("related", Json::Arr(related))])
     }
+
+    /// Catalog index page `page` → `{ packages: [...], next: page + 1? }`.
+    /// `page` is the client's: any page past the end, even one whose
+    /// offset overflows, is empty and names no next page.
+    fn index(&self, page: usize) -> Response {
+        let visible: Vec<&ListingId> = self
+            .catalog
+            .iter()
+            .filter(|id| self.visible(**id))
+            .collect();
+        let start = match page.checked_mul(PAGE_SIZE) {
+            Some(start) if start < visible.len() || page == 0 => start,
+            _ => return Response::json(&Json::obj([("packages", Json::Arr(vec![]))])),
+        };
+        let end = (start + PAGE_SIZE).min(visible.len());
+        let packages: Vec<Json> = visible[start..end]
+            .iter()
+            .map(|id| Json::from(self.app(**id).package.as_str()))
+            .collect();
+        let mut fields = vec![("packages", Json::Arr(packages))];
+        if end < visible.len() {
+            fields.push(("next", Json::from((page + 1) as u64)));
+        }
+        Response::json(&Json::obj(fields))
+    }
+
+    /// Baidu-style sequential integer detail page `n`.
+    fn soft(&self, n: &str) -> Response {
+        let Ok(n) = n.parse::<usize>() else {
+            return Response::status(Status::BadRequest);
+        };
+        match self.catalog.get(n) {
+            Some(id) if self.visible(*id) => {
+                Response::json(&listing_json(&self.world, self.world.listing(*id)))
+            }
+            _ => Response::status(Status::NotFound),
+        }
+    }
+
+    /// Search by app name or package: the first 50 visible listings whose
+    /// package is `q` or whose label contains it, ignoring case.
+    fn search(&self, q: &str) -> Response {
+        let q_lower = q.to_lowercase();
+        let mut hits = Vec::new();
+        for id in &self.catalog {
+            if !self.visible(*id) {
+                continue;
+            }
+            let app = self.app(*id);
+            if app.package.as_str() == q || app.label.to_lowercase().contains(&q_lower) {
+                hits.push(Json::from(app.package.as_str()));
+                if hits.len() >= 50 {
+                    break;
+                }
+            }
+        }
+        Response::json(&Json::obj([("results", Json::Arr(hits))]))
+    }
+
+    /// APK download: the listed version's bytes, behind the market's
+    /// download limiter if it has one.
+    fn apk(&self, package: &str) -> Response {
+        if let Some(bucket) = &self.apk_bucket {
+            if !bucket.try_acquire() {
+                // Lands on the server-side handler span (if any), so a
+                // traced harvest shows exactly which attempts the limiter
+                // stalled.
+                marketscope_telemetry::trace::current_event("rate_limited");
+                // Tell the client when a token will be free: an honest
+                // `retry-after` lets a polite retry policy decide whether
+                // waiting fits its budget (for the drained bulk-harvest
+                // bucket it never does, which is what pushes the crawler
+                // onto the backfill path).
+                return Response::status_with_retry_after(
+                    Status::TooManyRequests,
+                    bucket.wait_hint(),
+                );
+            }
+        }
+        let Some(id) = self.lookup(package) else {
+            return Response::status(Status::NotFound);
+        };
+        let listing = self.world.listing(id);
+        let obfuscate = profile(self.market).requires_obfuscation;
+        let bytes = self
+            .world
+            .build_apk(listing.app, listing.version, obfuscate);
+        let bytes = match &self.channel {
+            Some(name) => match inject_channel(&bytes, name, self.market) {
+                Ok(b) => b,
+                Err(_) => return Response::status(Status::InternalError),
+            },
+            None => bytes,
+        };
+        Response::ok("application/vnd.android.package-archive", bytes)
+    }
+}
+
+/// Developer submission (Section 2.1): `POST /upload` with the APK as the
+/// body; certificates travel as headers.
+fn upload(market: MarketId, req: &Request) -> Response {
+    let outcome = crate::submission::evaluate(market, &req.headers, &req.body);
+    let resp = Response::json(&crate::submission::outcome_json(&outcome));
+    match outcome {
+        crate::submission::SubmissionOutcome::Rejected(_) => Response {
+            status: Status::BadRequest,
+            ..resp
+        },
+        _ => resp,
+    }
 }
 
 /// Handles into the fleet's ops plane, shared by every server in a
@@ -143,6 +264,143 @@ pub struct OpsHandles {
     pub slo: Arc<Mutex<SloEvaluator>>,
     /// Fleet-wide structured event log.
     pub log: Arc<EventLog>,
+}
+
+/// One market server's [`Handler`]: the market's routes over its
+/// catalog, and the ops routes under `/__` over its telemetry.
+struct MarketHandler {
+    state: Arc<MarketState>,
+    registry: Arc<Registry>,
+    tracer: Arc<Tracer>,
+    /// The instruments the transport records this server's requests in.
+    metrics: ServerMetrics,
+    /// What `/__health` reports of the transport, its own or a fleet's:
+    /// the ceiling the acceptor sheds this listener's connections against.
+    transport: ReactorConfig,
+    faults: Option<Arc<FaultInjector>>,
+    ops: Option<OpsHandles>,
+    started: Instant,
+}
+
+impl MarketHandler {
+    fn new(
+        state: Arc<MarketState>,
+        registry: Arc<Registry>,
+        tracer: Arc<Tracer>,
+        transport: ReactorConfig,
+        faults: Option<Arc<FaultInjector>>,
+        ops: Option<OpsHandles>,
+    ) -> MarketHandler {
+        let mut metrics = ServerMetrics::register(&registry, &[("market", state.market.slug())])
+            .traced(Arc::clone(&tracer));
+        if let Some(o) = &ops {
+            metrics = metrics.logged(Arc::clone(&o.log));
+        }
+        MarketHandler {
+            state,
+            registry,
+            tracer,
+            metrics,
+            transport,
+            faults,
+            ops,
+            started: Instant::now(),
+        }
+    }
+
+    /// `/__health` reads the very instruments the transport records into,
+    /// so totals here match `/__metrics` exactly; section assembly is
+    /// shared with the other ops surfaces via `opsjson`.
+    fn health(&self) -> Response {
+        let st = &self.state;
+        let phase = match *st.phase.read() {
+            CrawlPhase::First => "first",
+            CrawlPhase::Second => "second",
+        };
+        let open = self.metrics.live_connections();
+        let slo = match &self.ops {
+            Some(o) => crate::opsjson::slo_summary_json(&o.slo.lock().verdicts()),
+            None => Json::Null,
+        };
+        Response::json(&Json::obj([
+            ("status", Json::from("ok")),
+            ("market", Json::from(st.market.slug())),
+            ("phase", Json::from(phase)),
+            (
+                "uptime_ms",
+                Json::from(self.started.elapsed().as_millis() as u64),
+            ),
+            ("requests_total", Json::from(self.metrics.request_count())),
+            ("live_connections", Json::from(open)),
+            ("catalog_size", Json::from(st.catalog.len())),
+            (
+                "transport",
+                crate::opsjson::transport_json(
+                    &self.transport,
+                    open,
+                    self.metrics.shed_connections(),
+                    self.metrics.accept_errors(),
+                ),
+            ),
+            (
+                "rate_limiter",
+                crate::opsjson::rate_limiter_json(st.apk_bucket.as_ref()),
+            ),
+            ("chaos", crate::opsjson::chaos_json(self.faults.as_deref())),
+            ("slo", slo),
+        ]))
+    }
+}
+
+impl Handler for MarketHandler {
+    /// Route on the method and the path's segments; no two routes
+    /// overlap, and what matches none is a 404.
+    fn handle(&self, req: &Request) -> Response {
+        let st = &*self.state;
+        let segments = req.segments();
+        let segments: Vec<&str> = segments.iter().map(String::as_str).collect();
+        match (req.method, segments.as_slice()) {
+            (Method::Get, ["index"]) => {
+                let page = req.query_param("page").and_then(|p| p.parse().ok());
+                st.index(page.unwrap_or(0))
+            }
+            (Method::Get, ["soft", n]) if profile(st.market).incremental_index => st.soft(n),
+            (Method::Get, ["app", pkg]) => match st.lookup(pkg) {
+                Some(id) => Response::json(&listing_json(&st.world, st.world.listing(id))),
+                None => Response::status(Status::NotFound),
+            },
+            (Method::Get, ["search"]) => match req.query_param("q") {
+                Some(q) => st.search(q),
+                None => Response::status(Status::BadRequest),
+            },
+            // Related apps for BFS crawling. A 404 here means exactly what
+            // it means on /app/{pkg}.
+            (Method::Get, ["related", pkg]) => match st.locate(pkg) {
+                Some(pos) => Response::json(&st.related(pos)),
+                None => Response::status(Status::NotFound),
+            },
+            (Method::Post, ["upload"]) => upload(st.market, req),
+            (Method::Get, ["apk", pkg]) => st.apk(pkg),
+            (Method::Get, ["__metrics"]) => Response::ok(
+                "text/plain; version=0.0.4",
+                self.registry.render().into_bytes(),
+            ),
+            (Method::Get, ["__trace"]) => {
+                let json = marketscope_telemetry::chrome_trace(&self.tracer.snapshot());
+                Response::ok("application/json", json.into_bytes())
+            }
+            (Method::Get, ["__slo"]) => {
+                let verdicts = self.ops.as_ref().map(|o| o.slo.lock().verdicts());
+                Response::json(&crate::opsjson::slo_json(&verdicts.unwrap_or_default()))
+            }
+            (Method::Get, ["__log"]) => {
+                let snap = self.ops.as_ref().map(|o| o.log.snapshot());
+                Response::json(&crate::opsjson::log_json(&snap.unwrap_or_default()))
+            }
+            (Method::Get, ["__health"]) => self.health(),
+            _ => Response::status(Status::NotFound),
+        }
+    }
 }
 
 /// A running market server.
@@ -158,26 +416,36 @@ pub struct MarketServer {
 pub const PAGE_SIZE: usize = 50;
 
 impl MarketServer {
-    /// Spawn a server for `market` over `world` with private telemetry:
-    /// its own registry, and a tracer whose local sampling is off but
-    /// whose journal is live — requests arriving with a propagated trace
-    /// context still record.
+    /// Spawn a server for `market` over `world` on a transport of its own,
+    /// with private telemetry: its own registry, and a tracer whose local
+    /// sampling is off but whose journal is live — requests arriving with
+    /// a propagated trace context still record.
     pub fn spawn(
         world: Arc<World>,
         market: MarketId,
     ) -> Result<MarketServer, marketscope_net::NetError> {
         let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(4096)));
-        MarketServer::spawn_with_ops(world, market, Arc::new(Registry::new()), tracer, None, None)
+        let transport = Transport::spawn(ReactorConfig::default())?;
+        MarketServer::spawn_on(
+            &transport,
+            world,
+            market,
+            Arc::new(Registry::new()),
+            tracer,
+            None,
+            None,
+        )
     }
 
-    /// The general constructor. The server's instruments live in
-    /// `registry` (shared across the fleet by
-    /// [`MarketFleet`](crate::MarketFleet)), each carrying a
-    /// `market="<slug>"` label, and the whole registry is exposed at
-    /// `GET /__metrics` in Prometheus text format. Requests that arrive
-    /// with a propagated `x-marketscope-trace` header open spans in
-    /// `tracer`, whose journal is exposed as Chrome trace-event JSON at
-    /// `GET /__trace`.
+    /// The general constructor: one more listener on `transport` — the
+    /// one a [`MarketFleet`](crate::MarketFleet) spawned for all of its
+    /// servers, or a fresh one the server then holds alone. The server's
+    /// instruments live in `registry` (shared across the fleet), each
+    /// carrying a `market="<slug>"` label, and the whole registry is
+    /// exposed at `GET /__metrics` in Prometheus text format. Requests
+    /// that arrive with a propagated `x-marketscope-trace` header open
+    /// spans in `tracer`, whose journal is exposed as Chrome trace-event
+    /// JSON at `GET /__trace`.
     ///
     /// With `faults`, the server runs behind a seeded [`FaultInjector`]:
     /// requests may be reset, stalled, truncated or answered 5xx before
@@ -188,22 +456,7 @@ impl MarketServer {
     /// latest verdicts, `/__log` serves the shared event log,
     /// `/__health` gains an `slo` summary, and the server's own incident
     /// seams (fault injections, connection shed) record events.
-    pub fn spawn_with_ops(
-        world: Arc<World>,
-        market: MarketId,
-        registry: Arc<Registry>,
-        tracer: Arc<Tracer>,
-        faults: Option<FaultInjector>,
-        ops: Option<OpsHandles>,
-    ) -> Result<MarketServer, marketscope_net::NetError> {
-        let transport = Transport::spawn(ReactorConfig::default())?;
-        MarketServer::spawn_on(&transport, world, market, registry, tracer, faults, ops)
-    }
-
-    /// [`spawn_with_ops`](Self::spawn_with_ops), as one more listener on
-    /// `transport`: the one a [`MarketFleet`](crate::MarketFleet) spawned
-    /// for all of its servers, or a fresh one the server then holds alone.
-    pub(crate) fn spawn_on(
+    pub fn spawn_on(
         transport: &Arc<Transport>,
         world: Arc<World>,
         market: MarketId,
@@ -213,98 +466,17 @@ impl MarketServer {
         ops: Option<OpsHandles>,
     ) -> Result<MarketServer, marketscope_net::NetError> {
         let faults = faults.map(Arc::new);
-        let started = std::time::Instant::now();
-        // What /__health reports of the transport, its own or a fleet's:
-        // the ceiling the acceptor sheds this listener's connections
-        // against.
-        let transport_cfg = transport.config().clone();
         let state = Arc::new(MarketState::new(world, market, &registry));
-        let mut metrics = ServerMetrics::register(&registry, &[("market", market.slug())])
-            .traced(Arc::clone(&tracer));
-        if let Some(o) = &ops {
-            metrics = metrics.logged(Arc::clone(&o.log));
-        }
-        let router = build_router(Arc::clone(&state))
-            .get("/__metrics", {
-                let registry = Arc::clone(&registry);
-                move |_req: &Request, _: &marketscope_net::router::Params| {
-                    Response::ok("text/plain; version=0.0.4", registry.render().into_bytes())
-                }
-            })
-            .get("/__trace", {
-                let tracer = Arc::clone(&tracer);
-                move |_req: &Request, _: &marketscope_net::router::Params| {
-                    let json = marketscope_telemetry::chrome_trace(&tracer.snapshot());
-                    Response::ok("application/json", json.into_bytes())
-                }
-            })
-            .get("/__slo", {
-                let ops = ops.clone();
-                move |_req: &Request, _: &marketscope_net::router::Params| {
-                    let verdicts = ops
-                        .as_ref()
-                        .map(|o| o.slo.lock().verdicts())
-                        .unwrap_or_default();
-                    Response::json(&crate::opsjson::slo_json(&verdicts))
-                }
-            })
-            .get("/__log", {
-                let ops = ops.clone();
-                move |_req: &Request, _: &marketscope_net::router::Params| {
-                    let snap = ops.as_ref().map(|o| o.log.snapshot()).unwrap_or_default();
-                    Response::json(&crate::opsjson::log_json(&snap))
-                }
-            })
-            .get("/__health", {
-                // The health closure reads the very instruments the
-                // transport records into, so totals here match
-                // `/__metrics` exactly; section assembly is shared with
-                // the other ops surfaces via `opsjson`.
-                let st = Arc::clone(&state);
-                let metrics = metrics.clone();
-                let transport_cfg = transport_cfg.clone();
-                let faults = faults.clone();
-                let ops = ops.clone();
-                move |_req: &Request, _: &marketscope_net::router::Params| {
-                    let phase = match *st.phase.read() {
-                        CrawlPhase::First => "first",
-                        CrawlPhase::Second => "second",
-                    };
-                    let open = metrics.live_connections();
-                    let slo = match &ops {
-                        Some(o) => crate::opsjson::slo_summary_json(&o.slo.lock().verdicts()),
-                        None => Json::Null,
-                    };
-                    Response::json(&Json::obj([
-                        ("status", Json::from("ok")),
-                        ("market", Json::from(st.market.slug())),
-                        ("phase", Json::from(phase)),
-                        (
-                            "uptime_ms",
-                            Json::from(started.elapsed().as_millis() as u64),
-                        ),
-                        ("requests_total", Json::from(metrics.request_count())),
-                        ("live_connections", Json::from(open)),
-                        ("catalog_size", Json::from(st.catalog.len())),
-                        (
-                            "transport",
-                            crate::opsjson::transport_json(
-                                &transport_cfg,
-                                open,
-                                metrics.shed_connections(),
-                                metrics.accept_errors(),
-                            ),
-                        ),
-                        (
-                            "rate_limiter",
-                            crate::opsjson::rate_limiter_json(st.apk_bucket.as_ref()),
-                        ),
-                        ("chaos", crate::opsjson::chaos_json(faults.as_deref())),
-                        ("slo", slo),
-                    ]))
-                }
-            });
-        let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", router, metrics, faults)?;
+        let handler = MarketHandler::new(
+            Arc::clone(&state),
+            Arc::clone(&registry),
+            Arc::clone(&tracer),
+            transport.config().clone(),
+            faults.clone(),
+            ops,
+        );
+        let metrics = handler.metrics.clone();
+        let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", handler, metrics, faults)?;
         Ok(MarketServer {
             market,
             handle,
@@ -354,174 +526,6 @@ impl MarketServer {
     pub fn stop(&self) {
         self.handle.stop();
     }
-}
-
-fn build_router(state: Arc<MarketState>) -> Router {
-    let p = profile(state.market);
-    let mut router = Router::new();
-
-    // Catalog index: /index?page=N → { packages: [...], next: N+1? }
-    {
-        let st = Arc::clone(&state);
-        router = router.get("/index", move |req: &Request, _| {
-            let page: usize = req
-                .query_param("page")
-                .and_then(|p| p.parse().ok())
-                .unwrap_or(0);
-            let visible: Vec<&ListingId> =
-                st.catalog.iter().filter(|id| st.visible(**id)).collect();
-            let start = page * PAGE_SIZE;
-            if start >= visible.len() && page != 0 {
-                return Response::json(&Json::obj([("packages", Json::Arr(vec![]))]));
-            }
-            let slice = &visible[start.min(visible.len())..(start + PAGE_SIZE).min(visible.len())];
-            let packages: Vec<Json> = slice
-                .iter()
-                .map(|id| Json::from(st.world.app(st.world.listing(**id).app).package.as_str()))
-                .collect();
-            let mut fields = vec![("packages", Json::Arr(packages))];
-            if start + PAGE_SIZE < visible.len() {
-                fields.push(("next", Json::from((page + 1) as u64)));
-            }
-            Response::json(&Json::obj(fields))
-        });
-    }
-
-    // Baidu-style sequential integer detail pages: /soft/{n}.
-    if p.incremental_index {
-        let st = Arc::clone(&state);
-        router = router.get("/soft/{n}", move |_req, params| {
-            let Ok(n) = params["n"].parse::<usize>() else {
-                return Response::status(Status::BadRequest);
-            };
-            match st.catalog.get(n) {
-                Some(id) if st.visible(*id) => {
-                    Response::json(&listing_json(&st.world, st.world.listing(*id)))
-                }
-                _ => Response::status(Status::NotFound),
-            }
-        });
-    }
-
-    // App detail: /app/{pkg}.
-    {
-        let st = Arc::clone(&state);
-        router = router.get("/app/{pkg}", move |_req, params| {
-            match st.lookup(&params["pkg"]) {
-                Some(id) => Response::json(&listing_json(&st.world, st.world.listing(id))),
-                None => Response::status(Status::NotFound),
-            }
-        });
-    }
-
-    // Search by app name or package: /search?q=...
-    {
-        let st = Arc::clone(&state);
-        router = router.get("/search", move |req: &Request, _| {
-            let Some(q) = req.query_param("q") else {
-                return Response::status(Status::BadRequest);
-            };
-            let q_lower = q.to_lowercase();
-            let mut hits = Vec::new();
-            for id in &st.catalog {
-                if !st.visible(*id) {
-                    continue;
-                }
-                let app = st.world.app(st.world.listing(*id).app);
-                if app.package.as_str() == q || app.label.to_lowercase().contains(&q_lower) {
-                    hits.push(Json::from(app.package.as_str()));
-                    if hits.len() >= 50 {
-                        break;
-                    }
-                }
-            }
-            Response::json(&Json::obj([("results", Json::Arr(hits))]))
-        });
-    }
-
-    // Related apps for BFS crawling: same developer, then same category.
-    // A 404 here means exactly what it means on /app/{pkg}.
-    {
-        let st = Arc::clone(&state);
-        router = router.get("/related/{pkg}", move |_req, params| {
-            match st.locate(&params["pkg"]) {
-                Some(pos) => Response::json(&st.related(pos)),
-                None => Response::status(Status::NotFound),
-            }
-        });
-    }
-
-    // Developer submission (Section 2.1): POST /upload with the APK as
-    // the body; certificates travel as headers.
-    {
-        let market = state.market;
-        router = router.post("/upload", move |req: &Request, _| {
-            let outcome = crate::submission::evaluate(market, &req.headers, &req.body);
-            let doc = crate::submission::outcome_json(&outcome);
-            match outcome {
-                crate::submission::SubmissionOutcome::Rejected(_) => Response {
-                    status: Status::BadRequest,
-                    headers: std::collections::BTreeMap::from([(
-                        "content-type".to_owned(),
-                        "application/json".to_owned(),
-                    )]),
-                    body: doc.to_string_compact().into_bytes(),
-                },
-                _ => Response::json(&doc),
-            }
-        });
-    }
-
-    // APK download: /apk/{pkg} (the listed version's bytes).
-    {
-        let st = Arc::clone(&state);
-        let obfuscate = p.requires_obfuscation;
-        // Channel injection is a web-company/specialized-store habit
-        // (user-acquisition attribution); Google Play and the vendor
-        // stores serve the developer's bytes untouched — which is what
-        // leaves some multi-store listings byte-identical (Section 5.3).
-        let channel = match state.market.kind() {
-            marketscope_core::MarketKind::WebCompany
-            | marketscope_core::MarketKind::Specialized => {
-                Some(format!("{}channel", state.market.slug()))
-            }
-            _ => None,
-        };
-        router = router.get("/apk/{pkg}", move |_req, params| {
-            if let Some(bucket) = &st.apk_bucket {
-                if !bucket.try_acquire() {
-                    // Lands on the server-side handler span (if any), so
-                    // a traced harvest shows exactly which attempts the
-                    // limiter stalled.
-                    marketscope_telemetry::trace::current_event("rate_limited");
-                    // Tell the client when a token will be free: an
-                    // honest `retry-after` lets a polite retry policy
-                    // decide whether waiting fits its budget (for the
-                    // drained bulk-harvest bucket it never does, which
-                    // is what pushes the crawler onto the backfill path).
-                    return Response::status_with_retry_after(
-                        Status::TooManyRequests,
-                        bucket.wait_hint(),
-                    );
-                }
-            }
-            let Some(id) = st.lookup(&params["pkg"]) else {
-                return Response::status(Status::NotFound);
-            };
-            let listing = st.world.listing(id);
-            let bytes = st.world.build_apk(listing.app, listing.version, obfuscate);
-            let bytes = match &channel {
-                Some(name) => match inject_channel(&bytes, name, st.market) {
-                    Ok(b) => b,
-                    Err(_) => return Response::status(Status::InternalError),
-                },
-                None => bytes,
-            };
-            Response::ok("application/vnd.android.package-archive", bytes)
-        });
-    }
-
-    router
 }
 
 /// Store-side channel injection: add `META-INF/<name>` recording the
@@ -597,7 +601,14 @@ mod tests {
         let mut hidden = 0;
         for market in MarketId::ALL {
             let state = Arc::new(MarketState::new(Arc::clone(&w), market, &Registry::new()));
-            let router = build_router(Arc::clone(&state));
+            let router = MarketHandler::new(
+                Arc::clone(&state),
+                Arc::new(Registry::new()),
+                Arc::new(Tracer::disabled()),
+                ReactorConfig::default(),
+                None,
+                None,
+            );
             let mut packages: Vec<&str> = state
                 .catalog
                 .iter()
@@ -620,6 +631,76 @@ mod tests {
         // The absent package in each market, and at least one listing the
         // second crawl no longer sees.
         assert!(hidden > MarketId::ALL.len(), "{hidden}");
+    }
+
+    /// `market`'s handler with private telemetry, no chaos, no ops plane.
+    fn handler(w: &Arc<World>, market: MarketId) -> MarketHandler {
+        let registry = Arc::new(Registry::new());
+        MarketHandler::new(
+            Arc::new(MarketState::new(Arc::clone(w), market, &registry)),
+            registry,
+            Arc::new(Tracer::disabled()),
+            ReactorConfig::default(),
+            None,
+            None,
+        )
+    }
+
+    fn json_of(resp: &Response) -> Json {
+        Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn routes_match_on_method_and_decoded_segments() {
+        let w = world();
+        let baidu = handler(&w, MarketId::BaiduMarket);
+        let huawei = handler(&w, MarketId::HuaweiMarket);
+        let pkg = huawei.state.app(huawei.state.catalog[0]).package.as_str();
+        let encoded = format!("/app/{}", pkg.replacen('.', "%2E", 1));
+        let rows = [
+            (&huawei, Method::Get, encoded.as_str(), Status::Ok),
+            (&huawei, Method::Get, "/index/", Status::Ok),
+            (&huawei, Method::Get, "/upload", Status::NotFound),
+            (&huawei, Method::Post, "/index", Status::NotFound),
+            (&huawei, Method::Get, "/app", Status::NotFound),
+            (&huawei, Method::Get, "/apk/a/b", Status::NotFound),
+            (&baidu, Method::Get, "/soft/0", Status::Ok),
+            (&huawei, Method::Get, "/soft/0", Status::NotFound),
+            (&huawei, Method::Get, "/nope", Status::NotFound),
+            (&huawei, Method::Get, "/__metrics", Status::Ok),
+            (&huawei, Method::Get, "/__trace", Status::Ok),
+            (&huawei, Method::Get, "/__slo", Status::Ok),
+            (&huawei, Method::Get, "/__log", Status::Ok),
+            (&huawei, Method::Get, "/__health", Status::Ok),
+        ];
+        for (handler, method, path, status) in rows {
+            let mut req = Request::get(path);
+            req.method = method;
+            assert_eq!(handler.handle(&req).status, status, "{method:?} {path}");
+        }
+        // Each segment is decoded on its own, and a trailing slash is
+        // no segment at all.
+        let detail = json_of(&huawei.handle(&Request::get(&encoded)));
+        assert_eq!(detail.get("package").and_then(|p| p.as_str()), Some(pkg));
+        assert_eq!(
+            huawei.handle(&Request::get("/index/")).body,
+            huawei.handle(&Request::get("/index")).body
+        );
+    }
+
+    #[test]
+    fn index_pages_past_the_end_are_empty_even_when_the_offset_overflows() {
+        let huawei = handler(&world(), MarketId::HuaweiMarket);
+        // The first overflows `page * PAGE_SIZE` and `page + 1`, the
+        // second only the multiply.
+        for page in [usize::MAX, usize::MAX / PAGE_SIZE + 1] {
+            let resp = huawei.handle(&Request::get(&format!("/index?page={page}")));
+            assert_eq!(resp.status, Status::Ok, "page {page}");
+            let doc = json_of(&resp);
+            let packages = doc.get("packages").and_then(|p| p.as_arr());
+            assert_eq!(packages.map(|p| p.len()), Some(0), "page {page}");
+            assert!(doc.get("next").is_none(), "page {page}");
+        }
     }
 
     #[test]
@@ -674,7 +755,8 @@ mod tests {
     fn trace_endpoint_serves_propagated_spans_as_chrome_json() {
         let w = world();
         let tracer = Arc::new(Tracer::new(TracerConfig::always(256)));
-        let server = MarketServer::spawn_with_ops(
+        let server = MarketServer::spawn_on(
+            &Transport::spawn(ReactorConfig::default()).unwrap(),
             Arc::clone(&w),
             MarketId::HuaweiMarket,
             Arc::new(Registry::new()),
@@ -747,7 +829,6 @@ mod tests {
         // just carried this very health request).
         let transport = health.get("transport").unwrap();
         assert!(transport.get("shards").unwrap().as_u64().unwrap() >= 1);
-        assert!(transport.get("handler_threads").unwrap().as_u64().unwrap() >= 1);
         assert!(transport.get("max_connections").unwrap().as_u64().unwrap() >= 1);
         assert!(transport.get("open_connections").unwrap().as_u64().unwrap() >= 1);
         assert_eq!(transport.get("connections_shed").unwrap().as_u64(), Some(0));
@@ -800,7 +881,8 @@ mod tests {
         let w = world();
         let log = Arc::new(EventLog::new(32));
         let slo = Arc::new(Mutex::new(SloEvaluator::new(SloPolicy::fleet_default())));
-        let server = MarketServer::spawn_with_ops(
+        let server = MarketServer::spawn_on(
+            &Transport::spawn(ReactorConfig::default()).unwrap(),
             Arc::clone(&w),
             MarketId::HuaweiMarket,
             Arc::new(Registry::new()),
@@ -851,7 +933,8 @@ mod tests {
             error_5xx: 1.0,
             ..FaultPlan::none()
         };
-        let server = MarketServer::spawn_with_ops(
+        let server = MarketServer::spawn_on(
+            &Transport::spawn(ReactorConfig::default()).unwrap(),
             Arc::clone(&w),
             MarketId::BaiduMarket,
             Arc::new(Registry::new()),

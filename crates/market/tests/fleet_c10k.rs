@@ -3,9 +3,9 @@
 //!
 //! `net/tests/reactor_c10k.rs` proves the claim for a standalone server.
 //! A fleet is eighteen listeners on one transport, so here the parked
-//! connections share the acceptor, the shards and the handler pool with
-//! sixteen other markets and the repository, each of which must still
-//! answer while they are held.
+//! connections share the acceptor and the shards, which also run every
+//! handler, with sixteen other markets and the repository, each of which
+//! must still answer while they are held.
 //!
 //! Its own test binary with a single test, like `fleet_threads`: the
 //! count comes from `/proc/self/status`, which a sibling test spawning

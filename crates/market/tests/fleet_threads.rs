@@ -7,7 +7,7 @@
 use marketscope_core::MarketId;
 use marketscope_ecosystem::{generate, Scale, WorldConfig};
 use marketscope_market::MarketFleet;
-use marketscope_net::reactor::{HANDLER_THREADS, SHARDS};
+use marketscope_net::reactor::SHARDS;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -33,7 +33,7 @@ fn a_fleet_costs_one_transport_and_a_scraper() {
         scale: Scale { divisor: 60_000 },
         ..WorldConfig::default()
     }));
-    let transport_threads = (1 + SHARDS + HANDLER_THREADS) as u64;
+    let transport_threads = (1 + SHARDS) as u64;
 
     let baseline = threads();
     let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();

@@ -132,6 +132,14 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The path's segments as handlers match them: split on `/`, empty
+    /// segments dropped, each percent-decoded on its own — so
+    /// `/app/com%2Efoo/` reads `["app", "com.foo"]`.
+    pub fn segments(&self) -> Vec<String> {
+        let segments = self.path.split('/').filter(|s| !s.is_empty());
+        segments.map(url_decode).collect()
+    }
+
     /// Value of one header, if present (header names are stored
     /// lower-cased).
     pub fn header(&self, name: &str) -> Option<&str> {
@@ -627,6 +635,16 @@ mod tests {
         assert_eq!(req.path, "/upload");
         assert_eq!(req.body, b"hello");
         assert!(!req.headers.contains_key("content-length"));
+    }
+
+    #[test]
+    fn segments_drop_empty_ones_and_decode_each_on_its_own() {
+        let segments = |path: &str| Request::get(path).segments();
+        assert_eq!(segments("/app/com%2Efoo/"), ["app", "com.foo"]);
+        assert_eq!(segments("//index"), ["index"]);
+        // A decoded slash stays inside its own segment.
+        assert_eq!(segments("/apk/a%2Fb/3"), ["apk", "a/b", "3"]);
+        assert!(segments("/").is_empty());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! # marketscope-net
 //!
 //! The networking substrate: a deliberately small HTTP/1.1 subset over
-//! nonblocking `std::net::TcpStream`s, plus a path router and a
-//! token-bucket rate limiter.
+//! nonblocking `std::net::TcpStream`s, plus a token-bucket rate
+//! limiter.
 //!
 //! The paper's crawl is loopback-scale for us (simulated market servers on
 //! `127.0.0.1`), but fleet monitoring at market scale is bounded by how
 //! many connections the infrastructure can hold open. The server side is
 //! therefore an event loop ([`reactor`]): nonblocking sockets multiplexed
-//! by `poll(2)` across a fixed set of shard threads, with the blocking
-//! [`Handler`](server::Handler) trait running on a bounded worker pool —
+//! by `poll(2)` across a fixed set of shard threads, each of which runs
+//! the [`Handler`](server::Handler) of every request it parses —
 //! C10k-scale concurrency at a constant thread count, with no async
 //! runtime. The client side mirrors it: a multiplexed submit/complete
 //! engine ([`mux`]) where one driver thread owns every connection as a
@@ -21,12 +21,12 @@
 //! and driver are three loop bodies over one loop core: one `poll` turn,
 //! one slot table, one deadline bound and one clock read.
 //!
-//! Protocol subset: `GET` (all the client sends; servers also route
+//! Protocol subset: `GET` (all the client sends; servers also answer
 //! `POST`), `Content-Length` bodies (no chunked encoding),
 //! `Connection: keep-alive`/`close`, status codes the market simulation
 //! needs (200, 400, 404, 429, 500, 503). The parser is total
 //! and size-capped so a misbehaving peer cannot wedge or balloon a
-//! worker.
+//! shard.
 //!
 //! Robustness is first-class: servers can wrap their connection handling
 //! in a seeded [`FaultPlan`] (resets, stalls, truncated bodies, 5xx
@@ -55,7 +55,6 @@ pub mod mux;
 pub mod ratelimit;
 pub mod reactor;
 pub mod resilience;
-pub mod router;
 pub mod server;
 
 pub use client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient, HttpClientBuilder};
@@ -68,5 +67,4 @@ pub use reactor::{ReactorConfig, Transport};
 pub use resilience::{
     BreakerConfig, BreakerSet, BreakerState, CircuitBreaker, ResilienceMetrics, RetryPolicy,
 };
-pub use router::Router;
 pub use server::{HttpServer, ServerHandle, ServerMetrics};

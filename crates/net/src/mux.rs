@@ -81,79 +81,47 @@ fn decode_response(resp: Response, mode: DecodeMode) -> Result<Payload, NetError
     }
 }
 
-/// A blocking FIFO queue: producers [`post`](CompletionQueue::post), a
-/// consumer waits for the oldest item. With its default item, a `u64`
-/// tag, it is a wait-any completion queue: every [`Ticket`] registered
-/// with [`Ticket::notify`] posts its caller's tag here exactly once when
-/// it completes — answered, failed, or aborted by its client shutting
-/// down — so one thread can drive hundreds of submissions by waiting on
-/// the queue instead of on any one ticket. The server's handler pool
-/// waits on one for its jobs and is stopped by
-/// [`close`](CompletionQueue::close).
-#[derive(Debug)]
-pub struct CompletionQueue<T = u64> {
-    state: std::sync::Mutex<Posted<T>>,
+/// A wait-any completion queue: every [`Ticket`] registered with
+/// [`Ticket::notify`] posts its caller's tag here exactly once when it
+/// completes — answered, failed, or aborted by its client shutting down —
+/// so one thread can drive hundreds of submissions by waiting on the
+/// queue instead of on any one ticket. Other producers may
+/// [`post`](CompletionQueue::post) tags of their own.
+#[derive(Debug, Default)]
+pub struct CompletionQueue {
+    tags: std::sync::Mutex<VecDeque<u64>>,
     posted: std::sync::Condvar,
 }
 
-#[derive(Debug)]
-struct Posted<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> Default for CompletionQueue<T> {
-    fn default() -> Self {
-        CompletionQueue {
-            state: std::sync::Mutex::new(Posted {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            posted: std::sync::Condvar::new(),
-        }
-    }
-}
-
-impl<T> CompletionQueue<T> {
+impl CompletionQueue {
     /// An empty queue.
-    pub fn new() -> CompletionQueue<T> {
+    pub fn new() -> CompletionQueue {
         CompletionQueue::default()
     }
 
-    /// Append `item` and wake a waiter.
-    pub fn post(&self, item: T) {
-        self.lock().items.push_back(item);
+    /// Append `tag` and wake a waiter.
+    pub fn post(&self, tag: u64) {
+        self.lock().push_back(tag);
         self.posted.notify_one();
     }
 
-    /// Wake every waiter; once the queue is empty, waits return `None`
-    /// instead of blocking.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.posted.notify_all();
-    }
-
-    /// Take the oldest posted item, waiting for one until `deadline`
-    /// (forever when `None`). `None` means the deadline passed first, or
-    /// the queue is closed and empty.
-    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<T> {
-        let mut state = self.lock();
+    /// Take the oldest posted tag, waiting for one until `deadline`
+    /// (forever when `None`). `None` means the deadline passed first.
+    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<u64> {
+        let mut tags = self.lock();
         loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
+            if let Some(tag) = tags.pop_front() {
+                return Some(tag);
             }
-            if state.closed {
-                return None;
-            }
-            state = match deadline {
+            tags = match deadline {
                 None => self
                     .posted
-                    .wait(state)
+                    .wait(tags)
                     .unwrap_or_else(std::sync::PoisonError::into_inner),
                 Some(at) => {
                     let left = at.checked_duration_since(Instant::now())?;
                     self.posted
-                        .wait_timeout(state, left)
+                        .wait_timeout(tags, left)
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
                         .0
                 }
@@ -161,8 +129,8 @@ impl<T> CompletionQueue<T> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Posted<T>> {
-        self.state
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<u64>> {
+        self.tags
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }

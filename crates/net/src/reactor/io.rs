@@ -80,9 +80,8 @@ impl<M> Inbox<M> {
 
 /// A slot table addressed by `u64` tokens, `slot | generation << 32`.
 /// Removing a value bumps its slot's generation, so a token held past the
-/// removal — a pool verdict for a connection that died, readiness for a
-/// slot a message just repurposed — reads `None`, never the slot's next
-/// occupant.
+/// removal — readiness for a slot a message just repurposed — reads
+/// `None`, never the slot's next occupant.
 pub(crate) struct Slab<T> {
     slots: Vec<(u32, Option<T>)>,
     free: Vec<usize>,

@@ -17,17 +17,16 @@
 //!   `connection: close`, never a silent drop);
 //! * **[`SHARDS`] event-loop shards** — each owns a slab of connections
 //!   outright (no cross-shard locking on the hot path) and runs turn →
-//!   read → parse → dispatch → write;
-//! * **[`HANDLER_THREADS`] handler-pool workers** — the [`Handler`]
-//!   trait is blocking by contract, so handlers run on a bounded pool,
-//!   never on a shard. They wait for jobs on one
-//!   [`CompletionQueue`], which [`Transport::stop`] closes.
+//!   read → parse → handle → write. The [`Handler`] runs on the shard
+//!   that cut the request: market handlers only compute (a listing in
+//!   microseconds, an APK build in about 100 µs), and by contract never
+//!   block on I/O or on another request.
 //!
 //! What differs between the servers on one transport — handler,
 //! instruments, fault injector — is an `Endpoint`, created when a
-//! listener registers and carried by every connection accepted on it
-//! and every request cut from those, so each close, shed, reject and
-//! response records into the instruments of the connection's own server.
+//! listener registers and carried by every connection accepted on it,
+//! so each close, shed, reject and response records into the
+//! instruments of the connection's own server.
 //!
 //! Acceptor and shards are loop bodies over the loop core in
 //! `reactor::io`, each with its own message order: a shard handles
@@ -36,38 +35,38 @@
 //! # Connection state machine
 //!
 //! ```text
-//!            adopt                    parse_partial, decide
-//!   accept ────────▶ Reading ──(complete request)──▶ Handling ◀─(deadline)─ Stalled
-//!                    ▲   │            └───────────(injected stall)────────────▲
-//!     residual bytes │   │ EOF / parse error /          │ handler pool:
-//!     re-parsed      │   │ idle keep-alive              │ fault verdict, spans,
-//!                    │   ▼                              │ handler.handle
-//!                    │  close ◀──(close_after | reset)  ▼
-//!                    └────────────(keep-alive)─────── Writing
+//!            adopt             parse_partial, decide
+//!   accept ────────▶ Reading ──(injected stall)──────────▶ Stalled
+//!                    ▲  │  │                                  │
+//!     residual bytes │  │  └──(handle → response)───┐         │ deadline:
+//!     re-parsed      │  │                           ▼         │ handle
+//!                    │  │ EOF / idle keep-alive / Writing ◀───┘
+//!                    │  ▼ reset / handler panic     │  │
+//!                    │ close ◀────(close_after)─────┘  │
+//!                    └────────────(keep-alive)─────────┘
 //! ```
 //!
-//! A connection in `Handling` or `Stalled` has **no poll interest**: one
-//! request is in flight per connection at a time, which preserves
-//! HTTP/1.1 response ordering and keeps the fault injector's per-path
-//! occurrence counting identical to the thread-per-connection transport.
-//! An injected stall holds the *connection* — parked on its shard until
-//! a deadline, armed on the same poller as keep-alive expiry — never a
-//! pool worker: the pool may be a whole fleet's, and one slow
-//! market must not freeze the others.
+//! A `Stalled` connection has **no poll interest**, and a `Writing` one
+//! polls only for `POLLOUT`: one request is in flight per connection at
+//! a time, which preserves HTTP/1.1 response ordering and keeps the
+//! fault injector's per-path occurrence counting identical to the
+//! thread-per-connection transport. Pipelined requests already buffered
+//! are served in a loop, one after another, never by recursion. An
+//! injected stall holds the *connection* — parked on its shard until a
+//! deadline, armed on the same poller as keep-alive expiry — never the
+//! shard: one slow market must not freeze the others.
 //!
 //! # Why the fault and trace seams survive
 //!
 //! The chaos-replay and trace-propagation suites pin *logical seam
-//! order*, not threads. Shard and pool worker between them replay
-//! exactly the sequence the old per-connection thread ran:
-//! `FaultInjector::decide` first, once per request, on the shard that
-//! cut it (before any span opens — a reset market must not trace), then
-//! on a worker the verdict's effect and the server request span as a
-//! remote child of the propagated context, then the `handler` and
-//! `write` child spans, with `note_response` between handler and write.
-//! Because every span of the sequence opens on one worker thread, the
-//! tracer's thread-local implicit parenting links the spans exactly as
-//! before.
+//! order*, not threads. The shard replays exactly the sequence the old
+//! per-connection thread ran: `FaultInjector::decide` first, once per
+//! request (before any span opens — a reset market must not trace), then
+//! the verdict's effect and the server request span as a remote child of
+//! the propagated context, then the `handler` and `write` child spans,
+//! with `note_response` between handler and write. Because every span of
+//! the sequence opens on one thread, the tracer's thread-local implicit
+//! parenting links the spans exactly as before.
 
 pub(crate) mod io;
 pub(crate) mod sys;
@@ -75,11 +74,10 @@ pub(crate) mod sys;
 use crate::error::NetError;
 use crate::fault::{FaultAction, FaultInjector};
 use crate::http::{Request, Response, Status};
-use crate::mux::CompletionQueue;
 use crate::server::{Handler, ServerMetrics};
 use io::{Inbox, Poller, Slab};
 use marketscope_telemetry::{LogLevel, TraceSpan};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -88,19 +86,15 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Event-loop shard threads per transport. Connections are distributed
-/// round-robin at accept time and never migrate.
+/// Event-loop shard threads per transport, which also run the handlers.
+/// Connections are distributed round-robin at accept time and never
+/// migrate.
 pub const SHARDS: usize = 2;
-
-/// Handler-pool worker threads per transport, running the blocking
-/// [`Handler`] trait.
-pub const HANDLER_THREADS: usize = 4;
 
 /// Tuning knobs for the event-loop transport. The defaults suit a fleet
 /// of loopback market servers sharing one transport. Thread cost is
-/// fixed at `1 + SHARDS + HANDLER_THREADS` per transport regardless of
-/// how many listeners are registered on it or how many thousands of
-/// connections are open.
+/// fixed at `1 + SHARDS` per transport regardless of how many listeners
+/// are registered on it or how many thousands of connections are open.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Open-connection ceiling of each listener. Beyond it the acceptor
@@ -134,12 +128,9 @@ const SHED_RESPONSE: &[u8] =
 
 /// What one registered listener serves and records into: the part of a
 /// server that is its own when the threads are shared. Every connection
-/// accepted on the listener, and every request cut from one, carries it.
+/// accepted on the listener carries it.
 pub(crate) struct Endpoint {
-    /// `None` once retired. A worker holds the read side across
-    /// `handle`, so taking the handler out also waits for the calls in
-    /// flight: after that no request reaches it.
-    handler: RwLock<Option<Box<dyn Handler>>>,
+    handler: Box<dyn Handler>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) faults: Option<Arc<FaultInjector>>,
 }
@@ -151,33 +142,11 @@ impl Endpoint {
         faults: Option<Arc<FaultInjector>>,
     ) -> Arc<Endpoint> {
         Arc::new(Endpoint {
-            handler: RwLock::new(Some(Box::new(handler))),
+            handler: Box::new(handler),
             metrics,
             faults,
         })
     }
-}
-
-/// What a finished handler tells the owning shard to do with the
-/// connection.
-enum Directive {
-    /// Write these serialized bytes, then keep alive or close.
-    Respond { bytes: Vec<u8>, close: bool },
-    /// Drop the connection without further bytes: fault resets,
-    /// truncation of empty bodies, handler panics, a retired endpoint.
-    Close,
-}
-
-/// One parsed request in flight to the handler pool, addressed back to
-/// its connection by shard id + generation token.
-struct Job {
-    shard: usize,
-    token: u64,
-    endpoint: Arc<Endpoint>,
-    req: Request,
-    /// The fault injector's verdict on the request (never `Stall`: the
-    /// shard sits those out before it dispatches).
-    fault: FaultAction,
 }
 
 /// Receipt for a [`Transport::retire`] message: the loop that handled it
@@ -198,19 +167,15 @@ enum ShardMsg {
     /// A freshly accepted socket, already counted in its endpoint's live
     /// gauge.
     Adopt(TcpStream, Arc<Endpoint>),
-    /// A handler-pool verdict for the connection behind the token.
-    Done(u64, Directive),
-    /// Drop every connection of the endpoint.
+    /// Drop every connection of the endpoint. The shard runs handlers
+    /// itself, so when it handles this message no call is in flight.
     Retire(Arc<Endpoint>, Ack),
 }
 
-/// State shared by the acceptor, every shard, and every pool worker.
+/// State shared by the acceptor and every shard.
 struct Shared {
     cfg: ReactorConfig,
     shutdown: AtomicBool,
-    /// The handler pool's queue; a mutex-guarded deque is plenty, as
-    /// queue operations are nanoseconds next to handler work.
-    jobs: CompletionQueue<Job>,
     acceptor: Inbox<AcceptorMsg>,
     shards: Vec<Inbox<ShardMsg>>,
 }
@@ -220,11 +185,9 @@ struct Shared {
 enum ConnState {
     /// Waiting for (more of) a request; poll interest `POLLIN`.
     Reading,
-    /// Sitting out an injected stall; no poll interest. The request goes
-    /// to the handler pool once `until` has passed.
+    /// Sitting out an injected stall; no poll interest. The request is
+    /// handled once `until` has passed.
     Stalled { until: Instant, req: Box<Request> },
-    /// A request is with the handler pool; no poll interest.
-    Handling,
     /// Flushing a response; poll interest `POLLOUT`.
     Writing {
         /// Close instead of re-entering keep-alive once flushed.
@@ -251,8 +214,6 @@ struct Conn {
 struct ShardState {
     id: usize,
     shared: Arc<Shared>,
-    /// A connection's token addresses its pool jobs too, so a verdict
-    /// for a connection that died mid-handling misses a reused slot.
     conns: Slab<Conn>,
     /// Armed with every keep-alive expiry and stall end as it starts.
     poller: Poller,
@@ -280,7 +241,6 @@ impl ShardState {
             for msg in inbox.take() {
                 match msg {
                     ShardMsg::Adopt(stream, endpoint) => self.adopt(stream, endpoint),
-                    ShardMsg::Done(tok, directive) => self.apply(tok, directive),
                     ShardMsg::Retire(endpoint, _ack) => self.close_all_of(&endpoint),
                 }
             }
@@ -289,7 +249,10 @@ impl ShardState {
             while let Some((tok, _)) = self.poller.ready() {
                 match self.conns.get_mut(tok).map(|c| &c.state) {
                     Some(ConnState::Reading) => self.drive_read(tok),
-                    Some(ConnState::Writing { .. }) => self.drive_write(tok),
+                    Some(ConnState::Writing { .. }) => {
+                        self.drive_write(tok);
+                        self.advance_parse(tok);
+                    }
                     _ => {}
                 }
             }
@@ -305,11 +268,10 @@ impl ShardState {
     }
 
     /// Once the armed bound has passed: reap idle keep-alive connections
-    /// and dispatch the stalls that are over.
+    /// and serve the requests whose stall is over.
     fn sweep(&mut self) {
         let keep_alive = self.shared.cfg.keep_alive;
         let expired = self.poller.expired(&self.conns, |conn| match conn.state {
-            ConnState::Handling => None,
             ConnState::Stalled { until, .. } => Some(until),
             ConnState::Reading | ConnState::Writing { .. } => Some(conn.last_activity + keep_alive),
         });
@@ -317,8 +279,11 @@ impl ShardState {
             let Some(conn) = self.conns.get_mut(tok) else {
                 continue;
             };
-            match std::mem::replace(&mut conn.state, ConnState::Handling) {
-                ConnState::Stalled { req, .. } => self.dispatch(tok, *req, FaultAction::Serve),
+            match std::mem::replace(&mut conn.state, ConnState::Reading) {
+                ConnState::Stalled { req, .. } => {
+                    self.respond(tok, &req, FaultAction::Serve);
+                    self.advance_parse(tok);
+                }
                 _ => self.close(tok),
             }
         }
@@ -366,8 +331,7 @@ impl ShardState {
         }
     }
 
-    /// Read what the socket has, then try to cut a request out of the
-    /// buffer.
+    /// Read what the socket has, then serve the requests in the buffer.
     fn drive_read(&mut self, tok: u64) {
         let now = self.poller.now();
         let Some(conn) = self.conns.get_mut(tok) else {
@@ -386,35 +350,39 @@ impl ShardState {
         }
     }
 
-    /// Try to cut one request from the connection's buffer and hand it
-    /// to the fault seam. Called after every read and after every
-    /// keep-alive write completion (pipelined requests are already
-    /// buffered — no further readiness event will announce them).
+    /// Cut requests from the connection's buffer and serve them, one at a
+    /// time, while it is `Reading`: until the buffer needs more bytes, a
+    /// response waits on the socket, a stall parks the connection, or it
+    /// closes. Called after every read and after every keep-alive write
+    /// completion (pipelined requests are already buffered — no further
+    /// readiness event will announce them). A loop, not a recursion: a
+    /// response flushed at once returns here for the next request.
     fn advance_parse(&mut self, tok: u64) {
-        let Some(conn) = self.conns.get_mut(tok) else {
-            return;
-        };
-        if !matches!(conn.state, ConnState::Reading) {
-            return;
-        }
-        match Request::parse_partial(&conn.buf) {
-            Ok(Some((req, used))) => {
-                conn.buf.drain(..used);
-                conn.state = ConnState::Handling;
-                self.admit(tok, req);
+        loop {
+            let Some(conn) = self.conns.get_mut(tok) else {
+                return;
+            };
+            if !matches!(conn.state, ConnState::Reading) {
+                return;
             }
-            // Incomplete and the peer already half-closed — nothing more
-            // comes.
-            Ok(None) if conn.eof => self.close(tok),
-            Ok(None) => {}
-            Err(_) => {
-                // Same wire behavior as the blocking transport: answer
-                // 400, count it, close.
-                conn.endpoint
-                    .metrics
-                    .note_response(Status::BadRequest, Duration::ZERO);
-                let bytes = serialize(&Response::status(Status::BadRequest));
-                self.start_write(tok, bytes, true);
+            match Request::parse_partial(&conn.buf) {
+                Ok(Some((req, used))) => {
+                    conn.buf.drain(..used);
+                    self.admit(tok, req);
+                }
+                // Incomplete and the peer already half-closed — nothing
+                // more comes.
+                Ok(None) if conn.eof => return self.close(tok),
+                Ok(None) => return,
+                Err(_) => {
+                    // Same wire behavior as the blocking transport: answer
+                    // 400, count it, close.
+                    conn.endpoint
+                        .metrics
+                        .note_response(Status::BadRequest, Duration::ZERO);
+                    let bytes = serialize(&Response::status(Status::BadRequest));
+                    return self.start_write(tok, bytes, true);
+                }
             }
         }
     }
@@ -422,8 +390,8 @@ impl ShardState {
     /// The fault seam: the endpoint's injector gets first refusal on a
     /// freshly cut request, exactly once and before any span opens — a
     /// reset market never answers, so it must not trace either. A stall
-    /// is sat out here, by the connection; a pool worker acts on every
-    /// other verdict.
+    /// is sat out by the connection; every other verdict is acted on at
+    /// once.
     fn admit(&mut self, tok: u64, req: Request) {
         let now = self.poller.now();
         let Some(conn) = self.conns.get_mut(tok) else {
@@ -435,8 +403,8 @@ impl ShardState {
         };
         match fault {
             // Added latency, then serve normally. The connection waits,
-            // not a worker: the pool may be a whole fleet's, and a
-            // stalled market must slow its own clients only.
+            // not the shard: it serves a whole fleet's connections, and
+            // a stalled market must slow its own clients only.
             FaultAction::Stall(d) => {
                 let until = now + d;
                 conn.state = ConnState::Stalled {
@@ -445,22 +413,94 @@ impl ShardState {
                 };
                 self.poller.arm(until);
             }
-            fault => self.dispatch(tok, req, fault),
+            fault => self.respond(tok, &req, fault),
         }
     }
 
-    /// Send a request (its connection already `Handling`) to the pool.
-    fn dispatch(&mut self, tok: u64, req: Request, fault: FaultAction) {
+    /// One request through the preserved seam order, the fault verdict
+    /// already taken (before any span): request span → handler span →
+    /// handler → `note_response` → write span → serialization and the
+    /// write.
+    fn respond(&mut self, tok: u64, req: &Request, fault: FaultAction) {
         let Some(conn) = self.conns.get_mut(tok) else {
             return;
         };
-        self.shared.jobs.post(Job {
-            shard: self.id,
-            token: tok,
-            endpoint: Arc::clone(&conn.endpoint),
-            req,
-            fault,
-        });
+        let endpoint = Arc::clone(&conn.endpoint);
+        let metrics = &endpoint.metrics;
+        let close = req.wants_close();
+        match fault {
+            // A stall is over by the time its request gets here.
+            FaultAction::Serve | FaultAction::Truncate | FaultAction::Stall(_) => {}
+            // Slam the door without a byte: the client sees a reset or a
+            // mid-message EOF.
+            FaultAction::Reset => return self.close(tok),
+            // Answer for the handler: the market is erroring, not slow.
+            FaultAction::Error {
+                status,
+                retry_after,
+            } => {
+                let resp = match retry_after {
+                    Some(d) => Response::status_with_retry_after(status, d),
+                    None => Response::status(status),
+                };
+                metrics.note_response(status, Duration::ZERO);
+                return self.start_write(tok, serialize(&resp), close);
+            }
+        }
+        // A propagated trace context makes this request a remote child of
+        // the client-side attempt span; without one every span below is a
+        // no-op, and no span text is built.
+        let req_span = match req.trace_context() {
+            Some(ctx) => metrics.tracer.child_of(
+                Some(ctx),
+                "server",
+                &format!("{} {}", req.method.as_str(), req.path),
+            ),
+            None => TraceSpan::noop(),
+        };
+        let start = Instant::now();
+        let handler_span = metrics.tracer.span("server", "handler");
+        // A panicking handler must not take the shard, and every
+        // connection it owns, down with it. Catch it and drop this
+        // connection — the same observable outcome the per-connection
+        // transport gave the peer.
+        let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            endpoint.handler.handle(req)
+        }));
+        handler_span.finish();
+        let resp = match handled {
+            Ok(resp) => resp,
+            Err(_) => {
+                req_span.event("handler-panic");
+                req_span.finish();
+                return self.close(tok);
+            }
+        };
+        // Count and time *after* the handler so a `/__metrics` scrape
+        // renders a self-consistent exposition: for every market,
+        // `requests_total == handler_nanos_count` and the in-flight scrape
+        // itself is excluded from both.
+        metrics.note_response(resp.status, start.elapsed());
+        if req_span.is_sampled() {
+            req_span.event(&format!("status:{}", resp.status.code()));
+        }
+        let write_span = metrics.tracer.span("server", "write");
+        if fault == FaultAction::Truncate {
+            // Cut the body mid-stream and close so the client sees an
+            // unexpected EOF. An empty body can't be cut — drop the
+            // connection instead (same observable failure).
+            if resp.body.is_empty() {
+                self.close(tok);
+            } else {
+                let mut bytes = Vec::new();
+                let _ = resp.write_truncated_to(&mut bytes, resp.body.len() / 2);
+                self.start_write(tok, bytes, true);
+            }
+        } else {
+            self.start_write(tok, serialize(&resp), close);
+        }
+        write_span.finish();
+        req_span.finish();
     }
 
     fn start_write(&mut self, tok: u64, bytes: Vec<u8>, close_after: bool) {
@@ -472,14 +512,17 @@ impl ShardState {
         conn.out_pos = 0;
         conn.state = ConnState::Writing { close_after };
         conn.last_activity = now;
-        // Coming out of `Handling`, which waits on no deadline: arm again.
+        // Coming out of a stall, whose deadline the sweep disarmed: arm
+        // the keep-alive expiry again.
         self.poller.arm(now + self.shared.cfg.keep_alive);
         // Opportunistic flush: most responses fit the socket buffer and
         // complete without another poll round trip.
         self.drive_write(tok);
     }
 
-    /// Nonblocking write until flushed or the socket pushes back.
+    /// Nonblocking write until flushed or the socket pushes back. A
+    /// flushed keep-alive response leaves the connection `Reading`; the
+    /// caller serves what is buffered behind it.
     fn drive_write(&mut self, tok: u64) {
         let now = self.poller.now();
         let Some(conn) = self.conns.get_mut(tok) else {
@@ -495,122 +538,10 @@ impl ShardState {
                 conn.out = Vec::new();
                 conn.out_pos = 0;
                 conn.last_activity = now;
-                self.advance_parse(tok);
             }
             Ok(true) | Err(_) => self.close(tok),
         }
     }
-
-    /// Apply a handler-pool directive to the connection it belongs to, if
-    /// its slot still holds it.
-    fn apply(&mut self, tok: u64, directive: Directive) {
-        if !matches!(self.conns.get_mut(tok), Some(c) if matches!(c.state, ConnState::Handling)) {
-            return;
-        }
-        match directive {
-            Directive::Close => self.close(tok),
-            Directive::Respond { bytes, close } => self.start_write(tok, bytes, close),
-        }
-    }
-}
-
-/// The handler-pool worker loop: runs the request seam sequence the
-/// per-connection thread used to run, then mails the directive back.
-fn worker_loop(shared: Arc<Shared>) {
-    while let Some(job) = shared.jobs.wait_until(None) {
-        let directive = process_request(&job);
-        shared.shards[job.shard].post(ShardMsg::Done(job.token, directive));
-    }
-}
-
-/// One request through the preserved seam order: the fault verdict
-/// (taken on the shard, before any span), then request span → handler
-/// span → handler → `note_response` → write span → serialization.
-fn process_request(job: &Job) -> Directive {
-    let Job { endpoint, req, .. } = job;
-    let metrics = &endpoint.metrics;
-    let close = req.wants_close();
-    match job.fault {
-        // A stall is over by the time its request is dispatched.
-        FaultAction::Serve | FaultAction::Truncate | FaultAction::Stall(_) => {}
-        // Slam the door without a byte: the client sees a reset or a
-        // mid-message EOF.
-        FaultAction::Reset => return Directive::Close,
-        // Answer for the handler: the market is erroring, not slow.
-        FaultAction::Error {
-            status,
-            retry_after,
-        } => {
-            let resp = match retry_after {
-                Some(d) => Response::status_with_retry_after(status, d),
-                None => Response::status(status),
-            };
-            metrics.note_response(status, Duration::ZERO);
-            return Directive::Respond {
-                bytes: serialize(&resp),
-                close,
-            };
-        }
-    }
-    let handler = endpoint.handler.read();
-    let Some(handler) = handler.as_ref() else {
-        return Directive::Close;
-    };
-    // A propagated trace context makes this request a remote child of
-    // the client-side attempt span; without one every span below is a
-    // no-op, and no span text is built.
-    let req_span = match req.trace_context() {
-        Some(ctx) => metrics.tracer.child_of(
-            Some(ctx),
-            "server",
-            &format!("{} {}", req.method.as_str(), req.path),
-        ),
-        None => TraceSpan::noop(),
-    };
-    let start = Instant::now();
-    let handler_span = metrics.tracer.span("server", "handler");
-    // A panicking handler must not kill a pool worker (that would shrink
-    // the pool forever). Catch it and drop the connection — the same
-    // observable outcome the per-connection transport gave the peer.
-    let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(req)));
-    handler_span.finish();
-    let resp = match handled {
-        Ok(resp) => resp,
-        Err(_) => {
-            req_span.event("handler-panic");
-            req_span.finish();
-            return Directive::Close;
-        }
-    };
-    // Count and time *after* the handler so a `/__metrics` scrape
-    // renders a self-consistent exposition: for every market,
-    // `requests_total == handler_nanos_count` and the in-flight scrape
-    // itself is excluded from both.
-    metrics.note_response(resp.status, start.elapsed());
-    if req_span.is_sampled() {
-        req_span.event(&format!("status:{}", resp.status.code()));
-    }
-    let write_span = metrics.tracer.span("server", "write");
-    let directive = if job.fault == FaultAction::Truncate {
-        // Cut the body mid-stream and close so the client sees an
-        // unexpected EOF. An empty body can't be cut — drop the
-        // connection instead (same observable failure).
-        if resp.body.is_empty() {
-            Directive::Close
-        } else {
-            let mut bytes = Vec::new();
-            let _ = resp.write_truncated_to(&mut bytes, resp.body.len() / 2);
-            Directive::Respond { bytes, close: true }
-        }
-    } else {
-        Directive::Respond {
-            bytes: serialize(&resp),
-            close,
-        }
-    };
-    write_span.finish();
-    req_span.finish();
-    directive
 }
 
 fn serialize(resp: &Response) -> Vec<u8> {
@@ -713,8 +644,8 @@ fn shed(stream: &TcpStream, endpoint: &Endpoint, max_connections: usize) {
     let _ = (&*stream).write(SHED_RESPONSE);
 }
 
-/// A running reactor transport: the fixed thread set — one acceptor,
-/// [`SHARDS`] event loops, [`HANDLER_THREADS`] workers — under every
+/// A running reactor transport: the fixed thread set — one acceptor and
+/// [`SHARDS`] event loops that also run the handlers — under every
 /// listener registered on it with
 /// [`HttpServer::spawn_on`](crate::server::HttpServer::spawn_on).
 /// Dropping the last reference stops it and joins its threads.
@@ -727,7 +658,7 @@ pub struct Transport {
 }
 
 impl Transport {
-    /// Spawn the acceptor, shard, and worker threads. Nothing is served
+    /// Spawn the acceptor and shard threads. Nothing is served
     /// until a listener registers.
     pub fn spawn(cfg: ReactorConfig) -> Result<Arc<Transport>, NetError> {
         let shards = (0..SHARDS)
@@ -736,7 +667,6 @@ impl Transport {
         let shared = Arc::new(Shared {
             cfg,
             shutdown: AtomicBool::new(false),
-            jobs: CompletionQueue::new(),
             acceptor: Inbox::new()?,
             shards,
         });
@@ -759,10 +689,6 @@ impl Transport {
                 }
                 .run()
             })?;
-        }
-        for w in 0..HANDLER_THREADS {
-            let worker = Arc::clone(&shared);
-            transport.start(format!("http-worker-{w}"), move || worker_loop(worker))?;
         }
         Ok(transport)
     }
@@ -799,9 +725,6 @@ impl Transport {
     /// On return its listener is closed, no request reaches its handler,
     /// its connections are dropped and its live gauge is back to zero.
     pub(crate) fn retire(&self, endpoint: &Arc<Endpoint>) {
-        // Waits out the handler calls in flight; requests cut from now
-        // on find no handler and drop their connection.
-        drop(endpoint.handler.write().take());
         let _running = self.threads.lock();
         if self.shared.shutdown.load(Ordering::SeqCst) {
             // A stopped transport has closed everything already.
@@ -809,7 +732,8 @@ impl Transport {
         }
         // The acceptor first: once it has receipted, no socket of this
         // endpoint is posted to a shard any more, so each shard's sweep
-        // catches them all.
+        // catches them all. A shard's receipt also means no handler call
+        // of the endpoint is in flight there, and none starts again.
         let (ack, receipts) = mpsc::channel();
         self.shared
             .acceptor
@@ -833,7 +757,6 @@ impl Transport {
         for shard in &self.shared.shards {
             shard.wake();
         }
-        self.shared.jobs.close();
         for t in threads.drain(..) {
             let _ = t.join();
         }

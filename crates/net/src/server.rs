@@ -1,11 +1,11 @@
 //! The HTTP server: one listener on an event-loop transport (see
-//! [`crate::reactor`]) behind the same blocking-`Handler` API —
+//! [`crate::reactor`]) behind a plain request → response [`Handler`] —
 //! keep-alive, graceful shutdown, fault seams, built-in telemetry.
 //!
 //! One accept thread feeds nonblocking connections to a fixed set of
-//! `poll(2)` shards; handlers run on a bounded worker pool. Thread count
-//! is a constant of the [`Transport`], not of the connection count nor
-//! of how many servers share the transport.
+//! `poll(2)` shards, and each shard runs the handler of every request it
+//! parses. Thread count is a constant of the [`Transport`], not of the
+//! connection count nor of how many servers share the transport.
 
 use crate::error::NetError;
 use crate::fault::FaultInjector;
@@ -16,9 +16,11 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A request handler. Handlers should be panic-free: a panic is caught
-/// on the handler-pool worker that ran it (the pool and the server keep
-/// serving), but the peer sees a dropped connection rather than a 500.
+/// A request handler. It runs on its connection's shard, which serves
+/// many other connections: it must not block on I/O or on another
+/// request. Handlers should be panic-free: a panic is caught on the
+/// shard (the shard and the server keep serving), but the peer sees a
+/// dropped connection rather than a 500.
 pub trait Handler: Send + Sync + 'static {
     /// Produce a response for one request.
     fn handle(&self, req: &Request) -> Response;
@@ -238,9 +240,8 @@ impl ServerHandle {
         self.endpoint.faults.as_ref()
     }
 
-    /// The configuration of the transport this server runs on (shards,
-    /// handler pool size, each listener's connection ceiling,
-    /// keep-alive).
+    /// The configuration of the transport this server runs on (each
+    /// listener's connection ceiling, keep-alive).
     pub fn transport_config(&self) -> &ReactorConfig {
         self.transport.config()
     }
@@ -258,8 +259,8 @@ impl ServerHandle {
     /// Stop serving. On return the listener is closed, no request
     /// reaches the handler any more, open connections are dropped and
     /// the live gauge is back in balance; the transport keeps serving its
-    /// other listeners. Its threads (the acceptor, the event-loop shards,
-    /// the handler pool) are joined when its last reference drops: for a
+    /// other listeners. Its threads (the acceptor and the event-loop
+    /// shards) are joined when its last reference drops: for a
     /// [`HttpServer::spawn`] server, this handle's. Idempotent.
     pub fn stop(&self) {
         self.transport.retire(&self.endpoint);
@@ -275,6 +276,7 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::SHARDS;
     use std::io::Write;
     use std::net::TcpStream;
 
@@ -320,6 +322,110 @@ mod tests {
         assert!(text.contains("path=/a"));
         assert!(text.contains("path=/b"));
         assert_eq!(server.request_count(), 2);
+    }
+
+    /// One request on an open keep-alive connection; returns the body.
+    fn keep_alive_round_trip(s: &mut TcpStream, path: &str) -> String {
+        use std::io::Read;
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 1024];
+        loop {
+            if let Some((resp, _)) = Response::parse_partial(&buf).unwrap() {
+                return String::from_utf8(resp.body).unwrap();
+            }
+            let n = s.read(&mut chunk).unwrap();
+            assert!(n > 0, "peer closed mid-response: {buf:?}");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    #[test]
+    fn handlers_run_on_the_shard_that_parsed_the_request() {
+        let server = HttpServer::spawn(|_req: &Request| {
+            let name = std::thread::current().name().unwrap_or_default().to_owned();
+            Response::ok("text/plain", name.into_bytes())
+        })
+        .unwrap();
+        let out = raw_round_trip(
+            server.addr(),
+            b"GET /who HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
+        let text = String::from_utf8_lossy(&out);
+        assert!(text.contains("\r\n\r\nhttp-shard-"), "{text}");
+    }
+
+    #[test]
+    fn a_panicking_handler_drops_only_its_own_connection() {
+        let server = HttpServer::spawn(|req: &Request| {
+            assert_ne!(req.path, "/boom", "this handler panics on /boom");
+            Response::ok("text/plain", format!("path={}", req.path).into_bytes())
+        })
+        .unwrap();
+        // Connections go round-robin to the shards, so `SHARDS` of them in
+        // a row include one on whichever shard runs `/boom`.
+        let connect = || TcpStream::connect(server.addr()).unwrap();
+        let mut opened_before: Vec<TcpStream> = (0..SHARDS).map(|_| connect()).collect();
+        for s in &mut opened_before {
+            assert_eq!(keep_alive_round_trip(s, "/a"), "path=/a");
+        }
+        let out = raw_round_trip(server.addr(), b"GET /boom HTTP/1.1\r\n\r\n");
+        assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
+        // Every shard survived: older keep-alive connections and fresh
+        // ones are all answered.
+        for s in &mut opened_before {
+            assert_eq!(keep_alive_round_trip(s, "/b"), "path=/b");
+        }
+        for _ in 0..SHARDS {
+            assert_eq!(keep_alive_round_trip(&mut connect(), "/c"), "path=/c");
+        }
+        let answered = 3 * SHARDS as u64;
+        assert_eq!(
+            server.request_count(),
+            answered,
+            "only answered requests count"
+        );
+    }
+
+    #[test]
+    fn ten_thousand_pipelined_requests_are_answered_in_order() {
+        use std::io::Read;
+        const REQUESTS: usize = 10_000;
+        let server = echo_server();
+        let mut reader = TcpStream::connect(server.addr()).unwrap();
+        reader
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = reader.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            let mut wire = Vec::new();
+            for i in 0..REQUESTS {
+                wire.extend_from_slice(format!("GET /p{i} HTTP/1.1\r\n\r\n").as_bytes());
+            }
+            writer.write_all(&wire).unwrap();
+        });
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 64 * 1024];
+        let mut answered = 0;
+        while answered < REQUESTS {
+            while let Some((resp, used)) = Response::parse_partial(&buf).unwrap() {
+                assert_eq!(
+                    String::from_utf8_lossy(&resp.body),
+                    format!("path=/p{answered}")
+                );
+                buf.drain(..used);
+                answered += 1;
+            }
+            if answered < REQUESTS {
+                let n = reader.read(&mut chunk).unwrap();
+                assert!(n > 0, "peer closed after {answered} responses");
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        }
+        sender.join().unwrap();
+        assert_eq!(server.request_count(), REQUESTS as u64);
     }
 
     #[test]

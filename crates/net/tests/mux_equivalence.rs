@@ -9,23 +9,20 @@
 use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient};
 use marketscope_net::error::NetError;
 use marketscope_net::fault::{FaultInjector, FaultPlan};
-use marketscope_net::http::{Request, Response};
+use marketscope_net::http::{Request, Response, Status};
 use marketscope_net::reactor::{ReactorConfig, Transport};
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
-use marketscope_net::router::Router;
-use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
+use marketscope_net::server::{Handler, HttpServer, ServerHandle, ServerMetrics};
 use marketscope_telemetry::trace::{SpanContext, Tracer, TracerConfig};
 use marketscope_telemetry::{JournalSnapshot, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn ping_router() -> Router {
-    Router::new().get(
-        "/ping",
-        |_req: &Request, _: &marketscope_net::router::Params| {
-            Response::ok("text/plain", b"pong".to_vec())
-        },
-    )
+fn ping_router() -> impl Handler {
+    |req: &Request| match req.path.as_str() {
+        "/ping" => Response::ok("text/plain", b"pong".to_vec()),
+        _ => Response::status(Status::NotFound),
+    }
 }
 
 fn faulty_server(seed: u64, plan: FaultPlan) -> ServerHandle {

@@ -7,10 +7,10 @@
 //! replacement claim end to end: open 2,048 connections against a single
 //! server, round-trip one request on each, hold them all open, and read
 //! the process thread count from `/proc/self/status` — it must not have
-//! grown past the fixed transport complement (acceptor + shards +
-//! handler pool) sized at spawn.
+//! grown past the fixed transport complement (acceptor + shards) sized
+//! at spawn.
 
-use marketscope_net::reactor::{HANDLER_THREADS, SHARDS};
+use marketscope_net::reactor::SHARDS;
 use marketscope_net::{HttpServer, Request, Response};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -63,7 +63,7 @@ fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
 #[test]
 fn two_thousand_keep_alive_connections_on_a_fixed_thread_count() {
     let threads = || marketscope_telemetry::perf::thread_count().expect("linux /proc");
-    let transport_threads = (1 + SHARDS + HANDLER_THREADS) as u64;
+    let transport_threads = (1 + SHARDS) as u64;
 
     let before_spawn = threads();
     let server =

@@ -7,7 +7,7 @@
 //! count comes from `/proc/self/status`, which a sibling test spawning
 //! servers of its own would move.
 
-use marketscope_net::reactor::{HANDLER_THREADS, SHARDS};
+use marketscope_net::reactor::SHARDS;
 use marketscope_net::{HttpServer, ReactorConfig, Request, Response, ServerMetrics, Transport};
 use std::time::{Duration, Instant};
 
@@ -31,7 +31,7 @@ fn ok(_req: &Request) -> Response {
 
 #[test]
 fn a_handle_holds_its_transport_and_the_last_one_joins_it() {
-    let transport_threads = (1 + SHARDS + HANDLER_THREADS) as u64;
+    let transport_threads = (1 + SHARDS) as u64;
     let baseline = threads();
 
     let standalone = HttpServer::spawn(ok).unwrap();

@@ -2,10 +2,10 @@
 //! else is. Each listener keeps its own instruments, its own connection
 //! ceiling and its own fault injector, one can be stopped while the
 //! other serves on, and a market that stalls holds its own connections —
-//! not the handler pool its neighbour needs.
+//! not the shards its neighbour needs.
 
 use marketscope_net::fault::{FaultInjector, FaultPlan};
-use marketscope_net::reactor::HANDLER_THREADS;
+use marketscope_net::reactor::SHARDS;
 use marketscope_net::{
     HttpServer, ReactorConfig, Request, Response, ServerHandle, ServerMetrics, Status, Transport,
 };
@@ -183,7 +183,7 @@ fn stopping_one_listener_leaves_the_other_serving() {
 
 #[test]
 fn a_stalling_listener_does_not_hold_the_shared_pool() {
-    let stalled_clients = HANDLER_THREADS + 2;
+    let stalled_clients = SHARDS + 2;
     let transport = Transport::spawn(ReactorConfig::default()).unwrap();
     let registry = Registry::new();
     let stall = FaultPlan {
@@ -201,8 +201,8 @@ fn a_stalling_listener_does_not_hold_the_shared_pool() {
     let mut to_b = TcpStream::connect(b.addr()).unwrap();
     assert_eq!(round_trip(&mut to_b, "/warm").1, "b");
 
-    // More concurrent stalls than the pool has workers: were a stall to
-    // occupy a worker, B's request below would queue behind 200 ms of
+    // More concurrent stalls than the transport has shards: were a stall
+    // to occupy a shard, B's request below would queue behind 200 ms of
     // sleeping.
     let sent = Barrier::new(stalled_clients + 1);
     std::thread::scope(|s| {

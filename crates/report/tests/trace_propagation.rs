@@ -9,6 +9,7 @@ use marketscope_core::MarketId;
 use marketscope_ecosystem::{generate, Scale, WorldConfig};
 use marketscope_market::MarketServer;
 use marketscope_net::client::HttpClient;
+use marketscope_net::{ReactorConfig, Transport};
 use marketscope_report::{run_campaign, CampaignConfig};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::{chrome_trace, Registry, SpanRecord};
@@ -121,7 +122,8 @@ fn rate_limit_stall_stays_inside_one_trace() {
     }));
     // One tracer on both sides so the journal merges up front.
     let tracer = Arc::new(Tracer::new(TracerConfig::always(4096)));
-    let server = MarketServer::spawn_with_ops(
+    let server = MarketServer::spawn_on(
+        &Transport::spawn(ReactorConfig::default()).unwrap(),
         Arc::clone(&world),
         MarketId::GooglePlay,
         Arc::new(Registry::new()),
