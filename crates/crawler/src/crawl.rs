@@ -13,10 +13,9 @@
 //! per-market loop sends; seeded fault windows, breaker and quarantine
 //! decisions and the dataset replay.
 //!
-//! * **Politeness** is a per-market not-before instant taken from the
-//!   market's token bucket; the loop's wait times out at the earliest one.
-//!   BFS expansions, listing-sweep fetches and direct APK fetches each
-//!   take a token; parallel search is not paced.
+//! The loop never waits on a timer: it blocks on the queue until a
+//! ticket or a digest finishes. Retry backoff is the client's to time.
+//!
 //! * **BFS window.** One `/related/{pkg}` per frontier package answers
 //!   both "is it listed?" (a 404 says no) and "what next?"; the listing
 //!   sweep fetches its metadata. Up to `BFS_WINDOW` not-yet-visited
@@ -48,8 +47,7 @@
 //!   market (one direct, one backfill), plus `DIGEST_BACKLOG_PER_WORKER`
 //!   queued bodies per digest worker and the one each worker is digesting.
 //!   A full digest queue blocks the loop until a worker takes a body. A
-//!   BFS holds at most `BFS_WINDOW` `/related` answers (one under
-//!   politeness).
+//!   BFS holds at most `BFS_WINDOW` `/related` answers.
 
 use crate::health::MarketHealth;
 use crate::snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};
@@ -59,7 +57,6 @@ use marketscope_core::parallel::{default_workers, Stage};
 use marketscope_core::MarketId;
 use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient};
 use marketscope_net::http::Response;
-use marketscope_net::ratelimit::{RateLimitMetrics, TokenBucket};
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
 use marketscope_net::{CompletionQueue, NetError, Ticket};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
@@ -67,7 +64,6 @@ use marketscope_telemetry::{Counter, EventLog, Gauge, LogLevel, Registry, SpanCo
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Where to crawl: one address per market, plus the offline repository.
 #[derive(Debug, Clone)]
@@ -96,13 +92,6 @@ pub struct CrawlConfig {
     /// Whether to harvest APKs (the second crawl campaign only re-checks
     /// catalog presence).
     pub fetch_apks: bool,
-    /// Upper bound on listings per market (0 = unlimited) — a safety
-    /// valve for exploratory runs.
-    pub per_market_cap: usize,
-    /// Politeness: per-market request rate cap in requests/second
-    /// (`None` = unthrottled; the paper crawled politely from 50 cloud
-    /// workers over two weeks).
-    pub politeness_rps: Option<f64>,
     /// Probability that one listing/APK fetch starts a distributed
     /// trace (0.0 = tracing off, 1.0 = trace everything). Sampled
     /// fetches propagate their context to the market servers via the
@@ -128,8 +117,6 @@ impl Default for CrawlConfig {
             seeds: Vec::new(),
             bfs_markets: vec![MarketId::GooglePlay],
             fetch_apks: true,
-            per_market_cap: 0,
-            politeness_rps: None,
             trace_sample: 0.0,
             retry: Some(RetryPolicy::default()),
             breaker: Some(BreakerConfig::default()),
@@ -138,30 +125,16 @@ impl Default for CrawlConfig {
     }
 }
 
-/// Burst allowance for a politeness bucket running at `rps`
-/// requests/second: a quarter-second of budget, floored at one token.
-///
-/// The floor matters: [`TokenBucket::new`] rejects zero-capacity buckets,
-/// and any `rps < 4.0` would otherwise truncate to a zero burst. With the
-/// floor, sub-1 rps configurations (e.g. one request every ten seconds)
-/// still get exactly one token of burst and are governed purely by the
-/// refill rate; fast configurations get `ceil(rps / 4)` so the
-/// steady-state rate, not the burst, dominates.
-pub fn politeness_burst(rps: f64) -> u32 {
-    (rps / 4.0).ceil().max(1.0) as u32
-}
-
 /// Lane-key bit of a market's repository backfills: a lane of their own,
 /// so a backfill never holds up the market's next direct fetch, while
 /// the repository's breaker still sees one market's backfills one at a
 /// time.
 const REPOSITORY_LANE: u64 = 1 << 32;
 
-/// `/related/{pkg}` expansions a BFS keeps submitted at once when no
-/// politeness bucket paces it. The lane still sends them one at a time,
-/// so the window only hides the round trip between one answer and the
-/// next request; 64 already does, and it bounds the answers held for
-/// in-order application.
+/// `/related/{pkg}` expansions a BFS keeps submitted at once. The lane
+/// still sends them one at a time, so the window only hides the round
+/// trip between one answer and the next request; 64 already does, and it
+/// bounds the answers held for in-order application.
 const BFS_WINDOW: usize = 64;
 
 /// Bodies the digest stage may queue per worker before the loop blocks.
@@ -261,8 +234,6 @@ fn is_404(err: &NetError) -> bool {
 pub struct Crawler {
     config: CrawlConfig,
     client: HttpClient,
-    /// One politeness bucket per market (when politeness is on).
-    buckets: Option<Vec<TokenBucket>>,
     /// Telemetry registry every crawler instrument lives in.
     registry: Arc<Registry>,
     /// Per-market instruments, in [`MarketId::ALL`] order.
@@ -300,21 +271,6 @@ impl Crawler {
         log: Option<Arc<EventLog>>,
     ) -> Crawler {
         let log = log.unwrap_or_else(EventLog::private);
-        let buckets = config.politeness_rps.map(|rps| {
-            MarketId::ALL
-                .iter()
-                .map(|m| {
-                    TokenBucket::instrumented(
-                        politeness_burst(rps),
-                        rps,
-                        RateLimitMetrics::register(
-                            &registry,
-                            &[("limiter", "politeness"), ("market", m.slug())],
-                        ),
-                    )
-                })
-                .collect()
-        });
         let metrics = MarketId::ALL
             .iter()
             .map(|m| MarketMetrics::register(&registry, *m))
@@ -340,7 +296,6 @@ impl Crawler {
         Crawler {
             config,
             client: builder.build(),
-            buckets,
             registry,
             metrics,
             tracer,
@@ -349,8 +304,8 @@ impl Crawler {
     }
 
     /// The registry holding this crawler's instruments: per-market
-    /// listing/APK/dedup counters, BFS queue depth, politeness-bucket
-    /// grants and waits, and HTTP client latency/retries/errors.
+    /// listing/APK/dedup counters, BFS queue depth, and HTTP client
+    /// latency/retries/errors.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -501,47 +456,26 @@ struct Bfs {
     popped: usize,
 }
 
-/// `/app/{pkg}` over a package list: enumeration's listing sweep or a
-/// parallel-search batch. Results land by slot, so they keep list order.
+/// `/app/{pkg}` over a package list, every fetch submitted at once:
+/// enumeration's listing sweep or a parallel-search batch. Results land
+/// by slot, so they keep list order.
 struct Sweep {
     search: bool,
     packages: Vec<String>,
     next: usize,
     slots: Vec<Option<CrawledListing>>,
     in_flight: usize,
-    /// Stop once this many listings were found (0 = never).
-    cap: usize,
-    found: usize,
-    polite: bool,
 }
 
 impl Sweep {
-    fn new(search: bool, packages: Vec<String>, cap: usize, polite: bool) -> Sweep {
+    fn new(search: bool, packages: Vec<String>) -> Sweep {
         Sweep {
             search,
             slots: packages.iter().map(|_| None).collect(),
             packages,
             next: 0,
             in_flight: 0,
-            cap,
-            found: 0,
-            polite,
         }
-    }
-
-    /// Fetches in flight at once: all of them, or one at a time when
-    /// politeness paces each request or a cap counts *successful*
-    /// listings.
-    fn window(&self) -> usize {
-        if self.polite || self.cap > 0 {
-            1
-        } else {
-            usize::MAX
-        }
-    }
-
-    fn capped(&self) -> bool {
-        self.cap > 0 && self.found >= self.cap
     }
 }
 
@@ -558,48 +492,11 @@ struct Harvest {
     direct: bool,
 }
 
-/// Politeness: a market waiting for its token sends nothing before
-/// `not_before`, which bounds the loop's wait.
-#[derive(Default)]
-struct Pace {
-    not_before: Option<Instant>,
-    waiting_since: Option<Instant>,
-}
-
-impl Pace {
-    /// `Some(waited)` when the market may send now — `waited` says it
-    /// had to wait for the token — or `None` when its bucket is dry and
-    /// the wake-up is set from the bucket's hint.
-    fn admit(&mut self, bucket: Option<&TokenBucket>) -> Option<bool> {
-        let Some(bucket) = bucket else {
-            return Some(false);
-        };
-        let now = Instant::now();
-        if self.not_before.is_some_and(|at| now < at) {
-            return None;
-        }
-        self.not_before = None;
-        if bucket.try_acquire() {
-            return Some(match self.waiting_since.take() {
-                Some(since) => {
-                    bucket.note_wait(since.elapsed());
-                    true
-                }
-                None => false,
-            });
-        }
-        self.waiting_since.get_or_insert(now);
-        self.not_before = Some(now + bucket.wait_hint().max(Duration::from_millis(1)));
-        None
-    }
-}
-
 struct Market {
     id: MarketId,
     addr: SocketAddr,
     listings: Vec<CrawledListing>,
     task: Task,
-    pace: Pace,
     /// Negative set: the whole catalog, when an index walk completed.
     catalog: Option<HashSet<String>>,
     /// Negative set: packages whose BFS `/related` answered 404.
@@ -655,7 +552,6 @@ impl<'c> Run<'c> {
                     addr: targets.addr(id),
                     listings: Vec::new(),
                     task: Task::Idle,
-                    pace: Pace::default(),
                     catalog: None,
                     misses: HashSet::new(),
                 })
@@ -711,7 +607,7 @@ impl<'c> Run<'c> {
                 .filter(|pkg| !have.contains(pkg.as_str()) && !market.known_missing(pkg))
                 .cloned()
                 .collect();
-            market.task = Task::Sweep(Sweep::new(true, probes, 0, false));
+            market.task = Task::Sweep(Sweep::new(true, probes));
         }
         self.drive();
     }
@@ -750,27 +646,15 @@ impl<'c> Run<'c> {
     }
 
     /// Run the phase to completion: wait for whichever ticket (or digest)
-    /// finishes next, or for the earliest politeness wake-up, and let the
-    /// market it belongs to move on.
+    /// finishes next, and let the market it belongs to move on.
     fn drive(&mut self) {
         for m in 0..self.markets.len() {
             self.pump(m);
         }
-        loop {
-            let wake_at = self.markets.iter().filter_map(|m| m.pace.not_before).min();
-            if self.io.in_flight.is_empty() && self.digesting == 0 && wake_at.is_none() {
-                break;
-            }
-            match self.io.queue.wait_until(wake_at) {
-                Some(DIGESTED) => self.apply_digests(),
-                Some(tag) => self.settle(tag),
-                None => {}
-            }
-            let now = Instant::now();
-            for m in 0..self.markets.len() {
-                if self.markets[m].pace.not_before.is_some_and(|at| at <= now) {
-                    self.pump(m);
-                }
+        while !self.io.in_flight.is_empty() || self.digesting > 0 {
+            match self.io.queue.wait() {
+                DIGESTED => self.apply_digests(),
+                tag => self.settle(tag),
             }
         }
         debug_assert!(self.markets.iter().all(|m| matches!(m.task, Task::Idle)));
@@ -788,7 +672,6 @@ impl<'c> Run<'c> {
         } = &mut *self;
         let market = &mut markets[m];
         let lane = m as u64;
-        let bucket = crawler.buckets.as_ref().map(|b| &b[m]);
         let ended = match &mut market.task {
             Task::Idle => false,
             Task::Index(walk) => {
@@ -800,18 +683,13 @@ impl<'c> Run<'c> {
             }
             Task::Bfs(bfs) => {
                 let metrics = &crawler.metrics[m];
-                let width = if bucket.is_some() { 1 } else { BFS_WINDOW };
-                while bfs.window.len() < width {
+                while bfs.window.len() < BFS_WINDOW {
                     let Some(pkg) = bfs.frontier.pop_front() else {
                         break;
                     };
                     if bfs.visited.contains(&pkg) {
                         metrics.dedup_hits.inc();
                         continue;
-                    }
-                    if market.pace.admit(bucket).is_none() {
-                        bfs.frontier.push_front(pkg);
-                        break;
                     }
                     bfs.visited.insert(pkg.clone());
                     let op = Op::Related { slot: bfs.popped };
@@ -824,18 +702,7 @@ impl<'c> Run<'c> {
             }
             Task::Sweep(sweep) => {
                 let kind = if sweep.search { "search" } else { "listing" };
-                while sweep.next < sweep.packages.len()
-                    && sweep.in_flight < sweep.window()
-                    && !sweep.capped()
-                {
-                    let waited = if sweep.polite {
-                        match market.pace.admit(bucket) {
-                            Some(waited) => waited,
-                            None => break,
-                        }
-                    } else {
-                        false
-                    };
+                while sweep.next < sweep.packages.len() {
                     let pkg = &sweep.packages[sweep.next];
                     // One (sampled) trace per metadata fetch: the root
                     // span's context flows through the driver into the
@@ -843,9 +710,6 @@ impl<'c> Run<'c> {
                     let span = crawler
                         .tracer
                         .root_span("crawler", &format!("{kind} {}/{pkg}", market.id.slug()));
-                    if waited {
-                        span.event("politeness_wait");
-                    }
                     let (path, parent) = (format!("/app/{pkg}"), span.context());
                     let op = Op::Metadata {
                         slot: sweep.next,
@@ -855,7 +719,7 @@ impl<'c> Run<'c> {
                     sweep.next += 1;
                     sweep.in_flight += 1;
                 }
-                sweep.in_flight == 0 && (sweep.next == sweep.packages.len() || sweep.capped())
+                sweep.in_flight == 0
             }
             Task::Harvest(h) => {
                 let metrics = &crawler.metrics[m];
@@ -906,9 +770,6 @@ impl<'c> Run<'c> {
                         h.next += 1;
                         continue;
                     }
-                    let Some(waited) = market.pace.admit(bucket) else {
-                        break;
-                    };
                     h.next += 1;
                     let pkg = &market.listings[i].package;
                     // One (sampled) trace per APK harvest, covering the
@@ -917,9 +778,6 @@ impl<'c> Run<'c> {
                     let span = crawler
                         .tracer
                         .root_span("crawler", &format!("apk {}/{pkg}", market.id.slug()));
-                    if waited {
-                        span.event("politeness_wait");
-                    }
                     let (path, parent) = (format!("/apk/{pkg}"), span.context());
                     let op = Op::Direct { listing: i, span };
                     io.submit(m, market.addr, path, parent, lane, op);
@@ -936,7 +794,6 @@ impl<'c> Run<'c> {
     /// Market `m`'s task is over: hand its results on and start the next
     /// task of the phase, if any.
     fn advance(&mut self, m: usize) {
-        self.markets[m].pace = Pace::default();
         let found = match std::mem::take(&mut self.markets[m].task) {
             Task::Index(walk) => {
                 if walk.intact {
@@ -957,14 +814,7 @@ impl<'c> Run<'c> {
             Task::Harvest(_) | Task::Idle => return,
         };
         // Enumeration found its packages: fetch each one's metadata.
-        let config = &self.crawler.config;
-        let sweep = Sweep::new(
-            false,
-            found,
-            config.per_market_cap,
-            self.crawler.buckets.is_some(),
-        );
-        self.markets[m].task = Task::Sweep(sweep);
+        self.markets[m].task = Task::Sweep(Sweep::new(false, found));
         self.pump(m);
     }
 
@@ -989,7 +839,6 @@ impl<'c> Run<'c> {
                 span.finish();
                 if let Task::Sweep(sweep) = &mut self.markets[m].task {
                     sweep.in_flight -= 1;
-                    sweep.found += usize::from(listing.is_some());
                     sweep.slots[slot] = listing;
                 }
             }
@@ -1232,36 +1081,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn politeness_burst_is_quarter_second_of_budget() {
-        assert_eq!(politeness_burst(8.0), 2);
-        assert_eq!(politeness_burst(100.0), 25);
-        // Non-multiples round up, never down.
-        assert_eq!(politeness_burst(9.0), 3);
-    }
-
-    #[test]
-    fn politeness_burst_never_drops_below_one_token() {
-        // rps < 4 truncates to zero without the floor; TokenBucket::new
-        // panics on zero capacity, so these must all stay at 1.
-        assert_eq!(politeness_burst(4.0), 1);
-        assert_eq!(politeness_burst(1.0), 1);
-        assert_eq!(politeness_burst(0.1), 1);
-        // ...and the bucket construction they feed must not panic.
-        let _ = TokenBucket::new(politeness_burst(0.1), 0.1);
-    }
-
-    #[test]
-    fn slow_politeness_config_builds_a_crawler() {
-        // Regression: sub-1 rps politeness used to be one `ceil` away from
-        // a zero-capacity bucket panic.
-        let crawler = Crawler::new(CrawlConfig {
-            politeness_rps: Some(0.5),
-            ..CrawlConfig::default()
-        });
-        assert!(crawler.buckets.as_ref().map(Vec::len) == Some(MarketId::ALL.len()));
-    }
-
-    #[test]
     fn crawler_registers_per_market_instruments() {
         let crawler = Crawler::new(CrawlConfig::default());
         crawler.metrics[0].listings.inc();
@@ -1289,7 +1108,6 @@ mod tests {
             addr: SocketAddr::from(([127, 0, 0, 1], 9)),
             listings: Vec::new(),
             task: Task::Idle,
-            pace: Pace::default(),
             catalog: None,
             misses: HashSet::from(["gone".to_owned()]),
         };

@@ -2,8 +2,8 @@
 //!
 //! The harvest pass walks each market's catalog sequentially. When a
 //! market degrades hard — resets every connection, serves nothing but
-//! 5xx, or disappears into a downtime window — burning a politeness
-//! budget and a retry budget on every remaining listing is pure waste.
+//! 5xx, or disappears into a downtime window — burning a retry budget on
+//! every remaining listing is pure waste.
 //! [`MarketHealth`] watches the failure *streak*: after a configurable
 //! run of consecutive terminal failures the market is quarantined, the
 //! rest of its work is deferred, and a later revisit pass (by which time

@@ -18,7 +18,8 @@
 //!   in one market is immediately looked up in all the others, so
 //!   cross-market version comparisons are not skewed by crawl lag;
 //! * **rate-limit handling with offline backfill**: Google Play's APK
-//!   endpoint throttles; throttled fetches fall back to the AndroZoo-style
+//!   endpoint throttles (a 429 whose `retry-after` no retry budget
+//!   affords); throttled fetches fall back to the AndroZoo-style
 //!   repository keyed by `(package, version)`, and residual misses become
 //!   the metadata/APK mismatch the paper reports.
 //!
@@ -40,8 +41,8 @@
 //! driver and the digest workers to the process, nothing per market.
 //!
 //! Every crawl is instrumented through `marketscope-telemetry`: per-market
-//! listing/APK/dedup counters, BFS queue depth, politeness-bucket waits,
-//! and HTTP client latency all land in the crawler's
+//! listing/APK/dedup counters, BFS queue depth and HTTP client latency
+//! all land in the crawler's
 //! [`Registry`](marketscope_telemetry::Registry) (shareable via
 //! [`Crawler::with_ops`]), and [`CrawlProgress`] turns that registry
 //! into structured per-market progress lines while a crawl runs.
@@ -54,7 +55,7 @@ pub mod health;
 pub mod progress;
 pub mod snapshot;
 
-pub use crawl::{politeness_burst, CrawlConfig, CrawlTargets, Crawler};
+pub use crawl::{CrawlConfig, CrawlTargets, Crawler};
 pub use health::MarketHealth;
 pub use progress::{progress_lines, CrawlProgress};
 pub use snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};

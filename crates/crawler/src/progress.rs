@@ -5,7 +5,7 @@
 //! emits one structured line per market to a caller-provided sink:
 //!
 //! ```text
-//! crawl-progress market=baidu listings=120 apks=118 dedup=0 queue=0 throttle_ms=0
+//! crawl-progress market=baidu listings=120 apks=118 dedup=0 queue=0
 //! ```
 //!
 //! Lines are plain `key=value` pairs so they grep/parse trivially; the
@@ -40,19 +40,12 @@ pub fn progress_lines(snap: &RegistrySnapshot) -> Vec<String> {
         let queue = snap
             .gauge_value("marketscope_crawler_bfs_queue_depth", &labels)
             .unwrap_or(0);
-        let throttle_ms = snap
-            .histogram(
-                "marketscope_net_ratelimit_wait_nanos",
-                &[("limiter", "politeness"), ("market", market.as_str())],
-            )
-            .map(|h| h.sum / 1_000_000)
-            .unwrap_or(0);
-        if listings == 0 && apks == 0 && dedup == 0 && queue == 0 && throttle_ms == 0 {
+        if listings == 0 && apks == 0 && dedup == 0 && queue == 0 {
             continue;
         }
         out.push(format!(
             "crawl-progress market={market} listings={listings} apks={apks} \
-             dedup={dedup} queue={queue} throttle_ms={throttle_ms}"
+             dedup={dedup} queue={queue}"
         ));
     }
     out

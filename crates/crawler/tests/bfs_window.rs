@@ -1,8 +1,8 @@
 //! Google Play's BFS keeps a window of `/related` expansions on its lane
 //! and applies their answers in pop order. It must visit, find and rule
 //! out exactly what a one-at-a-time BFS does, send its server one
-//! `/related` per visited package in that BFS's order, replay seeded
-//! fault windows, and take a politeness token for every request it sends.
+//! `/related` per visited package in that BFS's order, and replay seeded
+//! fault windows.
 
 use marketscope_core::json::Json;
 use marketscope_core::propcheck::{self, any_u64, usize_in, vec_of};
@@ -330,31 +330,4 @@ fn the_windowed_bfs_visits_finds_and_rules_out_what_the_sequential_one_did() {
         "cycle, self-link, unlisted link, seeds, 500, long frontier"
     );
     assert!(faults_seen > 0, "the fault plans never fired");
-}
-
-#[test]
-fn a_polite_bfs_takes_a_token_for_every_request_it_sends() {
-    let g = Arc::new(Graph::generate(&mut DetRng::new(0x5EED_0BF5)));
-    let (store, _) = bfs_store(&g, None);
-    // Nothing listed elsewhere: no unpaced parallel-search probe reaches
-    // Google Play.
-    let empty = index_store(&[]);
-    let crawler = Crawler::new(CrawlConfig {
-        politeness_rps: Some(400.0),
-        ..config(&g.seeds)
-    });
-    let snap = crawler.crawl(&targets(&store, &empty));
-    assert_eq!(google_play(&snap), reference_bfs(&g).found);
-    let grants = crawler.registry().snapshot().counter_value(
-        "marketscope_net_ratelimit_grants_total",
-        &[
-            ("limiter", "politeness"),
-            ("market", MarketId::GooglePlay.slug()),
-        ],
-    );
-    assert_eq!(
-        grants,
-        Some(store.request_count()),
-        "one token per request served"
-    );
 }

@@ -126,69 +126,3 @@ fn second_crawl_sees_removals() {
         }
     }
 }
-
-#[test]
-fn per_market_cap_limits_work() {
-    let world = Arc::new(generate(WorldConfig {
-        seed: 5,
-        scale: Scale { divisor: 40_000 },
-        ..WorldConfig::default()
-    }));
-    let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
-    let targets = CrawlTargets {
-        markets: MarketId::ALL.iter().map(|m| fleet.addr(*m)).collect(),
-        repository: None,
-    };
-    let crawler = Crawler::new(CrawlConfig {
-        seeds: Vec::new(),
-        fetch_apks: false,
-        per_market_cap: 5,
-        ..CrawlConfig::default()
-    });
-    let snap = crawler.crawl(&targets);
-    for m in MarketId::chinese() {
-        // Cap applies to the index walk; parallel search may add a few.
-        assert!(snap.market(m).listings.len() <= 5 + snap.stats.parallel_search_hits as usize);
-    }
-}
-
-#[test]
-fn politeness_throttles_the_crawl() {
-    let world = Arc::new(generate(WorldConfig {
-        seed: 4,
-        scale: Scale { divisor: 200_000 },
-        ..WorldConfig::default()
-    }));
-    let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
-    let targets = CrawlTargets {
-        markets: MarketId::ALL.iter().map(|m| fleet.addr(*m)).collect(),
-        repository: None,
-    };
-    // Unthrottled baseline.
-    let fast = Crawler::new(CrawlConfig {
-        seeds: Vec::new(),
-        fetch_apks: false,
-        ..CrawlConfig::default()
-    });
-    let t0 = std::time::Instant::now();
-    let snap_fast = fast.crawl(&targets);
-    let fast_elapsed = t0.elapsed();
-
-    // Politely throttled to 5 requests/second/market: with ~8 listings
-    // per market the enumeration alone must take over a second.
-    let slow = Crawler::new(CrawlConfig {
-        seeds: Vec::new(),
-        fetch_apks: false,
-        politeness_rps: Some(5.0),
-        ..CrawlConfig::default()
-    });
-    let t1 = std::time::Instant::now();
-    let snap_slow = slow.crawl(&targets);
-    let slow_elapsed = t1.elapsed();
-
-    assert_eq!(snap_fast.total_listings(), snap_slow.total_listings());
-    assert!(
-        slow_elapsed > fast_elapsed + std::time::Duration::from_millis(500),
-        "politeness had no effect: {fast_elapsed:?} vs {slow_elapsed:?}"
-    );
-}

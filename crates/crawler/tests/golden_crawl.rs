@@ -6,11 +6,15 @@
 //! Hashed per market, in [`MarketId::ALL`] order: every listing's
 //! package, version and metadata fields, and — for every market except
 //! Google Play — whether its APK was harvested, the digest's file MD5 and
-//! its channel files. Then the deterministic [`CrawlStats`] fields. Google
-//! Play's digests are left out: its download bucket refills on the wall
-//! clock, so which of its fetches go direct and which are backfilled
-//! differs from run to run. A change to how the crawler enumerates,
-//! searches or harvests that moves any answer moves the value.
+//! its channel files. Then the enumeration's [`CrawlStats`] fields.
+//!
+//! A second value pins Google Play's harvest over the same three worlds:
+//! each listing's digest presence and file MD5, then the first crawl's
+//! direct, rate-limited, backfilled and missing counts. Play's download
+//! limit counts requests, not time, so which of its fetches go direct and
+//! which are backfilled is a function of the seed. A change to how the
+//! crawler enumerates, searches or harvests that moves any answer moves
+//! one of the values.
 
 use marketscope_core::hash::fnv1a64_update;
 use marketscope_core::MarketId;
@@ -87,8 +91,15 @@ fn hash_snapshot(h: &mut Fnv, snapshot: &Snapshot) {
     }
 }
 
-/// Both crawls of one world, as `run_campaign` drives them.
+/// Both crawls of one world, as `run_campaign` drives them, hashed.
 fn campaign_crawls(seed: u64, h: &mut Fnv) {
+    let (first, second) = crawl_pair(seed);
+    hash_snapshot(h, &first);
+    hash_snapshot(h, &second);
+}
+
+/// Both crawls of one world, as `run_campaign` drives them.
+fn crawl_pair(seed: u64) -> (Snapshot, Snapshot) {
     let world = Arc::new(generate(WorldConfig {
         seed,
         scale: Scale { divisor: 40_000 },
@@ -124,8 +135,7 @@ fn campaign_crawls(seed: u64, h: &mut Fnv) {
     })
     .crawl(&targets);
     fleet.stop();
-    hash_snapshot(h, &first);
-    hash_snapshot(h, &second);
+    (first, second)
 }
 
 #[test]
@@ -137,6 +147,37 @@ fn campaign_crawls_are_pinned() {
     assert_eq!(
         h.0, 0xd186_6cac_1d6d_4b9a,
         "crawl answers moved: {:#018x}",
+        h.0
+    );
+}
+
+#[test]
+fn google_play_harvests_are_pinned() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for seed in [0x1517_2018, 7, 99] {
+        let (first, _) = crawl_pair(seed);
+        for l in &first.market(MarketId::GooglePlay).listings {
+            match &l.digest {
+                Some(d) => {
+                    h.u64(1);
+                    h.bytes(&d.file_md5);
+                }
+                None => h.u64(0),
+            }
+        }
+        let s = &first.stats;
+        for v in [
+            s.apks_direct,
+            s.rate_limited,
+            s.apks_backfilled,
+            s.apks_missing,
+        ] {
+            h.u64(v);
+        }
+    }
+    assert_eq!(
+        h.0, 0xf810_e007_2fb1_9472,
+        "Google Play's harvest moved: {:#018x}",
         h.0
     );
 }

@@ -9,7 +9,6 @@
 
 use marketscope_core::json::Json;
 use marketscope_net::fault::FaultInjector;
-use marketscope_net::ratelimit::TokenBucket;
 use marketscope_net::reactor::{ReactorConfig, SHARDS};
 use marketscope_telemetry::{LogEvent, LogSnapshot, SeriesSnapshot, SloVerdict};
 use std::collections::BTreeMap;
@@ -144,22 +143,6 @@ pub fn series_json(series: &SeriesSnapshot) -> Json {
         ("gauges", Json::Obj(gauges)),
         ("histograms", Json::Obj(histograms)),
     ])
-}
-
-/// The `/__health` rate-limiter section: `Null` when the market has no
-/// limiter, else readiness plus the current wait hint.
-pub fn rate_limiter_json(bucket: Option<&TokenBucket>) -> Json {
-    match bucket {
-        Some(bucket) => {
-            let hint = bucket.wait_hint();
-            Json::obj([
-                ("limiter", Json::from("apk_download")),
-                ("ready", Json::from(hint.is_zero())),
-                ("wait_hint_ms", Json::from(hint.as_millis() as u64)),
-            ])
-        }
-        None => Json::Null,
-    }
 }
 
 /// The `/__health` chaos section: `Null` without an injector, else the

@@ -7,16 +7,16 @@ use marketscope_core::{MarketId, MarketKind};
 use marketscope_ecosystem::{profile, App, DevId, ListingId, World};
 use marketscope_net::fault::FaultInjector;
 use marketscope_net::http::{Method, Request, Response, Status};
-use marketscope_net::ratelimit::{RateLimitMetrics, TokenBucket};
 use marketscope_net::server::{Handler, HttpServer, ServerHandle, ServerMetrics};
 use marketscope_net::{ReactorConfig, Transport};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
-use marketscope_telemetry::{EventLog, Registry, SloEvaluator};
+use marketscope_telemetry::{Counter, EventLog, Registry, SloEvaluator};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which crawl campaign the server is serving (Section 3 vs Section 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +39,8 @@ struct MarketState {
     by_package: HashMap<String, usize>,
     /// Each developer's listings, in catalog order.
     by_developer: HashMap<DevId, Vec<ListingId>>,
-    /// APK-download rate limiter (Google Play only).
-    apk_bucket: Option<TokenBucket>,
+    /// The APK download limit (Google Play only).
+    downloads: Option<DownloadLimit>,
     /// The `META-INF/` channel file injected into served APKs. Channel
     /// injection is a web-company/specialized-store habit
     /// (user-acquisition attribution); Google Play and the vendor stores
@@ -69,17 +69,14 @@ impl MarketState {
             catalog,
             by_package,
             by_developer,
-            // Tight enough that a bulk harvest only gets a small direct
-            // sample (the paper managed 287K of 2.03M directly, ~14%).
-            apk_bucket: profile(market).rate_limited_downloads.then(|| {
-                TokenBucket::instrumented(
-                    20,
-                    2.0,
-                    RateLimitMetrics::register(
-                        registry,
-                        &[("limiter", "apk_download"), ("market", market.slug())],
-                    ),
-                )
+            downloads: profile(market).rate_limited_downloads.then(|| {
+                let labels = [("limiter", "apk_download"), ("market", market.slug())];
+                DownloadLimit {
+                    requests: AtomicU64::new(0),
+                    grants: registry.counter("marketscope_net_ratelimit_grants_total", &labels),
+                    rejections: registry
+                        .counter("marketscope_net_ratelimit_rejections_total", &labels),
+                }
             }),
             channel: matches!(
                 market.kind(),
@@ -202,24 +199,13 @@ impl MarketState {
     }
 
     /// APK download: the listed version's bytes, behind the market's
-    /// download limiter if it has one.
+    /// download limit if it has one.
     fn apk(&self, package: &str) -> Response {
-        if let Some(bucket) = &self.apk_bucket {
-            if !bucket.try_acquire() {
-                // Lands on the server-side handler span (if any), so a
-                // traced harvest shows exactly which attempts the limiter
-                // stalled.
-                marketscope_telemetry::trace::current_event("rate_limited");
-                // Tell the client when a token will be free: an honest
-                // `retry-after` lets a polite retry policy decide whether
-                // waiting fits its budget (for the drained bulk-harvest
-                // bucket it never does, which is what pushes the crawler
-                // onto the backfill path).
-                return Response::status_with_retry_after(
-                    Status::TooManyRequests,
-                    bucket.wait_hint(),
-                );
-            }
+        if self.downloads.as_ref().is_some_and(|d| !d.admit()) {
+            // Lands on the server-side handler span (if any), so a traced
+            // harvest shows exactly which attempts the limit refused.
+            marketscope_telemetry::trace::current_event("rate_limited");
+            return Response::status_with_retry_after(Status::TooManyRequests, RETRY_AFTER);
         }
         let Some(id) = self.lookup(package) else {
             return Response::status(Status::NotFound);
@@ -237,6 +223,49 @@ impl MarketState {
             None => bytes,
         };
         Response::ok("application/vnd.android.package-archive", bytes)
+    }
+}
+
+/// Google Play's download limit, counted in requests rather than time,
+/// so a harvest's direct share is a function of the seed: the first
+/// `BURST` `/apk` requests are [`served`], then the last of every run of
+/// `EVERY`. The paper fetched 287K of 2.03M Play APKs directly and
+/// backfilled the rest from AndroZoo.
+struct DownloadLimit {
+    requests: AtomicU64,
+    grants: Arc<Counter>,
+    rejections: Arc<Counter>,
+}
+
+const BURST: u64 = 20;
+const EVERY: u64 = 256;
+
+/// Every refused download's `retry-after`: longer than any retry budget
+/// (250 ms by default), so a refused fetch goes straight to backfill.
+const RETRY_AFTER: Duration = Duration::from_secs(1);
+
+/// Whether `/apk` request `n` (from 0) gets through the download limit.
+fn served(n: u64) -> bool {
+    n < BURST || (n - BURST + 1) % EVERY == 0
+}
+
+impl DownloadLimit {
+    /// Count one request, and whether it is served.
+    fn admit(&self) -> bool {
+        let ok = served(self.requests.fetch_add(1, Ordering::Relaxed));
+        if ok { &self.grants } else { &self.rejections }.inc();
+        ok
+    }
+
+    /// The `/__health` section: the requests counted so far, and whether
+    /// the next one would be served.
+    fn health(&self) -> Json {
+        let n = self.requests.load(Ordering::Relaxed);
+        Json::obj([
+            ("limiter", Json::from("apk_download")),
+            ("ready", Json::from(served(n))),
+            ("requests", Json::from(n)),
+        ])
     }
 }
 
@@ -344,7 +373,9 @@ impl MarketHandler {
             ),
             (
                 "rate_limiter",
-                crate::opsjson::rate_limiter_json(st.apk_bucket.as_ref()),
+                st.downloads
+                    .as_ref()
+                    .map_or(Json::Null, DownloadLimit::health),
             ),
             ("chaos", crate::opsjson::chaos_json(self.faults.as_deref())),
             ("slo", slo),
@@ -823,7 +854,7 @@ mod tests {
             limiter.get("limiter").unwrap().as_str(),
             Some("apk_download")
         );
-        assert!(limiter.get("wait_hint_ms").unwrap().as_u64().is_some());
+        assert_eq!(limiter.get("requests").unwrap().as_u64(), Some(0));
         // The transport section mirrors the reactor config plus live
         // counters. One pooled keep-alive client connection is open (it
         // just carried this very health request).
@@ -987,6 +1018,51 @@ mod tests {
             }
         }
         assert!(limited, "rate limiter never tripped");
+    }
+
+    #[test]
+    fn google_play_limits_downloads_by_request_count_not_time() {
+        use marketscope_net::NetError;
+        let w = world();
+        let first = w.market_listings(MarketId::GooglePlay)[0];
+        let path = format!("/apk/{}", w.app(w.listing(first).app).package);
+        let client = HttpClient::new();
+        // One fresh server's statuses, sleeping after request `pause`.
+        let statuses = |pause: Option<u64>| -> Vec<u16> {
+            let server = MarketServer::spawn(Arc::clone(&w), MarketId::GooglePlay).unwrap();
+            (0..BURST + 2 * EVERY)
+                .map(|n| {
+                    let status = match client.get(server.addr(), &path) {
+                        Ok(_) => 200,
+                        Err(NetError::Status {
+                            code: 429,
+                            retry_after,
+                        }) => {
+                            let after = retry_after.unwrap_or_default();
+                            assert!(after >= Duration::from_millis(250), "{n}: {after:?}");
+                            429
+                        }
+                        Err(e) => panic!("request {n}: {e}"),
+                    };
+                    if pause == Some(n) {
+                        std::thread::sleep(Duration::from_millis(600));
+                    }
+                    status
+                })
+                .collect()
+        };
+        let steady = statuses(None);
+        assert_eq!(statuses(Some(BURST)), steady, "a pause changed the limit");
+        let positions: Vec<u64> = (0..)
+            .zip(&steady)
+            .filter(|(_, status)| **status == 200)
+            .map(|(n, _)| n)
+            .collect();
+        let last_of_each_run = [BURST + EVERY - 1, BURST + 2 * EVERY - 1];
+        assert_eq!(
+            positions,
+            (0..BURST).chain(last_of_each_run).collect::<Vec<_>>()
+        );
     }
 
     #[test]

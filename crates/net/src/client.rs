@@ -704,6 +704,29 @@ mod tests {
     }
 
     #[test]
+    fn a_hint_past_the_largest_duration_is_dropped_not_fatal() {
+        // `Duration::from_secs_f64(1e30)` panics; parsed inside the
+        // driver, it would kill the thread every ticket waits on.
+        let server = HttpServer::spawn(|_req: &Request| {
+            let mut resp = Response::status(Status::ServiceUnavailable);
+            resp.headers.insert("retry-after".into(), "1e30".into());
+            resp
+        })
+        .unwrap();
+        let client = HttpClient::builder().retry(RetryPolicy::default()).build();
+        // Twice: the driver outlived the first answer.
+        for _ in 0..2 {
+            match client.get(server.addr(), "/x") {
+                Err(NetError::Status {
+                    code: 503,
+                    retry_after: None,
+                }) => {}
+                other => panic!("expected a hint-less 503, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn breaker_fast_fails_a_dead_host_and_recovers() {
         let down = Arc::new(std::sync::atomic::AtomicBool::new(true));
         let down_s = Arc::clone(&down);
@@ -814,7 +837,6 @@ mod tests {
     #[test]
     fn completion_queue_delivers_every_tag_once_across_shutdown() {
         use crate::mux::CompletionQueue;
-        use std::time::Instant;
         // `/held` answers only once the gate opens, which is after the
         // client is gone: those tickets are outstanding at shutdown.
         let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
@@ -832,7 +854,9 @@ mod tests {
         .unwrap();
         let client = HttpClient::new();
         let queue = Arc::new(CompletionQueue::new());
-        let soon = || Some(Instant::now() + Duration::from_secs(10));
+        // Posted after a queue's last tag: the next tag popped must be
+        // it, so no tag came twice.
+        const SENTINEL: u64 = u64::MAX;
 
         // Registered after completing: the tag posts at once. (`after`
         // shares `done`'s lane, so its answer means `done` has one.)
@@ -840,7 +864,7 @@ mod tests {
         let done = client.submit_get(&FetchSpec::new(server.addr(), "/answered").lane(7));
         let after = client.submit_get(&FetchSpec::new(server.addr(), "/answered").lane(7));
         after.notify(&early, 99);
-        assert_eq!(early.wait_until(soon()), Some(99));
+        assert_eq!(early.wait(), 99);
         done.notify(&queue, 0);
 
         let tickets: Vec<Ticket> = (1..=6u64)
@@ -857,13 +881,13 @@ mod tests {
             *open.lock().unwrap() = true;
             opened.notify_all();
         }
-        let mut tags = Vec::new();
-        while let Some(tag) = queue.wait_until(Some(Instant::now())) {
-            tags.push(tag);
-        }
+        let mut tags: Vec<u64> = (0..=6).map(|_| queue.wait()).collect();
         tags.sort_unstable();
         assert_eq!(tags, (0..=6).collect::<Vec<u64>>(), "each tag exactly once");
-        assert!(early.wait_until(Some(Instant::now())).is_none());
+        for q in [&queue, &early] {
+            q.post(SENTINEL);
+            assert_eq!(q.wait(), SENTINEL, "each tag exactly once");
+        }
         drop((done, after, tickets));
     }
 

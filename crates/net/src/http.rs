@@ -272,13 +272,11 @@ impl Response {
     }
 
     /// Parsed `retry-after` response header (decimal seconds), if present
-    /// and well-formed. Negative or non-finite values are ignored.
+    /// and well-formed. Negative, non-finite and out-of-range values
+    /// (past `Duration::MAX`) are ignored.
     pub fn retry_after(&self) -> Option<Duration> {
         let secs: f64 = self.headers.get("retry-after")?.parse().ok()?;
-        if !secs.is_finite() || secs < 0.0 {
-            return None;
-        }
-        Some(Duration::from_secs_f64(secs))
+        Duration::try_from_secs_f64(secs).ok()
     }
 
     /// Serialize onto a writer (adds `Content-Length`).
@@ -575,8 +573,11 @@ mod tests {
         let mut junk = Response::status(Status::Ok);
         junk.headers.insert("retry-after".into(), "soon".into());
         assert_eq!(junk.retry_after(), None);
-        junk.headers.insert("retry-after".into(), "-3".into());
-        assert_eq!(junk.retry_after(), None);
+        // Negative, or past the largest `Duration`.
+        for secs in ["-3", "1e30", "1.8446744073709552e19"] {
+            junk.headers.insert("retry-after".into(), secs.into());
+            assert_eq!(junk.retry_after(), None, "{secs}");
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! # marketscope-net
 //!
 //! The networking substrate: a deliberately small HTTP/1.1 subset over
-//! nonblocking `std::net::TcpStream`s, plus a token-bucket rate
-//! limiter.
+//! nonblocking `std::net::TcpStream`s.
 //!
 //! The paper's crawl is loopback-scale for us (simulated market servers on
 //! `127.0.0.1`), but fleet monitoring at market scale is bounded by how
@@ -36,9 +35,8 @@
 //!
 //! Every component is instrumented with `marketscope-telemetry`: servers
 //! count requests per status and time handlers ([`ServerMetrics`]),
-//! clients record request latency, retries and errors by kind
-//! ([`ClientMetrics`]), and token buckets count grants, rejections and
-//! caller waits ([`RateLimitMetrics`]). Recording is lock-free; attaching
+//! and clients record request latency, retries and errors by kind
+//! ([`ClientMetrics`]). Recording is lock-free; attaching
 //! instruments to a shared [`Registry`](marketscope_telemetry::Registry)
 //! makes them scrapeable.
 
@@ -52,7 +50,6 @@ pub mod error;
 pub mod fault;
 pub mod http;
 pub mod mux;
-pub mod ratelimit;
 pub mod reactor;
 pub mod resilience;
 pub mod server;
@@ -62,7 +59,6 @@ pub use error::NetError;
 pub use fault::{FaultAction, FaultInjector, FaultMetrics, FaultPlan};
 pub use http::{Method, Request, Response, Status};
 pub use mux::{CompletionQueue, Ticket};
-pub use ratelimit::{RateLimitMetrics, TokenBucket};
 pub use reactor::{ReactorConfig, Transport};
 pub use resilience::{
     BreakerConfig, BreakerSet, BreakerState, CircuitBreaker, ResilienceMetrics, RetryPolicy,

@@ -105,27 +105,17 @@ impl CompletionQueue {
         self.posted.notify_one();
     }
 
-    /// Take the oldest posted tag, waiting for one until `deadline`
-    /// (forever when `None`). `None` means the deadline passed first.
-    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<u64> {
+    /// Take the oldest posted tag, waiting for one as long as it takes.
+    pub fn wait(&self) -> u64 {
         let mut tags = self.lock();
         loop {
             if let Some(tag) = tags.pop_front() {
-                return Some(tag);
+                return tag;
             }
-            tags = match deadline {
-                None => self
-                    .posted
-                    .wait(tags)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-                Some(at) => {
-                    let left = at.checked_duration_since(Instant::now())?;
-                    self.posted
-                        .wait_timeout(tags, left)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .0
-                }
-            };
+            tags = self
+                .posted
+                .wait(tags)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 

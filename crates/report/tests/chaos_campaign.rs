@@ -1,15 +1,8 @@
 //! Acceptance: a full campaign under seeded heavy chaos completes,
 //! replays bit-identically for the same seed, and the ops summary
-//! reports the degradation the fault plans actually caused.
-//!
-//! Google Play's dataset is compared at the metadata level only: its
-//! APK bucket is wall-clock driven, so *which* of its fetches go direct
-//! versus backfill varies run to run (the bytes are identical either
-//! way, but the offline repository's partial coverage makes digest
-//! *presence* timing-dependent). Every chaos-targeted Chinese market
-//! must replay exactly, digests included.
+//! reports the degradation the fault plans actually caused. Every
+//! market replays exactly, digests included.
 
-use marketscope_core::MarketId;
 use marketscope_ecosystem::Scale;
 use marketscope_market::ChaosProfile;
 use marketscope_report::{run_campaign, Campaign, CampaignConfig};
@@ -60,13 +53,9 @@ fn heavy_chaos_campaign_completes_and_replays_bit_identically() {
             "{}: catalog size diverged between replays",
             ma.market
         );
-        let compare_digests = ma.market != MarketId::GooglePlay;
         for (la, lb) in ma.listings.iter().zip(&mb.listings) {
             assert_eq!(la.package, lb.package, "{}", ma.market);
             assert_eq!(la.version_code, lb.version_code, "{}", ma.market);
-            if !compare_digests {
-                continue;
-            }
             match (&la.digest, &lb.digest) {
                 (Some(da), Some(db)) => {
                     assert_eq!(

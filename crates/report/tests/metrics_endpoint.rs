@@ -44,7 +44,6 @@ fn crawl_metrics_scrape_is_self_consistent() {
 
     let crawler = Crawler::new(CrawlConfig {
         seeds,
-        per_market_cap: 5,
         ..CrawlConfig::default()
     });
     let snapshot = crawler.crawl(&targets);

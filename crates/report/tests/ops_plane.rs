@@ -262,7 +262,6 @@ const INSTRUMENTS: &[(&str, Reader)] = &[
         "marketscope_net_ratelimit_rejections_total",
         Reader::ExpositionOnly,
     ),
-    ("marketscope_net_ratelimit_wait_nanos", Reader::Progress),
     ("marketscope_net_requests_total", Reader::OpsReport),
     ("marketscope_net_responses_total", Reader::OpsReport),
     ("marketscope_process_rss_bytes", Reader::ExpositionOnly),
