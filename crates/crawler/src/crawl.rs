@@ -9,9 +9,11 @@
 //! the shared mux client, registered with one [`CompletionQueue`]: the
 //! loop waits on the queue, settles whichever ticket finished, and lets
 //! that market submit what comes next. A market's requests ride its own
-//! ordering lane, so its server sees exactly the sequence a blocking
-//! per-market loop sends; seeded fault windows, breaker and quarantine
-//! decisions and the dataset replay.
+//! ordering lane: one connection with up to four requests written ahead,
+//! whose answers apply in submission order. Its server sees the sequence
+//! a blocking per-market loop sends (retried 5xx answers aside, which are
+//! keyed per path), so seeded faults, breaker and quarantine decisions
+//! and the dataset replay.
 //!
 //! The loop never waits on a timer: it blocks on the queue until a
 //! ticket or a digest finishes. Retry backoff is the client's to time.
@@ -132,9 +134,9 @@ impl Default for CrawlConfig {
 const REPOSITORY_LANE: u64 = 1 << 32;
 
 /// `/related/{pkg}` expansions a BFS keeps submitted at once. The lane
-/// still sends them one at a time, so the window only hides the round
-/// trip between one answer and the next request; 64 already does, and it
-/// bounds the answers held for in-order application.
+/// writes up to `LANE_DEPTH` of them ahead on its connection and the
+/// window keeps that pipeline fed; 64 already does, and it bounds the
+/// answers held for in-order application.
 const BFS_WINDOW: usize = 64;
 
 /// Bodies the digest stage may queue per worker before the loop blocks.

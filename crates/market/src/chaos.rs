@@ -176,6 +176,25 @@ mod tests {
         assert_eq!(h.downtime_every, l.downtime_every);
     }
 
+    /// Downtime windows are the one fault keyed on a market's arrival
+    /// order, and a retried status fault is the one thing that lets a
+    /// pipelined lane reorder arrivals: the requests written behind the
+    /// failed one reach the server before its retry. A market with both
+    /// would see its outcomes depend on the lane depth.
+    #[test]
+    fn no_market_pairs_downtime_windows_with_status_faults() {
+        for profile in [ChaosProfile::light(7), ChaosProfile::heavy(7)] {
+            for m in MarketId::ALL {
+                let plan = profile.plan_for(m);
+                let downtime = plan.downtime_every > 0 && plan.downtime_len > 0;
+                assert!(
+                    !(downtime && plan.error_5xx > 0.0),
+                    "{m} pairs downtime windows with 5xx faults"
+                );
+            }
+        }
+    }
+
     #[test]
     fn market_streams_are_independent_but_replayable() {
         let a = ChaosProfile::light(42);

@@ -224,10 +224,11 @@ pub struct FetchSpec {
     /// [`trace::current()`] for "as if called on this thread", or a
     /// pre-opened per-item span's context for batch fan-out.
     pub parent: Option<SpanContext>,
-    /// Ordering lane: submissions sharing a lane key run one at a time
-    /// in submission order (a per-market batch reaches that market's
-    /// server in exactly the sequence a blocking loop would produce).
-    /// `None` imposes no ordering.
+    /// Ordering lane: submissions to one server sharing a lane key share
+    /// one connection, up to [`LANE_DEPTH`](crate::mux::LANE_DEPTH)
+    /// written ahead in submission order, and their answers apply in that
+    /// order (a per-market batch reaches its server in the sequence a
+    /// blocking loop sends). `None` is a lane of its own.
     pub lane: Option<u64>,
 }
 
@@ -243,7 +244,7 @@ impl FetchSpec {
         }
     }
 
-    /// Serialize this fetch behind every other fetch sharing `lane`.
+    /// Order this fetch behind every other fetch sharing `lane`.
     pub fn lane(mut self, lane: u64) -> FetchSpec {
         self.lane = Some(lane);
         self

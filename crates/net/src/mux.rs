@@ -5,30 +5,29 @@
 //! Every client call is a submission here: callers enqueue a GET
 //! ([`HttpClient::submit_get`](crate::client::HttpClient::submit_get))
 //! and later block on its [`Ticket`], while a single driver thread owns
-//! every connection as a nonblocking state machine (`Connecting →
-//! Sending → Receiving`, keep-alive reuse through a per-host pool) in a
-//! loop body over the loop core the server shards use (`reactor::io`).
-//! A caller blocked in `wait` costs a parked ticket, not a socket-bound
-//! thread.
+//! every connection in a loop body over the loop core the server shards
+//! use (`reactor::io`). A caller blocked in `wait` costs a parked
+//! ticket, not a socket-bound thread.
 //!
 //! A caller with many tickets out registers each with a shared
 //! [`CompletionQueue`] ([`Ticket::notify`]) and waits on the queue, which
 //! hands back the caller's tag of whichever ticket completes next.
 //!
 //! Every submission runs one policy inside the driver: circuit-breaker
-//! admission at (re)activation, transparent retries of transient
+//! admission at each write, transparent retries of transient
 //! connection-level failures, the status/decode seam, retry backoff as
 //! *timed resubmission* (the submission parks on a timer instead of a
 //! thread sleeping), and terminal breaker accounting. `get`/`get_json`,
 //! the ticket-level `submit_get`/`submit_get_json` and the crawler's
 //! completion loop all ride it.
 //!
-//! Ordering: a submission may carry a *lane* key. The driver runs at
-//! most one submission per lane at a time, FIFO — so a per-market batch
-//! reaches that market's server in exactly the order a sequential loop
-//! would have produced, which keeps seeded fault windows (driven by
-//! per-server request indices) bit-identical while concurrency comes
-//! from *across* lanes.
+//! Ordering: submissions to one server sharing a *lane* key form one
+//! lane, and an unlaned submission is a lane of its own. A lane is one
+//! keep-alive connection with up to [`LANE_DEPTH`] requests written
+//! ahead in submission order, and its outcomes apply strictly in that
+//! order. A per-market batch reaches its server in the order a
+//! sequential loop sends, so seeded faults replay, without a round trip
+//! per request.
 
 use crate::client::{ClientConfig, ClientMetrics, FetchSpec};
 use crate::error::NetError;
@@ -237,49 +236,66 @@ impl Submission {
     }
 }
 
-/// A submission waiting for a driver slot, carrying its resilient-retry
-/// progress (zero for fresh submissions, advanced for unparked ones).
-struct PendingItem {
+/// How many requests one lane keeps written ahead on its keep-alive
+/// connection: nearly all of pipelining's gain on loopback (EXPERIMENTS,
+/// "Pipelined lanes"), and below the default breaker's
+/// `failure_threshold` of 5. A lane never has more requests written and
+/// unsettled than its host's closed breaker can fail before opening, and
+/// one while it is not closed.
+pub const LANE_DEPTH: usize = 4;
+
+/// One submission from enqueue to completion.
+struct Item {
     sub: Submission,
-    cycles: u32,
-    slept: Duration,
-    /// Whether this item already holds its lane (an unparked retry or a
-    /// lane-queue promotion) and must not be re-gated on it.
-    owns_lane: bool,
-}
-
-/// Per-connection nonblocking state machine.
-enum CState {
-    /// `connect(2)` returned `EINPROGRESS`; waiting for `POLLOUT`.
-    /// Carries the serialized request to send once established.
-    Connecting { buf: Vec<u8> },
-    /// Writing the serialized request.
-    Sending { buf: Vec<u8>, off: usize },
-    /// Accumulating response bytes until `Response::parse_partial`
-    /// yields a full message.
-    Receiving { buf: Vec<u8> },
-}
-
-struct Conn {
-    stream: TcpStream,
-    state: CState,
-    deadline: Instant,
-}
-
-/// A submission actively on the wire.
-struct Active {
-    sub: Submission,
-    /// Transparent connect-level attempt counter, bounded by
-    /// `ClientConfig::retries`.
+    /// Submission order within the lane.
+    seq: u64,
+    /// Transparent attempt counter, bounded by `ClientConfig::retries`.
     attempt: u32,
-    /// Resilient-retry cycle counter.
+    /// Resilient-retry cycle counter, and the backoff already paid.
     cycles: u32,
-    /// Cumulative backoff already paid.
     slept: Duration,
+    /// Whether the breaker admitted the current write; a request put back
+    /// behind a dead connection is admitted again.
+    admitted: bool,
     /// Wire-cycle start, for the request-latency histogram.
     started: Instant,
     request_span: TraceSpan,
     attempt_span: TraceSpan,
+    /// The current attempt, serialized; empty until a cycle opens.
+    bytes: Vec<u8>,
+}
+
+/// One ordering lane: the submissions to one server sharing a lane key,
+/// or one unlaned submission. They share one connection and settle in
+/// `seq` order.
+#[derive(Default)]
+struct Lane {
+    key: Option<(u64, SocketAddr)>,
+    /// Not yet written (or put back), in `seq` order.
+    queue: VecDeque<Item>,
+    conn: Option<Conn>,
+    /// Written on `conn` and unanswered, oldest first.
+    wire: VecDeque<Item>,
+    /// Wire outcomes waiting on an earlier request's settlement.
+    held: Vec<(Item, Result<Response, NetError>)>,
+    /// `seq` of the oldest unsettled submission, and of the next one.
+    front: u64,
+    next_seq: u64,
+    /// The front, waiting out a retry backoff until the instant beside it.
+    parked: Option<(Instant, Item)>,
+}
+
+/// A lane's connection.
+struct Conn {
+    stream: TcpStream,
+    addr: SocketAddr,
+    /// `connect(2)` returned `EINPROGRESS`; waiting for `POLLOUT`.
+    connecting: bool,
+    /// Written requests, flushed up to `off`, and unparsed answer bytes.
+    out: Vec<u8>,
+    off: usize,
+    inbuf: Vec<u8>,
+    deadline: Instant,
 }
 
 /// State shared between a client and its driver thread.
@@ -296,23 +312,57 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
 }
 
+impl Shared {
+    /// How many requests a lane to `addr` may keep on the wire.
+    fn depth(&self, addr: SocketAddr) -> usize {
+        self.breakers.as_ref().map_or(LANE_DEPTH, |b| {
+            let left = b.for_host(addr).failures_left();
+            left.map_or(1, |left| (left as usize).clamp(1, LANE_DEPTH))
+        })
+    }
+
+    /// Take a live idle connection for `addr`, discarding stale ones: an
+    /// idle pooled socket must be silent (a zero-timeout readable poll
+    /// means the server closed or corrupted it while pooled).
+    fn take_pooled(&self, addr: SocketAddr) -> Option<TcpStream> {
+        let mut pool = self.pool.lock();
+        let conns = pool.get_mut(&addr)?;
+        while let Some(stream) = conns.pop() {
+            let probe = sys::poll_one(stream.as_raw_fd(), sys::POLLIN, Some(Duration::ZERO));
+            if matches!(probe, Ok(0)) {
+                return Some(stream);
+            }
+        }
+        None
+    }
+
+    fn return_pooled(&self, conn: Conn) {
+        let mut pool = self.pool.lock();
+        let conns = pool.entry(conn.addr).or_default();
+        if conns.len() < self.config.pool_per_host {
+            conns.push(conn.stream);
+        }
+    }
+}
+
+/// Put `item` back among its lane's unwritten requests, in `seq` order.
+fn requeue(lane: &mut Lane, item: Item) {
+    let at = lane.queue.partition_point(|queued| queued.seq < item.seq);
+    lane.queue.insert(at, item);
+}
+
 /// The driver thread and the inbox it turns on.
 pub(crate) type DriverHandle = (JoinHandle<()>, Arc<Inbox<Submission>>);
 
-/// The driver: owns every connection and runs the readiness loop.
+/// The driver: owns every lane and connection and runs the readiness
+/// loop. A lane holds a connection only while it has requests on it.
 pub(crate) struct Driver {
     shared: Arc<Shared>,
     /// Armed with every connection deadline and backoff end as it starts.
     poller: Poller,
-    pending: VecDeque<PendingItem>,
-    /// The submissions queued behind each lane's holder; a lane's key is
-    /// present while a submission holds it.
-    lanes: HashMap<u64, VecDeque<PendingItem>>,
-    /// Wire-active submissions, each with the connection it is on.
-    active: Slab<(Active, Conn)>,
-    /// Submissions waiting out a retry backoff until the instant beside
-    /// them, on the poller instead of a sleeping thread.
-    parked: Slab<(Instant, PendingItem)>,
+    lanes: Slab<Lane>,
+    /// The live lane of each lane key and server.
+    keys: HashMap<(u64, SocketAddr), u64>,
 }
 
 impl Driver {
@@ -326,10 +376,8 @@ impl Driver {
                 Driver {
                     shared,
                     poller: Poller::new(),
-                    pending: VecDeque::new(),
-                    lanes: HashMap::new(),
-                    active: Slab::new(),
-                    parked: Slab::new(),
+                    lanes: Slab::new(),
+                    keys: HashMap::new(),
                 }
                 .run(&theirs)
             })?;
@@ -337,13 +385,17 @@ impl Driver {
     }
 
     fn run(mut self, inbox: &Inbox<Submission>) {
+        let mut touched = Vec::new();
         loop {
-            for (tok, (_, conn)) in self.active.iter() {
-                let events = match conn.state {
-                    CState::Connecting { .. } | CState::Sending { .. } => sys::POLLOUT,
-                    CState::Receiving { .. } => sys::POLLIN,
-                };
-                self.poller.watch(conn.stream.as_raw_fd(), events, tok);
+            for (tok, lane) in self.lanes.iter() {
+                if let Some(conn) = &lane.conn {
+                    let events = match (conn.connecting, conn.off < conn.out.len()) {
+                        (true, _) => sys::POLLOUT,
+                        (false, true) => sys::POLLIN | sys::POLLOUT,
+                        (false, false) => sys::POLLIN,
+                    };
+                    self.poller.watch(conn.stream.as_raw_fd(), events, tok);
+                }
             }
             let due = self.poller.turn(inbox);
             if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -351,94 +403,146 @@ impl Driver {
                 return;
             }
             while let Some((tok, _)) = self.poller.ready() {
-                if let Some((act, conn)) = self.active.remove(tok) {
-                    self.drive(act, conn);
-                }
+                self.drive(tok);
             }
             for sub in inbox.take() {
-                self.enqueue(PendingItem {
-                    sub,
-                    cycles: 0,
-                    slept: Duration::ZERO,
-                    owns_lane: false,
-                });
+                touched.push(self.enqueue(sub));
             }
             if due {
                 self.sweep();
             }
-            self.admit();
+            touched.dedup();
+            for tok in touched.drain(..) {
+                self.pump(tok);
+            }
         }
     }
 
-    /// Once the armed bound has passed: fail the attempts whose deadline
-    /// has passed (connect-phase timeouts end the cycle, I/O timeouts are
-    /// transient), and send ended backoffs back to admission (where the
-    /// breaker gets its per-cycle say).
+    /// Once the armed bound has passed: kill the connections whose
+    /// deadline has passed, and send ended backoffs back to their lane's
+    /// queue (where the breaker gets its per-cycle say).
     fn sweep(&mut self) {
-        for tok in self.poller.expired(&self.active, |(_, c)| Some(c.deadline)) {
-            if let Some((act, conn)) = self.active.remove(tok) {
-                let connect_phase = matches!(conn.state, CState::Connecting { .. });
+        let now = self.poller.now();
+        let next = |lane: &Lane| {
+            let conn = lane.conn.as_ref().map(|c| c.deadline);
+            conn.into_iter()
+                .chain(lane.parked.as_ref().map(|p| p.0))
+                .min()
+        };
+        for tok in self.poller.expired(&self.lanes, next) {
+            let Some(lane) = self.lanes.get_mut(tok) else {
+                continue;
+            };
+            if lane.parked.as_ref().is_some_and(|(until, _)| *until <= now) {
+                if let Some((_, item)) = lane.parked.take() {
+                    requeue(lane, item);
+                }
+            }
+            if lane.conn.as_ref().is_some_and(|c| c.deadline <= now) {
                 let e = io::Error::new(io::ErrorKind::TimedOut, "mux i/o deadline elapsed");
-                self.fail_attempt(act, NetError::Io(e), connect_phase);
+                self.kill(tok, NetError::Io(e));
             }
-        }
-        for tok in self.poller.expired(&self.parked, |(until, _)| Some(*until)) {
-            if let Some((_, item)) = self.parked.remove(tok) {
-                self.pending.push_back(item);
-            }
+            self.pump(tok);
         }
     }
 
-    fn enqueue(&mut self, mut item: PendingItem) {
-        if let (Some(lane_key), false) = (item.sub.lane, item.owns_lane) {
-            if let Some(queue) = self.lanes.get_mut(&lane_key) {
-                queue.push_back(item);
+    /// Queue `sub` on its lane, opening one if needed; returns the lane.
+    fn enqueue(&mut self, sub: Submission) -> u64 {
+        let key = sub.lane.map(|lane| (lane, sub.addr));
+        let known = key.and_then(|key| self.keys.get(&key).copied());
+        let tok = known.unwrap_or_else(|| {
+            let tok = self.lanes.insert(Lane {
+                key,
+                ..Lane::default()
+            });
+            if let Some(key) = key {
+                self.keys.insert(key, tok);
+            }
+            tok
+        });
+        if let Some(lane) = self.lanes.get_mut(tok) {
+            lane.queue.push_back(Item {
+                sub,
+                seq: lane.next_seq,
+                attempt: 0,
+                cycles: 0,
+                slept: Duration::ZERO,
+                admitted: false,
+                started: self.poller.now(),
+                request_span: TraceSpan::noop(),
+                attempt_span: TraceSpan::noop(),
+                bytes: Vec::new(),
+            });
+            lane.next_seq += 1;
+        }
+        tok
+    }
+
+    /// A lane's one step after anything happens to it: write ahead what
+    /// it may, flush, and pool or forget what it no longer needs. The
+    /// driver holds no cap beyond the lane depth: callers bound what they
+    /// put in flight (the crawler's BFS window and harvest).
+    fn pump(&mut self, tok: u64) {
+        loop {
+            self.write_ahead(tok);
+            if self.flush(tok) {
+                break;
+            }
+        }
+        self.tidy(tok);
+    }
+
+    /// Write queued requests onto the lane's connection while its front
+    /// is not parked and its written, unsettled requests (on the wire or
+    /// held) stay under its depth, each past breaker admission. Only the
+    /// lane's front can be refused: a breaker that is not closed allows
+    /// one such request.
+    fn write_ahead(&mut self, tok: u64) {
+        loop {
+            let Some(lane) = self.lanes.get_mut(tok) else {
+                return;
+            };
+            let Some(addr) = lane.queue.front().map(|item| item.sub.addr) else {
+                return;
+            };
+            let unsettled = lane.wire.len() + lane.held.len();
+            if lane.parked.is_some() || unsettled >= self.shared.depth(addr) {
                 return;
             }
-            self.lanes.insert(lane_key, VecDeque::new());
-            item.owns_lane = true;
-        }
-        self.pending.push_back(item);
-    }
-
-    /// Release `lane_key` and promote the next queued submission, which
-    /// inherits the lane without re-gating.
-    fn release_lane(&mut self, lane_key: u64) {
-        match self.lanes.get_mut(&lane_key).and_then(VecDeque::pop_front) {
-            Some(mut next) => {
-                next.owns_lane = true;
-                self.pending.push_back(next);
+            let Some(mut item) = lane.queue.pop_front() else {
+                return;
+            };
+            if !item.admitted {
+                let breaker = self.shared.breakers.as_ref();
+                if !breaker.map_or(true, |b| b.for_host(addr).admit()) {
+                    let err = NetError::CircuitOpen;
+                    self.shared.metrics.note_error(&err);
+                    self.complete(tok, item.sub, Err(err));
+                    self.apply_held(tok);
+                    continue;
+                }
+                item.admitted = true;
             }
-            None => {
-                self.lanes.remove(&lane_key);
+            if item.bytes.is_empty() {
+                self.open_cycle(&mut item);
+            }
+            if let Err(e) = self.attach(tok, addr) {
+                self.fail_attempt(tok, item, e, true);
+                continue;
+            }
+            if let Some(lane) = self.lanes.get_mut(tok) {
+                if let Some(conn) = lane.conn.as_mut() {
+                    conn.out.extend_from_slice(&item.bytes);
+                }
+                lane.wire.push_back(item);
             }
         }
     }
 
-    /// Start every pending submission. The driver holds no cap of its
-    /// own: callers bound what they put in flight (the crawler's lanes
-    /// and harvest window), and lanes already serialize what must not
-    /// overlap.
-    fn admit(&mut self) {
-        while let Some(item) = self.pending.pop_front() {
-            self.admit_one(item);
-        }
-    }
-
-    fn admit_one(&mut self, item: PendingItem) {
-        let admitted = self
-            .shared
-            .breakers
-            .as_ref()
-            .map_or(true, |b| b.for_host(item.sub.addr).admit());
-        if !admitted {
-            let err = NetError::CircuitOpen;
-            self.shared.metrics.note_error(&err);
-            self.complete_sub(item.sub, Err(err));
-            return;
-        }
-        // Span text is built only under a sampled parent.
-        let request_span = match item.sub.parent {
+    /// A fresh wire cycle: its request span (text built only under a
+    /// sampled parent), its clock, and its first attempt.
+    fn open_cycle(&self, item: &mut Item) {
+        item.request_span = match item.sub.parent {
             Some(parent) => self.shared.tracer.child_of(
                 Some(parent),
                 "client",
@@ -446,194 +550,222 @@ impl Driver {
             ),
             None => TraceSpan::noop(),
         };
-        self.start_attempt(Active {
-            sub: item.sub,
-            attempt: 0,
-            cycles: item.cycles,
-            slept: item.slept,
-            started: Instant::now(),
-            request_span,
-            attempt_span: TraceSpan::noop(),
-        });
+        item.started = Instant::now();
+        self.open_attempt(item);
     }
 
-    /// Put `act` on the wire under a fresh attempt; a connect-phase
-    /// failure ends its cycle (connect errors burn no transparent
-    /// retries).
-    fn start_attempt(&mut self, mut act: Active) {
-        match self.connect(&mut act) {
-            Ok(conn) => {
-                self.active.insert((act, conn));
-            }
-            Err(e) => self.fail_attempt(act, e, true),
-        }
-    }
-
-    /// Open the attempt span, serialize the request with this attempt's
-    /// trace context, and acquire a connection (pooled first, else a
-    /// nonblocking connect).
-    fn connect(&mut self, act: &mut Active) -> Result<Conn, NetError> {
-        let attempt_span = match act.request_span.context() {
+    /// Open the attempt span and serialize the request with this
+    /// attempt's trace context.
+    fn open_attempt(&self, item: &mut Item) {
+        let attempt_span = match item.request_span.context() {
             Some(request) => self.shared.tracer.child_of(
                 Some(request),
                 "client",
-                &format!("attempt#{}", act.attempt),
+                &format!("attempt#{}", item.attempt),
             ),
             None => TraceSpan::noop(),
         };
-        if act.attempt > 0 {
+        if item.attempt > 0 {
             attempt_span.event("retry");
         }
-        act.attempt_span = attempt_span;
-        let wire_req = match act.attempt_span.context() {
-            Some(ctx) => act.sub.req.with_trace_context(ctx),
-            None => act.sub.req.clone(),
+        item.attempt_span = attempt_span;
+        let wire_req = match item.attempt_span.context() {
+            Some(ctx) => item.sub.req.with_trace_context(ctx),
+            None => item.sub.req.clone(),
         };
-        let mut buf = Vec::new();
-        wire_req.write_to(&mut buf)?;
-        let (stream, connecting) = match self.take_pooled(act.sub.addr) {
+        item.bytes.clear();
+        // Writing to a Vec cannot fail.
+        let _ = wire_req.write_to(&mut item.bytes);
+    }
+
+    /// Give the lane a connection to `addr` if it has none: a pooled one
+    /// first, else a nonblocking connect.
+    fn attach(&mut self, tok: u64, addr: SocketAddr) -> Result<(), NetError> {
+        let Some(lane) = self.lanes.get_mut(tok).filter(|lane| lane.conn.is_none()) else {
+            return Ok(());
+        };
+        let (stream, connecting) = match self.shared.take_pooled(addr) {
             Some(stream) => (stream, false),
             None => {
-                let (stream, established) = sys::connect_nonblocking(&act.sub.addr)?;
+                let (stream, established) = sys::connect_nonblocking(&addr)?;
                 stream.set_nodelay(true)?;
                 (stream, !established)
             }
         };
-        let (state, timeout) = if connecting {
-            (
-                CState::Connecting { buf },
-                self.shared.config.connect_timeout,
-            )
+        let config = &self.shared.config;
+        let timeout = if connecting {
+            config.connect_timeout
         } else {
-            (
-                CState::Sending { buf, off: 0 },
-                self.shared.config.io_timeout,
-            )
+            config.io_timeout
         };
         let deadline = self.poller.now() + timeout;
         self.poller.arm(deadline);
-        Ok(Conn {
+        lane.conn = Some(Conn {
             stream,
-            state,
+            addr,
+            connecting,
+            out: Vec::new(),
+            off: 0,
+            inbuf: Vec::new(),
             deadline,
-        })
+        });
+        Ok(())
     }
 
-    /// Take a live idle connection for `addr`, discarding stale ones: an
-    /// idle pooled socket must be silent (a zero-timeout readable poll
-    /// means the server closed or corrupted it while pooled).
-    fn take_pooled(&mut self, addr: SocketAddr) -> Option<TcpStream> {
-        let mut pool = self.shared.pool.lock();
-        let conns = pool.get_mut(&addr)?;
-        while let Some(stream) = conns.pop() {
-            let probe = sys::poll_one(stream.as_raw_fd(), sys::POLLIN, Some(Duration::ZERO));
-            if matches!(probe, Ok(0)) {
-                return Some(stream);
+    /// Push the lane's unflushed requests; `false` when that killed its
+    /// connection. Progress moves the deadline later, past the armed bound.
+    fn flush(&mut self, tok: u64) -> bool {
+        let io_deadline = self.poller.now() + self.shared.config.io_timeout;
+        let Some(conn) = self.lanes.get_mut(tok).and_then(|lane| lane.conn.as_mut()) else {
+            return true;
+        };
+        if conn.connecting || conn.off == conn.out.len() {
+            return true;
+        }
+        let before = conn.off;
+        match write_pending(&conn.stream, &conn.out, &mut conn.off) {
+            Ok(flushed) => {
+                if conn.off > before {
+                    conn.deadline = io_deadline;
+                }
+                if flushed {
+                    conn.out.clear();
+                    conn.off = 0;
+                }
+                true
+            }
+            Err(e) => {
+                self.kill(tok, NetError::Io(e));
+                false
             }
         }
-        None
     }
 
-    fn return_pooled(&mut self, addr: SocketAddr, stream: TcpStream) {
-        let mut pool = self.shared.pool.lock();
-        let conns = pool.entry(addr).or_default();
-        if conns.len() < self.shared.config.pool_per_host {
-            conns.push(stream);
-        }
-    }
-
-    /// Advance one ready connection's state machine. Progress moves its
-    /// I/O deadline later, past the armed bound: only the end of a
-    /// connect, whose deadline may move earlier, arms again.
-    fn drive(&mut self, act: Active, mut conn: Conn) {
+    /// Advance one ready lane connection: finish its connect (whose
+    /// deadline may move earlier, so it arms again), or flush and read.
+    fn drive(&mut self, tok: u64) {
         let io_deadline = self.poller.now() + self.shared.config.io_timeout;
-        match &mut conn.state {
-            CState::Connecting { buf } => match sys::take_socket_error(conn.stream.as_raw_fd()) {
+        let Some(conn) = self.lanes.get_mut(tok).and_then(|lane| lane.conn.as_mut()) else {
+            return;
+        };
+        if conn.connecting {
+            match sys::take_socket_error(conn.stream.as_raw_fd()) {
                 Ok(()) => {
-                    conn.state = CState::Sending {
-                        buf: std::mem::take(buf),
-                        off: 0,
-                    };
+                    conn.connecting = false;
                     conn.deadline = io_deadline;
                     self.poller.arm(io_deadline);
-                    self.active.insert((act, conn));
                 }
-                Err(e) => self.fail_attempt(act, NetError::Io(e), true),
-            },
-            CState::Sending { buf, off } => {
-                let before = *off;
-                match write_pending(&conn.stream, buf, off) {
-                    Ok(flushed) => {
-                        if flushed || *off > before {
-                            conn.deadline = io_deadline;
-                        }
-                        if flushed {
-                            conn.state = CState::Receiving { buf: Vec::new() };
-                        }
-                        self.active.insert((act, conn));
-                    }
-                    Err(e) => self.fail_attempt(act, NetError::Io(e), false),
-                }
+                Err(e) => self.kill(tok, NetError::Io(e)),
             }
-            CState::Receiving { buf } => {
-                let eof = match read_available(&conn.stream, buf) {
-                    Ok((n, eof)) => {
-                        if n > 0 {
-                            conn.deadline = io_deadline;
-                        }
-                        eof
-                    }
-                    Err(e) => {
-                        self.fail_attempt(act, NetError::Io(e), false);
-                        return;
-                    }
-                };
-                match Response::parse_partial(buf) {
-                    Ok(Some((resp, used))) => {
-                        // Pool *before* completing the ticket so a caller
-                        // observing `idle_connections` right after `wait`
-                        // returns sees the connection back. Bytes past the
-                        // response poison it: it is closed instead.
-                        if used == buf.len() {
-                            self.return_pooled(act.sub.addr, conn.stream);
-                        }
-                        self.finish_wire(act, Ok(resp));
-                    }
-                    Ok(None) if eof => self.fail_attempt(act, NetError::UnexpectedEof, false),
-                    Ok(None) => {
-                        self.active.insert((act, conn));
-                    }
-                    Err(e) => self.fail_attempt(act, e, false),
+        } else if self.flush(tok) {
+            self.read(tok, io_deadline);
+            // Pool an idle connection before the answers complete their
+            // tickets, so a caller reading `idle_connections` right after
+            // `wait` returns sees it back.
+            self.tidy(tok);
+            self.apply_held(tok);
+        }
+        self.pump(tok);
+    }
+
+    /// Read what arrived. Each complete response answers the oldest
+    /// written request, and the bytes after it belong to the next one.
+    fn read(&mut self, tok: u64, io_deadline: Instant) {
+        let Some(lane) = self.lanes.get_mut(tok) else {
+            return;
+        };
+        let Some(conn) = lane.conn.as_mut() else {
+            return;
+        };
+        let eof = match read_available(&conn.stream, &mut conn.inbuf) {
+            Ok((n, eof)) => {
+                if n > 0 {
+                    conn.deadline = io_deadline;
                 }
+                eof
+            }
+            Err(e) => return self.kill(tok, NetError::Io(e)),
+        };
+        while !lane.wire.is_empty() {
+            match Response::parse_partial(&conn.inbuf) {
+                Ok(Some((resp, used))) => {
+                    conn.inbuf.drain(..used);
+                    lane.held
+                        .extend(lane.wire.pop_front().map(|item| (item, Ok(resp))));
+                }
+                Ok(None) if eof => return self.kill(tok, NetError::UnexpectedEof),
+                Ok(None) => return,
+                Err(e) => return self.kill(tok, e),
             }
         }
+        // A closed peer, or bytes no request waits for: it is done.
+        if eof || !conn.inbuf.is_empty() {
+            lane.conn = None;
+        }
+    }
+
+    /// The lane's connection died under `err`. Only its oldest written
+    /// request is charged; the server decided none behind it, so those
+    /// go back to the queue as the same attempts.
+    fn kill(&mut self, tok: u64, err: NetError) {
+        let Some(lane) = self.lanes.get_mut(tok) else {
+            return;
+        };
+        let connect_phase = lane.conn.take().is_some_and(|c| c.connecting);
+        let mut wire = std::mem::take(&mut lane.wire).into_iter();
+        let Some(front) = wire.next() else {
+            return;
+        };
+        for mut item in wire {
+            item.admitted = false;
+            requeue(lane, item);
+        }
+        self.fail_attempt(tok, front, err, connect_phase);
     }
 
     /// One attempt failed. Transient wire failures burn a transparent
     /// retry on a fresh connection; connect-phase failures and terminal
     /// errors end the wire cycle.
-    fn fail_attempt(&mut self, mut act: Active, err: NetError, connect_phase: bool) {
+    fn fail_attempt(&mut self, tok: u64, mut item: Item, err: NetError, connect_phase: bool) {
         if !connect_phase {
-            act.attempt_span.event(&format!("failed:{}", err.kind()));
+            item.attempt_span.event(&format!("failed:{}", err.kind()));
         }
-        std::mem::replace(&mut act.attempt_span, TraceSpan::noop()).finish();
-        if !connect_phase && err.is_transient() && act.attempt < self.shared.config.retries {
-            act.attempt += 1;
+        std::mem::replace(&mut item.attempt_span, TraceSpan::noop()).finish();
+        let retry = !connect_phase && err.is_transient();
+        if retry && item.attempt < self.shared.config.retries {
+            item.attempt += 1;
             self.shared.metrics.note_transparent_retry();
-            self.start_attempt(act);
-            return;
+            self.open_attempt(&mut item);
+            if let Some(lane) = self.lanes.get_mut(tok) {
+                requeue(lane, item);
+            }
+        } else if let Some(lane) = self.lanes.get_mut(tok) {
+            lane.held.push((item, Err(err)));
+            self.apply_held(tok);
         }
-        self.finish_wire(act, Err(err));
     }
 
-    /// One wire cycle is over: close out spans and metrics, then run the
-    /// resilience policy.
-    fn finish_wire(&mut self, mut act: Active, wire: Result<Response, NetError>) {
-        std::mem::replace(&mut act.attempt_span, TraceSpan::noop()).finish();
-        if let Err(e) = &wire {
-            act.request_span.event(&format!("error:{}", e.kind()));
+    /// Settle the lane's held wire outcomes in `seq` order, for as long
+    /// as the front's is among them.
+    fn apply_held(&mut self, tok: u64) {
+        while let Some(lane) = self.lanes.get_mut(tok) {
+            let front = lane.front;
+            let Some(at) = lane.held.iter().position(|(item, _)| item.seq == front) else {
+                return;
+            };
+            let (item, wire) = lane.held.swap_remove(at);
+            self.finish_wire(tok, item, wire);
         }
-        self.shared.metrics.record_request(act.started.elapsed());
+    }
+
+    /// The front's wire cycle is over: close out spans and metrics, then
+    /// run the resilience policy.
+    fn finish_wire(&mut self, tok: u64, mut item: Item, wire: Result<Response, NetError>) {
+        std::mem::replace(&mut item.attempt_span, TraceSpan::noop()).finish();
+        if let Err(e) = &wire {
+            item.request_span.event(&format!("error:{}", e.kind()));
+        }
+        self.shared.metrics.record_request(item.started.elapsed());
         // The status/decode seam.
         let result = wire
             .and_then(|resp| {
@@ -646,19 +778,19 @@ impl Driver {
                     })
                 }
             })
-            .and_then(|resp| decode_response(resp, act.sub.decode));
+            .and_then(|resp| decode_response(resp, item.sub.decode));
         let breaker = self
             .shared
             .breakers
             .as_ref()
-            .map(|b| b.for_host(act.sub.addr));
+            .map(|b| b.for_host(item.sub.addr));
         let err = match result {
             Ok(payload) => {
-                std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
+                std::mem::replace(&mut item.request_span, TraceSpan::noop()).finish();
                 if let Some(b) = &breaker {
                     b.on_success();
                 }
-                self.complete_sub(act.sub, Ok(payload));
+                self.complete(tok, item.sub, Ok(payload));
                 return;
             }
             Err(e) => e,
@@ -670,29 +802,28 @@ impl Driver {
             .shared
             .retry
             .as_ref()
-            .and_then(|p| p.delay_for(&err, act.cycles, act.sub.key, act.slept));
+            .and_then(|p| p.delay_for(&err, item.cycles, item.sub.key, item.slept));
         match delay {
             Some(wait) => {
                 // Still trying: the breaker only hears about *terminal*
                 // outcomes.
-                act.request_span
+                item.request_span
                     .event(&format!("resilient-retry:{}", err.kind()));
-                std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
+                std::mem::replace(&mut item.request_span, TraceSpan::noop()).finish();
                 self.shared.resilience.note_retry(wait);
                 let until = self.poller.now() + wait;
                 self.poller.arm(until);
-                self.parked.insert((
-                    until,
-                    PendingItem {
-                        sub: act.sub,
-                        cycles: act.cycles + 1,
-                        slept: act.slept + wait,
-                        owns_lane: true,
-                    },
-                ));
+                item.cycles += 1;
+                item.slept += wait;
+                item.attempt = 0;
+                item.admitted = false;
+                item.bytes.clear();
+                if let Some(lane) = self.lanes.get_mut(tok) {
+                    lane.parked = Some((until, item));
+                }
             }
             None => {
-                std::mem::replace(&mut act.request_span, TraceSpan::noop()).finish();
+                std::mem::replace(&mut item.request_span, TraceSpan::noop()).finish();
                 if let Some(b) = &breaker {
                     // Only signs of host distress — dead connections and
                     // 5xx answers — push the circuit toward open. A 404 is
@@ -712,17 +843,36 @@ impl Driver {
                         b.on_success();
                     }
                 }
-                self.complete_sub(act.sub, Err(err));
+                self.complete(tok, item.sub, Err(err));
             }
         }
     }
 
-    /// Fill the ticket and release the submission's lane.
-    fn complete_sub(&mut self, sub: Submission, result: Result<Payload, NetError>) {
-        if let Some(lane_key) = sub.lane {
-            self.release_lane(lane_key);
+    /// Fill the ticket: the lane's next request becomes its front.
+    fn complete(&mut self, tok: u64, sub: Submission, result: Result<Payload, NetError>) {
+        if let Some(lane) = self.lanes.get_mut(tok) {
+            lane.front += 1;
         }
         sub.cell.complete(result);
+    }
+
+    /// Pool the connection of a lane with nothing on the wire and nothing
+    /// it may write; forget a lane with nothing left.
+    fn tidy(&mut self, tok: u64) {
+        let Some(lane) = self.lanes.get_mut(tok).filter(|lane| lane.wire.is_empty()) else {
+            return;
+        };
+        if lane.queue.is_empty() || lane.parked.is_some() {
+            if let Some(conn) = lane.conn.take() {
+                self.shared.return_pooled(conn);
+            }
+        }
+        if lane.queue.is_empty() && lane.held.is_empty() && lane.parked.is_none() {
+            if let Some(key) = lane.key {
+                self.keys.remove(&key);
+            }
+            self.lanes.remove(tok);
+        }
     }
 
     /// Shutdown: every outstanding ticket completes with an error so no
@@ -734,13 +884,18 @@ impl Driver {
                 "mux client shut down",
             ))
         };
-        let parked = self.parked.iter().map(|(_, (_, item))| item);
-        let queued = self.lanes.values().flatten();
-        for item in self.pending.iter().chain(parked).chain(queued) {
-            item.sub.fail(gone());
-        }
-        for (_, (act, _)) in self.active.iter() {
-            act.sub.fail(gone());
+        for (_, lane) in self.lanes.iter() {
+            let held = lane.held.iter().map(|(item, _)| item);
+            let parked = lane.parked.iter().map(|(_, item)| item);
+            for item in lane
+                .queue
+                .iter()
+                .chain(&lane.wire)
+                .chain(held)
+                .chain(parked)
+            {
+                item.sub.fail(gone());
+            }
         }
         for sub in inbox.take() {
             sub.fail(gone());

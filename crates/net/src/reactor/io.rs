@@ -46,10 +46,15 @@ impl<M> Inbox<M> {
         })
     }
 
-    /// Queue `msg` and end the loop's current or next turn.
+    /// Queue `msg` and end the loop's current or next turn. Only a post
+    /// to an empty inbox wakes: the loop drains the pipe before it takes,
+    /// so a later post is taken with the one whose wake is pending.
     pub(crate) fn post(&self, msg: M) {
-        self.msgs.lock().push(msg);
-        self.wake();
+        let mut msgs = self.msgs.lock();
+        msgs.push(msg);
+        if msgs.len() == 1 {
+            self.wake();
+        }
     }
 
     /// End the loop's current or next turn.
@@ -327,6 +332,26 @@ mod tests {
     }
 
     #[test]
+    fn only_a_post_to_an_empty_inbox_writes_a_wake() {
+        let inbox = Inbox::new().unwrap();
+        let pending = |inbox: &Inbox<u32>| {
+            let mut sink = [0u8; 64];
+            let mut n = 0;
+            while let Ok(got) = (&inbox.rx).read(&mut sink) {
+                n += got;
+            }
+            n
+        };
+        for i in 0..1000 {
+            inbox.post(i);
+        }
+        assert_eq!(pending(&inbox), 1, "a batch of posts wakes once");
+        assert_eq!(inbox.take().len(), 1000);
+        inbox.post(1000);
+        assert_eq!(pending(&inbox), 1, "a post after a take wakes again");
+    }
+
+    #[test]
     fn a_token_outlived_by_its_slot_reads_none() {
         let mut slab = Slab::new();
         let first = slab.insert("first");
@@ -353,8 +378,8 @@ mod tests {
         poller.arm(late);
         poller.arm(early);
         poller.arm(late);
-        // A post ends the turn before the deadline: not due.
-        inbox.post(());
+        // A wake ends the turn before the deadline: not due.
+        inbox.wake();
         assert!(!poller.turn(&inbox));
         assert!(poller.now() < early);
         // Nothing posted: the turn waits for the earliest deadline.
@@ -362,7 +387,7 @@ mod tests {
         assert!(poller.now() >= early, "due before the deadline");
         assert!(poller.now() < late, "waited for the latest deadline");
         // A due turn disarms.
-        inbox.post(());
+        inbox.wake();
         assert!(!poller.turn(&inbox));
     }
 

@@ -37,12 +37,15 @@
 //! ```text
 //!            adopt             parse_partial, decide
 //!   accept ────────▶ Reading ──(injected stall)──────────▶ Stalled
-//!                    ▲  │  │                                  │
-//!     residual bytes │  │  └──(handle → response)───┐         │ deadline:
-//!     re-parsed      │  │                           ▼         │ handle
-//!                    │  │ EOF / idle keep-alive / Writing ◀───┘
-//!                    │  ▼ reset / handler panic     │  │
-//!                    │ close ◀────(close_after)─────┘  │
+//!                    ▲ │ │ │                                  │
+//!     residual bytes │ │ │ └──(handle → response)───┐         │ deadline:
+//!     re-parsed      │ │ │                          ▼         │ handle
+//!                    │ │ │ reset / panic:         Writing ◀───┘
+//!                    │ │ ▼ hang up                  │  │
+//!                    │ │ Draining ◀─(close_after)───┘  │
+//!                    │ │  │ EOF / idle                 │
+//!                    │ ▼  ▼                            │
+//!                    │ close   (Reading: EOF / idle)   │
 //!                    └────────────(keep-alive)─────────┘
 //! ```
 //!
@@ -79,7 +82,7 @@ use io::{Inbox, Poller, Slab};
 use marketscope_telemetry::{LogLevel, TraceSpan};
 use parking_lot::Mutex;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -190,9 +193,13 @@ enum ConnState {
     Stalled { until: Instant, req: Box<Request> },
     /// Flushing a response; poll interest `POLLOUT`.
     Writing {
-        /// Close instead of re-entering keep-alive once flushed.
+        /// Hang up instead of re-entering keep-alive once flushed.
         close_after: bool,
     },
+    /// Hung up: the write side is shut, so the peer reads every queued
+    /// response and then EOF. Inbound bytes are discarded until the peer
+    /// closes or the keep-alive expires; poll interest `POLLIN`.
+    Draining,
 }
 
 /// One connection in a shard's slab.
@@ -226,7 +233,7 @@ impl ShardState {
         loop {
             for (tok, conn) in self.conns.iter() {
                 let interest = match conn.state {
-                    ConnState::Reading if !conn.eof => sys::POLLIN,
+                    ConnState::Reading | ConnState::Draining if !conn.eof => sys::POLLIN,
                     ConnState::Writing { .. } => sys::POLLOUT,
                     _ => continue,
                 };
@@ -248,7 +255,7 @@ impl ShardState {
             // stale token reads nothing.
             while let Some((tok, _)) = self.poller.ready() {
                 match self.conns.get_mut(tok).map(|c| &c.state) {
-                    Some(ConnState::Reading) => self.drive_read(tok),
+                    Some(ConnState::Reading | ConnState::Draining) => self.drive_read(tok),
                     Some(ConnState::Writing { .. }) => {
                         self.drive_write(tok);
                         self.advance_parse(tok);
@@ -273,7 +280,7 @@ impl ShardState {
         let keep_alive = self.shared.cfg.keep_alive;
         let expired = self.poller.expired(&self.conns, |conn| match conn.state {
             ConnState::Stalled { until, .. } => Some(until),
-            ConnState::Reading | ConnState::Writing { .. } => Some(conn.last_activity + keep_alive),
+            _ => Some(conn.last_activity + keep_alive),
         });
         for tok in expired {
             let Some(conn) = self.conns.get_mut(tok) else {
@@ -318,6 +325,19 @@ impl ShardState {
         }
     }
 
+    /// End a connection the server gives up on. Dropping a socket with
+    /// pipelined requests unread resets it, and a reset can discard the
+    /// answers still queued for the peer. So the write side shuts behind
+    /// them and the connection drains until the peer closes.
+    fn hang_up(&mut self, tok: u64) {
+        match self.conns.get_mut(tok) {
+            Some(conn) if !conn.eof && conn.stream.shutdown(Shutdown::Write).is_ok() => {
+                conn.state = ConnState::Draining;
+            }
+            _ => self.close(tok),
+        }
+    }
+
     /// Drop every connection of a retiring endpoint, whatever its state.
     fn close_all_of(&mut self, endpoint: &Arc<Endpoint>) {
         let toks: Vec<u64> = self
@@ -344,6 +364,13 @@ impl ShardState {
             Ok((_, eof)) => {
                 conn.eof |= eof;
                 conn.last_activity = now;
+                if matches!(conn.state, ConnState::Draining) {
+                    conn.buf.clear();
+                    if eof {
+                        self.close(tok);
+                    }
+                    return;
+                }
                 self.advance_parse(tok);
             }
             Err(_) => self.close(tok),
@@ -431,9 +458,8 @@ impl ShardState {
         match fault {
             // A stall is over by the time its request gets here.
             FaultAction::Serve | FaultAction::Truncate | FaultAction::Stall(_) => {}
-            // Slam the door without a byte: the client sees a reset or a
-            // mid-message EOF.
-            FaultAction::Reset => return self.close(tok),
+            // Hang up without a byte: the client sees a mid-message EOF.
+            FaultAction::Reset => return self.hang_up(tok),
             // Answer for the handler: the market is erroring, not slow.
             FaultAction::Error {
                 status,
@@ -473,7 +499,7 @@ impl ShardState {
             Err(_) => {
                 req_span.event("handler-panic");
                 req_span.finish();
-                return self.close(tok);
+                return self.hang_up(tok);
             }
         };
         // Count and time *after* the handler so a `/__metrics` scrape
@@ -490,7 +516,7 @@ impl ShardState {
             // unexpected EOF. An empty body can't be cut — drop the
             // connection instead (same observable failure).
             if resp.body.is_empty() {
-                self.close(tok);
+                self.hang_up(tok);
             } else {
                 let mut bytes = Vec::new();
                 let _ = resp.write_truncated_to(&mut bytes, resp.body.len() / 2);
@@ -539,7 +565,8 @@ impl ShardState {
                 conn.out_pos = 0;
                 conn.last_activity = now;
             }
-            Ok(true) | Err(_) => self.close(tok),
+            Ok(true) => self.hang_up(tok),
+            Err(_) => self.close(tok),
         }
     }
 }

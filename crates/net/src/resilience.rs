@@ -235,6 +235,16 @@ impl CircuitBreaker {
         }
     }
 
+    /// While closed, how many more terminal failures in a row open the
+    /// circuit; `None` while it is open or half-open.
+    pub(crate) fn failures_left(&self) -> Option<u32> {
+        let threshold = self.config.failure_threshold;
+        match *self.state.lock() {
+            State::Closed { failures } => Some(threshold.saturating_sub(failures)),
+            _ => None,
+        }
+    }
+
     /// Whether a request may proceed. `false` means fast-fail with
     /// [`NetError::CircuitOpen`] without touching the wire. Open
     /// circuits transition to half-open (admitting this request as the
