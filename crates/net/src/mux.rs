@@ -39,7 +39,7 @@ use marketscope_core::hash::fnv1a64;
 use marketscope_core::json::Json;
 use marketscope_telemetry::{SpanContext, TraceSpan, Tracer};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -239,9 +239,10 @@ impl Submission {
 /// How many requests one lane keeps written ahead on its keep-alive
 /// connection: nearly all of pipelining's gain on loopback (EXPERIMENTS,
 /// "Pipelined lanes"), and below the default breaker's
-/// `failure_threshold` of 5. A lane never has more requests written and
-/// unsettled than its host's closed breaker can fail before opening, and
-/// one while it is not closed.
+/// `failure_threshold` of 5. A lane writes a follower only while it has
+/// fewer requests written and unsettled than its host's closed breaker
+/// can fail before opening, and none while it is not closed; its front
+/// it may always write, as at depth 1.
 pub const LANE_DEPTH: usize = 4;
 
 /// One submission from enqueue to completion.
@@ -270,14 +271,13 @@ struct Item {
 /// `seq` order.
 #[derive(Default)]
 struct Lane {
-    key: Option<(u64, SocketAddr)>,
     /// Not yet written (or put back), in `seq` order.
     queue: VecDeque<Item>,
     conn: Option<Conn>,
     /// Written on `conn` and unanswered, oldest first.
     wire: VecDeque<Item>,
     /// Wire outcomes waiting on an earlier request's settlement.
-    held: Vec<(Item, Result<Response, NetError>)>,
+    held: BTreeMap<u64, (Item, Result<Response, NetError>)>,
     /// `seq` of the oldest unsettled submission, and of the next one.
     front: u64,
     next_seq: u64,
@@ -291,9 +291,8 @@ struct Conn {
     addr: SocketAddr,
     /// `connect(2)` returned `EINPROGRESS`; waiting for `POLLOUT`.
     connecting: bool,
-    /// Written requests, flushed up to `off`, and unparsed answer bytes.
+    /// Written requests not yet flushed, and unparsed answer bytes.
     out: Vec<u8>,
-    off: usize,
     inbuf: Vec<u8>,
     deadline: Instant,
 }
@@ -389,11 +388,9 @@ impl Driver {
         loop {
             for (tok, lane) in self.lanes.iter() {
                 if let Some(conn) = &lane.conn {
-                    let events = match (conn.connecting, conn.off < conn.out.len()) {
-                        (true, _) => sys::POLLOUT,
-                        (false, true) => sys::POLLIN | sys::POLLOUT,
-                        (false, false) => sys::POLLIN,
-                    };
+                    // A connect in progress or unflushed requests: `POLLOUT`.
+                    let writing = conn.connecting || !conn.out.is_empty();
+                    let events = sys::POLLIN | if writing { sys::POLLOUT } else { 0 };
                     self.poller.watch(conn.stream.as_raw_fd(), events, tok);
                 }
             }
@@ -425,9 +422,8 @@ impl Driver {
         let now = self.poller.now();
         let next = |lane: &Lane| {
             let conn = lane.conn.as_ref().map(|c| c.deadline);
-            conn.into_iter()
-                .chain(lane.parked.as_ref().map(|p| p.0))
-                .min()
+            let parked = lane.parked.as_ref().map(|p| p.0);
+            [conn, parked].into_iter().flatten().min()
         };
         for tok in self.poller.expired(&self.lanes, next) {
             let Some(lane) = self.lanes.get_mut(tok) else {
@@ -449,17 +445,13 @@ impl Driver {
     /// Queue `sub` on its lane, opening one if needed; returns the lane.
     fn enqueue(&mut self, sub: Submission) -> u64 {
         let key = sub.lane.map(|lane| (lane, sub.addr));
-        let known = key.and_then(|key| self.keys.get(&key).copied());
-        let tok = known.unwrap_or_else(|| {
-            let tok = self.lanes.insert(Lane {
-                key,
-                ..Lane::default()
-            });
-            if let Some(key) = key {
-                self.keys.insert(key, tok);
-            }
-            tok
-        });
+        let tok = match key.and_then(|key| self.keys.get(&key)) {
+            Some(&tok) => tok,
+            None => self.lanes.insert(Lane::default()),
+        };
+        if let Some(key) = key {
+            self.keys.insert(key, tok);
+        }
         if let Some(lane) = self.lanes.get_mut(tok) {
             lane.queue.push_back(Item {
                 sub,
@@ -478,11 +470,17 @@ impl Driver {
         tok
     }
 
-    /// A lane's one step after anything happens to it: write ahead what
-    /// it may, flush, and pool or forget what it no longer needs. The
-    /// driver holds no cap beyond the lane depth: callers bound what they
-    /// put in flight (the crawler's BFS window and harvest).
+    /// A lane's one step after anything happens to it: settle the held
+    /// answers it may, write ahead what it may, flush, and pool or forget
+    /// what it no longer needs. The driver holds no cap beyond the lane
+    /// depth: callers bound what they put in flight (the crawler's BFS
+    /// window and harvest).
     fn pump(&mut self, tok: u64) {
+        // Pool an idle connection before held answers complete their
+        // tickets, so a caller reading `idle_connections` right after
+        // `wait` returns sees it back.
+        self.tidy(tok);
+        self.apply_held(tok);
         loop {
             self.write_ahead(tok);
             if self.flush(tok) {
@@ -493,25 +491,21 @@ impl Driver {
     }
 
     /// Write queued requests onto the lane's connection while its front
-    /// is not parked and its written, unsettled requests (on the wire or
-    /// held) stay under its depth, each past breaker admission. Only the
-    /// lane's front can be refused: a breaker that is not closed allows
+    /// is not parked, each past breaker admission. The front itself may
+    /// always go, as at depth 1; a follower only while the lane's written,
+    /// unsettled requests (on the wire or held) stay under its depth.
+    /// Only the front can be refused: a breaker that is not closed allows
     /// one such request.
     fn write_ahead(&mut self, tok: u64) {
-        loop {
-            let Some(lane) = self.lanes.get_mut(tok) else {
-                return;
-            };
-            let Some(addr) = lane.queue.front().map(|item| item.sub.addr) else {
-                return;
-            };
-            let unsettled = lane.wire.len() + lane.held.len();
-            if lane.parked.is_some() || unsettled >= self.shared.depth(addr) {
-                return;
-            }
+        while let Some(lane) = self.lanes.get_mut(tok) {
             let Some(mut item) = lane.queue.pop_front() else {
                 return;
             };
+            let (addr, follower) = (item.sub.addr, item.seq != lane.front);
+            let unsettled = lane.wire.len() + lane.held.len();
+            if lane.parked.is_some() || (follower && unsettled >= self.shared.depth(addr)) {
+                return lane.queue.push_front(item);
+            }
             if !item.admitted {
                 let breaker = self.shared.breakers.as_ref();
                 if !breaker.map_or(true, |b| b.for_host(addr).admit()) {
@@ -605,7 +599,6 @@ impl Driver {
             addr,
             connecting,
             out: Vec::new(),
-            off: 0,
             inbuf: Vec::new(),
             deadline,
         });
@@ -619,19 +612,16 @@ impl Driver {
         let Some(conn) = self.lanes.get_mut(tok).and_then(|lane| lane.conn.as_mut()) else {
             return true;
         };
-        if conn.connecting || conn.off == conn.out.len() {
+        if conn.connecting || conn.out.is_empty() {
             return true;
         }
-        let before = conn.off;
-        match write_pending(&conn.stream, &conn.out, &mut conn.off) {
-            Ok(flushed) => {
-                if conn.off > before {
+        let mut off = 0;
+        match write_pending(&conn.stream, &conn.out, &mut off) {
+            Ok(_) => {
+                if off > 0 {
                     conn.deadline = io_deadline;
                 }
-                if flushed {
-                    conn.out.clear();
-                    conn.off = 0;
-                }
+                conn.out.drain(..off);
                 true
             }
             Err(e) => {
@@ -659,11 +649,6 @@ impl Driver {
             }
         } else if self.flush(tok) {
             self.read(tok, io_deadline);
-            // Pool an idle connection before the answers complete their
-            // tickets, so a caller reading `idle_connections` right after
-            // `wait` returns sees it back.
-            self.tidy(tok);
-            self.apply_held(tok);
         }
         self.pump(tok);
     }
@@ -690,8 +675,9 @@ impl Driver {
             match Response::parse_partial(&conn.inbuf) {
                 Ok(Some((resp, used))) => {
                     conn.inbuf.drain(..used);
-                    lane.held
-                        .extend(lane.wire.pop_front().map(|item| (item, Ok(resp))));
+                    if let Some(item) = lane.wire.pop_front() {
+                        lane.held.insert(item.seq, (item, Ok(resp)));
+                    }
                 }
                 Ok(None) if eof => return self.kill(tok, NetError::UnexpectedEof),
                 Ok(None) => return,
@@ -740,7 +726,7 @@ impl Driver {
                 requeue(lane, item);
             }
         } else if let Some(lane) = self.lanes.get_mut(tok) {
-            lane.held.push((item, Err(err)));
+            lane.held.insert(item.seq, (item, Err(err)));
             self.apply_held(tok);
         }
     }
@@ -749,11 +735,9 @@ impl Driver {
     /// as the front's is among them.
     fn apply_held(&mut self, tok: u64) {
         while let Some(lane) = self.lanes.get_mut(tok) {
-            let front = lane.front;
-            let Some(at) = lane.held.iter().position(|(item, _)| item.seq == front) else {
+            let Some((item, wire)) = lane.held.remove(&lane.front) else {
                 return;
             };
-            let (item, wire) = lane.held.swap_remove(at);
             self.finish_wire(tok, item, wire);
         }
     }
@@ -868,9 +852,7 @@ impl Driver {
             }
         }
         if lane.queue.is_empty() && lane.held.is_empty() && lane.parked.is_none() {
-            if let Some(key) = lane.key {
-                self.keys.remove(&key);
-            }
+            self.keys.retain(|_, lane| *lane != tok);
             self.lanes.remove(tok);
         }
     }
@@ -885,15 +867,10 @@ impl Driver {
             ))
         };
         for (_, lane) in self.lanes.iter() {
-            let held = lane.held.iter().map(|(item, _)| item);
+            let held = lane.held.values().map(|(item, _)| item);
             let parked = lane.parked.iter().map(|(_, item)| item);
-            for item in lane
-                .queue
-                .iter()
-                .chain(&lane.wire)
-                .chain(held)
-                .chain(parked)
-            {
+            let unwritten = lane.queue.iter().chain(&lane.wire);
+            for item in unwritten.chain(held).chain(parked) {
                 item.sub.fail(gone());
             }
         }

@@ -378,16 +378,18 @@ mod tests {
         poller.arm(late);
         poller.arm(early);
         poller.arm(late);
-        // A wake ends the turn before the deadline: not due.
-        inbox.wake();
+        // A post ends the turn before the deadline: not due.
+        inbox.post(());
         assert!(!poller.turn(&inbox));
         assert!(poller.now() < early);
+        // Taken, as every loop does after a turn, so the next post wakes.
+        assert_eq!(inbox.take().len(), 1);
         // Nothing posted: the turn waits for the earliest deadline.
         while !poller.turn(&inbox) {}
         assert!(poller.now() >= early, "due before the deadline");
         assert!(poller.now() < late, "waited for the latest deadline");
         // A due turn disarms.
-        inbox.wake();
+        inbox.post(());
         assert!(!poller.turn(&inbox));
     }
 

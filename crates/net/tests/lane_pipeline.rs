@@ -1,13 +1,13 @@
 //! Pipelined lanes against raw TCP peers: a lane keeps up to
 //! `LANE_DEPTH` requests written ahead on one keep-alive connection, a
-//! dead connection charges only its oldest request, and a breaker bounds
-//! how far the lane writes ahead.
+//! dead connection charges only its oldest request, a breaker bounds how
+//! far the lane writes ahead, and a lane's front is always written.
 
 use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient};
 use marketscope_net::error::NetError;
 use marketscope_net::http::Response;
 use marketscope_net::mux::LANE_DEPTH;
-use marketscope_net::resilience::BreakerConfig;
+use marketscope_net::resilience::{BreakerConfig, RetryPolicy};
 use marketscope_telemetry::Registry;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -245,4 +245,83 @@ fn a_breaker_bounds_how_far_a_lane_writes_ahead() {
     let (blocking_seen, lane_seen) = (*blocking_seen.lock().unwrap(), *lane_seen.lock().unwrap());
     assert_eq!(lane_seen.0, blocking_seen.0, "requests the peer received");
     assert!(lane_seen.1 <= 2, "held {} at once", lane_seen.1);
+}
+
+#[test]
+fn a_parked_front_is_written_after_another_lane_tightens_the_breaker() {
+    let (listener, addr) = listen();
+    let (answered, followers_held) = std::sync::mpsc::channel();
+    // Lane 1's first `/a/0` gets a 503 hinting 0.3 s, every other
+    // `/a/...` a 200. Lane 2's `/b/...` get 503s hinting 5 s, past the
+    // retry budget, so they are terminal. One thread per connection.
+    thread::spawn(move || {
+        let first_front = Arc::new(Mutex::new(true));
+        for stream in listener.incoming() {
+            let (first_front, answered) = (Arc::clone(&first_front), answered.clone());
+            thread::spawn(move || {
+                let mut peer = Peer::new(stream.unwrap());
+                while peer.read_more() {
+                    while let Some(path) = peer.held.front().cloned() {
+                        if path.starts_with("/b/") {
+                            peer.held.pop_front();
+                            let resp = "HTTP/1.1 503 Service Unavailable\r\n\
+                                        retry-after: 5\r\ncontent-length: 0\r\n\r\n";
+                            peer.stream.write_all(resp.as_bytes()).unwrap();
+                        } else if path == "/a/0"
+                            && std::mem::take(&mut *first_front.lock().unwrap())
+                        {
+                            peer.held.pop_front();
+                            let resp = "HTTP/1.1 503 Service Unavailable\r\n\
+                                        retry-after: 0.3\r\ncontent-length: 0\r\n\r\n";
+                            peer.stream.write_all(resp.as_bytes()).unwrap();
+                        } else {
+                            peer.answer(true);
+                            let _ = answered.send(path);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let client = Arc::new(
+        HttpClient::builder()
+            .retry(RetryPolicy {
+                backoff_budget: Duration::from_secs(1),
+                ..RetryPolicy::default()
+            })
+            .breaker(BreakerConfig::default())
+            .build(),
+    );
+    let lane_a: Vec<_> = (0..6)
+        .map(|i| client.submit_get(&FetchSpec::new(addr, format!("/a/{i}")).lane(1)))
+        .collect();
+    // `/a/0` is parked with `/a/1..=3` answered behind it: three held
+    // outcomes against the default breaker's room of five.
+    for _ in 1..=3 {
+        followers_held
+            .recv_timeout(Duration::from_secs(5))
+            .expect("lane 1's followers answered");
+    }
+    // Two terminal 503s on lane 2 leave room for three before `/a/0`
+    // comes back: no more than lane 1 already holds.
+    for i in 0..2 {
+        let got = client.get(addr, &format!("/b/{i}"));
+        assert!(
+            matches!(got, Err(NetError::Status { code: 503, .. })),
+            "{got:?}"
+        );
+    }
+    let (done, finished) = std::sync::mpsc::channel();
+    let waiter = Arc::clone(&client);
+    thread::spawn(move || {
+        let results: Vec<_> = lane_a.into_iter().map(|t| waiter.wait(t)).collect();
+        let _ = done.send(results);
+    });
+    let results = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("lane 1 completes");
+    assert_eq!(
+        bodies(results),
+        (0..6).map(|i| format!("/a/{i}")).collect::<Vec<_>>()
+    );
 }
