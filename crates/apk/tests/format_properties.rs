@@ -3,14 +3,20 @@
 //! generated input, and every strict prefix of an encoding must fail to
 //! decode rather than panic or silently succeed. A DEX model the format
 //! cannot carry must fail to encode rather than encode into other bytes.
+//! Whole APKs with flipped or truncated bytes, in an entry or in the
+//! container, must decode or be refused, never panic.
 
 use marketscope_apk::apicalls::{ApiCallId, API_DIMENSIONS};
+use marketscope_apk::builder::ApkBuilder;
 use marketscope_apk::dex::{DexFile, MethodRef};
+use marketscope_apk::digest::ApkDigest;
 use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
+use marketscope_apk::parse::ParsedApk;
+use marketscope_apk::zip::ZipArchive;
 use marketscope_apk::ApkError;
 use marketscope_core::propcheck::{any_u64, check, string_of, usize_in, vec_of};
 use marketscope_core::rng::DetRng;
-use marketscope_core::{PackageName, VersionCode};
+use marketscope_core::{DeveloperKey, PackageName, VersionCode};
 
 /// This suite's runner: 64 cases per property, streams named
 /// `format_properties::<property>`.
@@ -245,5 +251,85 @@ fn manifest_v2_round_trips_with_components() {
 fn manifest_truncation_always_errors() {
     property("manifest_truncation_always_errors", |rng| {
         assert_every_prefix_errors(&arb_manifest(rng).encode(), Manifest::decode);
+    });
+}
+
+// ---------- whole APKs on hostile bytes ----------
+
+/// Mutated copies decoded per generated APK.
+const MUTANTS: usize = 16;
+
+/// A signed APK over generated parts, with a store channel file half
+/// the time.
+fn arb_apk(rng: &mut DetRng) -> Vec<u8> {
+    let mut builder = ApkBuilder::new(arb_manifest(rng), arb_dex(rng));
+    if rng.chance(0.5) {
+        builder = builder.channel("channel.txt", vec_of(rng, 0..32, |r| r.index(256) as u8));
+    }
+    builder
+        .build(DeveloperKey::from_label("format_properties"))
+        .expect("a well-formed model builds")
+}
+
+/// XOR one to eight bytes of `bytes` with nonzero masks.
+fn flip(rng: &mut DetRng, bytes: &mut [u8]) {
+    if bytes.is_empty() {
+        return;
+    }
+    for _ in 0..usize_in(rng, 1..9) {
+        let at = rng.index(bytes.len());
+        bytes[at] ^= rng.range_u64(1, 256) as u8;
+    }
+}
+
+/// Every decoder an APK meets on ingest. Each must answer `Ok` or `Err`
+/// (a panic fails the test), and the digest must answer exactly when
+/// the parser does.
+fn decode_all(bytes: &[u8]) {
+    let _ = ZipArchive::parse(bytes);
+    let parsed = ParsedApk::parse(bytes);
+    if let Ok(apk) = &parsed {
+        ApkDigest::from_parsed(apk);
+    }
+    assert_eq!(ApkDigest::from_bytes(bytes).is_ok(), parsed.is_ok());
+}
+
+/// Flips inside one entry, re-packed so every CRC is valid: the bytes
+/// get past the container and reach the manifest, DEX and certificate
+/// decoders.
+#[test]
+fn flipped_entries_with_valid_crcs_decode_or_error() {
+    property("flipped_entries_with_valid_crcs_decode_or_error", |rng| {
+        let zip = ZipArchive::parse(&arb_apk(rng)).expect("own build parses");
+        for _ in 0..MUTANTS {
+            let victim = rng.index(zip.entries().len());
+            let mut repacked = ZipArchive::new();
+            for (i, entry) in zip.entries().iter().enumerate() {
+                let mut data = entry.data.clone();
+                if i == victim {
+                    flip(rng, &mut data);
+                }
+                repacked.add(&entry.name, data).expect("names stay unique");
+            }
+            decode_all(&repacked.to_bytes());
+        }
+    });
+}
+
+/// Flips and truncations anywhere in the container bytes: headers,
+/// central directory, end record and payloads alike.
+#[test]
+fn flipped_or_truncated_containers_decode_or_error() {
+    property("flipped_or_truncated_containers_decode_or_error", |rng| {
+        let apk = arb_apk(rng);
+        for _ in 0..MUTANTS {
+            let mut bytes = apk.clone();
+            if rng.chance(0.5) {
+                bytes.truncate(rng.index(bytes.len()));
+            } else {
+                flip(rng, &mut bytes);
+            }
+            decode_all(&bytes);
+        }
     });
 }

@@ -9,20 +9,18 @@ use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::{ReactorConfig, Transport};
 use marketscope_telemetry::trace::{JournalSnapshot, Tracer, TracerConfig};
 use marketscope_telemetry::{
-    EventLog, LogLevel, LogSnapshot, Registry, Scraper, SeriesConfig, SeriesSnapshot, SeriesStore,
-    SloEvaluator, SloPolicy, SloVerdict, TickHook,
+    EventLog, LogLevel, LogSnapshot, Registry, SeriesSnapshot, SeriesStore, SloEvaluator,
+    SloPolicy, SloVerdict,
 };
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Scrape cadence for the fleet ops plane: 100ms ticks, 600 points per
-/// instrument (a one-minute rolling window). Windowed SLO burns and
-/// `/__slo` freshness both ride this tick.
-const SCRAPE_TICK: Duration = Duration::from_millis(100);
-const SCRAPE_CAPACITY: usize = 600;
+/// Points the ops plane keeps per instrument. A campaign cuts three
+/// ticks (one after each crawl and a settle tick), so its series never
+/// wrap; a fleet ticked more often keeps its newest 600.
+const SERIES_CAPACITY: usize = 600;
 
 /// Retained structured events; the fleet-wide incident narrative
 /// (alerts, fault injections, breaker flips, shed) rarely outruns this
@@ -39,14 +37,17 @@ const EVENT_LOG_CAPACITY: usize = 4096;
 /// carry a `market="<slug>"` label, and any market's `GET /__metrics`
 /// endpoint serves the combined fleet exposition.
 ///
-/// The fleet also runs the live ops plane: a [`Scraper`] thread samples
-/// the merged registry every `SCRAPE_TICK` into windowed time series,
-/// an [`SloEvaluator`] re-judges the fleet SLOs on each tick (served at
-/// any market's `GET /__slo`), and a shared [`EventLog`] collects
-/// structured incidents from every seam (served at `GET /__log`). Each
-/// scrape tick runs inside a span on a dedicated always-sampling ops
-/// tracer, so alert events carry trace ids that resolve in the journal
-/// returned by [`ops_traces`](MarketFleet::ops_traces).
+/// The fleet also holds the ops plane. Each
+/// [`tick_now`](MarketFleet::tick_now) cuts one point of windowed time
+/// series from the merged registry and re-judges the fleet SLOs with an
+/// [`SloEvaluator`] (served at any market's `GET /__slo`); a shared
+/// [`EventLog`] collects structured incidents from every seam (served
+/// at `GET /__log`). No thread ticks: the fleet's owner calls `tick_now`
+/// at its phase marks, so what fires is a function of the traffic, not
+/// of wall time. Each tick runs inside a span on a dedicated
+/// always-sampling ops tracer, so alert events carry trace ids that
+/// resolve in the journal returned by
+/// [`ops_traces`](MarketFleet::ops_traces).
 pub struct MarketFleet {
     servers: Vec<MarketServer>,
     repository: AndroZooServer,
@@ -57,8 +58,8 @@ pub struct MarketFleet {
     event_log: Arc<EventLog>,
     slo: Arc<Mutex<SloEvaluator>>,
     ops_tracer: Arc<Tracer>,
-    scraper: Scraper,
-    extra_sources: Arc<Mutex<Vec<Arc<Registry>>>>,
+    series: Mutex<SeriesStore>,
+    extra_sources: Mutex<Vec<Arc<Registry>>>,
     stopped: AtomicBool,
 }
 
@@ -96,9 +97,9 @@ impl MarketFleet {
             marketscope_telemetry::perf::build_profile(),
         );
 
-        // The ops plane. The scrape tick needs its own always-sampling
-        // tracer: the fleet request tracer records nothing it starts
-        // locally, and alert events must carry resolvable trace ids.
+        // The ops plane. A tick needs its own always-sampling tracer: the
+        // fleet request tracer records nothing it starts locally, and
+        // alert events must carry resolvable trace ids.
         let event_log = Arc::new(EventLog::new(EVENT_LOG_CAPACITY));
         let slo = Arc::new(Mutex::new(
             SloEvaluator::new(SloPolicy::fleet_default())
@@ -106,36 +107,6 @@ impl MarketFleet {
                 .with_log(Arc::clone(&event_log)),
         ));
         let ops_tracer = Arc::new(Tracer::new(TracerConfig::always(4096)));
-        // Extra scrape sources (the campaign adds the crawler's client
-        // registry) merged into every sample, so client-side SLOs like
-        // breaker opens are judged on the same tick schedule.
-        let extra_sources: Arc<Mutex<Vec<Arc<Registry>>>> = Arc::new(Mutex::new(Vec::new()));
-        let sample = {
-            let registry = Arc::clone(&registry);
-            let extra = Arc::clone(&extra_sources);
-            move || {
-                let mut snap = registry.snapshot();
-                for source in extra.lock().iter() {
-                    snap = snap.merge(&source.snapshot());
-                }
-                snap
-            }
-        };
-        let slo_hook: TickHook = {
-            let slo = Arc::clone(&slo);
-            Box::new(move |store: &SeriesStore| {
-                slo.lock().evaluate(store);
-            })
-        };
-        let scraper = Scraper::spawn(
-            SeriesConfig {
-                capacity: SCRAPE_CAPACITY,
-                tick: SCRAPE_TICK,
-            },
-            sample,
-            vec![slo_hook],
-            Arc::clone(&ops_tracer),
-        );
 
         let ops = OpsHandles {
             slo: Arc::clone(&slo),
@@ -203,8 +174,8 @@ impl MarketFleet {
             event_log,
             slo,
             ops_tracer,
-            scraper,
-            extra_sources,
+            series: Mutex::new(SeriesStore::new(SERIES_CAPACITY)),
+            extra_sources: Mutex::new(Vec::new()),
             stopped: AtomicBool::new(false),
         })
     }
@@ -239,32 +210,47 @@ impl MarketFleet {
         self.event_log.snapshot()
     }
 
-    /// The SLO verdicts from the latest scrape tick.
+    /// The SLO verdicts from the latest tick (empty before the first).
     pub fn slo_verdicts(&self) -> Vec<SloVerdict> {
         self.slo.lock().verdicts()
     }
 
-    /// Snapshot of the windowed time series the scraper has collected.
+    /// Snapshot of the windowed time series the ticks have cut.
     pub fn series(&self) -> SeriesSnapshot {
-        self.scraper.series()
+        self.series.lock().snapshot()
     }
 
-    /// Run one synchronous scrape tick (sample, diff, re-judge SLOs).
-    /// Campaigns call this after traffic stops so firing alerts observe
-    /// a zero-delta tick and resolve deterministically.
+    /// Cut one tick: snapshot the registry merged with every scrape
+    /// source, append it to the series as one point per instrument, and
+    /// re-judge the SLOs over the new windows. The ops plane's only
+    /// tick; campaigns call it at their phase marks, and once more after
+    /// traffic stops so firing alerts observe a zero-delta tick and
+    /// resolve.
     pub fn tick_now(&self) {
-        self.scraper.tick_now();
+        // Each tick is its own trace: `root_span` starts one even with no
+        // ambient context, so alert events always carry a resolvable
+        // trace id.
+        let span = self.ops_tracer.root_span("ops", "scrape-tick");
+        let mut snap = self.registry.snapshot();
+        for source in self.extra_sources.lock().iter() {
+            snap = snap.merge(&source.snapshot());
+        }
+        let mut series = self.series.lock();
+        series.observe(&snap);
+        self.slo.lock().evaluate(&series);
+        drop(series);
+        span.finish();
     }
 
-    /// Journal of the ops tracer: one span per scrape tick, the spans
-    /// alert events' trace ids resolve against.
+    /// Journal of the ops tracer: one span per tick, the spans alert
+    /// events' trace ids resolve against.
     pub fn ops_traces(&self) -> JournalSnapshot {
         self.ops_tracer.snapshot()
     }
 
-    /// Merge another registry into every future scrape sample (the
-    /// campaign adds the crawler's client-side registry so breaker and
-    /// retry SLOs share the fleet's tick schedule).
+    /// Merge another registry into every future tick (the campaign adds
+    /// the crawler's client-side registry so breaker SLOs are judged on
+    /// the same ticks as the servers').
     pub fn add_scrape_source(&self, registry: Arc<Registry>) {
         self.extra_sources.lock().push(registry);
     }
@@ -306,11 +292,10 @@ impl MarketFleet {
         self.servers[market.index()].faults_injected()
     }
 
-    /// Stop the scraper, retire every server's listener, then join the
-    /// transport they shared.
+    /// Retire every server's listener, then join the transport they
+    /// shared.
     pub fn stop(&self) {
         let first = !self.stopped.swap(true, Ordering::SeqCst);
-        self.scraper.stop();
         for s in &self.servers {
             s.stop();
         }
@@ -451,7 +436,7 @@ mod tests {
         client.get_json(fleet.addr(gp), "/index").unwrap();
         fleet.tick_now();
 
-        // The scraper saw the traffic as a windowed delta...
+        // The tick saw the traffic as a windowed delta...
         let series = fleet.series();
         assert!(series.ticks >= 1);
         assert!(series.counter_window_sum("marketscope_net_requests_total", &[], 600) >= 1);
@@ -486,7 +471,7 @@ mod tests {
         let health = client.get_json(fleet.addr(gp), "/__health").unwrap();
         let summary = health.get("slo").unwrap();
         assert_eq!(summary.get("firing").unwrap().as_u64(), Some(0));
-        // Each scrape tick ran inside an ops-tracer span.
+        // The tick ran inside an ops-tracer span.
         assert!(!fleet.ops_traces().is_empty());
         fleet.stop();
         assert!(fleet

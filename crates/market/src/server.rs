@@ -284,12 +284,13 @@ fn upload(market: MarketId, req: &Request) -> Response {
 }
 
 /// Handles into the fleet's ops plane, shared by every server in a
-/// fleet: the SLO evaluator the scraper updates each tick (served at
+/// fleet: the SLO evaluator the fleet re-judges at each tick (served at
 /// `GET /__slo`) and the structured event log (served at `GET /__log`,
 /// and fed by the server's own fault/shed seams).
 #[derive(Clone)]
 pub struct OpsHandles {
-    /// Fleet-wide SLO evaluator; the scraper's tick hook refreshes it.
+    /// Fleet-wide SLO evaluator; [`MarketFleet::tick_now`](crate::MarketFleet::tick_now)
+    /// refreshes it.
     pub slo: Arc<Mutex<SloEvaluator>>,
     /// Fleet-wide structured event log.
     pub log: Arc<EventLog>,

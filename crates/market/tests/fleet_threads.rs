@@ -26,7 +26,7 @@ fn round_trip(addr: SocketAddr, path: &str) -> String {
 }
 
 #[test]
-fn a_fleet_costs_one_transport_and_a_scraper() {
+fn a_fleet_costs_one_transport() {
     let threads = || marketscope_telemetry::perf::thread_count().expect("linux /proc");
     let world = Arc::new(generate(WorldConfig {
         seed: 6,
@@ -40,8 +40,8 @@ fn a_fleet_costs_one_transport_and_a_scraper() {
     let spawned = threads();
     assert_eq!(
         spawned - baseline,
-        transport_threads + 1,
-        "17 markets and the repository share one transport; the scraper is the one thread more"
+        transport_threads,
+        "17 markets and the repository share one transport, and nothing else spawns a thread"
     );
 
     for m in MarketId::ALL {

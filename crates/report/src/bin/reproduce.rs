@@ -18,7 +18,7 @@
 //! `light`); the `ops` artifact gains a "Degraded markets" section.
 //!
 //! `--ops-bundle DIR` writes the campaign's whole operational record —
-//! `metrics.prom` (Prometheus exposition), `series.json` (scraped time
+//! `metrics.prom` (Prometheus exposition), `series.json` (windowed time
 //! series), `slo.json` (burn-rate verdicts), `trace.json` (Chrome trace
 //! events), `events.json` (structured log) — for archiving or diffing.
 

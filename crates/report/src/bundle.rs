@@ -6,8 +6,9 @@
 //!
 //! * `metrics.prom` — the merged end-of-campaign registry in Prometheus
 //!   text exposition format (what `GET /__metrics` served);
-//! * `series.json` — the scraper's windowed time series (counter deltas,
-//!   gauge levels, per-tick histogram summaries);
+//! * `series.json` — the windowed time series cut at the campaign's
+//!   phase marks (counter deltas, gauge levels, per-tick histogram
+//!   summaries);
 //! * `slo.json` — the final SLO verdicts, burn rates and alert counters;
 //! * `trace.json` — the merged span journal as Chrome trace-event JSON;
 //! * `events.json` — the structured event log, time-ordered.

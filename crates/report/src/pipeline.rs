@@ -68,15 +68,15 @@ pub struct Campaign {
     /// telemetry: per-market request counts, error rates, handler-latency
     /// percentiles, harvest totals, and per-stage analysis latencies.
     pub ops: OpsSummary,
-    /// Merged trace journal (crawler-side + fleet-side + ops-scraper
+    /// Merged trace journal (crawler-side + fleet-side + ops tick
     /// spans); sampled fetch traces appear only when `trace_sample` was
     /// above zero. Export with [`marketscope_telemetry::chrome_trace`].
     pub traces: JournalSnapshot,
-    /// Final SLO verdicts from the fleet's live evaluator (after the
-    /// post-traffic settle ticks).
+    /// Final SLO verdicts from the fleet's evaluator (after the
+    /// post-traffic settle tick).
     pub slo: Vec<SloVerdict>,
-    /// The scraper's windowed time series over the merged fleet +
-    /// crawler registries.
+    /// The windowed time series over the merged fleet + crawler
+    /// registries: one point per phase mark.
     pub series: SeriesSnapshot,
     /// The structured event log: alerts, fault injections, breaker
     /// transitions, quarantines, shed, fleet lifecycle.
@@ -144,13 +144,16 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
         )
     });
 
-    // The fleet's scraper also samples the crawler's registry, so
-    // client-side SLOs (breaker opens) are judged on the fleet's tick
-    // schedule, and crawler events land in the fleet's shared log.
+    // The fleet's ticks also sample the crawler's registry, so
+    // client-side SLOs (breaker opens) are judged with the servers', and
+    // crawler events land in the fleet's shared log.
     fleet.add_scrape_source(Arc::clone(&crawl_registry));
     let event_log = Arc::clone(fleet.event_log());
 
-    let crawler = Crawler::with_ops(
+    // Each crawler is a temporary: its client's mux driver thread is
+    // joined as soon as its crawl returns, not kept idle through the
+    // next crawl and the analysis.
+    let snapshot = Crawler::with_ops(
         CrawlConfig {
             seeds,
             trace_sample: config.trace_sample,
@@ -159,15 +162,14 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
         Arc::clone(&crawl_registry),
         Arc::clone(&tracer),
         Some(Arc::clone(&event_log)),
-    );
-    let snapshot = crawler.crawl(&targets);
-    // A synchronous tick after each crawl phase: whatever burned during
-    // the crawl is judged now, deterministically, even if the campaign
-    // outran the background scrape cadence.
+    )
+    .crawl(&targets);
+    // The ops plane ticks only at phase marks: each window holds whole
+    // phases of requests, so what fires is a function of the seed.
     fleet.tick_now();
 
     fleet.set_phase(CrawlPhase::Second);
-    let second_crawler = Crawler::with_ops(
+    let second = Crawler::with_ops(
         CrawlConfig {
             seeds: snapshot
                 .market(MarketId::GooglePlay)
@@ -182,14 +184,14 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
         Arc::clone(&crawl_registry),
         Arc::clone(&tracer),
         Some(Arc::clone(&event_log)),
-    );
-    let second = second_crawler.crawl(&targets);
+    )
+    .crawl(&targets);
     if let Some(reporter) = reporter {
         reporter.stop();
     }
-    // Two settle ticks with traffic stopped: the fast window sees zero
-    // deltas, so any still-firing burn-rate alert resolves before the
-    // final verdicts are read.
+    // The second crawl's mark, then a settle tick with traffic stopped:
+    // its fast window sees zero deltas, so any still-firing burn-rate
+    // alert resolves before the final verdicts are read.
     fleet.tick_now();
     fleet.tick_now();
     let slo = fleet.slo_verdicts();
@@ -213,9 +215,9 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
     )
     .run(&snapshot);
     // Request-side journal (crawler + analysis + fleet servers) feeds
-    // the slowest-traces view; the ops scraper's tick spans merge in
-    // afterwards so alert events' trace ids resolve without scrape
-    // ticks crowding the operator's slow list.
+    // the slowest-traces view; the ops plane's tick spans merge in
+    // afterwards so alert events' trace ids resolve without ticks
+    // crowding the operator's slow list.
     let request_traces = tracer.snapshot().merge(&serving_traces);
     // Settle the peak gauges before the registry is snapshotted below.
     sampler.stop();

@@ -135,14 +135,31 @@ fn clean_campaign_of_same_seed_never_alerts() {
             .any(|e| e.target == "telemetry.slo"),
         "clean campaign must emit no alert events"
     );
-    // The plane itself still ran: series were scraped and lifecycle
-    // events recorded.
-    assert!(campaign.series.ticks >= 1);
+    // The plane itself still ran: the three phase marks (one after the
+    // first crawl, two after the second) each cut a tick, and lifecycle
+    // events were recorded.
+    assert_eq!(campaign.series.ticks, 3);
     assert!(campaign
         .events
         .events
         .iter()
         .any(|e| e.message == "fleet started"));
+}
+
+/// Ticks fall only at phase marks and every rule reads counts, so one
+/// chaos seed gives one set of verdicts, burns included.
+#[test]
+fn same_chaos_seed_gives_the_same_verdicts() {
+    let run = || {
+        run_campaign(CampaignConfig {
+            chaos: Some(ChaosProfile::heavy(0xC4A05)),
+            ..base_config()
+        })
+        .slo
+    };
+    let first = run();
+    assert!(!first.is_empty(), "the ops plane always judges");
+    assert_eq!(first, run(), "same chaos seed, different SLO verdicts");
 }
 
 #[test]
@@ -278,7 +295,7 @@ const INSTRUMENTS: &[(&str, Reader)] = &[
 
 /// Label-cardinality ceiling for one campaign's merged registry: 17
 /// markets + the repository, 6 statuses, 6 error kinds, 5 fault kinds,
-/// 9 stages and 5 SLO rules come to 555 series today.
+/// 9 stages and 4 SLO rules come to 551 series today.
 const SERIES_CEILING: usize = 600;
 
 #[test]

@@ -22,17 +22,17 @@
 //!   parent links and timestamped events in a bounded ring-buffer
 //!   journal, with wire propagation via [`TRACE_HEADER`] and exporters
 //!   in [`trace_export`] (Chrome trace-event JSON, slowest traces);
-//! * [`series`] — a [`Scraper`] thread that diffs registry snapshots on
-//!   a fixed tick into ring-buffer time series, turning lifetime
-//!   aggregates into windowed rates and windowed p50/p99;
+//! * [`series`] — a [`SeriesStore`] that diffs each registry snapshot
+//!   its owner hands it into ring-buffer time series, turning lifetime
+//!   aggregates into windowed rates; it has no thread of its own;
 //! * [`slo`] — declarative SLO rules with multi-window burn-rate
 //!   alerting over those series (ok → firing → resolved state machine);
 //! * [`log`] — a bounded structured [`EventLog`] whose events carry the
 //!   recording thread's trace context, so alerts and fault injections
 //!   correlate back to traces;
-//! * [`Periodic`] — the one interval thread behind the scraper, the
-//!   resource sampler and the crawl-progress reporter: it waits on a
-//!   condition variable, so stopping never waits out an interval.
+//! * [`Periodic`] — the one interval thread behind the resource sampler
+//!   and the crawl-progress reporter: it waits on a condition variable,
+//!   so stopping never waits out an interval.
 //!
 //! Components never hold a telemetry handle as an `Option`: one that was
 //! given none records into a private [`Registry`], a
@@ -77,10 +77,7 @@ pub use perf::{
 };
 pub use periodic::Periodic;
 pub use registry::{InstrumentId, Registry, RegistrySnapshot};
-pub use series::{
-    CounterPoint, GaugePoint, HistogramPoint, Scraper, SeriesConfig, SeriesSnapshot, SeriesStore,
-    TickHook,
-};
+pub use series::{CounterPoint, GaugePoint, HistogramPoint, SeriesSnapshot, SeriesStore};
 pub use slo::{
     AlertState, MetricSelector, SloEvaluator, SloObjective, SloPolicy, SloRule, SloVerdict,
 };

@@ -1,6 +1,6 @@
 //! One background thread that runs a closure on a fixed interval — the
-//! loop behind the scraper, the resource sampler and the crawl-progress
-//! reporter. It waits on a condition variable rather than sleeping, so
+//! loop behind the resource sampler and the crawl-progress reporter. It
+//! waits on a condition variable rather than sleeping, so
 //! [`Periodic::stop`] returns as soon as the tick in progress (if any)
 //! does, never a whole interval late.
 

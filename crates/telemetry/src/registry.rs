@@ -260,8 +260,8 @@ impl RegistrySnapshot {
         self
     }
 
-    /// Override the capture stamps (multi-process tests pin these to
-    /// align per-shard snapshots on a shared tick schedule).
+    /// Override the capture stamps (tests pin these so the series points
+    /// cut from a snapshot are reproducible).
     pub fn stamped(mut self, unix_nanos: u64, mono_nanos: u64) -> RegistrySnapshot {
         self.captured_unix_nanos = unix_nanos;
         self.captured_mono_nanos = mono_nanos;

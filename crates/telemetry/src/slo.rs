@@ -1,17 +1,18 @@
 //! Declarative SLOs with multi-window burn-rate alerting.
 //!
 //! An [`SloPolicy`] is a list of rules, each binding an objective — an
-//! error-rate ceiling, a windowed-quantile ceiling, or an absolute
-//! event budget — to a slow evaluation window. The [`SloEvaluator`]
-//! re-checks every rule on each scrape tick against the windowed series
-//! (never lifetime aggregates), using the classic multi-window burn
-//! test: an alert fires only when both the **fast** window (the latest
-//! tick) and the **slow** window (the last N ticks) exceed the
-//! threshold, which suppresses one-tick blips without missing sustained
-//! burns. Each alert walks `ok → firing → resolved`, re-arms from
-//! `resolved`, and bumps per-rule fired/resolved counters; transitions
-//! are also recorded to the structured [`EventLog`]
-//! with the scrape tick's trace context attached.
+//! error-rate ceiling or an absolute event budget — to a slow
+//! evaluation window. Both read only counter deltas, so a verdict is a
+//! function of the counts in the series, never of a latency. The
+//! [`SloEvaluator`] re-checks every rule on each tick against the
+//! windowed series (never lifetime aggregates), using the classic
+//! multi-window burn test: an alert fires only when both the **fast**
+//! window (the latest tick) and the **slow** window (the last N ticks)
+//! exceed the threshold, which suppresses one-tick blips without missing
+//! sustained burns. Each alert walks `ok → firing → resolved`, re-arms
+//! from `resolved`, and bumps per-rule fired/resolved counters;
+//! transitions are also recorded to the structured [`EventLog`]
+//! with the evaluating tick's trace context attached.
 
 use crate::counter::{Counter, Gauge};
 use crate::log::{EventLog, LogLevel};
@@ -71,16 +72,6 @@ pub enum SloObjective {
         /// Highest acceptable events-per-tick average.
         max_per_tick: f64,
     },
-    /// The windowed quantile of a histogram must stay at or below
-    /// `max_value` (no samples in the window = no burn).
-    Quantile {
-        /// Histogram to read.
-        histogram: MetricSelector,
-        /// Quantile in `[0, 1]`, e.g. 0.99.
-        q: f64,
-        /// Highest acceptable quantile value.
-        max_value: f64,
-    },
 }
 
 /// One named rule: an objective plus the slow window's tick count (the
@@ -107,10 +98,8 @@ impl SloPolicy {
     /// only**: 404s (BFS and search misses) and 429s (rate-limiter
     /// answers) are by-design traffic in clean campaigns, while chaos
     /// faults surface as 500/503. Shed/accept-error/breaker-open budgets
-    /// are zero —
-    /// any occurrence is an alert — and the handler p99 ceiling is
-    /// deliberately generous (it guards against pathology, not noise,
-    /// on a 1-CPU debug-build container).
+    /// are zero: any occurrence is an alert. Handler latency is a
+    /// measurement (`/__metrics`, the ops summary), not a rule.
     pub fn fleet_default() -> SloPolicy {
         SloPolicy {
             rules: vec![
@@ -156,15 +145,6 @@ impl SloPolicy {
                             &[("to", "open")],
                         ),
                         max_per_tick: 0.0,
-                    },
-                    slow_window: 5,
-                },
-                SloRule {
-                    name: "handler_p99".into(),
-                    objective: SloObjective::Quantile {
-                        histogram: MetricSelector::new("marketscope_net_handler_nanos", &[]),
-                        q: 0.99,
-                        max_value: 1_000_000_000.0,
                     },
                     slow_window: 5,
                 },
@@ -370,7 +350,6 @@ fn objective_threshold(objective: &SloObjective) -> f64 {
     match objective {
         SloObjective::ErrorRate { max_ratio, .. } => *max_ratio,
         SloObjective::Budget { max_per_tick, .. } => *max_per_tick,
-        SloObjective::Quantile { max_value, .. } => *max_value,
     }
 }
 
@@ -394,10 +373,6 @@ fn measure(objective: &SloObjective, store: &SeriesStore, window: u64) -> f64 {
             let span = window.max(1).min(store.ticks().max(1));
             sum as f64 / span as f64
         }
-        SloObjective::Quantile { histogram, q, .. } => store
-            .window_quantile(&histogram.name, &histogram.label_refs(), *q, window)
-            .map(|v| v as f64)
-            .unwrap_or(0.0),
     }
 }
 
