@@ -96,19 +96,19 @@ impl OverprivilegeAnalyzer {
         }
     }
 
-    /// Permissions exercised by the ids of per-package count vectors. An
-    /// id called from several Java packages is looked up once per
-    /// package: folding into a mask needs no dedupe pass.
-    fn exercised<'a>(&self, vectors: impl Iterator<Item = &'a Vec<(u32, u16)>>) -> PermSet {
-        self.map
-            .used_permissions(vectors.flatten().map(|(id, _)| ApiCallId(*id)))
+    /// Permissions exercised by API ids. An id called from several Java
+    /// packages is looked up once per package: folding into a mask needs
+    /// no dedupe pass.
+    fn exercised(&self, ids: impl Iterator<Item = u32>) -> PermSet {
+        self.map.used_permissions(ids.map(ApiCallId))
     }
 
     /// Analyze one app digest.
     pub fn analyze(&self, digest: &ApkDigest) -> OverprivilegeResult {
         let features = &digest.package_features;
-        let used = self.exercised(features.iter().map(|f| &f.api_counts));
-        let used_reachable = self.exercised(features.iter().map(|f| &f.reachable_api_counts));
+        let rows = || features.iter().flat_map(|f| &f.api);
+        let used = self.exercised(rows().map(|a| a.id));
+        let used_reachable = self.exercised(rows().filter(|a| a.reachable > 0).map(|a| a.id));
         let declared = PermSet::from_names(digest.permissions.iter().map(String::as_str));
         OverprivilegeResult {
             declared,
@@ -237,14 +237,17 @@ mod tests {
 
     #[test]
     fn ids_beyond_the_feature_space_exercise_nothing() {
-        use marketscope_apk::apicalls::API_DIMENSIONS;
+        use marketscope_apk::{apicalls::API_DIMENSIONS, ApiCount};
         // Digest fields are public, so a caller can hand over ids no
         // decoder would produce; they must read as "no permission".
         let mut d = digest_with(vec!["android.permission.CAMERA".into()], vec![]);
         for f in &mut d.package_features {
             for id in [API_DIMENSIONS, API_DIMENSIONS + 1, u32::MAX] {
-                f.api_counts.push((id, 1));
-                f.reachable_api_counts.push((id, 1));
+                f.api.push(ApiCount {
+                    id,
+                    count: 1,
+                    reachable: 1,
+                });
             }
         }
         let r = OverprivilegeAnalyzer::new().analyze(&d);

@@ -43,14 +43,12 @@ struct Coverage {
 impl Coverage {
     fn note(&mut self, digest: &ApkDigest, db: &ThreatDb) {
         let mut seen = HashSet::new();
-        let ids = digest.package_features.iter().flat_map(|f| &f.api_counts);
-        self.id_in_several_packages +=
-            usize::from(ids.into_iter().any(|(id, _)| !seen.insert(*id)));
-        self.dead_package += usize::from(
-            digest
-                .dead_packages()
-                .any(|f| !f.api_counts.is_empty() && f.reachable_api_counts.is_empty()),
-        );
+        let ids = digest.package_features.iter().flat_map(|f| f.api_counts());
+        self.id_in_several_packages += usize::from(ids.into_iter().any(|(id, _)| !seen.insert(id)));
+        self.dead_package +=
+            usize::from(digest.dead_packages().any(|f| {
+                f.api_counts().next().is_some() && f.reachable_api_counts().next().is_none()
+            }));
         self.unknown_permission += usize::from(
             digest
                 .permissions
@@ -237,13 +235,13 @@ fn exercised(ids: BTreeSet<u32>) -> BTreeSet<&'static str> {
 fn analyze_equals_the_set_based_definition() {
     let analyzer = OverprivilegeAnalyzer::new();
     property("analyze", |d, _| {
-        let flat = d.package_features.iter().flat_map(|f| &f.api_counts);
-        let used = exercised(flat.map(|(id, _)| *id).collect());
+        let flat = d.package_features.iter().flat_map(|f| f.api_counts());
+        let used = exercised(flat.map(|(id, _)| id).collect());
         let reachable = d
             .package_features
             .iter()
-            .flat_map(|f| &f.reachable_api_counts);
-        let used_reachable = exercised(reachable.map(|(id, _)| *id).collect());
+            .flat_map(|f| f.reachable_api_counts());
+        let used_reachable = exercised(reachable.map(|(id, _)| id).collect());
         let declared: BTreeSet<&'static str> = d
             .permissions
             .iter()
@@ -342,8 +340,8 @@ fn from_digest_equals_the_map_based_definition() {
             if lib_packages.contains(&f.java_package) {
                 continue;
             }
-            for (id, c) in &f.api_counts {
-                *own_api.entry(*id).or_insert(0) += *c as u32;
+            for (id, c) in f.api_counts() {
+                *own_api.entry(id).or_insert(0) += c as u32;
             }
             own_segments.extend_from_slice(&f.code_segments);
         }

@@ -5,9 +5,12 @@
 //! downstream analyses need — identity, manifest facts, the WuKong-style
 //! sparse API-call vector, code-segment hashes, per-Java-package
 //! feature hashes for library clustering, and the statically *reachable*
-//! API subset (worklist pass from the manifest-declared components) — in
-//! a fraction of the parsed APK's memory, so snapshots of whole markets
-//! stay cheap.
+//! API subset (worklist pass from the manifest-declared components).
+//! A seed-1000 campaign at ÷2 000 harvests 2 792 digests of 15.9 KB of
+//! heap each on average, summed from capacities. With a flat and a
+//! reachable count vector per package instead of one [`ApiCount`] table
+//! they took 25.9 KB. The bound `tests/digest_memory.rs` asserts is in
+//! DESIGN §8.
 //!
 //! Reachability policy: a manifest with no declared components gives no
 //! entry points to anchor the walk, so every method is conservatively
@@ -21,7 +24,6 @@ use crate::taint::{self, TaintFlow};
 use marketscope_core::hash::{fnv1a64, mix64};
 use marketscope_core::{AppKey, DeveloperKey, PackageName, VersionCode};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Feature summary of one Java package subtree inside an APK.
@@ -36,13 +38,10 @@ pub struct PackageFeature {
     pub feature_hash: u64,
     /// Number of classes in the subtree.
     pub class_count: u32,
-    /// Sparse API-call count vector of this subtree (flat: every method
-    /// counted), sorted by id.
-    pub api_counts: Vec<(u32, u16)>,
-    /// Sparse API-call count vector restricted to methods reachable from
-    /// the manifest-declared components, sorted by id. Equals
-    /// `api_counts` when the manifest declares no components.
-    pub reachable_api_counts: Vec<(u32, u16)>,
+    /// Sparse API-call table of this subtree: one row per called API id,
+    /// sorted by id. Read it through [`api_counts`](Self::api_counts) and
+    /// [`reachable_api_counts`](Self::reachable_api_counts).
+    pub api: Vec<ApiCount>,
     /// Method code-segment hashes of this subtree, sorted.
     pub code_segments: Vec<u64>,
     /// Total methods in the subtree.
@@ -51,7 +50,37 @@ pub struct PackageFeature {
     pub reachable_method_count: u32,
 }
 
+/// One row of a package's API-call table: how often the subtree calls
+/// API `id` from any method, and from methods reachable from the
+/// manifest-declared components. Both counts saturate at `u16::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ApiCount {
+    /// API-call id.
+    pub id: u32,
+    /// Calls from every method (the flat view).
+    pub count: u16,
+    /// Calls from reachable methods; 0 when only dead code calls `id`.
+    pub reachable: u16,
+}
+
 impl PackageFeature {
+    /// Sparse API-call count vector (flat: every method counted), sorted
+    /// by id.
+    pub fn api_counts(&self) -> impl Iterator<Item = (u32, u16)> + '_ {
+        self.api.iter().map(|a| (a.id, a.count))
+    }
+
+    /// Sparse API-call count vector restricted to methods reachable from
+    /// the manifest-declared components, sorted by id. Equals
+    /// [`api_counts`](Self::api_counts) when the manifest declares no
+    /// components.
+    pub fn reachable_api_counts(&self) -> impl Iterator<Item = (u32, u16)> + '_ {
+        self.api
+            .iter()
+            .filter(|a| a.reachable > 0)
+            .map(|a| (a.id, a.reachable))
+    }
+
     /// Whether no method of the subtree is reachable (a fully dead
     /// package — typically a bundled-but-unused library).
     pub fn is_dead(&self) -> bool {
@@ -202,23 +231,19 @@ impl ApkDigest {
             // first. Counts saturate at `u16::MAX`.
             tags.sort_unstable();
             let ids = || runs(&tags, |a, b| a >> 1 == b >> 1);
-            let mut api_counts = Vec::with_capacity(ids().count());
-            let mut reachable_api_counts =
-                Vec::with_capacity(ids().filter(|run| run[run.len() - 1] & 1 == 1).count());
+            let mut api = Vec::with_capacity(ids().count());
             for run in ids() {
-                let id = (run[0] >> 1) as u32;
-                api_counts.push((id, saturating_count(run.len())));
-                let reached = run.len() - run.partition_point(|t| t & 1 == 0);
-                if reached > 0 {
-                    reachable_api_counts.push((id, saturating_count(reached)));
-                }
+                api.push(ApiCount {
+                    id: (run[0] >> 1) as u32,
+                    count: saturating_count(run.len()),
+                    reachable: saturating_count(run.len() - run.partition_point(|t| t & 1 == 0)),
+                });
             }
             package_features.push(PackageFeature {
                 java_package: group[0].0.replace('/', "."),
                 feature_hash: acc,
                 class_count: members().count() as u32,
-                api_counts,
-                reachable_api_counts,
+                api,
                 code_segments,
                 method_count: method_count as u32,
                 reachable_method_count,
@@ -252,32 +277,11 @@ impl ApkDigest {
         AppKey::new(self.package.clone(), self.version_code)
     }
 
-    /// Merged whole-app sparse API-call vector, sorted by id.
-    pub fn api_counts_merged(&self) -> Vec<(u32, u16)> {
-        let mut merged: BTreeMap<u32, u16> = BTreeMap::new();
-        for f in &self.package_features {
-            for (id, c) in &f.api_counts {
-                let e = merged.entry(*id).or_insert(0);
-                *e = e.saturating_add(*c);
-            }
-        }
-        merged.into_iter().collect()
-    }
-
     /// Iterate every method code-segment hash in the app.
     pub fn code_segments(&self) -> impl Iterator<Item = u64> + '_ {
         self.package_features
             .iter()
             .flat_map(|f| f.code_segments.iter().copied())
-    }
-
-    /// Total API-call count (L1 norm of the merged feature vector).
-    pub fn api_total(&self) -> u64 {
-        self.package_features
-            .iter()
-            .flat_map(|f| f.api_counts.iter())
-            .map(|(_, c)| *c as u64)
-            .sum()
     }
 
     /// Total methods across packages.
@@ -343,6 +347,14 @@ mod tests {
         build_with_components(dex, pkg, vec![])
     }
 
+    /// Every package's flat API counts, in package order.
+    fn api_counts(d: &ApkDigest) -> Vec<(u32, u16)> {
+        d.package_features
+            .iter()
+            .flat_map(|f| f.api_counts())
+            .collect()
+    }
+
     /// Append a one-method class: `calls`, code hash `hash`, no edges.
     fn class(dex: &mut DexFile, name: &str, calls: &[u32], hash: u64) {
         let calls: Vec<ApiCallId> = calls.iter().map(|c| ApiCallId(*c)).collect();
@@ -372,7 +384,7 @@ mod tests {
         let d = ApkDigest::from_bytes(&bytes).unwrap();
         assert_eq!(d.package.as_str(), "com.my.app");
         assert!(d.signature_valid);
-        assert_eq!(d.api_counts_merged(), vec![(1, 1), (2, 2), (7, 1), (9, 1)]);
+        assert_eq!(api_counts(&d), vec![(1, 1), (2, 2), (7, 1), (9, 1)]);
         let mut segs: Vec<u64> = d.code_segments().collect();
         segs.sort_unstable();
         assert_eq!(segs, vec![100, 200, 300]);
@@ -433,24 +445,23 @@ mod tests {
     }
 
     #[test]
-    fn api_total_counts_multiplicity() {
+    fn api_counts_carry_multiplicity() {
         let bytes = build(classes(&[("Lcom/a/b/C;", &[5, 5, 5], 1)]), "com.a.b");
         let d = ApkDigest::from_bytes(&bytes).unwrap();
-        assert_eq!(d.api_total(), 3);
-        assert_eq!(d.api_counts_merged(), vec![(5, 3)]); // distinct ids
+        assert_eq!(api_counts(&d), vec![(5, 3)]); // one row per distinct id
     }
 
     #[test]
-    fn merged_counts_coalesce_across_packages() {
-        // The same API id called from two Java packages is one entry of
-        // the whole-app vector, carrying both counts.
+    fn api_counts_stay_per_package() {
+        // The same API id called from two Java packages is one row of
+        // each package's table.
         let bytes = build(
             classes(&[("Lcom/a/b/C;", &[5, 9], 1), ("Lcom/x/y/Z;", &[5], 2)]),
             "com.a.b",
         );
         let d = ApkDigest::from_bytes(&bytes).unwrap();
         assert_eq!(d.package_features.len(), 2);
-        assert_eq!(d.api_counts_merged(), vec![(5, 2), (9, 1)]);
+        assert_eq!(api_counts(&d), vec![(5, 1), (9, 1), (5, 1)]);
     }
 
     #[test]
@@ -470,7 +481,7 @@ mod tests {
         assert_eq!(d.dead_packages().count(), 0);
         assert_eq!(stats.methods_reached, 2);
         for f in &d.package_features {
-            assert_eq!(f.api_counts, f.reachable_api_counts);
+            assert!(f.api_counts().eq(f.reachable_api_counts()));
         }
     }
 
@@ -503,13 +514,14 @@ mod tests {
         assert_eq!(d.reachable_method_total(), 2);
         assert!((d.dead_code_share() - 1.0 / 3.0).abs() < 1e-9);
         assert_eq!(stats.edges_traversed, 1);
-        // Flat view still sees everything.
-        assert_eq!(d.api_counts_merged(), vec![(1, 1), (7, 1), (9, 1)]);
+        // Flat view still sees everything (packages in dotted order:
+        // com.dead.lib, com.my.app, com.umeng.analytics).
+        assert_eq!(api_counts(&d), vec![(9, 1), (1, 1), (7, 1)]);
         // Reachable view drops the dead subtree's call.
         let reachable: Vec<(u32, u16)> = d
             .package_features
             .iter()
-            .flat_map(|f| f.reachable_api_counts.iter().copied())
+            .flat_map(|f| f.reachable_api_counts())
             .collect();
         assert_eq!(reachable, vec![(1, 1), (7, 1)]);
         let dead: Vec<&str> = d.dead_packages().map(|f| f.java_package.as_str()).collect();
@@ -586,9 +598,6 @@ mod tests {
             dp.package_features[0].feature_hash,
             dw.package_features[0].feature_hash
         );
-        assert_eq!(
-            dp.package_features[0].api_counts,
-            dw.package_features[0].api_counts
-        );
+        assert_eq!(dp.package_features[0].api, dw.package_features[0].api);
     }
 }

@@ -15,7 +15,7 @@
 use marketscope_apk::apicalls::{ApiCallId, API_DIMENSIONS};
 use marketscope_apk::builder::ApkBuilder;
 use marketscope_apk::dex::{DexFile, MethodRef};
-use marketscope_apk::digest::{ApkDigest, PackageFeature};
+use marketscope_apk::digest::{ApiCount, ApkDigest, PackageFeature};
 use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
 use marketscope_apk::parse::ParsedApk;
 use marketscope_apk::permmap::{PermissionMap, SinkClass, SourceClass};
@@ -135,8 +135,14 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
                 java_package,
                 feature_hash: acc,
                 class_count: members.len() as u32,
-                api_counts: api_counts.into_iter().collect(),
-                reachable_api_counts: reachable_api_counts.into_iter().collect(),
+                api: api_counts
+                    .into_iter()
+                    .map(|(id, count)| ApiCount {
+                        id,
+                        count,
+                        reachable: reachable_api_counts.get(&id).copied().unwrap_or(0),
+                    })
+                    .collect(),
                 code_segments,
                 method_count,
                 reachable_method_count,
@@ -311,8 +317,11 @@ fn saturated_counts_match_oracle() {
     ];
     let digest = assert_agrees(&build(classes, &["Lsat/A;"]), "saturation");
     let f = &digest.package_features[0];
-    assert_eq!(f.api_counts, vec![(42, u16::MAX)]);
-    assert_eq!(f.reachable_api_counts, vec![(42, 60_000)]);
+    assert_eq!(f.api_counts().collect::<Vec<_>>(), vec![(42, u16::MAX)]);
+    assert_eq!(
+        f.reachable_api_counts().collect::<Vec<_>>(),
+        vec![(42, 60_000)]
+    );
 }
 
 /// Class names over an alphabet rich in separators and the characters

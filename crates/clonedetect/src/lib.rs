@@ -61,7 +61,7 @@ impl UniqueApp {
             if lib_packages.contains(&f.java_package) {
                 continue;
             }
-            own_api.extend(f.api_counts.iter().map(|(id, c)| (*id, *c as u32)));
+            own_api.extend(f.api_counts().map(|(id, c)| (id, u32::from(c))));
             own_segments.extend_from_slice(&f.code_segments);
         }
         // Each package's run is already ascending; sort the concatenation

@@ -1617,7 +1617,10 @@ mod tests {
         assert!(d.dead_packages().count() >= 1);
         // The flat footprint still sees the dead libraries' API calls.
         let (flat, reachable) = d.package_features.iter().fold((0, 0), |(f, r), p| {
-            (f + p.api_counts.len(), r + p.reachable_api_counts.len())
+            (
+                f + p.api_counts().count(),
+                r + p.reachable_api_counts().count(),
+            )
         });
         assert!(flat >= reachable);
     }

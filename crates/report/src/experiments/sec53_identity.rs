@@ -41,24 +41,14 @@ pub struct Sec53 {
 
 /// Group by (package, version, developer) and classify MD5 divergence.
 pub fn run(snapshot: &Snapshot) -> Sec53 {
-    // triple → [(market, md5, channel names, code segment count)]
-    type Entry = (MarketId, [u8; 16], Vec<String>, u64);
-    let mut groups: HashMap<(String, u32, [u8; 20]), Vec<Entry>> = HashMap::new();
+    // (package, version, developer) → [(market, digest)]
+    let mut groups: HashMap<_, Vec<_>> = HashMap::new();
     for (market, listing) in snapshot.iter() {
         let Some(d) = &listing.digest else { continue };
         groups
-            .entry((listing.package.clone(), d.version_code.0, d.developer.0))
+            .entry((listing.package.as_str(), d.version_code.0, d.developer.0))
             .or_default()
-            .push((
-                market,
-                d.file_md5,
-                d.channels.clone(),
-                marketscope_core::hash::fnv1a64(
-                    &d.code_segments()
-                        .flat_map(u64::to_le_bytes)
-                        .collect::<Vec<u8>>(),
-                ),
-            ));
+            .push((market, d));
     }
     let mut multi = 0usize;
     let mut identical = 0usize;
@@ -69,25 +59,27 @@ pub fn run(snapshot: &Snapshot) -> Sec53 {
             continue;
         }
         multi += 1;
-        let first_md5 = entries[0].1;
-        if entries.iter().all(|(_, md5, _, _)| *md5 == first_md5) {
+        let first = entries[0].1;
+        if entries.iter().all(|(_, d)| d.file_md5 == first.file_md5) {
             identical += 1;
             continue;
         }
-        // Diverging: classify. If the code (segment hash) matches across
-        // copies, only META-INF content can differ → channel files. If
-        // the code differs, a store re-packed it.
-        let first_code = entries[0].3;
-        let cause = if entries.iter().all(|(_, _, _, code)| *code == first_code) {
-            for (m, _, channels, _) in entries {
-                if !channels.is_empty() {
+        // Diverging: classify. If the code segments match across copies,
+        // only META-INF content can differ → channel files. If the code
+        // differs, a store re-packed it.
+        let cause = if entries
+            .iter()
+            .all(|(_, d)| d.code_segments().eq(first.code_segments()))
+        {
+            for (m, d) in entries {
+                if !d.channels.is_empty() {
                     *channel_counts.entry(*m).or_insert(0) += 1;
                 }
             }
             DivergenceCause::ChannelFiles
         } else if entries
             .iter()
-            .any(|(m, _, _, _)| marketscope_ecosystem::profile(*m).requires_obfuscation)
+            .any(|(m, _)| marketscope_ecosystem::profile(*m).requires_obfuscation)
         {
             DivergenceCause::StoreRepacking
         } else {
