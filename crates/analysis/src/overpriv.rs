@@ -96,19 +96,21 @@ impl OverprivilegeAnalyzer {
         }
     }
 
-    /// Permissions exercised by API ids. An id called from several Java
-    /// packages is looked up once per package: folding into a mask needs
-    /// no dedupe pass.
-    fn exercised(&self, ids: impl Iterator<Item = u32>) -> PermSet {
-        self.map.used_permissions(ids.map(ApiCallId))
-    }
-
-    /// Analyze one app digest.
+    /// Analyze one app digest. One pass over the API rows fills both
+    /// footprints; an id called from several Java packages is looked up
+    /// once per package, since folding into a mask needs no dedupe pass.
     pub fn analyze(&self, digest: &ApkDigest) -> OverprivilegeResult {
-        let features = &digest.package_features;
-        let rows = || features.iter().flat_map(|f| &f.api);
-        let used = self.exercised(rows().map(|a| a.id));
-        let used_reachable = self.exercised(rows().filter(|a| a.reachable > 0).map(|a| a.id));
+        let rows = digest.package_features.iter().flat_map(|f| &f.api);
+        let none = PermSet::default();
+        let (used, used_reachable) = rows.fold((none, none), |(flat, reached), a| {
+            let needs = self.map.used_permissions(std::iter::once(ApiCallId(a.id)));
+            let reached = if a.reachable > 0 {
+                reached.union(needs)
+            } else {
+                reached
+            };
+            (flat.union(needs), reached)
+        });
         let declared = PermSet::from_names(digest.permissions.iter().map(String::as_str));
         OverprivilegeResult {
             declared,

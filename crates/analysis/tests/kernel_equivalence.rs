@@ -6,8 +6,9 @@
 //! the plain way — collect sets, probe them — and must agree on corpora
 //! built to hit the cases where streaming could differ: an API id called
 //! from several Java packages, dead packages, unknown permission strings,
-//! repeated code-segment hashes, two families' signatures in one app and
-//! two detectability markers.
+//! repeated code-segment hashes, two families' signatures in one app,
+//! two detectability markers, and hashes that share a signature's or a
+//! marker's top 16 bits (what the scan's filter keys on) but are neither.
 
 use marketscope_analysis::av::{vendor_label, AvReport, AvSimulator, ENGINE_COUNT};
 use marketscope_analysis::overpriv::OverprivilegeAnalyzer;
@@ -38,6 +39,20 @@ struct Coverage {
     two_families: usize,
     tied_families: usize,
     two_markers: usize,
+    filter_false_positive: usize,
+}
+
+/// Every signature and every detectability marker: the hashes the scan
+/// looks up.
+fn scanned_hashes(db: &ThreatDb) -> Vec<u64> {
+    let signatures = (0..db.family_count()).flat_map(|f| db.signatures(FamilyId(f as u16)));
+    let markers = (0..DETECTABILITY_STEPS).map(detectability_marker);
+    signatures.copied().chain(markers).collect()
+}
+
+/// The top 16 bits of a hash.
+fn top16(hash: u64) -> u64 {
+    hash >> 48
 }
 
 impl Coverage {
@@ -70,6 +85,12 @@ impl Coverage {
             .filter(|q| distinct.contains(&detectability_marker(*q)))
             .count();
         self.two_markers += usize::from(markers >= 2);
+        let scanned = scanned_hashes(db);
+        self.filter_false_positive += usize::from(
+            distinct
+                .iter()
+                .any(|h| !scanned.contains(h) && scanned.iter().any(|s| top16(*s) == top16(*h))),
+        );
     }
 }
 
@@ -88,7 +109,8 @@ fn arb_api_pool(rng: &mut DetRng) -> Vec<u32> {
 
 /// Code hashes to draw an app's methods from: plain hashes, up to three
 /// families' signatures (sometimes the same number from each, to force
-/// a tie) and up to three detectability markers.
+/// a tie), up to three detectability markers and up to two hashes that
+/// share a signature's or a marker's top 16 bits but are neither.
 fn arb_hash_pool(rng: &mut DetRng, db: &ThreatDb) -> Vec<u64> {
     let mut pool = vec_of(rng, 2..6, |r| r.range_u64(1, u64::MAX));
     let tie = rng.chance(0.4).then(|| usize_in(rng, 1..4));
@@ -102,6 +124,13 @@ fn arb_hash_pool(rng: &mut DetRng, db: &ThreatDb) -> Vec<u64> {
         pool.push(detectability_marker(
             rng.index(DETECTABILITY_STEPS.into()) as u8
         ));
+    }
+    let scanned = scanned_hashes(db);
+    for _ in 0..usize_in(rng, 0..3) {
+        let near = top16(*rng.pick(&scanned)) << 48 | rng.range_u64(0, 1 << 48);
+        if !scanned.contains(&near) {
+            pool.push(near);
+        }
     }
     pool
 }
@@ -199,6 +228,7 @@ fn property(name: &str, mut body: impl FnMut(&ApkDigest, &mut DetRng)) {
         two_families,
         tied_families,
         two_markers,
+        filter_false_positive,
     } = coverage;
     for (case, hits) in [
         ("an id called from several packages", id_in_several_packages),
@@ -211,6 +241,10 @@ fn property(name: &str, mut body: impl FnMut(&ApkDigest, &mut DetRng)) {
         ("two families' signatures in one app", two_families),
         ("two families with equal match counts", tied_families),
         ("two detectability markers", two_markers),
+        (
+            "a hash sharing a scanned hash's top 16 bits",
+            filter_false_positive,
+        ),
     ] {
         assert!(hits > 0, "{name}: no generated app held {case}");
     }

@@ -112,6 +112,11 @@ impl PermSet {
     pub fn difference(self, other: PermSet) -> PermSet {
         PermSet(self.0 & !other.0)
     }
+
+    /// The members of either set.
+    pub fn union(self, other: PermSet) -> PermSet {
+        PermSet(self.0 | other.0)
+    }
 }
 
 /// `perm_index` entry of an API id that needs no permission.

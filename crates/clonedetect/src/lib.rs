@@ -64,9 +64,10 @@ impl UniqueApp {
             own_api.extend(f.api_counts().map(|(id, c)| (id, u32::from(c))));
             own_segments.extend_from_slice(&f.code_segments);
         }
-        // Each package's run is already ascending; sort the concatenation
-        // and add up the counts of an id several packages call.
-        own_api.sort_unstable_by_key(|(id, _)| *id);
+        // Each package's run is already ascending, and the stable sorts
+        // merge runs; then add up the counts of an id several packages
+        // call.
+        own_api.sort_by_key(|(id, _)| *id);
         own_api.dedup_by(|next, kept| {
             let same = next.0 == kept.0;
             if same {
@@ -74,7 +75,7 @@ impl UniqueApp {
             }
             same
         });
-        own_segments.sort_unstable();
+        own_segments.sort();
         UniqueApp {
             package: digest.package.as_str().to_owned(),
             developer: digest.developer,
@@ -404,18 +405,25 @@ impl CloneDetector {
     }
 }
 
-/// MinHash signature over the id set of a sparse vector.
+/// MinHash signature over the id set of a sparse vector: value `k` is
+/// the least `mix64(id, 0x5A17_0000 + k)` over the ids. Each value keeps
+/// four running minima, so four hashes are in flight at once.
 fn minhash(api: &[(u32, u32)], len: usize) -> Vec<u64> {
-    let mut sig = vec![u64::MAX; len];
-    for (id, _) in api {
-        for (k, s) in sig.iter_mut().enumerate() {
-            let h = mix64(*id as u64, 0x5A17_0000 + k as u64);
-            if h < *s {
-                *s = h;
+    (0..len as u64)
+        .map(|k| {
+            let seed = 0x5A17_0000 + k;
+            let hash = |(id, _): &(u32, u32)| mix64(u64::from(*id), seed);
+            let mut quads = api.chunks_exact(4);
+            let mut least = [u64::MAX; 4];
+            for quad in &mut quads {
+                for (m, row) in least.iter_mut().zip(quad) {
+                    *m = (*m).min(hash(row));
+                }
             }
-        }
-    }
-    sig
+            let tail = quads.remainder().iter().map(hash).min();
+            least.into_iter().chain(tail).fold(u64::MAX, u64::min)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -671,6 +679,29 @@ mod properties {
             }
         }
         pairs
+    }
+
+    /// `minhash` is its definition — value `k` is the least
+    /// `mix64(id, 0x5A17_0000 + k)` over the ids — at every row count
+    /// from 0 to 40, so at every remainder modulo four.
+    #[test]
+    fn minhash_equals_its_definition() {
+        check("clonedetect::minhash_equals_its_definition", 8, |rng| {
+            for rows in 0..=40 {
+                let api: Vec<(u32, u32)> = vec_of(rng, rows..rows + 1, |r| {
+                    (any_u64(r) as u32, r.range_u64(1, 6) as u32)
+                });
+                let expect: Vec<u64> = (0..16)
+                    .map(|k| {
+                        api.iter()
+                            .map(|(id, _)| mix64(u64::from(*id), 0x5A17_0000 + k))
+                            .min()
+                            .unwrap_or(u64::MAX)
+                    })
+                    .collect();
+                assert_eq!(minhash(&api, 16), expect, "{rows} rows");
+            }
+        });
     }
 
     /// MinHash candidate generation must find every pair the threshold

@@ -4,11 +4,12 @@
 //! consumer of its output asserts bit-identical results regardless of the
 //! worker count. The helpers here guarantee that by construction:
 //! [`par_map`] splits the input into *index-ordered contiguous chunks*,
-//! one per worker, and reassembles the outputs in chunk order — so the
-//! result is always exactly `items.iter().map(f).collect()`, no matter
-//! how the OS schedules the threads. The closure must itself be a pure
-//! function of its item (and index); all the workspace's per-app passes
-//! are, because their "randomness" is seeded from per-app content hashes.
+//! one per worker (the caller works the last), and reassembles the
+//! outputs in chunk order — so the result is always exactly
+//! `items.iter().map(f).collect()`, no matter how the OS schedules the
+//! threads. The closure must itself be a pure function of its item (and
+//! index); all the workspace's per-app passes are, because their
+//! "randomness" is seeded from per-app content hashes.
 //!
 //! [`Stage`] is the streaming counterpart for work that arrives over
 //! time: a fixed set of workers over one bounded input queue. Its outputs
@@ -29,9 +30,11 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Map `f` over `items` using up to `workers` threads, preserving input
-/// order. Equivalent to `items.iter().map(|t| f(t)).collect()` for any
-/// `workers`; `workers <= 1` runs inline without spawning.
+/// Map `f` over `items` on up to `workers` threads, the caller's among
+/// them, preserving input order. Equivalent to
+/// `items.iter().map(|t| f(t)).collect()` for any `workers`; the caller
+/// maps the last chunk itself and spawns one thread per other chunk, so
+/// `workers <= 1` spawns nothing.
 pub fn par_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -54,34 +57,22 @@ where
     }
     // Contiguous chunks, one per worker; the last may run short.
     let chunk = items.len().div_ceil(workers);
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
+    let parts = on_chunks(items, chunk, |ci, slice| {
+        slice
+            .iter()
             .enumerate()
-            .map(|(ci, slice)| {
-                let f = &f;
-                s.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(ci * chunk + i, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
+            .map(|(i, t)| f(ci * chunk + i, t))
+            .collect::<Vec<R>>()
     });
     parts.into_iter().flatten().collect()
 }
 
-/// Fold `items` in parallel: each worker folds its contiguous chunk into
-/// an accumulator with `fold`, and the per-chunk accumulators are merged
-/// *in chunk order* with `merge`. Deterministic whenever `merge` is
-/// order-insensitive or the caller accepts chunk-ordered merging (chunk
-/// boundaries depend only on `workers` and `items.len()`).
+/// Fold `items` in parallel on up to `workers` threads, the caller's
+/// among them: each folds its contiguous chunk into an accumulator with
+/// `fold`, and the per-chunk accumulators are merged *in chunk order*
+/// with `merge`. Deterministic whenever `merge` is order-insensitive or
+/// the caller accepts chunk-ordered merging (chunk boundaries depend only
+/// on `workers` and `items.len()`).
 pub fn par_fold<T, A, FF, FM>(
     workers: usize,
     items: &[T],
@@ -100,26 +91,39 @@ where
         return items.iter().fold(init(), fold);
     }
     let chunk = items.len().div_ceil(workers);
-    let mut parts: Vec<A> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| {
-                let fold = &fold;
-                let init = &init;
-                s.spawn(move || slice.iter().fold(init(), fold))
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
+    let parts = on_chunks(items, chunk, |_, slice| slice.iter().fold(init(), &fold));
     let mut parts = parts.into_iter();
     let first = match parts.next() {
         Some(p) => p,
         None => unreachable!("chunk count is always >= 1"),
     };
     parts.fold(first, merge)
+}
+
+/// Run `work` over the `chunk`-sized slices of `items`, each with its
+/// chunk number: the last on the calling thread, every other one on a
+/// scoped thread. Outputs come back in chunk order.
+fn on_chunks<T, P, W>(items: &[T], chunk: usize, work: W) -> Vec<P>
+where
+    T: Sync,
+    P: Send,
+    W: Fn(usize, &[T]) -> P + Sync,
+{
+    let mut chunks = items.chunks(chunk).enumerate();
+    let last = chunks.next_back();
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .map(|(ci, slice)| s.spawn(move || work(ci, slice)))
+            .collect();
+        let tail = last.map(|(ci, slice)| work(ci, slice));
+        let mut parts: Vec<P> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect();
+        parts.extend(tail);
+        parts
+    })
 }
 
 /// A bounded streaming stage: `workers` threads map items pushed into one
@@ -469,6 +473,44 @@ mod tests {
             None => panic.downcast_ref::<String>().cloned().unwrap_or_default(),
         };
         assert!(message.contains("worker saw 7"), "{message}");
+    }
+
+    #[test]
+    fn workers_bound_the_threads_and_the_caller_is_one() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        let items: Vec<u32> = (0..64).collect();
+        let caller = thread::current().id();
+        for workers in [1, 2, 3, 8] {
+            let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+            par_map(workers, &items, |_| {
+                seen.lock().unwrap().insert(thread::current().id())
+            });
+            let folded = par_fold(
+                workers,
+                &items,
+                HashSet::new,
+                |mut ids, _| {
+                    ids.insert(thread::current().id());
+                    ids
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+            );
+            for (helper, ids) in [
+                ("par_map", seen.into_inner().unwrap()),
+                ("par_fold", folded),
+            ] {
+                assert!(
+                    ids.len() <= workers,
+                    "{helper}: {} threads for {workers} workers",
+                    ids.len()
+                );
+                assert!(ids.contains(&caller), "{helper}: the caller ran no chunk");
+            }
+        }
     }
 
     #[test]

@@ -185,15 +185,45 @@ const SIGNATURES_PER_FAMILY: usize = 16;
 pub struct ThreatDb {
     /// Per-family signature hash sets (indexed by `FamilyId.0`).
     signatures: Vec<[u64; SIGNATURES_PER_FAMILY]>,
-    /// Every signature with its `(family, ordinal within the family)`,
-    /// ascending — what `scan` searches.
-    index: Vec<(u64, (u16, u8))>,
+    /// Every signature with its `(family, ordinal within the family)` —
+    /// what `scan` searches.
+    index: HashTable<(u16, u8)>,
 }
 
-/// The payload stored beside `hash` in a table sorted by hash.
-fn lookup<T: Copy>(table: &[(u64, T)], hash: u64) -> Option<T> {
-    let at = table.binary_search_by_key(&hash, |e| e.0).ok()?;
-    Some(table[at].1)
+/// A table of hashes sorted for bisection, behind a 65 536-bit (8 KiB)
+/// filter over their top 16 bits. A clear bit proves a hash absent, so
+/// most lookups of a hash the table does not hold skip the search.
+#[derive(Debug, Clone)]
+struct HashTable<T> {
+    filter: Vec<u64>,
+    rows: Vec<(u64, T)>,
+}
+
+/// The filter word and bit standing for `hash`'s top 16 bits.
+fn filter_bit(hash: u64) -> (usize, u64) {
+    ((hash >> 54) as usize, 1 << ((hash >> 48) & 63))
+}
+
+impl<T: Copy + Ord> HashTable<T> {
+    fn new(mut rows: Vec<(u64, T)>) -> HashTable<T> {
+        rows.sort_unstable();
+        let mut filter = vec![0u64; 1 << 10];
+        for (hash, _) in &rows {
+            let (word, bit) = filter_bit(*hash);
+            filter[word] |= bit;
+        }
+        HashTable { filter, rows }
+    }
+
+    /// The payload stored beside `hash`.
+    fn get(&self, hash: u64) -> Option<T> {
+        let (word, bit) = filter_bit(hash);
+        if self.filter[word] & bit == 0 {
+            return None;
+        }
+        let at = self.rows.binary_search_by_key(&hash, |e| e.0).ok()?;
+        Some(self.rows[at].1)
+    }
 }
 
 impl ThreatDb {
@@ -214,8 +244,10 @@ impl ThreatDb {
                 sigs
             })
             .collect();
-        index.sort_unstable();
-        ThreatDb { signatures, index }
+        ThreatDb {
+            signatures,
+            index: HashTable::new(index),
+        }
     }
 
     /// Look up a family id by canonical name.
@@ -245,7 +277,7 @@ impl ThreatDb {
     pub fn scan(&self, code_hashes: impl Iterator<Item = u64>) -> Option<(FamilyId, usize)> {
         let mut matched = [0u16; FAMILIES.len()];
         for h in code_hashes {
-            if let Some((family, ordinal)) = lookup(&self.index, h) {
+            if let Some((family, ordinal)) = self.index.get(h) {
                 matched[family as usize] |= 1 << ordinal;
             }
         }
@@ -281,16 +313,16 @@ pub fn detectability_marker(step: u8) -> u64 {
 /// Decode a detectability marker from a sample's code hashes; when
 /// several markers are present the lowest step wins.
 pub fn decode_detectability(code_hashes: impl Iterator<Item = u64>) -> Option<f64> {
-    static MARKERS: OnceLock<Vec<(u64, u8)>> = OnceLock::new();
+    static MARKERS: OnceLock<HashTable<u8>> = OnceLock::new();
     let markers = MARKERS.get_or_init(|| {
-        let mut markers: Vec<(u64, u8)> = (0..DETECTABILITY_STEPS)
-            .map(|q| (detectability_marker(q), q))
-            .collect();
-        markers.sort_unstable();
-        markers
+        HashTable::new(
+            (0..DETECTABILITY_STEPS)
+                .map(|q| (detectability_marker(q), q))
+                .collect(),
+        )
     });
     code_hashes
-        .filter_map(|h| lookup(markers, h))
+        .filter_map(|h| markers.get(h))
         .min()
         .map(|q| (q as f64 + 0.5) / DETECTABILITY_STEPS as f64)
 }

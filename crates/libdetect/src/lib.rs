@@ -196,22 +196,23 @@ impl LibraryDetector {
     /// `workers` threads. The tally merge is commutative (count addition and
     /// developer-set union), so the report is bit-identical to the
     /// single-threaded run for any `workers`.
-    pub fn detect_batch(&self, apps: &[&ApkDigest], workers: usize) -> LibraryReport {
-        // Pass 1: tally every (package, feature hash) across apps.
+    pub fn detect_batch<'a>(&self, apps: &[&'a ApkDigest], workers: usize) -> LibraryReport {
+        // Pass 1: tally every (package, feature hash) across apps, keyed
+        // by the package names the digests hold.
         #[derive(Default)]
         struct FeatureStat {
             apps: usize,
             developers: HashSet<DeveloperKey>,
         }
-        type Stats = HashMap<(String, u64), FeatureStat>;
-        let fold_digest = |mut stats: Stats, digest: &&ApkDigest| -> Stats {
+        type Stats<'a> = HashMap<(&'a str, u64), FeatureStat>;
+        let fold_digest = |mut stats: Stats<'a>, digest: &&'a ApkDigest| -> Stats<'a> {
             let own = digest.package.as_str();
             for f in &digest.package_features {
                 if f.java_package == own || f.java_package.starts_with("<") {
                     continue; // the app's own code cannot be its library
                 }
                 let stat = stats
-                    .entry((f.java_package.clone(), f.feature_hash))
+                    .entry((f.java_package.as_str(), f.feature_hash))
                     .or_default();
                 stat.apps += 1;
                 stat.developers.insert(digest.developer);
@@ -233,14 +234,14 @@ impl LibraryDetector {
             },
         );
         // Pass 2: features meeting the thresholds are library versions.
-        let mut versions_by_package: HashMap<String, usize> = HashMap::new();
-        let mut accepted: HashSet<(String, u64)> = HashSet::new();
-        for ((pkg, hash), stat) in &stats {
+        let mut versions_by_package: HashMap<&str, usize> = HashMap::new();
+        let mut accepted: HashSet<(&str, u64)> = HashSet::new();
+        for (&(pkg, hash), stat) in &stats {
             if stat.apps >= self.config.min_apps
                 && stat.developers.len() >= self.config.min_developers
             {
-                *versions_by_package.entry(pkg.clone()).or_insert(0) += 1;
-                accepted.insert((pkg.clone(), *hash));
+                *versions_by_package.entry(pkg).or_insert(0) += 1;
+                accepted.insert((pkg, hash));
             }
         }
         // Pass 3: per-app library lists (parallel), then adoption counts
@@ -253,7 +254,7 @@ impl LibraryDetector {
                     .iter()
                     .filter(|f| {
                         f.java_package != own
-                            && accepted.contains(&(f.java_package.clone(), f.feature_hash))
+                            && accepted.contains(&(f.java_package.as_str(), f.feature_hash))
                     })
                     .map(|f| f.java_package.clone())
                     .collect();
@@ -261,17 +262,17 @@ impl LibraryDetector {
                 libs.dedup();
                 libs
             });
-        let mut apps_by_package: HashMap<String, usize> = HashMap::new();
+        let mut apps_by_package: HashMap<&str, usize> = HashMap::new();
         for libs in &per_app {
             for l in libs {
-                *apps_by_package.entry(l.clone()).or_insert(0) += 1;
+                *apps_by_package.entry(l).or_insert(0) += 1;
             }
         }
         let mut libraries: Vec<DetectedLibrary> = versions_by_package
             .into_iter()
             .map(|(package, versions)| DetectedLibrary {
-                apps: apps_by_package.get(&package).copied().unwrap_or(0),
-                package,
+                apps: apps_by_package.get(package).copied().unwrap_or(0),
+                package: package.to_owned(),
                 versions,
             })
             .collect();

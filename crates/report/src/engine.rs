@@ -2,9 +2,9 @@
 //!
 //! [`Analyzed::compute`] used to be a one-shot monolith that ran every
 //! shared pass back to back. This module breaks that pipeline into named
-//! *stages* with declared inputs and outputs ([`STAGE_GRAPH`]), schedules
-//! stages whose dependencies are met concurrently on scoped threads, and
-//! fans the per-app stages out over index-ordered chunks
+//! *stages* with declared inputs and outputs ([`STAGE_GRAPH`]), runs them
+//! one at a time in the graph's canonical order on the calling thread,
+//! and fans each per-app stage out over index-ordered chunks
 //! ([`marketscope_core::parallel`]) so the output is **bit-identical to
 //! the sequential run for any worker count**.
 //!
@@ -19,11 +19,11 @@
 //!         └── overpriv
 //! ```
 //!
-//! With more than one worker the engine runs the three `dedup`-only
-//! branches (`fake`, `av`, `overpriv`) on scoped threads while the main
-//! thread walks the library/clone chain; every per-app stage additionally
-//! splits its own batch across the worker pool. Determinism is by
-//! construction, not by locking:
+//! The schedule is the same for every worker count: a per-app stage
+//! splits its batch into `workers` chunks, works the last on the calling
+//! thread and the others on scoped threads, so the engine never runs on
+//! more than `workers` threads. Determinism is by construction, not by
+//! locking:
 //!
 //! * `dedup` is sequential — snapshot iteration order *defines* app
 //!   indices, and every later artifact is index-aligned;
@@ -65,9 +65,9 @@ pub const STAGE_LATENCY_METRIC: &str = "marketscope_analysis_stage_nanos";
 /// Counter instrument recording per-stage item counts.
 pub const STAGE_ITEMS_METRIC: &str = "marketscope_analysis_stage_items_total";
 
-/// A named stage with its declared inputs and outputs. The engine's
-/// schedule is derived from this declaration: a stage may start once every
-/// input is produced, and stages with disjoint inputs run concurrently.
+/// A named stage with its declared inputs and outputs. The engine runs the
+/// stages one after another in [`STAGE_GRAPH`]'s order, which produces
+/// every input before the stage that reads it.
 #[derive(Debug, Clone, Copy)]
 pub struct StageSpec {
     /// Stage name (also the `stage` label on its telemetry instruments).
@@ -78,7 +78,7 @@ pub struct StageSpec {
     pub outputs: &'static [&'static str],
 }
 
-/// The declared stage graph, in the engine's canonical (sequential) order.
+/// The declared stage graph, in the order the engine runs it.
 pub const STAGE_GRAPH: &[StageSpec] = &[
     StageSpec {
         name: "dedup",
@@ -130,8 +130,8 @@ pub const STAGE_GRAPH: &[StageSpec] = &[
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads for per-app stages *and* concurrent stage scheduling.
-    /// `1` reproduces the legacy fully-sequential pipeline.
+    /// Threads a per-app stage runs on, the caller's included. `1` runs
+    /// the whole engine on the calling thread.
     pub workers: usize,
 }
 
@@ -144,7 +144,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The legacy single-threaded schedule.
+    /// The engine on the calling thread alone.
     pub fn sequential() -> Self {
         EngineConfig { workers: 1 }
     }
@@ -198,10 +198,8 @@ impl AnalysisEngine {
     }
 
     /// Time `f` as stage `name`, recording latency and `items` processed.
-    /// The stage runs under its own span parented on the
-    /// engine's `analysis` root via the explicit `parent` context —
-    /// stages run on scoped threads, so thread-local parenting would not
-    /// reach across.
+    /// The stage runs under its own span parented on the engine's
+    /// `analysis` root via the explicit `parent` context.
     fn stage<T>(
         &self,
         parent: Option<SpanContext>,
@@ -239,125 +237,72 @@ impl AnalysisEngine {
         });
         let digest_refs: Vec<&ApkDigest> = apps.iter().map(|a| a.digest.as_ref()).collect();
 
-        let run_fake = || {
-            self.stage(root_ctx, "fake", apps.len(), || {
-                let fake_inputs: Vec<FakeInput> = apps
-                    .iter()
-                    .map(|a| FakeInput {
-                        package: a.package.clone(),
-                        label: a.label.clone(),
-                        developer: a.developer,
-                        max_downloads: a.markets.iter().map(|(_, d)| *d).max().unwrap_or(0),
-                        markets: a.markets.iter().map(|(m, _)| *m).collect(),
-                    })
-                    .collect();
-                let fake_report = FakeDetector::new().detect(&fake_inputs);
-                (fake_inputs, fake_report)
-            })
-        };
-        let run_av = || {
-            self.stage(root_ctx, "av", apps.len(), || {
-                AvSimulator::new().scan_batch(&digest_refs, workers)
-            })
-        };
-        let run_overpriv = || {
-            self.stage(root_ctx, "overpriv", apps.len(), || {
-                OverprivilegeAnalyzer::new().analyze_batch(&digest_refs, workers)
-            })
-        };
-        // The library → clone chain; its stages depend on each other, so it
-        // runs in order on whichever thread calls it.
-        let run_clone_chain = || {
-            let lib_report = self.stage(root_ctx, "libdetect", apps.len(), || {
-                LibraryDetector::new().detect_batch(&digest_refs, workers)
+        let lib_report = self.stage(root_ctx, "libdetect", apps.len(), || {
+            LibraryDetector::new().detect_batch(&digest_refs, workers)
+        });
+        let lib_packages: HashSet<String> = lib_report
+            .libraries
+            .iter()
+            .map(|l| l.package.clone())
+            .collect();
+        // Privacy-leak attribution joins each digest's taint flows against
+        // the ownership index of the packages detected just above — it
+        // must run behind libdetect, but nothing after reads it.
+        let leaks = self.stage(root_ctx, "taint", apps.len(), || {
+            let ownership = lib_report.ownership();
+            LeakAnalyzer::new().analyze_batch(&digest_refs, &ownership, workers)
+        });
+        // Download counters feeding the clone-origin heuristic are binned
+        // to Google Play's range lower bounds: GP reports ranges, so raw
+        // counters from Chinese stores would otherwise always win the
+        // "more downloads = original" comparison.
+        let clone_inputs: Vec<marketscope_clonedetect::UniqueApp> =
+            self.stage(root_ctx, "clone_inputs", apps.len(), || {
+                parallel::par_map(workers, &apps, |a| {
+                    let binned: Vec<(MarketId, u64)> = a
+                        .markets
+                        .iter()
+                        .map(|(m, d)| {
+                            (
+                                *m,
+                                marketscope_core::InstallRange::from_count(*d).lower_bound(),
+                            )
+                        })
+                        .collect();
+                    marketscope_clonedetect::UniqueApp::from_digest(
+                        &a.digest,
+                        &lib_packages,
+                        binned,
+                    )
+                })
             });
-            let lib_packages: HashSet<String> = lib_report
-                .libraries
+        let detector = CloneDetector::new();
+        let sig_report = self.stage(root_ctx, "sig_clones", clone_inputs.len(), || {
+            detector.sig_clones(&clone_inputs)
+        });
+        let code_pairs = self.stage(root_ctx, "code_clones", clone_inputs.len(), || {
+            detector.code_clones_batch(&clone_inputs, workers)
+        });
+        let (fake_inputs, fake_report) = self.stage(root_ctx, "fake", apps.len(), || {
+            let fake_inputs: Vec<FakeInput> = apps
                 .iter()
-                .map(|l| l.package.clone())
+                .map(|a| FakeInput {
+                    package: a.package.clone(),
+                    label: a.label.clone(),
+                    developer: a.developer,
+                    max_downloads: a.markets.iter().map(|(_, d)| *d).max().unwrap_or(0),
+                    markets: a.markets.iter().map(|(m, _)| *m).collect(),
+                })
                 .collect();
-            // Privacy-leak attribution joins each digest's taint flows
-            // against the ownership index of the packages detected just
-            // above — it must run behind libdetect, but nothing after
-            // reads it.
-            let leaks = self.stage(root_ctx, "taint", apps.len(), || {
-                let ownership = lib_report.ownership();
-                LeakAnalyzer::new().analyze_batch(&digest_refs, &ownership, workers)
-            });
-            // Download counters feeding the clone-origin heuristic are
-            // binned to Google Play's range lower bounds: GP reports
-            // ranges, so raw counters from Chinese stores would otherwise
-            // always win the "more downloads = original" comparison.
-            let clone_inputs: Vec<marketscope_clonedetect::UniqueApp> =
-                self.stage(root_ctx, "clone_inputs", apps.len(), || {
-                    parallel::par_map(workers, &apps, |a| {
-                        let binned: Vec<(MarketId, u64)> = a
-                            .markets
-                            .iter()
-                            .map(|(m, d)| {
-                                (
-                                    *m,
-                                    marketscope_core::InstallRange::from_count(*d).lower_bound(),
-                                )
-                            })
-                            .collect();
-                        marketscope_clonedetect::UniqueApp::from_digest(
-                            &a.digest,
-                            &lib_packages,
-                            binned,
-                        )
-                    })
-                });
-            let detector = CloneDetector::new();
-            let sig_report = self.stage(root_ctx, "sig_clones", clone_inputs.len(), || {
-                detector.sig_clones(&clone_inputs)
-            });
-            let code_pairs = self.stage(root_ctx, "code_clones", clone_inputs.len(), || {
-                detector.code_clones_batch(&clone_inputs, workers)
-            });
-            (
-                lib_report,
-                lib_packages,
-                leaks,
-                clone_inputs,
-                sig_report,
-                code_pairs,
-            )
-        };
-
-        let (
-            (lib_report, lib_packages, leaks, clone_inputs, sig_report, code_pairs),
-            (fake_inputs, fake_report),
-            av_reports,
-            overpriv,
-        ) = if workers <= 1 {
-            // Legacy schedule: every stage in canonical order, one thread.
-            let chain = run_clone_chain();
-            let fake = run_fake();
-            let av = run_av();
-            let op = run_overpriv();
-            (chain, fake, av, op)
-        } else {
-            // The three dedup-only branches run on scoped threads while the
-            // main thread walks the library/clone chain (the critical
-            // path). Each per-app batch additionally uses the worker pool;
-            // the transient oversubscription is deliberate — the branches
-            // are short compared to the chain.
-            std::thread::scope(|s| {
-                let fake_h = s.spawn(run_fake);
-                let av_h = s.spawn(run_av);
-                let op_h = s.spawn(run_overpriv);
-                let chain = run_clone_chain();
-                (
-                    chain,
-                    fake_h
-                        .join()
-                        .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                    av_h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                    op_h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                )
-            })
-        };
+            let fake_report = FakeDetector::new().detect(&fake_inputs);
+            (fake_inputs, fake_report)
+        });
+        let av_reports = self.stage(root_ctx, "av", apps.len(), || {
+            AvSimulator::new().scan_batch(&digest_refs, workers)
+        });
+        let overpriv = self.stage(root_ctx, "overpriv", apps.len(), || {
+            OverprivilegeAnalyzer::new().analyze_batch(&digest_refs, workers)
+        });
         root.finish();
 
         Analyzed {
@@ -459,5 +404,77 @@ mod tests {
     fn stage_names_are_unique() {
         let names: HashSet<&str> = STAGE_GRAPH.iter().map(|s| s.name).collect();
         assert_eq!(names.len(), STAGE_GRAPH.len());
+    }
+
+    /// What a complete crawl of a tiny world returns, built without a
+    /// network: each listing's metadata through the market's encoder and
+    /// the crawler's parser, each APK through the digest extractor.
+    fn tiny_snapshot() -> Snapshot {
+        use marketscope_crawler::{CrawlStats, CrawledListing, MarketSnapshot};
+        use marketscope_ecosystem::{generate, profile, Scale, WorldConfig};
+        let world = generate(WorldConfig {
+            scale: Scale { divisor: 60_000 },
+            ..WorldConfig::default()
+        });
+        let markets = MarketId::ALL
+            .iter()
+            .map(|&market| MarketSnapshot {
+                market,
+                listings: world
+                    .market_listings(market)
+                    .iter()
+                    .map(|id| {
+                        let l = world.listing(*id);
+                        let json = marketscope_market::endpoints::listing_json(&world, l);
+                        let mut listing = CrawledListing::from_metadata(&json).unwrap();
+                        let obfuscated = profile(market).requires_obfuscation;
+                        let bytes = world.build_apk(l.app, l.version, obfuscated);
+                        listing.digest = Some(Arc::new(ApkDigest::from_bytes(&bytes).unwrap()));
+                        listing
+                    })
+                    .collect(),
+            })
+            .collect();
+        Snapshot {
+            markets,
+            stats: CrawlStats::default(),
+        }
+    }
+
+    #[test]
+    fn stages_run_one_at_a_time_in_graph_order() {
+        use marketscope_telemetry::trace::{SpanRecord, TracerConfig};
+        let tracer = Arc::new(Tracer::new(TracerConfig::always(256)));
+        let engine = AnalysisEngine::with_telemetry(
+            EngineConfig { workers: 2 },
+            Arc::new(Registry::new()),
+            Arc::clone(&tracer),
+        );
+        let snapshot = tiny_snapshot();
+        assert!(snapshot.total_apks() > 2, "every per-app stage must split");
+        engine.run(&snapshot);
+        let journal = tracer.snapshot();
+        let root = journal
+            .records
+            .iter()
+            .find(|r| r.name == "analysis" && r.parent_id.is_none())
+            .expect("an analysis root span");
+        // The journal is sorted by start time.
+        let stages: Vec<&SpanRecord> = journal
+            .trace(root.trace_id)
+            .into_iter()
+            .filter(|r| r.parent_id == Some(root.span_id))
+            .collect();
+        let names: Vec<&str> = stages.iter().map(|r| r.name.as_str()).collect();
+        let graph: Vec<&str> = STAGE_GRAPH.iter().map(|s| s.name).collect();
+        assert_eq!(names, graph);
+        for pair in stages.windows(2) {
+            assert!(
+                pair[1].start_nanos >= pair[0].end_nanos,
+                "`{}` started before `{}` finished",
+                pair[1].name,
+                pair[0].name
+            );
+        }
     }
 }
