@@ -207,18 +207,25 @@ pub struct SigCloneReport {
     pub flagged: Vec<bool>,
     /// Package → number of distinct signing keys (only multi-key ones).
     pub clusters: HashMap<String, usize>,
+    /// Package → the signing key of its likelier original (only
+    /// multi-key ones); see [`CloneDetector::sig_clones`].
+    pub representatives: HashMap<String, DeveloperKey>,
 }
 
 impl SigCloneReport {
-    /// Share of apps listed in `market` that belong to a multi-signature
-    /// package cluster.
+    /// Share of apps listed in `market` that are signature-based copies:
+    /// flagged apps other than their package's representative. The
+    /// original a copy was made from is not itself a clone, so a market
+    /// that lists only the original reads 0.
     pub fn market_rate(&self, apps: &[UniqueApp], market: MarketId) -> f64 {
         let mut total = 0usize;
         let mut hit = 0usize;
         for (i, app) in apps.iter().enumerate() {
             if app.markets.iter().any(|(m, _)| *m == market) {
                 total += 1;
-                if self.flagged[i] {
+                if self.flagged[i]
+                    && self.representatives.get(app.package.as_str()) != Some(&app.developer)
+                {
                     hit += 1;
                 }
             }
@@ -273,6 +280,12 @@ impl CloneDetector {
     }
 
     /// Signature-based clone detection: same package, ≥2 developer keys.
+    ///
+    /// Each multi-key package gets one representative, its likelier
+    /// original, chosen from crawl data alone: the app listed in the most
+    /// markets, then the one with the largest summed download count, then
+    /// the smaller [`DeveloperKey`], so the choice does not depend on
+    /// input order.
     pub fn sig_clones(&self, apps: &[UniqueApp]) -> SigCloneReport {
         let mut keys_by_package: HashMap<&str, HashSet<DeveloperKey>> = HashMap::new();
         for app in apps {
@@ -290,7 +303,29 @@ impl CloneDetector {
             .iter()
             .map(|a| clusters.contains_key(a.package.as_str()))
             .collect();
-        SigCloneReport { flagged, clusters }
+        let rank = |a: &UniqueApp| {
+            let downloads: u64 = a.markets.iter().map(|(_, d)| *d).sum();
+            (a.markets.len(), downloads, std::cmp::Reverse(a.developer))
+        };
+        let mut best: HashMap<&str, &UniqueApp> = HashMap::new();
+        for app in apps
+            .iter()
+            .filter(|a| clusters.contains_key(a.package.as_str()))
+        {
+            let kept = best.entry(&app.package).or_insert(app);
+            if rank(app) > rank(kept) {
+                *kept = app;
+            }
+        }
+        let representatives = best
+            .into_iter()
+            .map(|(pkg, app)| (pkg.to_owned(), app.developer))
+            .collect();
+        SigCloneReport {
+            flagged,
+            clusters,
+            representatives,
+        }
     }
 
     /// Code-based clone detection (two-phase WuKong).
@@ -503,7 +538,46 @@ mod tests {
         let report = CloneDetector::new().sig_clones(&apps);
         assert_eq!(report.flagged, vec![true, true, false]);
         assert_eq!(report.clusters.get("com.kugou.android"), Some(&2));
-        assert!((report.market_rate(&apps, MarketId::GooglePlay) - 2.0 / 3.0).abs() < 1e-9);
+        assert!((report.market_rate(&apps, MarketId::GooglePlay) - 1.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sig_representative_is_the_likelier_original() {
+        let listed = |pkg: &str, dev: &str, markets: &[(MarketId, u64)]| UniqueApp {
+            markets: markets.to_vec(),
+            ..app(pkg, dev, vec![(1, 1)], vec![1], 0)
+        };
+        let (gp, tencent, pco) = (
+            MarketId::GooglePlay,
+            MarketId::TencentMyapp,
+            MarketId::PcOnline,
+        );
+        let apps = vec![
+            // More markets beats more downloads.
+            listed("com.wide.app", "popular", &[(pco, 5_000_000)]),
+            listed("com.wide.app", "everywhere", &[(gp, 10), (tencent, 10)]),
+            // Downloads break a tie on market count.
+            listed("com.tie.app", "small", &[(gp, 100), (pco, 100)]),
+            listed("com.tie.app", "big", &[(gp, 1_000), (tencent, 100)]),
+            // The smaller key breaks a full tie.
+            listed("com.same.app", "one", &[(gp, 50)]),
+            listed("com.same.app", "two", &[(gp, 50)]),
+        ];
+        let report = CloneDetector::new().sig_clones(&apps);
+        let rep = |pkg: &str| report.representatives[pkg];
+        assert_eq!(rep("com.wide.app"), DeveloperKey::from_label("everywhere"));
+        assert_eq!(rep("com.tie.app"), DeveloperKey::from_label("big"));
+        let smaller = DeveloperKey::from_label("one").min(DeveloperKey::from_label("two"));
+        assert_eq!(rep("com.same.app"), smaller);
+        let reversed: Vec<UniqueApp> = apps.iter().rev().cloned().collect();
+        let again = CloneDetector::new().sig_clones(&reversed);
+        assert_eq!(again.representatives, report.representatives);
+        // Google Play lists two copies ("small" and com.same.app's larger
+        // key) among five apps, PC Online only copies, Tencent only
+        // originals.
+        assert!((report.market_rate(&apps, gp) - 2.0 / 5.0).abs() < 1e-9);
+        assert_eq!(report.market_rate(&apps, pco), 1.0);
+        assert_eq!(report.market_rate(&apps, tencent), 0.0);
     }
 
     #[test]

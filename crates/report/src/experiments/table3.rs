@@ -13,7 +13,9 @@ pub struct Table3Row {
     pub market: MarketId,
     /// Share of apps judged fake.
     pub fake: f64,
-    /// Share of apps in multi-signature package clusters.
+    /// Share of apps that are signature-based copies: in a
+    /// multi-signature package cluster, and not its representative
+    /// (the likelier original).
     pub sig_clone: f64,
     /// Share of apps in confirmed code-clone pairs.
     pub code_clone: f64,

@@ -63,6 +63,10 @@ fn assert_analyzed_eq(a: &Analyzed, b: &Analyzed, what: &str) {
         a.sig_report.clusters, b.sig_report.clusters,
         "{what}: sig clusters"
     );
+    assert_eq!(
+        a.sig_report.representatives, b.sig_report.representatives,
+        "{what}: sig representatives"
+    );
     assert_eq!(a.code_pairs, b.code_pairs, "{what}: code pairs");
     assert_eq!(
         a.fake_report.fakes, b.fake_report.fakes,

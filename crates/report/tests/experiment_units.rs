@@ -440,6 +440,10 @@ fn analyzed_dedup_and_sig_clones() {
     assert_eq!(analyzed.sig_report.clusters.get("com.app.x"), Some(&2));
     let t3 = ex::table3::run(&analyzed);
     assert_eq!(t3.row(MarketId::PcOnline).sig_clone, 1.0);
+    // The legitimate app, listed in more markets, is the original: the
+    // markets that carry only it list no clone.
+    assert_eq!(t3.row(MarketId::GooglePlay).sig_clone, 0.0);
+    assert_eq!(t3.row(MarketId::TencentMyapp).sig_clone, 0.0);
     assert_eq!(t3.row(MarketId::Liqu).sig_clone, 0.0);
 }
 
