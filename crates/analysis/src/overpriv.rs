@@ -245,7 +245,7 @@ mod tests {
         let mut d = digest_with(vec!["android.permission.CAMERA".into()], vec![]);
         for f in &mut d.package_features {
             for id in [API_DIMENSIONS, API_DIMENSIONS + 1, u32::MAX] {
-                f.api.push(ApiCount {
+                std::sync::Arc::make_mut(f).api.push(ApiCount {
                     id,
                     count: 1,
                     reachable: 1,

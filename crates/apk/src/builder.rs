@@ -56,8 +56,9 @@ impl ApkBuilder {
         Ok(self)
     }
 
-    /// Set a store channel file, stored as `META-INF/<name>`. Channel
-    /// files do not affect the signature (see module docs).
+    /// Set a store channel file, stored as `META-INF/<name>` after the
+    /// signature, where a store that injects it into a signed APK puts
+    /// it. Channel files do not affect the signature (see module docs).
     pub fn channel(mut self, name: &str, data: Vec<u8>) -> Self {
         self.channel = Some((format!("META-INF/{name}"), data));
         self
@@ -73,12 +74,11 @@ impl ApkBuilder {
         for (name, data) in self.assets {
             zip.add(&name, data)?;
         }
-        let digest = payload_digest(&zip);
+        let sig = Signature::sign(developer, &payload_digest(&zip));
+        zip.add(CERT_ENTRY, sig.encode())?;
         if let Some((name, data)) = self.channel {
             zip.add(&name, data)?;
         }
-        let sig = Signature::sign(developer, &digest);
-        zip.add(CERT_ENTRY, sig.encode())?;
         Ok(zip.to_bytes())
     }
 }

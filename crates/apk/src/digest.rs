@@ -6,11 +6,13 @@
 //! sparse API-call vector, code-segment hashes, per-Java-package
 //! feature hashes for library clustering, and the statically *reachable*
 //! API subset (worklist pass from the manifest-declared components).
-//! A seed-1000 campaign at ÷2 000 harvests 2 792 digests of 15.9 KB of
-//! heap each on average, summed from capacities. With a flat and a
-//! reachable count vector per package instead of one [`ApiCount`] table
-//! they took 25.9 KB. The bound `tests/digest_memory.rs` asserts is in
-//! DESIGN §8.
+//! A seed-1000 campaign at ÷2 000 harvests 2 792 digests with 28 599
+//! package features, only 3 349 of them distinct by content. Passed
+//! through one [`FeatureTable`], as the crawler passes them, they hold
+//! 9.6 MB of heap, 3.4 KB per digest, summed from capacities with each
+//! shared feature counted once; each with private features they held
+//! 44 MB, 15.7 KB per digest. The per-snapshot bound
+//! `tests/digest_memory.rs` asserts is in DESIGN §8.
 //!
 //! Reachability policy: a manifest with no declared components gives no
 //! entry points to anchor the walk, so every method is conservatively
@@ -24,7 +26,10 @@ use crate::taint::{self, TaintFlow};
 use marketscope_core::hash::{fnv1a64, mix64};
 use marketscope_core::{AppKey, DeveloperKey, PackageName, VersionCode};
 use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Feature summary of one Java package subtree inside an APK.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,8 +121,9 @@ pub struct ApkDigest {
     pub component_count: u32,
     /// Per-Java-package features: library detection, clone detection
     /// (with library subtrees excluded), over-privilege analysis and AV
-    /// scanning all read from these.
-    pub package_features: Vec<PackageFeature>,
+    /// scanning all read from these. Digests passed through one
+    /// [`FeatureTable`] share each equal feature's allocation.
+    pub package_features: Vec<Arc<PackageFeature>>,
     /// Source→sink taint flows found by the interprocedural pass over
     /// the same call graph and entry-point policy as the reachability
     /// accounting (deduplicated, sorted). The privacy-leak analyzer
@@ -239,7 +245,7 @@ impl ApkDigest {
                     reachable: saturating_count(run.len() - run.partition_point(|t| t & 1 == 0)),
                 });
             }
-            package_features.push(PackageFeature {
+            package_features.push(Arc::new(PackageFeature {
                 java_package: group[0].0.replace('/', "."),
                 feature_hash: acc,
                 class_count: members().count() as u32,
@@ -247,7 +253,7 @@ impl ApkDigest {
                 code_segments,
                 method_count: method_count as u32,
                 reachable_method_count,
-            });
+            }));
         }
         let digest = ApkDigest {
             package: apk.manifest.package.clone(),
@@ -314,7 +320,78 @@ impl ApkDigest {
     /// Java packages with methods but none reachable — bundled dead
     /// subtrees (typically unused libraries).
     pub fn dead_packages(&self) -> impl Iterator<Item = &PackageFeature> + '_ {
-        self.package_features.iter().filter(|f| f.is_dead())
+        self.package_features
+            .iter()
+            .map(Arc::as_ref)
+            .filter(|f| f.is_dead())
+    }
+}
+
+/// A set of package features, each held once by content. Passing every
+/// digest of a snapshot through one table makes each equal feature one
+/// shared allocation: library packages repeat across apps, so a snapshot
+/// holds far fewer distinct features than references to them. The table
+/// holds one entry per distinct feature it has seen and frees them when
+/// it is dropped; features stay alive while a digest references them.
+#[derive(Debug, Default)]
+pub struct FeatureTable {
+    features: HashSet<Held>,
+}
+
+/// A table entry: hashed by the fields the digest already computed,
+/// compared field by field, so two features share an entry only when
+/// their contents are equal.
+#[derive(Debug)]
+struct Held(Arc<PackageFeature>);
+
+impl Hash for Held {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.feature_hash.hash(state);
+        self.0.java_package.hash(state);
+    }
+}
+
+impl PartialEq for Held {
+    fn eq(&self, other: &Held) -> bool {
+        *self.0 == *other.0
+    }
+}
+
+impl Eq for Held {}
+
+impl FeatureTable {
+    /// An empty table.
+    pub fn new() -> FeatureTable {
+        FeatureTable::default()
+    }
+
+    /// Distinct features held.
+    pub fn len(&self) -> usize {
+        self.features.len()
+    }
+
+    /// Whether the table holds no feature.
+    pub fn is_empty(&self) -> bool {
+        self.features.is_empty()
+    }
+
+    /// Point `feature` at the table's equal feature, or enter it as a new
+    /// one.
+    pub fn intern(&mut self, feature: &mut Arc<PackageFeature>) {
+        let key = Held(Arc::clone(feature));
+        match self.features.get(&key) {
+            Some(held) => *feature = Arc::clone(&held.0),
+            None => {
+                self.features.insert(key);
+            }
+        }
+    }
+
+    /// [`intern`](Self::intern) every package feature of `digest`.
+    pub fn intern_digest(&mut self, digest: &mut ApkDigest) {
+        for feature in &mut digest.package_features {
+            self.intern(feature);
+        }
     }
 }
 
@@ -599,5 +676,97 @@ mod tests {
             dw.package_features[0].feature_hash
         );
         assert_eq!(dp.package_features[0].api, dw.package_features[0].api);
+    }
+
+    /// Two apps, each bundling the same `com.lib.x` subtree beside its
+    /// own code.
+    fn two_apps_sharing_a_library() -> (ApkDigest, ApkDigest) {
+        let a = build(
+            classes(&[
+                ("Lcom/my/a/Main;", &[1], 10),
+                ("Lcom/lib/x/L;", &[7, 8], 70),
+            ]),
+            "com.my.a",
+        );
+        let b = build(
+            classes(&[
+                ("Lcom/my/b/Main;", &[2], 20),
+                ("Lcom/lib/x/L;", &[7, 8], 70),
+            ]),
+            "com.my.b",
+        );
+        (
+            ApkDigest::from_bytes(&a).unwrap(),
+            ApkDigest::from_bytes(&b).unwrap(),
+        )
+    }
+
+    fn feature<'d>(d: &'d ApkDigest, package: &str) -> &'d Arc<PackageFeature> {
+        d.package_features
+            .iter()
+            .find(|f| f.java_package == package)
+            .unwrap()
+    }
+
+    #[test]
+    fn the_table_shares_equal_features_across_digests() {
+        let (mut a, mut b) = two_apps_sharing_a_library();
+        assert!(!Arc::ptr_eq(
+            feature(&a, "com.lib.x"),
+            feature(&b, "com.lib.x")
+        ));
+        let mut table = FeatureTable::new();
+        table.intern_digest(&mut a);
+        table.intern_digest(&mut b);
+        assert!(Arc::ptr_eq(
+            feature(&a, "com.lib.x"),
+            feature(&b, "com.lib.x")
+        ));
+        assert!(!Arc::ptr_eq(
+            feature(&a, "com.my.a"),
+            feature(&b, "com.my.b")
+        ));
+        assert_eq!(table.len(), 3, "two own packages and one library");
+    }
+
+    #[test]
+    fn the_table_keeps_features_that_only_share_their_hash_key() {
+        let (a, _) = two_apps_sharing_a_library();
+        let base = feature(&a, "com.lib.x");
+        let mut other_rows = PackageFeature::clone(base);
+        other_rows.api[0].count += 1;
+        let mut other_segments = PackageFeature::clone(base);
+        other_segments.code_segments[0] += 1;
+        for forged in [other_rows, other_segments] {
+            assert_eq!(
+                (forged.feature_hash, &forged.java_package),
+                (base.feature_hash, &base.java_package)
+            );
+            let mut table = FeatureTable::new();
+            let mut first = Arc::clone(base);
+            let mut second = Arc::new(forged.clone());
+            table.intern(&mut first);
+            table.intern(&mut second);
+            assert_eq!(table.len(), 2);
+            assert!(!Arc::ptr_eq(&first, &second));
+            assert_eq!(*first, **base);
+            assert_eq!(*second, forged);
+            // Each stays findable under its own contents.
+            let mut again = Arc::new(forged);
+            table.intern(&mut again);
+            assert!(Arc::ptr_eq(&again, &second));
+        }
+    }
+
+    #[test]
+    fn an_interned_digest_equals_its_copy_from_before() {
+        let (mut a, mut b) = two_apps_sharing_a_library();
+        let (before_a, before_b) = (a.clone(), b.clone());
+        let mut table = FeatureTable::new();
+        table.intern_digest(&mut a);
+        table.intern_digest(&mut b);
+        assert_eq!(a, before_a);
+        assert_eq!(b, before_b);
+        assert_eq!(format!("{a:?}"), format!("{before_a:?}"));
     }
 }

@@ -48,7 +48,7 @@ pub use apicalls::{ApiCallId, API_DIMENSIONS};
 pub use builder::ApkBuilder;
 pub use cert::Signature;
 pub use dex::{ClassView, DexFile, MethodRef, MethodView};
-pub use digest::{ApiCount, ApkDigest, PackageFeature};
+pub use digest::{ApiCount, ApkDigest, FeatureTable, PackageFeature};
 pub use error::ApkError;
 pub use manifest::{Component, ComponentKind, Manifest};
 pub use parse::ParsedApk;

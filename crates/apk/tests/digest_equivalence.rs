@@ -27,10 +27,11 @@ use marketscope_core::rng::DetRng;
 use marketscope_core::{DeveloperKey, MarketId, PackageName, VersionCode};
 use marketscope_ecosystem::{generate, profile, Scale, WorldConfig};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Package features and taint flows of `apk`, computed with string- and
 /// tree-keyed maps and per-call classification.
-fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
+fn oracle_features(apk: &ParsedApk) -> (Vec<Arc<PackageFeature>>, Vec<TaintFlow>) {
     let dex = &apk.dex;
     let map = PermissionMap::shared();
     let graph = CallGraph::new(dex);
@@ -131,7 +132,7 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
                 acc ^= mix64(h, 0xf00d);
             }
             code_segments.sort_unstable();
-            PackageFeature {
+            Arc::new(PackageFeature {
                 java_package,
                 feature_hash: acc,
                 class_count: members.len() as u32,
@@ -146,7 +147,7 @@ fn oracle_features(apk: &ParsedApk) -> (Vec<PackageFeature>, Vec<TaintFlow>) {
                 code_segments,
                 method_count,
                 reachable_method_count,
-            }
+            })
         })
         .collect();
     (features, flows.into_iter().collect())

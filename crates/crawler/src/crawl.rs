@@ -53,7 +53,7 @@
 
 use crate::health::MarketHealth;
 use crate::snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};
-use marketscope_apk::digest::ApkDigest;
+use marketscope_apk::digest::{ApkDigest, FeatureTable};
 use marketscope_core::json::Json;
 use marketscope_core::parallel::{default_workers, Stage};
 use marketscope_core::MarketId;
@@ -534,6 +534,9 @@ struct Run<'c> {
     digests: Option<DigestStage>,
     /// Bodies pushed to the digest stage and not yet applied.
     digesting: usize,
+    /// Every distinct package feature this crawl's digests hold, so
+    /// digests embedding the same library share its features.
+    features: FeatureTable,
 }
 
 impl<'c> Run<'c> {
@@ -561,6 +564,7 @@ impl<'c> Run<'c> {
             stats: CrawlStats::default(),
             digests: None,
             digesting: 0,
+            features: FeatureTable::new(),
         }
     }
 
@@ -1056,12 +1060,14 @@ impl<'c> Run<'c> {
         }
     }
 
-    /// Apply every digest the stage has finished, by (market, listing).
+    /// Apply every digest the stage has finished, by (market, listing),
+    /// its package features interned in the crawl's table.
     fn apply_digests(&mut self) {
         while let Some((apk, digest)) = self.digests.as_mut().and_then(Stage::try_recv) {
             self.digesting -= 1;
             match digest {
-                Some(digest) => {
+                Some(mut digest) => {
+                    self.features.intern_digest(&mut digest);
                     self.markets[apk.market].listings[apk.listing].digest = Some(Arc::new(digest));
                 }
                 None => self.stats.parse_failures += 1,

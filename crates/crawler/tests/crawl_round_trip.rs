@@ -1,9 +1,11 @@
 //! End-to-end crawl over a live simulated fleet.
 
+use marketscope_apk::digest::PackageFeature;
 use marketscope_core::MarketId;
 use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler};
 use marketscope_ecosystem::{generate, Scale, WorldConfig};
 use marketscope_market::{CrawlPhase, MarketFleet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn seeds_for(world: &marketscope_ecosystem::World, share: f64) -> Vec<String> {
@@ -72,6 +74,26 @@ fn full_crawl_reconstructs_catalogs() {
         }
     }
     assert!(with_apk as f64 > snap.total_listings() as f64 * 0.8);
+    // The crawl interned its digests: equal package features are one
+    // allocation, and library packages make most references shared.
+    let mut held: HashMap<(&str, u64), Vec<&Arc<PackageFeature>>> = HashMap::new();
+    let (mut references, mut distinct) = (0usize, 0usize);
+    for f in snap
+        .iter()
+        .filter_map(|(_, l)| l.digest.as_ref())
+        .flat_map(|d| &d.package_features)
+    {
+        references += 1;
+        let same_key = held.entry((&f.java_package, f.feature_hash)).or_default();
+        match same_key.iter().copied().find(|&g| g == f) {
+            Some(g) => assert!(Arc::ptr_eq(g, f), "{} held twice", f.java_package),
+            None => {
+                same_key.push(f);
+                distinct += 1;
+            }
+        }
+    }
+    assert!(2 * distinct < references, "{distinct} of {references}");
     // Chinese APKs carry store channel files; Google Play's do not.
     let tencent = snap.market(MarketId::TencentMyapp);
     assert!(tencent

@@ -242,6 +242,20 @@ impl World {
     ///   class;
     /// * the stub bootstraps the own root.
     pub fn build_apk(&self, app_id: AppId, version: u32, obfuscated: bool) -> Vec<u8> {
+        self.build_apk_with_channel(app_id, version, obfuscated, None)
+    }
+
+    /// [`build_apk`](Self::build_apk) with an optional store channel file
+    /// `(name, contents)`, stored as `META-INF/<name>` after the
+    /// signature: the bytes a store that injects the file into the
+    /// developer's signed APK serves.
+    pub fn build_apk_with_channel(
+        &self,
+        app_id: AppId,
+        version: u32,
+        obfuscated: bool,
+        channel: Option<(&str, &[u8])>,
+    ) -> Vec<u8> {
         let app = self.app(app_id);
         let version = version.clamp(1, app.version_count);
         let own_len = app.own_class_count as usize;
@@ -356,7 +370,11 @@ impl World {
             components,
         };
         let dev = self.developer(app.developer);
-        ApkBuilder::new(manifest, dex)
+        let mut builder = ApkBuilder::new(manifest, dex);
+        if let Some((name, contents)) = channel {
+            builder = builder.channel(name, contents.to_vec());
+        }
+        builder
             .build(dev.key)
             .unwrap_or_else(|e| unreachable!("generated apk is structurally valid: {e:?}"))
     }

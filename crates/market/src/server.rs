@@ -1,7 +1,6 @@
 //! One market's HTTP server.
 
 use crate::endpoints::listing_json;
-use marketscope_apk::zip::ZipArchive;
 use marketscope_core::json::Json;
 use marketscope_core::{MarketId, MarketKind};
 use marketscope_ecosystem::{profile, App, DevId, ListingId, World};
@@ -41,12 +40,15 @@ struct MarketState {
     by_developer: HashMap<DevId, Vec<ListingId>>,
     /// The APK download limit (Google Play only).
     downloads: Option<DownloadLimit>,
-    /// The `META-INF/` channel file injected into served APKs. Channel
-    /// injection is a web-company/specialized-store habit
-    /// (user-acquisition attribution); Google Play and the vendor stores
-    /// serve the developer's bytes untouched — which is what leaves some
+    /// The `META-INF/` channel file `(name, contents)` served APKs carry,
+    /// recording the distribution source. Channel injection is a
+    /// web-company/specialized-store habit (user-acquisition
+    /// attribution); the signature stays valid because the payload
+    /// digest excludes `META-INF/` (Section 5.3's `kgchannel`
+    /// mechanism). Google Play and the vendor stores serve the
+    /// developer's bytes untouched — which is what leaves some
     /// multi-store listings byte-identical (Section 5.3).
-    channel: Option<String>,
+    channel: Option<(String, Vec<u8>)>,
 }
 
 impl MarketState {
@@ -82,7 +84,13 @@ impl MarketState {
                 market.kind(),
                 MarketKind::WebCompany | MarketKind::Specialized
             )
-            .then(|| format!("{}channel", market.slug())),
+            .then(|| {
+                let slug = market.slug();
+                (
+                    format!("{slug}channel"),
+                    format!("source={slug}").into_bytes(),
+                )
+            }),
         }
     }
 
@@ -212,16 +220,13 @@ impl MarketState {
         };
         let listing = self.world.listing(id);
         let obfuscate = profile(self.market).requires_obfuscation;
-        let bytes = self
-            .world
-            .build_apk(listing.app, listing.version, obfuscate);
-        let bytes = match &self.channel {
-            Some(name) => match inject_channel(&bytes, name, self.market) {
-                Ok(b) => b,
-                Err(_) => return Response::status(Status::InternalError),
-            },
-            None => bytes,
-        };
+        let channel = self
+            .channel
+            .as_ref()
+            .map(|(name, contents)| (name.as_str(), contents.as_slice()));
+        let bytes =
+            self.world
+                .build_apk_with_channel(listing.app, listing.version, obfuscate, channel);
         Response::ok("application/vnd.android.package-archive", bytes)
     }
 }
@@ -560,22 +565,6 @@ impl MarketServer {
     }
 }
 
-/// Store-side channel injection: add `META-INF/<name>` recording the
-/// distribution source. Signature stays valid because the payload digest
-/// excludes `META-INF/` (Section 5.3's `kgchannel` mechanism).
-pub fn inject_channel(
-    apk: &[u8],
-    name: &str,
-    market: MarketId,
-) -> Result<Vec<u8>, marketscope_apk::ApkError> {
-    let mut zip = ZipArchive::parse(apk)?;
-    zip.add(
-        &format!("META-INF/{name}"),
-        format!("source={}", market.slug()).into_bytes(),
-    )?;
-    Ok(zip.to_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,6 +652,39 @@ mod tests {
         // The absent package in each market, and at least one listing the
         // second crawl no longer sees.
         assert!(hidden > MarketId::ALL.len(), "{hidden}");
+    }
+
+    #[test]
+    fn channel_markets_serve_the_bytes_injection_produced() {
+        use marketscope_apk::zip::ZipArchive;
+        use marketscope_net::server::Handler;
+        let w = world();
+        let (mut markets, mut served) = (0, 0);
+        for market in MarketId::ALL {
+            let router = handler(&w, market);
+            if router.state.channel.is_none() {
+                continue;
+            }
+            markets += 1;
+            let slug = market.slug();
+            let obfuscate = profile(market).requires_obfuscation;
+            for id in w.market_listings(market) {
+                let l = w.listing(*id);
+                let pkg = w.app(l.app).package.as_str();
+                let resp = router.handle(&Request::get(&format!("/apk/{pkg}")));
+                assert_eq!(resp.status, Status::Ok, "{market} {pkg}");
+                // The store-side injection this build replaced: parse the
+                // developer's APK, append the channel file, re-serialize.
+                let mut zip = ZipArchive::parse(&w.build_apk(l.app, l.version, obfuscate)).unwrap();
+                let channel = format!("source={slug}").into_bytes();
+                zip.add(&format!("META-INF/{slug}channel"), channel)
+                    .unwrap();
+                assert!(resp.body == zip.to_bytes(), "{market} {pkg}");
+                served += 1;
+            }
+        }
+        assert_eq!(markets, 11, "web-company and specialized stores");
+        assert!(served > 100, "{served}");
     }
 
     /// `market`'s handler with private telemetry, no chaos, no ops plane.

@@ -9,10 +9,11 @@ use marketscope_analysis::av::{AvReport, AvSimulator};
 use marketscope_analysis::fake::{FakeDetector, FakeInput};
 use marketscope_analysis::overpriv::{OverprivilegeAnalyzer, OverprivilegeResult};
 use marketscope_analysis::taint::{LeakAnalyzer, LeakResult};
-use marketscope_apk::digest::ApkDigest;
+use marketscope_apk::digest::{ApkDigest, FeatureTable};
 use marketscope_clonedetect::CloneDetector;
 use marketscope_core::{DeveloperKey, MarketId};
-use marketscope_crawler::Snapshot;
+use marketscope_crawler::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};
+use marketscope_ecosystem::{generate, profile, Scale, WorldConfig};
 use marketscope_libdetect::{LibraryDetector, PackageOwnership};
 use marketscope_report::{
     run_campaign, AnalysisEngine, Analyzed, Campaign, CampaignConfig, EngineConfig,
@@ -277,5 +278,65 @@ fn market_index_agrees_with_membership_scan() {
         assert_eq!(indexed, scanned, "{market:?}");
         // Ascending, no duplicates.
         assert!(indexed.windows(2).all(|w| w[0] < w[1]), "{market:?}");
+    }
+}
+
+/// A complete crawl of a small default-seed world, built without a
+/// network; every listing's digest holds its own package features.
+fn offline_snapshot() -> Snapshot {
+    let world = generate(WorldConfig {
+        scale: Scale { divisor: 20_000 },
+        ..WorldConfig::default()
+    });
+    let markets = MarketId::ALL
+        .iter()
+        .map(|&market| MarketSnapshot {
+            market,
+            listings: world
+                .market_listings(market)
+                .iter()
+                .map(|id| {
+                    let l = world.listing(*id);
+                    let json = marketscope_market::endpoints::listing_json(&world, l);
+                    let mut listing = CrawledListing::from_metadata(&json).unwrap();
+                    let obfuscated = profile(market).requires_obfuscation;
+                    let bytes = world.build_apk(l.app, l.version, obfuscated);
+                    listing.digest = Some(Arc::new(ApkDigest::from_bytes(&bytes).unwrap()));
+                    listing
+                })
+                .collect(),
+        })
+        .collect();
+    Snapshot {
+        markets,
+        stats: CrawlStats::default(),
+    }
+}
+
+#[test]
+fn engine_output_is_identical_on_an_interned_snapshot() {
+    let private = offline_snapshot();
+    let mut interned = private.clone();
+    let mut table = FeatureTable::new();
+    for market in &mut interned.markets {
+        for listing in &mut market.listings {
+            let digest = listing.digest.as_mut().unwrap();
+            table.intern_digest(Arc::make_mut(digest));
+        }
+    }
+    let refs: usize = private
+        .iter()
+        .filter_map(|(_, l)| l.digest.as_ref())
+        .map(|d| d.package_features.len())
+        .sum();
+    assert!(
+        table.len() < refs,
+        "{refs} references, {} distinct",
+        table.len()
+    );
+    for config in [EngineConfig::sequential(), EngineConfig::default()] {
+        let what = format!("workers={}", config.workers);
+        let engine = AnalysisEngine::new(config);
+        assert_analyzed_eq(&engine.run(&private), &engine.run(&interned), &what);
     }
 }

@@ -66,8 +66,9 @@ fn chaos_campaign_fires_and_resolves_alerts_with_resolvable_traces() {
             .any(|e| e.message == "slo alert resolved"),
         "resolved alerts must emit events"
     );
-    // Alert events are recorded inside the scraper's tick span, so their
-    // trace ids resolve in the merged campaign journal.
+    // Alert events are recorded inside the ops plane's tick span, cut at
+    // a campaign phase mark, so their trace ids resolve in the merged
+    // campaign journal.
     for e in &alert_events {
         let trace_id = e.trace_id.expect("alert event carries a trace id");
         let spans = campaign.traces.trace(trace_id);

@@ -99,8 +99,8 @@ fn unsampled_campaign_records_no_spans() {
         scale: Scale { divisor: 60_000 },
         ..CampaignConfig::default() // trace_sample stays 0.0
     });
-    // The ops scraper always traces its own ticks; no *request* span
-    // may be recorded at rate 0.
+    // The ops plane always traces the ticks it cuts at the campaign's
+    // phase marks; no *request* span may be recorded at rate 0.
     assert!(
         campaign
             .traces
