@@ -39,10 +39,10 @@
 //! [`Tracer::disabled`] and a small private [`EventLog`], so there is
 //! one instrumented code path and nothing to branch on.
 //!
-//! The record path never takes a lock or allocates: callers resolve an
-//! instrument from the registry once (a short `RwLock` critical section,
-//! off the hot path) and then hammer the returned `Arc` freely from any
-//! number of threads.
+//! An instrument's record path never takes a lock or allocates: callers
+//! resolve it from the registry once (a short `RwLock` critical section,
+//! off the hot path) and then hammer the returned `Arc` from any number
+//! of threads. A span or log event takes one short lock on its ring.
 //!
 //! Naming convention: `marketscope_<crate>_<name>`, with `_total` for
 //! counters and `_nanos` for duration histograms; dimensions (market,
@@ -62,6 +62,7 @@ pub mod log;
 pub mod perf;
 pub mod periodic;
 pub mod registry;
+mod ring;
 pub mod series;
 pub mod slo;
 pub mod trace;

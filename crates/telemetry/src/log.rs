@@ -4,17 +4,15 @@
 //! where counters say *how often* something happened, log events say
 //! *what* happened, *where*, and — because the active trace context is
 //! attached automatically via [`trace::current`] —
-//! *within which request*. The ring mirrors the trace journal's design:
-//! a fixed slot vector claimed by an atomic cursor, so recording is
-//! wait-free apart from one uncontended per-slot mutex, and the oldest
-//! event is silently overwritten when the ring wraps. Snapshots are
-//! mergeable across processes: events are sorted by capture time and the
-//! recorded/overwritten tallies add, so a sharded fleet can pool its logs
-//! into one timeline.
+//! *within which request*. It shares the trace journal's ring: one
+//! short lock per event, the oldest overwritten past the capacity, and
+//! 136 B per slot plus the event's strings, held only once recorded.
+//! Snapshots are mergeable across processes: events are sorted by
+//! capture time and the recorded/overwritten tallies add, so a sharded
+//! fleet can pool its logs into one timeline.
 
+use crate::ring::Ring;
 use crate::trace;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Severity of a log event, ordered from chattiest to loudest.
@@ -128,24 +126,15 @@ fn sort_events(events: &mut [LogEvent]) {
     });
 }
 
-/// Lock-free-claim bounded event ring. Recording claims a slot with one
-/// atomic `fetch_add` and writes it under a per-slot mutex; when the
-/// cursor laps the ring the oldest event is overwritten. Safe to share
-/// across threads behind an `Arc`.
+/// Bounded, overwrite-oldest event ring that holds what it recorded,
+/// up to its capacity. Safe to share across threads behind an `Arc`.
 #[derive(Debug)]
-pub struct EventLog {
-    slots: Vec<Mutex<Option<LogEvent>>>,
-    cursor: AtomicU64,
-}
+pub struct EventLog(Ring<LogEvent>);
 
 impl EventLog {
     /// Create a log retaining at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> EventLog {
-        let capacity = capacity.max(1);
-        EventLog {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-        }
+        EventLog(Ring::new(capacity.max(1)))
     }
 
     /// The small log a component records to until a caller attaches a
@@ -158,7 +147,6 @@ impl EventLog {
     /// Record one event. The active trace/span ids on the calling thread
     /// (if any) are attached automatically.
     pub fn record(&self, level: LogLevel, target: &str, message: &str, fields: &[(&str, &str)]) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let (trace_id, span_id) = match trace::current() {
             Some(ctx) => (Some(ctx.trace_id), Some(ctx.span_id)),
             None => (None, None),
@@ -166,7 +154,7 @@ impl EventLog {
         let event = LogEvent {
             unix_nanos: unix_nanos_now(),
             mono_nanos: trace::epoch_nanos(),
-            seq,
+            seq: 0,
             level,
             target: target.to_owned(),
             message: message.to_owned(),
@@ -177,31 +165,22 @@ impl EventLog {
             trace_id,
             span_id,
         };
-        let slot = (seq % self.slots.len() as u64) as usize;
-        *self.slots[slot]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(event);
+        self.0.push(|seq| LogEvent { seq, ..event });
     }
 
     /// Total events recorded over the log's lifetime.
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.0.recorded()
     }
 
     /// Copy out the retained events, oldest first.
     pub fn snapshot(&self) -> LogSnapshot {
-        let mut events: Vec<LogEvent> = self
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
-            .collect();
+        let (mut events, recorded) = self.0.snapshot();
         sort_events(&mut events);
-        let recorded = self.recorded();
-        let overwritten = recorded.saturating_sub(events.len() as u64);
         LogSnapshot {
+            overwritten: recorded - events.len() as u64,
             events,
             recorded,
-            overwritten,
         }
     }
 }

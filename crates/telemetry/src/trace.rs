@@ -1,5 +1,5 @@
-//! Distributed request tracing: sampled span trees with a bounded,
-//! lock-free ring-buffer journal.
+//! Distributed request tracing: sampled span trees with a bounded
+//! ring-buffer journal.
 //!
 //! Counters and histograms (the rest of this crate) answer "how is the
 //! fleet doing on average"; this module answers "where did *this one*
@@ -30,11 +30,10 @@
 //!
 //! ## The journal
 //!
-//! Finished spans go into a fixed-capacity ring: a single atomic
-//! `fetch_add` claims a slot, then a per-slot mutex guards the write.
-//! Claiming is lock-free and slot locks only contend when the ring wraps
-//! all the way around between two claims, so recording stays cheap under
-//! heavy concurrency while old spans are overwritten oldest-first.
+//! A finished span takes one short lock to join the journal's ring,
+//! which overwrites the oldest span past its capacity. The ring grows
+//! as spans arrive: an unsampled tracer holds no slot, and a full one
+//! holds 112 B per slot plus each span's name and events.
 //! [`JournalSnapshot`]s are mergeable, like every other snapshot in this
 //! crate, so fleet-side and crawler-side journals combine into one
 //! timeline.
@@ -43,11 +42,12 @@
 //! so spans recorded by *different* tracers in the same process — the
 //! fleet's and the crawler's — line up on one clock.
 
+use crate::ring::Ring;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Request header carrying the wire form of a [`SpanContext`].
@@ -155,61 +155,35 @@ impl SpanRecord {
     }
 }
 
-/// Fixed-capacity, overwrite-oldest journal of finished spans.
-///
-/// A slot is claimed with one atomic `fetch_add` (lock-free); the write
-/// into the claimed slot takes that slot's own mutex, which only contends
-/// if the ring wraps fully around between claim and write.
+/// Bounded, overwrite-oldest journal of finished spans: a ring that
+/// holds what it recorded, up to `capacity` spans.
 #[derive(Debug)]
-pub struct Journal {
-    slots: Vec<Mutex<Option<SpanRecord>>>,
-    cursor: AtomicU64,
-}
+pub struct Journal(Ring<SpanRecord>);
 
 impl Journal {
     /// A journal holding at most `capacity` spans (0 disables recording).
     pub fn new(capacity: usize) -> Journal {
-        Journal {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-        }
+        Journal(Ring::new(capacity))
     }
 
     /// Append one record, overwriting the oldest if full.
     pub fn push(&self, record: SpanRecord) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = (seq % self.slots.len() as u64) as usize;
-        *self.slots[slot]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(record);
+        self.0.push(|_| record);
     }
 
     /// Total spans ever pushed (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.0.recorded()
     }
 
     /// Point-in-time copy of the retained spans, sorted by start time.
     pub fn snapshot(&self) -> JournalSnapshot {
-        let mut records: Vec<SpanRecord> = self
-            .slots
-            .iter()
-            .filter_map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone()
-            })
-            .collect();
+        let (mut records, recorded) = self.0.snapshot();
         records.sort_by_key(|r| (r.start_nanos, r.span_id));
-        let recorded = self.recorded();
-        let retained = records.len() as u64;
         JournalSnapshot {
+            overwritten: recorded - records.len() as u64,
             records,
             recorded,
-            overwritten: recorded.saturating_sub(retained),
         }
     }
 }
@@ -301,6 +275,18 @@ impl TracerConfig {
 /// Shared event sink of one active span.
 type EventSink = Arc<Mutex<Vec<SpanEvent>>>;
 
+/// Append a timestamped event to one span's sink.
+fn note(events: &EventSink, label: &str) {
+    let event = SpanEvent {
+        at_nanos: epoch_nanos(),
+        label: label.to_owned(),
+    };
+    events
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(event);
+}
+
 thread_local! {
     /// Innermost-last stack of `(context, event sink)` for the active
     /// spans opened on this thread.
@@ -318,13 +304,7 @@ pub fn current() -> Option<SpanContext> {
 pub fn current_event(label: &str) {
     ACTIVE.with(|a| {
         if let Some((_, events)) = a.borrow().last() {
-            events
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(SpanEvent {
-                    at_nanos: epoch_nanos(),
-                    label: label.to_owned(),
-                });
+            note(events, label);
         }
     });
 }
@@ -374,10 +354,7 @@ impl Tracer {
     /// a sampled parent, so it never puts a context on the wire. What a
     /// component holds until a caller attaches a real one.
     pub fn disabled() -> Tracer {
-        Tracer::new(TracerConfig {
-            sample_rate: 0.0,
-            capacity: 0,
-        })
+        Tracer::new(TracerConfig::propagate_only(0))
     }
 
     fn sample(&self) -> bool {
@@ -432,7 +409,7 @@ impl Tracer {
     ) -> TraceSpan {
         // No journal, no reader: a span here could only leak its context
         // to the thread-local stack and, through it, onto the wire.
-        if self.journal.slots.is_empty() {
+        if self.journal.0.cap == 0 {
             return TraceSpan::noop();
         }
         let ctx = SpanContext {
@@ -505,13 +482,7 @@ impl TraceSpan {
     /// Append a timestamped event to this span.
     pub fn event(&self, label: &str) {
         if let Some(s) = &self.inner {
-            s.events
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(SpanEvent {
-                    at_nanos: epoch_nanos(),
-                    label: label.to_owned(),
-                });
+            note(&s.events, label);
         }
     }
 
@@ -533,12 +504,7 @@ impl TraceSpan {
                 stack.retain(|(c, _)| c.span_id != s.ctx.span_id);
             }
         });
-        let events = std::mem::take(
-            &mut *s
-                .events
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        let events = std::mem::take(&mut *s.events.lock().unwrap_or_else(PoisonError::into_inner));
         s.tracer.journal.push(SpanRecord {
             trace_id: s.ctx.trace_id,
             span_id: s.ctx.span_id,

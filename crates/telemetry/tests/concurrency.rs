@@ -1,7 +1,9 @@
-//! Concurrent hammering of the lock-free instruments: 8 threads, exact
-//! counts, monotone cumulative bucket sums.
+//! Concurrent hammering of the lock-free instruments and the record
+//! rings: 8 threads, exact counts, monotone cumulative bucket sums, and
+//! rings that keep each thread's newest records.
 
-use marketscope_telemetry::{Counter, Gauge, Histogram, Registry};
+use marketscope_telemetry::trace::Journal;
+use marketscope_telemetry::{Counter, EventLog, Gauge, Histogram, LogLevel, Registry, SpanRecord};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
@@ -126,4 +128,75 @@ fn snapshots_under_load_never_exceed_final_totals() {
     });
     assert_eq!(c.get(), THREADS as u64 * 10_000);
     assert_eq!(h.count(), THREADS as u64 * 10_000);
+}
+
+/// Records each thread pushes into each ring, and the rings' capacity.
+const RING_PUSHES: u64 = 1_000;
+const RING_CAP: usize = 1_024;
+
+/// Each thread's retained records, as `(thread, index)` pairs, must be
+/// the newest that thread pushed: a suffix of `0..RING_PUSHES`.
+fn assert_suffixes(kept: impl Iterator<Item = (u64, u64)>) {
+    let mut per_thread = vec![Vec::new(); THREADS];
+    for (t, i) in kept {
+        per_thread[t as usize].push(i);
+    }
+    for (t, mut idx) in per_thread.into_iter().enumerate() {
+        idx.sort_unstable();
+        let first = RING_PUSHES - idx.len() as u64;
+        assert_eq!(idx, (first..RING_PUSHES).collect::<Vec<_>>(), "thread {t}");
+    }
+}
+
+#[test]
+fn rings_count_and_retain_exactly_under_contention() {
+    let journal = Journal::new(RING_CAP);
+    let log = EventLog::new(RING_CAP);
+    std::thread::scope(|s| {
+        for t in 0..THREADS as u64 {
+            let (journal, log) = (&journal, &log);
+            s.spawn(move || {
+                for i in 0..RING_PUSHES {
+                    journal.push(SpanRecord {
+                        trace_id: t + 1,
+                        span_id: i + 1,
+                        parent_id: None,
+                        component: "test",
+                        name: String::new(),
+                        start_nanos: i,
+                        end_nanos: i,
+                        events: Vec::new(),
+                    });
+                    let (t, i) = (t.to_string(), i.to_string());
+                    log.record(LogLevel::Info, "test", "push", &[("t", &t), ("i", &i)]);
+                }
+            });
+        }
+    });
+    let total = THREADS as u64 * RING_PUSHES;
+    let lost = total - RING_CAP as u64;
+
+    let spans = journal.snapshot();
+    assert_eq!(spans.recorded, total);
+    assert_eq!(spans.records.len(), RING_CAP);
+    assert_eq!(spans.overwritten, lost);
+    assert_suffixes(
+        spans
+            .records
+            .iter()
+            .map(|r| (r.trace_id - 1, r.span_id - 1)),
+    );
+
+    let events = log.snapshot();
+    assert_eq!(events.recorded, total);
+    assert_eq!(events.events.len(), RING_CAP);
+    assert_eq!(events.overwritten, lost);
+    let field =
+        |e: &marketscope_telemetry::LogEvent, k: usize| e.fields[k].1.parse::<u64>().unwrap();
+    assert_suffixes(events.events.iter().map(|e| (field(e, 0), field(e, 1))));
+    // The ring stamps sequence numbers under the lock that stores the
+    // event, so the retained events carry exactly the newest RING_CAP.
+    let mut seqs: Vec<u64> = events.events.iter().map(|e| e.seq).collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (lost..total).collect::<Vec<_>>());
 }
