@@ -52,6 +52,7 @@
 //!   BFS holds at most `BFS_WINDOW` `/related` answers.
 
 use crate::health::MarketHealth;
+use crate::progress::progress_line;
 use crate::snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};
 use marketscope_apk::digest::{ApkDigest, FeatureTable};
 use marketscope_core::json::Json;
@@ -62,7 +63,9 @@ use marketscope_net::http::Response;
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
 use marketscope_net::{CompletionQueue, NetError, Ticket};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
-use marketscope_telemetry::{Counter, EventLog, Gauge, LogLevel, Registry, SpanContext, TraceSpan};
+use marketscope_telemetry::{
+    perf, Counter, EventLog, Gauge, LogLevel, Registry, SpanContext, TraceSpan,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -111,6 +114,9 @@ pub struct CrawlConfig {
     /// terminal fetch failures; its remaining listings are deferred to a
     /// single revisit pass (`0` = never quarantine).
     pub quarantine_threshold: u32,
+    /// Print a market's `crawl-progress` line to stderr each time it
+    /// finishes a phase (see [`crate::progress`]).
+    pub progress: bool,
 }
 
 impl Default for CrawlConfig {
@@ -123,6 +129,7 @@ impl Default for CrawlConfig {
             retry: Some(RetryPolicy::default()),
             breaker: Some(BreakerConfig::default()),
             quarantine_threshold: 8,
+            progress: false,
         }
     }
 }
@@ -534,6 +541,9 @@ struct Run<'c> {
     digests: Option<DigestStage>,
     /// Bodies pushed to the digest stage and not yet applied.
     digesting: usize,
+    /// Per market, its harvest's backfills in flight and bodies in the
+    /// digest stage: the harvest ends once its pass is over and this is 0.
+    settling: Vec<usize>,
     /// Every distinct package feature this crawl's digests hold, so
     /// digests embedding the same library share its features.
     features: FeatureTable,
@@ -564,6 +574,7 @@ impl<'c> Run<'c> {
             stats: CrawlStats::default(),
             digests: None,
             digesting: 0,
+            settling: vec![0; MarketId::ALL.len()],
             features: FeatureTable::new(),
         }
     }
@@ -657,6 +668,10 @@ impl<'c> Run<'c> {
         for m in 0..self.markets.len() {
             self.pump(m);
         }
+        // A phase barrier: the mux driver is up, and in the harvest the
+        // digest workers too, so this is where the crawl's thread set is
+        // largest.
+        perf::sample(&self.crawler.registry);
         while !self.io.in_flight.is_empty() || self.digesting > 0 {
             match self.io.queue.wait() {
                 DIGESTED => self.apply_digests(),
@@ -674,6 +689,7 @@ impl<'c> Run<'c> {
             io,
             markets,
             stats,
+            settling,
             ..
         } = &mut *self;
         let market = &mut markets[m];
@@ -733,18 +749,7 @@ impl<'c> Run<'c> {
                 while !h.direct {
                     let Some(&i) = h.pass.get(h.next) else {
                         if h.revisit || h.deferred.is_empty() {
-                            if h.revisit {
-                                crawler.log.record(
-                                    LogLevel::Info,
-                                    "crawler.quarantine",
-                                    "revisit pass finished",
-                                    &[
-                                        ("market", market.id.slug()),
-                                        ("recovered", &h.recovered.to_string()),
-                                    ],
-                                );
-                            }
-                            ended = true;
+                            ended = settling[m] == 0;
                             break;
                         }
                         // Revisit pass: by the time the deferred tail
@@ -798,7 +803,8 @@ impl<'c> Run<'c> {
     }
 
     /// Market `m`'s task is over: hand its results on and start the next
-    /// task of the phase, if any.
+    /// task of the phase, if any. A market whose phase ends here prints
+    /// its progress line.
     fn advance(&mut self, m: usize) {
         let found = match std::mem::take(&mut self.markets[m].task) {
             Task::Index(walk) => {
@@ -815,13 +821,40 @@ impl<'c> Run<'c> {
                 if sweep.search {
                     self.stats.parallel_search_hits += (listings.len() - before) as u64;
                 }
+                self.report(m);
                 return;
             }
-            Task::Harvest(_) | Task::Idle => return,
+            Task::Harvest(h) => {
+                if h.revisit {
+                    self.crawler.log.record(
+                        LogLevel::Info,
+                        "crawler.quarantine",
+                        "revisit pass finished",
+                        &[
+                            ("market", self.markets[m].id.slug()),
+                            ("recovered", &h.recovered.to_string()),
+                        ],
+                    );
+                }
+                self.report(m);
+                return;
+            }
+            Task::Idle => return,
         };
         // Enumeration found its packages: fetch each one's metadata.
         self.markets[m].task = Task::Sweep(Sweep::new(false, found));
         self.pump(m);
+    }
+
+    /// Print market `m`'s progress line, if the crawl was asked to.
+    fn report(&self, m: usize) {
+        let metrics = &self.crawler.metrics[m];
+        if self.crawler.config.progress {
+            let (listings, apks) = (metrics.listings.get(), metrics.apks.get());
+            let (dedup, queue) = (metrics.dedup_hits.get(), metrics.queue_depth.get());
+            let market = self.markets[m].id.slug();
+            eprintln!("{}", progress_line(market, listings, apks, dedup, queue));
+        }
     }
 
     /// Settle the ticket behind `tag`, then let its market move on.
@@ -1021,6 +1054,7 @@ impl<'c> Run<'c> {
         let (parent, lane) = (span.context(), REPOSITORY_LANE | m as u64);
         let op = Op::Backfill { listing: i, span };
         self.io.submit(m, repo, path, parent, lane, op);
+        self.settling[m] += 1;
     }
 
     /// Repository failures are accounted like any other fetch error
@@ -1033,6 +1067,7 @@ impl<'c> Run<'c> {
         span: TraceSpan,
         fetched: Result<Response, NetError>,
     ) {
+        self.settling[m] -= 1;
         match fetched {
             Ok(resp) => {
                 self.stats.apks_backfilled += 1;
@@ -1057,11 +1092,13 @@ impl<'c> Run<'c> {
             };
             stage.push((apk, bytes));
             self.digesting += 1;
+            self.settling[m] += 1;
         }
     }
 
     /// Apply every digest the stage has finished, by (market, listing),
-    /// its package features interned in the crawl's table.
+    /// its package features interned in the crawl's table; a market's
+    /// last digest ends its harvest.
     fn apply_digests(&mut self) {
         while let Some((apk, digest)) = self.digests.as_mut().and_then(Stage::try_recv) {
             self.digesting -= 1;
@@ -1073,6 +1110,8 @@ impl<'c> Run<'c> {
                 None => self.stats.parse_failures += 1,
             }
             apk.span.finish();
+            self.settling[apk.market] -= 1;
+            self.pump(apk.market);
         }
     }
 

@@ -44,8 +44,9 @@
 //! listing/APK/dedup counters, BFS queue depth and HTTP client latency
 //! all land in the crawler's
 //! [`Registry`](marketscope_telemetry::Registry) (shareable via
-//! [`Crawler::with_ops`]), and [`CrawlProgress`] turns that registry
-//! into structured per-market progress lines while a crawl runs.
+//! [`Crawler::with_ops`]), as do the process gauges a crawl samples at
+//! each phase barrier. With [`CrawlConfig::progress`] set, each market
+//! prints its [`progress`] line as it finishes a phase.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,5 +58,5 @@ pub mod snapshot;
 
 pub use crawl::{CrawlConfig, CrawlTargets, Crawler};
 pub use health::MarketHealth;
-pub use progress::{progress_lines, CrawlProgress};
+pub use progress::progress_lines;
 pub use snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};

@@ -1,23 +1,22 @@
 //! Structured crawl-progress reporting.
 //!
-//! A [`CrawlProgress`] reporter snapshots a telemetry [`Registry`] on a
-//! fixed cadence and
-//! emits one structured line per market to a caller-provided sink:
+//! With [`CrawlConfig::progress`](crate::CrawlConfig::progress) set, the
+//! crawl loop prints one line to stderr for each market as it finishes
+//! each phase (enumeration once its listing sweep ends, parallel search,
+//! and the harvest once its last digest is applied):
 //!
 //! ```text
 //! crawl-progress market=baidu listings=120 apks=118 dedup=0 queue=0
 //! ```
 //!
+//! Each value is a count of that market's own fetches, so a market's
+//! lines are a function of the seed and come in phase order; lines of
+//! different markets interleave in whichever order the markets finish.
 //! Lines are plain `key=value` pairs so they grep/parse trivially; the
-//! pure [`progress_lines`] helper renders them from any
-//! [`RegistrySnapshot`], which is what the reporter thread and the tests
-//! both use. The reporter never touches the hot path: it only reads
-//! snapshots, so a paused or slow sink cannot slow the crawl.
+//! pure [`progress_lines`] helper renders the same line for every active
+//! market of any [`RegistrySnapshot`].
 
-use marketscope_telemetry::{Periodic, Registry, RegistrySnapshot};
-use parking_lot::Mutex;
-use std::sync::Arc;
-use std::time::Duration;
+use marketscope_telemetry::RegistrySnapshot;
 
 /// Render one `crawl-progress` line per market present in `snap`.
 ///
@@ -43,59 +42,26 @@ pub fn progress_lines(snap: &RegistrySnapshot) -> Vec<String> {
         if listings == 0 && apks == 0 && dedup == 0 && queue == 0 {
             continue;
         }
-        out.push(format!(
-            "crawl-progress market={market} listings={listings} apks={apks} \
-             dedup={dedup} queue={queue}"
-        ));
+        out.push(progress_line(&market, listings, apks, dedup, queue));
     }
     out
 }
 
-/// A background reporter emitting [`progress_lines`] on a fixed cadence.
-///
-/// Dropping (or calling [`CrawlProgress::stop`]) stops the thread after
-/// one final report, so short crawls still produce at least one line.
-pub struct CrawlProgress {
-    /// One report: snapshot the registry, feed the sink. Shared with
-    /// the reporter thread so the final report can run after it exits.
-    emit: Arc<Mutex<dyn FnMut() + Send>>,
-    thread: Periodic,
-}
-
-impl CrawlProgress {
-    /// Spawn a reporter over `registry`, emitting every `interval` to
-    /// `sink` (e.g. `|line| eprintln!("{line}")`).
-    pub fn spawn(
-        registry: Arc<Registry>,
-        interval: Duration,
-        mut sink: impl FnMut(String) + Send + 'static,
-    ) -> CrawlProgress {
-        let emit: Arc<Mutex<dyn FnMut() + Send>> = Arc::new(Mutex::new(move || {
-            for line in progress_lines(&registry.snapshot()) {
-                sink(line);
-            }
-        }));
-        let thread_emit = Arc::clone(&emit);
-        let thread = Periodic::spawn("crawl-progress", interval, move || (*thread_emit.lock())());
-        CrawlProgress { emit, thread }
-    }
-
-    /// Stop the reporter, emitting one final report before returning
-    /// (dropping does the same).
-    pub fn stop(self) {}
-}
-
-impl Drop for CrawlProgress {
-    fn drop(&mut self) {
-        self.thread.stop();
-        // Final report so the last state is always visible.
-        (*self.emit.lock())();
-    }
+/// One market's `crawl-progress` line.
+pub(crate) fn progress_line(
+    market: &str,
+    listings: u64,
+    apks: u64,
+    dedup: u64,
+    queue: i64,
+) -> String {
+    format!("crawl-progress market={market} listings={listings} apks={apks} dedup={dedup} queue={queue}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marketscope_telemetry::Registry;
 
     fn active_registry() -> Registry {
         let registry = Registry::new();
@@ -128,23 +94,5 @@ mod tests {
         assert!(lines[1].contains("market=gp"));
         assert!(lines[1].contains("queue=3"));
         assert!(!lines.iter().any(|l| l.contains("market=idle")));
-    }
-
-    #[test]
-    fn reporter_emits_final_report_on_stop() {
-        let registry = Arc::new(active_registry());
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let sink_seen = Arc::clone(&seen);
-        let reporter = CrawlProgress::spawn(
-            Arc::clone(&registry),
-            Duration::from_secs(3600), // never ticks on its own
-            move |line| sink_seen.lock().push(line),
-        );
-        reporter.stop();
-        let lines: Vec<String> = seen.lock().clone();
-        assert!(
-            lines.iter().any(|l| l.contains("market=baidu")),
-            "final report missing: {lines:?}"
-        );
     }
 }

@@ -4,14 +4,18 @@
 //! Its own test binary with a single test, like the fleet's: the count
 //! comes from `/proc/self/status`, which a sibling test spawning threads
 //! of its own would move.
+//!
+//! The crawl samples its own thread peak at its phase barriers. An
+//! observer thread polling the count all through the crawl must see the
+//! same peak, so a thread the crawl starts between barriers fails here.
 
 use marketscope_core::parallel::default_workers;
 use marketscope_core::MarketId;
 use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler};
 use marketscope_ecosystem::{generate, Scale, WorldConfig};
 use marketscope_market::MarketFleet;
-use marketscope_telemetry::perf::{thread_count, ResourceSampler};
-use marketscope_telemetry::Registry;
+use marketscope_telemetry::perf::thread_count;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,16 +42,37 @@ fn a_crawl_adds_the_driver_and_the_digest_workers() {
         ..CrawlConfig::default()
     });
 
-    let sampler = ResourceSampler::spawn(Arc::new(Registry::new()), Duration::from_millis(1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let observer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut peak = 0;
+            while !stop.load(Ordering::Relaxed) {
+                peak = peak.max(threads());
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            peak
+        })
+    };
     let baseline = threads();
     let snapshot = crawler.crawl(&targets);
-    let peak = sampler.stop().threads_peak;
+    stop.store(true, Ordering::Relaxed);
+    let peak = observer.join().expect("observer");
     assert!(snapshot.total_apks() > 0, "the harvest ran");
     let budget = 1 + default_workers() as u64;
     assert!(
         peak <= baseline + budget,
         "a 17-market crawl peaked at {} threads over {baseline}; the budget is {budget}",
         peak - baseline
+    );
+    let sampled = crawler
+        .registry()
+        .snapshot()
+        .gauge_value("marketscope_process_threads_peak", &[]);
+    assert_eq!(
+        sampled,
+        Some(peak as i64),
+        "the crawl's own thread peak differs from the observer's"
     );
 
     // The digest stage is joined with the harvest, the driver with the

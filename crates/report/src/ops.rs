@@ -69,14 +69,14 @@ pub struct ResilienceOps {
     pub breaker_closes: u64,
 }
 
-/// Process-level resource picture: the `telemetry::perf` sampler's peak
-/// gauges plus the build-info marker, read back from the snapshot.
+/// Process-level resource picture: the peak gauges `telemetry::perf::sample`
+/// raises, plus the build-info marker, read back from the snapshot.
 #[derive(Debug, Clone)]
 pub struct PerfOps {
-    /// Peak resident set observed by the sampler, bytes (0 when the
-    /// platform exposes no `/proc/self/status`).
+    /// The process's resident-set high-water mark (`VmHWM`), bytes (0
+    /// when the platform exposes no `/proc/self/status`).
     pub rss_peak_bytes: u64,
-    /// Peak OS thread count observed by the sampler.
+    /// Most OS threads seen at any sample point.
     pub threads_peak: u64,
     /// `marketscope_build_info` version label, when registered.
     pub build_version: Option<String>,
@@ -116,7 +116,7 @@ pub struct OpsSummary {
     /// Analysis-engine stage rows, in stage-graph order; empty when the
     /// snapshot holds no engine telemetry.
     pub analysis: Vec<StageOps>,
-    /// Resource peaks and build identity; `None` when no perf sampler
+    /// Resource peaks and build identity; `None` when no perf sample
     /// or build-info gauge ever touched the snapshot.
     pub perf: Option<PerfOps>,
     /// Slowest sampled traces (top-k by root-span duration), filled by

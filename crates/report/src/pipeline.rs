@@ -5,15 +5,14 @@ use crate::context::{Analyzed, LabelSource};
 use crate::engine::{AnalysisEngine, EngineConfig};
 use crate::ops::OpsSummary;
 use marketscope_core::MarketId;
-use marketscope_crawler::{CrawlConfig, CrawlProgress, CrawlTargets, Crawler, Snapshot};
+use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler, Snapshot};
 use marketscope_ecosystem::{generate, Scale, World, WorldConfig};
 use marketscope_market::{ChaosProfile, CrawlPhase, MarketFleet};
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::{
-    JournalSnapshot, LogSnapshot, Registry, RegistrySnapshot, SeriesSnapshot, SloVerdict,
+    perf, JournalSnapshot, LogSnapshot, Registry, RegistrySnapshot, SeriesSnapshot, SloVerdict,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
@@ -25,8 +24,8 @@ pub struct CampaignConfig {
     /// Share of the Google Play catalog present in the external seed
     /// list (the paper's PrivacyGrade list covered ~74% of GP).
     pub seed_share: f64,
-    /// Emit structured per-market `crawl-progress` lines to stderr while
-    /// the crawls run.
+    /// Emit a structured `crawl-progress` line to stderr for each market
+    /// as it finishes each phase of either crawl.
     pub progress: bool,
     /// Share of crawl fetches opening sampled trace spans (`0.0` = off,
     /// `1.0` = every fetch). Sampled spans propagate over the wire, so
@@ -117,18 +116,16 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
     // accumulate across crawls; merged with the fleet's registry at the
     // end, it becomes the ops summary.
     let crawl_registry = Arc::new(Registry::new());
-    // Resource profiling rides the crawl registry: RSS/thread peaks
-    // sampled across both crawls and the analysis, plus the build-info
-    // marker, surface as the ops summary's perf section.
-    marketscope_telemetry::perf::register_build_info(
+    // Resource profiling rides the crawl registry: the process's RSS
+    // high-water mark and its thread peak (sampled here, at each crawl
+    // phase barrier and at the end), plus the build-info marker, surface
+    // as the ops summary's perf section.
+    perf::register_build_info(
         &crawl_registry,
         env!("CARGO_PKG_VERSION"),
-        marketscope_telemetry::perf::build_profile(),
+        perf::build_profile(),
     );
-    let sampler = marketscope_telemetry::perf::ResourceSampler::spawn(
-        Arc::clone(&crawl_registry),
-        Duration::from_millis(100),
-    );
+    perf::sample(&crawl_registry);
     // One crawl-side tracer shared by both crawlers and the analysis
     // engine; the fleet keeps its own propagate-only tracer, and the two
     // journals merge into one timeline at the end.
@@ -136,13 +133,6 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
         sample_rate: config.trace_sample,
         capacity: 65_536,
     }));
-    let reporter = config.progress.then(|| {
-        CrawlProgress::spawn(
-            Arc::clone(&crawl_registry),
-            Duration::from_millis(500),
-            |line| eprintln!("{line}"),
-        )
-    });
 
     // The fleet's ticks also sample the crawler's registry, so
     // client-side SLOs (breaker opens) are judged with the servers', and
@@ -157,6 +147,7 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
         CrawlConfig {
             seeds,
             trace_sample: config.trace_sample,
+            progress: config.progress,
             ..CrawlConfig::default()
         },
         Arc::clone(&crawl_registry),
@@ -179,6 +170,7 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
                 .collect(),
             fetch_apks: false,
             trace_sample: config.trace_sample,
+            progress: config.progress,
             ..CrawlConfig::default()
         },
         Arc::clone(&crawl_registry),
@@ -186,9 +178,6 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
         Some(Arc::clone(&event_log)),
     )
     .crawl(&targets);
-    if let Some(reporter) = reporter {
-        reporter.stop();
-    }
     // The second crawl's mark, then a settle tick with traffic stopped:
     // its fast window sees zero deltas, so any still-firing burn-rate
     // alert resolves before the final verdicts are read.
@@ -219,8 +208,8 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
     // afterwards so alert events' trace ids resolve without ticks
     // crowding the operator's slow list.
     let request_traces = tracer.snapshot().merge(&serving_traces);
-    // Settle the peak gauges before the registry is snapshotted below.
-    sampler.stop();
+    // The last sample, before the registry is snapshotted below.
+    perf::sample(&crawl_registry);
     let telemetry = serving
         .merge(&crawl_registry.snapshot())
         .merge(&analysis_registry.snapshot());

@@ -76,6 +76,12 @@ impl Gauge {
         self.value.store(n, Ordering::Relaxed);
     }
 
+    /// Raise to `n` if `n` is higher (a running maximum).
+    #[inline]
+    pub fn set_max(&self, n: i64) {
+        self.value.fetch_max(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> i64 {

@@ -30,9 +30,8 @@
 //! * [`log`] — a bounded structured [`EventLog`] whose events carry the
 //!   recording thread's trace context, so alerts and fault injections
 //!   correlate back to traces;
-//! * [`Periodic`] — the one interval thread behind the resource sampler
-//!   and the crawl-progress reporter: it waits on a condition variable,
-//!   so stopping never waits out an interval.
+//! * [`perf`] — allocation accounting, and process RSS and thread
+//!   counts sampled where the caller asks; the crate starts no thread.
 //!
 //! Components never hold a telemetry handle as an `Option`: one that was
 //! given none records into a private [`Registry`], a
@@ -60,7 +59,6 @@ pub mod exposition;
 pub mod histogram;
 pub mod log;
 pub mod perf;
-pub mod periodic;
 pub mod registry;
 mod ring;
 pub mod series;
@@ -74,9 +72,8 @@ pub use histogram::{Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use log::{EventLog, LogEvent, LogLevel, LogSnapshot};
 pub use perf::{
     alloc_stats, build_profile, register_build_info, rss_bytes, thread_count, AllocDelta,
-    AllocPhase, AllocStats, ResourcePeaks, ResourceSampler,
+    AllocPhase, AllocStats,
 };
-pub use periodic::Periodic;
 pub use registry::{InstrumentId, Registry, RegistrySnapshot};
 pub use series::{CounterPoint, GaugePoint, HistogramPoint, SeriesSnapshot, SeriesStore};
 pub use slo::{

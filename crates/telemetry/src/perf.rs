@@ -13,19 +13,18 @@
 //!   (or without installation) every counter reads zero and
 //!   [`AllocPhase`] deltas are zero — callers need no cfg of their own.
 //! * **Process sampling** — [`rss_bytes`] and [`thread_count`] read
-//!   `/proc/self/status`, and [`ResourceSampler`] polls them on a
-//!   background thread into registry gauges, tracking peaks for the
-//!   ops report's `perf:` line.
+//!   `/proc/self/status`, and [`sample`] copies it into registry gauges
+//!   for the ops report's `perf:` line: the resident-set peak is the
+//!   kernel's `VmHWM`, and the thread peak is the most threads seen at
+//!   the points its callers sample. There is no sampling thread.
 //! * **Build info** — [`register_build_info`] publishes a constant
 //!   `marketscope_build_info{version=...,profile=...} 1` gauge so every
 //!   exposition records which binary produced it.
 
 use crate::counter::Gauge;
-use crate::periodic::Periodic;
 use crate::registry::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Allocations since process start (never decremented).
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -54,14 +53,6 @@ pub struct AllocStats {
     pub bytes_freed: u64,
     /// High-water mark of live heap bytes.
     pub peak_live_bytes: u64,
-}
-
-impl AllocStats {
-    /// Live heap bytes at snapshot time (allocated minus freed;
-    /// saturating, since the two counters are read non-atomically).
-    pub fn live_bytes(&self) -> u64 {
-        self.bytes_allocated.saturating_sub(self.bytes_freed)
-    }
 }
 
 /// Read the process-wide allocation counters.
@@ -201,108 +192,47 @@ pub use counting_alloc::CountingAlloc;
 /// Resident-set size of this process in bytes (`VmRSS` from
 /// `/proc/self/status`). `None` off Linux or if the field is missing.
 pub fn rss_bytes() -> Option<u64> {
-    proc_status_field("VmRSS:").map(|kb| kb * 1024)
+    proc_status_field(&proc_status()?, "VmRSS:").map(|kb| kb * 1024)
 }
 
 /// Number of OS threads in this process (`Threads` from
 /// `/proc/self/status`). `None` off Linux.
 pub fn thread_count() -> Option<u64> {
-    proc_status_field("Threads:")
+    proc_status_field(&proc_status()?, "Threads:")
 }
 
-/// Parse one numeric field out of `/proc/self/status`.
-fn proc_status_field(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+/// Sample this process into `registry`'s `marketscope_process_*`
+/// gauges from one read of `/proc/self/status`: `rss_bytes` (`VmRSS`),
+/// `rss_peak_bytes` (`VmHWM`, the high-water mark the kernel keeps
+/// exactly), `threads`, and `threads_peak`, the most threads any sample
+/// saw. Peaks only ever rise. A thread count is exact only when read, so
+/// callers sample where their thread set is largest. Nothing here resets
+/// `VmHWM` (`/proc/self/clear_refs`): that belongs to whoever owns the
+/// whole process, such as a benchmark harness between repetitions.
+pub fn sample(registry: &Registry) {
+    let Some(status) = proc_status() else {
+        return;
+    };
+    let read = |field| proc_status_field(&status, field).map(|v| v as i64);
+    let gauge = |name| registry.gauge(name, &[]);
+    if let (Some(rss), Some(hwm), Some(threads)) =
+        (read("VmRSS:"), read("VmHWM:"), read("Threads:"))
+    {
+        gauge("marketscope_process_rss_bytes").set(rss * 1024);
+        gauge("marketscope_process_rss_peak_bytes").set_max(hwm * 1024);
+        gauge("marketscope_process_threads").set(threads);
+        gauge("marketscope_process_threads_peak").set_max(threads);
+    }
+}
+
+fn proc_status() -> Option<String> {
+    std::fs::read_to_string("/proc/self/status").ok()
+}
+
+/// Parse one numeric field out of a `/proc/self/status` text.
+fn proc_status_field(status: &str, field: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with(field))?;
     line[field.len()..].split_whitespace().next()?.parse().ok()
-}
-
-/// Peaks observed by a [`ResourceSampler`] over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResourcePeaks {
-    /// Highest sampled resident-set size, bytes (0 when unreadable).
-    pub rss_peak_bytes: u64,
-    /// Highest sampled OS thread count (0 when unreadable).
-    pub threads_peak: u64,
-    /// Samples taken.
-    pub samples: u64,
-}
-
-#[derive(Default)]
-struct PeakState {
-    rss_peak: AtomicU64,
-    threads_peak: AtomicU64,
-    samples: AtomicU64,
-}
-
-/// A background thread sampling process RSS and thread count into
-/// registry gauges:
-///
-/// * `marketscope_process_rss_bytes` / `marketscope_process_rss_peak_bytes`
-/// * `marketscope_process_threads` / `marketscope_process_threads_peak`
-///
-/// One sample is taken synchronously at spawn and one at
-/// [`ResourceSampler::stop`], so even a short-lived sampler reports real
-/// peaks and the gauges are settled when `stop` returns — which it does
-/// without waiting out the interval. Dropping the sampler stops the
-/// thread too.
-pub struct ResourceSampler {
-    peaks: Arc<PeakState>,
-    sample: Arc<dyn Fn() + Send + Sync>,
-    thread: Periodic,
-}
-
-impl ResourceSampler {
-    /// Start sampling every `interval` into `registry`.
-    pub fn spawn(registry: Arc<Registry>, interval: Duration) -> ResourceSampler {
-        let peaks = Arc::new(PeakState::default());
-        let rss = registry.gauge("marketscope_process_rss_bytes", &[]);
-        let rss_peak = registry.gauge("marketscope_process_rss_peak_bytes", &[]);
-        let threads = registry.gauge("marketscope_process_threads", &[]);
-        let threads_peak = registry.gauge("marketscope_process_threads_peak", &[]);
-        let sample: Arc<dyn Fn() + Send + Sync> = {
-            let peaks = Arc::clone(&peaks);
-            Arc::new(move || {
-                if let Some(v) = rss_bytes() {
-                    rss.set(v as i64);
-                    let peak = peaks.rss_peak.fetch_max(v, Ordering::Relaxed).max(v);
-                    rss_peak.set(peak as i64);
-                }
-                if let Some(v) = thread_count() {
-                    threads.set(v as i64);
-                    let peak = peaks.threads_peak.fetch_max(v, Ordering::Relaxed).max(v);
-                    threads_peak.set(peak as i64);
-                }
-                peaks.samples.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        sample();
-        let thread_sample = Arc::clone(&sample);
-        // The OS refusing a thread degrades to the two synchronous samples.
-        let thread = Periodic::spawn("perf-sampler", interval, move || thread_sample());
-        ResourceSampler {
-            peaks,
-            sample,
-            thread,
-        }
-    }
-
-    /// Peaks so far, without stopping.
-    pub fn peaks(&self) -> ResourcePeaks {
-        ResourcePeaks {
-            rss_peak_bytes: self.peaks.rss_peak.load(Ordering::Relaxed),
-            threads_peak: self.peaks.threads_peak.load(Ordering::Relaxed),
-            samples: self.peaks.samples.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Stop the sampling thread, take a last sample and return the
-    /// observed peaks.
-    pub fn stop(self) -> ResourcePeaks {
-        self.thread.stop();
-        (self.sample)();
-        self.peaks()
-    }
 }
 
 /// The build profile this crate was compiled under.
@@ -360,26 +290,39 @@ mod tests {
 
     #[test]
     fn sampler_tracks_peaks_into_gauges() {
-        let registry = Arc::new(Registry::new());
-        let sampler = ResourceSampler::spawn(Arc::clone(&registry), Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(20));
-        let peaks = sampler.stop();
-        assert!(peaks.samples >= 1);
-        if std::path::Path::new("/proc/self/status").exists() {
-            assert!(peaks.rss_peak_bytes > 0);
-            assert!(peaks.threads_peak >= 1);
-            let snap = registry.snapshot();
-            assert!(
-                snap.gauge_value("marketscope_process_rss_peak_bytes", &[])
-                    .unwrap()
-                    > 0
-            );
-            assert!(
-                snap.gauge_value("marketscope_process_threads", &[])
-                    .unwrap()
-                    >= 1
-            );
+        if !std::path::Path::new("/proc/self/status").exists() {
+            return;
         }
+        let fresh = Registry::new();
+        let raised = Registry::new();
+        raised
+            .gauge("marketscope_process_threads_peak", &[])
+            .set(1 << 20);
+        sample(&fresh);
+        sample(&raised);
+        let fresh = fresh.snapshot();
+        let gauge = |name| {
+            fresh
+                .gauge_value(name, &[])
+                .unwrap_or_else(|| panic!("{name} unset"))
+        };
+        assert!(gauge("marketscope_process_rss_bytes") > 0);
+        assert!(
+            gauge("marketscope_process_rss_peak_bytes") >= gauge("marketscope_process_rss_bytes")
+        );
+        assert!(gauge("marketscope_process_threads") >= 1);
+        // One read feeds both thread gauges.
+        assert_eq!(
+            gauge("marketscope_process_threads_peak"),
+            gauge("marketscope_process_threads")
+        );
+        assert_eq!(
+            raised
+                .snapshot()
+                .gauge_value("marketscope_process_threads_peak", &[]),
+            Some(1 << 20),
+            "a sample never lowers a peak"
+        );
     }
 
     #[test]
