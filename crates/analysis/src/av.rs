@@ -30,13 +30,6 @@ pub struct AvReport {
     pub matched_family: Option<FamilyId>,
 }
 
-impl AvReport {
-    /// Convenience: does this sample clear the paper's malware bar?
-    pub fn is_malware(&self, threshold: usize) -> bool {
-        self.rank >= threshold
-    }
-}
-
 /// The ensemble scanner.
 #[derive(Debug, Clone)]
 pub struct AvSimulator {

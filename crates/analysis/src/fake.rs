@@ -27,26 +27,12 @@ pub struct FakeInput {
     pub markets: Vec<MarketId>,
 }
 
-/// Detection thresholds (paper values).
-#[derive(Debug, Clone, Copy)]
-pub struct FakeConfig {
-    /// Clusters at or above this size are "common names", not fakes.
-    pub max_cluster: usize,
-    /// The official app must exceed this install count.
-    pub popular_floor: u64,
-    /// Fakes must sit at or below this install count.
-    pub unpopular_ceiling: u64,
-}
-
-impl Default for FakeConfig {
-    fn default() -> Self {
-        FakeConfig {
-            max_cluster: 5,
-            popular_floor: 1_000_000,
-            unpopular_ceiling: 1_000,
-        }
-    }
-}
+/// Clusters at or above this size are "common names", not fakes.
+const MAX_CLUSTER: usize = 5;
+/// The official app must exceed this install count.
+const POPULAR_FLOOR: u64 = 1_000_000;
+/// Fakes must sit at or below this install count.
+const UNPOPULAR_CEILING: u64 = 1_000;
 
 /// Detection output.
 #[derive(Debug, Clone)]
@@ -77,31 +63,17 @@ impl FakeReport {
             hit as f64 / total as f64
         }
     }
-
-    /// Absolute number of fakes listed in `market`.
-    pub fn market_count(&self, apps: &[FakeInput], market: MarketId) -> usize {
-        self.fakes
-            .iter()
-            .filter(|i| apps[**i].markets.contains(&market))
-            .count()
-    }
 }
 
-/// The clustering + heuristic detector.
+/// The clustering + heuristic detector, with the paper's thresholds
+/// (see the module docs).
 #[derive(Debug, Clone, Default)]
-pub struct FakeDetector {
-    config: FakeConfig,
-}
+pub struct FakeDetector;
 
 impl FakeDetector {
-    /// Detector with paper thresholds.
+    /// The detector.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Detector with explicit thresholds.
-    pub fn with_config(config: FakeConfig) -> Self {
-        FakeDetector { config }
+        FakeDetector
     }
 
     /// Run detection.
@@ -114,14 +86,14 @@ impl FakeDetector {
         let mut fakes = Vec::new();
         let mut mimics = Vec::new();
         for members in clusters.values() {
-            if members.len() < 2 || members.len() >= self.config.max_cluster {
+            if members.len() < 2 || members.len() >= MAX_CLUSTER {
                 continue; // singleton, or a common-name cluster
             }
             // Exactly one popular member — the official app.
             let populars: Vec<usize> = members
                 .iter()
                 .copied()
-                .filter(|i| apps[*i].max_downloads > self.config.popular_floor)
+                .filter(|i| apps[*i].max_downloads > POPULAR_FLOOR)
                 .collect();
             if populars.len() != 1 {
                 continue;
@@ -136,7 +108,7 @@ impl FakeDetector {
                 if app.developer == apps[official].developer {
                     continue;
                 }
-                if app.max_downloads <= self.config.unpopular_ceiling {
+                if app.max_downloads <= UNPOPULAR_CEILING {
                     fakes.push(i);
                     mimics.push((i, official));
                 }
@@ -191,7 +163,7 @@ mod tests {
         assert_eq!(report.fakes, vec![1, 2]);
         assert_eq!(report.mimics, vec![(1, 0), (2, 0)]);
         assert_eq!(report.market_rate(&apps, MarketId::PcOnline), 1.0);
-        assert_eq!(report.market_count(&apps, MarketId::TencentMyapp), 0);
+        assert_eq!(report.market_rate(&apps, MarketId::TencentMyapp), 0.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use marketscope_apk::apicalls::ApiCallId;
 use marketscope_apk::digest::ApkDigest;
-use marketscope_apk::permmap::{PermSet, Permission, PermissionMap};
+use marketscope_apk::permmap::{PermSet, PermissionMap};
 
 /// Which API footprint the over-privilege verdict is computed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,11 +46,6 @@ impl OverprivilegeResult {
         !self.unused.is_empty()
     }
 
-    /// Number of unused permissions (Figure 11's x-axis; flat baseline).
-    pub fn unused_count(&self) -> usize {
-        self.unused.len()
-    }
-
     /// The unused permission set under a given footprint.
     pub fn unused_in(&self, mode: FootprintMode) -> PermSet {
         match mode {
@@ -67,11 +62,6 @@ impl OverprivilegeResult {
     /// Number of unused permissions under a given footprint.
     pub fn unused_count_in(&self, mode: FootprintMode) -> usize {
         self.unused_in(mode).len()
-    }
-
-    /// Unused permissions Google labels dangerous (flat baseline).
-    pub fn unused_dangerous(&self) -> impl Iterator<Item = Permission> {
-        self.unused.iter().filter(|p| p.is_dangerous())
     }
 }
 
@@ -136,14 +126,9 @@ impl OverprivilegeAnalyzer {
     }
 }
 
-/// Aggregate a population of results into the Figure 11 histogram:
-/// counts of apps with 0, 1, ..., 9, and >9 unused permissions (flat
-/// baseline).
-pub fn unused_histogram(results: &[OverprivilegeResult]) -> [u64; 11] {
-    unused_histogram_in(results, FootprintMode::Flat)
-}
-
-/// The Figure 11 histogram under a chosen footprint.
+/// Aggregate a population of results into the Figure 11 histogram under
+/// a chosen footprint: counts of apps with 0, 1, ..., 9, and >9 unused
+/// permissions.
 pub fn unused_histogram_in<'a>(
     results: impl IntoIterator<Item = &'a OverprivilegeResult>,
     mode: FootprintMode,
@@ -162,7 +147,7 @@ mod tests {
     use marketscope_apk::builder::ApkBuilder;
     use marketscope_apk::dex::DexFile;
     use marketscope_apk::manifest::{Component, ComponentKind, Manifest};
-    use marketscope_apk::permmap::PERMISSIONS;
+    use marketscope_apk::permmap::{Permission, PERMISSIONS};
     use marketscope_core::{DeveloperKey, PackageName, VersionCode};
 
     fn digest_of(declared: Vec<String>, dex: DexFile, components: Vec<Component>) -> ApkDigest {
@@ -208,7 +193,7 @@ mod tests {
         let d = digest_with(vec!["android.permission.CAMERA".into()], vec![camera_api]);
         let r = OverprivilegeAnalyzer::new().analyze(&d);
         assert!(!r.is_overprivileged());
-        assert_eq!(r.unused_count(), 0);
+        assert!(r.unused.is_empty());
         assert!(r.used.iter().any(|p| p.0.ends_with("CAMERA")));
     }
 
@@ -225,8 +210,9 @@ mod tests {
         );
         let r = OverprivilegeAnalyzer::new().analyze(&d);
         assert!(r.is_overprivileged());
-        assert_eq!(r.unused_count(), 2);
-        assert_eq!(r.unused_dangerous().count(), 2);
+        assert_eq!(r.unused.len(), 2);
+        let dangerous = r.unused.iter().filter(|p| PermSet::DANGEROUS.contains(*p));
+        assert_eq!(dangerous.count(), 2);
     }
 
     #[test]
@@ -254,7 +240,7 @@ mod tests {
         }
         let r = OverprivilegeAnalyzer::new().analyze(&d);
         assert!(r.used.is_empty() && r.used_reachable.is_empty());
-        assert_eq!(r.unused_count(), 1);
+        assert_eq!(r.unused.len(), 1);
     }
 
     #[test]
@@ -330,7 +316,7 @@ mod tests {
         );
         let analyzer = OverprivilegeAnalyzer::new();
         let results = vec![analyzer.analyze(&none), analyzer.analyze(&two)];
-        let h = unused_histogram(&results);
+        let h = unused_histogram_in(&results, FootprintMode::Flat);
         assert_eq!(h[0], 1);
         assert_eq!(h[2], 1);
         assert_eq!(h.iter().sum::<u64>(), 2);
@@ -347,7 +333,7 @@ mod tests {
             .collect();
         let d = digest_with(perms, vec![]);
         let r = OverprivilegeAnalyzer::new().analyze(&d);
-        let h = unused_histogram(&[r]);
+        let h = unused_histogram_in(&[r], FootprintMode::Flat);
         assert_eq!(h[10], 1);
     }
 }

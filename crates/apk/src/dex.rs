@@ -494,9 +494,6 @@ impl DexFile {
     }
 }
 
-/// Sanity helper used by tests and generators: largest valid API id.
-pub const MAX_API_ID: u32 = API_DIMENSIONS - 1;
-
 #[cfg(test)]
 mod tests {
     use super::*;

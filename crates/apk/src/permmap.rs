@@ -20,11 +20,6 @@ use marketscope_core::hash::mix64;
 pub struct Permission(pub &'static str);
 
 impl Permission {
-    /// Whether Google labels this permission *dangerous* (runtime-granted).
-    pub fn is_dangerous(self) -> bool {
-        PermSet::DANGEROUS.contains(self)
-    }
-
     /// Short name without the `android.permission.` prefix.
     pub fn short(self) -> &'static str {
         self.0.rsplit('.').next().unwrap_or(self.0)
@@ -468,8 +463,8 @@ mod tests {
 
     #[test]
     fn dangerous_classification() {
-        assert!(Permission("android.permission.CAMERA").is_dangerous());
-        assert!(!Permission("android.permission.INTERNET").is_dangerous());
+        assert!(PermSet::DANGEROUS.contains(Permission("android.permission.CAMERA")));
+        assert!(!PermSet::DANGEROUS.contains(Permission("android.permission.INTERNET")));
         assert_eq!(Permission("android.permission.CAMERA").short(), "CAMERA");
         let named = [
             "android.permission.READ_PHONE_STATE",
@@ -513,7 +508,7 @@ mod tests {
 
         let rest = all.difference(PermSet::DANGEROUS);
         assert_eq!(rest.len(), 8);
-        assert!(rest.iter().all(|p| !p.is_dangerous()));
+        assert!(rest.iter().all(|p| !PermSet::DANGEROUS.contains(p)));
         assert_eq!(all.difference(all), none);
         assert_eq!(none.difference(all), none);
         assert_eq!(all.difference(none), all);

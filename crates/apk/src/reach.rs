@@ -177,20 +177,6 @@ impl Reachability<'_> {
     pub(crate) fn reached(&self, flat: usize) -> bool {
         self.reached[flat]
     }
-
-    /// Number of reached methods.
-    pub fn reached_count(&self) -> usize {
-        self.stats.methods_reached as usize
-    }
-
-    /// Share of methods reached, in `[0, 1]`; 1.0 for an empty DEX.
-    pub fn reached_share(&self) -> f64 {
-        if self.reached.is_empty() {
-            1.0
-        } else {
-            self.reached_count() as f64 / self.reached.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +217,7 @@ mod tests {
         assert!(r.is_reached(0, 1)); // every entry-class method is a root
         assert!(r.is_reached(1, 0)); // via edge
         assert!(!r.is_reached(2, 0)); // dead
-        assert_eq!(r.reached_count(), 3);
+        assert_eq!(r.stats.methods_reached, 3);
         assert_eq!(r.stats.methods_total, 4);
         assert_eq!(r.stats.edges_traversed, 1);
         assert_eq!(graph.owner_of(2), (1, 0));
@@ -247,7 +233,7 @@ mod tests {
         method(&mut dex, &[], &[(0, 0), (1, 0)]);
         let graph = CallGraph::new(&dex);
         let r = graph.reach_from_classes(["La/A;"]);
-        assert_eq!(r.reached_count(), 2);
+        assert_eq!(r.stats.methods_reached, 2);
         assert_eq!(r.stats.edges_traversed, 3);
     }
 
@@ -256,8 +242,7 @@ mod tests {
         let dex = chain();
         let graph = CallGraph::new(&dex);
         let r = graph.reach_from_classes(["Lno/Such;"]);
-        assert_eq!(r.reached_count(), 0);
-        assert_eq!(r.reached_share(), 0.0);
+        assert_eq!(r.stats.methods_reached, 0);
     }
 
     #[test]
@@ -265,8 +250,7 @@ mod tests {
         let dex = chain();
         let graph = CallGraph::new(&dex);
         let r = graph.reach_all();
-        assert_eq!(r.reached_count(), 4);
-        assert_eq!(r.reached_share(), 1.0);
+        assert_eq!(r.stats.methods_reached, 4);
     }
 
     #[test]
@@ -278,7 +262,7 @@ mod tests {
         // Both refs dangle: neither survives CSR construction.
         assert_eq!(graph.edge_count(), 0);
         let r = graph.reach_from_classes(["La/A;"]);
-        assert_eq!(r.reached_count(), 1);
+        assert_eq!(r.stats.methods_reached, 1);
         assert_eq!(r.stats.edges_traversed, 0);
     }
 
@@ -297,7 +281,7 @@ mod tests {
         assert_eq!(graph.edge_count(), 2, "CSR deduplicates");
         assert_eq!(graph.targets_of(0), &[1, 0]);
         let r = graph.reach_from_classes(["La/Main;"]);
-        assert_eq!(r.reached_count(), 2);
+        assert_eq!(r.stats.methods_reached, 2);
         assert_eq!(r.stats.edges_traversed, 2);
     }
 
@@ -306,7 +290,6 @@ mod tests {
         let dex = DexFile::default();
         let graph = CallGraph::new(&dex);
         let r = graph.reach_from_classes([]);
-        assert_eq!(r.reached_count(), 0);
-        assert_eq!(r.reached_share(), 1.0);
+        assert_eq!(r.stats.methods_reached, 0);
     }
 }

@@ -222,7 +222,6 @@ fn generated_corpora_match_oracle() {
         let world = generate(WorldConfig {
             seed,
             scale: Scale { divisor: 40_000 },
-            ..WorldConfig::default()
         });
         for market in MarketId::ALL {
             let obf = profile(market).requires_obfuscation;

@@ -238,45 +238,25 @@ impl SigCloneReport {
     }
 }
 
-/// Detection thresholds (paper defaults).
-#[derive(Debug, Clone, Copy)]
-pub struct CloneConfig {
-    /// Phase-1 normalized Manhattan distance ceiling (0.05 = 95% similar).
-    pub distance_threshold: f64,
-    /// Phase-2 minimum shared code-segment share (0.85).
-    pub segment_threshold: f64,
-    /// MinHash signature length.
-    pub minhash_len: usize,
-    /// Rows per MinHash band.
-    pub band_rows: usize,
-}
+/// Phase-1 normalized Manhattan distance ceiling (0.05 = 95% similar).
+const DISTANCE_THRESHOLD: f64 = 0.05;
+/// Phase-2 minimum shared code-segment share.
+const SEGMENT_THRESHOLD: f64 = 0.85;
+/// MinHash signature length.
+const MINHASH_LEN: usize = 16;
+/// Rows per MinHash band.
+const BAND_ROWS: usize = 4;
 
-impl Default for CloneConfig {
-    fn default() -> Self {
-        CloneConfig {
-            distance_threshold: 0.05,
-            segment_threshold: 0.85,
-            minhash_len: 16,
-            band_rows: 4,
-        }
-    }
-}
-
-/// The clone detector.
+/// The clone detector, with the paper's thresholds: a code clone is at
+/// most 0.05 apart in normalized Manhattan distance over own-code API
+/// counts and shares at least 85% of its code segments.
 #[derive(Debug, Clone, Default)]
-pub struct CloneDetector {
-    config: CloneConfig,
-}
+pub struct CloneDetector;
 
 impl CloneDetector {
-    /// Detector with paper-default thresholds.
+    /// The detector.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Detector with explicit thresholds.
-    pub fn with_config(config: CloneConfig) -> Self {
-        CloneDetector { config }
+        CloneDetector
     }
 
     /// Signature-based clone detection: same package, ≥2 developer keys.
@@ -344,13 +324,13 @@ impl CloneDetector {
     /// so the output is bit-identical for any `workers`.
     pub fn code_clones_batch(&self, apps: &[UniqueApp], workers: usize) -> Vec<ClonePair> {
         // Phase 1 (parallel): per-app MinHash signatures over own-code APIs.
-        let bands = self.config.minhash_len / self.config.band_rows;
+        let bands = MINHASH_LEN / BAND_ROWS;
         let sigs: Vec<Option<Vec<u64>>> =
             marketscope_core::parallel::par_map(workers, apps, |app| {
                 if app.own_api.is_empty() {
                     None
                 } else {
-                    Some(minhash(&app.own_api, self.config.minhash_len))
+                    Some(minhash(&app.own_api, MINHASH_LEN))
                 }
             });
         // Banding (sequential, cheap): bucket apps whose band keys collide.
@@ -359,8 +339,8 @@ impl CloneDetector {
             let Some(sig) = sig else { continue };
             for band in 0..bands {
                 let mut key = 0xB0A7u64 ^ band as u64;
-                for r in 0..self.config.band_rows {
-                    key = mix64(key, sig[band * self.config.band_rows + r]);
+                for r in 0..BAND_ROWS {
+                    key = mix64(key, sig[band * BAND_ROWS + r]);
                 }
                 buckets.entry((band, key)).or_default().push(idx);
             }
@@ -392,11 +372,11 @@ impl CloneDetector {
         let verified = marketscope_core::parallel::par_map(workers, &candidates, |&(lo, hi)| {
             let (a, b) = (&apps[lo], &apps[hi]);
             let distance = normalized_manhattan(&a.own_api, &b.own_api);
-            if distance > self.config.distance_threshold {
+            if distance > DISTANCE_THRESHOLD {
                 return None;
             }
             let segment_share = segment_overlap(&a.own_segments, &b.own_segments);
-            if segment_share < self.config.segment_threshold {
+            if segment_share < SEGMENT_THRESHOLD {
                 return None;
             }
             Some(ClonePair {
@@ -735,7 +715,7 @@ mod properties {
 
     /// The exhaustive reference: every index pair the two thresholds
     /// accept, with no candidate generation in front of them.
-    fn code_clones_all_pairs(apps: &[UniqueApp], config: &CloneConfig) -> Vec<(usize, usize)> {
+    fn code_clones_all_pairs(apps: &[UniqueApp]) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         for i in 0..apps.len() {
             for j in i + 1..apps.len() {
@@ -743,10 +723,10 @@ mod properties {
                 if a.package == b.package || a.developer == b.developer {
                     continue;
                 }
-                if normalized_manhattan(&a.own_api, &b.own_api) > config.distance_threshold {
+                if normalized_manhattan(&a.own_api, &b.own_api) > DISTANCE_THRESHOLD {
                     continue;
                 }
-                if segment_overlap(&a.own_segments, &b.own_segments) < config.segment_threshold {
+                if segment_overlap(&a.own_segments, &b.own_segments) < SEGMENT_THRESHOLD {
                     continue;
                 }
                 pairs.push((i, j));
@@ -794,7 +774,7 @@ mod properties {
             }
             let pairs = CloneDetector::new().code_clones(&apps);
             let found: Vec<(usize, usize)> = pairs.iter().map(|p| (p.a, p.b)).collect();
-            let exact = code_clones_all_pairs(&apps, &CloneConfig::default());
+            let exact = code_clones_all_pairs(&apps);
             let missed: Vec<_> = exact.iter().filter(|p| !found.contains(p)).collect();
             assert!(
                 missed.is_empty(),

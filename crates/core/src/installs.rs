@@ -122,11 +122,6 @@ impl InstallHistogram {
         self.counts[InstallRange::from_count(installs).index()] += 1;
     }
 
-    /// Record one app already bucketed.
-    pub fn record_range(&mut self, range: InstallRange) {
-        self.counts[range.index()] += 1;
-    }
-
     /// Number of apps in a bucket.
     pub fn count(&self, range: InstallRange) -> u64 {
         self.counts[range.index()]

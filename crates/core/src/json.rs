@@ -55,14 +55,6 @@ impl Json {
         }
     }
 
-    /// As `i64` (integers only; floats are not silently truncated).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// As `u64`, if a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -76,14 +68,6 @@ impl Json {
         match self {
             Json::Int(i) => Some(*i as f64),
             Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// As `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -602,9 +586,9 @@ mod tests {
     #[test]
     fn accessor_type_discipline() {
         assert_eq!(Json::Int(3).as_f64(), Some(3.0));
-        assert_eq!(Json::Float(3.5).as_i64(), None);
+        assert_eq!(Json::Float(3.5).as_u64(), None);
         assert_eq!(Json::Int(-1).as_u64(), None);
-        assert_eq!(Json::Str("s".into()).as_bool(), None);
+        assert_eq!(Json::Str("s".into()).as_f64(), None);
     }
 
     #[test]

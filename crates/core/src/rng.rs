@@ -89,20 +89,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Sample `k` distinct indices from `0..n` (k ≤ n), in random order.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} from {n}");
-        // Partial Fisher-Yates over an index vector; O(n) setup but the
-        // generator only calls this with modest n.
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.index(n - i);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
-    }
 }
 
 impl RngCore for DetRng {
@@ -155,14 +141,6 @@ impl ZipfSampler {
             Err(i) => (i + 1).min(self.cdf.len()),
         }
     }
-
-    /// Probability mass of rank `k` (1-based).
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!((1..=self.cdf.len()).contains(&k));
-        let hi = self.cdf[k - 1];
-        let lo = if k >= 2 { self.cdf[k - 2] } else { 0.0 };
-        hi - lo
-    }
 }
 
 /// Pareto-tailed positive integer: `floor(xm / U^(1/alpha))`, clamped to
@@ -176,13 +154,6 @@ pub fn pareto_u64(rng: &mut DetRng, xm: f64, alpha: f64, cap: u64) -> u64 {
     } else {
         v as u64
     }
-}
-
-/// Log-normal-ish positive value from two uniform draws (sum of exponentials
-/// approximation; adequate for size/LoC style metadata).
-pub fn rough_lognormal(rng: &mut DetRng, median: f64, spread: f64) -> f64 {
-    let z = (rng.unit() + rng.unit() + rng.unit() + rng.unit() - 2.0) * 1.732; // ~N(0,1)
-    median * spread.powf(z)
 }
 
 /// Weighted categorical sampler over `0..weights.len()`.
@@ -326,9 +297,9 @@ mod tests {
     #[test]
     fn zipf_pmf_sums_to_one() {
         let z = ZipfSampler::new(50, 0.8);
-        let total: f64 = (1..=50).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert!(z.pmf(1) > z.pmf(2));
+        assert!((z.cdf[49] - 1.0).abs() < 1e-9);
+        // Rank 1 carries more mass than rank 2.
+        assert!(z.cdf[0] > z.cdf[1] - z.cdf[0]);
     }
 
     #[test]
@@ -372,18 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_distinct() {
-        let mut r = DetRng::new(77);
-        let s = r.sample_indices(100, 30);
-        assert_eq!(s.len(), 30);
-        let mut t = s.clone();
-        t.sort_unstable();
-        t.dedup();
-        assert_eq!(t.len(), 30);
-        assert!(t.iter().all(|&i| i < 100));
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut r = DetRng::new(13);
         let mut v: Vec<u32> = (0..50).collect();
@@ -391,13 +350,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn rough_lognormal_is_positive() {
-        let mut r = DetRng::new(21);
-        for _ in 0..1000 {
-            assert!(rough_lognormal(&mut r, 100.0, 2.0) > 0.0);
-        }
     }
 }

@@ -131,11 +131,6 @@ impl SimDate {
     pub fn plus_days(self, delta: i64) -> SimDate {
         SimDate((self.0 + delta).clamp(-40_000, 70_000))
     }
-
-    /// Whole days from `self` to `other` (positive when `other` is later).
-    pub fn days_until(self, other: SimDate) -> i64 {
-        other.0 - self.0
-    }
 }
 
 impl std::str::FromStr for SimDate {
@@ -183,7 +178,7 @@ mod tests {
 
     #[test]
     fn crawl_gap_is_about_8_months() {
-        let gap = SimDate::FIRST_CRAWL.days_until(SimDate::SECOND_CRAWL);
+        let gap = SimDate::SECOND_CRAWL.days() - SimDate::FIRST_CRAWL.days();
         assert!((250..=260).contains(&gap), "gap {gap}");
     }
 

@@ -10,10 +10,11 @@
 //! loop waits on the queue, settles whichever ticket finished, and lets
 //! that market submit what comes next. A market's requests ride its own
 //! ordering lane: one connection with up to four requests written ahead,
-//! whose answers apply in submission order. Its server sees the sequence
-//! a blocking per-market loop sends (retried 5xx answers aside, which are
-//! keyed per path), so seeded faults, breaker and quarantine decisions
-//! and the dataset replay.
+//! whose tickets complete, and whose tags reach the queue, in submission
+//! order, so the loop applies each answer as it settles. Its server sees
+//! the sequence a blocking per-market loop sends (retried 5xx answers
+//! aside, which are keyed per path), so seeded faults, breaker and
+//! quarantine decisions and the dataset replay.
 //!
 //! The loop never waits on a timer: it blocks on the queue until a
 //! ticket or a digest finishes. Retry backoff is the client's to time.
@@ -22,13 +23,13 @@
 //!   both "is it listed?" (a 404 says no) and "what next?"; the listing
 //!   sweep fetches its metadata. Up to `BFS_WINDOW` not-yet-visited
 //!   packages are popped from the FIFO frontier and submitted at once on
-//!   the market's lane, and their answers are applied strictly in pop
-//!   order. Popping ahead only takes entries already in the FIFO and
-//!   answers still append in pop order, so the packages are visited, found
-//!   and missed in the sequential BFS's order, and the server receives the
-//!   same `/related` sequence. Only the push-time `visited` filter sees
-//!   more, so fewer duplicates enter the frontier (and
-//!   `crawler_dedup_hits_total` counts fewer).
+//!   the market's lane, which answers them in pop order. Popping ahead
+//!   only takes entries already in the FIFO and answers still append in
+//!   pop order, so the packages are visited, found and missed in the
+//!   sequential BFS's order, and the server receives the same `/related`
+//!   sequence. Only the push-time `visited` filter sees more, so fewer
+//!   duplicates enter the frontier (and `crawler_dedup_hits_total`
+//!   counts fewer).
 //! * **Negative set.** An index walk is complete when it reaches a page
 //!   without `next` and no page failed or came back malformed; the market
 //!   then cannot list a package the walk did not see. A definitive 404
@@ -49,7 +50,7 @@
 //!   market (one direct, one backfill), plus `DIGEST_BACKLOG_PER_WORKER`
 //!   queued bodies per digest worker and the one each worker is digesting.
 //!   A full digest queue blocks the loop until a worker takes a body. A
-//!   BFS holds at most `BFS_WINDOW` `/related` answers.
+//!   BFS keeps at most `BFS_WINDOW` `/related` requests in flight.
 
 use crate::health::MarketHealth;
 use crate::progress::progress_line;
@@ -143,7 +144,7 @@ const REPOSITORY_LANE: u64 = 1 << 32;
 /// `/related/{pkg}` expansions a BFS keeps submitted at once. The lane
 /// writes up to `LANE_DEPTH` of them ahead on its connection and the
 /// window keeps that pipeline fed; 64 already does, and it bounds the
-/// answers held for in-order application.
+/// tickets a BFS holds.
 const BFS_WINDOW: usize = 64;
 
 /// Bodies the digest stage may queue per worker before the loop blocks.
@@ -319,11 +320,6 @@ impl Crawler {
         &self.registry
     }
 
-    /// The tracer holding this crawler's sampled fetch spans.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
     /// Run a full crawl campaign against `targets`.
     ///
     /// Three phases, mirroring Section 3, each finished before the next
@@ -380,11 +376,10 @@ fn settle_metadata(
 enum Op {
     /// One `/index?page=N` of an index walk.
     Page,
-    /// The BFS `/related/{pkg}` expansion of pop number `slot`.
-    Related { slot: usize },
-    /// One `/app/{pkg}` of a listing or search sweep, settling into
-    /// `slot`.
-    Metadata { slot: usize, span: TraceSpan },
+    /// The BFS `/related/{pkg}` expansion of `pkg`.
+    Related { pkg: String },
+    /// One `/app/{pkg}` of a listing or search sweep.
+    Metadata { span: TraceSpan },
     /// The direct `/apk/{pkg}` fetch of a listing, under its harvest's
     /// root span.
     Direct { listing: usize, span: TraceSpan },
@@ -459,20 +454,16 @@ struct Bfs {
     frontier: VecDeque<String>,
     visited: HashSet<String>,
     found: Vec<String>,
-    /// Popped packages in pop order, each with its answer once it
-    /// arrived; the front is pop number `popped - window.len()`.
-    window: VecDeque<(String, Option<Result<Json, NetError>>)>,
-    popped: usize,
+    in_flight: usize,
 }
 
 /// `/app/{pkg}` over a package list, every fetch submitted at once:
-/// enumeration's listing sweep or a parallel-search batch. Results land
-/// by slot, so they keep list order.
+/// enumeration's listing sweep or a parallel-search batch. Listings are
+/// appended as they settle, which is list order.
 struct Sweep {
     search: bool,
     packages: Vec<String>,
     next: usize,
-    slots: Vec<Option<CrawledListing>>,
     in_flight: usize,
 }
 
@@ -480,7 +471,6 @@ impl Sweep {
     fn new(search: bool, packages: Vec<String>) -> Sweep {
         Sweep {
             search,
-            slots: packages.iter().map(|_| None).collect(),
             packages,
             next: 0,
             in_flight: 0,
@@ -589,8 +579,7 @@ impl<'c> Run<'c> {
                     frontier: config.seeds.iter().cloned().collect(),
                     visited: HashSet::new(),
                     found: Vec::new(),
-                    window: VecDeque::new(),
-                    popped: 0,
+                    in_flight: 0,
                 })
             } else {
                 Task::Index(IndexWalk {
@@ -705,7 +694,7 @@ impl<'c> Run<'c> {
             }
             Task::Bfs(bfs) => {
                 let metrics = &crawler.metrics[m];
-                while bfs.window.len() < BFS_WINDOW {
+                while bfs.in_flight < BFS_WINDOW {
                     let Some(pkg) = bfs.frontier.pop_front() else {
                         break;
                     };
@@ -714,13 +703,12 @@ impl<'c> Run<'c> {
                         continue;
                     }
                     bfs.visited.insert(pkg.clone());
-                    let op = Op::Related { slot: bfs.popped };
-                    io.submit(m, market.addr, format!("/related/{pkg}"), None, lane, op);
-                    bfs.window.push_back((pkg, None));
-                    bfs.popped += 1;
+                    let path = format!("/related/{pkg}");
+                    io.submit(m, market.addr, path, None, lane, Op::Related { pkg });
+                    bfs.in_flight += 1;
                 }
                 metrics.queue_depth.set(bfs.frontier.len() as i64);
-                bfs.window.is_empty() && bfs.frontier.is_empty()
+                bfs.in_flight == 0 && bfs.frontier.is_empty()
             }
             Task::Sweep(sweep) => {
                 let kind = if sweep.search { "search" } else { "listing" };
@@ -733,11 +721,7 @@ impl<'c> Run<'c> {
                         .tracer
                         .root_span("crawler", &format!("{kind} {}/{pkg}", market.id.slug()));
                     let (path, parent) = (format!("/app/{pkg}"), span.context());
-                    let op = Op::Metadata {
-                        slot: sweep.next,
-                        span,
-                    };
-                    io.submit(m, market.addr, path, parent, lane, op);
+                    io.submit(m, market.addr, path, parent, lane, Op::Metadata { span });
                     sweep.next += 1;
                     sweep.in_flight += 1;
                 }
@@ -815,13 +799,7 @@ impl<'c> Run<'c> {
             }
             Task::Bfs(bfs) => bfs.found,
             Task::Sweep(sweep) => {
-                let listings = &mut self.markets[m].listings;
-                let before = listings.len();
-                listings.extend(sweep.slots.into_iter().flatten());
-                if sweep.search {
-                    self.stats.parallel_search_hits += (listings.len() - before) as u64;
-                }
-                self.report(m);
+                self.report(m, if sweep.search { "search" } else { "enumerate" });
                 return;
             }
             Task::Harvest(h) => {
@@ -836,7 +814,7 @@ impl<'c> Run<'c> {
                         ],
                     );
                 }
-                self.report(m);
+                self.report(m, "harvest");
                 return;
             }
             Task::Idle => return,
@@ -846,14 +824,16 @@ impl<'c> Run<'c> {
         self.pump(m);
     }
 
-    /// Print market `m`'s progress line, if the crawl was asked to.
-    fn report(&self, m: usize) {
+    /// Print market `m`'s progress line for the end of `phase`, if the
+    /// crawl was asked to.
+    fn report(&self, m: usize, phase: &str) {
         let metrics = &self.crawler.metrics[m];
         if self.crawler.config.progress {
             let (listings, apks) = (metrics.listings.get(), metrics.apks.get());
             let (dedup, queue) = (metrics.dedup_hits.get(), metrics.queue_depth.get());
             let market = self.markets[m].id.slug();
-            eprintln!("{}", progress_line(market, listings, apks, dedup, queue));
+            let line = progress_line(market, phase, listings, apks, dedup, queue);
+            eprintln!("{line}");
         }
     }
 
@@ -870,15 +850,19 @@ impl<'c> Run<'c> {
         let client = self.io.client;
         match op {
             Op::Page => self.on_page(m, client.wait_json(ticket)),
-            Op::Related { slot } => self.on_related(m, slot, client.wait_json(ticket)),
-            Op::Metadata { slot, span } => {
+            Op::Related { pkg } => self.on_related(m, pkg, client.wait_json(ticket)),
+            Op::Metadata { span } => {
                 let metrics = &self.crawler.metrics[m];
                 let listing =
                     settle_metadata(client.wait_json(ticket), &span, &mut self.stats, metrics);
                 span.finish();
-                if let Task::Sweep(sweep) = &mut self.markets[m].task {
+                let market = &mut self.markets[m];
+                if let Task::Sweep(sweep) = &mut market.task {
                     sweep.in_flight -= 1;
-                    sweep.slots[slot] = listing;
+                    if let Some(listing) = listing {
+                        self.stats.parallel_search_hits += u64::from(sweep.search);
+                        market.listings.push(listing);
+                    }
                 }
             }
             Op::Direct { listing, span } => self.on_direct(m, listing, span, client.wait(ticket)),
@@ -924,51 +908,42 @@ impl<'c> Run<'c> {
         walk.done = walk.next_page.is_none();
     }
 
-    /// Park the answer of BFS pop number `slot`, then apply every answer
-    /// now at the front of the window, in pop order — never in completion
-    /// order, so the frontier grows exactly as one expansion at a time
-    /// would grow it.
-    fn on_related(&mut self, m: usize, slot: usize, related: Result<Json, NetError>) {
+    /// Apply the answer to the BFS expansion of `pkg`. The lane answers
+    /// in pop order, so the frontier grows exactly as one expansion at a
+    /// time would grow it.
+    fn on_related(&mut self, m: usize, pkg: String, related: Result<Json, NetError>) {
         let metrics = &self.crawler.metrics[m];
         let market = &mut self.markets[m];
         let Task::Bfs(bfs) = &mut market.task else {
             return;
         };
-        let front = bfs.popped - bfs.window.len();
-        if let Some((_, answer)) = bfs.window.get_mut(slot - front) {
-            *answer = Some(related);
-        }
-        while let Some((_, Some(_))) = bfs.window.front() {
-            let Some((pkg, Some(answer))) = bfs.window.pop_front() else {
-                break;
-            };
-            match answer {
-                Ok(doc) => {
-                    for r in doc
-                        .get("related")
-                        .and_then(Json::as_arr)
-                        .into_iter()
-                        .flatten()
-                    {
-                        if let Some(s) = r.as_str() {
-                            if !bfs.visited.contains(s) {
-                                bfs.frontier.push_back(s.to_owned());
-                            }
+        bfs.in_flight -= 1;
+        match related {
+            Ok(doc) => {
+                for r in doc
+                    .get("related")
+                    .and_then(Json::as_arr)
+                    .into_iter()
+                    .flatten()
+                {
+                    if let Some(s) = r.as_str() {
+                        if !bfs.visited.contains(s) {
+                            bfs.frontier.push_back(s.to_owned());
                         }
                     }
                 }
-                // Not listed: the answer parallel search trusts.
-                Err(e) if is_404(&e) => {
-                    market.misses.insert(pkg);
-                    continue;
-                }
-                // A failed expansion loses this package's whole
-                // neighbourhood: account it like any failed fetch. Whether
-                // the package is listed is the listing sweep's to find out.
-                Err(e) => note_fetch_failure(&TraceSpan::noop(), metrics, &mut self.stats, &e),
             }
-            bfs.found.push(pkg);
+            // Not listed: the answer parallel search trusts.
+            Err(e) if is_404(&e) => {
+                market.misses.insert(pkg);
+                return;
+            }
+            // A failed expansion loses this package's whole neighbourhood:
+            // account it like any failed fetch. Whether the package is
+            // listed is the listing sweep's to find out.
+            Err(e) => note_fetch_failure(&TraceSpan::noop(), metrics, &mut self.stats, &e),
         }
+        bfs.found.push(pkg);
     }
 
     /// The direct fetch of listing `i` finished. Whether the market

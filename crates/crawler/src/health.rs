@@ -21,7 +21,6 @@ pub struct MarketHealth {
     threshold: u32,
     consecutive: u32,
     quarantined: bool,
-    failures: u64,
 }
 
 impl MarketHealth {
@@ -32,7 +31,6 @@ impl MarketHealth {
             threshold,
             consecutive: 0,
             quarantined: false,
-            failures: 0,
         }
     }
 
@@ -44,7 +42,6 @@ impl MarketHealth {
     /// The market failed terminally. Returns `true` exactly when this
     /// failure is the one that trips the quarantine.
     pub fn note_failure(&mut self) -> bool {
-        self.failures += 1;
         if self.quarantined || self.threshold == 0 {
             return false;
         }
@@ -67,11 +64,6 @@ impl MarketHealth {
         self.quarantined = false;
         self.consecutive = 0;
     }
-
-    /// Total terminal failures observed (across quarantine episodes).
-    pub fn failures(&self) -> u64 {
-        self.failures
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +79,6 @@ mod tests {
             h.note_ok(); // reset one short of the threshold
         }
         assert!(!h.is_quarantined());
-        assert_eq!(h.failures(), 20);
     }
 
     #[test]
@@ -109,7 +100,6 @@ mod tests {
             assert!(!h.note_failure());
         }
         assert!(!h.is_quarantined());
-        assert_eq!(h.failures(), 1000);
     }
 
     #[test]

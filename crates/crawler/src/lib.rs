@@ -12,8 +12,9 @@
 //!   externally provided seed list — the paper used PrivacyGrade's 1.5 M
 //!   package names — and expand through "related apps" and same-developer
 //!   links, one `/related` request per package (a 404 there says the
-//!   market does not list it), a window of them in flight and their
-//!   answers applied in frontier order;
+//!   market does not list it), a window of them in flight on the
+//!   market's lane, whose answers apply in submission order and so in
+//!   frontier order;
 //! * **parallel search** (the paper's key trick): any package discovered
 //!   in one market is immediately looked up in all the others, so
 //!   cross-market version comparisons are not skewed by crawl lag;
@@ -29,7 +30,8 @@
 //! One crawl is one completion-driven loop on the calling thread (see
 //! [`crawl`]): every market is a state machine whose requests are tickets
 //! on the shared mux client, and the loop reacts to whichever completes
-//! next. The phases stay barriers, as in the paper. Parallel search skips
+//! next. A market's requests share one lane, which answers them in
+//! submission order, so the loop applies each answer as it settles. The phases stay barriers, as in the paper. Parallel search skips
 //! the answers the crawl already has — a complete index walk rules out
 //! every package it did not list, a BFS 404 rules out that package — so
 //! it only probes what could still be found. The harvest keeps one
@@ -58,5 +60,4 @@ pub mod snapshot;
 
 pub use crawl::{CrawlConfig, CrawlTargets, Crawler};
 pub use health::MarketHealth;
-pub use progress::progress_lines;
 pub use snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};

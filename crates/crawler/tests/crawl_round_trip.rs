@@ -28,7 +28,6 @@ fn full_crawl_reconstructs_catalogs() {
     let world = Arc::new(generate(WorldConfig {
         seed: 77,
         scale: Scale { divisor: 40_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
     let targets = CrawlTargets {
@@ -114,7 +113,6 @@ fn second_crawl_sees_removals() {
     let world = Arc::new(generate(WorldConfig {
         seed: 9,
         scale: Scale { divisor: 40_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
     let targets = CrawlTargets {

@@ -25,7 +25,6 @@ fn a_crawl_adds_the_driver_and_the_digest_workers() {
     let world = Arc::new(generate(WorldConfig {
         seed: 6,
         scale: Scale { divisor: 40_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
     let targets = CrawlTargets {

@@ -103,7 +103,6 @@ fn crawl_pair(seed: u64) -> (Snapshot, Snapshot) {
     let world = Arc::new(generate(WorldConfig {
         seed,
         scale: Scale { divisor: 40_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
     let targets = CrawlTargets {

@@ -18,7 +18,6 @@ fn a_clean_crawl_sends_no_index_market_a_404() {
     let world = Arc::new(generate(WorldConfig {
         seed: 0x1517_2018,
         scale: Scale { divisor: 40_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
     let targets = CrawlTargets {

@@ -35,18 +35,18 @@ pub struct WorldConfig {
     pub seed: u64,
     /// Catalog scale.
     pub scale: Scale,
-    /// Share of planted privacy leaks whose sink lives in a bundled
-    /// third-party ad library; the rest sink in host code (Section 6
-    /// extension — the host-vs-TPL attribution split).
-    pub leak_tpl_share: f64,
 }
+
+/// Share of planted privacy leaks whose sink lives in a bundled
+/// third-party ad library; the rest sink in host code (Section 6
+/// extension — the host-vs-TPL attribution split).
+const LEAK_TPL_SHARE: f64 = 0.4;
 
 impl Default for WorldConfig {
     fn default() -> Self {
         WorldConfig {
             seed: 0x5eed_cafe,
             scale: Scale::SMALL,
-            leak_tpl_share: 0.4,
         }
     }
 }
@@ -595,7 +595,7 @@ impl Generator {
     /// mix (the paper's IMEI-centric leak reports) and most flows
     /// exfiltrate over the network; the rest land in logs. The sink
     /// sits in third-party-library code with probability
-    /// `leak_tpl_share` — only possible when the app bundles one.
+    /// `LEAK_TPL_SHARE` — only possible when the app bundles one.
     fn sample_leak(
         &mut self,
         home: MarketId,
@@ -624,7 +624,7 @@ impl Generator {
         let sinks = self.permmap.sink_apis(sink_class);
         let source = sources[r.index(sources.len())];
         let sink = sinks[r.index(sinks.len())];
-        let via_tpl = !libs.is_empty() && r.chance(self.config.leak_tpl_share);
+        let via_tpl = !libs.is_empty() && r.chance(LEAK_TPL_SHARE);
         Some(PlantedLeak {
             source,
             sink,
@@ -1340,7 +1340,6 @@ mod tests {
         generate(WorldConfig {
             seed: 7,
             scale: Scale { divisor: 20_000 },
-            ..WorldConfig::default()
         })
     }
 
@@ -1513,7 +1512,6 @@ mod tests {
         let w = generate(WorldConfig {
             seed: 11,
             scale: Scale { divisor: 5_000 },
-            ..WorldConfig::default()
         });
         // PC Online must be dirtier than Google Play, Huawei cleaner than
         // OPPO — the orderings Section 6.4 highlights.
@@ -1557,7 +1555,6 @@ mod tests {
         let w = generate(WorldConfig {
             seed: 3,
             scale: Scale { divisor: 2_000 },
-            ..WorldConfig::default()
         });
         let removal_rate = |m: MarketId| {
             let (mut mal, mut removed) = (0usize, 0usize);
@@ -1655,7 +1652,6 @@ mod tests {
         let w = generate(WorldConfig {
             seed: 5,
             scale: Scale { divisor: 2_000 },
-            ..WorldConfig::default()
         });
         // OPPO's modal bucket is 100-1K (84.31%); Tencent's is 0-10.
         let modal = |m: MarketId| {

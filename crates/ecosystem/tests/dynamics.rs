@@ -10,7 +10,6 @@ fn world() -> marketscope_ecosystem::World {
     generate(WorldConfig {
         seed: 0xD15C0,
         scale: Scale { divisor: 2_000 },
-        ..WorldConfig::default()
     })
 }
 

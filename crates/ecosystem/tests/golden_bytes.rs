@@ -17,7 +17,6 @@ fn corpus_fnv(divisor: u32, per_market: usize) -> (u64, usize, usize) {
         let world = generate(WorldConfig {
             seed,
             scale: Scale { divisor },
-            ..WorldConfig::default()
         });
         for market in MarketId::ALL {
             let obfuscated = profile(market).requires_obfuscation;

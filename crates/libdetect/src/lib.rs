@@ -20,23 +20,10 @@ use marketscope_apk::digest::ApkDigest;
 use marketscope_core::DeveloperKey;
 use std::collections::{HashMap, HashSet};
 
-/// Detection thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorConfig {
-    /// A feature must appear in at least this many apps.
-    pub min_apps: usize,
-    /// ... from at least this many distinct developers.
-    pub min_developers: usize,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            min_apps: 3,
-            min_developers: 2,
-        }
-    }
-}
+/// A feature must appear in at least this many apps to be a library...
+const MIN_APPS: usize = 3;
+/// ... signed by at least this many distinct developers.
+const MIN_DEVELOPERS: usize = 2;
 
 /// One detected library root package.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,58 +48,6 @@ pub struct LibraryReport {
 }
 
 impl LibraryReport {
-    /// Number of apps whose library list is non-empty.
-    pub fn apps_with_libraries(&self) -> usize {
-        self.per_app.iter().filter(|l| !l.is_empty()).count()
-    }
-
-    /// Mean number of libraries per app.
-    pub fn mean_libraries_per_app(&self) -> f64 {
-        if self.per_app.is_empty() {
-            return 0.0;
-        }
-        self.per_app.iter().map(Vec::len).sum::<usize>() as f64 / self.per_app.len() as f64
-    }
-
-    /// Share of apps embedding a library from `packages` (e.g. the
-    /// labelled ad-library set), and the mean count of such libraries.
-    pub fn adoption_of(&self, packages: &HashSet<String>) -> (f64, f64) {
-        if self.per_app.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut with = 0usize;
-        let mut total = 0usize;
-        for libs in &self.per_app {
-            let n = libs.iter().filter(|l| packages.contains(*l)).count();
-            if n > 0 {
-                with += 1;
-            }
-            total += n;
-        }
-        (
-            with as f64 / self.per_app.len() as f64,
-            total as f64 / self.per_app.len() as f64,
-        )
-    }
-
-    /// Usage share of one library package across apps.
-    pub fn usage_share(&self, package: &str) -> f64 {
-        if self.per_app.is_empty() {
-            return 0.0;
-        }
-        let n = self
-            .per_app
-            .iter()
-            .filter(|libs| libs.iter().any(|l| l == package))
-            .count();
-        n as f64 / self.per_app.len() as f64
-    }
-
-    /// Total number of detected versions across libraries.
-    pub fn total_versions(&self) -> usize {
-        self.libraries.iter().map(|l| l.versions).sum()
-    }
-
     /// The ownership join over this report's detected roots.
     pub fn ownership(&self) -> PackageOwnership {
         PackageOwnership::new(self.libraries.iter().map(|l| l.package.clone()))
@@ -168,21 +103,16 @@ impl PackageOwnership {
     }
 }
 
-/// The clustering detector.
+/// The clustering detector. Its thresholds are the paper's: a feature
+/// is a library version when at least 3 apps from at least 2 developers
+/// carry it.
 #[derive(Debug, Clone, Default)]
-pub struct LibraryDetector {
-    config: DetectorConfig,
-}
+pub struct LibraryDetector;
 
 impl LibraryDetector {
-    /// Detector with default thresholds.
+    /// The detector.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Detector with explicit thresholds.
-    pub fn with_config(config: DetectorConfig) -> Self {
-        LibraryDetector { config }
+        LibraryDetector
     }
 
     /// Run detection over a corpus of app digests. The developer key on
@@ -237,9 +167,7 @@ impl LibraryDetector {
         let mut versions_by_package: HashMap<&str, usize> = HashMap::new();
         let mut accepted: HashSet<(&str, u64)> = HashSet::new();
         for (&(pkg, hash), stat) in &stats {
-            if stat.apps >= self.config.min_apps
-                && stat.developers.len() >= self.config.min_developers
-            {
+            if stat.apps >= MIN_APPS && stat.developers.len() >= MIN_DEVELOPERS {
                 *versions_by_package.entry(pkg).or_insert(0) += 1;
                 accepted.insert((pkg, hash));
             }
@@ -347,7 +275,6 @@ mod tests {
             .per_app
             .iter()
             .all(|l| l == &vec!["com.umeng.analytics".to_string()]));
-        assert_eq!(report.usage_share("com.umeng.analytics"), 1.0);
     }
 
     #[test]
@@ -374,10 +301,10 @@ mod tests {
         let a = app("com.a.x", "d1", &[("com.rare.sdk", 7)], 1);
         let b = app("com.b.x", "d2", &[("com.rare.sdk", 7)], 2);
         let refs: Vec<&ApkDigest> = vec![&a, &b];
-        // min_apps = 3 by default; two apps are not enough.
+        // MIN_APPS is 3; two apps are not enough.
         let report = LibraryDetector::new().detect(&refs);
         assert!(report.libraries.is_empty());
-        assert_eq!(report.mean_libraries_per_app(), 0.0);
+        assert!(report.per_app.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -403,7 +330,6 @@ mod tests {
         let report = LibraryDetector::new().detect(&refs);
         assert_eq!(report.libraries.len(), 1);
         assert_eq!(report.libraries[0].versions, 2);
-        assert_eq!(report.total_versions(), 2);
         assert_eq!(report.libraries[0].apps, 8);
     }
 
@@ -417,26 +343,6 @@ mod tests {
         let refs: Vec<&ApkDigest> = apps.iter().collect();
         let report = LibraryDetector::new().detect(&refs);
         assert!(report.libraries.is_empty());
-    }
-
-    #[test]
-    fn adoption_of_labelled_subset() {
-        let apps: Vec<ApkDigest> = (0..6)
-            .map(|i| {
-                let libs: &[(&str, u64)] = if i % 2 == 0 {
-                    &[("com.ads.net", 1), ("com.dev.kit", 2)]
-                } else {
-                    &[("com.dev.kit", 2)]
-                };
-                app(&format!("com.app{i}.x"), &format!("dev{i}"), libs, i)
-            })
-            .collect();
-        let refs: Vec<&ApkDigest> = apps.iter().collect();
-        let report = LibraryDetector::new().detect(&refs);
-        let ad_set: HashSet<String> = ["com.ads.net".to_owned()].into_iter().collect();
-        let (presence, avg) = report.adoption_of(&ad_set);
-        assert!((presence - 0.5).abs() < 1e-9, "{presence}");
-        assert!((avg - 0.5).abs() < 1e-9, "{avg}");
     }
 
     #[test]
@@ -495,7 +401,6 @@ mod tests {
         let w = generate(WorldConfig {
             seed: 31,
             scale: Scale { divisor: 20_000 },
-            ..WorldConfig::default()
         });
         // Digest every Google Play APK.
         let digests: Vec<ApkDigest> = w
@@ -510,9 +415,17 @@ mod tests {
         let refs: Vec<&ApkDigest> = digests.iter().collect();
         let report = LibraryDetector::new().detect(&refs);
         // The Table 2 head should surface: gms is in ~66% of GP apps.
-        let gms = report.usage_share("com.google.android.gms");
+        let apps = digests.len() as f64;
+        let gms = report
+            .per_app
+            .iter()
+            .filter(|libs| libs.iter().any(|l| l == "com.google.android.gms"))
+            .count() as f64
+            / apps;
         assert!(gms > 0.4, "com.google.android.gms detected in only {gms}");
-        assert!(report.mean_libraries_per_app() > 3.0);
-        assert!(report.apps_with_libraries() as f64 > digests.len() as f64 * 0.7);
+        let libraries: usize = report.per_app.iter().map(Vec::len).sum();
+        assert!(libraries as f64 / apps > 3.0);
+        let with_libraries = report.per_app.iter().filter(|l| !l.is_empty()).count();
+        assert!(with_libraries as f64 > apps * 0.7);
     }
 }

@@ -52,7 +52,6 @@ pub struct MarketFleet {
     servers: Vec<MarketServer>,
     repository: AndroZooServer,
     transport: Arc<Transport>,
-    world: Arc<World>,
     registry: Arc<Registry>,
     tracer: Arc<Tracer>,
     event_log: Arc<EventLog>,
@@ -168,7 +167,6 @@ impl MarketFleet {
             servers,
             repository,
             transport,
-            world,
             registry,
             tracer,
             event_log,
@@ -190,14 +188,6 @@ impl MarketFleet {
     /// crawl request; any market's `GET /__trace` renders it.
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
-    }
-
-    /// Handles into the ops plane (the same pair every server holds).
-    pub fn ops(&self) -> OpsHandles {
-        OpsHandles {
-            slo: Arc::clone(&self.slo),
-            log: Arc::clone(&self.event_log),
-        }
     }
 
     /// The fleet-wide structured event log.
@@ -265,11 +255,6 @@ impl MarketFleet {
         self.repository.addr()
     }
 
-    /// The world being served.
-    pub fn world(&self) -> &Arc<World> {
-        &self.world
-    }
-
     /// Switch every market to a crawl phase.
     pub fn set_phase(&self, phase: CrawlPhase) {
         for s in &self.servers {
@@ -280,16 +265,6 @@ impl MarketFleet {
     /// Total HTTP requests served across the fleet.
     pub fn total_requests(&self) -> u64 {
         self.servers.iter().map(|s| s.request_count()).sum()
-    }
-
-    /// Total faults injected across the fleet (`0` without chaos).
-    pub fn faults_injected(&self) -> u64 {
-        self.servers.iter().map(|s| s.faults_injected()).sum()
-    }
-
-    /// Faults injected by one market's server.
-    pub fn market_faults_injected(&self, market: MarketId) -> u64 {
-        self.servers[market.index()].faults_injected()
     }
 
     /// Retire every server's listener, then join the transport they
@@ -330,7 +305,6 @@ mod tests {
         let w = Arc::new(generate(WorldConfig {
             seed: 1,
             scale: Scale { divisor: 60_000 },
-            ..WorldConfig::default()
         }));
         let fleet = MarketFleet::spawn(Arc::clone(&w)).unwrap();
         let client = HttpClient::new();
@@ -350,7 +324,6 @@ mod tests {
         let w = Arc::new(generate(WorldConfig {
             seed: 5,
             scale: Scale { divisor: 60_000 },
-            ..WorldConfig::default()
         }));
         let fleet = MarketFleet::spawn(Arc::clone(&w)).unwrap();
         let client = HttpClient::new();
@@ -391,7 +364,6 @@ mod tests {
         let w = Arc::new(generate(WorldConfig {
             seed: 3,
             scale: Scale { divisor: 60_000 },
-            ..WorldConfig::default()
         }));
         let fleet = MarketFleet::spawn(Arc::clone(&w)).unwrap();
         let snap = fleet.registry().snapshot();
@@ -412,7 +384,6 @@ mod tests {
         let w = Arc::new(generate(WorldConfig {
             seed: 2,
             scale: Scale { divisor: 60_000 },
-            ..WorldConfig::default()
         }));
         let fleet = MarketFleet::spawn(Arc::clone(&w)).unwrap();
         let mut addrs: Vec<SocketAddr> = MarketId::ALL.iter().map(|m| fleet.addr(*m)).collect();
@@ -428,7 +399,6 @@ mod tests {
         let w = Arc::new(generate(WorldConfig {
             seed: 4,
             scale: Scale { divisor: 60_000 },
-            ..WorldConfig::default()
         }));
         let fleet = MarketFleet::spawn(Arc::clone(&w)).unwrap();
         let client = HttpClient::new();

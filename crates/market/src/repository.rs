@@ -119,7 +119,6 @@ mod tests {
         let w = Arc::new(generate(WorldConfig {
             seed: 3,
             scale: Scale { divisor: 20_000 },
-            ..WorldConfig::default()
         }));
         let repo = AndroZooServer::spawn(Arc::clone(&w)).unwrap();
         let gp = w.market_listings(MarketId::GooglePlay).len();
@@ -151,7 +150,6 @@ mod tests {
         let w = Arc::new(generate(WorldConfig {
             seed: 3,
             scale: Scale { divisor: 40_000 },
-            ..WorldConfig::default()
         }));
         let repo = AndroZooServer::spawn(Arc::clone(&w)).unwrap();
         let client = HttpClient::new();

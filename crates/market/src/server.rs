@@ -576,7 +576,6 @@ mod tests {
         Arc::new(generate(WorldConfig {
             seed: 21,
             scale: Scale { divisor: 40_000 },
-            ..WorldConfig::default()
         }))
     }
 

@@ -267,7 +267,6 @@ mod tests {
         let world = std::sync::Arc::new(generate(WorldConfig {
             seed: 6,
             scale: Scale { divisor: 60_000 },
-            ..WorldConfig::default()
         }));
         let server = crate::MarketServer::spawn(world, MarketId::TencentMyapp).unwrap();
 

@@ -81,7 +81,6 @@ fn two_thousand_connections_parked_on_one_market_of_a_fleet() {
     let world = Arc::new(generate(WorldConfig {
         seed: 10,
         scale: Scale { divisor: 60_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(world).unwrap();
     let labels = [("market", HELD_ON.slug())];

@@ -31,7 +31,6 @@ fn a_fleet_costs_one_transport() {
     let world = Arc::new(generate(WorldConfig {
         seed: 6,
         scale: Scale { divisor: 60_000 },
-        ..WorldConfig::default()
     }));
     let transport_threads = (1 + SHARDS) as u64;
 

@@ -2,8 +2,7 @@
 
 use std::collections::BTreeMap;
 
-/// A histogram over string labels, preserving explicit label order when
-/// one is supplied.
+/// A histogram over string labels, in the order they were first added.
 #[derive(Debug, Clone, Default)]
 pub struct LabelledHistogram {
     order: Vec<String>,
@@ -14,13 +13,6 @@ impl LabelledHistogram {
     /// Empty histogram with no predefined labels.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Histogram with a fixed label order (labels render even at zero).
-    pub fn with_labels(labels: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        let order: Vec<String> = labels.into_iter().map(Into::into).collect();
-        let counts = order.iter().map(|l| (l.clone(), 0)).collect();
-        LabelledHistogram { order, counts }
     }
 
     /// Add `n` to a label's count (new labels are appended to the order).
@@ -111,14 +103,6 @@ mod tests {
         assert_eq!(shares[0], ("a".into(), 0.5));
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fixed_labels_render_zeros() {
-        let h = LabelledHistogram::with_labels(["x", "y"]);
-        assert_eq!(h.entries().count(), 2);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.shares(), vec![("x".into(), 0.0), ("y".into(), 0.0)]);
     }
 
     #[test]

@@ -344,11 +344,6 @@ impl HttpClient {
         self.wait_json(self.submit_get_json(&FetchSpec::new(addr, path_and_query)))
     }
 
-    /// Number of idle pooled connections (for tests/metrics).
-    pub fn idle_connections(&self) -> usize {
-        self.shared.pool.lock().values().map(Vec::len).sum()
-    }
-
     /// Number of per-host circuits currently not closed (zero without a
     /// breaker).
     pub fn open_circuits(&self) -> usize {
@@ -398,6 +393,11 @@ mod tests {
     use marketscope_core::json::Json;
     use std::sync::atomic::AtomicU64;
 
+    /// Idle pooled connections across hosts.
+    fn idle_connections(client: &HttpClient) -> usize {
+        client.shared.pool.lock().values().map(Vec::len).sum()
+    }
+
     #[test]
     fn get_round_trip_and_pooling() {
         let server = HttpServer::spawn(|req: &Request| {
@@ -410,7 +410,7 @@ mod tests {
             assert_eq!(resp.body, format!("/ping/{i}").into_bytes());
         }
         // All five requests reused one pooled connection.
-        assert_eq!(client.idle_connections(), 1);
+        assert_eq!(idle_connections(&client), 1);
         assert_eq!(server.live_connections(), 1);
     }
 
@@ -503,7 +503,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(hits.load(Ordering::SeqCst), 40);
-        assert!(client.idle_connections() <= 4);
+        assert!(idle_connections(&client) <= 4);
     }
 
     #[test]
@@ -526,7 +526,7 @@ mod tests {
             .metrics(ClientMetrics::register(&registry, &[]))
             .build();
         client.get(server.addr(), "/x").unwrap();
-        assert_eq!(client.idle_connections(), 1);
+        assert_eq!(idle_connections(&client), 1);
         // Let the server reap the pooled connection while it sits idle.
         std::thread::sleep(Duration::from_millis(300));
         // The freshness probe discards it up front: no keep-alive race,
@@ -643,7 +643,7 @@ mod tests {
                 s.spawn(|| client.get(addr, "/x").unwrap());
             }
         });
-        assert!(client.idle_connections() <= 1);
+        assert!(idle_connections(&client) <= 1);
     }
 
     #[test]
@@ -833,6 +833,84 @@ mod tests {
                 assert_eq!(**g, *w, "lane {lane} arrived out of submission order");
             }
         }
+    }
+
+    /// A lane's tags reach the completion queue in submission order: a
+    /// front parked on a hinted 503 holds back followers that are
+    /// already answered. The crawl loop applies each answer as its tag
+    /// arrives and relies on this.
+    #[test]
+    fn a_lane_posts_its_tags_in_submission_order_behind_a_parked_front() {
+        use crate::mux::{CompletionQueue, LANE_DEPTH};
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // One connection: answer nothing until the whole lane is written,
+        // then the front a 503 with a 20 ms hint and the followers 200,
+        // then the front's retry 200. Returns the paths in arrival order.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let (mut buf, mut paths) = (Vec::new(), Vec::new());
+            let mut read_until = |stream: &mut std::net::TcpStream, n: usize| {
+                while paths.len() < n {
+                    while let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                        let head: Vec<u8> = buf.drain(..end + 4).collect();
+                        let line = String::from_utf8_lossy(&head);
+                        paths.push(line.split_whitespace().nth(1).unwrap().to_owned());
+                    }
+                    if paths.len() < n {
+                        let mut chunk = [0u8; 4096];
+                        let got = stream.read(&mut chunk).expect("the client went quiet");
+                        assert!(got > 0, "the client hung up");
+                        buf.extend_from_slice(&chunk[..got]);
+                    }
+                }
+                paths.clone()
+            };
+            let ok = |path: &str| {
+                format!(
+                    "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{path}",
+                    path.len()
+                )
+            };
+            let lane = read_until(&mut stream, LANE_DEPTH);
+            let mut answers =
+                "HTTP/1.1 503 Service Unavailable\r\nretry-after: 0.02\r\ncontent-length: 0\r\n\r\n"
+                    .to_owned();
+            for path in &lane[1..] {
+                answers.push_str(&ok(path));
+            }
+            stream.write_all(answers.as_bytes()).unwrap();
+            let all = read_until(&mut stream, LANE_DEPTH + 1);
+            stream.write_all(ok(&all[LANE_DEPTH]).as_bytes()).unwrap();
+            all
+        });
+        let client = HttpClient::builder().retry(RetryPolicy::default()).build();
+        let queue = Arc::new(CompletionQueue::new());
+        let tickets: Vec<Ticket> = (0..LANE_DEPTH as u64)
+            .map(|tag| {
+                let spec = FetchSpec::new(addr, format!("/item/{tag}")).lane(1);
+                let ticket = client.submit_get(&spec);
+                ticket.notify(&queue, tag);
+                ticket
+            })
+            .collect();
+        let tags: Vec<u64> = (0..LANE_DEPTH).map(|_| queue.wait()).collect();
+        assert_eq!(tags, (0..LANE_DEPTH as u64).collect::<Vec<_>>());
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let body = client.wait(ticket).unwrap().body;
+            assert_eq!(body, format!("/item/{i}").into_bytes());
+        }
+        let arrived = peer.join().unwrap();
+        let mut want: Vec<String> = (0..LANE_DEPTH).map(|i| format!("/item/{i}")).collect();
+        want.push("/item/0".to_owned());
+        assert_eq!(
+            arrived, want,
+            "the followers were answered before the retry"
+        );
     }
 
     #[test]

@@ -477,8 +477,8 @@ impl Driver {
     /// window and harvest).
     fn pump(&mut self, tok: u64) {
         // Pool an idle connection before held answers complete their
-        // tickets, so a caller reading `idle_connections` right after
-        // `wait` returns sees it back.
+        // tickets, so a caller reading the pool right after `wait`
+        // returns sees it back.
         self.tidy(tok);
         self.apply_held(tok);
         loop {

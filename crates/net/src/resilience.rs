@@ -36,52 +36,46 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Status-level retry policy: how many times, how long to wait, and
-/// when to give up instead.
+/// Maximum retries per logical request (on top of the first try).
+const MAX_RETRIES: u32 = 3;
+/// First backoff; doubles per retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
+/// Cap on a single computed backoff (not on `retry-after` hints — the
+/// budget gates those).
+const MAX_BACKOFF: Duration = Duration::from_millis(160);
+/// Seed for the deterministic jitter stream.
+const JITTER_SEED: u64 = 0x5eed;
+
+/// Status-level retry policy: up to three retries with a 10 ms backoff
+/// that doubles per retry up to 160 ms, and when to give up instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Maximum retries per logical request (on top of the first try).
-    pub max_retries: u32,
-    /// First backoff; doubles per retry.
-    pub base_backoff: Duration,
-    /// Cap on a single computed backoff (not on `retry-after` hints —
-    /// the budget gates those).
-    pub max_backoff: Duration,
     /// Hard cap on *total* sleep per logical request. A wait that would
     /// exceed it — including a server `retry-after` hint — surfaces the
     /// error instead.
     pub backoff_budget: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(160),
             backoff_budget: Duration::from_millis(250),
-            jitter_seed: 0x5eed,
         }
     }
 }
 
-impl RetryPolicy {
-    /// The computed backoff before retry number `attempt` (0-based) of
-    /// the request identified by `key` (callers hash the path):
-    /// exponential with a deterministic jitter factor in `[0.5, 1.0]`.
-    pub fn backoff(&self, attempt: u32, key: u64) -> Duration {
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.max_backoff);
-        let draw = splitmix64(
-            self.jitter_seed ^ key ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        exp.mul_f64(0.5 + 0.5 * unit(draw))
-    }
+/// The computed backoff before retry number `attempt` (0-based) of the
+/// request identified by `key` (callers hash the path): exponential with
+/// a deterministic jitter factor in `[0.5, 1.0]`.
+fn backoff(attempt: u32, key: u64) -> Duration {
+    let exp = BASE_BACKOFF
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(MAX_BACKOFF);
+    let draw = splitmix64(JITTER_SEED ^ key ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    exp.mul_f64(0.5 + 0.5 * unit(draw))
+}
 
+impl RetryPolicy {
     /// How long to sleep before retrying `err`, or `None` to surface it:
     /// not retryable, retries exhausted, or the wait (server hint or
     /// computed backoff) would blow the remaining budget.
@@ -92,12 +86,12 @@ impl RetryPolicy {
         key: u64,
         already_slept: Duration,
     ) -> Option<Duration> {
-        if !err.is_retryable() || attempt >= self.max_retries {
+        if !err.is_retryable() || attempt >= MAX_RETRIES {
             return None;
         }
         let wait = match err.retry_after() {
             Some(hint) => hint,
-            None => self.backoff(attempt, key),
+            None => backoff(attempt, key),
         };
         (already_slept + wait <= self.backoff_budget).then_some(wait)
     }
@@ -397,23 +391,19 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_capped_and_deterministic() {
-        let p = RetryPolicy::default();
         for attempt in 0..4 {
-            let exp = p
-                .base_backoff
-                .saturating_mul(1 << attempt)
-                .min(p.max_backoff);
-            let b = p.backoff(attempt, 42);
+            let exp = BASE_BACKOFF.saturating_mul(1 << attempt).min(MAX_BACKOFF);
+            let b = backoff(attempt, 42);
             assert!(
                 b >= exp.mul_f64(0.5) && b <= exp,
                 "attempt {attempt}: {b:?}"
             );
-            assert_eq!(b, p.backoff(attempt, 42), "same inputs, same sleep");
+            assert_eq!(b, backoff(attempt, 42), "same inputs, same sleep");
         }
         // Huge attempt numbers must not overflow.
-        assert!(p.backoff(40, 1) <= p.max_backoff);
+        assert!(backoff(40, 1) <= MAX_BACKOFF);
         // Different keys jitter differently (with overwhelming probability).
-        assert_ne!(p.backoff(0, 1), p.backoff(0, 2));
+        assert_ne!(backoff(0, 1), backoff(0, 2));
     }
 
     #[test]
@@ -437,7 +427,7 @@ mod tests {
         );
         // Exhausted retries and non-retryable errors surface.
         assert_eq!(
-            p.delay_for(&hinted(1), p.max_retries, 1, Duration::ZERO),
+            p.delay_for(&hinted(1), MAX_RETRIES, 1, Duration::ZERO),
             None
         );
         assert_eq!(
@@ -452,7 +442,7 @@ mod tests {
         let io_err = NetError::from(io::Error::other("reset"));
         assert_eq!(
             p.delay_for(&io_err, 0, 7, Duration::ZERO),
-            Some(p.backoff(0, 7))
+            Some(backoff(0, 7))
         );
     }
 

@@ -287,7 +287,6 @@ fn a_parked_front_is_written_after_another_lane_tightens_the_breaker() {
         HttpClient::builder()
             .retry(RetryPolicy {
                 backoff_budget: Duration::from_secs(1),
-                ..RetryPolicy::default()
             })
             .breaker(BreakerConfig::default())
             .build(),

@@ -17,7 +17,7 @@ use marketscope_libdetect::LibraryReport;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-pub use crate::engine::{AnalysisEngine, EngineConfig, StageSpec, STAGE_GRAPH};
+pub use crate::engine::{AnalysisEngine, EngineConfig, STAGES};
 
 /// The stand-in for the paper's *manual* library labelling (AppBrain /
 /// PrivacyGrade / Common-Library classifications): a map from library
@@ -132,23 +132,6 @@ impl Analyzed {
             .unwrap_or(&[])
             .iter()
             .copied()
-    }
-
-    /// Malware share of a market at the given AV-rank threshold.
-    pub fn malware_share(&self, market: MarketId, threshold: usize) -> f64 {
-        let mut total = 0usize;
-        let mut hit = 0usize;
-        for i in self.apps_in(market) {
-            total += 1;
-            if self.av_reports[i].rank >= threshold {
-                hit += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            hit as f64 / total as f64
-        }
     }
 
     /// Malware packages (AV-rank ≥ 10) listed in a market.

@@ -2,9 +2,8 @@
 //!
 //! [`Analyzed::compute`] used to be a one-shot monolith that ran every
 //! shared pass back to back. This module breaks that pipeline into named
-//! *stages* with declared inputs and outputs ([`STAGE_GRAPH`]), runs them
-//! one at a time in the graph's canonical order on the calling thread,
-//! and fans each per-app stage out over index-ordered chunks
+//! *stages* ([`STAGES`]), runs them one at a time in that order on the
+//! calling thread, and fans each per-app stage out over index-ordered chunks
 //! ([`marketscope_core::parallel`]) so the output is **bit-identical to
 //! the sequential run for any worker count**.
 //!
@@ -65,66 +64,19 @@ pub const STAGE_LATENCY_METRIC: &str = "marketscope_analysis_stage_nanos";
 /// Counter instrument recording per-stage item counts.
 pub const STAGE_ITEMS_METRIC: &str = "marketscope_analysis_stage_items_total";
 
-/// A named stage with its declared inputs and outputs. The engine runs the
-/// stages one after another in [`STAGE_GRAPH`]'s order, which produces
-/// every input before the stage that reads it.
-#[derive(Debug, Clone, Copy)]
-pub struct StageSpec {
-    /// Stage name (also the `stage` label on its telemetry instruments).
-    pub name: &'static str,
-    /// Artifacts the stage consumes.
-    pub inputs: &'static [&'static str],
-    /// Artifacts the stage produces.
-    pub outputs: &'static [&'static str],
-}
-
-/// The declared stage graph, in the order the engine runs it.
-pub const STAGE_GRAPH: &[StageSpec] = &[
-    StageSpec {
-        name: "dedup",
-        inputs: &["snapshot"],
-        outputs: &["apps", "market_index"],
-    },
-    StageSpec {
-        name: "libdetect",
-        inputs: &["apps"],
-        outputs: &["lib_report", "lib_packages"],
-    },
-    StageSpec {
-        name: "taint",
-        inputs: &["apps", "lib_packages"],
-        outputs: &["leaks"],
-    },
-    StageSpec {
-        name: "clone_inputs",
-        inputs: &["apps", "lib_packages"],
-        outputs: &["clone_inputs"],
-    },
-    StageSpec {
-        name: "sig_clones",
-        inputs: &["clone_inputs"],
-        outputs: &["sig_report"],
-    },
-    StageSpec {
-        name: "code_clones",
-        inputs: &["clone_inputs"],
-        outputs: &["code_pairs"],
-    },
-    StageSpec {
-        name: "fake",
-        inputs: &["apps"],
-        outputs: &["fake_inputs", "fake_report"],
-    },
-    StageSpec {
-        name: "av",
-        inputs: &["apps"],
-        outputs: &["av_reports"],
-    },
-    StageSpec {
-        name: "overpriv",
-        inputs: &["apps"],
-        outputs: &["overpriv"],
-    },
+/// The stages, in the order the engine runs them, which produces every
+/// input before the stage that reads it (see the module's diagram). A
+/// name is also the `stage` label on its telemetry instruments.
+pub const STAGES: &[&str] = &[
+    "dedup",
+    "libdetect",
+    "taint",
+    "clone_inputs",
+    "sig_clones",
+    "code_clones",
+    "fake",
+    "av",
+    "overpriv",
 ];
 
 /// Engine tuning knobs.
@@ -378,32 +330,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_graph_is_well_formed() {
-        // Every input except the snapshot is produced by an earlier stage.
-        let mut produced: HashSet<&str> = HashSet::new();
-        produced.insert("snapshot");
-        for spec in STAGE_GRAPH {
-            for input in spec.inputs {
-                assert!(
-                    produced.contains(input),
-                    "stage `{}` consumes `{input}` before any stage produces it",
-                    spec.name
-                );
-            }
-            for output in spec.outputs {
-                assert!(
-                    produced.insert(output),
-                    "artifact `{output}` produced twice (stage `{}`)",
-                    spec.name
-                );
-            }
-        }
-    }
-
-    #[test]
     fn stage_names_are_unique() {
-        let names: HashSet<&str> = STAGE_GRAPH.iter().map(|s| s.name).collect();
-        assert_eq!(names.len(), STAGE_GRAPH.len());
+        let names: HashSet<&str> = STAGES.iter().copied().collect();
+        assert_eq!(names.len(), STAGES.len());
     }
 
     /// What a complete crawl of a tiny world returns, built without a
@@ -466,8 +395,7 @@ mod tests {
             .filter(|r| r.parent_id == Some(root.span_id))
             .collect();
         let names: Vec<&str> = stages.iter().map(|r| r.name.as_str()).collect();
-        let graph: Vec<&str> = STAGE_GRAPH.iter().map(|s| s.name).collect();
-        assert_eq!(names, graph);
+        assert_eq!(names, STAGES);
         for pair in stages.windows(2) {
             assert!(
                 pair[1].start_nanos >= pair[0].end_nanos,

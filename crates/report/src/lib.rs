@@ -26,6 +26,6 @@ pub mod pipeline;
 
 pub use bundle::write_ops_bundle;
 pub use context::{Analyzed, LabelSource, UniqueApp};
-pub use engine::{AnalysisEngine, EngineConfig, StageSpec, STAGE_GRAPH};
+pub use engine::{AnalysisEngine, EngineConfig, STAGES};
 pub use ops::{MarketOps, OpsSummary, PerfOps, StageOps};
 pub use pipeline::{run_campaign, Campaign, CampaignConfig};

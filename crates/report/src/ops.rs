@@ -88,7 +88,7 @@ pub struct PerfOps {
 /// telemetry instruments.
 #[derive(Debug, Clone)]
 pub struct StageOps {
-    /// Stage name, as declared in [`crate::engine::STAGE_GRAPH`].
+    /// Stage name, one of [`crate::engine::STAGES`].
     pub stage: String,
     /// Items the stage processed (listings for dedup, apps or candidate
     /// pairs downstream).
@@ -252,10 +252,10 @@ impl OpsSummary {
             };
             (ops.retries + ops.fast_fails + ops.breaker_opens > 0).then_some(ops)
         };
-        let analysis = crate::engine::STAGE_GRAPH
+        let analysis = crate::engine::STAGES
             .iter()
-            .filter_map(|spec| {
-                let labels = [("stage", spec.name)];
+            .filter_map(|&stage| {
+                let labels = [("stage", stage)];
                 let hist = snap.histogram(crate::engine::STAGE_LATENCY_METRIC, &labels)?;
                 if hist.count() == 0 {
                     return None;
@@ -264,7 +264,7 @@ impl OpsSummary {
                 // stage ran once (modulo log2 bucketing).
                 let elapsed_us = (hist.mean() * hist.count() as f64 / 1_000.0) as u64;
                 Some(StageOps {
-                    stage: spec.name.to_string(),
+                    stage: stage.to_string(),
                     items: snap
                         .counter_value(crate::engine::STAGE_ITEMS_METRIC, &labels)
                         .unwrap_or(0),

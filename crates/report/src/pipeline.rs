@@ -91,7 +91,6 @@ pub fn run_campaign(config: CampaignConfig) -> Campaign {
     let world = Arc::new(generate(WorldConfig {
         seed: config.seed,
         scale: config.scale,
-        ..WorldConfig::default()
     }));
     let fleet = match config.chaos {
         Some(profile) => MarketFleet::spawn_with_chaos(Arc::clone(&world), profile),

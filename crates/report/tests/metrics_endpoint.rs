@@ -28,7 +28,6 @@ fn crawl_metrics_scrape_is_self_consistent() {
     let world = Arc::new(generate(WorldConfig {
         seed: 7,
         scale: Scale { divisor: 60_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(Arc::clone(&world)).unwrap();
     let targets = CrawlTargets {

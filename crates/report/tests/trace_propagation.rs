@@ -118,7 +118,6 @@ fn rate_limit_stall_stays_inside_one_trace() {
     let world = Arc::new(generate(WorldConfig {
         seed: 7,
         scale: Scale { divisor: 60_000 },
-        ..WorldConfig::default()
     }));
     // One tracer on both sides so the journal merges up front.
     let tracer = Arc::new(Tracer::new(TracerConfig::always(4096)));

@@ -14,7 +14,7 @@
 //! * [`Gauge`] — a signed up/down value (live connections, queue depth);
 //! * [`Histogram`] — 64 fixed log2 buckets of atomics; recording is two
 //!   relaxed `fetch_add`s, snapshots are mergeable and answer
-//!   p50/p90/p99;
+//!   p50/p99;
 //! * [`Registry`] — owns named, labelled instruments and renders the
 //!   whole set as a text exposition ([`exposition`] also parses it back,
 //!   for tests and scrapers);

@@ -44,7 +44,6 @@
 
 use crate::ring::Ring;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -214,16 +213,6 @@ impl JournalSnapshot {
         self.records
             .iter()
             .filter(|r| r.trace_id == trace_id)
-            .collect()
-    }
-
-    /// Distinct trace ids present, in first-seen (start-time) order.
-    pub fn trace_ids(&self) -> Vec<u64> {
-        let mut seen = HashSet::new();
-        self.records
-            .iter()
-            .map(|r| r.trace_id)
-            .filter(|id| seen.insert(*id))
             .collect()
     }
 
@@ -692,7 +681,7 @@ mod tests {
         let merged = a.snapshot().merge(&b.snapshot());
         assert_eq!(merged.records.len(), 2);
         assert_eq!(merged.recorded, 2);
-        assert_eq!(merged.trace_ids().len(), 2);
+        assert_ne!(merged.records[0].trace_id, merged.records[1].trace_id);
         // Sorted by start time.
         assert!(merged.records[0].start_nanos <= merged.records[1].start_nanos);
     }

@@ -394,7 +394,6 @@ mod tests {
                     first_seen.push(r.trace_id);
                 }
             }
-            assert_eq!(s.trace_ids(), first_seen);
             // Past the trace count too: every trace comes back.
             let k = usize_in(rng, 0..first_seen.len() + 3);
             assert_eq!(

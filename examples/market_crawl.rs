@@ -17,7 +17,6 @@ fn main() {
     let world = Arc::new(generate(WorldConfig {
         seed: 7,
         scale: Scale { divisor: 8_000 },
-        ..WorldConfig::default()
     }));
     println!(
         "world: {} listings, {} apps, {} developers",

@@ -92,7 +92,6 @@ fn main() {
     let world = Arc::new(generate(WorldConfig {
         seed: 6,
         scale: Scale { divisor: 60_000 },
-        ..WorldConfig::default()
     }));
     let fleet = MarketFleet::spawn(world).expect("fleet");
 

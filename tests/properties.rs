@@ -362,12 +362,10 @@ fn world_generation_is_reproducible_across_processes_shape() {
     let a = generate(WorldConfig {
         seed: 1234,
         scale: Scale { divisor: 30_000 },
-        ..WorldConfig::default()
     });
     let b = generate(WorldConfig {
         seed: 1234,
         scale: Scale { divisor: 30_000 },
-        ..WorldConfig::default()
     });
     assert_eq!(a.listing_count(), b.listing_count());
     for (x, y) in a.apps.iter().zip(&b.apps) {
@@ -385,12 +383,10 @@ fn different_seeds_produce_different_worlds() {
     let a = generate(WorldConfig {
         seed: 1,
         scale: Scale { divisor: 30_000 },
-        ..WorldConfig::default()
     });
     let b = generate(WorldConfig {
         seed: 2,
         scale: Scale { divisor: 30_000 },
-        ..WorldConfig::default()
     });
     let pa: Vec<&str> = a.apps.iter().take(20).map(|x| x.package.as_str()).collect();
     let pb: Vec<&str> = b.apps.iter().take(20).map(|x| x.package.as_str()).collect();
