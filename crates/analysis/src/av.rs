@@ -45,7 +45,7 @@ impl AvSimulator {
     }
 
     /// Ensemble over an explicit database.
-    pub fn with_db(db: ThreatDb) -> AvSimulator {
+    pub(crate) fn with_db(db: ThreatDb) -> AvSimulator {
         let mut sensitivity = [1.0; ENGINE_COUNT];
         for (i, s) in sensitivity.iter_mut().enumerate() {
             let u = (mix64(0xE261_7E5E, i as u64) % 10_000) as f64 / 10_000.0;

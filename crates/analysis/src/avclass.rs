@@ -27,7 +27,7 @@ const GENERIC_TOKENS: [&str; 16] = [
 ];
 
 /// Normalize one engine label into candidate family tokens.
-pub fn normalize_label(label: &str) -> Vec<String> {
+pub(crate) fn normalize_label(label: &str) -> Vec<String> {
     label
         .split(|c: char| !c.is_ascii_alphanumeric())
         .map(|t| t.to_ascii_lowercase())

@@ -29,7 +29,6 @@ pub mod removal;
 pub mod taint;
 
 pub use av::{AvReport, AvSimulator, ENGINE_COUNT};
-pub use avclass::normalize_label;
 pub use fake::{FakeDetector, FakeReport};
 pub use overpriv::{FootprintMode, OverprivilegeAnalyzer, OverprivilegeResult};
 pub use removal::{removal_rates, RemovalInput, RemovalReport};

@@ -47,7 +47,7 @@ impl OverprivilegeResult {
     }
 
     /// The unused permission set under a given footprint.
-    pub fn unused_in(&self, mode: FootprintMode) -> PermSet {
+    pub(crate) fn unused_in(&self, mode: FootprintMode) -> PermSet {
         match mode {
             FootprintMode::Flat => self.unused,
             FootprintMode::Reachable => self.unused_reachable,
@@ -60,7 +60,7 @@ impl OverprivilegeResult {
     }
 
     /// Number of unused permissions under a given footprint.
-    pub fn unused_count_in(&self, mode: FootprintMode) -> usize {
+    pub(crate) fn unused_count_in(&self, mode: FootprintMode) -> usize {
         self.unused_in(mode).len()
     }
 }

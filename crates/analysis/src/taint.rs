@@ -30,7 +30,7 @@ pub enum LeakAttribution {
 
 impl LeakAttribution {
     /// Whether the flow sinks inside a detected library.
-    pub fn is_library(&self) -> bool {
+    pub(crate) fn is_library(&self) -> bool {
         matches!(self, LeakAttribution::Library(_))
     }
 }

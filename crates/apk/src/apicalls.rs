@@ -19,14 +19,14 @@ pub const API_CALL_RANGE: u32 = 40_960;
 
 /// Number of ids modelling Intent actions (PScout: 97 permission-related
 /// intents; we model a larger action space).
-pub const INTENT_RANGE: u32 = 2_048;
+pub(crate) const INTENT_RANGE: u32 = 2_048;
 
 /// Number of ids modelling Content-Provider URIs.
 pub const PROVIDER_RANGE: u32 = API_DIMENSIONS - API_CALL_RANGE - INTENT_RANGE;
 
 /// The family an id belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ApiFamily {
+pub(crate) enum ApiFamily {
     /// An Android framework method call.
     MethodCall,
     /// An Intent action string.
@@ -41,13 +41,8 @@ pub enum ApiFamily {
 pub struct ApiCallId(pub u32);
 
 impl ApiCallId {
-    /// Construct, checking the id is inside the feature space.
-    pub fn new(id: u32) -> Option<ApiCallId> {
-        (id < API_DIMENSIONS).then_some(ApiCallId(id))
-    }
-
     /// The family this id models.
-    pub fn family(self) -> ApiFamily {
+    pub(crate) fn family(self) -> ApiFamily {
         if self.0 < API_CALL_RANGE {
             ApiFamily::MethodCall
         } else if self.0 < API_CALL_RANGE + INTENT_RANGE {
@@ -58,7 +53,7 @@ impl ApiCallId {
     }
 
     /// Dense feature index in `0..API_DIMENSIONS`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -106,14 +101,6 @@ mod tests {
             ApiCallId(API_DIMENSIONS - 1).family(),
             ApiFamily::ContentProvider
         );
-    }
-
-    #[test]
-    fn constructor_bounds() {
-        assert!(ApiCallId::new(0).is_some());
-        assert!(ApiCallId::new(API_DIMENSIONS - 1).is_some());
-        assert!(ApiCallId::new(API_DIMENSIONS).is_none());
-        assert!(ApiCallId::new(u32::MAX).is_none());
     }
 
     #[test]

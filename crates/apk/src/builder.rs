@@ -1,6 +1,6 @@
 //! Constructing signed APKs.
 //!
-//! The builder assembles manifest + DEX + assets into a ZIP, computes the
+//! The builder assembles manifest + DEX into a ZIP, computes the
 //! payload digest over everything *outside* `META-INF/`, and signs it.
 //! Excluding `META-INF/` from the digest mirrors JAR (v1) signing: it is
 //! what lets app stores inject **channel files** into `META-INF/` after
@@ -17,9 +17,9 @@ use marketscope_core::hash::Md5;
 use marketscope_core::DeveloperKey;
 
 /// Well-known entry names.
-pub const MANIFEST_ENTRY: &str = "AndroidManifest.xml";
+pub(crate) const MANIFEST_ENTRY: &str = "AndroidManifest.xml";
 /// The DEX payload entry.
-pub const DEX_ENTRY: &str = "classes.dex";
+pub(crate) const DEX_ENTRY: &str = "classes.dex";
 /// The signature entry.
 pub const CERT_ENTRY: &str = "META-INF/CERT.SF";
 
@@ -28,7 +28,6 @@ pub const CERT_ENTRY: &str = "META-INF/CERT.SF";
 pub struct ApkBuilder {
     manifest: Manifest,
     dex: DexFile,
-    assets: Vec<(String, Vec<u8>)>,
     channel: Option<(String, Vec<u8>)>,
 }
 
@@ -38,22 +37,8 @@ impl ApkBuilder {
         ApkBuilder {
             manifest,
             dex,
-            assets: Vec::new(),
             channel: None,
         }
-    }
-
-    /// Add an opaque asset entry (e.g. `assets/data.bin`). Names under
-    /// `META-INF/` are rejected — use [`ApkBuilder::channel`].
-    pub fn asset(mut self, name: &str, data: Vec<u8>) -> Result<Self, ApkError> {
-        if name.starts_with("META-INF/") {
-            return Err(ApkError::Zip("assets may not live under META-INF/"));
-        }
-        if name == MANIFEST_ENTRY || name == DEX_ENTRY {
-            return Err(ApkError::Zip("asset name collides with a core entry"));
-        }
-        self.assets.push((name.to_owned(), data));
-        Ok(self)
     }
 
     /// Set a store channel file, stored as `META-INF/<name>` after the
@@ -71,9 +56,6 @@ impl ApkBuilder {
         let mut zip = ZipArchive::new();
         zip.add(MANIFEST_ENTRY, self.manifest.encode())?;
         zip.add(DEX_ENTRY, self.dex.encode()?)?;
-        for (name, data) in self.assets {
-            zip.add(&name, data)?;
-        }
         let sig = Signature::sign(developer, &payload_digest(&zip));
         zip.add(CERT_ENTRY, sig.encode())?;
         if let Some((name, data)) = self.channel {
@@ -85,7 +67,7 @@ impl ApkBuilder {
 
 /// Digest of all entries outside `META-INF/` (names and payloads, in
 /// archive order).
-pub fn payload_digest(zip: &ZipArchive) -> [u8; 16] {
+pub(crate) fn payload_digest(zip: &ZipArchive) -> [u8; 16] {
     digest_entries(
         zip.entries()
             .iter()
@@ -134,15 +116,21 @@ mod tests {
         dex
     }
 
+    /// The payload of the entry named `name`.
+    fn entry<'a>(zip: &'a ZipArchive, name: &str) -> Option<&'a [u8]> {
+        let entry = zip.entries().iter().find(|e| e.name == name)?;
+        Some(&entry.data)
+    }
+
     #[test]
     fn builds_valid_zip_with_core_entries() {
         let bytes = ApkBuilder::new(manifest(), dex())
             .build(DeveloperKey::from_label("d1"))
             .unwrap();
         let zip = ZipArchive::parse(&bytes).unwrap();
-        assert!(zip.get(MANIFEST_ENTRY).is_some());
-        assert!(zip.get(DEX_ENTRY).is_some());
-        assert!(zip.get(CERT_ENTRY).is_some());
+        assert!(entry(&zip, MANIFEST_ENTRY).is_some());
+        assert!(entry(&zip, DEX_ENTRY).is_some());
+        assert!(entry(&zip, CERT_ENTRY).is_some());
     }
 
     #[test]
@@ -156,22 +144,11 @@ mod tests {
         assert_ne!(md5(&a), md5(&b), "listings must be byte-different");
         let za = ZipArchive::parse(&a).unwrap();
         let zb = ZipArchive::parse(&b).unwrap();
-        assert_eq!(za.get(CERT_ENTRY).unwrap(), zb.get(CERT_ENTRY).unwrap());
+        assert_eq!(
+            entry(&za, CERT_ENTRY).unwrap(),
+            entry(&zb, CERT_ENTRY).unwrap()
+        );
         assert_eq!(payload_digest(&za), payload_digest(&zb));
-    }
-
-    #[test]
-    fn asset_changes_signature_payload() {
-        let dev = DeveloperKey::from_label("d1");
-        let a = ApkBuilder::new(manifest(), dex()).build(dev).unwrap();
-        let b = ApkBuilder::new(manifest(), dex())
-            .asset("assets/x.bin", vec![1, 2, 3])
-            .unwrap()
-            .build(dev)
-            .unwrap();
-        let za = ZipArchive::parse(&a).unwrap();
-        let zb = ZipArchive::parse(&b).unwrap();
-        assert_ne!(payload_digest(&za), payload_digest(&zb));
     }
 
     #[test]
@@ -191,13 +168,5 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn rejects_reserved_asset_names() {
-        let b = ApkBuilder::new(manifest(), dex());
-        assert!(b.clone().asset("META-INF/evil", vec![]).is_err());
-        assert!(b.clone().asset("classes.dex", vec![]).is_err());
-        assert!(b.asset("AndroidManifest.xml", vec![]).is_err());
     }
 }

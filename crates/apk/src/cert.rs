@@ -27,7 +27,7 @@ pub struct Signature {
 
 impl Signature {
     /// Sign a payload digest with a developer key.
-    pub fn sign(developer: DeveloperKey, payload_digest: &[u8; 16]) -> Signature {
+    pub(crate) fn sign(developer: DeveloperKey, payload_digest: &[u8; 16]) -> Signature {
         Signature {
             developer,
             mac: mac(&developer, payload_digest),
@@ -35,12 +35,12 @@ impl Signature {
     }
 
     /// Verify this signature against a payload digest.
-    pub fn verify(&self, payload_digest: &[u8; 16]) -> bool {
+    pub(crate) fn verify(&self, payload_digest: &[u8; 16]) -> bool {
         self.mac == mac(&self.developer, payload_digest)
     }
 
     /// Serialize to the `META-INF/CERT.SF` entry payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + 20 + 16);
         out.put_u32_le(MAGIC);
         out.put_slice(&self.developer.0);
@@ -49,7 +49,7 @@ impl Signature {
     }
 
     /// Parse a `META-INF/CERT.SF` entry payload.
-    pub fn decode(bytes: &[u8]) -> Result<Signature, ApkError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Signature, ApkError> {
         let mut buf = bytes;
         if buf.remaining() != 4 + 20 + 16 {
             return Err(ApkError::Signature("wrong length"));

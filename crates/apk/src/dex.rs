@@ -119,14 +119,14 @@ impl<'a> ClassView<'a> {
     /// The package part of the descriptor as written, slash-separated
     /// (`Lcom/umeng/analytics/A;` → `com/umeng/analytics`); `None` exactly
     /// when [`ClassView::java_package`] is.
-    pub fn package_path(&self) -> Option<&'a str> {
+    pub(crate) fn package_path(&self) -> Option<&'a str> {
         let inner = self.name.strip_prefix('L')?.strip_suffix(';')?;
         Some(inner.rsplit_once('/')?.0)
     }
 
     /// The file-wide indices of this class's methods (see
     /// [`DexFile::method`]).
-    pub fn method_range(&self) -> Range<usize> {
+    pub(crate) fn method_range(&self) -> Range<usize> {
         self.methods.0..self.methods.1
     }
 
@@ -213,7 +213,7 @@ impl DexFile {
     }
 
     /// Every method, in class order.
-    pub fn methods(&self) -> impl ExactSizeIterator<Item = MethodView<'_>> {
+    pub(crate) fn methods(&self) -> impl ExactSizeIterator<Item = MethodView<'_>> {
         (0..self.methods.len()).map(|m| self.method(m))
     }
 

@@ -24,7 +24,7 @@ use crate::reach::{CallGraph, ReachStats};
 use crate::runs;
 use crate::taint::{self, TaintFlow};
 use marketscope_core::hash::{fnv1a64, mix64};
-use marketscope_core::{AppKey, DeveloperKey, PackageName, VersionCode};
+use marketscope_core::{DeveloperKey, PackageName, VersionCode};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -88,7 +88,7 @@ impl PackageFeature {
 
     /// Whether no method of the subtree is reachable (a fully dead
     /// package — typically a bundled-but-unused library).
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.method_count > 0 && self.reachable_method_count == 0
     }
 }
@@ -162,7 +162,7 @@ impl ApkDigest {
 
     /// Extract a digest and return the reachability-pass counters
     /// alongside it.
-    pub fn from_parsed_with_stats(apk: &ParsedApk) -> (ApkDigest, ReachStats) {
+    pub(crate) fn from_parsed_with_stats(apk: &ParsedApk) -> (ApkDigest, ReachStats) {
         // Entry points: the classes of the manifest-declared components.
         // No components ⇒ no anchoring information ⇒ conservatively mark
         // everything reachable.
@@ -278,11 +278,6 @@ impl ApkDigest {
         Ok(Self::from_parsed(&ParsedApk::parse(bytes)?))
     }
 
-    /// The release key (package + version).
-    pub fn app_key(&self) -> AppKey {
-        AppKey::new(self.package.clone(), self.version_code)
-    }
-
     /// Iterate every method code-segment hash in the app.
     pub fn code_segments(&self) -> impl Iterator<Item = u64> + '_ {
         self.package_features
@@ -291,7 +286,7 @@ impl ApkDigest {
     }
 
     /// Total methods across packages.
-    pub fn method_total(&self) -> u64 {
+    pub(crate) fn method_total(&self) -> u64 {
         self.package_features
             .iter()
             .map(|f| f.method_count as u64)
@@ -299,7 +294,7 @@ impl ApkDigest {
     }
 
     /// Methods reachable from the declared components.
-    pub fn reachable_method_total(&self) -> u64 {
+    pub(crate) fn reachable_method_total(&self) -> u64 {
         self.package_features
             .iter()
             .map(|f| f.reachable_method_count as u64)
@@ -377,7 +372,7 @@ impl FeatureTable {
 
     /// Point `feature` at the table's equal feature, or enter it as a new
     /// one.
-    pub fn intern(&mut self, feature: &mut Arc<PackageFeature>) {
+    pub(crate) fn intern(&mut self, feature: &mut Arc<PackageFeature>) {
         let key = Held(Arc::clone(feature));
         match self.features.get(&key) {
             Some(held) => *feature = Arc::clone(&held.0),
@@ -387,7 +382,7 @@ impl FeatureTable {
         }
     }
 
-    /// [`intern`](Self::intern) every package feature of `digest`.
+    /// `intern` every package feature of `digest`.
     pub fn intern_digest(&mut self, digest: &mut ApkDigest) {
         for feature in &mut digest.package_features {
             self.intern(feature);

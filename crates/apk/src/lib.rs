@@ -54,7 +54,7 @@ pub use manifest::{Component, ComponentKind, Manifest};
 pub use parse::ParsedApk;
 pub use permmap::{Permission, PermissionMap, SinkClass, SourceClass};
 pub use reach::{CallGraph, ReachStats, Reachability};
-pub use taint::{TaintAnalysis, TaintFlow, TaintStats};
+pub use taint::TaintFlow;
 pub use zip::{ZipArchive, ZipEntry};
 
 /// The maximal runs of `items` whose members `same` relates to the run's

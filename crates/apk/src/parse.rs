@@ -7,7 +7,7 @@ use crate::error::ApkError;
 use crate::manifest::Manifest;
 use crate::zip;
 use marketscope_core::hash::md5;
-use marketscope_core::{AppKey, DeveloperKey};
+use marketscope_core::DeveloperKey;
 
 /// A fully parsed APK: manifest, code, identity and provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,11 +68,6 @@ impl ParsedApk {
     pub fn developer(&self) -> DeveloperKey {
         self.signature.developer
     }
-
-    /// The release key: package + version code.
-    pub fn app_key(&self) -> AppKey {
-        AppKey::new(self.manifest.package.clone(), self.manifest.version_code)
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +76,12 @@ mod tests {
     use crate::builder::ApkBuilder;
     use crate::zip::ZipArchive;
     use crate::ApiCallId;
-    use marketscope_core::{PackageName, VersionCode};
+    use marketscope_core::{AppKey, PackageName, VersionCode};
+
+    /// The release key: package + version code.
+    fn app_key(apk: &ParsedApk) -> AppKey {
+        AppKey::new(apk.manifest.package.clone(), apk.manifest.version_code)
+    }
 
     fn manifest() -> Manifest {
         Manifest {
@@ -118,7 +118,7 @@ mod tests {
         assert!(apk.signature_valid);
         assert_eq!(apk.channels.len(), 1);
         assert_eq!(apk.channels[0].0, "META-INF/kgchannel");
-        assert_eq!(apk.app_key().to_string(), "com.example.app@v3");
+        assert_eq!(app_key(&apk).to_string(), "com.example.app@v3");
         assert_eq!(apk.file_md5, md5(&bytes));
     }
 
@@ -162,6 +162,6 @@ mod tests {
         let pa = ParsedApk::parse(&a).unwrap();
         let pb = ParsedApk::parse(&b).unwrap();
         assert_ne!(pa.developer(), pb.developer());
-        assert_eq!(pa.app_key(), pb.app_key()); // same package+version: an SB clone
+        assert_eq!(app_key(&pa), app_key(&pb)); // same package+version: an SB clone
     }
 }

@@ -21,7 +21,7 @@ pub struct Permission(pub &'static str);
 
 impl Permission {
     /// Short name without the `android.permission.` prefix.
-    pub fn short(self) -> &'static str {
+    pub(crate) fn short(self) -> &'static str {
         self.0.rsplit('.').next().unwrap_or(self.0)
     }
 }
@@ -156,16 +156,6 @@ impl SourceClass {
         SourceClass::Account,
     ];
 
-    /// Stable display / telemetry label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SourceClass::DeviceId => "device_id",
-            SourceClass::Location => "location",
-            SourceClass::Contacts => "contacts",
-            SourceClass::Account => "account",
-        }
-    }
-
     /// Dense index into per-class tables (matches `ALL` order).
     pub fn index(self) -> usize {
         match self {
@@ -191,14 +181,6 @@ pub enum SinkClass {
 impl SinkClass {
     /// Every sink class.
     pub const ALL: [SinkClass; 2] = [SinkClass::NetworkSend, SinkClass::LogExfil];
-
-    /// Stable display / telemetry label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SinkClass::NetworkSend => "network_send",
-            SinkClass::LogExfil => "log_exfil",
-        }
-    }
 
     /// Dense index into per-class tables (matches `ALL` order).
     pub fn index(self) -> usize {
@@ -373,7 +355,7 @@ impl PermissionMap {
     /// of that class. Zero for ids outside the feature space, as for
     /// every id [`PermissionMap::source_class`] and
     /// [`PermissionMap::sink_class`] both leave unclassified.
-    pub fn taint_classes(&self, api: ApiCallId) -> u8 {
+    pub(crate) fn taint_classes(&self, api: ApiCallId) -> u8 {
         self.taint_class.get(api.index()).copied().unwrap_or(0)
     }
 
@@ -398,7 +380,7 @@ mod tests {
         let m1 = PermissionMap::standard();
         let m2 = PermissionMap::standard();
         for id in (0..API_DIMENSIONS).step_by(97) {
-            let a = ApiCallId::new(id).unwrap();
+            let a = ApiCallId(id);
             assert_eq!(m1.required(a), m2.required(a));
         }
     }
@@ -523,7 +505,7 @@ mod tests {
             let perm = Permission(p);
             for limit in [0, 1_000, API_CALL_RANGE, API_DIMENSIONS] {
                 let scanned: Vec<ApiCallId> = (0..limit)
-                    .filter_map(ApiCallId::new)
+                    .map(ApiCallId)
                     .filter(|id| m.required(*id) == Some(perm))
                     .collect();
                 assert_eq!(m.apis_for(perm, limit), scanned, "{p} at limit {limit}");
@@ -540,7 +522,7 @@ mod tests {
         let m = PermissionMap::standard();
         for class in SourceClass::ALL {
             let scanned: Vec<ApiCallId> = (0..API_DIMENSIONS)
-                .filter_map(ApiCallId::new)
+                .map(ApiCallId)
                 .filter(|id| m.source_class(*id) == Some(class))
                 .collect();
             assert_eq!(m.source_apis(class), scanned.as_slice(), "{class:?}");
@@ -548,7 +530,7 @@ mod tests {
         }
         for class in SinkClass::ALL {
             let scanned: Vec<ApiCallId> = (0..API_DIMENSIONS)
-                .filter_map(ApiCallId::new)
+                .map(ApiCallId)
                 .filter(|id| m.sink_class(*id) == Some(class))
                 .collect();
             assert_eq!(m.sink_apis(class), scanned.as_slice(), "{class:?}");

@@ -17,7 +17,7 @@ use crate::dex::DexFile;
 
 /// A call graph over one DEX file. Methods are addressed by their
 /// file-wide index (the method table's order, which
-/// [`ClassView::method_range`](crate::dex::ClassView::method_range) maps a
+/// `ClassView::method_range` maps a
 /// class onto), so the worklist pass is a bit-vector walk with no hashing
 /// on the hot path.
 pub struct CallGraph<'a> {
@@ -84,16 +84,10 @@ impl<'a> CallGraph<'a> {
         self.dex.method_count()
     }
 
-    /// Total invocation edges in the graph, after deduplication and
-    /// dangling-ref removal (may be below [`DexFile::edge_count`]).
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Resolve a class descriptor to its index (the last class of that
     /// name). A scan of the class list: entry resolution asks once per
     /// declared component, which is cheaper than hashing every name.
-    pub fn class_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn class_index(&self, name: &str) -> Option<usize> {
         self.dex.classes().rposition(|c| c.name() == name)
     }
 
@@ -260,7 +254,7 @@ mod tests {
         method(&mut dex, &[], &[(9, 9), (0, 5)]);
         let graph = CallGraph::new(&dex);
         // Both refs dangle: neither survives CSR construction.
-        assert_eq!(graph.edge_count(), 0);
+        assert_eq!(graph.targets.len(), 0);
         let r = graph.reach_from_classes(["La/A;"]);
         assert_eq!(r.stats.methods_reached, 1);
         assert_eq!(r.stats.edges_traversed, 0);
@@ -278,7 +272,7 @@ mod tests {
         method(&mut dex, &[], &[]);
         assert_eq!(dex.edge_count(), 5, "raw wire edges keep multiplicity");
         let graph = CallGraph::new(&dex);
-        assert_eq!(graph.edge_count(), 2, "CSR deduplicates");
+        assert_eq!(graph.targets.len(), 2, "CSR deduplicates");
         assert_eq!(graph.targets_of(0), &[1, 0]);
         let r = graph.reach_from_classes(["La/Main;"]);
         assert_eq!(r.stats.methods_reached, 2);

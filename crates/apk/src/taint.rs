@@ -36,7 +36,7 @@ pub struct TaintFlow {
 
 /// Counters describing one taint pass (telemetry feed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaintStats {
+pub(crate) struct TaintStats {
     /// Reachable methods performing a source call (worklist roots,
     /// summed over source classes).
     pub source_sites: u64,
@@ -50,7 +50,7 @@ pub struct TaintStats {
 
 /// The result of a taint pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TaintAnalysis {
+pub(crate) struct TaintAnalysis {
     /// Deduplicated flows, sorted by (source, sink, sink package).
     pub flows: Vec<TaintFlow>,
     /// Pass counters.
@@ -65,7 +65,7 @@ pub struct TaintAnalysis {
 /// sink call records a flow. Each walk is `O(V + E)` — the per-method
 /// source/sink masks are computed once, so the whole pass is
 /// `O(V + E)` per source class plus one scan of the API calls.
-pub fn propagate(
+pub(crate) fn propagate(
     dex: &DexFile,
     graph: &CallGraph<'_>,
     reach: &Reachability<'_>,

@@ -50,7 +50,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 /// Streaming CRC-32: feed chunks into `state` (start from `0xFFFF_FFFF`,
 /// finish by XOR with `0xFFFF_FFFF`).
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut words = data.chunks_exact(8);
     for w in &mut words {

@@ -56,22 +56,6 @@ impl PackageName {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// The top-level reversed-domain prefix, e.g. `com.kugou` for
-    /// `com.kugou.android`. Used by library detection to group package
-    /// trees by vendor.
-    pub fn vendor_prefix(&self) -> &str {
-        let mut dots = 0usize;
-        for (i, b) in self.0.bytes().enumerate() {
-            if b == b'.' {
-                dots += 1;
-                if dots == 2 {
-                    return &self.0[..i];
-                }
-            }
-        }
-        &self.0
-    }
 }
 
 impl fmt::Display for PackageName {
@@ -121,7 +105,7 @@ impl DeveloperKey {
     }
 
     /// Hex rendering of the key digest.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         let mut s = String::with_capacity(40);
         for b in self.0 {
             use std::fmt::Write;
@@ -206,16 +190,6 @@ mod tests {
     fn rejects_overlong() {
         let long = format!("a.{}", "b".repeat(300));
         assert!(PackageName::new(&long).is_err());
-    }
-
-    #[test]
-    fn vendor_prefix_extraction() {
-        let p = PackageName::new("com.kugou.android").unwrap();
-        assert_eq!(p.vendor_prefix(), "com.kugou");
-        let p = PackageName::new("com.kugou").unwrap();
-        assert_eq!(p.vendor_prefix(), "com.kugou");
-        let p = PackageName::new("a.b.c.d").unwrap();
-        assert_eq!(p.vendor_prefix(), "a.b");
     }
 
     #[test]

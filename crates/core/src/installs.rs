@@ -122,13 +122,8 @@ impl InstallHistogram {
         self.counts[InstallRange::from_count(installs).index()] += 1;
     }
 
-    /// Number of apps in a bucket.
-    pub fn count(&self, range: InstallRange) -> u64 {
-        self.counts[range.index()]
-    }
-
     /// Total apps recorded.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -190,7 +185,7 @@ mod tests {
         assert_eq!(h.total(), 9);
         let sum: f64 = h.shares().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
-        assert_eq!(h.count(InstallRange::R0To10), 2);
+        assert_eq!(h.counts[InstallRange::R0To10.index()], 2);
     }
 
     #[test]

@@ -45,7 +45,7 @@ where
 }
 
 /// [`par_map`], passing the item's input index to the closure as well.
-pub fn par_map_indexed<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map_indexed<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -133,10 +133,9 @@ where
 /// Outputs come back in completion order through [`Stage::try_recv`].
 /// After each output, or a panic, a worker calls the stage's `ready`
 /// hook, so an owner blocked on some other wait (a completion queue, say)
-/// can wake and drain. Workers are joined on drop and by
-/// [`Stage::finish`], after they drain what is queued. A panic in `work`
-/// stops the workers and resumes on the owner's thread at its next
-/// `push`, `try_recv`, `finish` or drop.
+/// can wake and drain. Workers are joined on drop, after they drain what
+/// is queued. A panic in `work` stops the workers and resumes on the
+/// owner's thread at its next `push`, `try_recv` or drop.
 pub struct Stage<I, O> {
     shared: Arc<StageShared<I, O>>,
     workers: Vec<JoinHandle<()>>,
@@ -217,19 +216,6 @@ impl<I: Send + 'static, O: Send + 'static> Stage<I, O> {
             return None;
         }
         state.outputs.pop_front()
-    }
-
-    /// Inputs queued and not yet taken by a worker.
-    pub fn queued(&self) -> usize {
-        self.shared.lock().inputs.len()
-    }
-
-    /// Close the input, let the workers drain it, join them and return
-    /// every output not yet taken.
-    pub fn finish(mut self) -> Vec<O> {
-        self.join();
-        self.rethrow();
-        self.shared.lock().outputs.drain(..).collect()
     }
 }
 
@@ -350,10 +336,19 @@ mod tests {
                 stage.push(x);
                 got.extend(std::iter::from_fn(|| stage.try_recv()));
             }
-            got.extend(stage.finish());
+            got.extend(finish(stage));
             got.sort_unstable();
             assert_eq!(got, expect, "{workers} workers");
         }
+    }
+
+    /// Close the input, let the workers drain it, join them and return
+    /// every output not yet taken (a worker's panic resumes here).
+    fn finish<I, O>(mut stage: Stage<I, O>) -> Vec<O> {
+        stage.join();
+        stage.rethrow();
+        let outputs = stage.shared.lock().outputs.drain(..).collect();
+        outputs
     }
 
     /// A gate the workers block on until the test opens it.
@@ -401,9 +396,9 @@ mod tests {
         // Each worker holds one input; the queue then fills to capacity.
         for x in 0..(workers + capacity) as u32 {
             stage.push(x);
-            assert!(stage.queued() <= capacity);
+            assert!(stage.shared.lock().inputs.len() <= capacity);
         }
-        assert_eq!(stage.queued(), capacity);
+        assert_eq!(stage.shared.lock().inputs.len(), capacity);
         // One more push blocks until a worker frees a slot.
         let stage = Arc::new(Mutex::new(stage));
         let pushed = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -413,7 +408,7 @@ mod tests {
                 let mut stage = stage.lock().unwrap();
                 stage.push(99);
                 pushed.store(true, std::sync::atomic::Ordering::SeqCst);
-                assert!(stage.queued() <= capacity);
+                assert!(stage.shared.lock().inputs.len() <= capacity);
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -421,7 +416,7 @@ mod tests {
         open(&shut);
         pusher.join().unwrap();
         let stage = Arc::try_unwrap(stage).ok().unwrap().into_inner().unwrap();
-        let mut out = stage.finish();
+        let mut out = finish(stage);
         out.sort_unstable();
         assert_eq!(out, vec![0, 1, 2, 3, 4, 99]);
     }
@@ -465,7 +460,7 @@ mod tests {
             for x in 0..64 {
                 stage.push(x);
             }
-            stage.finish()
+            finish(stage)
         });
         let panic = caught.expect_err("the worker's panic must reach the owner");
         let message = match panic.downcast_ref::<&str>() {

@@ -7,8 +7,8 @@
 //!
 //! The samplers match the distributions the paper observes:
 //! * downloads follow a power law ("top 0.1% of apps account for more than
-//!   50% of total downloads", Section 4.2) — [`ZipfSampler`];
-//! * catalog growth and cluster sizes are heavy-tailed — [`pareto_u64`];
+//!   50% of total downloads", Section 4.2), and catalog growth and cluster
+//!   sizes are heavy-tailed — [`pareto_u64`];
 //! * categorical choices (market mixes, malware families) —
 //!   [`WeightedIndex`].
 
@@ -81,14 +81,6 @@ impl DetRng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.index(items.len())]
     }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 impl RngCore for DetRng {
@@ -103,43 +95,6 @@ impl RngCore for DetRng {
     }
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.rng.try_fill_bytes(dest)
-    }
-}
-
-/// Zipf-distributed ranks over `1..=n` with exponent `s`.
-///
-/// Sampled by inversion against the precomputed CDF; construction is
-/// `O(n)`, sampling `O(log n)`.
-#[derive(Debug, Clone)]
-pub struct ZipfSampler {
-    cdf: Vec<f64>,
-}
-
-impl ZipfSampler {
-    /// Build a sampler over ranks `1..=n`. Panics if `n == 0` or `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "zipf over empty domain");
-        assert!(s >= 0.0, "negative zipf exponent");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        ZipfSampler { cdf }
-    }
-
-    /// Draw a rank in `1..=n` (rank 1 is the most likely).
-    pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.unit();
-        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cdf.len()),
-        }
     }
 }
 
@@ -279,40 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_is_heavy_headed() {
-        let z = ZipfSampler::new(1000, 1.1);
-        let mut r = DetRng::new(99);
-        let mut top10 = 0usize;
-        let n = 20_000;
-        for _ in 0..n {
-            if z.sample(&mut r) <= 10 {
-                top10 += 1;
-            }
-        }
-        // With s=1.1 over 1000 ranks, the top-10 mass is ~45%; allow slack.
-        let share = top10 as f64 / n as f64;
-        assert!(share > 0.30 && share < 0.65, "share {share}");
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = ZipfSampler::new(50, 0.8);
-        assert!((z.cdf[49] - 1.0).abs() < 1e-9);
-        // Rank 1 carries more mass than rank 2.
-        assert!(z.cdf[0] > z.cdf[1] - z.cdf[0]);
-    }
-
-    #[test]
-    fn zipf_samples_in_range() {
-        let z = ZipfSampler::new(5, 1.0);
-        let mut r = DetRng::new(5);
-        for _ in 0..1000 {
-            let k = z.sample(&mut r);
-            assert!((1..=5).contains(&k));
-        }
-    }
-
-    #[test]
     fn pareto_is_capped_and_positive_tail() {
         let mut r = DetRng::new(11);
         let mut max = 0;
@@ -340,15 +261,5 @@ mod tests {
     #[should_panic]
     fn weighted_index_rejects_all_zero() {
         let _ = WeightedIndex::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -16,9 +16,6 @@ const MONTH_DAYS: [i64; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
 pub struct SimDate(i64);
 
 impl SimDate {
-    /// The simulation epoch, 2008-01-01.
-    pub const EPOCH: SimDate = SimDate(0);
-
     /// The paper's first crawl campaign start (2017-08-15).
     pub const FIRST_CRAWL: SimDate = SimDate::from_ymd_const(2017, 8, 15);
 
@@ -41,7 +38,7 @@ impl SimDate {
     }
 
     /// Whether `year` is a Gregorian leap year.
-    pub const fn is_leap(year: i32) -> bool {
+    pub(crate) const fn is_leap(year: i32) -> bool {
         (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
     }
 
@@ -97,7 +94,7 @@ impl SimDate {
     }
 
     /// Decompose into `(year, month, day)`.
-    pub fn ymd(self) -> (i32, u32, u32) {
+    pub(crate) fn ymd(self) -> (i32, u32, u32) {
         let mut days = self.0;
         let mut year = 2008;
         while days < 0 {
@@ -164,8 +161,8 @@ mod tests {
 
     #[test]
     fn epoch_decomposes() {
-        assert_eq!(SimDate::EPOCH.ymd(), (2008, 1, 1));
-        assert_eq!(SimDate::EPOCH.to_string(), "2008-01-01");
+        assert_eq!(SimDate(0).ymd(), (2008, 1, 1));
+        assert_eq!(SimDate(0).to_string(), "2008-01-01");
     }
 
     #[test]

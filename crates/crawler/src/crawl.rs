@@ -39,7 +39,7 @@
 //!   chance, and a walk that died mid-pagination rules nothing out.
 //! * **Harvest window.** Each market keeps exactly one direct `/apk/{pkg}`
 //!   fetch in flight, in listing order, so its server and its
-//!   [`MarketHealth`] see the sequential outcomes in the sequential order.
+//!   `MarketHealth` see the sequential outcomes in the sequential order.
 //!   A 429 or a degraded fetch submits its backfill on the market's
 //!   repository lane (one backfill at a time per market), and the next
 //!   direct fetch goes out without waiting for it or for the digest.
@@ -82,7 +82,7 @@ pub struct CrawlTargets {
 
 impl CrawlTargets {
     /// Address for one market.
-    pub fn addr(&self, m: MarketId) -> SocketAddr {
+    pub(crate) fn addr(&self, m: MarketId) -> SocketAddr {
         self.markets[m.index()]
     }
 }

@@ -4,7 +4,7 @@
 //! market degrades hard — resets every connection, serves nothing but
 //! 5xx, or disappears into a downtime window — burning a retry budget on
 //! every remaining listing is pure waste.
-//! [`MarketHealth`] watches the failure *streak*: after a configurable
+//! `MarketHealth` watches the failure *streak*: after a configurable
 //! run of consecutive terminal failures the market is quarantined, the
 //! rest of its work is deferred, and a later revisit pass (by which time
 //! a flapping server has typically rotated back up and an open circuit
@@ -17,7 +17,7 @@
 /// here, a 500 there) never trip it. A threshold of `0` disables
 /// quarantine entirely.
 #[derive(Debug, Clone)]
-pub struct MarketHealth {
+pub(crate) struct MarketHealth {
     threshold: u32,
     consecutive: u32,
     quarantined: bool,
@@ -26,7 +26,7 @@ pub struct MarketHealth {
 impl MarketHealth {
     /// A fresh tracker quarantining after `threshold` consecutive
     /// failures (`0` = never quarantine).
-    pub fn new(threshold: u32) -> MarketHealth {
+    pub(crate) fn new(threshold: u32) -> MarketHealth {
         MarketHealth {
             threshold,
             consecutive: 0,
@@ -35,13 +35,13 @@ impl MarketHealth {
     }
 
     /// The market answered definitively: reset the failure streak.
-    pub fn note_ok(&mut self) {
+    pub(crate) fn note_ok(&mut self) {
         self.consecutive = 0;
     }
 
     /// The market failed terminally. Returns `true` exactly when this
     /// failure is the one that trips the quarantine.
-    pub fn note_failure(&mut self) -> bool {
+    pub(crate) fn note_failure(&mut self) -> bool {
         if self.quarantined || self.threshold == 0 {
             return false;
         }
@@ -54,13 +54,13 @@ impl MarketHealth {
     }
 
     /// Whether the market is currently quarantined.
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.quarantined
     }
 
     /// Lift the quarantine for a revisit pass: the streak re-arms from
     /// zero, so the revisit can re-quarantine if the market is still down.
-    pub fn release(&mut self) {
+    pub(crate) fn release(&mut self) {
         self.quarantined = false;
         self.consecutive = 0;
     }

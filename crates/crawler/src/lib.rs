@@ -59,5 +59,4 @@ pub mod progress;
 pub mod snapshot;
 
 pub use crawl::{CrawlConfig, CrawlTargets, Crawler};
-pub use health::MarketHealth;
 pub use snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};

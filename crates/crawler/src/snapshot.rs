@@ -84,7 +84,7 @@ impl CrawledListing {
 
 /// Parse a Google-Play-style install range ("10,000 - 100,000" or
 /// "1,000,000+") down to its lower bound.
-pub fn parse_install_range(s: &str) -> Option<u64> {
+pub(crate) fn parse_install_range(s: &str) -> Option<u64> {
     let lower = s.split(['-', '+']).next()?.trim();
     let digits: String = lower.chars().filter(|c| c.is_ascii_digit()).collect();
     if digits.is_empty() {
@@ -182,6 +182,22 @@ mod tests {
         assert_eq!(parse_install_range("1,000,000+"), Some(1_000_000));
         assert_eq!(parse_install_range("0 - 10"), Some(0));
         assert_eq!(parse_install_range("junk"), None);
+    }
+
+    #[test]
+    fn range_string_round_trips_to_lower_bound() {
+        use marketscope_core::InstallRange;
+        use marketscope_market::endpoints::install_range_string;
+        for v in [0u64, 9, 75_123, 999_999] {
+            let s = install_range_string(v);
+            let lo = parse_install_range(&s).unwrap();
+            assert_eq!(lo, InstallRange::from_count(v).lower_bound(), "{s}");
+        }
+        // Above 1M the bound tightens but stays below the raw value.
+        for v in [5_000_000u64, 42_000_000, 800_000_000] {
+            let lo = parse_install_range(&install_range_string(v)).unwrap();
+            assert!(lo <= v && lo >= v / 5, "{v} → {lo}");
+        }
     }
 
     #[test]

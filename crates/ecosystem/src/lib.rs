@@ -32,8 +32,8 @@ pub mod world;
 
 pub use generate::{generate, WorldConfig};
 pub use libs::{LibCatalog, LibCategory, LibId, LibUse};
-pub use profiles::{all_profiles, profile, MarketProfile, Scale};
-pub use threat::{Family, FamilyId, Infection, ThreatDb, ThreatTier, FAMILIES};
+pub use profiles::{profile, MarketProfile, Scale};
+pub use threat::{Family, FamilyId, Infection, ThreatDb, ThreatTier};
 pub use world::{
     App, AppId, DevId, Developer, GroundTruth, Listing, ListingId, PlantedLeak, Provenance, World,
 };

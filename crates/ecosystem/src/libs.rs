@@ -113,7 +113,7 @@ impl LibCatalog {
     /// generated ones with Zipf-decaying adoption. Ad libraries make up a
     /// large tail slice because the Chinese ad ecosystem is decentralized
     /// ("more than 200 ad libraries compete for the remaining 20%").
-    pub fn generate(rng: &DetRng, tail_count: usize) -> LibCatalog {
+    pub(crate) fn generate(rng: &DetRng, tail_count: usize) -> LibCatalog {
         let mut specs: Vec<LibSpec> = HEAD
             .iter()
             .map(|(pkg, cat, gp, cn)| LibSpec {
@@ -170,36 +170,13 @@ impl LibCatalog {
     }
 
     /// Spec by id.
-    pub fn spec(&self, id: LibId) -> &LibSpec {
+    pub(crate) fn spec(&self, id: LibId) -> &LibSpec {
         &self.specs[id.0 as usize]
     }
 
-    /// Number of libraries.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether the catalog is empty (it never is after `generate`).
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
     /// The hand-labelled head (Table 2 ground truth).
-    pub fn head(&self) -> &[LibSpec] {
+    pub(crate) fn head(&self) -> &[LibSpec] {
         &self.specs[..self.head_len]
-    }
-
-    /// Find a library whose root package is a prefix of `java_package`
-    /// (e.g. `com.umeng.analytics` → `com.umeng`).
-    pub fn find_by_package(&self, java_package: &str) -> Option<LibId> {
-        self.specs
-            .iter()
-            .position(|s| {
-                java_package == s.package
-                    || (java_package.starts_with(&s.package)
-                        && java_package.as_bytes().get(s.package.len()) == Some(&b'.'))
-            })
-            .map(|i| LibId(i as u32))
     }
 
     /// Deterministically expand a `(library, version)` into DEX classes,
@@ -304,7 +281,7 @@ mod tests {
     fn generation_is_deterministic() {
         let a = LibCatalog::generate(&DetRng::new(1), 50);
         let b = LibCatalog::generate(&DetRng::new(1), 50);
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.specs.len(), b.specs.len());
         for (x, y) in a.specs().iter().zip(b.specs()) {
             assert_eq!(x.package, y.package);
             assert_eq!(x.adoption, y.adoption);
@@ -395,17 +372,6 @@ mod tests {
         assert!(blocks.get(u).is_none());
         blocks.fill(&c, u);
         assert_eq!(blocks.get(u), Some(&block));
-    }
-
-    #[test]
-    fn find_by_package_prefix_semantics() {
-        let c = catalog();
-        let umeng = c.find_by_package("com.umeng").unwrap();
-        assert_eq!(c.spec(umeng).package, "com.umeng");
-        assert_eq!(c.find_by_package("com.umeng.analytics"), Some(umeng));
-        // Prefix must respect package-segment boundaries.
-        assert_eq!(c.find_by_package("com.umengx.evil"), None);
-        assert_eq!(c.find_by_package("com.nosuchlib"), None);
     }
 
     #[test]

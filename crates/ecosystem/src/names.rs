@@ -10,7 +10,7 @@ use marketscope_core::rng::DetRng;
 
 /// Generic app names that legitimately recur across unrelated apps
 /// (the paper's examples: Flashlight, Calculator, Wallpaper).
-pub const GENERIC_NAMES: [&str; 24] = [
+pub(crate) const GENERIC_NAMES: [&str; 24] = [
     "Flashlight",
     "Calculator",
     "Wallpaper",
@@ -102,19 +102,19 @@ const CN_LABELS: [&str; 8] = [
 
 /// Generates unique package names and plausible labels.
 #[derive(Debug)]
-pub struct NameForge {
+pub(crate) struct NameForge {
     rng: DetRng,
     counter: u64,
 }
 
 impl NameForge {
     /// A forge drawing from `rng`.
-    pub fn new(rng: DetRng) -> Self {
+    pub(crate) fn new(rng: DetRng) -> Self {
         NameForge { rng, counter: 0 }
     }
 
     /// A fresh, globally unique package name like `com.luckysoft.runner7`.
-    pub fn package(&mut self) -> String {
+    pub(crate) fn package(&mut self) -> String {
         self.counter += 1;
         let d1 = self.rng.pick(&DOMAIN_WORDS);
         let d2 = self.rng.pick(&DOMAIN_WORDS);
@@ -131,7 +131,7 @@ impl NameForge {
 
     /// A fresh package name shaped like a repackager's rename of
     /// `original` (keeps the final segment, swaps the vendor domain).
-    pub fn repackage_of(&mut self, original: &str) -> String {
+    pub(crate) fn repackage_of(&mut self, original: &str) -> String {
         self.counter += 1;
         let last = original.rsplit('.').next().unwrap_or("app");
         let d = self.rng.pick(&DOMAIN_WORDS);
@@ -143,7 +143,7 @@ impl NameForge {
     /// Figure 8(b)'s shared-name share); otherwise a *unique* fresh name —
     /// accidental full-name collisions between unrelated branded apps are
     /// rare in practice, and planted fakes supply the mimicry.
-    pub fn label(&mut self, generic_p: f64) -> String {
+    pub(crate) fn label(&mut self, generic_p: f64) -> String {
         if self.rng.chance(generic_p) {
             return (*self.rng.pick(&GENERIC_NAMES)).to_owned();
         }
@@ -159,7 +159,7 @@ impl NameForge {
     }
 
     /// A developer display name.
-    pub fn developer_name(&mut self) -> String {
+    pub(crate) fn developer_name(&mut self) -> String {
         self.counter += 1;
         let d = self.rng.pick(&DOMAIN_WORDS);
         let n = self.rng.pick(&NOUNS);

@@ -26,7 +26,7 @@ impl Scale {
 
     /// Scaled catalog size for a market (at least 8 so every market has
     /// enough listings for rate planting even at tiny scales).
-    pub fn catalog(self, market: MarketId) -> usize {
+    pub(crate) fn catalog(self, market: MarketId) -> usize {
         (profile(market).paper_catalog_size / self.divisor as u64).max(8) as usize
     }
 
@@ -127,7 +127,7 @@ pub fn profile(market: MarketId) -> &'static MarketProfile {
 }
 
 /// All 17 profiles in [`MarketId::ALL`] order.
-pub fn all_profiles() -> &'static [MarketProfile; 17] {
+pub(crate) fn all_profiles() -> &'static [MarketProfile; 17] {
     &PROFILES
 }
 

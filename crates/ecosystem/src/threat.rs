@@ -66,7 +66,7 @@ pub struct Family {
 /// The family table. Weights follow Figure 12's ordering: `kuguo` leads
 /// the Chinese markets (12.69% of malware there), `airpush` (29.04%) and
 /// `revmob` (15.09%) lead Google Play.
-pub const FAMILIES: [Family; 18] = [
+pub(crate) const FAMILIES: [Family; 18] = [
     Family {
         name: "kuguo",
         region: FamilyRegion::Chinese,
@@ -227,7 +227,7 @@ impl<T: Copy + Ord> HashTable<T> {
 }
 
 impl ThreatDb {
-    /// The standard database covering [`FAMILIES`]. Deterministic: both
+    /// The standard database covering `FAMILIES`. Deterministic: both
     /// sides of the simulation construct the identical table.
     pub fn standard() -> ThreatDb {
         let mut index = Vec::new();
@@ -342,7 +342,7 @@ impl Infection {
     /// Typical detectability band for a tier: grayware lands at AV-rank
     /// 1–9, malware at 10–40, benchmarks at 44+ (matching Table 5's top
     /// ranks of 44–48, out of 60 engines).
-    pub fn base_detectability(tier: ThreatTier) -> (f64, f64) {
+    pub(crate) fn base_detectability(tier: ThreatTier) -> (f64, f64) {
         match tier {
             ThreatTier::Grayware => (0.03, 0.12),
             ThreatTier::Malware => (0.20, 0.62),
@@ -353,7 +353,7 @@ impl Infection {
     /// Sample a detectability within a tier's band. Malware skews toward
     /// the low end (cube law) so the AV-rank ≥ 20 share lands near the
     /// paper's ≈0.3 × (AV-rank ≥ 10) ratio.
-    pub fn sample_detectability(tier: ThreatTier, unit: f64) -> f64 {
+    pub(crate) fn sample_detectability(tier: ThreatTier, unit: f64) -> f64 {
         let (lo, hi) = Self::base_detectability(tier);
         let u = match tier {
             ThreatTier::Malware => unit.powf(3.0),

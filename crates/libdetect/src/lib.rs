@@ -75,16 +75,6 @@ impl PackageOwnership {
         PackageOwnership { roots }
     }
 
-    /// Number of distinct roots in the join.
-    pub fn len(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Whether the join is empty (no detected libraries).
-    pub fn is_empty(&self) -> bool {
-        self.roots.is_empty()
-    }
-
     /// The library root owning `package`, if any: an exact root match or
     /// the *longest* root of which `package` is a dotted subpackage.
     pub fn owner_of(&self, package: &str) -> Option<&str> {
@@ -350,7 +340,7 @@ mod tests {
         let own = PackageOwnership::new(
             ["com.google.ads", "com.google.ads.mediation", "com.qq.e"].map(String::from),
         );
-        assert_eq!(own.len(), 3);
+        assert_eq!(own.roots.len(), 3);
         // Exact root.
         assert_eq!(own.owner_of("com.qq.e"), Some("com.qq.e"));
         // Dotted subpackage.
@@ -369,7 +359,7 @@ mod tests {
         assert_eq!(own.owner_of("com.google.adsx.v1"), None);
         // Host code resolves to nothing.
         assert_eq!(own.owner_of("com.myapp.main"), None);
-        assert!(PackageOwnership::default().is_empty());
+        assert!(PackageOwnership::default().roots.is_empty());
         assert_eq!(PackageOwnership::default().owner_of("com.qq.e"), None);
     }
 

@@ -45,7 +45,7 @@ pub enum ChaosIntensity {
 
 impl ChaosIntensity {
     /// The factor applied to every base [`FaultPlan`].
-    pub fn factor(self) -> f64 {
+    pub(crate) fn factor(self) -> f64 {
         match self {
             ChaosIntensity::Light => 1.0,
             ChaosIntensity::Heavy => 3.0,
@@ -70,21 +70,13 @@ impl std::str::FromStr for ChaosIntensity {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosProfile {
     /// Campaign-level chaos seed; each market derives its own stream
-    /// seed from it (see [`ChaosProfile::seed_for`]).
+    /// seed from it (see `ChaosProfile::seed_for`).
     pub seed: u64,
     /// Scales every per-market plan.
     pub intensity: ChaosIntensity,
 }
 
 impl ChaosProfile {
-    /// A light-intensity profile.
-    pub fn light(seed: u64) -> ChaosProfile {
-        ChaosProfile {
-            seed,
-            intensity: ChaosIntensity::Light,
-        }
-    }
-
     /// A heavy-intensity profile.
     pub fn heavy(seed: u64) -> ChaosProfile {
         ChaosProfile {
@@ -96,13 +88,13 @@ impl ChaosProfile {
     /// The fault-stream seed for one market: the campaign seed xored
     /// with the market slug's FNV-1a hash, so markets draw independent
     /// streams that all replay under the same campaign seed.
-    pub fn seed_for(&self, market: MarketId) -> u64 {
+    pub(crate) fn seed_for(&self, market: MarketId) -> u64 {
         self.seed ^ fnv1a64(market.slug().as_bytes())
     }
 
     /// The fault plan for one market (possibly a no-op — Google Play is
     /// always served clean).
-    pub fn plan_for(&self, market: MarketId) -> FaultPlan {
+    pub(crate) fn plan_for(&self, market: MarketId) -> FaultPlan {
         base_plan(market).scaled(self.intensity.factor())
     }
 }
@@ -143,16 +135,23 @@ fn base_plan(market: MarketId) -> FaultPlan {
 mod tests {
     use super::*;
 
+    fn light(seed: u64) -> ChaosProfile {
+        ChaosProfile {
+            seed,
+            intensity: ChaosIntensity::Light,
+        }
+    }
+
     #[test]
     fn google_play_is_always_clean() {
-        for profile in [ChaosProfile::light(7), ChaosProfile::heavy(7)] {
+        for profile in [light(7), ChaosProfile::heavy(7)] {
             assert!(profile.plan_for(MarketId::GooglePlay).is_noop());
         }
     }
 
     #[test]
     fn every_chinese_market_gets_some_fault() {
-        let profile = ChaosProfile::light(7);
+        let profile = light(7);
         for m in MarketId::chinese() {
             assert!(!profile.plan_for(m).is_noop(), "{m} has no fault plan");
         }
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn heavy_scales_light() {
-        let light = ChaosProfile::light(7);
+        let light = light(7);
         let heavy = ChaosProfile::heavy(7);
         let (l, h) = (
             light.plan_for(MarketId::TencentMyapp),
@@ -183,7 +182,7 @@ mod tests {
     /// would see its outcomes depend on the lane depth.
     #[test]
     fn no_market_pairs_downtime_windows_with_status_faults() {
-        for profile in [ChaosProfile::light(7), ChaosProfile::heavy(7)] {
+        for profile in [light(7), ChaosProfile::heavy(7)] {
             for m in MarketId::ALL {
                 let plan = profile.plan_for(m);
                 let downtime = plan.downtime_every > 0 && plan.downtime_len > 0;
@@ -197,8 +196,8 @@ mod tests {
 
     #[test]
     fn market_streams_are_independent_but_replayable() {
-        let a = ChaosProfile::light(42);
-        let b = ChaosProfile::light(42);
+        let a = light(42);
+        let b = light(42);
         let mut seeds = std::collections::HashSet::new();
         for m in MarketId::ALL {
             assert_eq!(a.seed_for(m), b.seed_for(m), "{m} stream not replayable");

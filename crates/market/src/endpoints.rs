@@ -73,13 +73,6 @@ pub fn install_range_string(installs: u64) -> String {
     }
 }
 
-/// Parse a Google-Play-style range string back to its lower bound.
-pub fn parse_install_range(s: &str) -> Option<u64> {
-    let lower = s.split(['-', '+']).next()?.trim();
-    let digits: String = lower.chars().filter(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 fn group(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::new();
@@ -105,20 +98,6 @@ mod tests {
         assert_eq!(install_range_string(7_000_000), "5,000,000+");
         assert_eq!(install_range_string(60_000_000), "50,000,000+");
         assert_eq!(install_range_string(1_500_000_000), "1,000,000,000+");
-    }
-
-    #[test]
-    fn range_string_round_trips_to_lower_bound() {
-        for v in [0u64, 9, 75_123, 999_999] {
-            let s = install_range_string(v);
-            let lo = parse_install_range(&s).unwrap();
-            assert_eq!(lo, InstallRange::from_count(v).lower_bound(), "{s}");
-        }
-        // Above 1M the bound tightens but stays below the raw value.
-        for v in [5_000_000u64, 42_000_000, 800_000_000] {
-            let lo = parse_install_range(&install_range_string(v)).unwrap();
-            assert!(lo <= v && lo >= v / 5, "{v} → {lo}");
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * **Google Play** bins install counts into ranges and rate-limits APK
 //!   downloads (the paper could only sample 287 K APKs directly and had to
 //!   backfill 1.55 M from AndroZoo) — the fleet therefore also runs an
-//!   [`repository::AndroZooServer`] with partial coverage;
+//!   `repository::AndroZooServer` with partial coverage;
 //! * **Baidu** exposes a sequential-integer detail index
 //!   (`/soft/{n}`, Section 3's `shouji.baidu.com/software/INTEGER.html`);
 //! * **360** serves Jiagubao-wrapped (obfuscated) APKs (Section 2.1);
@@ -36,6 +36,4 @@ pub mod submission;
 
 pub use chaos::{ChaosIntensity, ChaosProfile};
 pub use fleet::MarketFleet;
-pub use repository::AndroZooServer;
-pub use server::{CrawlPhase, MarketServer, OpsHandles, PAGE_SIZE};
-pub use submission::{evaluate, SubmissionOutcome};
+pub use server::{CrawlPhase, MarketServer, OpsHandles};

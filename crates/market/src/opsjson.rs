@@ -27,7 +27,7 @@ pub fn slo_json(verdicts: &[SloVerdict]) -> Json {
 }
 
 /// One verdict as an object.
-pub fn verdict_json(v: &SloVerdict) -> Json {
+pub(crate) fn verdict_json(v: &SloVerdict) -> Json {
     Json::obj([
         ("rule", Json::from(v.rule.as_str())),
         ("state", Json::from(v.state.as_str())),
@@ -42,7 +42,7 @@ pub fn verdict_json(v: &SloVerdict) -> Json {
 /// One log event as an object; `fields` becomes a nested object and the
 /// trace context renders in the same `trace:span` hex format the trace
 /// header uses.
-pub fn event_json(e: &LogEvent) -> Json {
+pub(crate) fn event_json(e: &LogEvent) -> Json {
     let mut obj = BTreeMap::new();
     obj.insert("unix_nanos".to_owned(), Json::from(e.unix_nanos));
     obj.insert("mono_nanos".to_owned(), Json::from(e.mono_nanos));
@@ -147,7 +147,7 @@ pub fn series_json(series: &SeriesSnapshot) -> Json {
 
 /// The `/__health` chaos section: `Null` without an injector, else the
 /// plan's probabilities plus the running injection count.
-pub fn chaos_json(faults: Option<&FaultInjector>) -> Json {
+pub(crate) fn chaos_json(faults: Option<&FaultInjector>) -> Json {
     match faults {
         Some(f) => {
             let plan = f.plan();
@@ -166,7 +166,12 @@ pub fn chaos_json(faults: Option<&FaultInjector>) -> Json {
 
 /// The `/__health` transport section: the reactor's fixed complement
 /// plus the live connection/shed/accept-error counters.
-pub fn transport_json(cfg: &ReactorConfig, open: u64, shed: u64, accept_errors: u64) -> Json {
+pub(crate) fn transport_json(
+    cfg: &ReactorConfig,
+    open: u64,
+    shed: u64,
+    accept_errors: u64,
+) -> Json {
     Json::obj([
         ("shards", Json::from(SHARDS)),
         ("max_connections", Json::from(cfg.max_connections)),
@@ -177,7 +182,7 @@ pub fn transport_json(cfg: &ReactorConfig, open: u64, shed: u64, accept_errors: 
 }
 
 /// Compact SLO summary for `/__health`: alert states only.
-pub fn slo_summary_json(verdicts: &[SloVerdict]) -> Json {
+pub(crate) fn slo_summary_json(verdicts: &[SloVerdict]) -> Json {
     let states: BTreeMap<String, Json> = verdicts
         .iter()
         .map(|v| (v.rule.clone(), Json::from(v.state.as_str())))

@@ -13,39 +13,31 @@ use marketscope_core::MarketId;
 use marketscope_ecosystem::{ListingId, World};
 use marketscope_net::http::{Method, Request, Response, Status};
 use marketscope_net::server::{HttpServer, ServerHandle, ServerMetrics};
-use marketscope_net::{ReactorConfig, Transport};
-use marketscope_telemetry::trace::{Tracer, TracerConfig};
+use marketscope_net::Transport;
+use marketscope_telemetry::trace::Tracer;
 use marketscope_telemetry::Registry;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// Fraction of Google Play listings the repository holds.
-pub const COVERAGE: f64 = 0.7645; // 1,553,382 / 2,031,946
+pub(crate) const COVERAGE: f64 = 0.7645; // 1,553,382 / 2,031,946
 
 /// A running repository server.
-pub struct AndroZooServer {
+pub(crate) struct AndroZooServer {
     handle: ServerHandle,
-    holdings: usize,
 }
 
 impl AndroZooServer {
-    /// Spawn the repository over `world`'s Google Play catalog on a
-    /// transport of its own, with private telemetry.
-    pub fn spawn(world: Arc<World>) -> Result<AndroZooServer, marketscope_net::NetError> {
-        let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(1024)));
-        let transport = Transport::spawn(ReactorConfig::default())?;
-        AndroZooServer::spawn_on(&transport, world, Arc::new(Registry::new()), tracer)
-    }
-
-    /// The general constructor: one more listener on `transport` — a
+    /// Spawn the repository over `world`'s Google Play catalog as one
+    /// more listener on `transport` — a
     /// [`MarketFleet`](crate::MarketFleet)'s, or a fresh one the server
     /// then holds alone. Its request instruments are registered in
     /// `registry` under `market="androzoo"` and its request spans
     /// recorded by `tracer`, so backfill downloads show up in the same
     /// cross-process span trees as the market fetches they compensate
     /// for.
-    pub fn spawn_on(
+    pub(crate) fn spawn_on(
         transport: &Arc<Transport>,
         world: Arc<World>,
         registry: Arc<Registry>,
@@ -61,25 +53,19 @@ impl AndroZooServer {
                 index.insert(app.package.as_str().to_owned(), *id);
             }
         }
-        let holdings = index.len();
         let handler = move |req: &Request| serve_apk(&world, &index, req);
         let metrics = ServerMetrics::register(&registry, &[("market", "androzoo")]).traced(tracer);
         let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", handler, metrics, None)?;
-        Ok(AndroZooServer { handle, holdings })
+        Ok(AndroZooServer { handle })
     }
 
     /// Bound address.
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.handle.addr()
     }
 
-    /// Number of APKs the repository holds.
-    pub fn holdings(&self) -> usize {
-        self.holdings
-    }
-
     /// Stop serving.
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         self.handle.stop();
     }
 }
@@ -112,7 +98,15 @@ mod tests {
     use super::*;
     use marketscope_apk::ParsedApk;
     use marketscope_ecosystem::{generate, Scale, WorldConfig};
-    use marketscope_net::HttpClient;
+    use marketscope_net::{HttpClient, ReactorConfig};
+    use marketscope_telemetry::trace::TracerConfig;
+
+    /// The repository on a transport of its own, with private telemetry.
+    fn spawn(world: Arc<World>) -> AndroZooServer {
+        let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(1024)));
+        let transport = Transport::spawn(ReactorConfig::default()).unwrap();
+        AndroZooServer::spawn_on(&transport, world, Arc::new(Registry::new()), tracer).unwrap()
+    }
 
     #[test]
     fn repository_covers_most_of_google_play() {
@@ -120,15 +114,11 @@ mod tests {
             seed: 3,
             scale: Scale { divisor: 20_000 },
         }));
-        let repo = AndroZooServer::spawn(Arc::clone(&w)).unwrap();
-        let gp = w.market_listings(MarketId::GooglePlay).len();
-        let share = repo.holdings() as f64 / gp as f64;
-        assert!((0.6..0.9).contains(&share), "coverage {share}");
-
+        let repo = spawn(Arc::clone(&w));
         // A held package serves a correct APK for its exact version.
         let client = HttpClient::new();
         let mut served = 0;
-        for id in w.market_listings(MarketId::GooglePlay).iter().take(40) {
+        for id in w.market_listings(MarketId::GooglePlay) {
             let listing = w.listing(*id);
             let app = w.app(listing.app);
             let path = format!("/apk/{}/{}", app.package, listing.version);
@@ -142,7 +132,10 @@ mod tests {
                 Err(e) => panic!("{e}"),
             }
         }
-        assert!(served > 10, "served only {served}/40");
+        let gp = w.market_listings(MarketId::GooglePlay).len();
+        let share = served as f64 / gp as f64;
+        assert!((0.6..0.9).contains(&share), "coverage {share}");
+        assert!(served > 10, "served only {served}/{gp}");
     }
 
     #[test]
@@ -151,7 +144,7 @@ mod tests {
             seed: 3,
             scale: Scale { divisor: 40_000 },
         }));
-        let repo = AndroZooServer::spawn(Arc::clone(&w)).unwrap();
+        let repo = spawn(Arc::clone(&w));
         let client = HttpClient::new();
         for id in w.market_listings(MarketId::GooglePlay).iter().take(30) {
             let listing = w.listing(*id);

@@ -442,15 +442,12 @@ impl Handler for MarketHandler {
 
 /// A running market server.
 pub struct MarketServer {
-    market: MarketId,
     handle: ServerHandle,
     state: Arc<MarketState>,
-    registry: Arc<Registry>,
-    tracer: Arc<Tracer>,
 }
 
 /// Page size for the catalog index.
-pub const PAGE_SIZE: usize = 50;
+pub(crate) const PAGE_SIZE: usize = 50;
 
 impl MarketServer {
     /// Spawn a server for `market` over `world` on a transport of its own,
@@ -506,36 +503,15 @@ impl MarketServer {
         let state = Arc::new(MarketState::new(world, market, &registry));
         let handler = MarketHandler::new(
             Arc::clone(&state),
-            Arc::clone(&registry),
-            Arc::clone(&tracer),
+            registry,
+            tracer,
             transport.config().clone(),
             faults.clone(),
             ops,
         );
         let metrics = handler.metrics.clone();
         let handle = HttpServer::spawn_on(transport, "127.0.0.1:0", handler, metrics, faults)?;
-        Ok(MarketServer {
-            market,
-            handle,
-            state,
-            registry,
-            tracer,
-        })
-    }
-
-    /// The registry this server's instruments are registered in.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// The tracer recording this server's request spans.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// The market this server simulates.
-    pub fn market(&self) -> MarketId {
-        self.market
+        Ok(MarketServer { handle, state })
     }
 
     /// Bound address.
@@ -544,18 +520,12 @@ impl MarketServer {
     }
 
     /// Requests served so far.
-    pub fn request_count(&self) -> u64 {
+    pub(crate) fn request_count(&self) -> u64 {
         self.handle.request_count()
     }
 
-    /// Total faults this server's injector has fired (`0` when the
-    /// server runs without chaos).
-    pub fn faults_injected(&self) -> u64 {
-        self.handle.fault_injector().map_or(0, |f| f.injected())
-    }
-
     /// Switch the serving phase (both campaigns run against one server).
-    pub fn set_phase(&self, phase: CrawlPhase) {
+    pub(crate) fn set_phase(&self, phase: CrawlPhase) {
         *self.state.phase.write() = phase;
     }
 

@@ -23,11 +23,11 @@ use marketscope_ecosystem::profile;
 use std::collections::BTreeMap;
 
 /// App China's documented size cap (Section 2.1).
-pub const APP_CHINA_SIZE_LIMIT: usize = 50 * 1024 * 1024;
+pub(crate) const APP_CHINA_SIZE_LIMIT: usize = 50 * 1024 * 1024;
 
 /// Outcome of a submission.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SubmissionOutcome {
+pub(crate) enum SubmissionOutcome {
     /// Listed immediately (no vetting process).
     Listed,
     /// Queued for vetting; value is the expected vetting time in days.
@@ -37,7 +37,7 @@ pub enum SubmissionOutcome {
 }
 
 /// Evaluate a submission against one market's publication rules.
-pub fn evaluate(
+pub(crate) fn evaluate(
     market: MarketId,
     headers: &BTreeMap<String, String>,
     body: &[u8],
@@ -83,7 +83,7 @@ pub fn evaluate(
 }
 
 /// Render an outcome as the upload endpoint's JSON response body.
-pub fn outcome_json(outcome: &SubmissionOutcome) -> Json {
+pub(crate) fn outcome_json(outcome: &SubmissionOutcome) -> Json {
     match outcome {
         SubmissionOutcome::Listed => Json::obj([("status", Json::from("listed"))]),
         SubmissionOutcome::Pending(days) => Json::obj([

@@ -36,17 +36,6 @@ impl BoxPlot {
             max: xs[xs.len() - 1],
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
-    /// Whether a value lies outside the 1.5 × IQR whiskers (an outlier
-    /// in the Tukey sense).
-    pub fn is_outlier(&self, x: f64) -> bool {
-        x < self.q1 - 1.5 * self.iqr() || x > self.q3 + 1.5 * self.iqr()
-    }
 }
 
 /// Linear-interpolated quantile over a sorted sample.
@@ -73,7 +62,7 @@ mod tests {
         assert_eq!(b.median, 3.0);
         assert_eq!(b.q3, 4.0);
         assert_eq!(b.max, 5.0);
-        assert_eq!(b.iqr(), 2.0);
+        assert_eq!(b.q3 - b.q1, 2.0);
     }
 
     #[test]
@@ -82,14 +71,6 @@ mod tests {
         assert!((b.q1 - 1.75).abs() < 1e-12);
         assert!((b.median - 2.5).abs() < 1e-12);
         assert!((b.q3 - 3.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn outlier_detection() {
-        let b = BoxPlot::new(&[10.0, 11.0, 12.0, 13.0, 14.0]).unwrap();
-        assert!(b.is_outlier(100.0));
-        assert!(b.is_outlier(-50.0));
-        assert!(!b.is_outlier(12.5));
     }
 
     #[test]

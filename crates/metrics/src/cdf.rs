@@ -14,16 +14,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the CDF holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Fraction of samples ≤ `x` (0 for an empty CDF).
     pub fn fraction_at_or_below(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -34,7 +24,7 @@ impl Cdf {
     }
 
     /// The `q`-quantile (`0 ≤ q ≤ 1`), `None` for an empty CDF.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.sorted.is_empty() {
             return None;
         }
@@ -46,32 +36,6 @@ impl Cdf {
     /// Median.
     pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
-    }
-
-    /// Mean.
-    pub fn mean(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-    }
-
-    /// Sample `points` evenly spaced (x, F(x)) pairs for plotting.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = self.sorted[self.sorted.len() - 1];
-        if lo == hi {
-            return vec![(lo, 1.0)];
-        }
-        (0..=points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / points as f64;
-                (x, self.fraction_at_or_below(x))
-            })
-            .collect()
     }
 }
 
@@ -95,38 +59,25 @@ mod tests {
         assert_eq!(c.quantile(0.0), Some(10.0));
         assert_eq!(c.median(), Some(30.0));
         assert_eq!(c.quantile(1.0), Some(50.0));
-        assert_eq!(c.mean(), Some(30.0));
     }
 
     #[test]
     fn empty_cdf_is_graceful() {
         let c = Cdf::new(vec![]);
-        assert!(c.is_empty());
+        assert!(c.sorted.is_empty());
         assert_eq!(c.quantile(0.5), None);
         assert_eq!(c.fraction_at_or_below(1.0), 0.0);
-        assert!(c.curve(10).is_empty());
     }
 
     #[test]
     fn nans_are_dropped() {
         let c = Cdf::new(vec![f64::NAN, 1.0, f64::NAN, 2.0]);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn curve_is_monotone() {
-        let c = Cdf::new(vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]);
-        let curve = c.curve(20);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1, "non-monotone: {curve:?}");
-        }
-        assert_eq!(curve.last().unwrap().1, 1.0);
+        assert_eq!(c.sorted.len(), 2);
     }
 
     #[test]
     fn constant_samples() {
         let c = Cdf::new(vec![7.0; 5]);
-        assert_eq!(c.curve(10), vec![(7.0, 1.0)]);
         assert_eq!(c.median(), Some(7.0));
     }
 

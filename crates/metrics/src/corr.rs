@@ -25,7 +25,7 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
 }
 
 /// Pearson correlation of two equal-length samples.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "length mismatch");
     let n = xs.len() as f64;
     if xs.len() < 2 {

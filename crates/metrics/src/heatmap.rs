@@ -20,7 +20,7 @@ impl Heatmap {
     }
 
     /// Matrix dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.labels.len()
     }
 
@@ -32,7 +32,7 @@ impl Heatmap {
     }
 
     /// Cell value.
-    pub fn get(&self, origin: usize, destination: usize) -> u64 {
+    pub(crate) fn get(&self, origin: usize, destination: usize) -> u64 {
         self.counts[origin * self.dim() + destination]
     }
 

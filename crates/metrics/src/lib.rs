@@ -21,7 +21,7 @@ pub mod table;
 
 pub use boxplot::BoxPlot;
 pub use cdf::Cdf;
-pub use corr::{pearson, spearman};
+pub use corr::spearman;
 pub use heatmap::Heatmap;
 pub use hist::LabelledHistogram;
 pub use powerlaw::{gini, top_share};

@@ -25,16 +25,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with a header underline; first column left-aligned, the
     /// rest right-aligned (numeric convention).
     pub fn render(&self) -> String {
@@ -128,7 +118,7 @@ mod tests {
         let mut t = Table::new(["a", "b"]);
         t.row(["1"]);
         t.row(["1", "2", "3"]);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
         let s = t.render();
         assert!(!s.contains('3'), "extra cell must be dropped");
     }
@@ -144,7 +134,7 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = Table::new(["x"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 

@@ -166,7 +166,7 @@ impl HttpClientBuilder {
     }
 
     /// Attach a status-level retry policy: [`HttpClient::get`] retries
-    /// [retryable](NetError::is_retryable) failures with deterministic
+    /// retryable (`NetError::is_retryable`) failures with deterministic
     /// backoff, honoring server `retry-after` hints within the policy's
     /// budget.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
@@ -344,12 +344,6 @@ impl HttpClient {
         self.wait_json(self.submit_get_json(&FetchSpec::new(addr, path_and_query)))
     }
 
-    /// Number of per-host circuits currently not closed (zero without a
-    /// breaker).
-    pub fn open_circuits(&self) -> usize {
-        self.shared.breakers.as_ref().map_or(0, |b| b.open_count())
-    }
-
     /// Hand one GET to the driver, spawning it on first use; a driver
     /// that cannot spawn fails the ticket at once.
     fn enqueue(&self, spec: &FetchSpec, decode: DecodeMode) -> Ticket {
@@ -396,6 +390,13 @@ mod tests {
     /// Idle pooled connections across hosts.
     fn idle_connections(client: &HttpClient) -> usize {
         client.shared.pool.lock().values().map(Vec::len).sum()
+    }
+
+    /// Per-host circuits not closed, from the resilience gauge.
+    fn open_circuits(registry: &Registry) -> Option<i64> {
+        registry
+            .snapshot()
+            .gauge_value("marketscope_net_client_open_circuits", &[])
     }
 
     #[test]
@@ -744,7 +745,11 @@ mod tests {
             cooldown_rejections: 2,
             half_open_trials: 1,
         };
-        let client = HttpClient::builder().breaker(cfg).build();
+        let registry = Registry::new();
+        let client = HttpClient::builder()
+            .breaker(cfg)
+            .resilience_metrics(ResilienceMetrics::register(&registry, &[]))
+            .build();
         let addr = server.addr();
         // Three terminal 500s trip the circuit.
         for _ in 0..3 {
@@ -753,7 +758,7 @@ mod tests {
                 Err(NetError::Status { code: 500, .. })
             ));
         }
-        assert_eq!(client.open_circuits(), 1);
+        assert_eq!(open_circuits(&registry), Some(1));
         // Fast fails while open: no wire traffic.
         let served_before = server.request_count();
         for _ in 0..2 {
@@ -764,8 +769,49 @@ mod tests {
         // probes and closes the circuit.
         down.store(false, Ordering::SeqCst);
         client.get(addr, "/x").unwrap();
-        assert_eq!(client.open_circuits(), 0);
+        assert_eq!(open_circuits(&registry), Some(0));
         client.get(addr, "/x").unwrap();
+    }
+
+    #[test]
+    fn a_probe_that_retries_still_settles_its_circuit() {
+        // The host 503s, with a cheap hint, its first 22 wire requests:
+        // five requests of four tries each open the circuit, and the
+        // half-open probe and its one admitted retry take two more. It
+        // answers 200 after that.
+        const SICK: u64 = 22;
+        let hits = Arc::new(AtomicU64::new(0));
+        let server_hits = Arc::clone(&hits);
+        let server = HttpServer::spawn(move |_req: &Request| {
+            if server_hits.fetch_add(1, Ordering::SeqCst) < SICK {
+                Response::status_with_retry_after(
+                    Status::ServiceUnavailable,
+                    Duration::from_millis(5),
+                )
+            } else {
+                Response::ok("text/plain", b"ok".to_vec())
+            }
+        })
+        .unwrap();
+        let cfg = BreakerConfig::default();
+        let client = HttpClient::builder()
+            .retry(RetryPolicy::default())
+            .breaker(cfg)
+            .build();
+        let addr = server.addr();
+        for sent in 0.. {
+            if hits.load(Ordering::SeqCst) >= SICK {
+                break;
+            }
+            assert!(sent < 100, "the host saw {hits:?} requests");
+            assert!(client.get(addr, "/x").is_err());
+        }
+        // The probe's last retry was refused, so the breaker heard its
+        // 503 from the refusal: the circuit is open again, and probes the
+        // healed host once the cooldown has passed.
+        let healed = (0..=cfg.cooldown_rejections).any(|_| client.get(addr, "/x").is_ok());
+        assert!(healed, "a healed host stays fast-failed");
+        assert_eq!(hits.load(Ordering::SeqCst), SICK + 1);
     }
 
     #[test]
@@ -776,14 +822,18 @@ mod tests {
             failure_threshold: 2,
             ..BreakerConfig::default()
         };
-        let client = HttpClient::builder().breaker(cfg).build();
+        let registry = Registry::new();
+        let client = HttpClient::builder()
+            .breaker(cfg)
+            .resilience_metrics(ResilienceMetrics::register(&registry, &[]))
+            .build();
         for _ in 0..10 {
             assert!(matches!(
                 client.get(server.addr(), "/nope"),
                 Err(NetError::Status { code: 404, .. })
             ));
         }
-        assert_eq!(client.open_circuits(), 0);
+        assert_eq!(open_circuits(&registry), Some(0));
     }
 
     #[test]
@@ -983,6 +1033,7 @@ mod tests {
         let client = HttpClient::builder()
             .metrics(ClientMetrics::register(&registry, &[]))
             .breaker(BreakerConfig::default())
+            .resilience_metrics(ResilienceMetrics::register(&registry, &[]))
             .build();
         for _ in 0..3 {
             assert!(matches!(
@@ -1001,6 +1052,6 @@ mod tests {
         );
         // A decodable-but-malformed answer is a definitive reply, not
         // host distress: the breaker stays closed.
-        assert_eq!(client.open_circuits(), 0);
+        assert_eq!(open_circuits(&registry), Some(0));
     }
 }

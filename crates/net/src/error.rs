@@ -37,15 +37,6 @@ pub enum NetError {
 }
 
 impl NetError {
-    /// A [`NetError::Status`] with no retry hint — the common construction
-    /// at call sites that only know the code.
-    pub fn status(code: u16) -> NetError {
-        NetError::Status {
-            code,
-            retry_after: None,
-        }
-    }
-
     /// Every label [`NetError::kind`] can return — the one list per-kind
     /// counter sets are pre-registered from.
     pub const KINDS: [&'static str; 6] = [
@@ -82,7 +73,7 @@ impl NetError {
     /// [transient](NetError::is_transient) failures plus the retryable
     /// status codes (429 throttles, 500/503 server faults). 4xx lookup
     /// misses are definitive answers, not failures.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         self.is_transient()
             || matches!(
                 self,
@@ -95,7 +86,7 @@ impl NetError {
 
     /// The server's `retry-after` hint, when this is a status error that
     /// carried one.
-    pub fn retry_after(&self) -> Option<Duration> {
+    pub(crate) fn retry_after(&self) -> Option<Duration> {
         match self {
             NetError::Status { retry_after, .. } => *retry_after,
             _ => None,
@@ -143,12 +134,20 @@ impl From<io::Error> for NetError {
 mod tests {
     use super::*;
 
+    /// A [`NetError::Status`] with no retry hint.
+    fn status(code: u16) -> NetError {
+        NetError::Status {
+            code,
+            retry_after: None,
+        }
+    }
+
     #[test]
     fn display_and_source() {
         let e = NetError::from(io::Error::other("boom"));
         assert!(e.to_string().contains("boom"));
         assert!(std::error::Error::source(&e).is_some());
-        assert!(NetError::status(429).to_string().contains("429"));
+        assert!(status(429).to_string().contains("429"));
         assert!(NetError::TooLarge {
             what: "body",
             limit: 10
@@ -171,7 +170,7 @@ mod tests {
                 },
                 "too_large",
             ),
-            (NetError::status(404), "status"),
+            (status(404), "status"),
             (NetError::UnexpectedEof, "eof"),
             (NetError::CircuitOpen, "circuit_open"),
         ];
@@ -197,17 +196,17 @@ mod tests {
         assert!(NetError::from(io::Error::other("reset")).is_transient());
         assert!(NetError::UnexpectedEof.is_transient());
         assert!(!NetError::Protocol("junk").is_transient());
-        assert!(!NetError::status(503).is_transient());
+        assert!(!status(503).is_transient());
         assert!(!NetError::CircuitOpen.is_transient());
     }
 
     #[test]
     fn retryability_branches_on_the_error_not_magic_literals() {
         for code in [429, 500, 503] {
-            assert!(NetError::status(code).is_retryable(), "{code}");
+            assert!(status(code).is_retryable(), "{code}");
         }
         for code in [400, 404] {
-            assert!(!NetError::status(code).is_retryable(), "{code}");
+            assert!(!status(code).is_retryable(), "{code}");
         }
         assert!(NetError::UnexpectedEof.is_retryable());
         assert!(!NetError::CircuitOpen.is_retryable());
@@ -219,6 +218,6 @@ mod tests {
             .retry_after(),
             Some(Duration::from_millis(250))
         );
-        assert_eq!(NetError::status(503).retry_after(), None);
+        assert_eq!(status(503).retry_after(), None);
     }
 }

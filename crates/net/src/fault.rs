@@ -7,7 +7,7 @@
 //! failure modes a market exhibits — connection resets, response
 //! stalls, truncated bodies, 5xx bursts, and flapping whole-market
 //! downtime windows — and a [`FaultInjector`] turns the plan into a
-//! per-request [`FaultAction`] drawn from a splitmix64 stream, so the
+//! per-request `FaultAction` drawn from a splitmix64 stream, so the
 //! same seed replays the exact same fault sequence.
 //!
 //! ## Determinism under concurrency
@@ -126,7 +126,7 @@ impl Default for FaultPlan {
 /// What the server should do with one request, decided before the
 /// handler runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// No fault: handle normally.
     Serve,
     /// Drop the connection without writing a byte.
@@ -150,13 +150,13 @@ pub enum FaultAction {
 /// `marketscope_net_faults_injected_total{fault=...}` plus any extra
 /// labels (the fleet adds `market`).
 #[derive(Clone)]
-pub struct FaultMetrics {
+pub(crate) struct FaultMetrics {
     by_kind: Vec<(&'static str, Arc<Counter>)>,
 }
 
 impl FaultMetrics {
     /// Create the fault counters in `registry`, tagged with `labels`.
-    pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> FaultMetrics {
+    pub(crate) fn register(registry: &Registry, labels: &[(&str, &str)]) -> FaultMetrics {
         let by_kind = ["reset", "stall", "truncate", "error", "downtime"]
             .into_iter()
             .map(|fault| {
@@ -176,7 +176,7 @@ impl FaultMetrics {
     }
 }
 
-/// Draws per-request [`FaultAction`]s from a [`FaultPlan`] and a seed.
+/// Draws per-request `FaultAction`s from a [`FaultPlan`] and a seed.
 /// Shared by all connection threads of one server.
 pub struct FaultInjector {
     seed: u64,
@@ -243,7 +243,7 @@ impl FaultInjector {
     /// Decide the fate of one request. Ops/health paths (`/__` prefix)
     /// are always served and consume neither randomness nor the
     /// downtime index.
-    pub fn decide(&self, path: &str) -> FaultAction {
+    pub(crate) fn decide(&self, path: &str) -> FaultAction {
         if self.plan.is_noop() || path.starts_with("/__") {
             return FaultAction::Serve;
         }

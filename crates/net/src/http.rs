@@ -10,7 +10,7 @@ pub const MAX_HEAD: usize = 16 * 1024;
 /// Maximum accepted body size (APK payloads stay far below this).
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
 /// Maximum number of header fields.
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 
 /// Request methods supported by the subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,7 +23,7 @@ pub enum Method {
 
 impl Method {
     /// Wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Method::Get => "GET",
             Method::Post => "POST",
@@ -31,7 +31,7 @@ impl Method {
     }
 
     /// Parse a wire name.
-    pub fn parse(s: &str) -> Result<Method, NetError> {
+    pub(crate) fn parse(s: &str) -> Result<Method, NetError> {
         match s {
             "GET" => Ok(Method::Get),
             "POST" => Ok(Method::Post),
@@ -71,7 +71,7 @@ impl Status {
     }
 
     /// Reason phrase.
-    pub fn reason(self) -> &'static str {
+    pub(crate) fn reason(self) -> &'static str {
         match self {
             Status::Ok => "OK",
             Status::BadRequest => "Bad Request",
@@ -83,7 +83,7 @@ impl Status {
     }
 
     /// Map a numeric code back to a known status.
-    pub fn from_code(code: u16) -> Result<Status, NetError> {
+    pub(crate) fn from_code(code: u16) -> Result<Status, NetError> {
         match code {
             200 => Ok(Status::Ok),
             400 => Ok(Status::BadRequest),
@@ -149,14 +149,14 @@ impl Request {
     /// The propagated trace context from the
     /// [`TRACE_HEADER`](marketscope_telemetry::TRACE_HEADER) request
     /// header, if present and well-formed.
-    pub fn trace_context(&self) -> Option<marketscope_telemetry::SpanContext> {
+    pub(crate) fn trace_context(&self) -> Option<marketscope_telemetry::SpanContext> {
         self.header(marketscope_telemetry::TRACE_HEADER)
             .and_then(marketscope_telemetry::SpanContext::parse)
     }
 
     /// A copy of this request carrying the given trace context in the
     /// [`TRACE_HEADER`](marketscope_telemetry::TRACE_HEADER) header.
-    pub fn with_trace_context(&self, ctx: marketscope_telemetry::SpanContext) -> Request {
+    pub(crate) fn with_trace_context(&self, ctx: marketscope_telemetry::SpanContext) -> Request {
         let mut req = self.clone();
         req.headers
             .insert(marketscope_telemetry::TRACE_HEADER.to_owned(), ctx.render());
@@ -193,7 +193,7 @@ impl Request {
     /// consumed — the caller drains them and may call again on the
     /// residue (pipelined keep-alive requests). Errors mean the
     /// connection is unrecoverable: protocol violations and breaches of
-    /// [`MAX_HEAD`], [`MAX_HEADERS`] or [`MAX_BODY`].
+    /// [`MAX_HEAD`], `MAX_HEADERS` or [`MAX_BODY`].
     pub fn parse_partial(buf: &[u8]) -> Result<Option<(Request, usize)>, NetError> {
         let Some((((method, target), headers), body, used)) =
             parse_framed(buf, parse_request_head)?
@@ -215,7 +215,7 @@ impl Request {
     }
 
     /// Whether the peer asked to close the connection after this message.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.headers
             .get("connection")
             .map(|v| v.eq_ignore_ascii_case("close"))
@@ -274,7 +274,7 @@ impl Response {
     /// Parsed `retry-after` response header (decimal seconds), if present
     /// and well-formed. Negative, non-finite and out-of-range values
     /// (past `Duration::MAX`) are ignored.
-    pub fn retry_after(&self) -> Option<Duration> {
+    pub(crate) fn retry_after(&self) -> Option<Duration> {
         let secs: f64 = self.headers.get("retry-after")?.parse().ok()?;
         Duration::try_from_secs_f64(secs).ok()
     }
@@ -289,7 +289,11 @@ impl Response {
     /// body this is a deliberately broken copy: a reader sees a mid-body
     /// EOF once the connection closes — the fault-injection layer's
     /// "truncated body" failure mode (see [`crate::fault`]).
-    pub fn write_truncated_to(&self, w: &mut impl Write, keep: usize) -> Result<(), NetError> {
+    pub(crate) fn write_truncated_to(
+        &self,
+        w: &mut impl Write,
+        keep: usize,
+    ) -> Result<(), NetError> {
         write!(
             w,
             "HTTP/1.1 {} {}\r\n",

@@ -56,11 +56,9 @@ pub mod server;
 
 pub use client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient, HttpClientBuilder};
 pub use error::NetError;
-pub use fault::{FaultAction, FaultInjector, FaultMetrics, FaultPlan};
+pub use fault::{FaultInjector, FaultPlan};
 pub use http::{Method, Request, Response, Status};
 pub use mux::{CompletionQueue, Ticket};
 pub use reactor::{ReactorConfig, Transport};
-pub use resilience::{
-    BreakerConfig, BreakerSet, BreakerState, CircuitBreaker, ResilienceMetrics, RetryPolicy,
-};
+pub use resilience::{BreakerConfig, BreakerSet, ResilienceMetrics, RetryPolicy};
 pub use server::{HttpServer, ServerHandle, ServerMetrics};

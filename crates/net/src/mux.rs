@@ -34,7 +34,7 @@ use crate::error::NetError;
 use crate::http::{Request, Response, Status};
 use crate::reactor::io::{read_available, write_pending, Inbox, Poller, Slab};
 use crate::reactor::sys;
-use crate::resilience::{BreakerSet, ResilienceMetrics, RetryPolicy};
+use crate::resilience::{BreakerSet, CircuitBreaker, ResilienceMetrics, RetryPolicy};
 use marketscope_core::hash::fnv1a64;
 use marketscope_core::json::Json;
 use marketscope_telemetry::{SpanContext, TraceSpan, Tracer};
@@ -258,6 +258,10 @@ struct Item {
     /// Whether the breaker admitted the current write; a request put back
     /// behind a dead connection is admitted again.
     admitted: bool,
+    /// Back from a retry backoff: whether the failure that parked it was
+    /// a host fault. A refused re-admission reports it to the breaker,
+    /// which then hears how every probe it admitted ended.
+    retried_fault: Option<bool>,
     /// Wire-cycle start, for the request-latency histogram.
     started: Instant,
     request_span: TraceSpan,
@@ -341,6 +345,30 @@ impl Shared {
         if conns.len() < self.config.pool_per_host {
             conns.push(conn.stream);
         }
+    }
+}
+
+/// Whether a terminal `err` is a sign of host distress: a dead
+/// connection or a 5xx answer. A 404 is a definitive answer and a 429
+/// means the host is alive enough to throttle us.
+fn host_fault(err: &NetError) -> bool {
+    err.is_transient()
+        || matches!(
+            err,
+            NetError::Status {
+                code: 500..=599,
+                ..
+            }
+        )
+}
+
+/// Tell `breaker` how a wire cycle it admitted ended: only host faults
+/// push the circuit toward open.
+fn settle(breaker: &CircuitBreaker, host_fault: bool) {
+    if host_fault {
+        breaker.on_failure();
+    } else {
+        breaker.on_success();
     }
 }
 
@@ -460,6 +488,7 @@ impl Driver {
                 cycles: 0,
                 slept: Duration::ZERO,
                 admitted: false,
+                retried_fault: None,
                 started: self.poller.now(),
                 request_span: TraceSpan::noop(),
                 attempt_span: TraceSpan::noop(),
@@ -507,8 +536,15 @@ impl Driver {
                 return lane.queue.push_front(item);
             }
             if !item.admitted {
-                let breaker = self.shared.breakers.as_ref();
-                if !breaker.map_or(true, |b| b.for_host(addr).admit()) {
+                let breaker = self.shared.breakers.as_ref().map(|b| b.for_host(addr));
+                if breaker.as_ref().is_some_and(|b| !b.admit()) {
+                    // A request back from a backoff may be a half-open
+                    // probe whose retries spent the probe slots: its last
+                    // failure settles the circuit, which would otherwise
+                    // wait on it for good.
+                    if let (Some(b), Some(fault)) = (&breaker, item.retried_fault) {
+                        settle(b, fault);
+                    }
                     let err = NetError::CircuitOpen;
                     self.shared.metrics.note_error(&err);
                     self.complete(tok, item.sub, Err(err));
@@ -801,6 +837,7 @@ impl Driver {
                 item.slept += wait;
                 item.attempt = 0;
                 item.admitted = false;
+                item.retried_fault = Some(host_fault(&err));
                 item.bytes.clear();
                 if let Some(lane) = self.lanes.get_mut(tok) {
                     lane.parked = Some((until, item));
@@ -809,23 +846,7 @@ impl Driver {
             None => {
                 std::mem::replace(&mut item.request_span, TraceSpan::noop()).finish();
                 if let Some(b) = &breaker {
-                    // Only signs of host distress — dead connections and
-                    // 5xx answers — push the circuit toward open. A 404 is
-                    // a definitive answer and a 429 means the host is alive
-                    // enough to throttle us; both leave it closed.
-                    let host_fault = err.is_transient()
-                        || matches!(
-                            err,
-                            NetError::Status {
-                                code: 500..=599,
-                                ..
-                            }
-                        );
-                    if host_fault {
-                        b.on_failure();
-                    } else {
-                        b.on_success();
-                    }
+                    settle(b, host_fault(&err));
                 }
                 self.complete(tok, item.sub, Err(err));
             }

@@ -19,20 +19,20 @@ use std::os::fd::{FromRawFd, RawFd};
 use std::time::Duration;
 
 /// Readable data (or a peer close, together with [`POLLHUP`]).
-pub const POLLIN: i16 = 0x001;
+pub(crate) const POLLIN: i16 = 0x001;
 /// Writable without blocking.
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 /// Error condition (always polled, never requested).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// Peer hung up (always polled, never requested).
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// Invalid descriptor (always polled, never requested).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One entry in a `poll(2)` set, ABI-compatible with `struct pollfd`.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     fd: RawFd,
     events: i16,
     revents: i16,
@@ -41,7 +41,7 @@ pub struct PollFd {
 impl PollFd {
     /// An entry watching `fd` for `events` (a mask of [`POLLIN`] /
     /// [`POLLOUT`]).
-    pub fn new(fd: RawFd, events: i16) -> PollFd {
+    pub(crate) fn new(fd: RawFd, events: i16) -> PollFd {
         PollFd {
             fd,
             events,
@@ -50,13 +50,13 @@ impl PollFd {
     }
 
     /// The returned readiness mask from the last poll.
-    pub fn revents(&self) -> i16 {
+    pub(crate) fn revents(&self) -> i16 {
         self.revents
     }
 
     /// Whether the descriptor has data to read — or an error / hangup,
     /// which a reader must also consume to observe (EOF, ECONNRESET).
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0
     }
 }
@@ -130,7 +130,7 @@ struct SockAddrIn6 {
 /// [`POLLOUT`], then call [`take_socket_error`] to learn whether the
 /// connect succeeded or why it failed. Any error other than
 /// `EINPROGRESS` is reported immediately.
-pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
+pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
     let domain = match addr {
         SocketAddr::V4(_) => AF_INET,
         SocketAddr::V6(_) => AF_INET6,
@@ -206,7 +206,7 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
 /// Harvest the outcome of a nonblocking connect after the socket polled
 /// writable: `Ok(())` if the handshake succeeded, otherwise the pending
 /// socket error (e.g. `ECONNREFUSED`) converted to an [`io::Error`].
-pub fn take_socket_error(fd: RawFd) -> io::Result<()> {
+pub(crate) fn take_socket_error(fd: RawFd) -> io::Result<()> {
     let mut pending: i32 = 0;
     let mut len = std::mem::size_of::<i32>() as u32;
     // SAFETY: `pending`/`len` are live stack slots sized for the `int`
@@ -233,7 +233,7 @@ pub fn take_socket_error(fd: RawFd) -> io::Result<()> {
 /// Wait until at least one entry is ready, the timeout elapses (`Ok(0)`),
 /// or an error occurs. `None` blocks indefinitely; `Some(ZERO)` is a
 /// nonblocking readiness probe. `EINTR` is retried internally.
-pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let timeout_ms: i32 = match timeout {
         None => -1,
         // Round sub-millisecond timeouts *up* so a caller sweeping
@@ -265,7 +265,7 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usi
 
 /// Poll a single descriptor and return its readiness mask (`0` if the
 /// timeout elapsed first).
-pub fn poll_one(fd: RawFd, events: i16, timeout: Option<Duration>) -> io::Result<i16> {
+pub(crate) fn poll_one(fd: RawFd, events: i16, timeout: Option<Duration>) -> io::Result<i16> {
     let mut fds = [PollFd::new(fd, events)];
     let n = poll_fds(&mut fds, timeout)?;
     Ok(if n == 0 { 0 } else { fds[0].revents })

@@ -20,11 +20,12 @@
 //!   of burning sockets on a dead host. The cooldown is measured in
 //!   *rejections*, not wall time — wall-clock cooldowns make replays
 //!   diverge — after which a bounded number of half-open probes decide
-//!   between recovery and re-tripping.
+//!   between recovery and re-tripping. The client reports how every
+//!   probe ended, also one whose own retry was refused a probe slot.
 //!
 //! Definitive answers (404s and other non-retryable statuses) count as
 //! breaker *successes*: the host answered. Only
-//! [retryable](NetError::is_retryable) terminal failures push a circuit
+//! retryable (`NetError::is_retryable`) terminal failures push a circuit
 //! toward open.
 
 use crate::error::NetError;
@@ -79,7 +80,7 @@ impl RetryPolicy {
     /// How long to sleep before retrying `err`, or `None` to surface it:
     /// not retryable, retries exhausted, or the wait (server hint or
     /// computed backoff) would blow the remaining budget.
-    pub fn delay_for(
+    pub(crate) fn delay_for(
         &self,
         err: &NetError,
         attempt: u32,
@@ -120,9 +121,9 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Observable breaker state, for tests and the ops summary.
+/// A breaker state, as its transitions are counted and logged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Normal operation; failures are being counted.
     Closed,
     /// Fast-failing everything until the cooldown elapses.
@@ -204,28 +205,12 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given thresholds, counting into a
-    /// private registry.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
-        let metrics = ResilienceMetrics::register(&Registry::new(), &[]);
-        CircuitBreaker::scoped(config, metrics, "?")
-    }
-
     fn scoped(config: BreakerConfig, metrics: ResilienceMetrics, scope: &str) -> CircuitBreaker {
         CircuitBreaker {
             config,
             state: Mutex::new(State::Closed { failures: 0 }),
             metrics,
             scope: scope.to_owned(),
-        }
-    }
-
-    /// Current state, for tests and reporting.
-    pub fn state(&self) -> BreakerState {
-        match *self.state.lock() {
-            State::Closed { .. } => BreakerState::Closed,
-            State::Open { .. } => BreakerState::Open,
-            State::HalfOpen { .. } => BreakerState::HalfOpen,
         }
     }
 
@@ -298,7 +283,7 @@ impl CircuitBreaker {
     /// A terminal [retryable](NetError::is_retryable) failure. Enough of
     /// these in a row opens the circuit; any half-open probe failure
     /// re-opens it.
-    pub fn on_failure(&self) {
+    pub(crate) fn on_failure(&self) {
         let mut st = self.state.lock();
         match &mut *st {
             State::Closed { failures } => {
@@ -373,21 +358,27 @@ impl BreakerSet {
             ))
         }))
     }
-
-    /// Number of circuits currently not closed.
-    pub fn open_count(&self) -> usize {
-        self.by_host
-            .lock()
-            .values()
-            .filter(|b| b.state() != BreakerState::Closed)
-            .count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io;
+
+    /// A closed breaker with the given thresholds, counting into a
+    /// private registry.
+    fn breaker(config: BreakerConfig) -> CircuitBreaker {
+        let metrics = ResilienceMetrics::register(&Registry::new(), &[]);
+        CircuitBreaker::scoped(config, metrics, "?")
+    }
+
+    fn state(b: &CircuitBreaker) -> BreakerState {
+        match *b.state.lock() {
+            State::Closed { .. } => BreakerState::Closed,
+            State::Open { .. } => BreakerState::Open,
+            State::HalfOpen { .. } => BreakerState::HalfOpen,
+        }
+    }
 
     #[test]
     fn backoff_is_exponential_capped_and_deterministic() {
@@ -431,7 +422,15 @@ mod tests {
             None
         );
         assert_eq!(
-            p.delay_for(&NetError::status(404), 0, 1, Duration::ZERO),
+            p.delay_for(
+                &NetError::Status {
+                    code: 404,
+                    retry_after: None
+                },
+                0,
+                1,
+                Duration::ZERO
+            ),
             None
         );
         assert_eq!(
@@ -453,8 +452,8 @@ mod tests {
             cooldown_rejections: 2,
             half_open_trials: 1,
         };
-        let b = CircuitBreaker::new(cfg);
-        assert_eq!(b.state(), BreakerState::Closed);
+        let b = breaker(cfg);
+        assert_eq!(state(&b), BreakerState::Closed);
         for _ in 0..2 {
             assert!(b.admit());
             b.on_failure();
@@ -465,14 +464,14 @@ mod tests {
             assert!(b.admit());
             b.on_failure();
         }
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(state(&b), BreakerState::Open);
         // Cooldown: exactly two rejections, then the next request probes.
         assert!(!b.admit());
         assert!(!b.admit());
         assert!(b.admit(), "cooldown elapsed: probe admitted");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(state(&b), BreakerState::HalfOpen);
         b.on_success();
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(state(&b), BreakerState::Closed);
         assert!(b.admit());
     }
 
@@ -483,15 +482,15 @@ mod tests {
             cooldown_rejections: 1,
             half_open_trials: 1,
         };
-        let b = CircuitBreaker::new(cfg);
+        let b = breaker(cfg);
         assert!(b.admit());
         b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(state(&b), BreakerState::Open);
         assert!(!b.admit(), "the single cooldown rejection");
         assert!(b.admit(), "then the next request converts to a probe");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(state(&b), BreakerState::HalfOpen);
         b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(state(&b), BreakerState::Open);
         // While half-open with no probes left, extra requests fast-fail.
         assert!(!b.admit());
         assert!(b.admit());
@@ -522,11 +521,16 @@ mod tests {
         assert!(!b.admit()); // fast fail (also completes cooldown count? no: 1st rejection -> half-open next)
         assert!(b.admit()); // probe
         b.on_failure(); // half-open -> open (gauge must NOT double count)
-        assert_eq!(set.open_count(), 1);
+        let open_circuits = || {
+            registry
+                .snapshot()
+                .gauge_value("marketscope_net_client_open_circuits", &[])
+        };
+        assert_eq!(open_circuits(), Some(1));
         assert!(!b.admit());
         assert!(b.admit()); // probe again
         b.on_success(); // -> closed
-        assert_eq!(set.open_count(), 0);
+        assert_eq!(open_circuits(), Some(0));
 
         let snap = registry.snapshot();
         let count = |to: &str| {

@@ -246,11 +246,6 @@ impl ServerHandle {
         self.transport.config()
     }
 
-    /// Transient accept-loop errors absorbed with backoff so far.
-    pub fn accept_errors(&self) -> u64 {
-        self.endpoint.metrics.accept_errors()
-    }
-
     /// Connections shed with an immediate `503` at the ceiling so far.
     pub fn shed_connections(&self) -> u64 {
         self.endpoint.metrics.shed_connections()
@@ -525,7 +520,7 @@ mod tests {
             0,
             "shed connections never reach the handler"
         );
-        assert_eq!(server.accept_errors(), 0);
+        assert_eq!(server.endpoint.metrics.accept_errors(), 0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl LabelSource {
     }
 
     /// Label for a detected library package (default "Unknown").
-    pub fn label(&self, package: &str) -> &'static str {
+    pub(crate) fn label(&self, package: &str) -> &'static str {
         self.labels.get(package).copied().unwrap_or("Unknown")
     }
 }
@@ -114,7 +114,7 @@ pub struct Analyzed {
 }
 
 /// The paper's malware bar: AV-rank ≥ 10.
-pub const MALWARE_AV_RANK: usize = 10;
+pub(crate) const MALWARE_AV_RANK: usize = 10;
 
 impl Analyzed {
     /// Run every shared pass over a snapshot, using the staged engine with
@@ -135,7 +135,7 @@ impl Analyzed {
     }
 
     /// Malware packages (AV-rank ≥ 10) listed in a market.
-    pub fn malware_packages(&self, market: MarketId) -> Vec<String> {
+    pub(crate) fn malware_packages(&self, market: MarketId) -> Vec<String> {
         self.apps_in(market)
             .filter(|i| self.av_reports[*i].rank >= MALWARE_AV_RANK)
             .map(|i| self.apps[i].package.clone())

@@ -62,7 +62,7 @@ use crate::context::{Analyzed, UniqueApp};
 /// Histogram instrument recording per-stage wall-clock latency.
 pub const STAGE_LATENCY_METRIC: &str = "marketscope_analysis_stage_nanos";
 /// Counter instrument recording per-stage item counts.
-pub const STAGE_ITEMS_METRIC: &str = "marketscope_analysis_stage_items_total";
+pub(crate) const STAGE_ITEMS_METRIC: &str = "marketscope_analysis_stage_items_total";
 
 /// The stages, in the order the engine runs them, which produces every
 /// input before the stage that reads it (see the module's diagram). A
@@ -145,7 +145,7 @@ impl AnalysisEngine {
     }
 
     /// The configured worker count (always ≥ 1).
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.config.workers.max(1)
     }
 

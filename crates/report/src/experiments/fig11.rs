@@ -16,7 +16,7 @@ use marketscope_metrics::Table;
 use std::collections::HashMap;
 
 /// Bucket labels (0..9 unused permissions, then >9).
-pub const BUCKETS: [&str; 11] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", ">9"];
+pub(crate) const BUCKETS: [&str; 11] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", ">9"];
 
 /// Bucket shares and over-privilege rates under one footprint.
 #[derive(Debug, Clone)]

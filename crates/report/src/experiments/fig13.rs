@@ -18,7 +18,7 @@ pub const COMPARED: [MarketId; 5] = [
 ];
 
 /// Radar axes.
-pub const AXES: [&str; 6] = [
+pub(crate) const AXES: [&str; 6] = [
     "catalog size",
     "agg downloads",
     "malware %",

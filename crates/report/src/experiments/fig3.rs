@@ -7,7 +7,7 @@ use marketscope_metrics::table::pct;
 use marketscope_metrics::Table;
 
 /// Figure 3's level buckets: `<7, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, >16`.
-pub const LEVELS: [&str; 12] = [
+pub(crate) const LEVELS: [&str; 12] = [
     "<7", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", ">16",
 ];
 

@@ -7,7 +7,7 @@ use marketscope_metrics::table::pct;
 use marketscope_metrics::Table;
 
 /// Year buckets 2010-and-earlier through 2017.
-pub const YEARS: [&str; 8] = [
+pub(crate) const YEARS: [&str; 8] = [
     "≤2010", "2011", "2012", "2013", "2014", "2015", "2016", "2017",
 ];
 

@@ -42,7 +42,7 @@ impl MarketLeaks {
     }
 
     /// Share of the market's flows attributed to libraries.
-    pub fn tpl_flow_share(&self) -> f64 {
+    pub(crate) fn tpl_flow_share(&self) -> f64 {
         let total = self.host_flows + self.library_flows;
         if total == 0 {
             0.0

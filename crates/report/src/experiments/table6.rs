@@ -20,7 +20,7 @@ pub struct Table6 {
 }
 
 /// Markets excluded from the paper's post-analysis.
-pub fn excluded(market: MarketId) -> bool {
+pub(crate) fn excluded(market: MarketId) -> bool {
     matches!(market, MarketId::HiApk | MarketId::OppoMarket)
 }
 

@@ -93,8 +93,9 @@ pub struct StageOps {
     /// Items the stage processed (listings for dedup, apps or candidate
     /// pairs downstream).
     pub items: u64,
-    /// Recorded stage latency in microseconds (log2-bucket approximation;
-    /// with one run per stage this is the run's wall clock).
+    /// Recorded stage latency in microseconds: the exact total of the
+    /// stage histogram's observations, which with one run per stage is
+    /// the run's wall clock.
     pub elapsed_us: u64,
 }
 
@@ -120,7 +121,7 @@ pub struct OpsSummary {
     /// or build-info gauge ever touched the snapshot.
     pub perf: Option<PerfOps>,
     /// Slowest sampled traces (top-k by root-span duration), filled by
-    /// [`OpsSummary::with_traces`]; empty when tracing was off.
+    /// `OpsSummary::with_traces`; empty when tracing was off.
     pub slowest: Vec<TraceSummary>,
     /// SLO verdicts from the fleet's live evaluator, filled by
     /// [`OpsSummary::with_slo`]; empty when the campaign ran without the
@@ -260,9 +261,9 @@ impl OpsSummary {
                 if hist.count() == 0 {
                     return None;
                 }
-                // mean × count collapses to the recorded duration when the
-                // stage ran once (modulo log2 bucketing).
-                let elapsed_us = (hist.mean() * hist.count() as f64 / 1_000.0) as u64;
+                // The histogram keeps its sum exactly, outside the log2
+                // buckets.
+                let elapsed_us = hist.sum / 1_000;
                 Some(StageOps {
                     stage: stage.to_string(),
                     items: snap
@@ -307,7 +308,7 @@ impl OpsSummary {
     }
 
     /// Attach the top-`k` slowest traces from a trace journal snapshot.
-    pub fn with_traces(mut self, traces: &JournalSnapshot, k: usize) -> OpsSummary {
+    pub(crate) fn with_traces(mut self, traces: &JournalSnapshot, k: usize) -> OpsSummary {
         self.slowest = slowest_traces(traces, k);
         self
     }
@@ -553,6 +554,18 @@ mod tests {
         let rendered = ops.render();
         assert!(rendered.contains("Analysis engine stages"));
         assert!(rendered.contains("dedup"));
+    }
+
+    #[test]
+    fn stage_time_is_the_exact_recorded_total() {
+        let registry = Registry::new();
+        let labels = [("stage", "dedup")];
+        registry
+            .histogram(crate::engine::STAGE_LATENCY_METRIC, &labels)
+            .record(1_234_567);
+        let ops = OpsSummary::from_snapshot(&registry.snapshot());
+        assert_eq!(ops.analysis.len(), 1);
+        assert_eq!(ops.analysis[0].elapsed_us, 1_234);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl Gauge {
         self.value.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Add `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Overwrite with `n`.
     #[inline]
     pub fn set(&self, n: i64) {
@@ -78,7 +72,7 @@ impl Gauge {
 
     /// Raise to `n` if `n` is higher (a running maximum).
     #[inline]
-    pub fn set_max(&self, n: i64) {
+    pub(crate) fn set_max(&self, n: i64) {
         self.value.fetch_max(n, Ordering::Relaxed);
     }
 
@@ -109,7 +103,9 @@ mod tests {
         g.inc();
         g.dec();
         assert_eq!(g.get(), 1);
-        g.add(-5);
+        for _ in 0..5 {
+            g.dec();
+        }
         assert_eq!(g.get(), -4);
         g.set(7);
         assert_eq!(g.get(), 7);

@@ -20,7 +20,7 @@ use crate::registry::{InstrumentId, RegistrySnapshot};
 use std::fmt::Write as _;
 
 /// Render a snapshot as exposition text.
-pub fn render(snap: &RegistrySnapshot) -> String {
+pub(crate) fn render(snap: &RegistrySnapshot) -> String {
     let mut out = String::new();
     let mut last_type_line = String::new();
     let mut type_line = |out: &mut String, name: &str, kind: &str| {

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of log2 buckets (one per bit of `u64`).
-pub const BUCKET_COUNT: usize = 64;
+pub(crate) const BUCKET_COUNT: usize = 64;
 
 /// Bucket index for a value: 0 for 0, else `1 + floor(log2 v)`, capped.
 #[inline]
@@ -83,16 +83,6 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Exact maximum observed value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of the bucket array.
     ///
     /// Taken bucket-by-bucket with relaxed loads, so under concurrent
@@ -134,16 +124,6 @@ impl HistogramSnapshot {
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
     }
 
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) by rank-walking the
@@ -249,7 +229,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1_001_009);
+        assert_eq!(h.sum.load(Ordering::Relaxed), 1_001_009);
         let s = h.snapshot();
         assert_eq!(s.count(), 6);
         assert_eq!(s.sum, 1_001_009);
@@ -283,7 +263,7 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.count(), 0);
         assert_eq!(s.p99(), 0);
-        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.sum, 0);
         assert_eq!(s.cumulative(), vec![(0, 0)]);
     }
 
@@ -325,7 +305,7 @@ mod tests {
         for v in [100u64, 5000, 77_777] {
             h.record(v);
         }
-        assert_eq!(h.max(), 77_777);
+        assert_eq!(h.max.load(Ordering::Relaxed), 77_777);
         let s = h.snapshot();
         assert_eq!(s.max, 77_777);
         // quantile(1.0) returns the true maximum, not the bucket upper
@@ -353,6 +333,6 @@ mod tests {
     fn record_duration_uses_nanos() {
         let h = Histogram::new();
         h.record_duration(Duration::from_micros(3));
-        assert_eq!(h.sum(), 3_000);
+        assert_eq!(h.sum.load(Ordering::Relaxed), 3_000);
     }
 }

@@ -68,11 +68,11 @@ pub mod trace_export;
 
 pub use counter::{Counter, Gauge};
 pub use exposition::{parse, Sample};
-pub use histogram::{Histogram, HistogramSnapshot, BUCKET_COUNT};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use log::{EventLog, LogEvent, LogLevel, LogSnapshot};
 pub use perf::{
-    alloc_stats, build_profile, register_build_info, rss_bytes, thread_count, AllocDelta,
-    AllocPhase, AllocStats,
+    alloc_stats, build_profile, register_build_info, thread_count, AllocDelta, AllocPhase,
+    AllocStats,
 };
 pub use registry::{InstrumentId, Registry, RegistrySnapshot};
 pub use series::{CounterPoint, GaugePoint, HistogramPoint, SeriesSnapshot, SeriesStore};

@@ -91,11 +91,6 @@ impl LogSnapshot {
         self
     }
 
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The newest `k` events, oldest first.
     pub fn tail(&self, k: usize) -> &[LogEvent] {
         let start = self.events.len().saturating_sub(k);

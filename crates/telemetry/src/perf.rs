@@ -12,8 +12,8 @@
 //!   test suite does); without the feature
 //!   (or without installation) every counter reads zero and
 //!   [`AllocPhase`] deltas are zero — callers need no cfg of their own.
-//! * **Process sampling** — [`rss_bytes`] and [`thread_count`] read
-//!   `/proc/self/status`, and [`sample`] copies it into registry gauges
+//! * **Process sampling** — [`thread_count`] reads `/proc/self/status`,
+//!   and [`sample`] copies it into registry gauges
 //!   for the ops report's `perf:` line: the resident-set peak is the
 //!   kernel's `VmHWM`, and the thread peak is the most threads seen at
 //!   the points its callers sample. There is no sampling thread.
@@ -189,12 +189,6 @@ mod counting_alloc {
 #[cfg(feature = "alloc-profile")]
 pub use counting_alloc::CountingAlloc;
 
-/// Resident-set size of this process in bytes (`VmRSS` from
-/// `/proc/self/status`). `None` off Linux or if the field is missing.
-pub fn rss_bytes() -> Option<u64> {
-    proc_status_field(&proc_status()?, "VmRSS:").map(|kb| kb * 1024)
-}
-
 /// Number of OS threads in this process (`Threads` from
 /// `/proc/self/status`). `None` off Linux.
 pub fn thread_count() -> Option<u64> {
@@ -283,7 +277,7 @@ mod tests {
     fn proc_sampling_reads_this_process() {
         // Linux-only assertions; both return None elsewhere.
         if std::path::Path::new("/proc/self/status").exists() {
-            assert!(rss_bytes().unwrap() > 0);
+            assert!(proc_status_field(&proc_status().unwrap(), "VmRSS:").unwrap() > 0);
             assert!(thread_count().unwrap() >= 1);
         }
     }

@@ -22,7 +22,7 @@ pub struct InstrumentId {
 
 impl InstrumentId {
     /// Build an id from a name and label pairs.
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> InstrumentId {
+    pub(crate) fn new(name: &str, labels: &[(&str, &str)]) -> InstrumentId {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
@@ -44,7 +44,7 @@ impl InstrumentId {
 
     /// Whether this id carries exactly the given label pairs (in any
     /// order) among its labels.
-    pub fn has_labels(&self, labels: &[(&str, &str)]) -> bool {
+    pub(crate) fn has_labels(&self, labels: &[(&str, &str)]) -> bool {
         labels.iter().all(|(k, v)| self.label(k) == Some(*v))
     }
 }

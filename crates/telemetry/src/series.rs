@@ -104,7 +104,7 @@ impl SeriesStore {
     }
 
     /// Ticks observed so far.
-    pub fn ticks(&self) -> u64 {
+    pub(crate) fn ticks(&self) -> u64 {
         self.ticks
     }
 
@@ -196,7 +196,12 @@ impl SeriesStore {
 
     /// Sum of counter deltas over the newest `window` ticks, across every
     /// instrument matching `name` and carrying all of `labels`.
-    pub fn counter_window_sum(&self, name: &str, labels: &[(&str, &str)], window: u64) -> u64 {
+    pub(crate) fn counter_window_sum(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        window: u64,
+    ) -> u64 {
         let cutoff = self.ticks.saturating_sub(window.max(1));
         sum_counter_deltas(
             self.counters
@@ -250,7 +255,7 @@ pub struct SeriesSnapshot {
 
 impl SeriesSnapshot {
     /// Sum of counter deltas over the newest `window` ticks across
-    /// matching instruments (see [`SeriesStore::counter_window_sum`]).
+    /// matching instruments (see `SeriesStore::counter_window_sum`).
     pub fn counter_window_sum(&self, name: &str, labels: &[(&str, &str)], window: u64) -> u64 {
         let cutoff = self.ticks.saturating_sub(window.max(1));
         sum_counter_deltas(

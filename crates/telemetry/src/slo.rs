@@ -341,7 +341,7 @@ impl SloEvaluator {
     }
 
     /// True while any alert is in the `Firing` state.
-    pub fn any_firing(&self) -> bool {
+    pub(crate) fn any_firing(&self) -> bool {
         self.status.iter().any(|s| s.state == AlertState::Firing)
     }
 }

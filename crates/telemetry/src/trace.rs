@@ -76,7 +76,7 @@ fn next_id() -> u64 {
 /// Nanoseconds since the process-wide trace epoch (lazily initialised on
 /// first use). Shared by every tracer in the process so cross-tracer
 /// span trees order correctly.
-pub fn epoch_nanos() -> u64 {
+pub(crate) fn epoch_nanos() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -149,7 +149,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Wall duration in nanoseconds.
-    pub fn duration_nanos(&self) -> u64 {
+    pub(crate) fn duration_nanos(&self) -> u64 {
         self.end_nanos.saturating_sub(self.start_nanos)
     }
 }
@@ -171,7 +171,7 @@ impl Journal {
     }
 
     /// Total spans ever pushed (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.0.recorded()
     }
 
