@@ -132,8 +132,8 @@ where
 ///
 /// Outputs come back in completion order through [`Stage::try_recv`].
 /// After each output, or a panic, a worker calls the stage's `ready`
-/// hook, so an owner blocked on some other wait (a completion queue, say)
-/// can wake and drain. Workers are joined on drop, after they drain what
+/// hook, so an owner blocked on some other wait (a channel, say) can
+/// wake and drain. Workers are joined on drop, after they drain what
 /// is queued. A panic in `work` stops the workers and resumes on the
 /// owner's thread at its next `push`, `try_recv` or drop.
 pub struct Stage<I, O> {

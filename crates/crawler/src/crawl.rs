@@ -5,19 +5,20 @@
 //! barriers — enumerate, parallel search, harvest — and drives all
 //! seventeen markets through each phase from the calling thread. Each
 //! market is a small state machine (an index walk or seed + BFS, then a
-//! listing sweep; a search sweep; a harvest). Every request is a ticket on
-//! the shared mux client, registered with one [`CompletionQueue`]: the
-//! loop waits on the queue, settles whichever ticket finished, and lets
-//! that market submit what comes next. A market's requests ride its own
+//! listing sweep; a search sweep; a harvest). Every request is submitted
+//! to the shared mux client with a callback that sends its answer, the
+//! market and the data the loop applies it by, down one channel: the
+//! loop receives whichever answer came next, applies it, and lets that
+//! market submit what comes next. A market's requests ride its own
 //! ordering lane: one connection with up to four requests written ahead,
-//! whose tickets complete, and whose tags reach the queue, in submission
-//! order, so the loop applies each answer as it settles. Its server sees
-//! the sequence a blocking per-market loop sends (retried 5xx answers
-//! aside, which are keyed per path), so seeded faults, breaker and
-//! quarantine decisions and the dataset replay.
+//! whose callbacks run, and whose answers reach the channel, in
+//! submission order, so the loop applies each answer as it settles. Its
+//! server sees the sequence a blocking per-market loop sends (retried 5xx
+//! answers aside, which are keyed per path), so seeded faults, breaker
+//! and quarantine decisions and the dataset replay.
 //!
-//! The loop never waits on a timer: it blocks on the queue until a
-//! ticket or a digest finishes. Retry backoff is the client's to time.
+//! The loop never waits on a timer: it blocks on the channel until a
+//! request or a digest finishes. Retry backoff is the client's to time.
 //!
 //! * **BFS window.** One `/related/{pkg}` per frontier package answers
 //!   both "is it listed?" (a 404 says no) and "what next?"; the listing
@@ -62,14 +63,12 @@ use marketscope_core::MarketId;
 use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient};
 use marketscope_net::http::Response;
 use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy};
-use marketscope_net::{CompletionQueue, NetError, Ticket};
+use marketscope_net::NetError;
 use marketscope_telemetry::trace::{Tracer, TracerConfig};
-use marketscope_telemetry::{
-    perf, Counter, EventLog, Gauge, LogLevel, Registry, SpanContext, TraceSpan,
-};
-use std::collections::{HashMap, HashSet, VecDeque};
+use marketscope_telemetry::{perf, Counter, EventLog, Gauge, LogLevel, Registry, TraceSpan};
+use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Where to crawl: one address per market, plus the offline repository.
 #[derive(Debug, Clone)]
@@ -144,15 +143,11 @@ const REPOSITORY_LANE: u64 = 1 << 32;
 /// `/related/{pkg}` expansions a BFS keeps submitted at once. The lane
 /// writes up to `LANE_DEPTH` of them ahead on its connection and the
 /// window keeps that pipeline fed; 64 already does, and it bounds the
-/// tickets a BFS holds.
+/// requests a BFS holds.
 const BFS_WINDOW: usize = 64;
 
 /// Bodies the digest stage may queue per worker before the loop blocks.
 const DIGEST_BACKLOG_PER_WORKER: usize = 2;
-
-/// The completion tag the digest stage posts after each body; ticket
-/// tags count up from zero and never reach it.
-const DIGESTED: u64 = u64::MAX;
 
 /// Per-market crawl instruments (names under `marketscope_crawler_*`,
 /// one `market=<slug>` label per market).
@@ -372,57 +367,52 @@ fn settle_metadata(
     CrawledListing::from_metadata(&doc)
 }
 
-/// What a ticket in flight was submitted for.
-enum Op {
+/// What reaches the loop: a market's answered request, or word that the
+/// digest stage finished a body.
+enum Event {
+    Answer(usize, Answer),
+    Digested,
+}
+
+/// One request's outcome, with the data the loop applies it by.
+enum Answer {
     /// One `/index?page=N` of an index walk.
-    Page,
-    /// The BFS `/related/{pkg}` expansion of `pkg`.
-    Related { pkg: String },
-    /// One `/app/{pkg}` of a listing or search sweep.
-    Metadata { span: TraceSpan },
+    Page(Result<Json, NetError>),
+    /// The BFS `/related/{pkg}` expansion of a package.
+    Related(String, Result<Json, NetError>),
+    /// One `/app/{pkg}` of a listing or search sweep, under its span.
+    Metadata(TraceSpan, Result<Json, NetError>),
     /// The direct `/apk/{pkg}` fetch of a listing, under its harvest's
     /// root span.
-    Direct { listing: usize, span: TraceSpan },
+    Direct(usize, TraceSpan, Result<Response, NetError>),
     /// The repository backfill of a listing.
-    Backfill { listing: usize, span: TraceSpan },
+    Backfill(usize, TraceSpan, Result<Response, NetError>),
 }
 
-struct InFlight {
-    market: usize,
-    op: Op,
-    ticket: Ticket,
-}
-
-/// The loop's side of the client: tickets in flight, each tagged on the
-/// completion queue with the op it settles.
+/// The loop's side of the client: every answer comes back as an
+/// [`Event`] on one channel.
 struct Io<'c> {
     client: &'c HttpClient,
-    queue: Arc<CompletionQueue>,
-    next_tag: u64,
-    in_flight: HashMap<u64, InFlight>,
+    events: mpsc::Sender<Event>,
+    inbox: mpsc::Receiver<Event>,
+    /// Requests submitted whose answer has not been received.
+    outstanding: usize,
 }
 
 impl Io<'_> {
-    /// Submit a GET for `market` on `lane`, its client spans parented
-    /// under `parent`.
-    fn submit(
+    /// The callback of one request of market `m`: it hands the outcome,
+    /// as `answer` wraps it, to the loop.
+    fn reply<T>(
         &mut self,
-        market: usize,
-        addr: SocketAddr,
-        path: String,
-        parent: Option<SpanContext>,
-        lane: u64,
-        op: Op,
-    ) {
-        let spec = FetchSpec::new(addr, path).parent(parent).lane(lane);
-        let ticket = match op {
-            Op::Direct { .. } | Op::Backfill { .. } => self.client.submit_get(&spec),
-            _ => self.client.submit_get_json(&spec),
-        };
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        ticket.notify(&self.queue, tag);
-        self.in_flight.insert(tag, InFlight { market, op, ticket });
+        m: usize,
+        answer: impl FnOnce(Result<T, NetError>) -> Answer + Send + 'static,
+    ) -> impl FnOnce(Result<T, NetError>) + Send + 'static {
+        self.outstanding += 1;
+        let events = self.events.clone();
+        move |result| {
+            // The loop holds the receiver until nothing is outstanding.
+            let _ = events.send(Event::Answer(m, answer(result)));
+        }
     }
 }
 
@@ -544,11 +534,14 @@ impl<'c> Run<'c> {
         Run {
             crawler,
             repository: targets.repository,
-            io: Io {
-                client: &crawler.client,
-                queue: Arc::new(CompletionQueue::new()),
-                next_tag: 0,
-                in_flight: HashMap::new(),
+            io: {
+                let (events, inbox) = mpsc::channel();
+                Io {
+                    client: &crawler.client,
+                    events,
+                    inbox,
+                    outstanding: 0,
+                }
             },
             markets: MarketId::ALL
                 .iter()
@@ -623,7 +616,7 @@ impl<'c> Run<'c> {
     fn harvest(&mut self) {
         let workers = default_workers();
         let tracer = Arc::clone(&self.crawler.tracer);
-        let queue = Arc::clone(&self.io.queue);
+        let events = self.io.events.clone();
         self.digests = Some(Stage::spawn(
             workers,
             DIGEST_BACKLOG_PER_WORKER * workers,
@@ -633,7 +626,9 @@ impl<'c> Run<'c> {
                 span.finish();
                 (apk, digest)
             },
-            move || queue.post(DIGESTED),
+            move || {
+                let _ = events.send(Event::Digested);
+            },
         ));
         for market in &mut self.markets {
             market.task = Task::Harvest(Harvest {
@@ -651,8 +646,8 @@ impl<'c> Run<'c> {
         self.digests = None;
     }
 
-    /// Run the phase to completion: wait for whichever ticket (or digest)
-    /// finishes next, and let the market it belongs to move on.
+    /// Run the phase to completion: wait for whichever request (or
+    /// digest) finishes next, and let the market it belongs to move on.
     fn drive(&mut self) {
         for m in 0..self.markets.len() {
             self.pump(m);
@@ -661,10 +656,12 @@ impl<'c> Run<'c> {
         // digest workers too, so this is where the crawl's thread set is
         // largest.
         perf::sample(&self.crawler.registry);
-        while !self.io.in_flight.is_empty() || self.digesting > 0 {
-            match self.io.queue.wait() {
-                DIGESTED => self.apply_digests(),
-                tag => self.settle(tag),
+        while self.io.outstanding > 0 || self.digesting > 0 {
+            // Never disconnected: `self.io` holds a sender.
+            match self.io.inbox.recv() {
+                Ok(Event::Answer(m, answer)) => self.settle(m, answer),
+                Ok(Event::Digested) => self.apply_digests(),
+                Err(mpsc::RecvError) => break,
             }
         }
         debug_assert!(self.markets.iter().all(|m| matches!(m.task, Task::Idle)));
@@ -687,8 +684,10 @@ impl<'c> Run<'c> {
             Task::Idle => false,
             Task::Index(walk) => {
                 if let Some(page) = walk.next_page.take() {
-                    let path = format!("/index?page={page}");
-                    io.submit(m, market.addr, path, None, lane, Op::Page);
+                    let spec = FetchSpec::new(market.addr, format!("/index?page={page}"))
+                        .parent(None)
+                        .lane(lane);
+                    io.client.submit_json(&spec, io.reply(m, Answer::Page));
                 }
                 walk.done
             }
@@ -703,8 +702,11 @@ impl<'c> Run<'c> {
                         continue;
                     }
                     bfs.visited.insert(pkg.clone());
-                    let path = format!("/related/{pkg}");
-                    io.submit(m, market.addr, path, None, lane, Op::Related { pkg });
+                    let spec = FetchSpec::new(market.addr, format!("/related/{pkg}"))
+                        .parent(None)
+                        .lane(lane);
+                    io.client
+                        .submit_json(&spec, io.reply(m, |r| Answer::Related(pkg, r)));
                     bfs.in_flight += 1;
                 }
                 metrics.queue_depth.set(bfs.frontier.len() as i64);
@@ -720,8 +722,11 @@ impl<'c> Run<'c> {
                     let span = crawler
                         .tracer
                         .root_span("crawler", &format!("{kind} {}/{pkg}", market.id.slug()));
-                    let (path, parent) = (format!("/app/{pkg}"), span.context());
-                    io.submit(m, market.addr, path, parent, lane, Op::Metadata { span });
+                    let spec = FetchSpec::new(market.addr, format!("/app/{pkg}"))
+                        .parent(span.context())
+                        .lane(lane);
+                    io.client
+                        .submit_json(&spec, io.reply(m, |r| Answer::Metadata(span, r)));
                     sweep.next += 1;
                     sweep.in_flight += 1;
                 }
@@ -773,9 +778,11 @@ impl<'c> Run<'c> {
                     let span = crawler
                         .tracer
                         .root_span("crawler", &format!("apk {}/{pkg}", market.id.slug()));
-                    let (path, parent) = (format!("/apk/{pkg}"), span.context());
-                    let op = Op::Direct { listing: i, span };
-                    io.submit(m, market.addr, path, parent, lane, op);
+                    let spec = FetchSpec::new(market.addr, format!("/apk/{pkg}"))
+                        .parent(span.context())
+                        .lane(lane);
+                    io.client
+                        .submit(&spec, io.reply(m, move |r| Answer::Direct(i, span, r)));
                     h.direct = true;
                 }
                 ended
@@ -837,24 +844,15 @@ impl<'c> Run<'c> {
         }
     }
 
-    /// Settle the ticket behind `tag`, then let its market move on.
-    fn settle(&mut self, tag: u64) {
-        let Some(InFlight {
-            market: m,
-            op,
-            ticket,
-        }) = self.io.in_flight.remove(&tag)
-        else {
-            return;
-        };
-        let client = self.io.client;
-        match op {
-            Op::Page => self.on_page(m, client.wait_json(ticket)),
-            Op::Related { pkg } => self.on_related(m, pkg, client.wait_json(ticket)),
-            Op::Metadata { span } => {
+    /// Apply one answer of market `m`, then let the market move on.
+    fn settle(&mut self, m: usize, answer: Answer) {
+        self.io.outstanding -= 1;
+        match answer {
+            Answer::Page(page) => self.on_page(m, page),
+            Answer::Related(pkg, related) => self.on_related(m, pkg, related),
+            Answer::Metadata(span, result) => {
                 let metrics = &self.crawler.metrics[m];
-                let listing =
-                    settle_metadata(client.wait_json(ticket), &span, &mut self.stats, metrics);
+                let listing = settle_metadata(result, &span, &mut self.stats, metrics);
                 span.finish();
                 let market = &mut self.markets[m];
                 if let Task::Sweep(sweep) = &mut market.task {
@@ -865,10 +863,8 @@ impl<'c> Run<'c> {
                     }
                 }
             }
-            Op::Direct { listing, span } => self.on_direct(m, listing, span, client.wait(ticket)),
-            Op::Backfill { listing, span } => {
-                self.on_backfill(m, listing, span, client.wait(ticket));
-            }
+            Answer::Direct(i, span, fetched) => self.on_direct(m, i, span, fetched),
+            Answer::Backfill(i, span, fetched) => self.on_backfill(m, i, span, fetched),
         }
         self.pump(m);
     }
@@ -1026,9 +1022,11 @@ impl<'c> Run<'c> {
         span.event("backfill");
         let listing = &self.markets[m].listings[i];
         let path = format!("/apk/{}/{}", listing.package, listing.version_code);
-        let (parent, lane) = (span.context(), REPOSITORY_LANE | m as u64);
-        let op = Op::Backfill { listing: i, span };
-        self.io.submit(m, repo, path, parent, lane, op);
+        let spec = FetchSpec::new(repo, path)
+            .parent(span.context())
+            .lane(REPOSITORY_LANE | m as u64);
+        let reply = self.io.reply(m, move |r| Answer::Backfill(i, span, r));
+        self.io.client.submit(&spec, reply);
         self.settling[m] += 1;
     }
 

@@ -28,10 +28,11 @@
 //! whatever addresses it is given and parses whatever bytes come back.
 //!
 //! One crawl is one completion-driven loop on the calling thread (see
-//! [`crawl`]): every market is a state machine whose requests are tickets
-//! on the shared mux client, and the loop reacts to whichever completes
-//! next. A market's requests share one lane, which answers them in
-//! submission order, so the loop applies each answer as it settles. The phases stay barriers, as in the paper. Parallel search skips
+//! [`crawl`]): every market is a state machine whose requests go to the
+//! shared mux client with a callback that sends the answer down one
+//! channel, and the loop reacts to whichever arrives next. A market's
+//! requests share one lane, which answers them in submission order, so
+//! the loop applies each answer as it settles. The phases stay barriers, as in the paper. Parallel search skips
 //! the answers the crawl already has — a complete index walk rules out
 //! every package it did not list, a BFS 404 rules out that package — so
 //! it only probes what could still be found. The harvest keeps one

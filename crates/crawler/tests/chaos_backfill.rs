@@ -256,3 +256,86 @@ fn revisit_pass_recovers_a_market_that_comes_back() {
         "only the outage window was lost"
     );
 }
+
+#[test]
+fn a_market_that_heals_opens_and_then_closes_its_circuit() {
+    // `/apk` answers its first 22 requests 503 with a 5 ms hint, then
+    // 200. The default policy retries a fetch three times within its
+    // 250 ms budget; the default breaker opens after 5 terminal failures,
+    // fast-fails 8 requests, then admits 2 half-open probes; the market
+    // is quarantined after 8 failed fetches in a row. Listing by listing:
+    // * #1-#5 take 4 requests each: 20 503s, and the circuit opens;
+    // * #6-#8 fast-fail, the eighth failure in a row: quarantine, and
+    //   #9-#30 are deferred to the revisit pass;
+    // * #9-#13 fast-fail, ending the cooldown;
+    // * #14 is the half-open probe: its 503 and its retry's 503 (requests
+    //   21 and 22) spend both probe slots, so its second retry is
+    //   refused and settles the circuit open again;
+    // * #15-#22 fast-fail, ending the second cooldown;
+    // * #23 probes the healed store, answers 200 and closes the circuit;
+    //   #24-#30 answer 200 too.
+    // Every failed fetch is backfilled from the repository.
+    const LISTINGS: usize = 30;
+    const SICK: u64 = 22;
+    let store = mock_store(LISTINGS, |call| {
+        if call < SICK {
+            Response::status_with_retry_after(
+                Status::ServiceUnavailable,
+                std::time::Duration::from_millis(5),
+            )
+        } else {
+            Response::ok("application/octet-stream", b"not a real apk".to_vec())
+        }
+    });
+    let repo = HttpServer::spawn(|req: &Request| match req.segments().len() {
+        3 => Response::ok("application/octet-stream", b"not a real apk".to_vec()),
+        _ => Response::status(Status::NotFound),
+    })
+    .unwrap();
+    let registry = Arc::new(Registry::new());
+    let tracer = Arc::new(Tracer::new(TracerConfig::propagate_only(64)));
+    let crawler = Crawler::with_ops(
+        CrawlConfig {
+            breaker: Some(BreakerConfig::default()),
+            ..base_config()
+        },
+        Arc::clone(&registry),
+        tracer,
+        None,
+    );
+    let snap = crawler.crawl(&targets_with(store.addr(), Some(repo.addr())));
+
+    let stats = &snap.stats;
+    assert_eq!(snap.market(MarketId::TencentMyapp).listings.len(), LISTINGS);
+    assert_eq!(
+        stats.apks_direct + stats.apks_backfilled + stats.apks_missing,
+        LISTINGS as u64,
+        "every listing is harvested, backfilled or missing"
+    );
+    assert_eq!(
+        (stats.apks_direct, stats.apks_backfilled, stats.apks_missing),
+        (8, 22, 0)
+    );
+    assert_eq!((stats.markets_quarantined, stats.fetches_deferred), (1, 22));
+    let snapshot = registry.snapshot();
+    let fetch_errors = |kind: &str| {
+        snapshot.counter_value(
+            "marketscope_crawler_fetch_errors_total",
+            &[("market", "tencent"), ("kind", kind)],
+        )
+    };
+    assert_eq!(fetch_errors("status"), Some(5));
+    assert_eq!(fetch_errors("circuit_open"), Some(17), "3 + 5 + 1 + 8");
+    let transitions = |to: &str| {
+        snapshot
+            .counter_value(
+                "marketscope_net_client_breaker_transitions_total",
+                &[("to", to)],
+            )
+            .unwrap_or(0)
+    };
+    // The sixteen dead markets open circuits of their own, which never
+    // close; the store's is the one that does.
+    assert!(transitions("open") >= 2, "{}", transitions("open"));
+    assert_eq!(transitions("closed"), 1);
+}

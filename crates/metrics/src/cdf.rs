@@ -14,15 +14,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Fraction of samples ≤ `x` (0 for an empty CDF).
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|v| *v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// The `q`-quantile (`0 ≤ q ≤ 1`), `None` for an empty CDF.
     pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.sorted.is_empty() {
@@ -45,15 +36,6 @@ mod tests {
     use marketscope_core::propcheck::{check, f64_in, vec_of};
 
     #[test]
-    fn basic_fractions() {
-        let c = Cdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(c.fraction_at_or_below(0.0), 0.0);
-        assert_eq!(c.fraction_at_or_below(2.0), 0.5);
-        assert_eq!(c.fraction_at_or_below(4.0), 1.0);
-        assert_eq!(c.fraction_at_or_below(100.0), 1.0);
-    }
-
-    #[test]
     fn quantiles_and_median() {
         let c = Cdf::new(vec![10.0, 20.0, 30.0, 40.0, 50.0]);
         assert_eq!(c.quantile(0.0), Some(10.0));
@@ -66,7 +48,6 @@ mod tests {
         let c = Cdf::new(vec![]);
         assert!(c.sorted.is_empty());
         assert_eq!(c.quantile(0.5), None);
-        assert_eq!(c.fraction_at_or_below(1.0), 0.0);
     }
 
     #[test]
@@ -79,16 +60,6 @@ mod tests {
     fn constant_samples() {
         let c = Cdf::new(vec![7.0; 5]);
         assert_eq!(c.median(), Some(7.0));
-    }
-
-    #[test]
-    fn fraction_is_monotone_in_x() {
-        check("cdf::fraction_is_monotone_in_x", 256, |rng| {
-            let c = Cdf::new(vec_of(rng, 1..200, |r| f64_in(r, -1e6, 1e6)));
-            let (a, b) = (f64_in(rng, -1e6, 1e6), f64_in(rng, -1e6, 1e6));
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            assert!(c.fraction_at_or_below(lo) <= c.fraction_at_or_below(hi));
-        });
     }
 
     #[test]

@@ -24,6 +24,6 @@ pub use cdf::Cdf;
 pub use corr::spearman;
 pub use heatmap::Heatmap;
 pub use hist::LabelledHistogram;
-pub use powerlaw::{gini, top_share};
+pub use powerlaw::top_share;
 pub use radar::Radar;
 pub use table::Table;

@@ -2,8 +2,7 @@
 //!
 //! Section 4.2's headline statistics — "the top 0.1% of the apps account
 //! for more than 50% of the total downloads", "the top 1% … over 80%" —
-//! are *top-share* measures; the Gini coefficient summarizes the same
-//! inequality in one number.
+//! are *top-share* measures.
 
 /// Share of the total mass held by the top `fraction` of items
 /// (`fraction` in `(0,1]`; at least one item counts when non-empty).
@@ -20,26 +19,6 @@ pub fn top_share(values: &[u64], fraction: f64) -> f64 {
     let k = ((values.len() as f64 * fraction).ceil() as usize).clamp(1, values.len());
     let top: u128 = sorted[..k].iter().map(|v| *v as u128).sum();
     top as f64 / total as f64
-}
-
-/// Gini coefficient in `[0,1]` (0 = perfectly equal).
-pub fn gini(values: &[u64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<u64> = values.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len() as f64;
-    let total: f64 = sorted.iter().map(|v| *v as f64).sum();
-    if total == 0.0 {
-        return 0.0;
-    }
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (i as f64 + 1.0) * *v as f64)
-        .sum();
-    (2.0 * weighted) / (n * total) - (n + 1.0) / n
 }
 
 #[cfg(test)]
@@ -71,15 +50,6 @@ mod tests {
     }
 
     #[test]
-    fn gini_known_values() {
-        assert_eq!(gini(&[]), 0.0);
-        assert!(gini(&[5, 5, 5, 5]).abs() < 1e-12);
-        // One holder of everything among n → (n-1)/n.
-        let g = gini(&[0, 0, 0, 100]);
-        assert!((g - 0.75).abs() < 1e-12, "{g}");
-    }
-
-    #[test]
     fn top_share_bounded_and_monotone() {
         check("powerlaw::top_share_bounded_and_monotone", 256, |rng| {
             let values = vec_of(rng, 1..300, |r| r.range_u64(0, 1_000_000));
@@ -89,14 +59,6 @@ mod tests {
             let b = top_share(&values, hi);
             assert!((0.0..=1.0 + 1e-9).contains(&a));
             assert!(a <= b + 1e-9, "top_share not monotone: {a} > {b}");
-        });
-    }
-
-    #[test]
-    fn gini_in_unit_interval() {
-        check("powerlaw::gini_in_unit_interval", 256, |rng| {
-            let g = gini(&vec_of(rng, 1..300, |r| r.range_u64(0, 1_000_000)));
-            assert!((-1e-9..=1.0).contains(&g), "gini {g}");
         });
     }
 }

@@ -3,23 +3,24 @@
 //! multiplexed [`mux`](crate::mux) driver.
 //!
 //! Every [`HttpClient`] call is a GET submitted to the client's one
-//! driver thread: `get`/`get_json` submit and then park on the ticket,
-//! so a caller blocked in `get` costs a parked ticket, not a
-//! socket-bound thread. Batch callers keep the tickets
-//! ([`HttpClient::submit_get`] / [`HttpClient::submit_get_json`], redeemed
-//! with [`HttpClient::wait`] / [`HttpClient::wait_json`]) to put
-//! hundreds of requests in flight from a single thread.
+//! driver thread together with the callback that receives its outcome.
+//! Batch callers submit with [`HttpClient::submit`] /
+//! [`HttpClient::submit_json`] to put hundreds of requests in flight from
+//! a single thread; `get`/`get_json` submit with a one-shot channel and
+//! wait on it, so a caller blocked in `get` costs a parked channel, not a
+//! socket-bound thread.
 
 use crate::error::NetError;
 use crate::http::Response;
-use crate::mux::{DecodeMode, Driver, DriverHandle, Payload, Shared, Submission, Ticket};
+use crate::mux::{shut_down, Callback, Driver, DriverHandle, Shared, Submission};
 use crate::resilience::{BreakerConfig, BreakerSet, ResilienceMetrics, RetryPolicy};
+use marketscope_core::json::Json;
 use marketscope_telemetry::{trace, Counter, Histogram, Registry, SpanContext, Tracer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Client configuration; override individual knobs with
@@ -263,8 +264,8 @@ impl FetchSpec {
 /// Cloneable-by-reference via `Arc` at call sites; internally synchronized
 /// so crawler worker threads can share one client (and with it one pool,
 /// one breaker set, and one driver thread). Dropping it joins the driver;
-/// tickets still outstanding then complete with an I/O error (and post
-/// their tags) rather than hang.
+/// callbacks of submissions still outstanding then run with an I/O error
+/// rather than never.
 pub struct HttpClient {
     shared: Arc<Shared>,
     /// Spawned by the first submission, so that clients which never issue
@@ -286,34 +287,31 @@ impl HttpClient {
         HttpClientBuilder::default()
     }
 
-    /// Enqueue one GET (full retry/breaker/trace policy executed inside
-    /// the driver) without waiting; redeem with [`HttpClient::wait`].
-    /// The open-loop form of [`HttpClient::get`].
-    pub fn submit_get(&self, spec: &FetchSpec) -> Ticket {
-        self.enqueue(spec, DecodeMode::Response)
+    /// Enqueue one GET without waiting: the driver runs the full
+    /// retry/breaker/trace policy and then `callback`, once, on its own
+    /// thread, in lane order, so a callback hands its outcome on (down a
+    /// channel, say) rather than blocking. The open-loop form of
+    /// [`HttpClient::get`].
+    pub fn submit(
+        &self,
+        spec: &FetchSpec,
+        callback: impl FnOnce(Result<Response, NetError>) + Send + 'static,
+    ) {
+        self.enqueue(Submission::get(
+            spec,
+            Callback::Response(Box::new(callback)),
+        ));
     }
 
-    /// Block on a ticket from [`HttpClient::submit_get`].
-    pub fn wait(&self, ticket: Ticket) -> Result<Response, NetError> {
-        match ticket.redeem()? {
-            Payload::Resp(resp) => Ok(resp),
-            Payload::Doc(_) => Err(NetError::Protocol("ticket decoded to json")),
-        }
-    }
-
-    /// Enqueue one JSON GET without waiting; redeem with
-    /// [`HttpClient::wait_json`]. The open-loop form of
+    /// Enqueue one JSON GET without waiting, the body decoded on the
+    /// driver before `callback` runs. The open-loop form of
     /// [`HttpClient::get_json`].
-    pub fn submit_get_json(&self, spec: &FetchSpec) -> Ticket {
-        self.enqueue(spec, DecodeMode::Json)
-    }
-
-    /// Block on a ticket from [`HttpClient::submit_get_json`].
-    pub fn wait_json(&self, ticket: Ticket) -> Result<marketscope_core::json::Json, NetError> {
-        match ticket.redeem()? {
-            Payload::Doc(doc) => Ok(doc),
-            Payload::Resp(_) => Err(NetError::Protocol("unexpected undecoded payload")),
-        }
+    pub fn submit_json(
+        &self,
+        spec: &FetchSpec,
+        callback: impl FnOnce(Result<Json, NetError>) + Send + 'static,
+    ) {
+        self.enqueue(Submission::get(spec, Callback::Json(Box::new(callback))));
     }
 
     /// Convenience: GET a path and require a 200. Non-200 statuses
@@ -327,38 +325,40 @@ impl HttpClient {
     /// opened and subsequent calls fast-fail with
     /// [`NetError::CircuitOpen`] until a probe succeeds.
     pub fn get(&self, addr: SocketAddr, path_and_query: &str) -> Result<Response, NetError> {
-        self.wait(self.submit_get(&FetchSpec::new(addr, path_and_query)))
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.submit(&FetchSpec::new(addr, path_and_query), move |r| {
+            let _ = tx.send(r);
+        });
+        rx.recv().unwrap_or_else(|_| Err(shut_down()))
     }
 
     /// Convenience: GET a path, parse the body as JSON, require a 200.
     ///
-    /// Runs the same retry/breaker/trace policy as [`HttpClient::get`]:
-    /// the body decode happens inside the resilience cycle, so a
-    /// malformed body is classified, counted, and settled with the
-    /// breaker exactly like any other terminal failure.
-    pub fn get_json(
-        &self,
-        addr: SocketAddr,
-        path_and_query: &str,
-    ) -> Result<marketscope_core::json::Json, NetError> {
-        self.wait_json(self.submit_get_json(&FetchSpec::new(addr, path_and_query)))
+    /// Runs the same retry/breaker/trace policy as [`HttpClient::get`],
+    /// and the body decodes on the driver: a malformed body is
+    /// classified, counted, and settled with the breaker exactly like any
+    /// other terminal failure.
+    pub fn get_json(&self, addr: SocketAddr, path_and_query: &str) -> Result<Json, NetError> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.submit_json(&FetchSpec::new(addr, path_and_query), move |r| {
+            let _ = tx.send(r);
+        });
+        rx.recv().unwrap_or_else(|_| Err(shut_down()))
     }
 
     /// Hand one GET to the driver, spawning it on first use; a driver
-    /// that cannot spawn fails the ticket at once.
-    fn enqueue(&self, spec: &FetchSpec, decode: DecodeMode) -> Ticket {
-        let (sub, ticket) = Submission::get(spec, decode);
+    /// that cannot spawn fails the submission at once.
+    fn enqueue(&self, sub: Submission) {
         let mut driver = self.driver.lock();
         if driver.is_none() {
             match Driver::spawn(Arc::clone(&self.shared)) {
                 Ok(spawned) => *driver = Some(spawned),
-                Err(e) => sub.fail(NetError::Io(e)),
+                Err(e) => return sub.fail(NetError::Io(e), &self.shared.metrics),
             }
         }
         if let Some((_, inbox)) = driver.as_ref() {
             inbox.post(sub);
         }
-        ticket
     }
 }
 
@@ -708,7 +708,7 @@ mod tests {
     #[test]
     fn a_hint_past_the_largest_duration_is_dropped_not_fatal() {
         // `Duration::from_secs_f64(1e30)` panics; parsed inside the
-        // driver, it would kill the thread every ticket waits on.
+        // driver, it would kill the thread every caller waits on.
         let server = HttpServer::spawn(|_req: &Request| {
             let mut resp = Response::status(Status::ServiceUnavailable);
             resp.headers.insert("retry-after".into(), "1e30".into());
@@ -846,10 +846,19 @@ mod tests {
         let specs: Vec<FetchSpec> = (0..32)
             .map(|i| FetchSpec::new(server.addr(), format!("/item/{i}")))
             .collect();
-        let tickets: Vec<Ticket> = specs.iter().map(|s| client.submit_get(s)).collect();
-        assert_eq!(tickets.len(), 32);
-        for (i, t) in tickets.into_iter().enumerate() {
-            let resp = client.wait(t).unwrap();
+        let waits: Vec<_> = specs
+            .iter()
+            .map(|s| {
+                let (tx, rx) = mpsc::channel();
+                client.submit(s, move |r| {
+                    let _ = tx.send(r);
+                });
+                rx
+            })
+            .collect();
+        assert_eq!(waits.len(), 32);
+        for (i, rx) in waits.into_iter().enumerate() {
+            let resp = rx.recv().unwrap().unwrap();
             assert_eq!(resp.body, format!("/item/{i}").into_bytes());
         }
     }
@@ -869,8 +878,15 @@ mod tests {
         let specs: Vec<FetchSpec> = (0..20)
             .map(|i| FetchSpec::new(server.addr(), format!("/lane{}/{}", i % 2, i / 2)).lane(i % 2))
             .collect();
-        let tickets: Vec<Ticket> = specs.iter().map(|s| client.submit_get(s)).collect();
-        assert!(tickets.into_iter().all(|t| client.wait(t).is_ok()));
+        let (tx, rx) = mpsc::channel();
+        for s in &specs {
+            let tx = tx.clone();
+            client.submit(s, move |r| {
+                let _ = tx.send(r);
+            });
+        }
+        drop(tx);
+        assert!(rx.iter().all(|r| r.is_ok()));
         let order = seen.lock().clone();
         for lane in 0..2u64 {
             let got: Vec<&String> = order
@@ -885,13 +901,12 @@ mod tests {
         }
     }
 
-    /// A lane's tags reach the completion queue in submission order: a
-    /// front parked on a hinted 503 holds back followers that are
-    /// already answered. The crawl loop applies each answer as its tag
-    /// arrives and relies on this.
+    /// A lane's callbacks run in submission order: a front parked on a
+    /// hinted 503 holds back followers that are already answered. The
+    /// crawl loop applies each answer as it arrives and relies on this.
     #[test]
     fn a_lane_posts_its_tags_in_submission_order_behind_a_parked_front() {
-        use crate::mux::{CompletionQueue, LANE_DEPTH};
+        use crate::mux::LANE_DEPTH;
         use std::io::{Read, Write};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -939,19 +954,19 @@ mod tests {
             all
         });
         let client = HttpClient::builder().retry(RetryPolicy::default()).build();
-        let queue = Arc::new(CompletionQueue::new());
-        let tickets: Vec<Ticket> = (0..LANE_DEPTH as u64)
-            .map(|tag| {
-                let spec = FetchSpec::new(addr, format!("/item/{tag}")).lane(1);
-                let ticket = client.submit_get(&spec);
-                ticket.notify(&queue, tag);
-                ticket
-            })
-            .collect();
-        let tags: Vec<u64> = (0..LANE_DEPTH).map(|_| queue.wait()).collect();
+        let (tx, rx) = mpsc::channel();
+        for tag in 0..LANE_DEPTH as u64 {
+            let spec = FetchSpec::new(addr, format!("/item/{tag}")).lane(1);
+            let tx = tx.clone();
+            client.submit(&spec, move |r| {
+                let _ = tx.send((tag, r));
+            });
+        }
+        let answers: Vec<_> = (0..LANE_DEPTH).map(|_| rx.recv().unwrap()).collect();
+        let tags: Vec<u64> = answers.iter().map(|(tag, _)| *tag).collect();
         assert_eq!(tags, (0..LANE_DEPTH as u64).collect::<Vec<_>>());
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let body = client.wait(ticket).unwrap().body;
+        for (i, (_, answer)) in answers.into_iter().enumerate() {
+            let body = answer.unwrap().body;
             assert_eq!(body, format!("/item/{i}").into_bytes());
         }
         let arrived = peer.join().unwrap();
@@ -965,9 +980,8 @@ mod tests {
 
     #[test]
     fn completion_queue_delivers_every_tag_once_across_shutdown() {
-        use crate::mux::CompletionQueue;
         // `/held` answers only once the gate opens, which is after the
-        // client is gone: those tickets are outstanding at shutdown.
+        // client is gone: those submissions are outstanding at shutdown.
         let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
         let server_gate = Arc::clone(&gate);
         let server = HttpServer::spawn(move |req: &Request| {
@@ -982,42 +996,32 @@ mod tests {
         })
         .unwrap();
         let client = HttpClient::new();
-        let queue = Arc::new(CompletionQueue::new());
-        // Posted after a queue's last tag: the next tag popped must be
-        // it, so no tag came twice.
-        const SENTINEL: u64 = u64::MAX;
-
-        // Registered after completing: the tag posts at once. (`after`
-        // shares `done`'s lane, so its answer means `done` has one.)
-        let early = Arc::new(CompletionQueue::new());
-        let done = client.submit_get(&FetchSpec::new(server.addr(), "/answered").lane(7));
-        let after = client.submit_get(&FetchSpec::new(server.addr(), "/answered").lane(7));
-        after.notify(&early, 99);
-        assert_eq!(early.wait(), 99);
-        done.notify(&queue, 0);
-
-        let tickets: Vec<Ticket> = (1..=6u64)
-            .map(|tag| {
-                let path = if tag % 2 == 0 { "/held" } else { "/quick" };
-                let ticket = client.submit_get(&FetchSpec::new(server.addr(), path));
-                ticket.notify(&queue, tag);
-                ticket
-            })
-            .collect();
-        drop(client);
+        let (tx, rx) = mpsc::channel();
+        for tag in 0..=6u64 {
+            let path = if tag % 2 == 0 { "/held" } else { "/quick" };
+            let tx = tx.clone();
+            client.submit(&FetchSpec::new(server.addr(), path), move |r| {
+                let _ = tx.send((tag, r.is_ok()));
+            });
+        }
+        drop((tx, client));
         {
             let (open, opened) = &*gate;
             *open.lock().unwrap() = true;
             opened.notify_all();
         }
-        let mut tags: Vec<u64> = (0..=6).map(|_| queue.wait()).collect();
-        tags.sort_unstable();
-        assert_eq!(tags, (0..=6).collect::<Vec<u64>>(), "each tag exactly once");
-        for q in [&queue, &early] {
-            q.post(SENTINEL);
-            assert_eq!(q.wait(), SENTINEL, "each tag exactly once");
-        }
-        drop((done, after, tickets));
+        // Every callback ran, and ran once: the channel's last sender
+        // went with it.
+        let mut ran: Vec<(u64, bool)> = rx.iter().collect();
+        ran.sort_unstable();
+        let tags: Vec<u64> = ran.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(
+            tags,
+            (0..=6).collect::<Vec<u64>>(),
+            "each callback exactly once"
+        );
+        // The held ones were aborted by the drop.
+        assert!(ran.iter().all(|&(tag, ok)| tag % 2 == 1 || !ok));
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! runtime. The client side mirrors it: a multiplexed submit/complete
 //! engine ([`mux`]) where one driver thread owns every connection as a
 //! nonblocking state machine and every [`HttpClient`] call is a
-//! submission to it (the blocking forms just wait on their ticket), so
-//! crawl fan-out is bounded by sockets, not threads. A caller driving
-//! many tickets at once registers each with one [`CompletionQueue`] and
-//! waits on the queue for whichever finishes first. Shards, acceptor
-//! and driver are three loop bodies over one loop core: one `poll` turn,
-//! one slot table, one deadline bound and one clock read.
+//! submission to it that carries the callback receiving its outcome (the
+//! blocking forms just wait on a one-shot channel), so crawl fan-out is
+//! bounded by sockets, not threads. A caller driving many submissions at
+//! once has each callback send to one channel and waits on that for
+//! whichever finishes first. Shards, acceptor and driver are three loop
+//! bodies over one loop core: one `poll` turn, one slot table, one
+//! deadline bound and one clock read.
 //!
 //! Protocol subset: `GET` (all the client sends; servers also answer
 //! `POST`), `Content-Length` bodies (no chunked encoding),
@@ -58,7 +59,6 @@ pub use client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient, HttpClientB
 pub use error::NetError;
 pub use fault::{FaultInjector, FaultPlan};
 pub use http::{Method, Request, Response, Status};
-pub use mux::{CompletionQueue, Ticket};
 pub use reactor::{ReactorConfig, Transport};
 pub use resilience::{BreakerConfig, BreakerSet, ResilienceMetrics, RetryPolicy};
 pub use server::{HttpServer, ServerHandle, ServerMetrics};

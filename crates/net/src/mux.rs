@@ -2,32 +2,29 @@
 //! [`HttpClient`](crate::client::HttpClient): one driver thread, one
 //! `poll(2)` readiness loop, hundreds of outstanding requests.
 //!
-//! Every client call is a submission here: callers enqueue a GET
-//! ([`HttpClient::submit_get`](crate::client::HttpClient::submit_get))
-//! and later block on its [`Ticket`], while a single driver thread owns
-//! every connection in a loop body over the loop core the server shards
-//! use (`reactor::io`). A caller blocked in `wait` costs a parked
-//! ticket, not a socket-bound thread.
-//!
-//! A caller with many tickets out registers each with a shared
-//! [`CompletionQueue`] ([`Ticket::notify`]) and waits on the queue, which
-//! hands back the caller's tag of whichever ticket completes next.
+//! Every client call is a submission here: callers enqueue a GET with
+//! the callback that receives its outcome
+//! ([`HttpClient::submit`](crate::client::HttpClient::submit)), while a
+//! single driver thread owns every connection in a loop body over the
+//! loop core the server shards use (`reactor::io`), and runs each
+//! callback once, on itself, when the submission completes: answered,
+//! failed, or aborted by its client dropping. A caller blocked in `get`
+//! costs a one-shot channel, not a socket-bound thread.
 //!
 //! Every submission runs one policy inside the driver: circuit-breaker
 //! admission at each write, transparent retries of transient
 //! connection-level failures, the status/decode seam, retry backoff as
 //! *timed resubmission* (the submission parks on a timer instead of a
 //! thread sleeping), and terminal breaker accounting. `get`/`get_json`,
-//! the ticket-level `submit_get`/`submit_get_json` and the crawler's
-//! completion loop all ride it.
+//! `submit`/`submit_json` and the crawler's completion loop all ride it.
 //!
 //! Ordering: submissions to one server sharing a *lane* key form one
 //! lane, and an unlaned submission is a lane of its own. A lane is one
 //! keep-alive connection with up to [`LANE_DEPTH`] requests written
-//! ahead in submission order, and its outcomes apply strictly in that
-//! order. A per-market batch reaches its server in the order a
-//! sequential loop sends, so seeded faults replay, without a round trip
-//! per request.
+//! ahead in submission order, and its outcomes apply, and its callbacks
+//! run, strictly in that order. A per-market batch reaches its server in
+//! the order a sequential loop sends, so seeded faults replay, without a
+//! round trip per request.
 
 use crate::client::{ClientConfig, ClientMetrics, FetchSpec};
 use crate::error::NetError;
@@ -38,7 +35,7 @@ use crate::resilience::{BreakerSet, CircuitBreaker, ResilienceMetrics, RetryPoli
 use marketscope_core::hash::fnv1a64;
 use marketscope_core::json::Json;
 use marketscope_telemetry::{SpanContext, TraceSpan, Tracer};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -48,154 +45,46 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How a submission's 200 body is decoded before completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DecodeMode {
-    /// Hand the response back as-is.
-    Response,
-    /// Parse the body as JSON (`HttpClient::get_json` semantics).
-    Json,
+/// The code that receives one submission's outcome, by the form it
+/// takes a 200 answer in.
+pub(crate) enum Callback {
+    /// The response as it came.
+    Response(Box<dyn FnOnce(Result<Response, NetError>) + Send>),
+    /// The body decoded as JSON.
+    Json(Box<dyn FnOnce(Result<Json, NetError>) + Send>),
 }
 
-/// A completed submission's payload, matching its [`DecodeMode`].
-#[derive(Debug)]
-pub(crate) enum Payload {
-    /// An undecoded response.
-    Resp(Response),
-    /// A decoded JSON document.
-    Doc(Json),
-}
-
-/// Decode a 200 response per `mode`.
-fn decode_response(resp: Response, mode: DecodeMode) -> Result<Payload, NetError> {
-    match mode {
-        DecodeMode::Response => Ok(Payload::Resp(resp)),
-        DecodeMode::Json => {
-            let text = std::str::from_utf8(&resp.body)
-                .map_err(|_| NetError::Protocol("response body not utf-8"))?;
-            let doc = Json::parse(text)
-                .map_err(|_| NetError::Protocol("response body not valid json"))?;
-            Ok(Payload::Doc(doc))
+impl Callback {
+    /// Run with `result`, a JSON callback's 200 body decoded first on the
+    /// driver. A body that does not decode is counted by kind in
+    /// `metrics`; like every protocol error it is terminal and no host
+    /// fault, so the breaker has already settled it as the answer it is.
+    fn run(self, result: Result<Response, NetError>, metrics: &ClientMetrics) {
+        match self {
+            Callback::Response(f) => f(result),
+            Callback::Json(f) => f(result.and_then(|resp| {
+                let doc = decode_json(&resp);
+                if let Err(e) = &doc {
+                    metrics.note_error(e);
+                }
+                doc
+            })),
         }
     }
 }
 
-/// A wait-any completion queue: every [`Ticket`] registered with
-/// [`Ticket::notify`] posts its caller's tag here exactly once when it
-/// completes — answered, failed, or aborted by its client shutting down —
-/// so one thread can drive hundreds of submissions by waiting on the
-/// queue instead of on any one ticket. Other producers may
-/// [`post`](CompletionQueue::post) tags of their own.
-#[derive(Debug, Default)]
-pub struct CompletionQueue {
-    tags: std::sync::Mutex<VecDeque<u64>>,
-    posted: std::sync::Condvar,
+fn decode_json(resp: &Response) -> Result<Json, NetError> {
+    let text = std::str::from_utf8(&resp.body)
+        .map_err(|_| NetError::Protocol("response body not utf-8"))?;
+    Json::parse(text).map_err(|_| NetError::Protocol("response body not valid json"))
 }
 
-impl CompletionQueue {
-    /// An empty queue.
-    pub fn new() -> CompletionQueue {
-        CompletionQueue::default()
-    }
-
-    /// Append `tag` and wake a waiter.
-    pub fn post(&self, tag: u64) {
-        self.lock().push_back(tag);
-        self.posted.notify_one();
-    }
-
-    /// Take the oldest posted tag, waiting for one as long as it takes.
-    pub fn wait(&self) -> u64 {
-        let mut tags = self.lock();
-        loop {
-            if let Some(tag) = tags.pop_front() {
-                return tag;
-            }
-            tags = self
-                .posted
-                .wait(tags)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<u64>> {
-        self.tags
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// One-shot completion cell shared between a [`Ticket`] and the driver.
-#[derive(Default)]
-struct TicketCell {
-    slot: Mutex<CellState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct CellState {
-    done: bool,
-    /// The outcome until a waiter takes it.
-    result: Option<Result<Payload, NetError>>,
-    /// Where to post the caller's tag on completion.
-    notify: Option<(Arc<CompletionQueue>, u64)>,
-}
-
-impl TicketCell {
-    /// Fill the cell once (later completions are ignored), wake its
-    /// waiter and post its tag.
-    fn complete(&self, result: Result<Payload, NetError>) {
-        let notify = {
-            let mut slot = self.slot.lock();
-            if slot.done {
-                return;
-            }
-            slot.done = true;
-            slot.result = Some(result);
-            slot.notify.take()
-        };
-        self.ready.notify_all();
-        if let Some((queue, tag)) = notify {
-            queue.post(tag);
-        }
-    }
-
-    fn wait(&self) -> Result<Payload, NetError> {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(result) = slot.result.take() {
-                return result;
-            }
-            self.ready.wait(&mut slot);
-        }
-    }
-}
-
-/// Handle to one outstanding submission. Redeem it with
-/// [`HttpClient::wait`](crate::client::HttpClient::wait) or
-/// [`HttpClient::wait_json`](crate::client::HttpClient::wait_json).
-pub struct Ticket {
-    cell: Arc<TicketCell>,
-}
-
-impl Ticket {
-    /// Post `tag` to `queue` when this submission completes — at once if
-    /// it already has. Register a ticket at most once; redeeming it
-    /// after its tag arrives returns without blocking.
-    pub fn notify(&self, queue: &Arc<CompletionQueue>, tag: u64) {
-        let mut slot = self.cell.slot.lock();
-        if slot.done {
-            drop(slot);
-            queue.post(tag);
-        } else {
-            slot.notify = Some((Arc::clone(queue), tag));
-        }
-    }
-
-    /// Block until the submission completes and take its payload.
-    pub(crate) fn redeem(self) -> Result<Payload, NetError> {
-        self.cell.wait()
-    }
+/// The error a submission gets when its client drops before answering it.
+pub(crate) fn shut_down() -> NetError {
+    NetError::Io(io::Error::new(
+        io::ErrorKind::Interrupted,
+        "mux client shut down",
+    ))
 }
 
 /// One queued GET.
@@ -206,33 +95,25 @@ pub(crate) struct Submission {
     lane: Option<u64>,
     /// Deterministic backoff jitter key (`fnv1a64` of the path).
     key: u64,
-    decode: DecodeMode,
-    cell: Arc<TicketCell>,
+    callback: Callback,
 }
 
 impl Submission {
-    /// The GET `spec` names, its 200 body decoded per `decode`, and the
-    /// ticket that redeems it.
-    pub(crate) fn get(spec: &FetchSpec, decode: DecodeMode) -> (Submission, Ticket) {
-        let cell = Arc::new(TicketCell::default());
-        let ticket = Ticket {
-            cell: Arc::clone(&cell),
-        };
-        let sub = Submission {
+    /// The GET `spec` names, answered through `callback`.
+    pub(crate) fn get(spec: &FetchSpec, callback: Callback) -> Submission {
+        Submission {
             addr: spec.addr,
             req: Request::get(&spec.path),
             parent: spec.parent,
             lane: spec.lane,
             key: fnv1a64(spec.path.as_bytes()),
-            decode,
-            cell,
-        };
-        (sub, ticket)
+            callback,
+        }
     }
 
-    /// Complete the ticket with `err`: no driver will run it.
-    pub(crate) fn fail(&self, err: NetError) {
-        self.cell.complete(Err(err));
+    /// Run the callback with `err`: no driver will run the request.
+    pub(crate) fn fail(self, err: NetError, metrics: &ClientMetrics) {
+        self.callback.run(Err(err), metrics);
     }
 }
 
@@ -505,8 +386,8 @@ impl Driver {
     /// depth: callers bound what they put in flight (the crawler's BFS
     /// window and harvest).
     fn pump(&mut self, tok: u64) {
-        // Pool an idle connection before held answers complete their
-        // tickets, so a caller reading the pool right after `wait`
+        // Pool an idle connection before held answers run their
+        // callbacks, so a caller reading the pool right after `get`
         // returns sees it back.
         self.tidy(tok);
         self.apply_held(tok);
@@ -786,37 +667,35 @@ impl Driver {
             item.request_span.event(&format!("error:{}", e.kind()));
         }
         self.shared.metrics.record_request(item.started.elapsed());
-        // The status/decode seam.
-        let result = wire
-            .and_then(|resp| {
-                if resp.status == Status::Ok {
-                    Ok(resp)
-                } else {
-                    Err(NetError::Status {
-                        code: resp.status.code(),
-                        retry_after: resp.retry_after(),
-                    })
-                }
-            })
-            .and_then(|resp| decode_response(resp, item.sub.decode));
+        // The status seam; a JSON callback's body decodes as it runs.
+        let result = wire.and_then(|resp| {
+            if resp.status == Status::Ok {
+                Ok(resp)
+            } else {
+                Err(NetError::Status {
+                    code: resp.status.code(),
+                    retry_after: resp.retry_after(),
+                })
+            }
+        });
         let breaker = self
             .shared
             .breakers
             .as_ref()
             .map(|b| b.for_host(item.sub.addr));
         let err = match result {
-            Ok(payload) => {
+            Ok(resp) => {
                 std::mem::replace(&mut item.request_span, TraceSpan::noop()).finish();
                 if let Some(b) = &breaker {
                     b.on_success();
                 }
-                self.complete(tok, item.sub, Ok(payload));
+                self.complete(tok, item.sub, Ok(resp));
                 return;
             }
             Err(e) => e,
         };
-        // Wire errors and the status/decode errors minted above all land
-        // here exactly once.
+        // Wire errors and the status errors minted above all land here
+        // exactly once.
         self.shared.metrics.note_error(&err);
         let delay = self
             .shared
@@ -853,12 +732,12 @@ impl Driver {
         }
     }
 
-    /// Fill the ticket: the lane's next request becomes its front.
-    fn complete(&mut self, tok: u64, sub: Submission, result: Result<Payload, NetError>) {
+    /// Run the callback: the lane's next request becomes its front.
+    fn complete(&mut self, tok: u64, sub: Submission, result: Result<Response, NetError>) {
         if let Some(lane) = self.lanes.get_mut(tok) {
             lane.front += 1;
         }
-        sub.cell.complete(result);
+        sub.callback.run(result, &self.shared.metrics);
     }
 
     /// Pool the connection of a lane with nothing on the wire and nothing
@@ -878,25 +757,21 @@ impl Driver {
         }
     }
 
-    /// Shutdown: every outstanding ticket completes with an error so no
+    /// Shutdown: every outstanding callback runs with an error, so no
     /// waiter hangs on a joined driver.
-    fn abort_outstanding(&self, inbox: &Inbox<Submission>) {
-        let gone = || {
-            NetError::Io(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "mux client shut down",
-            ))
-        };
-        for (_, lane) in self.lanes.iter() {
-            let held = lane.held.values().map(|(item, _)| item);
-            let parked = lane.parked.iter().map(|(_, item)| item);
-            let unwritten = lane.queue.iter().chain(&lane.wire);
+    fn abort_outstanding(&mut self, inbox: &Inbox<Submission>) {
+        let metrics = &self.shared.metrics;
+        let tokens: Vec<u64> = self.lanes.iter().map(|(tok, _)| tok).collect();
+        for lane in tokens.into_iter().filter_map(|tok| self.lanes.remove(tok)) {
+            let held = lane.held.into_values().map(|(item, _)| item);
+            let parked = lane.parked.into_iter().map(|(_, item)| item);
+            let unwritten = lane.queue.into_iter().chain(lane.wire);
             for item in unwritten.chain(held).chain(parked) {
-                item.sub.fail(gone());
+                item.sub.fail(shut_down(), metrics);
             }
         }
         for sub in inbox.take() {
-            sub.fail(gone());
+            sub.fail(shut_down(), metrics);
         }
     }
 }

@@ -10,13 +10,13 @@
 //! answers nothing until released), hold them all in flight until the
 //! server reports >= 512 open connections, and read the process thread
 //! count from `/proc/self/status` — it must not have grown by even one.
-//! Then the gate opens and every ticket must still redeem cleanly.
+//! Then the gate opens and every request must still answer cleanly.
 
 use marketscope_net::{
     ClientConfig, FetchSpec, HttpClient, HttpServer, ReactorConfig, Request, Response,
     ServerMetrics, Transport,
 };
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Requests submitted without waiting on any of them.
@@ -111,8 +111,14 @@ fn hundreds_in_flight_on_one_driver_thread() {
     let threads_before =
         marketscope_telemetry::perf::thread_count().expect("read /proc/self/status");
 
-    let tickets: Vec<_> = (0..SUBMITTED)
-        .map(|i| client.submit_get(&FetchSpec::new(addr, format!("/held/{i}"))))
+    let answers: Vec<_> = (0..SUBMITTED)
+        .map(|i| {
+            let (tx, rx) = mpsc::channel();
+            client.submit(&FetchSpec::new(addr, format!("/held/{i}")), move |r| {
+                let _ = tx.send(r);
+            });
+            rx
+        })
         .collect();
 
     assert!(
@@ -131,8 +137,8 @@ fn hundreds_in_flight_on_one_driver_thread() {
     );
 
     gate.release();
-    for ticket in tickets {
-        let resp = client.wait(ticket).expect("gated request");
+    for rx in answers {
+        let resp = rx.recv().unwrap().expect("gated request");
         assert_eq!(resp.status.code(), 200);
     }
 }

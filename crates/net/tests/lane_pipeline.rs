@@ -12,7 +12,7 @@ use marketscope_telemetry::Registry;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -76,10 +76,19 @@ fn listen() -> (TcpListener, SocketAddr) {
 
 /// Submit `/item/0..n` on one lane and wait for each in order.
 fn lane_of(client: &HttpClient, addr: SocketAddr, n: usize) -> Vec<Result<Response, NetError>> {
-    let tickets: Vec<_> = (0..n)
-        .map(|i| client.submit_get(&FetchSpec::new(addr, format!("/item/{i}")).lane(1)))
+    let answers: Vec<_> = (0..n)
+        .map(|i| submit(client, FetchSpec::new(addr, format!("/item/{i}")).lane(1)))
         .collect();
-    tickets.into_iter().map(|t| client.wait(t)).collect()
+    answers.into_iter().map(|rx| rx.recv().unwrap()).collect()
+}
+
+/// Submit `spec`; its answer arrives on the returned channel.
+fn submit(client: &HttpClient, spec: FetchSpec) -> mpsc::Receiver<Result<Response, NetError>> {
+    let (tx, rx) = mpsc::channel();
+    client.submit(&spec, move |r| {
+        let _ = tx.send(r);
+    });
+    rx
 }
 
 fn bodies(results: Vec<Result<Response, NetError>>) -> Vec<String> {
@@ -292,7 +301,7 @@ fn a_parked_front_is_written_after_another_lane_tightens_the_breaker() {
             .build(),
     );
     let lane_a: Vec<_> = (0..6)
-        .map(|i| client.submit_get(&FetchSpec::new(addr, format!("/a/{i}")).lane(1)))
+        .map(|i| submit(&client, FetchSpec::new(addr, format!("/a/{i}")).lane(1)))
         .collect();
     // `/a/0` is parked with `/a/1..=3` answered behind it: three held
     // outcomes against the default breaker's room of five.
@@ -311,9 +320,8 @@ fn a_parked_front_is_written_after_another_lane_tightens_the_breaker() {
         );
     }
     let (done, finished) = std::sync::mpsc::channel();
-    let waiter = Arc::clone(&client);
     thread::spawn(move || {
-        let results: Vec<_> = lane_a.into_iter().map(|t| waiter.wait(t)).collect();
+        let results: Vec<_> = lane_a.into_iter().map(|rx| rx.recv().unwrap()).collect();
         let _ = done.send(results);
     });
     let results = finished

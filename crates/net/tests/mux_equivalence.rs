@@ -15,7 +15,7 @@ use marketscope_net::resilience::{BreakerConfig, ResilienceMetrics, RetryPolicy}
 use marketscope_net::server::{Handler, HttpServer, ServerHandle, ServerMetrics};
 use marketscope_telemetry::trace::{SpanContext, Tracer, TracerConfig};
 use marketscope_telemetry::{JournalSnapshot, Registry};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn ping_router() -> impl Handler {
@@ -60,12 +60,19 @@ fn blocking_fingerprints(client: &HttpClient, server: &ServerHandle, n: usize) -
 /// Run `n` requests for `/ping` the batched way: every submission
 /// enqueued up front on one ordering lane, then drained in order.
 fn batched_fingerprints(client: &HttpClient, server: &ServerHandle, n: usize) -> Vec<String> {
-    let tickets: Vec<_> = (0..n)
-        .map(|_| client.submit_get(&FetchSpec::new(server.addr(), "/ping").lane(7)))
+    let answers: Vec<_> = (0..n)
+        .map(|_| {
+            let (tx, rx) = mpsc::channel();
+            let spec = FetchSpec::new(server.addr(), "/ping").lane(7);
+            client.submit(&spec, move |r| {
+                let _ = tx.send(r);
+            });
+            rx
+        })
         .collect();
-    tickets
+    answers
         .into_iter()
-        .map(|t| fingerprint(client.wait(t)))
+        .map(|rx| fingerprint(rx.recv().unwrap()))
         .collect()
 }
 
@@ -228,9 +235,12 @@ fn transparent_retry_spans_share_their_shape_across_paths() {
     let client = client_with(&batched_tracer);
     let root = batched_tracer.root_span("test", "fetch");
     let root_ctx = root.context().unwrap();
-    let ticket =
-        client.submit_get(&FetchSpec::new(batched_server.addr(), "/ping").parent(root.context()));
-    client.wait(ticket).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let spec = FetchSpec::new(batched_server.addr(), "/ping").parent(root.context());
+    client.submit(&spec, move |r| {
+        let _ = tx.send(r);
+    });
+    rx.recv().unwrap().unwrap();
     root.finish();
     let batched_shape = client_shape(&snapshot_with_at_least(&batched_tracer, 4), root_ctx);
 

@@ -340,9 +340,9 @@ fn simdate_roundtrips_through_strings() {
 // ---------- install ranges ----------
 
 #[test]
-fn install_range_string_parses_to_lower_bound() {
+fn install_range_brackets_its_count() {
     use marketscope::core::InstallRange;
-    property("install_range_string_parses_to_lower_bound", |rng| {
+    property("install_range_brackets_its_count", |rng| {
         let v = any_u64(rng);
         let r = InstallRange::from_count(v);
         assert!(v >= r.lower_bound());
