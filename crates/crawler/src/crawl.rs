@@ -18,7 +18,8 @@
 //! and quarantine decisions and the dataset replay.
 //!
 //! The loop never waits on a timer: it blocks on the channel until a
-//! request or a digest finishes. Retry backoff is the client's to time.
+//! request or a digest finishes, and ends the phase when nothing it
+//! started is outstanding. Retry backoff is the client's to time.
 //!
 //! * **BFS window.** One `/related/{pkg}` per frontier package answers
 //!   both "is it listed?" (a 404 says no) and "what next?"; the listing
@@ -32,8 +33,9 @@
 //!   duplicates enter the frontier (and `crawler_dedup_hits_total`
 //!   counts fewer).
 //! * **Negative set.** An index walk is complete when it reaches a page
-//!   without `next` and no page failed or came back malformed; the market
-//!   then cannot list a package the walk did not see. A definitive 404
+//!   without `next` and no page failed, came back malformed or named a
+//!   `next` that does not advance; the market then cannot list a package
+//!   the walk did not see. A definitive 404
 //!   from a BFS `/related` is an answer too. Parallel search probes a market
 //!   only for packages it did not list that are not such known misses, so
 //!   an index package whose listing fetch failed still gets its second
@@ -44,9 +46,10 @@
 //!   A 429 or a degraded fetch submits its backfill on the market's
 //!   repository lane (one backfill at a time per market), and the next
 //!   direct fetch goes out without waiting for it or for the digest.
-//!   Bodies are digested on a [`Stage`] of `default_workers()` threads
-//!   and applied by (market, listing index), so the dataset does not
-//!   depend on completion order.
+//!   Bodies go to `default_workers()` digest threads through one bounded
+//!   `sync_channel`; each worker sends its digest down the loop's channel,
+//!   and the loop applies it by (market, listing index), so the dataset
+//!   does not depend on completion order.
 //! * **Bound.** While harvesting, at most two responses are in flight per
 //!   market (one direct, one backfill), plus `DIGEST_BACKLOG_PER_WORKER`
 //!   queued bodies per digest worker and the one each worker is digesting.
@@ -58,7 +61,7 @@ use crate::progress::progress_line;
 use crate::snapshot::{CrawlStats, CrawledListing, MarketSnapshot, Snapshot};
 use marketscope_apk::digest::{ApkDigest, FeatureTable};
 use marketscope_core::json::Json;
-use marketscope_core::parallel::{default_workers, Stage};
+use marketscope_core::parallel::default_workers;
 use marketscope_core::MarketId;
 use marketscope_net::client::{ClientConfig, ClientMetrics, FetchSpec, HttpClient};
 use marketscope_net::http::Response;
@@ -68,7 +71,8 @@ use marketscope_telemetry::trace::{Tracer, TracerConfig};
 use marketscope_telemetry::{perf, Counter, EventLog, Gauge, LogLevel, Registry, TraceSpan};
 use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
-use std::sync::{mpsc, Arc};
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
 /// Where to crawl: one address per market, plus the offline repository.
 #[derive(Debug, Clone)]
@@ -146,7 +150,7 @@ const REPOSITORY_LANE: u64 = 1 << 32;
 /// requests a BFS holds.
 const BFS_WINDOW: usize = 64;
 
-/// Bodies the digest stage may queue per worker before the loop blocks.
+/// Bodies the digest queue may hold per worker before the loop blocks.
 const DIGEST_BACKLOG_PER_WORKER: usize = 2;
 
 /// Per-market crawl instruments (names under `marketscope_crawler_*`,
@@ -367,11 +371,12 @@ fn settle_metadata(
     CrawledListing::from_metadata(&doc)
 }
 
-/// What reaches the loop: a market's answered request, or word that the
-/// digest stage finished a body.
+/// What reaches the loop: a market's answered request, or a digest
+/// worker's outcome for one body (`None` when the APK does not parse,
+/// `Err` when digesting it panicked).
 enum Event {
     Answer(usize, Answer),
-    Digested,
+    Digested(Harvested, std::thread::Result<Option<ApkDigest>>),
 }
 
 /// One request's outcome, with the data the loop applies it by.
@@ -389,13 +394,14 @@ enum Answer {
     Backfill(usize, TraceSpan, Result<Response, NetError>),
 }
 
-/// The loop's side of the client: every answer comes back as an
-/// [`Event`] on one channel.
+/// The loop's side of the client and the digest workers: every answer
+/// and every digest comes back as an [`Event`] on one channel.
 struct Io<'c> {
     client: &'c HttpClient,
     events: mpsc::Sender<Event>,
     inbox: mpsc::Receiver<Event>,
-    /// Requests submitted whose answer has not been received.
+    /// Requests submitted and bodies queued whose event has not been
+    /// received.
     outstanding: usize,
 }
 
@@ -432,6 +438,8 @@ enum Task {
 struct IndexWalk {
     /// The page to request next; `None` while one is in flight.
     next_page: Option<u64>,
+    /// The page last requested: a `next` must name a later one.
+    page: u64,
     seen: Vec<String>,
     /// No page failed or came back malformed.
     intact: bool,
@@ -498,7 +506,7 @@ impl Market {
     }
 }
 
-/// One harvested APK on its way through the digest stage: where its
+/// One harvested APK on its way through a digest worker: where its
 /// digest belongs, and its harvest's root span, which the loop finishes
 /// once the digest is applied.
 struct Harvested {
@@ -507,8 +515,34 @@ struct Harvested {
     span: TraceSpan,
 }
 
-/// Bodies in, digests (`None` when the APK does not parse) out.
-type DigestStage = Stage<(Harvested, Vec<u8>), (Harvested, Option<ApkDigest>)>;
+/// A harvested APK's body, queued for a digest worker.
+type Body = (Harvested, Vec<u8>);
+
+/// One digest worker: take bodies off the queue until the loop closes
+/// it, and send each one's digest down the loop's channel. A panic in
+/// the digest is sent too, for the loop to resume.
+fn digest_worker(
+    queue: &Mutex<mpsc::Receiver<Body>>,
+    events: &mpsc::Sender<Event>,
+    tracer: &Arc<Tracer>,
+) {
+    loop {
+        // The guard lives to the end of the statement: one worker waits
+        // on the queue, the others on the lock.
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok((apk, bytes)) = next else {
+            return;
+        };
+        let digest = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let span = tracer.child_of(apk.span.context(), "crawler", "digest");
+            let digest = ApkDigest::from_bytes(&bytes).ok();
+            span.finish();
+            digest
+        }));
+        // The loop holds the receiver until nothing is outstanding.
+        let _ = events.send(Event::Digested(apk, digest));
+    }
+}
 
 /// One crawl in progress.
 struct Run<'c> {
@@ -517,12 +551,10 @@ struct Run<'c> {
     io: Io<'c>,
     markets: Vec<Market>,
     stats: CrawlStats,
-    /// Live for the harvest phase only.
-    digests: Option<DigestStage>,
-    /// Bodies pushed to the digest stage and not yet applied.
-    digesting: usize,
-    /// Per market, its harvest's backfills in flight and bodies in the
-    /// digest stage: the harvest ends once its pass is over and this is 0.
+    /// The digest queue's sending end, live for the harvest phase only.
+    bodies: Option<mpsc::SyncSender<Body>>,
+    /// Per market, its harvest's backfills in flight and bodies not yet
+    /// digested: the harvest ends once its pass is over and this is 0.
     settling: Vec<usize>,
     /// Every distinct package feature this crawl's digests hold, so
     /// digests embedding the same library share its features.
@@ -555,8 +587,7 @@ impl<'c> Run<'c> {
                 })
                 .collect(),
             stats: CrawlStats::default(),
-            digests: None,
-            digesting: 0,
+            bodies: None,
             settling: vec![0; MarketId::ALL.len()],
             features: FeatureTable::new(),
         }
@@ -577,6 +608,7 @@ impl<'c> Run<'c> {
             } else {
                 Task::Index(IndexWalk {
                     next_page: Some(0),
+                    page: 0,
                     seen: Vec::new(),
                     intact: true,
                     done: false,
@@ -611,25 +643,21 @@ impl<'c> Run<'c> {
         self.drive();
     }
 
-    /// Phase 3: harvest every listing's APK, digesting on a bounded
-    /// stage that lives as long as the phase.
+    /// Phase 3: harvest every listing's APK, digesting on workers that
+    /// live as long as the phase.
     fn harvest(&mut self) {
         let workers = default_workers();
-        let tracer = Arc::clone(&self.crawler.tracer);
-        let events = self.io.events.clone();
-        self.digests = Some(Stage::spawn(
-            workers,
-            DIGEST_BACKLOG_PER_WORKER * workers,
-            move |(apk, bytes): (Harvested, Vec<u8>)| {
-                let span = tracer.child_of(apk.span.context(), "crawler", "digest");
-                let digest = ApkDigest::from_bytes(&bytes).ok();
-                span.finish();
-                (apk, digest)
-            },
-            move || {
-                let _ = events.send(Event::Digested);
-            },
-        ));
+        let (bodies, queue) = mpsc::sync_channel(DIGEST_BACKLOG_PER_WORKER * workers);
+        let queue = Arc::new(Mutex::new(queue));
+        let threads: Vec<_> = (0..workers)
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                let events = self.io.events.clone();
+                let tracer = Arc::clone(&self.crawler.tracer);
+                std::thread::spawn(move || digest_worker(&queue, &events, &tracer))
+            })
+            .collect();
+        self.bodies = Some(bodies);
         for market in &mut self.markets {
             market.task = Task::Harvest(Harvest {
                 health: MarketHealth::new(self.crawler.config.quarantine_threshold),
@@ -642,8 +670,14 @@ impl<'c> Run<'c> {
             });
         }
         self.drive();
-        // Joins the digest workers.
-        self.digests = None;
+        // Closing the queue ends the workers.
+        self.bodies = None;
+        for thread in threads {
+            // A worker sends a digest's panic on; this keeps any other.
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     }
 
     /// Run the phase to completion: wait for whichever request (or
@@ -656,12 +690,15 @@ impl<'c> Run<'c> {
         // digest workers too, so this is where the crawl's thread set is
         // largest.
         perf::sample(&self.crawler.registry);
-        while self.io.outstanding > 0 || self.digesting > 0 {
+        while self.io.outstanding > 0 {
             // Never disconnected: `self.io` holds a sender.
-            match self.io.inbox.recv() {
-                Ok(Event::Answer(m, answer)) => self.settle(m, answer),
-                Ok(Event::Digested) => self.apply_digests(),
-                Err(mpsc::RecvError) => break,
+            let Ok(event) = self.io.inbox.recv() else {
+                break;
+            };
+            self.io.outstanding -= 1;
+            match event {
+                Event::Answer(m, answer) => self.settle(m, answer),
+                Event::Digested(apk, digest) => self.on_digested(apk, digest),
             }
         }
         debug_assert!(self.markets.iter().all(|m| matches!(m.task, Task::Idle)));
@@ -684,6 +721,7 @@ impl<'c> Run<'c> {
             Task::Idle => false,
             Task::Index(walk) => {
                 if let Some(page) = walk.next_page.take() {
+                    walk.page = page;
                     let spec = FetchSpec::new(market.addr, format!("/index?page={page}"))
                         .parent(None)
                         .lane(lane);
@@ -846,7 +884,6 @@ impl<'c> Run<'c> {
 
     /// Apply one answer of market `m`, then let the market move on.
     fn settle(&mut self, m: usize, answer: Answer) {
-        self.io.outstanding -= 1;
         match answer {
             Answer::Page(page) => self.on_page(m, page),
             Answer::Related(pkg, related) => self.on_related(m, pkg, related),
@@ -888,12 +925,19 @@ impl<'c> Run<'c> {
                             None => walk.intact = false,
                         }
                     }
+                    // A `next` that does not advance would walk for ever.
                     match doc.get("next").map(Json::as_u64) {
-                        Some(Some(next)) => walk.next_page = Some(next),
-                        Some(None) => walk.intact = false,
-                        None => {}
+                        Some(Some(next)) if next > walk.page => {
+                            walk.next_page = Some(next);
+                            None
+                        }
+                        Some(Some(_)) => Some(NetError::Protocol("index next does not advance")),
+                        Some(None) => {
+                            walk.intact = false;
+                            None
+                        }
+                        None => None,
                     }
-                    None
                 }
             },
         };
@@ -1053,39 +1097,38 @@ impl<'c> Run<'c> {
         }
     }
 
-    /// Hand listing `i`'s APK to the digest stage (blocking while its
-    /// queue is full).
+    /// Queue listing `i`'s APK for the digest workers (blocking while
+    /// the queue is full).
     fn digest(&mut self, m: usize, i: usize, span: TraceSpan, bytes: Vec<u8>) {
         self.crawler.metrics[m].apks.inc();
-        if let Some(stage) = &mut self.digests {
+        if let Some(bodies) = &self.bodies {
             let apk = Harvested {
                 market: m,
                 listing: i,
                 span,
             };
-            stage.push((apk, bytes));
-            self.digesting += 1;
-            self.settling[m] += 1;
+            // The workers hold the queue until the harvest ends.
+            if bodies.send((apk, bytes)).is_ok() {
+                self.io.outstanding += 1;
+                self.settling[m] += 1;
+            }
         }
     }
 
-    /// Apply every digest the stage has finished, by (market, listing),
-    /// its package features interned in the crawl's table; a market's
-    /// last digest ends its harvest.
-    fn apply_digests(&mut self) {
-        while let Some((apk, digest)) = self.digests.as_mut().and_then(Stage::try_recv) {
-            self.digesting -= 1;
-            match digest {
-                Some(mut digest) => {
-                    self.features.intern_digest(&mut digest);
-                    self.markets[apk.market].listings[apk.listing].digest = Some(Arc::new(digest));
-                }
-                None => self.stats.parse_failures += 1,
+    /// Apply one digest by (market, listing), its package features
+    /// interned in the crawl's table; a market's last digest ends its
+    /// harvest. A panic in the digest resumes here.
+    fn on_digested(&mut self, apk: Harvested, digest: std::thread::Result<Option<ApkDigest>>) {
+        match digest.unwrap_or_else(|panic| std::panic::resume_unwind(panic)) {
+            Some(mut digest) => {
+                self.features.intern_digest(&mut digest);
+                self.markets[apk.market].listings[apk.listing].digest = Some(Arc::new(digest));
             }
-            apk.span.finish();
-            self.settling[apk.market] -= 1;
-            self.pump(apk.market);
+            None => self.stats.parse_failures += 1,
         }
+        apk.span.finish();
+        self.settling[apk.market] -= 1;
+        self.pump(apk.market);
     }
 
     /// A harvest ends without an APK.
@@ -1138,5 +1181,28 @@ mod tests {
         market.catalog = Some(HashSet::from(["listed".to_owned()]));
         assert!(!market.known_missing("listed"));
         assert!(market.known_missing("elsewhere"));
+    }
+
+    #[test]
+    fn a_digest_workers_panic_reaches_the_crawls_caller() {
+        let crawler = Crawler::new(CrawlConfig::default());
+        let targets = CrawlTargets {
+            markets: vec![SocketAddr::from(([127, 0, 0, 1], 9)); MarketId::ALL.len()],
+            repository: None,
+        };
+        let mut run = Run::new(&crawler, &targets);
+        let apk = Harvested {
+            market: 0,
+            listing: 0,
+            span: TraceSpan::noop(),
+        };
+        run.io
+            .events
+            .send(Event::Digested(apk, Err(Box::new("digest boom"))))
+            .unwrap();
+        run.io.outstanding = 1;
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(|| run.drive()))
+            .expect_err("the digest's panic must reach the loop's caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"digest boom"));
     }
 }

@@ -37,8 +37,8 @@
 //! every package it did not list, a BFS 404 rules out that package — so
 //! it only probes what could still be found. The harvest keeps one
 //! direct APK fetch in flight per market, in listing order; backfills go
-//! on a per-market repository lane and digests run on a bounded stage of
-//! `default_workers()` threads, so at most two responses per market plus
+//! on a per-market repository lane and digests run on `default_workers()`
+//! threads fed by one bounded queue, so at most two responses per market plus
 //! a fixed digest queue are in memory at once (a BFS, during enumeration,
 //! holds at most one window of `/related` answers). A crawl adds the mux
 //! driver and the digest workers to the process, nothing per market.

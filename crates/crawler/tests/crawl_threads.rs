@@ -74,7 +74,7 @@ fn a_crawl_adds_the_driver_and_the_digest_workers() {
         "the crawl's own thread peak differs from the observer's"
     );
 
-    // The digest stage is joined with the harvest, the driver with the
+    // The digest workers are joined with the harvest, the driver with the
     // crawler. A joined thread leaves the kernel's count a moment after
     // `join` returns.
     drop(crawler);

@@ -7,6 +7,8 @@ use marketscope_core::MarketId;
 use marketscope_crawler::{CrawlConfig, CrawlTargets, Crawler};
 use marketscope_net::http::{Request, Response, Status};
 use marketscope_net::server::{HttpServer, ServerHandle};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A mock store serving `count` packages, with switchable pathologies.
 fn mock_store(count: usize, corrupt_apks: bool, junk_metadata: bool) -> ServerHandle {
@@ -272,6 +274,73 @@ fn index_page_without_packages_is_a_protocol_error_and_rules_nothing_out() {
     // The truncated walk proves nothing about the other fifty: parallel
     // search probes Tencent for them and finds them.
     assert_eq!(snap.market(MarketId::TencentMyapp).listings.len(), 100);
+    assert_eq!(snap.stats.parallel_search_hits, 50);
+}
+
+/// A store listing `count` packages whose index page 1 names itself as
+/// `next`, until 64 index requests have reached it. Returns the store
+/// and its count of index requests.
+fn self_looping_index_store(count: usize) -> (ServerHandle, Arc<AtomicUsize>) {
+    let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i}.app")).collect();
+    let requests = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&requests);
+    let store = HttpServer::spawn(move |req: &Request| {
+        let segments = req.segments();
+        match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            ["index"] => {
+                let asked = seen.fetch_add(1, Ordering::SeqCst) + 1;
+                let page: usize = req
+                    .query_param("page")
+                    .and_then(|p| p.parse().ok())
+                    .unwrap_or(0)
+                    .min(1);
+                let listed: Vec<Json> = packages[page * 50..(page + 1) * 50]
+                    .iter()
+                    .map(|p| Json::from(p.as_str()))
+                    .collect();
+                let mut fields = vec![("packages", Json::Arr(listed))];
+                if asked < 64 {
+                    fields.push(("next", Json::from(1u64)));
+                }
+                Response::json(&Json::obj(fields))
+            }
+            ["app", pkg] => {
+                if !packages.iter().any(|p| p == pkg) {
+                    return Response::status(Status::NotFound);
+                }
+                Response::json(&Json::obj([
+                    ("package", Json::from(pkg)),
+                    ("name", Json::from("Mock")),
+                    ("version_code", Json::from(1u64)),
+                ]))
+            }
+            _ => Response::status(Status::NotFound),
+        }
+    })
+    .unwrap();
+    (store, requests)
+}
+
+#[test]
+fn an_index_next_that_does_not_advance_ends_the_walk_as_a_protocol_error() {
+    // Tencent's page 1 names itself as next and its index never reaches
+    // the last fifty of its packages; Wandoujia lists all 150 in full.
+    let (looping, index_requests) = self_looping_index_store(150);
+    let full = mock_store(150, false, false);
+    let mut targets = targets_with(looping.addr());
+    targets.markets[MarketId::Wandoujia.index()] = full.addr();
+    let crawler = Crawler::new(CrawlConfig {
+        seeds: Vec::new(),
+        bfs_markets: Vec::new(),
+        fetch_apks: false,
+        ..CrawlConfig::default()
+    });
+    let snap = crawler.crawl(&targets);
+    assert_eq!(index_requests.load(Ordering::SeqCst), 2);
+    assert_eq!(fetch_errors(&crawler, "tencent", "protocol"), 1);
+    // The looping walk rules nothing out: parallel search finds the
+    // fifty packages its index never listed.
+    assert_eq!(snap.market(MarketId::TencentMyapp).listings.len(), 150);
     assert_eq!(snap.stats.parallel_search_hits, 50);
 }
 

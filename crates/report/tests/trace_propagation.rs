@@ -71,6 +71,44 @@ fn sampled_campaign_exports_linked_chrome_trace() {
         .any(|root| root == "analysis");
     assert!(analysis_linked, "no stage span under the analysis root");
 
+    // Each digest span sits directly under its APK's harvest root, though
+    // a digest worker, not the crawl loop, records it.
+    let crawler_spans: HashMap<(u64, u64), &SpanRecord> = traces
+        .records
+        .iter()
+        .filter(|r| r.component == "crawler")
+        .map(|r| ((r.trace_id, r.span_id), r))
+        .collect();
+    let digests: Vec<&SpanRecord> = crawler_spans
+        .values()
+        .copied()
+        .filter(|r| r.name == "digest")
+        .collect();
+    assert!(
+        !digests.is_empty(),
+        "no digest span in the campaign journal"
+    );
+    for digest in digests {
+        let parent = digest
+            .parent_id
+            .and_then(|p| crawler_spans.get(&(digest.trace_id, p)));
+        let under_harvest = parent.is_some_and(|p| {
+            p.parent_id.is_none()
+                && p.name
+                    .strip_prefix("apk ")
+                    .and_then(|apk| apk.split_once('/'))
+                    .is_some_and(|(market, pkg)| {
+                        MarketId::ALL.iter().any(|m| m.slug() == market) && !pkg.is_empty()
+                    })
+        });
+        assert!(
+            under_harvest,
+            "digest span {} sits under {:?}",
+            digest.span_id,
+            parent.map(|p| &p.name)
+        );
+    }
+
     // The Chrome export is valid JSON with one event per span or more.
     let exported = chrome_trace(traces);
     let doc = Json::parse(&exported).expect("chrome trace must be valid JSON");
