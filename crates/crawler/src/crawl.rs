@@ -33,9 +33,10 @@
 //!   duplicates enter the frontier (and `crawler_dedup_hits_total`
 //!   counts fewer).
 //! * **Negative set.** An index walk is complete when it reaches a page
-//!   without `next` and no page failed, came back malformed or named a
-//!   `next` that does not advance; the market then cannot list a package
-//!   the walk did not see. A definitive 404
+//!   without `next` and no page failed, came back malformed, named a
+//!   `next` that does not advance or named one after listing no new
+//!   package; the market then cannot list a package the walk did not
+//!   see. A definitive 404
 //!   from a BFS `/related` is an answer too. Parallel search probes a market
 //!   only for packages it did not list that are not such known misses, so
 //!   an index package whose listing fetch failed still gets its second
@@ -440,7 +441,11 @@ struct IndexWalk {
     next_page: Option<u64>,
     /// The page last requested: a `next` must name a later one.
     page: u64,
-    seen: Vec<String>,
+    /// Each package listed, once, in listing order.
+    found: Vec<String>,
+    /// The same packages as a set: the catalog, if the walk completes.
+    /// Every page must add to it.
+    seen: HashSet<String>,
     /// No page failed or came back malformed.
     intact: bool,
     done: bool,
@@ -609,7 +614,8 @@ impl<'c> Run<'c> {
                 Task::Index(IndexWalk {
                     next_page: Some(0),
                     page: 0,
-                    seen: Vec::new(),
+                    found: Vec::new(),
+                    seen: HashSet::new(),
                     intact: true,
                     done: false,
                 })
@@ -838,9 +844,9 @@ impl<'c> Run<'c> {
         let found = match std::mem::take(&mut self.markets[m].task) {
             Task::Index(walk) => {
                 if walk.intact {
-                    self.markets[m].catalog = Some(walk.seen.iter().cloned().collect());
+                    self.markets[m].catalog = Some(walk.seen);
                 }
-                walk.seen
+                walk.found
             }
             Task::Bfs(bfs) => bfs.found,
             Task::Sweep(sweep) => {
@@ -919,17 +925,25 @@ impl<'c> Run<'c> {
             Ok(doc) => match doc.get("packages").and_then(Json::as_arr) {
                 None => Some(NetError::Protocol("index page without packages")),
                 Some(packages) => {
+                    let known = walk.found.len();
                     for p in packages {
                         match p.as_str() {
-                            Some(s) => walk.seen.push(s.to_owned()),
+                            Some(s) if walk.seen.insert(s.to_owned()) => {
+                                walk.found.push(s.to_owned());
+                            }
+                            Some(_) => {}
                             None => walk.intact = false,
                         }
                     }
-                    // A `next` that does not advance would walk for ever.
+                    // A `next` that does not advance, or that follows a
+                    // page of known packages, would walk for ever.
                     match doc.get("next").map(Json::as_u64) {
-                        Some(Some(next)) if next > walk.page => {
+                        Some(Some(next)) if next > walk.page && walk.found.len() > known => {
                             walk.next_page = Some(next);
                             None
+                        }
+                        Some(Some(next)) if next > walk.page => {
+                            Some(NetError::Protocol("index page adds no package"))
                         }
                         Some(Some(_)) => Some(NetError::Protocol("index next does not advance")),
                         Some(None) => {

@@ -277,10 +277,11 @@ fn index_page_without_packages_is_a_protocol_error_and_rules_nothing_out() {
     assert_eq!(snap.stats.parallel_search_hits, 50);
 }
 
-/// A store listing `count` packages whose index page 1 names itself as
-/// `next`, until 64 index requests have reached it. Returns the store
-/// and its count of index requests.
-fn self_looping_index_store(count: usize) -> (ServerHandle, Arc<AtomicUsize>) {
+/// A store listing `count` packages whose index serves page 1 for every
+/// page past it and names a `next` until 64 index requests have reached
+/// it: page 1 itself, or with `advancing` the page after the one asked
+/// for. Returns the store and its count of index requests.
+fn self_looping_index_store(count: usize, advancing: bool) -> (ServerHandle, Arc<AtomicUsize>) {
     let packages: Vec<String> = (0..count).map(|i| format!("com.mock{i}.app")).collect();
     let requests = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&requests);
@@ -289,18 +290,19 @@ fn self_looping_index_store(count: usize) -> (ServerHandle, Arc<AtomicUsize>) {
         match segments.iter().map(String::as_str).collect::<Vec<_>>()[..] {
             ["index"] => {
                 let asked = seen.fetch_add(1, Ordering::SeqCst) + 1;
-                let page: usize = req
+                let asked_page: u64 = req
                     .query_param("page")
                     .and_then(|p| p.parse().ok())
-                    .unwrap_or(0)
-                    .min(1);
+                    .unwrap_or(0);
+                let page = asked_page.min(1) as usize;
                 let listed: Vec<Json> = packages[page * 50..(page + 1) * 50]
                     .iter()
                     .map(|p| Json::from(p.as_str()))
                     .collect();
                 let mut fields = vec![("packages", Json::Arr(listed))];
                 if asked < 64 {
-                    fields.push(("next", Json::from(1u64)));
+                    let next = if advancing { asked_page + 1 } else { 1 };
+                    fields.push(("next", Json::from(next)));
                 }
                 Response::json(&Json::obj(fields))
             }
@@ -323,25 +325,28 @@ fn self_looping_index_store(count: usize) -> (ServerHandle, Arc<AtomicUsize>) {
 
 #[test]
 fn an_index_next_that_does_not_advance_ends_the_walk_as_a_protocol_error() {
-    // Tencent's page 1 names itself as next and its index never reaches
-    // the last fifty of its packages; Wandoujia lists all 150 in full.
-    let (looping, index_requests) = self_looping_index_store(150);
-    let full = mock_store(150, false, false);
-    let mut targets = targets_with(looping.addr());
-    targets.markets[MarketId::Wandoujia.index()] = full.addr();
-    let crawler = Crawler::new(CrawlConfig {
-        seeds: Vec::new(),
-        bfs_markets: Vec::new(),
-        fetch_apks: false,
-        ..CrawlConfig::default()
-    });
-    let snap = crawler.crawl(&targets);
-    assert_eq!(index_requests.load(Ordering::SeqCst), 2);
-    assert_eq!(fetch_errors(&crawler, "tencent", "protocol"), 1);
-    // The looping walk rules nothing out: parallel search finds the
-    // fifty packages its index never listed.
-    assert_eq!(snap.market(MarketId::TencentMyapp).listings.len(), 150);
-    assert_eq!(snap.stats.parallel_search_hits, 50);
+    // Tencent's index never reaches the last fifty of its packages: its
+    // page 1 names itself as next, or names ever later pages that repeat
+    // it, ending at page 2. Wandoujia lists all 150 in full.
+    for (advancing, requests) in [(false, 2), (true, 3)] {
+        let (looping, index_requests) = self_looping_index_store(150, advancing);
+        let full = mock_store(150, false, false);
+        let mut targets = targets_with(looping.addr());
+        targets.markets[MarketId::Wandoujia.index()] = full.addr();
+        let crawler = Crawler::new(CrawlConfig {
+            seeds: Vec::new(),
+            bfs_markets: Vec::new(),
+            fetch_apks: false,
+            ..CrawlConfig::default()
+        });
+        let snap = crawler.crawl(&targets);
+        assert_eq!(index_requests.load(Ordering::SeqCst), requests);
+        assert_eq!(fetch_errors(&crawler, "tencent", "protocol"), 1);
+        // The looping walk rules nothing out: parallel search finds the
+        // fifty packages its index never listed.
+        assert_eq!(snap.market(MarketId::TencentMyapp).listings.len(), 150);
+        assert_eq!(snap.stats.parallel_search_hits, 50);
+    }
 }
 
 #[test]

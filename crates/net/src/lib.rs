@@ -17,9 +17,9 @@
 //! blocking forms just wait on a one-shot channel), so crawl fan-out is
 //! bounded by sockets, not threads. A caller driving many submissions at
 //! once has each callback send to one channel and waits on that for
-//! whichever finishes first. Shards, acceptor and driver are three loop
-//! bodies over one loop core: one `poll` turn, one slot table, one
-//! deadline bound and one clock read.
+//! whichever finishes first. The transport's loop (acceptor and shards)
+//! and the driver are two loop bodies over one loop core: one `poll`
+//! turn, one slot table, one deadline bound and one clock read.
 //!
 //! Protocol subset: `GET` (all the client sends; servers also answer
 //! `POST`), `Content-Length` bodies (no chunked encoding),

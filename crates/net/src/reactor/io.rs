@@ -1,9 +1,9 @@
-//! The loop core under the server's acceptor and shards
-//! ([`crate::reactor`]) and the client driver ([`crate::mux`]), and the
-//! nonblocking I/O primitives they drive sockets with. A loop body
-//! watches descriptors, arms deadlines and calls [`Poller::turn`]: the
-//! crate's only `poll(2)` and its only clock read, so every deadline is
-//! [`Poller::now`] plus a duration.
+//! The loop core under the server's shards ([`crate::reactor`]) and the
+//! client driver ([`crate::mux`]), and the nonblocking I/O primitives
+//! they drive sockets with. A loop body watches descriptors, arms
+//! deadlines and calls [`Poller::turn`]: the crate's only `poll(2)` and
+//! its only clock read, so every deadline is [`Poller::now`] plus a
+//! duration.
 //!
 //! Every loop is level-triggered, so every I/O helper here may stop early
 //! — unread bytes, an unflushed tail or a backlog not yet emptied simply
@@ -132,6 +132,16 @@ impl<T> Slab<T> {
         let (gen, value) = &mut self.slots[idx];
         *gen = gen.wrapping_add(1);
         value.take()
+    }
+
+    /// Remove every value `pick` selects, in slot order.
+    pub(crate) fn remove_where(&mut self, pick: impl Fn(&T) -> bool) -> Vec<T> {
+        let picked: Vec<u64> = self
+            .iter()
+            .filter(|(_, value)| pick(value))
+            .map(|(token, _)| token)
+            .collect();
+        picked.into_iter().filter_map(|t| self.remove(t)).collect()
     }
 
     /// Every occupied slot with its token, in slot order.
@@ -367,6 +377,17 @@ mod tests {
         let listed: Vec<_> = slab.iter().collect();
         assert_eq!(listed, [(reused, &"reused"), (kept, &"kept")]);
         assert_ne!(reused, first);
+    }
+
+    #[test]
+    fn remove_where_takes_the_picked_values_and_stales_their_tokens() {
+        let mut slab = Slab::new();
+        let tokens: Vec<u64> = (0..5).map(|i| slab.insert(i)).collect();
+        assert_eq!(slab.remove_where(|&i| i % 2 == 0), [0, 2, 4]);
+        assert_eq!(slab.get_mut(tokens[2]), None);
+        assert_eq!(slab.get_mut(tokens[3]), Some(&mut 3));
+        let left: Vec<i32> = slab.iter().map(|(_, &i)| i).collect();
+        assert_eq!(left, [1, 3]);
     }
 
     #[test]

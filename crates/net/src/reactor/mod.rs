@@ -8,29 +8,29 @@
 //! byte buffers, a state tag) and the thread count is a property of the
 //! [`Transport`], not of a server or of its connections. A transport
 //! serves any number of registered listeners — a standalone server owns
-//! one, a whole fleet of market servers shares one — on:
+//! one, a whole fleet of market servers shares one — on `1 + SHARDS`
+//! runs of one loop body over the loop core in `reactor::io`, which
+//! handles messages before readiness:
 //!
-//! * **one acceptor** — watches every registered nonblocking listener,
-//!   with bounded backoff on transient errors (EMFILE must not
-//!   busy-loop) and load shedding above
-//!   [`ReactorConfig::max_connections`] (an immediate `503` +
-//!   `connection: close`, never a silent drop);
-//! * **[`SHARDS`] event-loop shards** — each owns a slab of connections
-//!   outright (no cross-shard locking on the hot path) and runs turn →
-//!   read → parse → handle → write. The [`Handler`] runs on the shard
-//!   that cut the request: market handlers only compute (a listing in
+//! * **[`SHARDS`] shards** — each owns a slab of connections outright
+//!   (no cross-shard locking on the hot path) and runs turn → read →
+//!   parse → handle → write. The [`Handler`] runs on the shard that cut
+//!   the request: market handlers only compute (a listing in
 //!   microseconds, an APK build in about 100 µs), and by contract never
 //!   block on I/O or on another request.
+//! * **the acceptor** — holds every listener and no connection, so no
+//!   handler, however slow, holds up an accept. It drains each
+//!   listener's backlog, backs off on transient errors (EMFILE must not
+//!   busy-loop), sheds above
+//!   [`ReactorConfig::max_connections`] (an immediate `503` +
+//!   `connection: close`, never a silent drop) and hands the rest to the
+//!   shards round-robin, one cursor for every listener, in accept order.
 //!
 //! What differs between the servers on one transport — handler,
 //! instruments, fault injector — is an `Endpoint`, created when a
 //! listener registers and carried by every connection accepted on it,
 //! so each close, shed, reject and response records into the
 //! instruments of the connection's own server.
-//!
-//! Acceptor and shards are loop bodies over the loop core in
-//! `reactor::io`, each with its own message order: a shard handles
-//! messages before readiness, the acceptor readiness before messages.
 //!
 //! # Connection state machine
 //!
@@ -152,36 +152,37 @@ impl Endpoint {
     }
 }
 
-/// Receipt for a [`Transport::retire`] message: the loop that handled it
-/// drops the sender, and the retiring thread's `recv` returns once every
-/// sender is gone.
+/// Receipt for a [`Transport::retire`]: its `recv` returns once every
+/// loop that handled the retirement has dropped its sender.
 type Ack = mpsc::Sender<()>;
 
-/// What other threads tell the acceptor.
-enum AcceptorMsg {
-    /// Start accepting on this (nonblocking) listener for this endpoint.
+/// What other threads tell a loop.
+enum LoopMsg {
+    /// Accept on this nonblocking listener for this endpoint (acceptor).
     Listen(TcpListener, Arc<Endpoint>),
-    /// Close the endpoint's listener.
-    Retire(Arc<Endpoint>, Ack),
-}
-
-/// What other threads tell a shard.
-enum ShardMsg {
-    /// A freshly accepted socket, already counted in its endpoint's live
-    /// gauge.
+    /// An accepted socket, already counted in its endpoint's live gauge
+    /// (shard).
     Adopt(TcpStream, Arc<Endpoint>),
-    /// Drop every connection of the endpoint. The shard runs handlers
-    /// itself, so when it handles this message no call is in flight.
+    /// Drop the endpoint's listener and every connection of it. A shard
+    /// runs handlers itself, so when it handles this message no call is
+    /// in flight. Told to the acceptor, which forwards it to the shards.
     Retire(Arc<Endpoint>, Ack),
 }
 
-/// State shared by the acceptor and every shard.
+/// The acceptor's index in [`Shared::loops`], past the last shard's.
+const ACCEPTOR: usize = SHARDS;
+
+/// State shared by every loop.
 struct Shared {
     cfg: ReactorConfig,
     shutdown: AtomicBool,
-    acceptor: Inbox<AcceptorMsg>,
-    shards: Vec<Inbox<ShardMsg>>,
+    /// Every loop's inbox: the shards' in id order, then the acceptor's.
+    loops: Vec<Inbox<LoopMsg>>,
 }
+
+/// Set in listener tokens, never in a connection's: a slot holds a socket,
+/// and a process has fewer than 2^31 descriptors.
+const LISTENER: u64 = 1 << 31;
 
 /// Per-connection state (see the module-level diagram).
 #[derive(Debug)]
@@ -217,20 +218,38 @@ struct Conn {
     last_activity: Instant,
 }
 
-/// One event-loop shard: a slab of connections it owns exclusively.
-struct ShardState {
+/// One event loop: a shard, whose connections are its own, or the
+/// acceptor, whose listeners are.
+struct EventLoop {
     id: usize,
     shared: Arc<Shared>,
+    /// Empty on the acceptor.
     conns: Slab<Conn>,
-    /// Armed with every keep-alive expiry and stall end as it starts.
+    /// Armed with every keep-alive expiry, stall end and accept pause end
+    /// as it starts.
     poller: Poller,
+    /// Empty on a shard.
+    listeners: Slab<(TcpListener, Arc<Endpoint>)>,
+    /// The shard the next accepted socket goes to.
+    next_shard: usize,
+    /// How long the next accept error pauses the listeners.
+    backoff: Duration,
+    /// An accept error paused every listener until then (descriptor
+    /// exhaustion is the process's): the acceptor's only armed bound.
+    paused: Option<Instant>,
 }
 
-impl ShardState {
+impl EventLoop {
     fn run(mut self) {
         let shared = Arc::clone(&self.shared);
-        let inbox = &shared.shards[self.id];
+        let inbox = &shared.loops[self.id];
         loop {
+            if !self.paused.is_some_and(|until| until > self.poller.now()) {
+                for (tok, (listener, _)) in self.listeners.iter() {
+                    let fd = listener.as_raw_fd();
+                    self.poller.watch(fd, sys::POLLIN, tok | LISTENER);
+                }
+            }
             for (tok, conn) in self.conns.iter() {
                 let interest = match conn.state {
                     ConnState::Reading | ConnState::Draining if !conn.eof => sys::POLLIN,
@@ -247,12 +266,15 @@ impl ShardState {
             // before its `Retire`.
             for msg in inbox.take() {
                 match msg {
-                    ShardMsg::Adopt(stream, endpoint) => self.adopt(stream, endpoint),
-                    ShardMsg::Retire(endpoint, _ack) => self.close_all_of(&endpoint),
+                    LoopMsg::Listen(listener, endpoint) => {
+                        self.listeners.insert((listener, endpoint));
+                    }
+                    LoopMsg::Adopt(stream, endpoint) => self.adopt(stream, endpoint),
+                    LoopMsg::Retire(endpoint, ack) => self.retire(&endpoint, ack),
                 }
             }
-            // A message above may have closed or repurposed a slot: its
-            // stale token reads nothing.
+            // A message above may have closed or repurposed a slot, of a
+            // connection or of a listener: its stale token reads nothing.
             while let Some((tok, _)) = self.poller.ready() {
                 match self.conns.get_mut(tok).map(|c| &c.state) {
                     Some(ConnState::Reading | ConnState::Draining) => self.drive_read(tok),
@@ -260,6 +282,7 @@ impl ShardState {
                         self.drive_write(tok);
                         self.advance_parse(tok);
                     }
+                    None if tok & LISTENER != 0 => self.accept(tok & !LISTENER),
                     _ => {}
                 }
             }
@@ -292,6 +315,48 @@ impl ShardState {
                     self.advance_parse(tok);
                 }
                 _ => self.close(tok),
+            }
+        }
+    }
+
+    /// Drain listener `tok`'s backlog: shed above its endpoint's ceiling,
+    /// deal the rest round-robin, and pause every listener on an error.
+    fn accept(&mut self, tok: u64) {
+        let max = self.shared.cfg.max_connections;
+        loop {
+            let Some((listener, endpoint)) = self.listeners.get_mut(tok) else {
+                return;
+            };
+            let endpoint = Arc::clone(endpoint);
+            match io::accept_pending(listener) {
+                Ok(Some(stream)) => {
+                    self.backoff = ACCEPT_BACKOFF_MIN;
+                    if endpoint.metrics.live.get() >= max as i64 {
+                        shed(&stream, &endpoint, max);
+                        continue;
+                    }
+                    endpoint.metrics.live.inc();
+                    let shard = &self.shared.loops[self.next_shard];
+                    self.next_shard = (self.next_shard + 1) % SHARDS;
+                    shard.post(LoopMsg::Adopt(stream, endpoint));
+                }
+                Ok(None) => return,
+                Err(_) => {
+                    // EMFILE, ENFILE, ECONNABORTED: transient. Count it
+                    // and back off instead of spinning hot on the error.
+                    endpoint.metrics.accept_errors.inc();
+                    endpoint.metrics.log.record(
+                        LogLevel::Warn,
+                        "net.reactor",
+                        "transient accept error, backing off",
+                        &[("backoff_ms", &self.backoff.as_millis().to_string())],
+                    );
+                    let until = self.poller.now() + self.backoff;
+                    self.paused = Some(until);
+                    self.poller.arm(until);
+                    self.backoff = (self.backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                    return;
+                }
             }
         }
     }
@@ -338,16 +403,19 @@ impl ShardState {
         }
     }
 
-    /// Drop every connection of a retiring endpoint, whatever its state.
-    fn close_all_of(&mut self, endpoint: &Arc<Endpoint>) {
-        let toks: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| Arc::ptr_eq(&c.endpoint, endpoint))
-            .map(|(tok, _)| tok)
-            .collect();
-        for tok in toks {
-            self.close(tok);
+    /// Drop a retiring endpoint's listener and every connection of it,
+    /// whatever its state. The acceptor then forwards the retirement to
+    /// every shard, behind each `Adopt` it posted there for the endpoint.
+    fn retire(&mut self, endpoint: &Arc<Endpoint>, ack: Ack) {
+        let of_endpoint = |e: &Arc<Endpoint>| Arc::ptr_eq(e, endpoint);
+        self.listeners.remove_where(|(_, e)| of_endpoint(e));
+        for conn in self.conns.remove_where(|c| of_endpoint(&c.endpoint)) {
+            conn.endpoint.metrics.live.dec();
+        }
+        if self.id == ACCEPTOR {
+            for shard in &self.shared.loops[..SHARDS] {
+                shard.post(LoopMsg::Retire(Arc::clone(endpoint), ack.clone()));
+            }
         }
     }
 
@@ -578,83 +646,6 @@ fn serialize(resp: &Response) -> Vec<u8> {
     bytes
 }
 
-/// The accept loop: watch every registered listener, back off on
-/// transient errors, shed above a listener's connection ceiling,
-/// round-robin the rest across shards.
-fn accept_loop(shared: Arc<Shared>) {
-    let inbox = &shared.acceptor;
-    let mut listeners: Vec<(TcpListener, Arc<Endpoint>)> = Vec::new();
-    let mut poller = Poller::new();
-    let mut next_shard = 0usize;
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    // An accept error armed `backoff`: until it passes, watch no
-    // listener. Descriptor exhaustion is the process's, not one
-    // listener's, so every listener waits.
-    let mut backing_off = false;
-    loop {
-        if !backing_off {
-            for (i, (listener, _)) in listeners.iter().enumerate() {
-                poller.watch(listener.as_raw_fd(), sys::POLLIN, i as u64);
-            }
-        }
-        if poller.turn(inbox) {
-            backing_off = false;
-            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // A token is an index into `listeners`, which only changes below,
-        // after the readiness pass.
-        while let Some((i, _)) = poller.ready() {
-            let Some((listener, endpoint)) = listeners.get(i as usize) else {
-                continue;
-            };
-            loop {
-                match io::accept_pending(listener) {
-                    Ok(Some(stream)) => {
-                        backoff = ACCEPT_BACKOFF_MIN;
-                        if endpoint.metrics.live.get() >= shared.cfg.max_connections as i64 {
-                            shed(&stream, endpoint, shared.cfg.max_connections);
-                            continue;
-                        }
-                        endpoint.metrics.live.inc();
-                        let shard = &shared.shards[next_shard % shared.shards.len()];
-                        next_shard = next_shard.wrapping_add(1);
-                        shard.post(ShardMsg::Adopt(stream, Arc::clone(endpoint)));
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // EMFILE, ENFILE, ECONNABORTED: transient. Count
-                        // it and back off instead of spinning hot on the
-                        // error.
-                        endpoint.metrics.accept_errors.inc();
-                        endpoint.metrics.log.record(
-                            LogLevel::Warn,
-                            "net.reactor",
-                            "transient accept error, backing off",
-                            &[("backoff_ms", &backoff.as_millis().to_string())],
-                        );
-                        poller.arm(poller.now() + backoff);
-                        backing_off = true;
-                        break;
-                    }
-                }
-            }
-        }
-        // After the readiness pass, so every socket accepted for an
-        // endpoint is with its shard before the retirement is receipted.
-        for msg in inbox.take() {
-            match msg {
-                AcceptorMsg::Listen(listener, endpoint) => listeners.push((listener, endpoint)),
-                AcceptorMsg::Retire(endpoint, _ack) => {
-                    listeners.retain(|(_, e)| !Arc::ptr_eq(e, &endpoint));
-                }
-            }
-        }
-    }
-}
-
 /// Turn away a connection accepted above its endpoint's ceiling: count
 /// it, answer `503` + `connection: close`, and let the caller drop it.
 fn shed(stream: &TcpStream, endpoint: &Endpoint, max_connections: usize) {
@@ -671,9 +662,9 @@ fn shed(stream: &TcpStream, endpoint: &Endpoint, max_connections: usize) {
     let _ = (&*stream).write(SHED_RESPONSE);
 }
 
-/// A running reactor transport: the fixed thread set — one acceptor and
-/// [`SHARDS`] event loops that also run the handlers — under every
-/// listener registered on it with
+/// A running reactor transport: the fixed thread set — the acceptor and
+/// [`SHARDS`] shards that also run the handlers — under every listener
+/// registered on it with
 /// [`HttpServer::spawn_on`](crate::server::HttpServer::spawn_on).
 /// Dropping the last reference stops it and joins its threads.
 pub struct Transport {
@@ -685,17 +676,16 @@ pub struct Transport {
 }
 
 impl Transport {
-    /// Spawn the acceptor and shard threads. Nothing is served
-    /// until a listener registers.
+    /// Spawn the shard and acceptor threads. Nothing is served until a
+    /// listener registers.
     pub fn spawn(cfg: ReactorConfig) -> Result<Arc<Transport>, NetError> {
-        let shards = (0..SHARDS)
+        let loops = (0..=ACCEPTOR)
             .map(|_| Inbox::new())
             .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
             cfg,
             shutdown: AtomicBool::new(false),
-            acceptor: Inbox::new()?,
-            shards,
+            loops,
         });
         // Built before the first thread starts: if a later spawn fails,
         // dropping it stops and joins the threads that did start.
@@ -703,16 +693,22 @@ impl Transport {
             shared: Arc::clone(&shared),
             threads: Mutex::new(Vec::new()),
         });
-        let acceptor = Arc::clone(&shared);
-        transport.start("http-accept".into(), move || accept_loop(acceptor))?;
-        for id in 0..SHARDS {
-            let shard = Arc::clone(&shared);
-            transport.start(format!("http-shard-{id}"), move || {
-                ShardState {
+        for id in 0..=ACCEPTOR {
+            let name = match id {
+                ACCEPTOR => "http-accept".to_owned(),
+                shard => format!("http-shard-{shard}"),
+            };
+            let shared = Arc::clone(&shared);
+            transport.start(name, move || {
+                EventLoop {
                     id,
-                    shared: shard,
+                    shared,
                     conns: Slab::new(),
                     poller: Poller::new(),
+                    listeners: Slab::new(),
+                    next_shard: 0,
+                    backoff: ACCEPT_BACKOFF_MIN,
+                    paused: None,
                 }
                 .run()
             })?;
@@ -742,9 +738,7 @@ impl Transport {
             return Err(std::io::Error::other("transport already stopped"));
         }
         listener.set_nonblocking(true)?;
-        self.shared
-            .acceptor
-            .post(AcceptorMsg::Listen(listener, endpoint));
+        self.shared.loops[ACCEPTOR].post(LoopMsg::Listen(listener, endpoint));
         Ok(())
     }
 
@@ -757,21 +751,14 @@ impl Transport {
             // A stopped transport has closed everything already.
             return;
         }
-        // The acceptor first: once it has receipted, no socket of this
-        // endpoint is posted to a shard any more, so each shard's sweep
-        // catches them all. A shard's receipt also means no handler call
-        // of the endpoint is in flight there, and none starts again.
-        let (ack, receipts) = mpsc::channel();
-        self.shared
-            .acceptor
-            .post(AcceptorMsg::Retire(Arc::clone(endpoint), ack));
-        let _ = receipts.recv();
-        let (ack, receipts) = mpsc::channel();
-        for shard in &self.shared.shards {
-            shard.post(ShardMsg::Retire(Arc::clone(endpoint), ack.clone()));
-        }
-        drop(ack);
-        let _ = receipts.recv();
+        // The acceptor accepts nothing for the endpoint once it has
+        // handled this, and forwards it behind every socket it handed
+        // out, so each shard's sweep catches them all. A shard's receipt
+        // also means no handler call of the endpoint is in flight there,
+        // and none starts again.
+        let (ack, receipt) = mpsc::channel();
+        self.shared.loops[ACCEPTOR].post(LoopMsg::Retire(Arc::clone(endpoint), ack));
+        let _ = receipt.recv();
     }
 
     /// Stop every listener, then wake and join every thread. Open
@@ -780,18 +767,17 @@ impl Transport {
     pub fn stop(&self) {
         let mut threads = self.threads.lock();
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.acceptor.wake();
-        for shard in &self.shared.shards {
-            shard.wake();
+        for inbox in &self.shared.loops {
+            inbox.wake();
         }
         for t in threads.drain(..) {
             let _ = t.join();
         }
         // Sockets the acceptor counted but no shard adopted before the
         // flag flipped: balance the gauge as they drop.
-        for shard in &self.shared.shards {
-            for msg in shard.take() {
-                if let ShardMsg::Adopt(_, endpoint) = msg {
+        for inbox in &self.shared.loops {
+            for msg in inbox.take() {
+                if let LoopMsg::Adopt(_, endpoint) = msg {
                     endpoint.metrics.live.dec();
                 }
             }

@@ -338,18 +338,28 @@ mod tests {
     }
 
     #[test]
-    fn handlers_run_on_the_shard_that_parsed_the_request() {
+    fn connections_go_round_robin_to_the_shards_in_accept_order() {
+        // The handler runs on the shard that parsed the request, so its
+        // thread names the shard. The serve workloads' balance rests on
+        // this order: a market's lanes open in sequence and alternate.
         let server = HttpServer::spawn(|_req: &Request| {
             let name = std::thread::current().name().unwrap_or_default().to_owned();
             Response::ok("text/plain", name.into_bytes())
         })
         .unwrap();
-        let out = raw_round_trip(
-            server.addr(),
-            b"GET /who HTTP/1.1\r\nconnection: close\r\n\r\n",
-        );
-        let text = String::from_utf8_lossy(&out);
-        assert!(text.contains("\r\n\r\nhttp-shard-"), "{text}");
+        let mut held = Vec::new();
+        let answers: Vec<String> = (0..2 * SHARDS)
+            .map(|_| {
+                let mut s = TcpStream::connect(server.addr()).unwrap();
+                let answer = keep_alive_round_trip(&mut s, "/who");
+                held.push(s);
+                answer
+            })
+            .collect();
+        let want: Vec<String> = (0..2 * SHARDS)
+            .map(|i| format!("http-shard-{}", i % SHARDS))
+            .collect();
+        assert_eq!(answers, want);
     }
 
     #[test]

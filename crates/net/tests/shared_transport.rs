@@ -1,8 +1,9 @@
 //! Two servers on one [`Transport`]: the threads are shared, nothing
 //! else is. Each listener keeps its own instruments, its own connection
 //! ceiling and its own fault injector, one can be stopped while the
-//! other serves on, and a market that stalls holds its own connections —
-//! not the shards its neighbour needs.
+//! other serves on, even while its sockets are being handed out, and a
+//! market that stalls holds its own connections — not the shards its
+//! neighbour needs.
 
 use marketscope_net::fault::{FaultInjector, FaultPlan};
 use marketscope_net::reactor::SHARDS;
@@ -12,6 +13,7 @@ use marketscope_net::{
 use marketscope_telemetry::{Registry, RegistrySnapshot};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -175,6 +177,57 @@ fn stopping_one_listener_leaves_the_other_serving() {
     assert_eq!(a.request_count(), 1);
 
     // B still serves, on the connection it had parked and on new ones.
+    assert_eq!(round_trip(&mut to_b, "/y").1, "b");
+    let mut fresh = TcpStream::connect(b.addr()).unwrap();
+    assert_eq!(round_trip(&mut fresh, "/z").1, "b");
+    assert_eq!(b.request_count(), 3);
+}
+
+#[test]
+fn stopping_a_listener_mid_adoption_closes_every_socket_it_accepted() {
+    let transport = Transport::spawn(ReactorConfig::default()).unwrap();
+    let registry = Registry::new();
+    let handled = Arc::new(AtomicUsize::new(0));
+    let calls = Arc::clone(&handled);
+    let a = HttpServer::spawn_on(
+        &transport,
+        "127.0.0.1:0",
+        move |_req: &Request| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Response::ok("text/plain", b"a".to_vec())
+        },
+        ServerMetrics::register(&registry, &[("market", "a")]),
+        None,
+    )
+    .unwrap();
+    let b = spawn_on(&transport, &registry, "b", None);
+    let mut to_b = TcpStream::connect(b.addr()).unwrap();
+    assert_eq!(round_trip(&mut to_b, "/x").1, "b");
+
+    // Shard 0 is still accepting these, and posting them to the other
+    // shards, when the retirement lands behind them.
+    let mut sockets: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(a.addr()).unwrap())
+        .collect();
+    a.stop();
+    assert_eq!(a.live_connections(), 0, "a socket outlived the stop");
+
+    // A socket A accepted reads EOF; one still in the backlog when the
+    // listener closed is reset. Neither carries a byte.
+    for s in &mut sockets {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut rest = Vec::new();
+        match s.read_to_end(&mut rest) {
+            Ok(_) => {}
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+        }
+        assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+        let _ = s.write_all(b"GET /late HTTP/1.1\r\n\r\n");
+    }
+    assert_eq!(handled.load(Ordering::SeqCst), 0, "A's handler ran");
+    assert_eq!(a.request_count(), 0);
+
+    // B, on the same shards, serves on.
     assert_eq!(round_trip(&mut to_b, "/y").1, "b");
     let mut fresh = TcpStream::connect(b.addr()).unwrap();
     assert_eq!(round_trip(&mut fresh, "/z").1, "b");
